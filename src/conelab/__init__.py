@@ -50,7 +50,6 @@ from .linalg import (
     DegenerateInputError,
     DimensionMismatchError,
     DomainError,
-    LinearConstraintSet,
     SolverStallError,
     Tolerance,
     conic_membership,

@@ -15,7 +15,7 @@ boundary of C and carry closed-form exposing normals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -218,11 +218,15 @@ def theta_grid(n):
 
 @dataclass(frozen=True)
 class BodySamples:
-    """Per-curve parameter grids and sampled points, for C or for C'."""
+    """Per-curve parameter grids and sampled points, for C or for C', also
+    stacked curve by curve: xyz[k] is the sample of curve ids[k] at ts[k]."""
 
     grids: dict
     points: dict
     shifted: bool  # False: raw C samples; True: C' = 2C + SHIFT samples
+    ids: np.ndarray = field(init=False, repr=False)
+    ts: np.ndarray = field(init=False, repr=False)
+    xyz: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for i in CURVE_IDS:
@@ -231,20 +235,11 @@ class BodySamples:
             g = self.grids[i]
             if abs(g[0]) > 1e-15 or abs(g[-1] - T_END) > 1e-12:
                 raise DomainError("grids must include both endpoints 0 and T")
-
-    def stacked(self):
-        """All samples as (labels, points): labels[k] = (curve_id, t).
-        Computed once and cached (the instance is immutable)."""
-        cached = getattr(self, "_stacked", None)
-        if cached is None:
-            labels = []
-            pts = []
-            for i in CURVE_IDS:
-                labels.extend((i, float(t)) for t in self.grids[i])
-                pts.append(self.points[i])
-            cached = (labels, np.vstack(pts))
-            object.__setattr__(self, "_stacked", cached)
-        return cached
+        ids = np.concatenate([np.full(self.grids[i].size, i) for i in CURVE_IDS])
+        ts = np.concatenate([np.asarray(self.grids[i], dtype=float) for i in CURVE_IDS])
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "ts", ts)
+        object.__setattr__(self, "xyz", np.vstack([self.points[i] for i in CURVE_IDS]))
 
 
 def sample_body(grids, shifted=False):
@@ -272,14 +267,12 @@ def homogenize(body):
         raise DegenerateInputError("homogenize expects BodySamples")
     if not body.shifted:
         raise DomainError("homogenize requires the shifted body C', not raw C")
-    labels, pts = body.stacked()
-    if pts.size == 0:
-        raise DegenerateInputError("no samples to homogenize")
+    pts = body.xyz
     gens = np.hstack([np.ones((len(pts), 1)), pts])
     return ConeModel(
         generators=gens,
         provenance=f"cone over C' samples ({len(pts)} generators)",
-        labels=tuple(labels),
+        labels=(body.ids, body.ts),
     )
 
 

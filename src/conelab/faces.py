@@ -31,6 +31,7 @@ from .construction import (
     BodySamples,
     curve_grid,
     curve_point,
+    curve_points,
     curve_sample,
     ruling_data,
     sample_body,
@@ -182,32 +183,14 @@ def face_points(face):
     return np.vstack([curve_point(i, t) for i, t in face.anchors])
 
 
-def param_distance(face, curve_id, t):
-    """Distance between a sample (curve, t) and a face in parameter space.
+def param_distances(face, ids, ts):
+    """Distance between each sample (ids[k], ts[k]) and a face in parameter
+    space.
 
     Same-curve anchors contribute |t - t*|; anchors on another curve are
     reached through the common endpoint, contributing t + t*. Curves wholly
     contained in the face are at distance 0.
     """
-    if curve_id in face.full_curves:
-        return 0.0
-    best = math.inf
-    if face.full_curves:
-        best = t  # the face contains the common endpoint
-    for i, ts in face.anchors:
-        best = min(best, abs(t - ts) if i == curve_id else t + ts)
-    return best
-
-
-def label_arrays(labels):
-    """(curve ids, parameters) as arrays, for the vectorized distance."""
-    ids = np.fromiter((i for i, _ in labels), dtype=int, count=len(labels))
-    ts = np.fromiter((t for _, t in labels), dtype=float, count=len(labels))
-    return ids, ts
-
-
-def param_distances(face, ids, ts):
-    """Vectorized param_distance over sample label arrays."""
     if face.full_curves:
         dist = ts.copy()  # reach the face through the common endpoint
         for i in face.full_curves:
@@ -218,6 +201,16 @@ def param_distances(face, ids, ts):
         same = ids == i
         np.minimum(dist, np.where(same, np.abs(ts - anchor_t), ts + anchor_t), out=dist)
     return dist
+
+
+def margins_by_radius(slack, dists, deltas):
+    """Smallest slack among the samples at parameter distance >= delta, per
+    delta; inf when no sample is that far from the face."""
+    margins = {}
+    for delta in deltas:
+        mask = dists >= delta
+        margins[delta] = float(slack[mask].min()) if mask.any() else math.inf
+    return margins
 
 
 def verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
@@ -240,9 +233,8 @@ def verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
     # Convex combinations of generators must reach the same hyperplane.
     centroid_res = abs(float(anchor_pts.mean(axis=0) @ y) - d)
 
-    labels, pts = body.stacked()
-    values = pts @ y
-    dists = param_distances(face, *label_arrays(labels))
+    values = body.xyz @ y
+    dists = param_distances(face, body.ids, body.ts)
 
     onface = dists <= 1e-9
     residuals = [anchor_res.max(), centroid_res]
@@ -250,11 +242,7 @@ def verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
         residuals.append(float(np.abs(values[onface] - d).max()))
     max_res = float(max(residuals))
 
-    margins = {}
-    for delta in deltas:
-        mask = dists >= delta
-        margins[delta] = float((d - values[mask]).min()) if mask.any() else math.inf
-
+    margins = margins_by_radius(d - values, dists, deltas)
     ok = max_res <= tol.eq_abs and all(m > 0.0 for m in margins.values())
     return ExposureReport(
         face_label=face.label(),
@@ -272,36 +260,33 @@ def _support_plane_through(points, body, margin_radius=0.05):
     <y, x> <= d on every body sample, <y, x> <= d - m on samples at
     parameter distance >= margin_radius from every given point, |y| <= 1.
     """
-    labels, samples = body.stacked()
+    samples = body.xyz
     pts = np.atleast_2d(points)
     n = 3
     # variables z = (y1, y2, y3, d, m)
     a_eq = np.hstack([pts, -np.ones((len(pts), 1)), np.zeros((len(pts), 1))])
     b_eq = np.zeros(len(pts))
 
-    # distance of a sample from the point set, in parameter space
+    # the samples at the given points pin the face in parameter space
     anchors = []
     for p in pts:
-        hits = [(i, t) for (i, t), x in zip(labels, samples) if np.linalg.norm(x - p) <= 1e-9]
-        anchors.extend(hits if hits else [])
-    def dist(i, t):
-        best = math.inf
-        for j, ts in anchors:
-            best = min(best, abs(t - ts) if j == i else t + ts)
-        return best
+        hits = np.linalg.norm(samples - p, axis=1) <= 1e-9
+        anchors.extend(zip(body.ids[hits].tolist(), body.ts[hits].tolist()))
+    far = param_distances(FaceDescriptor("oracle", 0, anchors=tuple(anchors)),
+                          body.ids, body.ts) >= margin_radius
 
-    rows, rhs = [], []
-    for (i, t), x in zip(labels, samples):
-        rows.append(np.concatenate([x, [-1.0, 0.0]]))
-        rhs.append(0.0)
-        if dist(i, t) >= margin_radius:
-            rows.append(np.concatenate([x, [-1.0, 1.0]]))
-            rhs.append(0.0)
+    # one row <y, x> - d <= 0 per sample, each followed by the row
+    # <y, x> - d + m <= 0 when the sample is far from the points
+    rows = np.zeros((len(samples), 2, 5))
+    rows[:, :, :3] = samples[:, None, :]
+    rows[:, :, 3] = -1.0
+    rows[:, 1, 4] = 1.0
+    rows = rows[np.stack([np.ones_like(far), far], axis=1)]
     bounds = [(-1.0, 1.0)] * n + [(-3.0, 3.0), (0.0, 10.0)]
     res = linprog(
         c=np.array([0.0, 0.0, 0.0, 0.0, -1.0]),
-        A_ub=np.vstack(rows),
-        b_ub=np.array(rhs),
+        A_ub=rows,
+        b_ub=np.zeros(len(rows)),
         A_eq=a_eq,
         b_eq=b_eq,
         bounds=bounds,
@@ -314,10 +299,9 @@ def _support_plane_through(points, body, margin_radius=0.05):
 
 
 def _oriented_support(n, d, body, tol):
-    _, samples = body.stacked()
     d += 0.0  # normalize -0.0
-    over = float((samples @ n - d).max())
-    under = float((d - samples @ n).max())
+    over = float((body.xyz @ n - d).max())
+    under = float((d - body.xyz @ n).max())
     if over <= tol.eq_abs:
         return ExposingPair(n, d, ORACLE)
     if under <= tol.eq_abs:
@@ -342,10 +326,8 @@ def _fitted_plane_pair(face, body, tol=DEFAULT_TOL):
     """Least-squares plane through all on-face samples (SVD of the centered
     point cloud), sign-checked against the whole body. Used for the planar
     sides, whose generator set is a pair of arcs."""
-    labels, samples = body.stacked()
-    ids, ts = label_arrays(labels)
-    onface = param_distances(face, ids, ts) <= 1e-9
-    pts = samples[onface]
+    onface = param_distances(face, body.ids, body.ts) <= 1e-9
+    pts = body.xyz[onface]
     if len(pts) < 3:
         raise DegenerateInputError("not enough on-face samples to fit a plane")
     center = pts.mean(axis=0)
@@ -397,24 +379,21 @@ def identity_suite(t, theta):
 
     Each identity is evaluated twice, once as a numeric dot product and once
     from its trigonometric closed form, and the absolute difference is
-    returned. All six are <= 1e-12 across the whole parameter square.
+    returned. t may be a scalar or an array in [0, T]; the residuals have its
+    shape. All six are <= 1e-12 across the whole parameter square.
     """
-    if not (0.0 <= t <= T_END + 1e-15):
-        raise DomainError("t outside [0, T]")
+    t = np.asarray(t, dtype=float)
+    g = {i: curve_points(i, t) for i in CURVE_IDS}
     r = ruling_data(theta)
-    tt, th = r.t, r.theta
-    y = r.normal
+    th, tt, y = r.theta, r.t, r.normal
     y3 = y + np.array([0.0, 0.0, 1.0])
-    g = {i: curve_point(i, t) for i in CURVE_IDS}
-    ct, st = math.cos(t), math.sin(t)
-
     return {
-        "curve1_vs_ruling": abs(g[1] @ y - math.cos(tt) * (math.cos(t - th) - math.cos(th))),
-        "curve3_vs_ruling": abs(g[3] @ y - math.sin(th) * (math.cos(t - tt) - math.cos(tt))),
-        "curve2_vs_ruling": abs(g[2] @ y - math.cos(tt) * (math.sin(th) - math.sin(t + th))),
-        "curve4_vs_ruling": abs(g[4] @ y - math.sin(th) * (math.sin(tt) - math.sin(t + tt))),
-        "curve1_vs_shifted": abs(g[1] @ y3 - (g[1] @ y + ct - 1.0)),
-        "curve2_vs_shifted": abs(g[2] @ y3 - (g[2] @ y - st)),
+        "curve1_vs_ruling": np.abs(g[1] @ y - math.cos(tt) * (np.cos(t - th) - math.cos(th))),
+        "curve3_vs_ruling": np.abs(g[3] @ y - math.sin(th) * (np.cos(t - tt) - math.cos(tt))),
+        "curve2_vs_ruling": np.abs(g[2] @ y - math.cos(tt) * (math.sin(th) - np.sin(t + th))),
+        "curve4_vs_ruling": np.abs(g[4] @ y - math.sin(th) * (math.sin(tt) - np.sin(t + tt))),
+        "curve1_vs_shifted": np.abs(g[1] @ y3 - (g[1] @ y + np.cos(t) - 1.0)),
+        "curve2_vs_shifted": np.abs(g[2] @ y3 - (g[2] @ y - np.sin(t))),
     }
 
 

@@ -78,43 +78,6 @@ def as_vector(x, dim=None):
     return v
 
 
-@dataclass(frozen=True)
-class LinearConstraintSet:
-    """Rows (a, rel, b) with rel in {"<=", "="}; all rows share one dimension."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        if not self.rows:
-            raise DegenerateInputError("constraint set is empty")
-        dim = len(self.rows[0][0])
-        for a, rel, b in self.rows:
-            if len(a) != dim:
-                raise DimensionMismatchError("constraint rows have mixed dimensions")
-            if rel not in ("<=", "="):
-                raise DomainError(f"unknown relation {rel!r}")
-            float(b)
-
-    @property
-    def dim(self):
-        return len(self.rows[0][0])
-
-    def residuals(self, x):
-        """Signed violations at x: max(<a,x> - b, 0) for "<=" rows and
-        |<a,x> - b| for "=" rows. The variable vector may have any length
-        matching the rows (one-variable systems included)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise DimensionMismatchError(f"expected {self.dim} variables, got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("variables have NaN or infinite components")
-        out = []
-        for a, rel, b in self.rows:
-            val = float(np.dot(np.asarray(a, dtype=float), x)) - float(b)
-            out.append(abs(val) if rel == "=" else max(val, 0.0))
-        return np.array(out)
-
-
 def nullspace(rows, rank_rtol=RANK_RTOL):
     """Orthonormal basis of the kernel of the matrix with the given rows.
 
@@ -138,8 +101,8 @@ class ConeModel:
 
     generators: np.ndarray
     provenance: str = ""
-    # Optional per-generator metadata (e.g. (curve_id, t) pairs), same length
-    # as generators; used by reporting, never by the geometry.
+    # Optional per-generator (curve ids, parameters) arrays, each as long as
+    # generators; used by reporting, never by the geometry.
     labels: tuple = ()
 
     def __post_init__(self):
@@ -149,7 +112,7 @@ class ConeModel:
         if not np.all(np.isfinite(g)):
             raise DomainError("cone generators have NaN or infinite components")
         object.__setattr__(self, "generators", g)
-        if self.labels and len(self.labels) != len(g):
+        if self.labels and any(len(a) != len(g) for a in self.labels):
             raise DimensionMismatchError("labels do not match generator count")
 
     @property

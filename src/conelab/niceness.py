@@ -35,7 +35,6 @@ from .linalg import (
     ConeModel,
     DegenerateInputError,
     DomainError,
-    LinearConstraintSet,
     SolverStallError,
     conic_membership,
     feasible_interval,
@@ -61,11 +60,8 @@ def perp_basis(points):
         raise DegenerateInputError(
             f"points have rank {rank} < {min(len(pts), pts.shape[1])}; span is degenerate"
         )
-    if len(basis):
-        system = LinearConstraintSet(tuple((tuple(p), "=", 0.0) for p in pts))
-        for v in basis:
-            if system.residuals(v).max() > 1e-9:
-                raise AssertionError("nullspace vector fails the defining system")
+    if len(basis) and np.abs(pts @ basis.T).max() > 1e-9:
+        raise AssertionError("nullspace vector fails the defining system")
     return basis
 
 
@@ -110,58 +106,54 @@ def shift_profile(cone, pair=None, tol=DEFAULT_TOL):
     """Classify every generator constraint <q, g> - lambda <u, g> <= 0 and
     intersect the induced one-variable bounds.
 
-    cone must carry (curve_id, t) labels (as produced by homogenize) or any
-    hashable labels; epsilon is the smallest positive curve-1 parameter.
+    cone must carry (curve ids, parameters) label arrays, as produced by
+    homogenize; epsilon is the smallest positive curve-1 parameter.
     """
     w = pair if pair is not None else witness()
     g = cone.generators
     if not cone.labels:
         raise DomainError("shift_profile needs labelled generators")
+    ids, ts = cone.labels
     qg = g @ w.q
     ug = g @ w.u
 
-    lowers, uppers = [], []
-    counts = {"lower": 0, "upper": 0, "unconditional": 0, "infeasible-constant": 0}
-    for (cid, t), a, b in zip(cone.labels, qg, ug):
-        if b > _U_COEFF_TOL:
-            counts["lower"] += 1
-            lowers.append((a / b, cid, float(t)))
-        elif b < -_U_COEFF_TOL:
-            counts["upper"] += 1
-            uppers.append((a / b, cid, float(t)))
-        elif a <= tol.eq_abs:
-            counts["unconditional"] += 1
-        else:
-            counts["infeasible-constant"] += 1
+    lower = ug > _U_COEFF_TOL
+    upper = ug < -_U_COEFF_TOL
+    flat = ~(lower | upper)
+    unconditional = flat & (qg <= tol.eq_abs)
+    counts = {
+        "lower": int(lower.sum()),
+        "upper": int(upper.sum()),
+        "unconditional": int(unconditional.sum()),
+        "infeasible-constant": int((flat & ~unconditional).sum()),
+    }
+    lower_vals = qg[lower] / ug[lower]
+    upper_vals = qg[upper] / ug[upper]
 
-    eps_candidates = [t for (i, t) in cone.labels if i == 1 and t > 0]
-    epsilon = min(eps_candidates) if eps_candidates else math.nan
+    on_curve1 = ts[(ids == 1) & (ts > 0)]
+    epsilon = on_curve1.min() if on_curve1.size else math.nan
 
     if counts["infeasible-constant"]:
         interval = None
     else:
-        interval = feasible_interval([b for b, _, _ in lowers], [b for b, _, _ in uppers])
+        interval = feasible_interval(lower_vals, upper_vals)
 
     lambda_star = None
     achieving = None
     if interval is not None:
         lambda_star = interval[0]
-        if lowers and math.isfinite(lambda_star):
-            b, cid, t = max(lowers, key=lambda row: row[0])
-            achieving = (cid, t)
+        if lower_vals.size and math.isfinite(lambda_star):
+            k = int(np.argmax(lower_vals))
+            achieving = (int(ids[lower][k]), float(ts[lower][k]))
         if math.isfinite(lambda_star) and (counts["lower"] or counts["upper"]):
-            # independent re-check: <q,g> - lambda <u,g> <= 0 reads
-            # (-<u,g>) * lambda <= -<q,g> as a one-variable constraint row
-            system = LinearConstraintSet(tuple(
-                ((-float(b),), "<=", -float(a))
-                for a, b in zip(qg, ug) if abs(b) > _U_COEFF_TOL
-            ))
-            if system.residuals([lambda_star]).max() > 1e-9:
+            # independent re-check of every constraint that depends on lambda
+            bounded = lower | upper
+            if (qg[bounded] - lambda_star * ug[bounded]).max() > 1e-9:
                 raise AssertionError("feasible interval violates its own constraints")
     return ShiftProfile(
         epsilon=float(epsilon),
-        lower_bounds=tuple(lowers),
-        upper_bounds=tuple(uppers),
+        lower_bounds=tuple(zip(lower_vals.tolist(), ids[lower].tolist(), ts[lower].tolist())),
+        upper_bounds=tuple(zip(upper_vals.tolist(), ids[upper].tolist(), ts[upper].tolist())),
         counts=counts,
         interval=interval,
         lambda_star=lambda_star,
@@ -190,11 +182,11 @@ def refined_cone(epsilon, samples_per_curve=512):
 def control_cone():
     """Polyhedral stand-in: the cone over the five scaled arc endpoints.
     Polyhedral cones are nice; the sweep must stay bounded on this one."""
-    gens, labels = [], []
-    for i, p in ENDPOINTS.items():
-        gens.append(np.concatenate([[1.0], 2.0 * p + SHIFT]))
-        labels.append((i if i in CURVE_IDS else 1, 0.0 if i == 0 else T_END))
-    return ConeModel(np.vstack(gens), provenance="cone over endpoint polytope", labels=tuple(labels))
+    gens = np.vstack([np.concatenate([[1.0], 2.0 * p + SHIFT]) for p in ENDPOINTS.values()])
+    # the origin (endpoint 0) is labelled as the start of curve 1
+    ids = np.array([1, *CURVE_IDS])
+    ts = np.array([0.0] + [T_END] * len(CURVE_IDS))
+    return ConeModel(gens, provenance="cone over endpoint polytope", labels=(ids, ts))
 
 
 @dataclass(frozen=True)
@@ -242,6 +234,17 @@ class NicenessVerdict:
     )
 
 
+def validate_eps(eps_list):
+    """The refinement levels as a tuple of floats; they must be positive and
+    strictly decreasing."""
+    eps = tuple(float(e) for e in eps_list)
+    if not eps:
+        raise DomainError("epsilon list must not be empty")
+    if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
+        raise DomainError("epsilon list must be strictly decreasing and positive")
+    return eps
+
+
 def divergence_sweep(eps_list, samples_per_curve=512, control=False, tol=DEFAULT_TOL):
     """Run shift_profile per refinement level and fit the divergence.
 
@@ -249,12 +252,7 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False, tol=DEFAULT
     lambda_star * epsilon to settle in [0.8, 1.2] on the last three levels
     (at least three levels are needed; otherwise Inconclusive).
     """
-    eps = [float(e) for e in eps_list]
-    if not eps:
-        raise DomainError("epsilon list is empty")
-    if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise DomainError("epsilon list must be strictly decreasing and positive")
-
+    eps = validate_eps(eps_list)
     rows = []
     for e in eps:
         cone = control_cone() if control else refined_cone(e, samples_per_curve)

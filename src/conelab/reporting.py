@@ -42,12 +42,7 @@ class RunConfig:
             raise DomainError("sample counts must be at least 8")
         if self.eq_abs <= 0:
             raise DomainError("tolerance must be positive")
-        eps = tuple(float(e) for e in self.eps_list)
-        if not eps:
-            raise DomainError("epsilon list must not be empty")
-        if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-            raise DomainError("epsilon list must be strictly decreasing and positive")
-        object.__setattr__(self, "eps_list", eps)
+        object.__setattr__(self, "eps_list", nn.validate_eps(self.eps_list))
         if self.which not in ("C", "Cprime"):
             raise DomainError("which must be C or Cprime")
 
@@ -187,28 +182,10 @@ def construction_section(config):
 def identity_grid_max(t_grid, theta_grid):
     """Max residual per identity over the full (t, theta) grid, vectorized
     over t for each theta."""
-    t = np.asarray(t_grid, dtype=float)
-    maxima = dict.fromkeys(
-        ("curve1_vs_ruling", "curve3_vs_ruling", "curve2_vs_ruling",
-         "curve4_vs_ruling", "curve1_vs_shifted", "curve2_vs_shifted"),
-        0.0,
-    )
-    g = {i: con.curve_points(i, t) for i in con.CURVE_IDS}
-    ct, st = np.cos(t), np.sin(t)
-    e3 = np.array([0.0, 0.0, 1.0])
+    maxima = {}
     for th in np.asarray(theta_grid, dtype=float):
-        r = con.ruling_data(th)
-        y, y3, tt = r.normal, r.normal + e3, r.t
-        rows = {
-            "curve1_vs_ruling": g[1] @ y - math.cos(tt) * (np.cos(t - th) - math.cos(th)),
-            "curve3_vs_ruling": g[3] @ y - math.sin(th) * (np.cos(t - tt) - math.cos(tt)),
-            "curve2_vs_ruling": g[2] @ y - math.cos(tt) * (math.sin(th) - np.sin(t + th)),
-            "curve4_vs_ruling": g[4] @ y - math.sin(th) * (math.sin(tt) - np.sin(t + tt)),
-            "curve1_vs_shifted": g[1] @ y3 - (g[1] @ y + ct - 1.0),
-            "curve2_vs_shifted": g[2] @ y3 - (g[2] @ y - st),
-        }
-        for k, v in rows.items():
-            maxima[k] = max(maxima[k], float(np.abs(v).max()))
+        for k, v in fc.identity_suite(t_grid, th).items():
+            maxima[k] = max(maxima.get(k, 0.0), float(v.max()))
     return maxima
 
 
@@ -225,38 +202,40 @@ def identity_section(config, n=100):
     }
 
 
-def face_section(config):
+def _face_rows(config):
+    """One pass over the catalogue: (face, pair, report) rows, verified on the
+    raw body sampled from the config's grids, and those grids."""
     thetas, t_grid, grids = _grids(config)
     body = con.sample_body(grids)
-    catalogue = fc.build_catalogue(thetas, t_grid)
+    rows = [
+        (face, pair, fc.verify_exposure(face, pair, body, tol=config.tol))
+        for face, pair in fc.build_catalogue(thetas, t_grid)
+    ]
+    return rows, grids
+
+
+def face_section(face_rows):
     counts, failures = {}, []
     worst_res = 0.0
     min_margin = math.inf
-    face_rows = []
-    for face, pair in catalogue:
-        rep = fc.verify_exposure(face, pair, body, tol=config.tol)
+    for face, _, rep in face_rows:
         counts[face.kind] = counts.get(face.kind, 0) + 1
         worst_res = max(worst_res, rep.max_onface_residual)
         min_margin = min(min_margin, min(rep.margins.values()))
         if not rep.passed:
             failures.append(rep.face_label)
-        face_rows.append((face, pair, rep))
     return {
         "kind_counts": counts,
-        "n_faces": len(catalogue),
+        "n_faces": len(face_rows),
         "worst_onface_residual": worst_res,
         "min_margin": min_margin,
         "failures": failures,
         "pass": not failures,
-    }, face_rows, body
+    }
 
 
-def homogenization_section(config, face_rows=None):
-    thetas, t_grid, grids = _grids(config)
+def homogenization_section(config, face_rows, grids):
     cone = con.homogenize(con.sample_body(grids, shifted=True))
-    if face_rows is None:
-        face_rows = [(f, p, None) for f, p in fc.build_catalogue(thetas, t_grid)]
-
     failures = []
     worst_res = 0.0
     for face, pair, _ in face_rows:
@@ -365,9 +344,9 @@ def run_verify(config):
     sections = {}
     sections["construction"] = construction_section(config)
     sections["identity_suite"] = identity_section(config)
-    face_sec, face_rows, _ = face_section(config)
-    sections["face_exposure"] = face_sec
-    sections["homogenization"] = homogenization_section(config, face_rows)
+    face_rows, grids = _face_rows(config)
+    sections["face_exposure"] = face_section(face_rows)
+    sections["homogenization"] = homogenization_section(config, face_rows, grids)
     sections["niceness"] = niceness_section(config)
     failures = [name for name, sec in sections.items() if not sec["pass"]]
     report["sections"] = sections
@@ -377,17 +356,11 @@ def run_verify(config):
 
 
 def run_faces(config):
-    thetas, t_grid, grids = _grids(config)
-    body = con.sample_body(grids)
+    face_rows, _ = _face_rows(config)
+    summary = face_section(face_rows)
     atlas = report_header(config)
-    rows = []
-    counts = {}
-    failures = 0
-    for face, pair in fc.build_catalogue(thetas, t_grid):
-        rep = fc.verify_exposure(face, pair, body, tol=config.tol)
-        counts[face.kind] = counts.get(face.kind, 0) + 1
-        failures += not rep.passed
-        rows.append({
+    atlas["faces"] = [
+        {
             "kind": face.kind,
             "dimension": face.dimension,
             "param": face.param,
@@ -408,10 +381,11 @@ def run_faces(config):
                 "onface_count": rep.onface_count,
                 "verdict": rep.verdict,
             },
-        })
-    atlas["faces"] = rows
-    atlas["kind_counts"] = counts
-    atlas["failed_reports"] = failures
+        }
+        for face, pair, rep in face_rows
+    ]
+    atlas["kind_counts"] = summary["kind_counts"]
+    atlas["failed_reports"] = len(summary["failures"])
     return atlas
 
 

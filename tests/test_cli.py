@@ -5,7 +5,8 @@ import pytest
 
 from conelab import meshes
 from conelab.cli import main
-from conelab.reporting import RunConfig, render_json, run_faces
+from conelab import faces, reporting
+from conelab.reporting import RunConfig, render_json, run_faces, run_verify
 from conelab.linalg import DomainError
 
 FAST = ["--samples", "96", "--theta-grid", "12"]
@@ -124,6 +125,27 @@ class TestRunConfig:
             RunConfig(eps_list=(1e-3, 1e-2))
         with pytest.raises(DomainError):
             RunConfig(which="B")
+
+    def test_faces_and_verify_agree_on_the_catalogue(self):
+        config = RunConfig(samples_per_curve=64, theta_grid_size=8)
+        atlas = run_faces(config)
+        section = run_verify(config)["sections"]["face_exposure"]
+        assert atlas["kind_counts"] == section["kind_counts"]
+        assert atlas["failed_reports"] == len(section["failures"])
+
+    def test_verify_builds_grids_and_catalogue_once(self, monkeypatch):
+        calls = {"grids": 0, "catalogue": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(reporting, "_grids", counted("grids", reporting._grids))
+        monkeypatch.setattr(faces, "build_catalogue", counted("catalogue", faces.build_catalogue))
+        run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
+        assert calls == {"grids": 1, "catalogue": 1}
 
     def test_faces_report_excludes_output_path_from_hash(self, tmp_path):
         a = run_faces(RunConfig(samples_per_curve=8, theta_grid_size=8, out="x.json"))

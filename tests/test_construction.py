@@ -126,16 +126,33 @@ class TestBodiesAndCone:
         with pytest.raises(DegenerateInputError):
             con.sample_body(np.array([]))
 
+    def test_label_arrays_match_the_stacked_points(self):
+        outer = con.curve_grid(33)
+        inner = np.unique(np.concatenate([outer, [0.1, 0.2, 0.3]]))
+        grids = {1: outer, 2: inner, 3: inner, 4: outer}
+        body = con.sample_body(grids)
+        assert len(body.ids) == len(body.ts) == len(body.xyz) == sum(g.size for g in grids.values())
+        for i, t, x in zip(body.ids, body.ts, body.xyz):
+            assert np.array_equal(x, con.curve_point(i, t))
+
+    def test_homogenize_hands_the_label_arrays_to_the_cone(self):
+        body = con.sample_body(con.curve_grid(16), shifted=True)
+        cone = con.homogenize(body)
+        ids, ts = cone.labels
+        assert np.array_equal(ids, body.ids) and np.array_equal(ts, body.ts)
+        assert np.array_equal(cone.generators[:, 1:], body.xyz)
+
     def test_homogenize_generator_for_the_origin_sample(self):
         cone = con.homogenize(con.sample_body(con.curve_grid(8), shifted=True))
-        origin_rows = [g for g, (i, t) in zip(cone.generators, cone.labels) if t == 0.0]
+        origin_rows = [g for g, i, t in zip(cone.generators, *cone.labels) if t == 0.0]
         for g in origin_rows:
             assert np.allclose(g, [1.0, 0.5, 0.0, 0.5], atol=1e-15)
 
     def test_homogenize_generator_for_scaled_p1(self):
         grid = con.curve_grid(8)
         cone = con.homogenize(con.sample_body(grid, shifted=True))
-        k = list(cone.labels).index((1, T))
+        ids, ts = cone.labels
+        k = int(np.flatnonzero((ids == 1) & (ts == T))[0])
         expected = [1.0, 0.5, -math.sqrt(2.0), math.sqrt(2.0) - 1.5]
         assert np.allclose(cone.generators[k], expected, atol=1e-15)
         assert len(cone.generators) == 4 * len(grid)

@@ -83,10 +83,9 @@ class TestExposingPairs:
         assert pair.offset == pytest.approx(0.0, abs=1e-12)
         assert pair.provenance == fc.ORACLE
         # brute force: the third coordinate tops out at 0, exactly on curves 3/4
-        labels, pts = body.stacked()
-        third = pts[:, 2]
+        third = body.xyz[:, 2]
         assert third.max() == pytest.approx(0.0, abs=1e-15)
-        for (i, t), z in zip(labels, third):
+        for i, t, z in zip(body.ids, body.ts, third):
             if z > -1e-15:
                 assert i in (3, 4) or t == 0.0
 
@@ -97,8 +96,7 @@ class TestExposingPairs:
         reference = np.array([a - 2.0, -a, -a])
         reference /= np.linalg.norm(reference)
         assert abs(abs(float(pair.normal @ reference)) - 1.0) < 1e-9
-        _, pts = body.stacked()
-        assert (pts @ pair.normal - pair.offset).max() <= 1e-12
+        assert (body.xyz @ pair.normal - pair.offset).max() <= 1e-12
 
     def test_origin_pair_and_closed_form_both_expose(self, body):
         cat = fc.enumerate_faces(con.theta_grid(2))
@@ -230,8 +228,7 @@ class TestCoverage:
         positive = grid[grid > 0]
         cat = fc.enumerate_faces(con.theta_grid(8), positive)
         body = con.sample_body(grid)
-        labels, _ = body.stacked()
-        ids, ts = fc.label_arrays(labels)
+        ids, ts = body.ids, body.ts
         covered = np.zeros(len(ids), dtype=bool)
         for face in cat:
             covered |= fc.param_distances(face, ids, ts) <= 1e-12

@@ -54,7 +54,7 @@ class TestConeExposure:
         lifted = lf.lift_pair(lf.pair_for_scaled_body(fc.exposing_pair(face)))
         rep = lf.verify_cone_exposure(lifted, cone, face)
         assert rep.passed
-        ids, ts = fc.label_arrays(cone.labels)
+        ids, ts = cone.labels
         expected = int(((ids == 3) | (ids == 4) | (ts == 0.0)).sum())
         assert rep.onface_count == expected
 

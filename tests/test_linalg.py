@@ -8,7 +8,6 @@ from conelab.linalg import (
     DegenerateInputError,
     DimensionMismatchError,
     DomainError,
-    LinearConstraintSet,
     Tolerance,
     as_vector,
     conic_membership,
@@ -127,18 +126,17 @@ class TestPlumbingTypes:
         with pytest.raises(DimensionMismatchError):
             as_vector([1.0, 2.0, 3.0], dim=2)
 
+    def test_cone_labels_must_match_the_generator_count(self):
+        gens = np.eye(3)
+        cone = ConeModel(gens, labels=(np.array([1, 2, 3]), np.zeros(3)))
+        assert len(cone.labels[0]) == 3
+        with pytest.raises(DimensionMismatchError):
+            ConeModel(gens, labels=(np.array([1, 2]), np.zeros(3)))
+        with pytest.raises(DimensionMismatchError):
+            ConeModel(gens, labels=(np.array([1, 2, 3]), np.zeros(4)))
+
     def test_tolerance_validation(self):
         with pytest.raises(DomainError):
             Tolerance(eq_abs=0.0)
         assert Tolerance().eq_abs == 1e-9
 
-    def test_constraint_set(self):
-        cs = LinearConstraintSet(rows=(((1.0, 0.0), "<=", 1.0), ((0.0, 1.0), "=", 2.0)))
-        assert cs.dim == 2
-        res = cs.residuals([2.0, 2.0])
-        assert res[0] == pytest.approx(1.0)
-        assert res[1] == pytest.approx(0.0)
-        with pytest.raises(DimensionMismatchError):
-            LinearConstraintSet(rows=(((1.0,  0.0), "<=", 1.0), ((1.0,), "<=", 0.0)))
-        with pytest.raises(DomainError):
-            LinearConstraintSet(rows=(((1.0, 0.0), "<", 1.0),))

@@ -37,6 +37,11 @@ class TestPerpBasis:
         with pytest.raises(DegenerateInputError):
             nn.perp_basis(pts)
 
+    def test_vector_outside_the_kernel_fails_the_recheck(self, monkeypatch):
+        monkeypatch.setattr(nn, "nullspace", lambda rows: np.array([[1.0, 0.0, 0.0, 0.0]]))
+        with pytest.raises(AssertionError):
+            nn.perp_basis(nn.face_slice_points())
+
 
 class TestWitnessSlack:
     def test_zero_at_the_origin_parameter(self):
@@ -63,7 +68,7 @@ class TestShiftProfile:
         cone = nn.refined_cone(0.05, samples_per_curve=64)
         prof = nn.shift_profile(cone)
         w = con.witness()
-        for g, (cid, t) in zip(cone.generators, cone.labels):
+        for g, cid, t in zip(cone.generators, *cone.labels):
             if cid == 3:
                 assert float(g @ w.q) == pytest.approx(2.0 * (math.cos(t) - 1.0), abs=1e-12)
                 assert abs(float(g @ w.u)) <= 1e-12
@@ -98,10 +103,17 @@ class TestShiftProfile:
         cone = nn.refined_cone(0.03, samples_per_curve=32)
         prof = nn.shift_profile(cone)
         w = con.witness()
-        by_label = {(cid, t): g for g, (cid, t) in zip(cone.generators, cone.labels)}
+        by_label = {(cid, t): g for g, cid, t in zip(cone.generators, *cone.labels)}
         for bound, cid, t in list(prof.lower_bounds)[:20]:
             g = by_label[(cid, t)]
             assert abs(float(g @ (w.q - bound * w.u))) <= 1e-9
+
+    def test_interval_below_lambda_star_fails_the_recheck(self, monkeypatch):
+        cone = nn.refined_cone(0.01, 64)
+        lam = nn.shift_profile(cone).lambda_star
+        monkeypatch.setattr(nn, "feasible_interval", lambda lowers, uppers: (lam - 1.0, math.inf))
+        with pytest.raises(AssertionError):
+            nn.shift_profile(cone)
 
     def test_unlabelled_cone_rejected(self):
         from conelab.linalg import ConeModel
@@ -115,9 +127,9 @@ class TestMembershipCrossCheck:
         cone = nn.refined_cone(epsilon, 128)
         prof = nn.shift_profile(cone)
         w = con.witness()
-        _, samples = con.sample_body(
+        samples = con.sample_body(
             {i: nn.sweep_grid(epsilon, 128) for i in con.CURVE_IDS}, shifted=True
-        ).stacked()
+        ).xyz
 
         lam_in = prof.lambda_star + 1.0
         point_in = w.q - lam_in * w.u
