@@ -55,6 +55,7 @@ from .linalg import (
     conic_membership,
     feasible_interval,
     nullspace,
+    simplicial_membership,
 )
 from .niceness import (
     NicenessVerdict,

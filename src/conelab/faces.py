@@ -60,13 +60,6 @@ _FIXED_FACES = {
 }
 
 
-def mirror_point(x):
-    """The involution (x1,x2,x3) -> (x3,-x2,x1); swaps curves 1<->4 and
-    2<->3 and maps each ruling normal to its mirror."""
-    x = np.asarray(x, dtype=float)
-    return np.array([x[..., 2], -x[..., 1], x[..., 0]]).T if x.ndim > 1 else np.array([x[2], -x[1], x[0]])
-
-
 @dataclass(frozen=True)
 class FaceDescriptor:
     kind: str

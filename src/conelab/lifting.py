@@ -181,15 +181,6 @@ def unit_circle_grid(n):
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def fibonacci_sphere_grid(n):
-    """n roughly even unit directions on the 2-sphere (golden-angle spiral)."""
-    k = np.arange(n)
-    z = 1.0 - 2.0 * (k + 0.5) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = k * math.pi * (3.0 - math.sqrt(5.0))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
 def square_body(points_per_edge=16):
     """Boundary samples of the square [-1, 1]^2 (corners included)."""
     s = np.linspace(-1.0, 1.0, points_per_edge)

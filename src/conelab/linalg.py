@@ -1,9 +1,9 @@
 """Dense linear algebra kernel for low-dimensional cone computations.
 
-Everything here is dimension-generic for n <= 5 and pure: nullspace bases,
-certificate-producing conic membership, and one-variable interval
-feasibility. All verdicts carry certificates that can be re-checked without
-re-running any solver.
+Everything here is pure: nullspace bases, certificate-producing conic
+membership (by LP for any cone in dimension n <= 5, exactly for the cones
+cone{h1, h2} + span{n} of R^3), and one-variable interval feasibility. All
+verdicts carry certificates that can be re-checked without any solver.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, lsq_linear, nnls
+from scipy.optimize import linprog, nnls
 
 # Singular values below RANK_RTOL * sigma_max count as zero.  The matrices
 # handled here have O(1) entries and are well conditioned.
@@ -20,6 +20,9 @@ RANK_RTOL = 1e-10
 
 MIN_DIM = 2
 MAX_DIM = 5
+
+# Higham's gamma_6 = 6u / (1 - 6u), u = 2**-53 the unit roundoff of doubles.
+_GAMMA6 = 6 * 2.0**-53 / (1 - 6 * 2.0**-53)
 
 
 class DimensionMismatchError(ValueError):
@@ -154,7 +157,8 @@ def conic_membership(point, cone, tol=DEFAULT_TOL):
     Dual route: nonnegative least squares for an inside certificate, an LP
     over the box |s|_inf <= 1 for a separating normal. Raises
     SolverStallError when neither certificate is conclusive (point within
-    tolerance of the sampled boundary).
+    tolerance of the sampled boundary); it carries the NNLS residual and
+    the LP margin.
     """
     g = cone.generators
     x = as_vector(point, dim=g.shape[1]) if g.shape[1] <= MAX_DIM else np.asarray(point, float)
@@ -183,18 +187,68 @@ def conic_membership(point, cone, tol=DEFAULT_TOL):
         s = np.asarray(res.x, dtype=float)
         return ConicVerdict(inside=False, normal=s, margin=float(np.dot(s, x)))
 
-    # Second inside attempt with an independent solver before giving up.
-    fit = lsq_linear(g.T, x, bounds=(0.0, math.inf))
-    mu = np.maximum(fit.x, 0.0)
-    residual2 = float(np.linalg.norm(g.T @ mu - x))
-    if residual2 <= tol.eq_abs * scale:
-        return ConicVerdict(inside=True, coefficients=mu, residual=residual2)
-
     raise SolverStallError(
         "membership ambiguous at this tolerance",
-        inside_residual=min(residual, residual2),
+        inside_residual=residual,
         outside_margin=float(-res.fun) if res.status == 0 else None,
     )
+
+
+def simplicial_membership(points, h1, h2, n, tol=DEFAULT_TOL):
+    """Membership of each row x of points in cone{h1, h2} + span{n} in R^3
+    (generators h1, h2, n, -n), decided with one inverse for the batch.
+
+    The inverse of [h1 h2 n] has rows adj_i / det, where adj = (h2 x n,
+    n x h1, h1 x h2) and det = <h1, h2 x n>; x has coordinates c = adj x / det.
+      * Inside: mu = (c1+, c2+, c3+, c3-) has ||G^T mu - x|| <= eq_abs *
+        max(1, ||x||), the NNLS test of conic_membership.
+      * Outside: c_i < -gamma_6 <|x|, A_i> / |det| for i = 1 or 2, A_i the
+        entrywise |a_j b_k| + |a_k b_j| of the cross product adj_i. That
+        bounds the forward error of the computed c_i (gamma_2 per entry and
+        gamma_3 for the dot product give gamma_5 for <adj_i, x>; the spare
+        u absorbs rounding c_i and the bound), so c_i < 0 exactly. The
+        normal s = -adj_i / det must also give <s, g> <= eq_abs on all four
+        generators and <s, x> > margin_abs.
+      * Otherwise ambiguous: None, where conic_membership would stall.
+
+    Raises DegenerateInputError when |det| <= RANK_RTOL ||h1|| ||h2|| ||n||;
+    above that floor the rounding error of det cannot flip its sign.
+    """
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    basis = np.vstack([h1, h2, n]).astype(float)
+    if basis.shape != (3, 3) or x.ndim != 2 or x.shape[1] != 3:
+        raise DimensionMismatchError("simplicial_membership works in R^3")
+    if not (np.isfinite(basis).all() and np.isfinite(x).all()):
+        raise DomainError("points or generators have NaN or infinite components")
+    left, right = basis[[1, 2, 0]], basis[[2, 0, 1]]
+    adj = np.cross(left, right)
+    det = float(basis[0] @ adj[0])
+    if abs(det) <= RANK_RTOL * float(np.prod(np.linalg.norm(basis, axis=1))):
+        raise DegenerateInputError("h1, h2 and n are linearly dependent")
+    j, k = [1, 2, 0], [2, 0, 1]
+    adj_abs = np.abs(left[:2, j] * right[:2, k]) + np.abs(left[:2, k] * right[:2, j])
+
+    c = x @ adj.T / det
+    mu = np.column_stack([np.maximum(c, 0.0), np.maximum(-c[:, 2], 0.0)])
+    gens = np.vstack([basis, -basis[2]])
+    residual = np.linalg.norm(mu @ gens - x, axis=1)
+    inside = residual <= tol.eq_abs * np.maximum(1.0, np.linalg.norm(x, axis=1))
+
+    neg = c[:, :2] < -_GAMMA6 * (np.abs(x) @ adj_abs.T) / abs(det)
+    # separate with the more negative of the certified coordinates
+    row = (neg[:, 1] & ~(neg[:, 0] & (c[:, 0] <= c[:, 1]))).astype(int)
+    normals = -adj[:2] / det
+    sep = normals[row]
+    margin = np.einsum("ij,ij->i", sep, x)
+    valid = (gens @ normals.T <= tol.eq_abs).all(axis=0)[row] & (margin > tol.margin_abs)
+    outside = ~inside & neg.any(axis=1) & valid
+
+    verdicts = [None] * len(x)
+    for i in np.flatnonzero(inside).tolist():
+        verdicts[i] = ConicVerdict(True, coefficients=mu[i], residual=float(residual[i]))
+    for i in np.flatnonzero(outside).tolist():
+        verdicts[i] = ConicVerdict(False, normal=sep[i], margin=float(margin[i]))
+    return verdicts
 
 
 def feasible_interval(lowers, uppers):

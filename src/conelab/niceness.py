@@ -35,10 +35,9 @@ from .linalg import (
     ConeModel,
     DegenerateInputError,
     DomainError,
-    SolverStallError,
-    conic_membership,
     feasible_interval,
     nullspace,
+    simplicial_membership,
 )
 
 # |<u, g>| below this counts as "no lambda dependence" when classifying
@@ -302,14 +301,6 @@ def positivity_window(alpha):
     return (-3.0 * a + math.sqrt(9.0 * a * a + 24.0)) / 2.0
 
 
-def check_positivity_window(alpha, n=10_000):
-    """Grid check that alpha*(cos t - 1) + sin t > 0 on the open window."""
-    t_alpha = positivity_window(alpha)
-    ts = t_alpha * np.arange(1, n + 1) / (n + 1)
-    vals = alpha * (np.cos(ts) - 1.0) + np.sin(ts)
-    return bool((vals > 0.0).all()), float(vals.min())
-
-
 @dataclass(frozen=True)
 class Nice3DReport:
     projections: tuple            # q_1, q_2 as arrays
@@ -340,81 +331,61 @@ def nice3d_ingredients(cone, p1, p2, h1, h2, n_samples=1200, seed=7, tol=DEFAULT
         sum satisfies the wedge inequalities.
 
     Normals lying in F_perp are rejected: they could not single out an edge.
+    Both sums are simplicial: membership is exact (simplicial_membership,
+    which raises DegenerateInputError if q1 and q2 are parallel).
     """
     g = cone.generators
     if g.shape[1] != 3:
         raise DomainError("nice3d_ingredients expects a 3D cone")
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
+    p1, p2 = (np.asarray(p, dtype=float) for p in (p1, p2))
     perp = perp_basis(np.vstack([p1, p2]))
     if len(perp) != 1:
         raise DegenerateInputError("face generators must span a plane")
     nrm = perp[0]
 
-    reports = []
-    for h, p_own, p_other in ((h1, p1, p2), (h2, p2, p1)):
-        h = np.asarray(h, dtype=float)
+    hs = [np.asarray(h, dtype=float) for h in (h1, h2)]
+    qs = [h - float(h @ nrm) * nrm for h in hs]
+    for h, q in zip(hs, qs):
         if float((g @ h).min()) < -tol.eq_abs:
             raise DomainError("exposing normal is negative somewhere on the cone")
-        q = h - float(h @ nrm) * nrm
         if float(np.linalg.norm(q)) <= tol.eq_abs:
             raise DomainError(
                 "exposing normal lies in the face's orthogonal complement; "
                 "it would expose the whole face, not an edge"
             )
-        reports.append((h, q, p_own, p_other))
 
-    q1, q2 = reports[0][1], reports[1][1]
     sign_ok = all(
         abs(float(q @ p_own)) <= tol.eq_abs and float(q @ p_other) > tol.eq_abs
-        for _, q, p_own, p_other in reports
+        for q, p_own, p_other in ((qs[0], p1, p2), (qs[1], p2, p1))
     )
-    proj_res = max(
-        abs(float(q @ p) - float(h @ p))
-        for h, q, _, _ in reports
-        for p in (p1, p2)
-    )
-
-    lifted = ConeModel(np.vstack([reports[0][0], reports[1][0], nrm, -nrm]),
-                       provenance="edge normals + face perp")
-    planar = ConeModel(np.vstack([q1, q2, nrm, -nrm]),
-                       provenance="projected normals + face perp")
+    proj_res = max(abs(float(q @ p) - float(h @ p)) for h, q in zip(hs, qs) for p in (p1, p2))
 
     rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(n_samples, 3))
+    lifted = simplicial_membership(xs, *hs, nrm, tol=tol)
+    planar = simplicial_membership(xs - np.outer(xs @ nrm, nrm), *qs, nrm, tol=tol)
+    both = [(a.inside, b.inside) for a, b in zip(lifted, planar)
+            if a is not None and b is not None]
+    checked, skipped = len(both), n_samples - len(both)
+    failures = sum(a != b for a, b in both)
 
-    def member(point, model):
-        try:
-            return conic_membership(point, model, tol).inside
-        except SolverStallError:
-            return None
-
-    checked = failures = skipped = 0
-    for x in rng.normal(size=(n_samples, 3)):
-        a = member(x, lifted)
-        b = member(x - float(x @ nrm) * nrm, planar)
-        if a is None or b is None:
-            skipped += 1
-            continue
-        checked += 1
-        failures += a != b
-
+    # Rejection-sample the dual wedge one draw at a time; an ambiguous
+    # membership verdict costs a redraw, so each round draws exactly as
+    # many wedge points as are still missing.
     wedge_checked = wedge_failures = 0
     while wedge_checked < n_samples:
-        y = rng.normal(size=3)
-        if float(y @ p1) < 0.0 or float(y @ p2) < 0.0:
-            continue
-        inside = member(y, lifted)
-        if inside is None:
-            continue
-        wedge_checked += 1
-        wedge_failures += not inside
+        ys = []
+        while len(ys) < n_samples - wedge_checked:
+            y = rng.normal(size=3)
+            if float(y @ p1) >= 0.0 and float(y @ p2) >= 0.0:
+                ys.append(y)
+        verdicts = simplicial_membership(np.array(ys), *hs, nrm, tol=tol)
+        verdicts = [v for v in verdicts if v is not None]
+        wedge_checked += len(verdicts)
+        wedge_failures += sum(not v.inside for v in verdicts)
 
     combos = rng.random(size=(n_samples, 3))
-    pts = (
-        combos[:, :1] * reports[0][0]
-        + combos[:, 1:2] * reports[1][0]
-        + (combos[:, 2:] - 0.5) * 4.0 * nrm
-    )
+    pts = combos[:, :1] * hs[0] + combos[:, 1:2] * hs[1] + (combos[:, 2:] - 0.5) * 4.0 * nrm
     converse = float(-np.minimum(pts @ p1, pts @ p2).min())
 
     passed = (
@@ -426,7 +397,7 @@ def nice3d_ingredients(cone, p1, p2, h1, h2, n_samples=1200, seed=7, tol=DEFAULT
         and checked >= max(1, int(0.8 * n_samples))
     )
     return Nice3DReport(
-        projections=(q1, q2),
+        projections=tuple(qs),
         sign_pattern_ok=sign_ok,
         projection_identity_residual=proj_res,
         agreement_checked=checked,

@@ -80,14 +80,13 @@ def _native(obj):
     return obj
 
 
-def write_json(path, obj):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_native(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def render_json(obj):
     return json.dumps(_native(obj), sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, obj):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(render_json(obj))
 
 
 # --------------------------------------------------------------------------
@@ -423,19 +422,9 @@ def run_nice3d(config):
     out = report_header(config)
     for name, example in (("octant", nn.octant_example()),
                           ("half_disc", nn.half_disc_cone_example())):
-        rep = nn.nice3d_ingredients(*example, tol=config.tol)
-        out[name] = {
-            "projections": [rep.projections[0], rep.projections[1]],
-            "sign_pattern_ok": rep.sign_pattern_ok,
-            "projection_identity_residual": rep.projection_identity_residual,
-            "agreement_checked": rep.agreement_checked,
-            "agreement_failures": rep.agreement_failures,
-            "agreement_skipped": rep.agreement_skipped,
-            "dual_wedge_checked": rep.dual_wedge_checked,
-            "dual_wedge_failures": rep.dual_wedge_failures,
-            "converse_max_violation": rep.converse_max_violation,
-            "pass": rep.passed,
-        }
+        rep = asdict(nn.nice3d_ingredients(*example, tol=config.tol))
+        rep["pass"] = rep.pop("passed")
+        out[name] = rep
     cone, p1, p2, _, _ = nn.octant_example()
     try:
         nn.nice3d_ingredients(cone, p1, p2, np.array([0.0, 0.0, 1.0]),

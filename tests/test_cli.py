@@ -5,7 +5,7 @@ import pytest
 
 from conelab import meshes
 from conelab.cli import main
-from conelab import faces, reporting
+from conelab import faces, linalg, niceness, reporting
 from conelab.reporting import RunConfig, render_json, run_faces, run_verify
 from conelab.linalg import DomainError
 
@@ -111,6 +111,25 @@ class TestNice3DCommand:
         for name in ("octant", "half_disc"):
             assert rep[name]["agreement_failures"] == 0
             assert rep[name]["agreement_checked"] >= 1000
+
+    def test_default_run_uses_no_lp_membership(self, monkeypatch):
+        calls = {"conic_membership": 0, "linprog": 0, "nnls": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (linalg, niceness, reporting):
+            for key in calls:
+                if hasattr(module, key):
+                    monkeypatch.setattr(module, key, counted(key, getattr(module, key)))
+        report = reporting.run_nice3d(RunConfig())
+        assert calls == {"conic_membership": 0, "linprog": 0, "nnls": 0}
+        for name in ("octant", "half_disc"):
+            assert report[name]["agreement_skipped"] == 0
+            assert report[name]["dual_wedge_checked"] == 1200
 
 
 class TestRunConfig:

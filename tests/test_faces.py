@@ -6,6 +6,7 @@ import pytest
 from conelab import construction as con
 from conelab import faces as fc
 from conelab.linalg import DegenerateInputError, DomainError
+from helpers import mirror_point
 
 T = con.T_END
 
@@ -203,13 +204,13 @@ class TestSymmetry:
         ts = np.linspace(0.0, T, 65)
         swap = {1: 4, 4: 1, 2: 3, 3: 2}
         for i, j in swap.items():
-            mirrored = np.array([fc.mirror_point(p) for p in con.curve_points(i, ts)])
+            mirrored = np.array([mirror_point(p) for p in con.curve_points(i, ts)])
             assert np.abs(mirrored - con.curve_points(j, ts)).max() <= 1e-12
 
     def test_mirror_maps_ruling_normal_to_its_mirror(self):
         for th in np.linspace(T / 16, T, 16):
             r = con.ruling_data(th)
-            assert np.allclose(fc.mirror_point(r.normal), r.mirror_normal, atol=1e-12)
+            assert np.allclose(mirror_point(r.normal), r.mirror_normal, atol=1e-12)
 
     def test_mirror_image_reports_match(self, body):
         th = T / 5

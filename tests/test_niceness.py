@@ -11,6 +11,7 @@ from conelab.linalg import (
     DomainError,
     conic_membership,
 )
+from helpers import check_positivity_window, fibonacci_sphere_grid
 
 T = con.T_END
 
@@ -137,7 +138,7 @@ class TestMembershipCrossCheck:
         dirs = np.vstack([
             point_in[1:] / np.linalg.norm(point_in[1:]),
             np.eye(3),
-            lf.fibonacci_sphere_grid(64),
+            fibonacci_sphere_grid(64),
         ])
         polar = lf.polar_generator_model(samples, dirs)
         verdict = conic_membership(point_in, polar)
@@ -208,7 +209,7 @@ class TestPositivityWindow:
     def test_known_root_for_coefficient_two(self):
         # positive root of t^2 + 6t - 6 = 0, frozen at 50 digits
         assert nn.positivity_window(2.0) == pytest.approx(0.87298334620741689, abs=1e-12)
-        ok, min_val = nn.check_positivity_window(2.0)
+        ok, min_val = check_positivity_window(2.0)
         assert ok and min_val > 0.0
 
     def test_sufficient_condition_strict_inside_window(self):
@@ -220,7 +221,7 @@ class TestPositivityWindow:
     def test_soundness_for_random_coefficients(self):
         rng = np.random.default_rng(13)
         for alpha in rng.uniform(-10.0, 10.0, 100):
-            ok, min_val = nn.check_positivity_window(float(alpha), n=2000)
+            ok, min_val = check_positivity_window(float(alpha), n=2000)
             assert ok, (alpha, min_val)
 
 
