@@ -8,6 +8,8 @@ given configuration.
 from __future__ import annotations
 
 import argparse
+import encodings.ascii  # noqa: F401  (codec of meshes.write_obj)
+import locale  # noqa: F401  (argparse's gettext imports it on first use)
 import sys
 
 from . import meshes, reporting

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.unique loads it on first call; load it at import)
 
 from .linalg import ConeModel, DegenerateInputError, DomainError
 

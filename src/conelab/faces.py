@@ -10,10 +10,10 @@ Face kinds and their generators:
     F21/F22      endpoint triangles p1p2p3, p2p3p4           dim 2
     F23/F24      the two planar sides co{curves 1,2 / 3,4}   dim 2
 
-Pairs for the parametric families have closed forms; the planar sides,
-chords, triangles and the origin use a brute-force oracle (plane fits,
-plane-through-generators, or a max-margin LP), with provenance recorded on
-the pair.
+Pairs for the parametric families, the origin and the endpoint chords have
+closed forms; only the planar sides and the triangles use a sample-based
+oracle (plane fits or the plane through the generators), with provenance
+recorded on the pair.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .construction import (
     CURVE_IDS,
@@ -49,6 +48,21 @@ ORACLE = "derived-oracle"
 
 # Parameter-distance radii at which off-face margins are reported.
 MARGIN_DELTAS = (0.01, 0.05, 0.1)
+
+# Origin and endpoint chords: kind -> (unnormalised normal y, offset d of
+# y/|y|). On the four arcs, with s = sin t, c = cos t and t in [0, T]:
+#   F00: curves 1, 4 give (c - 1)/sqrt2 and curves 2, 3 give -s/sqrt2, < 0 for t > 0.
+#   F13: curves 1, 2 give (1 + s - c)/sqrt3 <= d, equal only at t = T;
+#        curves 3, 4 give (c - 1 - s)/sqrt3 <= 0.
+#   F14: F13 with curves 1, 2 and 3, 4 swapped.
+#   F15: curves 2, 3 give s/sqrt2 <= 1/2, equal only at t = T;
+#        curves 1, 4 give (1 - c)/sqrt2 <= 0.21.
+_CHORD_PAIRS = {
+    "F00": ((1.0, 0.0, 1.0), 0.0),
+    "F13": ((1.0, -1.0, -1.0), 1.0 / math.sqrt(3.0)),
+    "F14": ((-1.0, 1.0, 1.0), 1.0 / math.sqrt(3.0)),
+    "F15": ((-1.0, 0.0, -1.0), 0.5),
+}
 
 # Endpoint-anchored faces: kind -> (endpoint indices, dimension).
 _FIXED_FACES = {
@@ -246,51 +260,6 @@ def verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
     )
 
 
-def _support_plane_through(points, body, margin_radius=0.05):
-    """Max-margin supporting hyperplane containing the given points.
-
-    LP over (y, d, m): maximize m subject to <y, p> = d on the points,
-    <y, x> <= d on every body sample, <y, x> <= d - m on samples at
-    parameter distance >= margin_radius from every given point, |y| <= 1.
-    """
-    samples = body.xyz
-    pts = np.atleast_2d(points)
-    n = 3
-    # variables z = (y1, y2, y3, d, m)
-    a_eq = np.hstack([pts, -np.ones((len(pts), 1)), np.zeros((len(pts), 1))])
-    b_eq = np.zeros(len(pts))
-
-    # the samples at the given points pin the face in parameter space
-    anchors = []
-    for p in pts:
-        hits = np.linalg.norm(samples - p, axis=1) <= 1e-9
-        anchors.extend(zip(body.ids[hits].tolist(), body.ts[hits].tolist()))
-    far = param_distances(FaceDescriptor("oracle", 0, anchors=tuple(anchors)),
-                          body.ids, body.ts) >= margin_radius
-
-    # one row <y, x> - d <= 0 per sample, each followed by the row
-    # <y, x> - d + m <= 0 when the sample is far from the points
-    rows = np.zeros((len(samples), 2, 5))
-    rows[:, :, :3] = samples[:, None, :]
-    rows[:, :, 3] = -1.0
-    rows[:, 1, 4] = 1.0
-    rows = rows[np.stack([np.ones_like(far), far], axis=1)]
-    bounds = [(-1.0, 1.0)] * n + [(-3.0, 3.0), (0.0, 10.0)]
-    res = linprog(
-        c=np.array([0.0, 0.0, 0.0, 0.0, -1.0]),
-        A_ub=rows,
-        b_ub=np.zeros(len(rows)),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status != 0 or -res.fun <= 0.0:
-        raise DegenerateInputError("no strictly supporting hyperplane found")
-    y = res.x[:3]
-    return ExposingPair(y / np.linalg.norm(y), res.x[3] / np.linalg.norm(y), ORACLE)
-
-
 def _oriented_support(n, d, body, tol):
     d += 0.0  # normalize -0.0
     over = float((body.xyz @ n - d).max())
@@ -343,9 +312,9 @@ def _oracle_body(n=128):
 def exposing_pair(face, oracle_body=None):
     """Exposing pair for a catalogued face.
 
-    Parametric families use the closed forms; the planar sides, endpoint
-    chords, triangles, and the origin fall back to the sample-based oracle
-    (run on a coarse body so that verification on a finer body stays
+    Parametric families, the origin and the endpoint chords use the closed
+    forms; the planar sides and the triangles fall back to the sample-based
+    oracle (run on a coarse body so that verification on a finer body stays
     out-of-sample).
     """
     kind = face.kind
@@ -357,13 +326,15 @@ def exposing_pair(face, oracle_body=None):
     if kind == "F12":
         r = ruling_data(face.param)
         return ExposingPair(r.mirror_normal, r.offset, CLOSED_FORM)
+    if kind in _CHORD_PAIRS:
+        y, d = _CHORD_PAIRS[kind]
+        y = np.array(y)
+        return ExposingPair(y / np.linalg.norm(y), d, CLOSED_FORM)
     body = oracle_body if oracle_body is not None else _oracle_body()
     if kind in ("F23", "F24"):
         return _fitted_plane_pair(face, body)
     if kind in ("F21", "F22"):
         return _plane_pair(face_points(face), body)
-    if kind in ("F13", "F14", "F15", "F00"):
-        return _support_plane_through(face_points(face), body)
     raise DomainError(f"unknown face kind {kind}")
 
 

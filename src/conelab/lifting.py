@@ -194,8 +194,3 @@ def square_body(points_per_edge=16):
         ]),
         axis=0,
     )
-
-
-def disc_body(n=256):
-    """n samples of the unit circle (boundary of the unit disc)."""
-    return unit_circle_grid(n)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 # Singular values below RANK_RTOL * sigma_max count as zero.  The matrices
 # handled here have O(1) entries and are well conditioned.
@@ -158,8 +157,11 @@ def conic_membership(point, cone, tol=DEFAULT_TOL):
     over the box |s|_inf <= 1 for a separating normal. Raises
     SolverStallError when neither certificate is conclusive (point within
     tolerance of the sampled boundary); it carries the NNLS residual and
-    the LP margin.
+    the LP margin. This is the package's only use of scipy, so scipy is
+    imported here and not with the module.
     """
+    from scipy.optimize import linprog, nnls
+
     g = cone.generators
     x = as_vector(point, dim=g.shape[1]) if g.shape[1] <= MAX_DIM else np.asarray(point, float)
     scale = max(1.0, float(np.linalg.norm(x)))
@@ -257,8 +259,9 @@ def feasible_interval(lowers, uppers):
     Returns (lo, hi) with lo possibly -inf and hi possibly +inf, or None
     when the intersection is empty. Empty bound lists impose nothing.
     """
-    lo = max((float(v) for v in lowers), default=-math.inf)
-    hi = min((float(v) for v in uppers), default=math.inf)
+    lowers, uppers = np.asarray(lowers, dtype=float), np.asarray(uppers, dtype=float)
+    lo = float(lowers.max()) if lowers.size else -math.inf
+    hi = float(uppers.min()) if uppers.size else math.inf
     if lo > hi:
         return None
     return (lo, hi)

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (load at import, not on the first np.random call)
 
 from .construction import (
     CURVE_IDS,
@@ -93,7 +94,7 @@ class ShiftProfile:
     """Per-generator lambda bounds for q - lambda*u in the sampled polar."""
 
     epsilon: float
-    lower_bounds: tuple      # (bound, curve_id, t), one per constraining generator
+    lower_bounds: tuple      # arrays (bound, curve_id, t), one entry per constraining generator
     upper_bounds: tuple
     counts: dict             # classification tallies; they sum to n_generators
     interval: tuple | None   # feasible (lo, hi); None when empty
@@ -128,6 +129,7 @@ def shift_profile(cone, pair=None, tol=DEFAULT_TOL):
     }
     lower_vals = qg[lower] / ug[lower]
     upper_vals = qg[upper] / ug[upper]
+    lower_ids, lower_ts = ids[lower], ts[lower]
 
     on_curve1 = ts[(ids == 1) & (ts > 0)]
     epsilon = on_curve1.min() if on_curve1.size else math.nan
@@ -143,7 +145,7 @@ def shift_profile(cone, pair=None, tol=DEFAULT_TOL):
         lambda_star = interval[0]
         if lower_vals.size and math.isfinite(lambda_star):
             k = int(np.argmax(lower_vals))
-            achieving = (int(ids[lower][k]), float(ts[lower][k]))
+            achieving = (int(lower_ids[k]), float(lower_ts[k]))
         if math.isfinite(lambda_star) and (counts["lower"] or counts["upper"]):
             # independent re-check of every constraint that depends on lambda
             bounded = lower | upper
@@ -151,8 +153,8 @@ def shift_profile(cone, pair=None, tol=DEFAULT_TOL):
                 raise AssertionError("feasible interval violates its own constraints")
     return ShiftProfile(
         epsilon=float(epsilon),
-        lower_bounds=tuple(zip(lower_vals.tolist(), ids[lower].tolist(), ts[lower].tolist())),
-        upper_bounds=tuple(zip(upper_vals.tolist(), ids[upper].tolist(), ts[upper].tolist())),
+        lower_bounds=(lower_vals, lower_ids, lower_ts),
+        upper_bounds=(upper_vals, ids[upper], ts[upper]),
         counts=counts,
         interval=interval,
         lambda_star=lambda_star,

@@ -249,7 +249,7 @@ def homogenization_section(config, face_rows, grids):
     square = lf.polar_correspondence_check(
         lf.square_body(16), lf.unit_circle_grid(256), interior_margin=0.5, tol=config.tol
     )
-    disc_samples = lf.disc_body(256)
+    disc_samples = lf.unit_circle_grid(256)
     disc = lf.polar_correspondence_check(
         disc_samples, lf.unit_circle_grid(128), interior_margin=0.5, tol=config.tol
     )

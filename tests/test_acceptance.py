@@ -109,7 +109,7 @@ def test_criterion_4_homogenization(default_setup):
     square = lf.polar_correspondence_check(
         lf.square_body(16), lf.unit_circle_grid(256), interior_margin=0.5
     )
-    disc_samples = lf.disc_body(256)
+    disc_samples = lf.unit_circle_grid(256)
     disc = lf.polar_correspondence_check(
         disc_samples, lf.unit_circle_grid(128), interior_margin=0.5
     )

@@ -1,8 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.optimize
 
+import conelab
 from conelab import meshes
 from conelab.cli import main
 from conelab import faces, linalg, niceness, reporting
@@ -122,14 +130,53 @@ class TestNice3DCommand:
             return wrapper
 
         for module in (linalg, niceness, reporting):
-            for key in calls:
-                if hasattr(module, key):
-                    monkeypatch.setattr(module, key, counted(key, getattr(module, key)))
+            if hasattr(module, "conic_membership"):
+                monkeypatch.setattr(module, "conic_membership",
+                                    counted("conic_membership", module.conic_membership))
+        # conic_membership imports the solvers when called, so count them at scipy
+        for key in ("linprog", "nnls"):
+            monkeypatch.setattr(scipy.optimize, key, counted(key, getattr(scipy.optimize, key)))
         report = reporting.run_nice3d(RunConfig())
         assert calls == {"conic_membership": 0, "linprog": 0, "nnls": 0}
         for name in ("octant", "half_disc"):
             assert report[name]["agreement_skipped"] == 0
             assert report[name]["dual_wedge_checked"] == 1200
+        # the counters do see the LP route
+        linalg.conic_membership([1.0, -1.0, 0.0], linalg.ConeModel(np.eye(3)))
+        assert calls == {"conic_membership": 1, "linprog": 1, "nnls": 1}
+
+
+class TestImportPath:
+    def test_cli_runs_without_scipy_or_lazy_imports(self, tmp_path):
+        # A fresh interpreter: the test process itself has scipy loaded.
+        # Every module the commands need (numpy.random, numpy.ma, locale)
+        # loads with conelab.cli, so none is imported inside main.
+        script = textwrap.dedent("""
+            import json, sys
+            import conelab.cli
+            loaded = set(sys.modules)
+            out = sys.argv[1]
+            runs = [
+                ["verify", *sys.argv[2:], "--out", out + "/v.json"],
+                ["faces", *sys.argv[2:], "--out", out + "/f.json"],
+                ["sweep", "--samples", "64", "--out", out + "/s.csv"],
+                ["mesh", "--samples", "24", "--out", out + "/m.obj"],
+                ["nice3d", "--out", out + "/n.json"],
+            ]
+            codes = [conelab.cli.main(argv) for argv in runs]
+            print(json.dumps({
+                "codes": codes,
+                "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                "imported_by_main": sorted(set(sys.modules) - loaded),
+            }))
+        """)
+        src = str(Path(conelab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), *FAST],
+                              env=env, capture_output=True, text=True, check=True)
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [0] * 5, "scipy": [], "imported_by_main": []}
 
 
 class TestRunConfig:

@@ -6,7 +6,7 @@ import pytest
 from conelab import construction as con
 from conelab import faces as fc
 from conelab.linalg import DegenerateInputError, DomainError
-from helpers import mirror_point
+from helpers import mirror_point, support_plane_through
 
 T = con.T_END
 
@@ -100,14 +100,23 @@ class TestExposingPairs:
         assert (body.xyz @ pair.normal - pair.offset).max() <= 1e-12
 
     def test_origin_pair_and_closed_form_both_expose(self, body):
+        # the closed forms for the origin and the endpoint chords equal the
+        # max-margin LP oracle, and expose their faces on a fine body
         cat = fc.enumerate_faces(con.theta_grid(2))
-        f00 = face_of("F00", cat)
-        derived = fc.exposing_pair(f00)
-        assert derived.provenance == fc.ORACLE
-        closed = fc.ExposingPair(np.array([1.0, 0.0, 1.0]), 0.0, fc.CLOSED_FORM)
-        for pair in (derived, closed):
-            rep = fc.verify_exposure(f00, pair, body)
-            assert rep.passed, pair
+        fine = con.sample_body(con.curve_grid(4096))
+        for kind in ("F00", "F13", "F14", "F15"):
+            face = face_of(kind, cat)
+            pair = fc.exposing_pair(face)
+            assert pair.provenance == fc.CLOSED_FORM
+            oracle = support_plane_through(fc.face_points(face), fc._oracle_body())
+            assert np.abs(pair.normal - oracle.normal).max() <= 1e-12, kind
+            assert abs(pair.offset - oracle.offset) <= 1e-12, kind
+            slack = fine.xyz @ pair.normal - pair.offset
+            anchors = fc.param_distances(face, fine.ids, fine.ts) <= 1e-9
+            assert anchors.sum() == len(face.anchors)
+            assert np.abs(slack[anchors]).max() <= 1e-15, kind
+            assert slack[~anchors].max() < 0.0, kind
+            assert fc.verify_exposure(face, pair, body).passed, kind
 
 
 class TestVerifyExposure:

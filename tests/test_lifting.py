@@ -116,7 +116,7 @@ class TestPolar:
         assert (gens @ np.array([-1.0, 0.0, 0.0])).max() == -1.0
 
     def test_disc_polar_radius_threshold(self):
-        disc = lf.disc_body(256)
+        disc = lf.unit_circle_grid(256)
         gens = np.hstack([np.ones((len(disc), 1)), disc])
         probe = lf.unit_circle_grid(17)  # directions incommensurate with samples
         for direction in probe:
@@ -131,7 +131,7 @@ class TestPolar:
         assert rep.passed
         assert rep.max_membership_residual <= 1e-9
         assert rep.min_sharpness_violation > 0.0
-        rep = lf.polar_correspondence_check(lf.disc_body(256), lf.unit_circle_grid(128),
+        rep = lf.polar_correspondence_check(lf.unit_circle_grid(256), lf.unit_circle_grid(128),
                                             interior_margin=0.5)
         assert rep.passed
 

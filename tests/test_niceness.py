@@ -85,7 +85,7 @@ class TestShiftProfile:
     def test_curve1_bound_formula(self):
         cone = nn.refined_cone(0.02, samples_per_curve=64)
         prof = nn.shift_profile(cone)
-        for bound, cid, t in prof.lower_bounds:
+        for bound, cid, t in zip(*prof.lower_bounds):
             if cid == 1:
                 formula = math.sin(t) / (2.0 * (1.0 - math.cos(t))) - 1.0
                 assert bound == pytest.approx(formula, rel=1e-9)
@@ -105,7 +105,7 @@ class TestShiftProfile:
         prof = nn.shift_profile(cone)
         w = con.witness()
         by_label = {(cid, t): g for g, cid, t in zip(cone.generators, *cone.labels)}
-        for bound, cid, t in list(prof.lower_bounds)[:20]:
+        for bound, cid, t in list(zip(*prof.lower_bounds))[:20]:
             g = by_label[(cid, t)]
             assert abs(float(g @ (w.q - bound * w.u))) <= 1e-9
 
