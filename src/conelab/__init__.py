@@ -34,6 +34,7 @@ from .faces import (
     enumerate_faces,
     exposing_pair,
     identity_suite,
+    verify_catalogue,
     verify_exposure,
 )
 from .lifting import (
@@ -41,7 +42,6 @@ from .lifting import (
     lift_pair,
     pair_for_scaled_body,
     polar_correspondence_check,
-    polar_generator_model,
     verify_cone_exposure,
 )
 from .linalg import (

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .construction import (
     curve_point,
     curve_points,
     curve_sample,
+    partner_param,
     ruling_data,
     sample_body,
     theta_for_partner,
@@ -48,6 +50,15 @@ ORACLE = "derived-oracle"
 
 # Parameter-distance radii at which off-face margins are reported.
 MARGIN_DELTAS = (0.01, 0.05, 0.1)
+
+# Samples at parameter distance at most this from a face lie on it.
+ONFACE_DIST = 1e-9
+
+# (face, sample) entries per block of the exposure kernel: one float64
+# temporary of a block is 256 KB, so the kernel's memory stays flat as the
+# catalogue and the samples grow (the whole faces x samples matrix at
+# 2048/256 would be ~120 MB per temporary).
+BLOCK_ELEMENTS = 1 << 15
 
 # Origin and endpoint chords: kind -> (unnormalised normal y, offset d of
 # y/|y|). On the four arcs, with s = sin t, c = cos t and t in [0, T]:
@@ -97,12 +108,12 @@ class ExposingPair:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
-        if float(np.linalg.norm(n)) <= 0.0:
+        if not n.any():
             raise DegenerateInputError("exposing normal must be nonzero")
         object.__setattr__(self, "normal", n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one per face and check: keep it small
 class ExposureReport:
     face_label: str
     max_onface_residual: float
@@ -115,14 +126,24 @@ class ExposureReport:
         return self.verdict == "pass"
 
 
-def singleton_pair(curve_id, t):
-    """Closed-form exposing pair for the singleton face {curve_i(t)}."""
+def _ruling(theta, rulings):
+    """ruling_data(theta), kept in the rulings dict (when one is given) so
+    that each theta is computed once."""
+    if rulings is None:
+        return ruling_data(theta)
+    if theta not in rulings:
+        rulings[theta] = ruling_data(theta)
+    return rulings[theta]
+
+
+def singleton_pair(curve_id, t, rulings=None):
+    """Closed-form exposing pair for the singleton face {curve_i(t)};
+    rulings: optional theta -> RulingData dict shared between calls."""
     if curve_id == 1:
         return ExposingPair(np.array([1.0, -math.sin(t), math.cos(t)]), 1.0 - math.cos(t), CLOSED_FORM)
     if curve_id == 4:
         return ExposingPair(np.array([math.cos(t), math.sin(t), 1.0]), 1.0 - math.cos(t), CLOSED_FORM)
-    theta = theta_for_partner(t)
-    r = ruling_data(theta)
+    r = _ruling(theta_for_partner(t), rulings)
     if curve_id == 3:
         return ExposingPair(r.normal + np.array([0.0, 0.0, 1.0]), r.offset, CLOSED_FORM)
     if curve_id == 2:
@@ -153,11 +174,11 @@ def enumerate_faces(theta_grid, t_grid=None):
             for t in t_grid
         )
     for th in theta_grid:
-        r = ruling_data(th)
-        faces.append(FaceDescriptor("F11", 1, param=float(th), partner=r.t,
-                                    anchors=((1, float(th)), (3, r.t))))
-        faces.append(FaceDescriptor("F12", 1, param=float(th), partner=r.t,
-                                    anchors=((4, float(th)), (2, r.t))))
+        t = partner_param(th)
+        faces.append(FaceDescriptor("F11", 1, param=float(th), partner=t,
+                                    anchors=((1, float(th)), (3, t))))
+        faces.append(FaceDescriptor("F12", 1, param=float(th), partner=t,
+                                    anchors=((4, float(th)), (2, t))))
     for kind, (ends, dim) in _FIXED_FACES.items():
         faces.append(FaceDescriptor(kind, dim, anchors=tuple((i, T_END) for i in ends)))
     faces.append(FaceDescriptor("F23", 2, full_curves=(1, 2)))
@@ -190,6 +211,102 @@ def face_points(face):
     return np.vstack([curve_point(i, t) for i, t in face.anchors])
 
 
+def _parametric(face):
+    """Faces whose points are the curve points of their anchors."""
+    return not face.full_curves and face.kind != "F00" and face.kind not in _FIXED_FACES
+
+
+def _anchor_residuals(faces, normals, offsets):
+    """Largest |<y, p> - d| over the face_points p of each face and their
+    centroid, for the whole catalogue at once.
+
+    The anchors of the parametric faces are evaluated with one curve_points
+    call per curve, clamped to [0, T] as curve_point clamps them, and the
+    faces with the same number of points share one stacked product; every
+    value has the bits of the per-face product. Raises DomainError for the
+    first face whose pair misses its points by more than 1e-3.
+    """
+    points = [None if _parametric(f) else face_points(f) for f in faces]
+    slots = {i: ([], []) for i in CURVE_IDS}  # curve -> [(face, row)], [t]
+    for j, face in enumerate(faces):
+        if points[j] is None:
+            points[j] = np.empty((len(face.anchors), 3))
+            for k, (i, t) in enumerate(face.anchors):
+                slots[i][0].append((j, k))
+                slots[i][1].append(t)
+    for i, (where, ts) in slots.items():
+        ts = np.array(ts)
+        clamped = np.clip(ts, 0.0, T_END)
+        if ts.size and np.abs(ts - clamped).max() > 1e-15:
+            raise DomainError(f"anchor parameter on curve {i} outside [0, {T_END}]")
+        for (j, k), p in zip(where, curve_points(i, clamped)):
+            points[j][k] = p
+
+    anchor_res = np.empty(len(faces))
+    res = np.empty(len(faces))
+    for size in {len(p) for p in points}:
+        rows = [j for j, p in enumerate(points) if len(p) == size]
+        pts = np.stack([points[j] for j in rows])
+        y, d = normals[rows][:, :, None], offsets[rows]
+        anchor_res[rows] = np.abs(np.matmul(pts, y)[:, :, 0] - d[:, None]).max(axis=1)
+        # convex combinations of generators must reach the same hyperplane
+        centroid_res = np.abs(np.matmul(pts.mean(axis=1)[:, None, :], y)[:, 0, 0] - d)
+        res[rows] = np.maximum(anchor_res[rows], centroid_res)
+    bad = np.flatnonzero(anchor_res > 1e-3)
+    if bad.size:
+        j = bad[0]
+        raise DomainError(
+            f"pair does not match face {faces[j].label()}: anchor residual {anchor_res[j]:.3g}"
+        )
+    return res
+
+
+def _distance_table(faces):
+    """Per face: the anchor parameter on each curve (inf where it has none),
+    the reach of the other curves through the common endpoint (the smallest
+    anchor parameter; 0 for a planar side) and the curves wholly contained
+    in the face."""
+    anchor_t = np.full((len(faces), len(CURVE_IDS)), math.inf)
+    reach = np.full(len(faces), math.inf)
+    full = np.zeros((len(faces), len(CURVE_IDS)), dtype=bool)
+    for j, face in enumerate(faces):
+        for i, t in face.anchors:
+            if anchor_t[j, i - 1] != math.inf:
+                raise DomainError(f"face {face.label()} has two anchors on curve {i}")
+            anchor_t[j, i - 1] = t
+        if face.full_curves:
+            reach[j] = 0.0
+            full[j, [i - 1 for i in face.full_curves]] = True
+    return anchor_t, np.minimum(reach, anchor_t.min(axis=1)), full
+
+
+def _curve_runs(ids):
+    """(start, stop, curve index) of each run of equal curve ids; one run
+    per curve for samples stacked curve by curve."""
+    ids = np.asarray(ids)
+    if not np.isin(ids, CURVE_IDS).all():
+        raise DomainError(f"sample curve ids must lie in {CURVE_IDS}")
+    cuts = np.flatnonzero(np.diff(ids)) + 1
+    starts, stops = np.append(0, cuts), np.append(cuts, len(ids))
+    return [(a, b, int(ids[a]) - 1) for a, b in zip(starts, stops)]
+
+
+def _block_distances(table, rows, runs, ts):
+    """Parameter distances of a block of faces (a slice of the table) to
+    every sample: min(|t - a_curve|, t + reach), and 0 on the curves wholly
+    contained in the face."""
+    anchor_t, reach, full = table
+    dist = np.empty((rows.stop - rows.start, len(ts)))
+    for start, stop, c in runs:
+        np.subtract(ts[start:stop], anchor_t[rows, c, None], out=dist[:, start:stop])
+    np.abs(dist, out=dist)
+    np.minimum(dist, ts + reach[rows, None], out=dist)
+    if full[rows].any():
+        for start, stop, c in runs:
+            dist[full[rows, c], start:stop] = 0.0
+    return dist
+
+
 def param_distances(face, ids, ts):
     """Distance between each sample (ids[k], ts[k]) and a face in parameter
     space.
@@ -198,66 +315,132 @@ def param_distances(face, ids, ts):
     reached through the common endpoint, contributing t + t*. Curves wholly
     contained in the face are at distance 0.
     """
-    if face.full_curves:
-        dist = ts.copy()  # reach the face through the common endpoint
-        for i in face.full_curves:
-            dist[ids == i] = 0.0
-    else:
-        dist = np.full(ts.shape, math.inf)
-    for i, anchor_t in face.anchors:
-        same = ids == i
-        np.minimum(dist, np.where(same, np.abs(ts - anchor_t), ts + anchor_t), out=dist)
-    return dist
+    return _block_distances(_distance_table([face]), slice(0, 1), _curve_runs(ids), ts)[0]
 
 
-def margins_by_radius(slack, dists, deltas):
-    """Smallest slack among the samples at parameter distance >= delta, per
-    delta; inf when no sample is that far from the face."""
-    margins = {}
-    for delta in deltas:
-        mask = dists >= delta
-        margins[delta] = float(slack[mask].min()) if mask.any() else math.inf
-    return margins
+class _Check(NamedTuple):
+    """One side of the exposure kernel: a functional per face, evaluated on
+    the sample points. The slack is offset - value for a body pair and
+    -value for a cone functional (offsets None), which vanishes on the
+    lifted face."""
+
+    points: np.ndarray
+    functionals: np.ndarray
+    offsets: np.ndarray | None
+    anchor_res: np.ndarray    # residual at the face points, per face
+    floor: float              # the margin at the smallest radius must exceed it
+    prefix: str
+
+
+def _scan(faces, ids, ts, checks, deltas):
+    """Walk the faces in blocks of about BLOCK_ELEMENTS (face, sample)
+    entries. Per face: the on-face sample count and, per check, the largest
+    on-face |slack| and the smallest slack at distance >= each delta."""
+    table = _distance_table(faces)
+    runs = _curve_runs(ids)
+    step = max(1, BLOCK_ELEMENTS // len(ts))
+    counts = np.empty(len(faces), dtype=int)
+    residuals = [np.empty(len(faces)) for _ in checks]
+    margins = [np.empty((len(faces), len(deltas))) for _ in checks]
+    for start in range(0, len(faces), step):
+        rows = slice(start, min(start + step, len(faces)))
+        dist = _block_distances(table, rows, runs, ts)
+        onface = dist <= ONFACE_DIST
+        far = [dist >= delta for delta in deltas]
+        del dist
+        counts[rows] = [np.count_nonzero(row) for row in onface]
+        for check, res, marg in zip(checks, residuals, margins):
+            slack = np.empty(onface.shape)
+            # one matrix-vector product per face, the bits of points @ y
+            np.matmul(check.points, check.functionals[rows, :, None], out=slack[:, :, None])
+            if check.offsets is None:
+                np.negative(slack, out=slack)
+            else:
+                np.subtract(check.offsets[rows, None], slack, out=slack)
+            for k, mask in enumerate(far):
+                marg[rows, k] = np.minimum.reduce(slack, axis=1, where=mask, initial=math.inf)
+            np.abs(slack, out=slack)
+            res[rows] = np.maximum.reduce(slack, axis=1, where=onface, initial=0.0)
+    return counts, residuals, margins
+
+
+def verify_catalogue(catalogue, body=None, cone=None, lifted=(), tol=DEFAULT_TOL,
+                     deltas=MARGIN_DELTAS):
+    """Exposure reports for every (face, pair) row of a catalogue: the body
+    check of each pair on the raw body and, given the cone over C' and the
+    cone functional lifted from each pair, the lifted check on the cone.
+
+    Returns (body_reports, lifted_reports); a list is None when its sample
+    set is not given (the pairs may then be None). Both checks use the same
+    parameter distances, computed once per block of faces, and one rule: the
+    on-face residual is at most eq_abs and the margin (the smallest slack
+    d - <y, x>, resp. -<(-d', y), (1, x')>, over the samples at parameter
+    distance >= delta) is positive at every radius delta. The lifted margin
+    at the smallest radius must also exceed eq_abs: no generator that far
+    from the face may lie on the hyperplane within the tolerance. Nearer
+    generators are not held to it, since margins vanish quadratically
+    toward the face.
+
+    The catalogue is walked in blocks of faces (see BLOCK_ELEMENTS), so the
+    memory held stays flat as catalogue and samples grow.
+    """
+    if body is None and cone is None:
+        raise DomainError("exposure check needs a body or a cone")
+    if min(deltas) <= ONFACE_DIST:
+        raise DomainError(f"margin radii must exceed the on-face distance {ONFACE_DIST}")
+    faces = [face for face, _ in catalogue]
+    checks = []
+    if body is not None:
+        if not isinstance(body, BodySamples) or body.shifted:
+            raise DomainError("exposure checks expect raw C samples")
+        if any(pair.normal.shape != (3,) for _, pair in catalogue):
+            raise DimensionMismatchError("pair normal must be 3-dimensional")
+        normals = np.array([pair.normal for _, pair in catalogue]).reshape(-1, 3)
+        offsets = np.array([pair.offset for _, pair in catalogue])
+        ids, ts = body.ids, body.ts
+        checks.append(_Check(body.xyz, normals, offsets,
+                             _anchor_residuals(faces, normals, offsets), 0.0, ""))
+    if cone is not None:
+        g = cone.generators
+        if len(lifted) != len(faces) or any(np.shape(y) != (g.shape[1],) for y in lifted):
+            raise DimensionMismatchError("lifted pair and cone dimensions differ")
+        if not cone.labels:
+            raise DomainError("cone generators carry no (curve, t) labels")
+        if body is not None and not (np.array_equal(cone.labels[0], ids)
+                                     and np.array_equal(cone.labels[1], ts)):
+            raise DomainError("cone and body are sampled at different parameters")
+        ids, ts = cone.labels
+        checks.append(_Check(g, np.array(lifted, dtype=float).reshape(-1, g.shape[1]), None,
+                             np.zeros(len(faces)), tol.eq_abs, "lift:"))
+
+    counts, residuals, margins = _scan(faces, ids, ts, checks, deltas)
+    smallest = min(deltas)
+    reports = []
+    for check, res, marg in zip(checks, residuals, margins):
+        floors = [check.floor if delta == smallest else 0.0 for delta in deltas]
+        out = []
+        for j, face in enumerate(faces):
+            max_res = float(max(check.anchor_res[j], res[j]))
+            ok = max_res <= tol.eq_abs and all(m > f for m, f in zip(marg[j], floors))
+            out.append(ExposureReport(
+                face_label=check.prefix + face.label(),
+                max_onface_residual=max_res,
+                margins={delta: float(m) for delta, m in zip(deltas, marg[j])},
+                onface_count=int(counts[j]),
+                verdict="pass" if ok else "fail",
+            ))
+        reports.append(out)
+    reports = iter(reports)
+    return (next(reports) if body is not None else None,
+            next(reports) if cone is not None else None)
 
 
 def verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
     """Check the exposing-pair inequalities for one face against a sampled
     raw body: equality on the face, strict inequality off it, with margins
-    reported per parameter-distance radius.
+    reported per parameter-distance radius (verify_catalogue on one row).
     """
-    if not isinstance(body, BodySamples) or body.shifted:
-        raise DomainError("verify_exposure expects raw C samples")
-    y, d = pair.normal, pair.offset
-    if y.shape != (3,):
-        raise DimensionMismatchError("pair normal must be 3-dimensional")
-
-    anchor_pts = face_points(face)
-    anchor_res = np.abs(anchor_pts @ y - d)
-    if anchor_res.max() > 1e-3:
-        raise DomainError(
-            f"pair does not match face {face.label()}: anchor residual {anchor_res.max():.3g}"
-        )
-    # Convex combinations of generators must reach the same hyperplane.
-    centroid_res = abs(float(anchor_pts.mean(axis=0) @ y) - d)
-
-    values = body.xyz @ y
-    dists = param_distances(face, body.ids, body.ts)
-
-    onface = dists <= 1e-9
-    residuals = [anchor_res.max(), centroid_res]
-    if onface.any():
-        residuals.append(float(np.abs(values[onface] - d).max()))
-    max_res = float(max(residuals))
-
-    margins = margins_by_radius(d - values, dists, deltas)
-    ok = max_res <= tol.eq_abs and all(m > 0.0 for m in margins.values())
-    return ExposureReport(
-        face_label=face.label(),
-        max_onface_residual=max_res,
-        margins=margins,
-        onface_count=int(onface.sum()),
-        verdict="pass" if ok else "fail",
-    )
+    return verify_catalogue([(face, pair)], body, tol=tol, deltas=deltas)[0][0]
 
 
 def _oriented_support(n, d, body, tol):
@@ -288,7 +471,7 @@ def _fitted_plane_pair(face, body, tol=DEFAULT_TOL):
     """Least-squares plane through all on-face samples (SVD of the centered
     point cloud), sign-checked against the whole body. Used for the planar
     sides, whose generator set is a pair of arcs."""
-    onface = param_distances(face, body.ids, body.ts) <= 1e-9
+    onface = param_distances(face, body.ids, body.ts) <= ONFACE_DIST
     pts = body.xyz[onface]
     if len(pts) < 3:
         raise DegenerateInputError("not enough on-face samples to fit a plane")
@@ -309,22 +492,23 @@ def _oracle_body(n=128):
     return _ORACLE_BODY_CACHE[n]
 
 
-def exposing_pair(face, oracle_body=None):
+def exposing_pair(face, oracle_body=None, rulings=None):
     """Exposing pair for a catalogued face.
 
     Parametric families, the origin and the endpoint chords use the closed
     forms; the planar sides and the triangles fall back to the sample-based
     oracle (run on a coarse body so that verification on a finer body stays
-    out-of-sample).
+    out-of-sample). rulings: optional theta -> RulingData dict shared
+    between calls.
     """
     kind = face.kind
     if kind in ("F01", "F02", "F03", "F04"):
-        return singleton_pair(int(kind[2]), face.param)
+        return singleton_pair(int(kind[2]), face.param, rulings)
     if kind == "F11":
-        r = ruling_data(face.param)
+        r = _ruling(face.param, rulings)
         return ExposingPair(r.normal, r.offset, CLOSED_FORM)
     if kind == "F12":
-        r = ruling_data(face.param)
+        r = _ruling(face.param, rulings)
         return ExposingPair(r.mirror_normal, r.offset, CLOSED_FORM)
     if kind in _CHORD_PAIRS:
         y, d = _CHORD_PAIRS[kind]
@@ -338,16 +522,18 @@ def exposing_pair(face, oracle_body=None):
     raise DomainError(f"unknown face kind {kind}")
 
 
-def identity_suite(t, theta):
+def identity_suite(t, theta, curves=None):
     """Residuals of the six inner-product identities behind the catalogue.
 
     Each identity is evaluated twice, once as a numeric dot product and once
     from its trigonometric closed form, and the absolute difference is
     returned. t may be a scalar or an array in [0, T]; the residuals have its
-    shape. All six are <= 1e-12 across the whole parameter square.
+    shape. All six are <= 1e-12 across the whole parameter square. curves:
+    the four arcs evaluated at t (curve id -> points), when the caller
+    shares them between several theta.
     """
     t = np.asarray(t, dtype=float)
-    g = {i: curve_points(i, t) for i in CURVE_IDS}
+    g = curves if curves is not None else {i: curve_points(i, t) for i in CURVE_IDS}
     r = ruling_data(theta)
     th, tt, y = r.theta, r.t, r.normal
     y3 = y + np.array([0.0, 0.0, 1.0])
@@ -364,4 +550,5 @@ def identity_suite(t, theta):
 def build_catalogue(theta_grid, t_grid=None, oracle_body=None):
     """Faces with their exposing pairs, ready for verification."""
     faces = enumerate_faces(theta_grid, t_grid)
-    return [(f, exposing_pair(f, oracle_body)) for f in faces]
+    rulings = {}  # one ruling_data call per distinct theta
+    return [(f, exposing_pair(f, oracle_body, rulings)) for f in faces]

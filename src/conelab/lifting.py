@@ -1,5 +1,5 @@
 """Cone-over-body correspondences: lifting exposing pairs one dimension up
-and the generator-level polar construction.
+and the polar correspondence checks.
 
 A body pair (y, d) with <y, x> <= d on the body lifts to the cone functional
 (-d, y), which vanishes exactly on the lifted face and is negative on every
@@ -15,19 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import SHIFT
-from .faces import (
-    MARGIN_DELTAS,
-    ExposingPair,
-    ExposureReport,
-    margins_by_radius,
-    param_distances,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    ConeModel,
-    DimensionMismatchError,
-    DomainError,
-)
+from .faces import MARGIN_DELTAS, ExposingPair, verify_catalogue
+from .linalg import DEFAULT_TOL, DomainError
 
 
 @dataclass(frozen=True)
@@ -60,45 +49,12 @@ def lift_pair(pair):
 def verify_cone_exposure(lifted, cone, face, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
     """Check that a lifted pair exposes exactly the lifted face on the
     sampled cone: zero on generators over the face, strictly negative off
-    it (margins graded by parameter distance).
-
-    The measured equality set must coincide with the generators whose
-    parameters lie on the face, up to the tolerance floor: a generator at
-    parameter distance below the smallest margin radius has a margin that
-    may sit under eq_abs (margins vanish quadratically toward the face), so
-    only generators beyond that radius can be asserted strictly off the
-    hyperplane.
+    it (margins graded by parameter distance), and off the hyperplane by
+    more than eq_abs beyond the smallest margin radius (the lifted rule of
+    faces.verify_catalogue, called here on one face).
     """
-    y = np.asarray(lifted.vector, dtype=float)
-    g = cone.generators
-    if g.shape[1] != y.size:
-        raise DimensionMismatchError("lifted pair and cone dimensions differ")
-    if not cone.labels:
-        raise DomainError("cone generators carry no (curve, t) labels")
-
-    values = g @ y
-    dists = param_distances(face, *cone.labels)
-    expected = dists <= 1e-9
-    measured = np.abs(values) <= tol.eq_abs
-
-    max_res = float(np.abs(values[expected]).max()) if expected.any() else 0.0
-    margins = margins_by_radius(-values, dists, deltas)
-
-    on_face_ok = bool(measured[expected].all()) if expected.any() else True
-    stray = measured & ~expected & (dists >= min(deltas))
-    sets_match = on_face_ok and not bool(stray.any())
-    ok = (
-        sets_match
-        and max_res <= tol.eq_abs
-        and all(m > 0.0 for m in margins.values())
-    )
-    return ExposureReport(
-        face_label=f"lift:{face.label()}",
-        max_onface_residual=max_res,
-        margins=margins,
-        onface_count=int(expected.sum()),
-        verdict="pass" if ok else "fail",
-    )
+    return verify_catalogue([(face, None)], cone=cone, lifted=[lifted.vector], tol=tol,
+                            deltas=deltas)[1][0]
 
 
 def support_values(samples, directions):
@@ -106,21 +62,6 @@ def support_values(samples, directions):
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     return (directions @ samples.T).max(axis=1)
-
-
-def polar_generator_model(samples, directions, provenance="sampled polar cone"):
-    """Generator representation of the polar of cone({1} x samples):
-    one generator (-support(dir), dir) per direction, plus the deep ray
-    (-1, 0, ..., 0)."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if directions.shape[1] != samples.shape[1]:
-        raise DimensionMismatchError("directions and samples dimensions differ")
-    sups = support_values(samples, directions)
-    gens = np.hstack([-sups[:, None], directions])
-    deep = np.zeros((1, samples.shape[1] + 1))
-    deep[0, 0] = -1.0
-    return ConeModel(np.vstack([gens, deep]), provenance=provenance)
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def write_json(path, obj):
 def _grids(config):
     thetas = con.theta_grid(config.theta_grid_size)
     t_grid = thetas  # singleton faces enumerated over the same parameter set
-    partners = np.array([con.ruling_data(th).t for th in thetas])
+    partners = np.array([con.partner_param(th) for th in thetas])
     base = con.curve_grid(config.samples_per_curve, config.refine_origin)
     g_outer = np.unique(np.concatenate([base, thetas, t_grid]))
     g_inner = np.unique(np.concatenate([base, partners, t_grid]))
@@ -180,10 +180,11 @@ def construction_section(config):
 
 def identity_grid_max(t_grid, theta_grid):
     """Max residual per identity over the full (t, theta) grid, vectorized
-    over t for each theta."""
+    over t for each theta; the arcs are evaluated on the t grid once."""
+    curves = {i: con.curve_points(i, t_grid) for i in con.CURVE_IDS}
     maxima = {}
     for th in np.asarray(theta_grid, dtype=float):
-        for k, v in fc.identity_suite(t_grid, th).items():
+        for k, v in fc.identity_suite(t_grid, th, curves).items():
             maxima[k] = max(maxima.get(k, 0.0), float(v.max()))
     return maxima
 
@@ -201,16 +202,20 @@ def identity_section(config, n=100):
     }
 
 
-def _face_rows(config):
-    """One pass over the catalogue: (face, pair, report) rows, verified on the
-    raw body sampled from the config's grids, and those grids."""
+def _exposure(config, lifted):
+    """One pass of the exposure kernel over the catalogue on the config's
+    grids: (face, pair, report) rows on the raw body and, when lifted, the
+    cone over C' with the reports of the lifted pairs (else None, None)."""
     thetas, t_grid, grids = _grids(config)
+    catalogue = fc.build_catalogue(thetas, t_grid)
     body = con.sample_body(grids)
-    rows = [
-        (face, pair, fc.verify_exposure(face, pair, body, tol=config.tol))
-        for face, pair in fc.build_catalogue(thetas, t_grid)
-    ]
-    return rows, grids
+    cone, vectors = None, ()
+    if lifted:
+        cone = con.homogenize(con.sample_body(grids, shifted=True))
+        vectors = [lf.lift_pair(lf.pair_for_scaled_body(pair)).vector for _, pair in catalogue]
+    reports, lifted_reports = fc.verify_catalogue(catalogue, body, cone, vectors, tol=config.tol)
+    rows = [(face, pair, rep) for (face, pair), rep in zip(catalogue, reports)]
+    return rows, cone, lifted_reports
 
 
 def face_section(face_rows):
@@ -233,13 +238,10 @@ def face_section(face_rows):
     }
 
 
-def homogenization_section(config, face_rows, grids):
-    cone = con.homogenize(con.sample_body(grids, shifted=True))
+def homogenization_section(config, cone, lifted_reports):
     failures = []
     worst_res = 0.0
-    for face, pair, _ in face_rows:
-        lifted = lf.lift_pair(lf.pair_for_scaled_body(pair))
-        rep = lf.verify_cone_exposure(lifted, cone, face, tol=config.tol)
+    for rep in lifted_reports:
         worst_res = max(worst_res, rep.max_onface_residual)
         if not rep.passed:
             failures.append(rep.face_label)
@@ -343,9 +345,9 @@ def run_verify(config):
     sections = {}
     sections["construction"] = construction_section(config)
     sections["identity_suite"] = identity_section(config)
-    face_rows, grids = _face_rows(config)
+    face_rows, cone, lifted_reports = _exposure(config, lifted=True)
     sections["face_exposure"] = face_section(face_rows)
-    sections["homogenization"] = homogenization_section(config, face_rows, grids)
+    sections["homogenization"] = homogenization_section(config, cone, lifted_reports)
     sections["niceness"] = niceness_section(config)
     failures = [name for name, sec in sections.items() if not sec["pass"]]
     report["sections"] = sections
@@ -355,7 +357,7 @@ def run_verify(config):
 
 
 def run_faces(config):
-    face_rows, _ = _face_rows(config)
+    face_rows, _, _ = _exposure(config, lifted=False)
     summary = face_section(face_rows)
     atlas = report_header(config)
     atlas["faces"] = [

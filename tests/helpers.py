@@ -5,8 +5,23 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from conelab.faces import ORACLE, ExposingPair, FaceDescriptor, param_distances
-from conelab.linalg import DegenerateInputError
+from conelab.construction import BodySamples
+from conelab.faces import (
+    MARGIN_DELTAS,
+    ORACLE,
+    ExposingPair,
+    ExposureReport,
+    FaceDescriptor,
+    face_points,
+)
+from conelab.lifting import support_values
+from conelab.linalg import (
+    DEFAULT_TOL,
+    ConeModel,
+    DegenerateInputError,
+    DimensionMismatchError,
+    DomainError,
+)
 from conelab.niceness import positivity_window
 
 
@@ -53,7 +68,7 @@ def support_plane_through(points, body, margin_radius=0.05):
     for p in pts:
         hits = np.linalg.norm(samples - p, axis=1) <= 1e-9
         anchors.extend(zip(body.ids[hits].tolist(), body.ts[hits].tolist()))
-    far = param_distances(FaceDescriptor("oracle", 0, anchors=tuple(anchors)),
+    far = reference_param_distances(FaceDescriptor("oracle", 0, anchors=tuple(anchors)),
                           body.ids, body.ts) >= margin_radius
 
     # one row <y, x> - d <= 0 per sample, each followed by the row
@@ -77,3 +92,116 @@ def support_plane_through(points, body, margin_radius=0.05):
         raise DegenerateInputError("no strictly supporting hyperplane found")
     y = res.x[:3]
     return ExposingPair(y / np.linalg.norm(y), res.x[3] / np.linalg.norm(y), ORACLE)
+
+
+def polar_generator_model(samples, directions, provenance="sampled polar cone"):
+    """Generator representation of the polar of cone({1} x samples):
+    one generator (-support(dir), dir) per direction, plus the deep ray
+    (-1, 0, ..., 0)."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    if directions.shape[1] != samples.shape[1]:
+        raise DimensionMismatchError("directions and samples dimensions differ")
+    sups = support_values(samples, directions)
+    gens = np.hstack([-sups[:, None], directions])
+    deep = np.zeros((1, samples.shape[1] + 1))
+    deep[0, 0] = -1.0
+    return ConeModel(np.vstack([gens, deep]), provenance=provenance)
+
+
+# Reference exposure checks: one face and one full pass over the samples at
+# a time, as the library ran them before its blocked kernel
+# (faces.verify_catalogue). The kernel must reproduce their reports exactly.
+
+def reference_param_distances(face, ids, ts):
+    """Parameter distance of each sample (ids[k], ts[k]) to the face."""
+    if face.full_curves:
+        dist = ts.copy()  # reach the face through the common endpoint
+        for i in face.full_curves:
+            dist[ids == i] = 0.0
+    else:
+        dist = np.full(ts.shape, math.inf)
+    for i, anchor_t in face.anchors:
+        same = ids == i
+        np.minimum(dist, np.where(same, np.abs(ts - anchor_t), ts + anchor_t), out=dist)
+    return dist
+
+
+def _margins_by_radius(slack, dists, deltas):
+    margins = {}
+    for delta in deltas:
+        mask = dists >= delta
+        margins[delta] = float(slack[mask].min()) if mask.any() else math.inf
+    return margins
+
+
+def reference_verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
+    """Body check of one exposing pair on the raw body samples."""
+    if not isinstance(body, BodySamples) or body.shifted:
+        raise DomainError("verify_exposure expects raw C samples")
+    y, d = pair.normal, pair.offset
+    if y.shape != (3,):
+        raise DimensionMismatchError("pair normal must be 3-dimensional")
+
+    anchor_pts = face_points(face)
+    anchor_res = np.abs(anchor_pts @ y - d)
+    if anchor_res.max() > 1e-3:
+        raise DomainError(
+            f"pair does not match face {face.label()}: anchor residual {anchor_res.max():.3g}"
+        )
+    centroid_res = abs(float(anchor_pts.mean(axis=0) @ y) - d)
+
+    values = body.xyz @ y
+    dists = reference_param_distances(face, body.ids, body.ts)
+
+    onface = dists <= 1e-9
+    residuals = [anchor_res.max(), centroid_res]
+    if onface.any():
+        residuals.append(float(np.abs(values[onface] - d).max()))
+    max_res = float(max(residuals))
+
+    margins = _margins_by_radius(d - values, dists, deltas)
+    ok = max_res <= tol.eq_abs and all(m > 0.0 for m in margins.values())
+    return ExposureReport(
+        face_label=face.label(),
+        max_onface_residual=max_res,
+        margins=margins,
+        onface_count=int(onface.sum()),
+        verdict="pass" if ok else "fail",
+    )
+
+
+def reference_verify_cone_exposure(lifted, cone, face, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
+    """Lifted check of one cone functional on the cone's generators: the
+    measured equality set |value| <= eq_abs must hold every on-face
+    generator and no generator at parameter distance >= min(deltas)."""
+    y = np.asarray(lifted.vector, dtype=float)
+    g = cone.generators
+    if g.shape[1] != y.size:
+        raise DimensionMismatchError("lifted pair and cone dimensions differ")
+    if not cone.labels:
+        raise DomainError("cone generators carry no (curve, t) labels")
+
+    values = g @ y
+    dists = reference_param_distances(face, *cone.labels)
+    expected = dists <= 1e-9
+    measured = np.abs(values) <= tol.eq_abs
+
+    max_res = float(np.abs(values[expected]).max()) if expected.any() else 0.0
+    margins = _margins_by_radius(-values, dists, deltas)
+
+    on_face_ok = bool(measured[expected].all()) if expected.any() else True
+    stray = measured & ~expected & (dists >= min(deltas))
+    sets_match = on_face_ok and not bool(stray.any())
+    ok = (
+        sets_match
+        and max_res <= tol.eq_abs
+        and all(m > 0.0 for m in margins.values())
+    )
+    return ExposureReport(
+        face_label=f"lift:{face.label()}",
+        max_onface_residual=max_res,
+        margins=margins,
+        onface_count=int(expected.sum()),
+        verdict="pass" if ok else "fail",
+    )

@@ -5,6 +5,7 @@ import pytest
 
 from conelab import construction as con
 from conelab import faces as fc
+from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
 from helpers import mirror_point, support_plane_through
 
@@ -172,6 +173,25 @@ class TestVerifyExposure:
             rep = fc.verify_exposure(face, pair, body)
             assert rep.passed, (face.label(), rep)
 
+    def test_catalogue_computes_each_ruling_once(self, monkeypatch):
+        thetas, t_grid, _ = reporting._grids(reporting.RunConfig(samples_per_curve=64,
+                                                                 theta_grid_size=8))
+        plain = [(f, fc.exposing_pair(f)) for f in fc.enumerate_faces(thetas, t_grid)]
+        seen = []
+
+        def counted(theta):
+            seen.append(theta)
+            return con.ruling_data(theta)
+
+        monkeypatch.setattr(fc, "ruling_data", counted)
+        shared = fc.build_catalogue(thetas, t_grid)
+        # F11/F12 share theta; F02/F03 share theta_for_partner(t)
+        assert len(seen) == len(set(seen)) == 2 * len(thetas)
+        for (face, pair), (_, ref) in zip(shared, plain):
+            assert np.array_equal(pair.normal, ref.normal) and pair.offset == ref.offset
+            if face.kind == "F11":
+                assert face.partner == con.ruling_data(face.param).t
+
     def test_ruled_midpoints_achieve_equality(self):
         for th in np.linspace(T / 32, T, 32):
             r = con.ruling_data(th)
@@ -206,6 +226,24 @@ class TestIdentities:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             fc.identity_suite(T + 0.5, T / 2)
+
+    def test_grid_evaluates_the_arcs_once(self, monkeypatch):
+        ts, thetas = np.linspace(0.0, T, 100), np.linspace(T / 100, T, 100)
+        expected = {}
+        for th in thetas:
+            for k, v in fc.identity_suite(ts, th).items():
+                expected[k] = max(expected.get(k, 0.0), float(v.max()))
+        calls = []
+        real = con.curve_points
+
+        def counted(i, t):
+            calls.append(i)
+            return real(i, t)
+
+        monkeypatch.setattr(fc, "curve_points", counted)
+        monkeypatch.setattr(con, "curve_points", counted)
+        assert reporting.identity_grid_max(ts, thetas) == expected
+        assert sorted(calls) == [1, 2, 3, 4]
 
 
 class TestSymmetry:

@@ -5,6 +5,7 @@ from conelab import construction as con
 from conelab import faces as fc
 from conelab import lifting as lf
 from conelab.linalg import DimensionMismatchError, DomainError
+from helpers import polar_generator_model
 
 T = con.T_END
 
@@ -143,6 +144,6 @@ class TestPolar:
 
     def test_polar_generator_model_is_valid(self):
         samples = lf.square_body(8)
-        model = lf.polar_generator_model(samples, lf.unit_circle_grid(32))
+        model = polar_generator_model(samples, lf.unit_circle_grid(32))
         cone_gens = np.hstack([np.ones((len(samples), 1)), samples])
         assert (model.generators @ cone_gens.T).max() <= 1e-12

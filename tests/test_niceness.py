@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from conelab import construction as con
-from conelab import lifting as lf
 from conelab import niceness as nn
 from conelab.linalg import (
     DegenerateInputError,
     DomainError,
     conic_membership,
 )
-from helpers import check_positivity_window, fibonacci_sphere_grid
+from helpers import check_positivity_window, fibonacci_sphere_grid, polar_generator_model
 
 T = con.T_END
 
@@ -140,7 +139,7 @@ class TestMembershipCrossCheck:
             np.eye(3),
             fibonacci_sphere_grid(64),
         ])
-        polar = lf.polar_generator_model(samples, dirs)
+        polar = polar_generator_model(samples, dirs)
         verdict = conic_membership(point_in, polar)
         assert verdict.inside
         assert verdict.recheck(point_in, polar)
