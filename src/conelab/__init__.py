@@ -50,6 +50,7 @@ from .linalg import (
     DegenerateInputError,
     DimensionMismatchError,
     DomainError,
+    SimplicialVerdicts,
     SolverStallError,
     Tolerance,
     conic_membership,

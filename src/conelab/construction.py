@@ -122,8 +122,9 @@ def partner_cos_prime(theta):
 
 def partner_param(theta):
     """Partner parameter arccos(partner_cos(theta)); a strictly increasing
-    bijection of (0, T] onto (0, T]."""
-    return math.acos(partner_cos(theta))
+    bijection of (0, T] onto (0, T]. The arccos rounds to T + 1.1e-16 at
+    theta = T, so it is clamped to T: the partner stays a curve parameter."""
+    return min(math.acos(partner_cos(theta)), T_END)
 
 
 def theta_for_partner(t):
@@ -185,7 +186,7 @@ def ruling_data(theta):
     ct = partner_cos(theta)
     if not (_SQRT2_INV - 1e-12 <= ct < 1.0):
         raise DomainError(f"partner cosine {ct} escaped [1/sqrt2, 1)")
-    t = math.acos(ct)
+    t = partner_param(theta)
     st = math.sin(t)
     sth, cth = math.sin(theta), math.cos(theta)
     normal = np.array([-st * sth, -ct * sth, ct * cth])

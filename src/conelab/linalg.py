@@ -3,7 +3,9 @@
 Everything here is pure: nullspace bases, certificate-producing conic
 membership (by LP for any cone in dimension n <= 5, exactly for the cones
 cone{h1, h2} + span{n} of R^3), and one-variable interval feasibility. All
-verdicts carry certificates that can be re-checked without any solver.
+verdicts carry certificates that can be re-checked without any solver; the
+exact route keeps a batch's verdicts as arrays (SimplicialVerdicts) and
+builds a ConicVerdict per row only when one is asked for.
 """
 
 from __future__ import annotations
@@ -196,9 +198,40 @@ def conic_membership(point, cone, tol=DEFAULT_TOL):
     )
 
 
+@dataclass(frozen=True, eq=False)
+class SimplicialVerdicts:
+    """The verdicts of one simplicial_membership batch, as arrays.
+
+    Row i is inside when inside[i] (certificate coefficients[i] with
+    residual residuals[i]), outside when outside[i] (normal normals[i] with
+    margin margins[i]), and ambiguous when neither mask is set. The masks
+    never overlap. Indexing (and so iteration) builds the ConicVerdict of
+    row i, or returns None for an ambiguous row.
+    """
+
+    inside: np.ndarray
+    outside: np.ndarray
+    coefficients: np.ndarray
+    residuals: np.ndarray
+    normals: np.ndarray
+    margins: np.ndarray
+
+    def __len__(self):
+        return len(self.inside)
+
+    def __getitem__(self, i):
+        if self.inside[i]:
+            return ConicVerdict(True, coefficients=self.coefficients[i],
+                                residual=float(self.residuals[i]))
+        if self.outside[i]:
+            return ConicVerdict(False, normal=self.normals[i], margin=float(self.margins[i]))
+        return None
+
+
 def simplicial_membership(points, h1, h2, n, tol=DEFAULT_TOL):
     """Membership of each row x of points in cone{h1, h2} + span{n} in R^3
-    (generators h1, h2, n, -n), decided with one inverse for the batch.
+    (generators h1, h2, n, -n), decided with one inverse for the batch and
+    returned as one SimplicialVerdicts record of arrays.
 
     The inverse of [h1 h2 n] has rows adj_i / det, where adj = (h2 x n,
     n x h1, h1 x h2) and det = <h1, h2 x n>; x has coordinates c = adj x / det.
@@ -211,7 +244,8 @@ def simplicial_membership(points, h1, h2, n, tol=DEFAULT_TOL):
         u absorbs rounding c_i and the bound), so c_i < 0 exactly. The
         normal s = -adj_i / det must also give <s, g> <= eq_abs on all four
         generators and <s, x> > margin_abs.
-      * Otherwise ambiguous: None, where conic_membership would stall.
+      * Otherwise ambiguous (neither mask set; the record's row is None),
+        where conic_membership would stall.
 
     Raises DegenerateInputError when |det| <= RANK_RTOL ||h1|| ||h2|| ||n||;
     above that floor the rounding error of det cannot flip its sign.
@@ -245,12 +279,7 @@ def simplicial_membership(points, h1, h2, n, tol=DEFAULT_TOL):
     valid = (gens @ normals.T <= tol.eq_abs).all(axis=0)[row] & (margin > tol.margin_abs)
     outside = ~inside & neg.any(axis=1) & valid
 
-    verdicts = [None] * len(x)
-    for i in np.flatnonzero(inside).tolist():
-        verdicts[i] = ConicVerdict(True, coefficients=mu[i], residual=float(residual[i]))
-    for i in np.flatnonzero(outside).tolist():
-        verdicts[i] = ConicVerdict(False, normal=sep[i], margin=float(margin[i]))
-    return verdicts
+    return SimplicialVerdicts(inside, outside, mu, residual, sep, margin)
 
 
 def feasible_interval(lowers, uppers):

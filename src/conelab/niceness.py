@@ -334,7 +334,9 @@ def nice3d_ingredients(cone, p1, p2, h1, h2, n_samples=1200, seed=7, tol=DEFAULT
 
     Normals lying in F_perp are rejected: they could not single out an edge.
     Both sums are simplicial: membership is exact (simplicial_membership,
-    which raises DegenerateInputError if q1 and q2 are parallel).
+    which raises DegenerateInputError if q1 and q2 are parallel); the counts
+    come from its inside/outside masks. The dual wedge is sampled in blocks
+    that consume the generator exactly as one draw at a time would.
     """
     g = cone.generators
     if g.shape[1] != 3:
@@ -366,25 +368,27 @@ def nice3d_ingredients(cone, p1, p2, h1, h2, n_samples=1200, seed=7, tol=DEFAULT
     xs = rng.normal(size=(n_samples, 3))
     lifted = simplicial_membership(xs, *hs, nrm, tol=tol)
     planar = simplicial_membership(xs - np.outer(xs @ nrm, nrm), *qs, nrm, tol=tol)
-    both = [(a.inside, b.inside) for a, b in zip(lifted, planar)
-            if a is not None and b is not None]
-    checked, skipped = len(both), n_samples - len(both)
-    failures = sum(a != b for a, b in both)
+    both = (lifted.inside | lifted.outside) & (planar.inside | planar.outside)
+    checked = int(both.sum())
+    skipped = n_samples - checked
+    failures = int((lifted.inside != planar.inside)[both].sum())
 
-    # Rejection-sample the dual wedge one draw at a time; an ambiguous
-    # membership verdict costs a redraw, so each round draws exactly as
-    # many wedge points as are still missing.
+    # Rejection-sample the dual wedge in blocks: each draw takes as many
+    # normal rows as are still missing, so it never overshoots and the
+    # generator stops on the draw where one-at-a-time sampling would stop.
+    # An ambiguous membership verdict costs a redraw in the next round.
     wedge_checked = wedge_failures = 0
     while wedge_checked < n_samples:
-        ys = []
-        while len(ys) < n_samples - wedge_checked:
-            y = rng.normal(size=3)
-            if float(y @ p1) >= 0.0 and float(y @ p2) >= 0.0:
-                ys.append(y)
-        verdicts = simplicial_membership(np.array(ys), *hs, nrm, tol=tol)
-        verdicts = [v for v in verdicts if v is not None]
-        wedge_checked += len(verdicts)
-        wedge_failures += sum(not v.inside for v in verdicts)
+        ys = np.empty((n_samples - wedge_checked, 3))
+        filled = 0
+        while filled < len(ys):
+            y = rng.normal(size=(len(ys) - filled, 3))
+            y = y[(y @ p1 >= 0.0) & (y @ p2 >= 0.0)]
+            ys[filled:filled + len(y)] = y
+            filled += len(y)
+        wedge = simplicial_membership(ys, *hs, nrm, tol=tol)
+        wedge_checked += int((wedge.inside | wedge.outside).sum())
+        wedge_failures += int(wedge.outside.sum())
 
     combos = rng.random(size=(n_samples, 3))
     pts = combos[:, :1] * hs[0] + combos[:, 1:2] * hs[1] + (combos[:, 2:] - 0.5) * 4.0 * nrm
@@ -403,10 +407,10 @@ def nice3d_ingredients(cone, p1, p2, h1, h2, n_samples=1200, seed=7, tol=DEFAULT
         sign_pattern_ok=sign_ok,
         projection_identity_residual=proj_res,
         agreement_checked=checked,
-        agreement_failures=int(failures),
+        agreement_failures=failures,
         agreement_skipped=skipped,
         dual_wedge_checked=wedge_checked,
-        dual_wedge_failures=int(wedge_failures),
+        dual_wedge_failures=wedge_failures,
         converse_max_violation=converse,
         passed=passed,
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conelab import construction as con
+from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -70,6 +71,18 @@ class TestPartnerMachinery:
         # closed-form inverse round-trips
         for th in grid[::25]:
             assert con.theta_for_partner(con.partner_param(th)) == pytest.approx(th, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [8, 9, 63, 64, 100, 512, 1000, 1023, 2048, 4096])
+    def test_the_partner_of_the_top_is_exactly_the_top(self, n):
+        # arccos rounds to T + 1.1e-16 at theta = T; a partner above T would
+        # put a second endpoint sample, outside [0, T], on curves 2 and 3
+        thetas = con.theta_grid(n)
+        assert max(con.partner_param(th) for th in thetas) == T
+        assert con.ruling_data(T).t == T
+        _, _, grids = reporting._grids(reporting.RunConfig(samples_per_curve=64,
+                                                           theta_grid_size=n))
+        for g in grids.values():
+            assert g.max() == T and np.count_nonzero(g == T) == 1
 
     def test_scan_rejects_bad_grids(self):
         with pytest.raises(DomainError):

@@ -18,6 +18,7 @@ from conelab.linalg import (
     nullspace,
     simplicial_membership,
 )
+from helpers import reference_wedge_draws
 
 SQRT2 = math.sqrt(2.0)
 
@@ -116,13 +117,9 @@ def nice3d_streams(example, n_agreement, n_wedge, seed=7):
     q1, q2 = (h - float(h @ nrm) * nrm for h in (h1, h2))
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(1200, 3))
-    wedge = []
-    while len(wedge) < n_wedge:
-        y = rng.normal(size=3)
-        if float(y @ p1) >= 0.0 and float(y @ p2) >= 0.0:
-            wedge.append(y)
+    wedge = reference_wedge_draws(rng, p1, p2, n_wedge)
     xs = xs[:n_agreement]
-    return (h1, h2, nrm), (q1, q2, nrm), xs, xs - np.outer(xs @ nrm, nrm), np.array(wedge)
+    return (h1, h2, nrm), (q1, q2, nrm), xs, xs - np.outer(xs @ nrm, nrm), wedge
 
 
 class TestSimplicialMembership:
@@ -152,6 +149,31 @@ class TestSimplicialMembership:
                 assert verdict.recheck(x, cone)
                 assert lp_inside(x, cone) in (verdict.inside, None)
         assert decided == 12 * 24
+
+    def test_masks_match_the_per_row_verdicts(self):
+        # at a tolerance below rounding, points near a facet are ambiguous
+        tiny = Tolerance(eq_abs=1e-300, margin_abs=1e-300)
+        rng = np.random.default_rng(17)
+        ambiguous = 0
+        for _ in range(20):
+            basis = self.random_basis(rng)
+            cone = simplicial_cone(*basis)
+            facet = rng.normal(size=(16, 3))
+            facet[:, 0] = rng.choice([0.0, -1e-16, 1e-16], 16)  # c1 on its facet
+            points = np.vstack([self.random_points(rng, basis, 32), facet @ basis])
+            for tol in (Tolerance(), tiny):
+                r = simplicial_membership(points, *basis, tol)
+                decided = r.inside | r.outside
+                assert len(r) == len(points) and not (r.inside & r.outside).any()
+                assert [v is not None for v in r] == decided.tolist()
+                for i, x in enumerate(points):
+                    if not decided[i]:
+                        assert r[i] is None
+                        ambiguous += 1
+                        continue
+                    assert r[i].inside == bool(r.inside[i])
+                    assert r[i].recheck(x, cone)
+        assert ambiguous > 0
 
     def test_matches_the_lp_route_on_the_nice3d_streams(self):
         for example in (nn.octant_example(), nn.half_disc_cone_example()):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,15 @@ from conelab import niceness as nn
 from conelab.linalg import (
     DegenerateInputError,
     DomainError,
+    Tolerance,
     conic_membership,
 )
-from helpers import check_positivity_window, fibonacci_sphere_grid, polar_generator_model
+from helpers import (
+    check_positivity_window,
+    fibonacci_sphere_grid,
+    polar_generator_model,
+    reference_nice3d_ingredients,
+)
 
 T = con.T_END
 
@@ -224,6 +231,15 @@ class TestPositivityWindow:
             assert ok, (alpha, min_val)
 
 
+def assert_same_report(rep, ref):
+    for field in dataclasses.fields(rep):
+        got, want = getattr(rep, field.name), getattr(ref, field.name)
+        if field.name == "projections":
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        else:
+            assert type(got) is type(want) and got == want, field.name
+
+
 class TestNice3D:
     def test_octant_projections_align_with_axes(self):
         rep = nn.nice3d_ingredients(*nn.octant_example(), n_samples=400)
@@ -239,6 +255,36 @@ class TestNice3D:
         assert rep.passed
         assert rep.sign_pattern_ok
         assert rep.projection_identity_residual <= 1e-12
+
+    @pytest.mark.parametrize("example", [nn.octant_example, nn.half_disc_cone_example])
+    def test_block_sampler_replays_the_per_draw_stream(self, example):
+        # converse_max_violation is drawn after the wedge, so equal reports
+        # mean the generator stopped on the same draw, not only equal counts
+        for n_samples in (1, 8, 400, 1200):
+            for seed in (7, 11, 2024):
+                rep = nn.nice3d_ingredients(*example(), n_samples=n_samples, seed=seed)
+                ref = reference_nice3d_ingredients(*example(), n_samples=n_samples, seed=seed)
+                assert_same_report(rep, ref)
+
+    @pytest.mark.parametrize("example", [nn.octant_example, nn.half_disc_cone_example])
+    def test_ambiguous_wedge_verdicts_redraw_in_a_second_round(self, example, monkeypatch):
+        # below the rounding of the inside residual some wedge points are
+        # neither certified inside nor outside and must be drawn again
+        calls, membership = [], nn.simplicial_membership
+
+        def counted(points, *args, **kwargs):
+            calls.append(len(points))
+            return membership(points, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "simplicial_membership", counted)
+        tiny = Tolerance(eq_abs=1e-17, margin_abs=1e-12)
+        for seed in (7, 11, 2024):
+            calls.clear()
+            rep = nn.nice3d_ingredients(*example(), n_samples=400, seed=seed, tol=tiny)
+            assert len(calls) > 3 and calls[2] == 400 and calls[3] < 400
+            assert rep.dual_wedge_checked == 400
+            ref = reference_nice3d_ingredients(*example(), n_samples=400, seed=seed, tol=tiny)
+            assert_same_report(rep, ref)
 
     def test_normal_in_face_complement_rejected(self):
         cone, p1, p2, _, h2 = nn.octant_example()
