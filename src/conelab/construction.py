@@ -198,17 +198,11 @@ def ruling_data(theta):
     return RulingData(theta=theta, t=t, normal=normal, mirror_normal=mirror, offset=offset)
 
 
-def curve_grid(n, refine_origin=False):
-    """Uniform n-point grid on [0, T], optionally with a geometric cluster
-    of 20 extra points (ratio 1/2) just above 0."""
+def curve_grid(n):
+    """Uniform n-point grid on [0, T]."""
     if n < 2:
         raise DomainError("grid needs at least 2 points")
-    grid = np.linspace(0.0, T_END, n)
-    if refine_origin:
-        h = grid[1]
-        extra = h * 0.5 ** np.arange(1, 21)
-        grid = np.unique(np.concatenate([grid, extra]))
-    return grid
+    return np.linspace(0.0, T_END, n)
 
 
 def theta_grid(n):

@@ -10,10 +10,9 @@ Face kinds and their generators:
     F21/F22      endpoint triangles p1p2p3, p2p3p4           dim 2
     F23/F24      the two planar sides co{curves 1,2 / 3,4}   dim 2
 
-Pairs for the parametric families, the origin and the endpoint chords have
-closed forms; only the planar sides and the triangles use a sample-based
-oracle (plane fits or the plane through the generators), with provenance
-recorded on the pair.
+Every face has a closed-form exposing pair: the singletons and the rulings
+take theirs from the ruling machinery, the fixed faces (origin, endpoint
+chords, endpoint triangles and planar sides) from one table.
 """
 
 from __future__ import annotations
@@ -29,13 +28,11 @@ from .construction import (
     ENDPOINTS,
     T_END,
     BodySamples,
-    curve_grid,
     curve_point,
     curve_points,
     curve_sample,
     partner_param,
     ruling_data,
-    sample_body,
     theta_for_partner,
 )
 from .linalg import (
@@ -46,7 +43,6 @@ from .linalg import (
 )
 
 CLOSED_FORM = "closed-form"
-ORACLE = "derived-oracle"
 
 # Parameter-distance radii at which off-face margins are reported.
 MARGIN_DELTAS = (0.01, 0.05, 0.1)
@@ -60,19 +56,33 @@ ONFACE_DIST = 1e-9
 # 2048/256 would be ~120 MB per temporary).
 BLOCK_ELEMENTS = 1 << 15
 
-# Origin and endpoint chords: kind -> (unnormalised normal y, offset d of
-# y/|y|). On the four arcs, with s = sin t, c = cos t and t in [0, T]:
+_A = 1.0 / math.sqrt(2.0)
+
+# Fixed faces: kind -> (unnormalised normal y, offset d of y/|y|). On the
+# four arcs, with s = sin t, c = cos t and t in [0, T]:
 #   F00: curves 1, 4 give (c - 1)/sqrt2 and curves 2, 3 give -s/sqrt2, < 0 for t > 0.
 #   F13: curves 1, 2 give (1 + s - c)/sqrt3 <= d, equal only at t = T;
 #        curves 3, 4 give (c - 1 - s)/sqrt3 <= 0.
 #   F14: F13 with curves 1, 2 and 3, 4 swapped.
 #   F15: curves 2, 3 give s/sqrt2 <= 1/2, equal only at t = T;
 #        curves 1, 4 give (1 - c)/sqrt2 <= 0.21.
-_CHORD_PAIRS = {
+#   F21: with a = 1/sqrt2, <y, x> - a is a(s - c) <= 0 on curves 1, 2, equal
+#        only at t = T; (2 - a)s + ac - 2a on curve 3, increasing, so <= 0 and
+#        equal only at t = T; on curve 4 (2 - a)(1 - c) - as - a, convex in t
+#        with endpoint values -a and 2 - 4a, so <= -a.
+#   F22: the mirror (x1, x2, x3) -> (x3, -x2, x1) of F21, which swaps curves
+#        1, 4 and 2, 3; both are normalised by the same |y|.
+#   F23: curves 1, 2 give 0; curves 3, 4 give -s and c - 1, < 0 for t > 0.
+#   F24: curves 3, 4 give 0; curves 1, 2 give c - 1 and -s, < 0 for t > 0.
+_FIXED_PAIRS = {
     "F00": ((1.0, 0.0, 1.0), 0.0),
     "F13": ((1.0, -1.0, -1.0), 1.0 / math.sqrt(3.0)),
     "F14": ((-1.0, 1.0, 1.0), 1.0 / math.sqrt(3.0)),
     "F15": ((-1.0, 0.0, -1.0), 0.5),
+    "F21": ((_A - 2.0, -_A, -_A), _A / math.hypot(_A - 2.0, _A, _A)),
+    "F22": ((-_A, _A, _A - 2.0), _A / math.hypot(_A - 2.0, _A, _A)),
+    "F23": ((1.0, 0.0, 0.0), 0.0),
+    "F24": ((0.0, 0.0, 1.0), 0.0),
 }
 
 # Endpoint-anchored faces: kind -> (endpoint indices, dimension).
@@ -307,17 +317,6 @@ def _block_distances(table, rows, runs, ts):
     return dist
 
 
-def param_distances(face, ids, ts):
-    """Distance between each sample (ids[k], ts[k]) and a face in parameter
-    space.
-
-    Same-curve anchors contribute |t - t*|; anchors on another curve are
-    reached through the common endpoint, contributing t + t*. Curves wholly
-    contained in the face are at distance 0.
-    """
-    return _block_distances(_distance_table([face]), slice(0, 1), _curve_runs(ids), ts)[0]
-
-
 class _Check(NamedTuple):
     """One side of the exposure kernel: a functional per face, evaluated on
     the sample points. The slack is offset - value for a body pair and
@@ -443,82 +442,20 @@ def verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
     return verify_catalogue([(face, pair)], body, tol=tol, deltas=deltas)[0][0]
 
 
-def _oriented_support(n, d, body, tol):
-    d += 0.0  # normalize -0.0
-    over = float((body.xyz @ n - d).max())
-    under = float((d - body.xyz @ n).max())
-    if over <= tol.eq_abs:
-        return ExposingPair(n, d, ORACLE)
-    if under <= tol.eq_abs:
-        return ExposingPair(-n + 0.0, -d + 0.0, ORACLE)
-    raise DegenerateInputError(
-        f"plane does not support the body (over {over:.3g}, under {under:.3g})"
-    )
-
-
-def _plane_pair(verts, body, tol=DEFAULT_TOL):
-    """Plane through three affinely independent points, oriented so the whole
-    body lies on the nonpositive side."""
-    v = np.atleast_2d(verts)
-    n = np.cross(v[1] - v[0], v[2] - v[0])
-    norm = float(np.linalg.norm(n))
-    if norm <= 1e-12:
-        raise DegenerateInputError("triangle vertices are collinear")
-    return _oriented_support(n / norm, float(n @ v[0]) / norm, body, tol)
-
-
-def _fitted_plane_pair(face, body, tol=DEFAULT_TOL):
-    """Least-squares plane through all on-face samples (SVD of the centered
-    point cloud), sign-checked against the whole body. Used for the planar
-    sides, whose generator set is a pair of arcs."""
-    onface = param_distances(face, body.ids, body.ts) <= ONFACE_DIST
-    pts = body.xyz[onface]
-    if len(pts) < 3:
-        raise DegenerateInputError("not enough on-face samples to fit a plane")
-    center = pts.mean(axis=0)
-    _, sigma, vt = np.linalg.svd(pts - center)
-    if sigma[-1] > 1e-9:
-        raise DegenerateInputError(f"on-face samples are not coplanar ({sigma[-1]:.3g})")
-    n = vt[-1]
-    return _oriented_support(n, float(n @ center), body, tol)
-
-
-_ORACLE_BODY_CACHE = {}
-
-
-def _oracle_body(n=128):
-    if n not in _ORACLE_BODY_CACHE:
-        _ORACLE_BODY_CACHE[n] = sample_body(curve_grid(n))
-    return _ORACLE_BODY_CACHE[n]
-
-
-def exposing_pair(face, oracle_body=None, rulings=None):
-    """Exposing pair for a catalogued face.
-
-    Parametric families, the origin and the endpoint chords use the closed
-    forms; the planar sides and the triangles fall back to the sample-based
-    oracle (run on a coarse body so that verification on a finer body stays
-    out-of-sample). rulings: optional theta -> RulingData dict shared
-    between calls.
+def exposing_pair(face, rulings=None):
+    """Closed-form exposing pair for a catalogued face: singletons and
+    rulings from the ruling machinery, the fixed faces from their table.
+    rulings: optional theta -> RulingData dict shared between calls.
     """
     kind = face.kind
     if kind in ("F01", "F02", "F03", "F04"):
         return singleton_pair(int(kind[2]), face.param, rulings)
-    if kind == "F11":
+    if kind in ("F11", "F12"):
         r = _ruling(face.param, rulings)
-        return ExposingPair(r.normal, r.offset, CLOSED_FORM)
-    if kind == "F12":
-        r = _ruling(face.param, rulings)
-        return ExposingPair(r.mirror_normal, r.offset, CLOSED_FORM)
-    if kind in _CHORD_PAIRS:
-        y, d = _CHORD_PAIRS[kind]
-        y = np.array(y)
-        return ExposingPair(y / np.linalg.norm(y), d, CLOSED_FORM)
-    body = oracle_body if oracle_body is not None else _oracle_body()
-    if kind in ("F23", "F24"):
-        return _fitted_plane_pair(face, body)
-    if kind in ("F21", "F22"):
-        return _plane_pair(face_points(face), body)
+        return ExposingPair(r.normal if kind == "F11" else r.mirror_normal, r.offset, CLOSED_FORM)
+    if kind in _FIXED_PAIRS:
+        y, d = _FIXED_PAIRS[kind]
+        return ExposingPair(np.array(y) / math.hypot(*y), d, CLOSED_FORM)
     raise DomainError(f"unknown face kind {kind}")
 
 
@@ -547,8 +484,8 @@ def identity_suite(t, theta, curves=None):
     }
 
 
-def build_catalogue(theta_grid, t_grid=None, oracle_body=None):
+def build_catalogue(theta_grid, t_grid=None):
     """Faces with their exposing pairs, ready for verification."""
     faces = enumerate_faces(theta_grid, t_grid)
     rulings = {}  # one ruling_data call per distinct theta
-    return [(f, exposing_pair(f, oracle_body, rulings)) for f in faces]
+    return [(f, exposing_pair(f, rulings)) for f in faces]

@@ -32,9 +32,7 @@ class RunConfig:
     theta_grid_size: int = 64
     eq_abs: float = 1e-9
     eps_list: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
-    refine_origin: bool = False
     control: bool = False
-    which: str = "C"
     out: str | None = None
 
     def __post_init__(self):
@@ -43,8 +41,6 @@ class RunConfig:
         if self.eq_abs <= 0:
             raise DomainError("tolerance must be positive")
         object.__setattr__(self, "eps_list", nn.validate_eps(self.eps_list))
-        if self.which not in ("C", "Cprime"):
-            raise DomainError("which must be C or Cprime")
 
     @property
     def tol(self):
@@ -96,7 +92,7 @@ def _grids(config):
     thetas = con.theta_grid(config.theta_grid_size)
     t_grid = thetas  # singleton faces enumerated over the same parameter set
     partners = np.array([con.partner_param(th) for th in thetas])
-    base = con.curve_grid(config.samples_per_curve, config.refine_origin)
+    base = con.curve_grid(config.samples_per_curve)
     g_outer = np.unique(np.concatenate([base, thetas, t_grid]))
     g_inner = np.unique(np.concatenate([base, partners, t_grid]))
     # curves 1/4 carry the ruling parameter, curves 2/3 its partner
@@ -246,7 +242,7 @@ def homogenization_section(config, cone, lifted_reports):
         if not rep.passed:
             failures.append(rep.face_label)
 
-    apex = lf.apex_exposure_report(cone, tol=config.tol)
+    apex = lf.apex_exposure_report(cone)
 
     square = lf.polar_correspondence_check(
         lf.square_body(16), lf.unit_circle_grid(256), interior_margin=0.5, tol=config.tol

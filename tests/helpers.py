@@ -8,7 +8,6 @@ from scipy.optimize import linprog
 from conelab.construction import BodySamples
 from conelab.faces import (
     MARGIN_DELTAS,
-    ORACLE,
     ExposingPair,
     ExposureReport,
     FaceDescriptor,
@@ -92,7 +91,7 @@ def support_plane_through(points, body, margin_radius=0.05):
     if res.status != 0 or -res.fun <= 0.0:
         raise DegenerateInputError("no strictly supporting hyperplane found")
     y = res.x[:3]
-    return ExposingPair(y / np.linalg.norm(y), res.x[3] / np.linalg.norm(y), ORACLE)
+    return ExposingPair(y / np.linalg.norm(y), res.x[3] / np.linalg.norm(y), "lp-oracle")
 
 
 def polar_generator_model(samples, directions, provenance="sampled polar cone"):

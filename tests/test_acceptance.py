@@ -90,7 +90,7 @@ def test_criterion_3_face_exposure(default_setup):
             closed_form_pairs += 1
         if not (rep.passed and checks):
             failures.append(rep.face_label)
-    ok = not failures and closed_form_pairs >= 2 * 64 + 4 * 64
+    ok = not failures and closed_form_pairs == len(default_setup["catalogue"])
     report(3, "face exposure 512/64", ok,
            f"{len(default_setup['catalogue'])} faces, {closed_form_pairs} closed-form pairs, "
            f"{len(failures)} failures")

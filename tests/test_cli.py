@@ -63,7 +63,7 @@ class TestFacesCommand:
         assert len(atlas["kind_counts"]) == 14
         f24 = [f for f in atlas["faces"] if f["kind"] == "F24"]
         assert len(f24) == 1
-        assert f24[0]["pair"]["provenance"] == "derived-oracle"
+        assert f24[0]["pair"]["provenance"] == "closed-form"
         assert f24[0]["pair"]["normal"] == [0.0, 0.0, 1.0]
         # counts follow the enumeration formula
         n = atlas["config"]["theta_grid_size"]
@@ -189,8 +189,6 @@ class TestRunConfig:
             RunConfig(eq_abs=0.0)
         with pytest.raises(DomainError):
             RunConfig(eps_list=(1e-3, 1e-2))
-        with pytest.raises(DomainError):
-            RunConfig(which="B")
 
     def test_faces_and_verify_agree_on_the_catalogue(self):
         config = RunConfig(samples_per_curve=64, theta_grid_size=8)

@@ -178,13 +178,6 @@ class TestBodiesAndCone:
         with pytest.raises(DegenerateInputError):
             con.homogenize(np.zeros((3, 3)))
 
-    def test_curve_grid_refinement_cluster(self):
-        plain = con.curve_grid(64)
-        refined = con.curve_grid(64, refine_origin=True)
-        assert len(refined) == len(plain) + 20
-        extras = sorted(set(refined) - set(plain))
-        assert all(0.0 < t < plain[1] for t in extras)
-
 
 class TestWitness:
     def test_fixed_constants(self):

@@ -122,15 +122,18 @@ def test_kernel_memory_stays_under_two_mib(samples, thetas):
 
 
 def test_param_distances_equal_the_reference():
+    def kernel_distances(face, ids, ts):
+        return fc._block_distances(fc._distance_table([face]), slice(0, 1), fc._curve_runs(ids), ts)[0]
+
     catalogue, body, _, _ = setup(64, 8)
     for face, _ in catalogue:
-        assert np.array_equal(fc.param_distances(face, body.ids, body.ts),
+        assert np.array_equal(kernel_distances(face, body.ids, body.ts),
                               reference_param_distances(face, body.ids, body.ts)), face.label()
     twice = fc.FaceDescriptor("F11", 1, anchors=((1, 0.1), (1, 0.2)))
     with pytest.raises(DomainError):
-        fc.param_distances(twice, body.ids, body.ts)
+        kernel_distances(twice, body.ids, body.ts)
     with pytest.raises(DomainError):  # id 0 would index curve 4's anchors
-        fc.param_distances(catalogue[0][0], body.ids - 1, body.ts)
+        kernel_distances(catalogue[0][0], body.ids - 1, body.ts)
 
 
 def test_batched_anchor_residuals_have_the_per_face_bits():

@@ -7,7 +7,7 @@ from conelab import construction as con
 from conelab import faces as fc
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
-from helpers import mirror_point, support_plane_through
+from helpers import mirror_point, reference_param_distances, support_plane_through
 
 T = con.T_END
 
@@ -83,7 +83,7 @@ class TestExposingPairs:
         pair = fc.exposing_pair(face)
         assert np.allclose(np.abs(pair.normal), [0.0, 0.0, 1.0], atol=1e-12)
         assert pair.offset == pytest.approx(0.0, abs=1e-12)
-        assert pair.provenance == fc.ORACLE
+        assert pair.provenance == fc.CLOSED_FORM
         # brute force: the third coordinate tops out at 0, exactly on curves 3/4
         third = body.xyz[:, 2]
         assert third.max() == pytest.approx(0.0, abs=1e-15)
@@ -100,24 +100,46 @@ class TestExposingPairs:
         assert abs(abs(float(pair.normal @ reference)) - 1.0) < 1e-9
         assert (body.xyz @ pair.normal - pair.offset).max() <= 1e-12
 
-    def test_origin_pair_and_closed_form_both_expose(self, body):
-        # the closed forms for the origin and the endpoint chords equal the
-        # max-margin LP oracle, and expose their faces on a fine body
+    def test_origin_pair_and_closed_form_both_expose(self, body, coarse_body):
+        # the closed forms of the fixed faces expose their faces on a fine
+        # body; those of the faces spanned by endpoints equal the max-margin
+        # LP oracle (the planar sides have the brute-force test above)
         cat = fc.enumerate_faces(con.theta_grid(2))
-        fine = con.sample_body(con.curve_grid(4096))
-        for kind in ("F00", "F13", "F14", "F15"):
+        n = 4096
+        fine = con.sample_body(con.curve_grid(n))
+        for kind in ("F00", "F13", "F14", "F15", "F21", "F22", "F23", "F24"):
             face = face_of(kind, cat)
             pair = fc.exposing_pair(face)
             assert pair.provenance == fc.CLOSED_FORM
-            oracle = support_plane_through(fc.face_points(face), fc._oracle_body())
-            assert np.abs(pair.normal - oracle.normal).max() <= 1e-12, kind
-            assert abs(pair.offset - oracle.offset) <= 1e-12, kind
+            if not face.full_curves:
+                oracle = support_plane_through(fc.face_points(face), coarse_body)
+                assert np.abs(pair.normal - oracle.normal).max() <= 1e-12, kind
+                assert abs(pair.offset - oracle.offset) <= 1e-12, kind
             slack = fine.xyz @ pair.normal - pair.offset
-            anchors = fc.param_distances(face, fine.ids, fine.ts) <= 1e-9
-            assert anchors.sum() == len(face.anchors)
-            assert np.abs(slack[anchors]).max() <= 1e-15, kind
-            assert slack[~anchors].max() < 0.0, kind
+            onface = reference_param_distances(face, fine.ids, fine.ts) <= 1e-9
+            # a planar side holds two whole curves and the origin of the others
+            assert onface.sum() == (2 * n + 2 if face.full_curves else len(face.anchors))
+            assert np.abs(slack[onface]).max() <= 1e-15, kind
+            assert slack[~onface].max() < 0.0, kind
             assert fc.verify_exposure(face, pair, body).passed, kind
+
+    def test_triangle_pairs_are_mirror_images(self):
+        cat = fc.enumerate_faces(con.theta_grid(2))
+        p21 = fc.exposing_pair(face_of("F21", cat))
+        p22 = fc.exposing_pair(face_of("F22", cat))
+        assert np.array_equal(mirror_point(p21.normal), p22.normal)
+        assert p21.offset == p22.offset
+
+    def test_catalogue_needs_no_body_and_no_plane_fit(self, monkeypatch):
+        expected = fc.build_catalogue(con.theta_grid(64))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closed-form catalogue samples no body and fits no plane")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(con, "sample_body", refuse)
+        for (face, pair), (_, ref) in zip(fc.build_catalogue(con.theta_grid(64)), expected):
+            assert np.array_equal(pair.normal, ref.normal) and pair.offset == ref.offset, face.label()
 
 
 class TestVerifyExposure:
@@ -168,8 +190,8 @@ class TestVerifyExposure:
         with pytest.raises(DomainError):
             fc.verify_exposure(f24, fc.exposing_pair(f24), con.sample_body(con.curve_grid(16), shifted=True))
 
-    def test_whole_catalogue_passes_out_of_sample(self, body, coarse_body):
-        for face, pair in fc.build_catalogue(con.theta_grid(16), oracle_body=coarse_body):
+    def test_whole_catalogue_passes_out_of_sample(self, body):
+        for face, pair in fc.build_catalogue(con.theta_grid(16)):
             rep = fc.verify_exposure(face, pair, body)
             assert rep.passed, (face.label(), rep)
 
@@ -279,5 +301,5 @@ class TestCoverage:
         ids, ts = body.ids, body.ts
         covered = np.zeros(len(ids), dtype=bool)
         for face in cat:
-            covered |= fc.param_distances(face, ids, ts) <= 1e-12
+            covered |= reference_param_distances(face, ids, ts) <= 1e-12
         assert covered.all()

@@ -32,13 +32,13 @@ class TestLifting:
         assert np.array_equal(lf.lift_pair(pair).vector, [0.0, 1.0, 0.0, 0.0])
 
     def test_scaled_body_transfer(self):
-        pair = fc.ExposingPair(np.array([0.0, 0.0, 1.0]), 0.0, fc.ORACLE)
+        pair = fc.ExposingPair(np.array([0.0, 0.0, 1.0]), 0.0, fc.CLOSED_FORM)
         moved = lf.pair_for_scaled_body(pair)
         assert moved.offset == pytest.approx(0.5)  # 2*0 + <e3, SHIFT>
         assert np.array_equal(moved.normal, pair.normal)
 
     def test_lifted_flat_side_annihilates_its_generators(self):
-        pair = lf.pair_for_scaled_body(fc.ExposingPair(np.array([0.0, 0.0, 1.0]), 0.0, fc.ORACLE))
+        pair = lf.pair_for_scaled_body(fc.ExposingPair(np.array([0.0, 0.0, 1.0]), 0.0, fc.CLOSED_FORM))
         y = lf.lift_pair(pair).vector
         assert np.allclose(y, [-0.5, 0.0, 0.0, 1.0], atol=1e-15)
         ts = np.linspace(0.0, T, 97)
