@@ -35,25 +35,19 @@ from .faces import (
     exposing_pair,
     identity_suite,
     verify_catalogue,
-    verify_exposure,
 )
 from .lifting import (
-    LiftedPair,
     lift_pair,
     pair_for_scaled_body,
     polar_correspondence_check,
-    verify_cone_exposure,
 )
 from .linalg import (
     ConeModel,
-    ConicVerdict,
     DegenerateInputError,
     DimensionMismatchError,
     DomainError,
     SimplicialVerdicts,
-    SolverStallError,
     Tolerance,
-    conic_membership,
     feasible_interval,
     nullspace,
     simplicial_membership,
@@ -67,7 +61,6 @@ from .niceness import (
     nice3d_ingredients,
     octant_example,
     perp_basis,
-    positivity_window,
     shift_profile,
     witness_slack,
 )

@@ -23,6 +23,17 @@ def _parse_eps(text):
         raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}") from exc
 
 
+# Run flags: dest -> (RunConfig field, flag, type, help). Each command takes
+# only the flags it reads; every default is the RunConfig field's.
+_RUN_FLAGS = {
+    "samples": ("samples_per_curve", "--samples", int, "curve samples per verification body"),
+    "theta_grid": ("theta_grid_size", "--theta-grid", int, "ruling-parameter grid size"),
+    "tol": ("eq_abs", "--tol", float, "absolute equality tolerance"),
+    "eps": ("eps_list", "--eps", _parse_eps,
+            "comma-separated refinement levels, strictly decreasing"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="conelab",
@@ -30,24 +41,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default):
-        p.add_argument("--samples", type=int, default=512,
-                       help="curve samples per verification body (default 512)")
-        p.add_argument("--theta-grid", type=int, default=64, dest="theta_grid",
-                       help="ruling-parameter grid size (default 64)")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="absolute equality tolerance (default 1e-9)")
-        p.add_argument("--eps", type=_parse_eps, default=(1e-1, 1e-2, 1e-3, 1e-4),
-                       help="comma-separated refinement levels, strictly decreasing")
+    def command(name, summary, out_default, *flags):
+        p = sub.add_parser(name, help=summary)
+        for dest in flags:
+            field, flag, kind, text = _RUN_FLAGS[dest]
+            default = getattr(reporting.RunConfig, field)
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            p.add_argument(flag, dest=dest, type=kind, default=default,
+                           help=f"{text} (default {shown})")
         p.add_argument("--out", default=out_default, help="output path")
+        return p
 
-    common(sub.add_parser("verify", help="run the full pipeline, emit a JSON report"),
-           "verify_report.json")
-    common(sub.add_parser("faces", help="emit the face atlas with exposure reports"),
-           "face_atlas.json")
-
-    p_sweep = sub.add_parser("sweep", help="divergence sweep as CSV")
-    common(p_sweep, "sweep.csv")
+    command("verify", "run the full pipeline, emit a JSON report", "verify_report.json",
+            "samples", "theta_grid", "tol", "eps")
+    command("faces", "emit the face atlas with exposure reports", "face_atlas.json",
+            "samples", "theta_grid", "tol")
+    p_sweep = command("sweep", "divergence sweep as CSV", "sweep.csv", "samples", "tol", "eps")
     p_sweep.add_argument("--control", action="store_true",
                          help="run the polyhedral control cone instead")
 
@@ -56,20 +65,14 @@ def build_parser():
     p_mesh.add_argument("--samples", type=int, default=64)
     p_mesh.add_argument("--out", default=None)
 
-    p_n3 = sub.add_parser("nice3d", help="3D closedness ingredient checks")
-    common(p_n3, "nice3d_report.json")
+    command("nice3d", "3D closedness ingredient checks", "nice3d_report.json", "tol")
     return parser
 
 
 def _config(args, **extra):
-    return reporting.RunConfig(
-        samples_per_curve=getattr(args, "samples", 512),
-        theta_grid_size=getattr(args, "theta_grid", 64),
-        eq_abs=getattr(args, "tol", 1e-9),
-        eps_list=getattr(args, "eps", (1e-1, 1e-2, 1e-3, 1e-4)),
-        out=args.out,
-        **extra,
-    )
+    fields = {field: getattr(args, dest)
+              for dest, (field, *_) in _RUN_FLAGS.items() if hasattr(args, dest)}
+    return reporting.RunConfig(out=args.out, **fields, **extra)
 
 
 def main(argv=None):

@@ -434,14 +434,6 @@ def verify_catalogue(catalogue, body=None, cone=None, lifted=(), tol=DEFAULT_TOL
             next(reports) if cone is not None else None)
 
 
-def verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
-    """Check the exposing-pair inequalities for one face against a sampled
-    raw body: equality on the face, strict inequality off it, with margins
-    reported per parameter-distance radius (verify_catalogue on one row).
-    """
-    return verify_catalogue([(face, pair)], body, tol=tol, deltas=deltas)[0][0]
-
-
 def exposing_pair(face, rulings=None):
     """Closed-form exposing pair for a catalogued face: singletons and
     rulings from the ruling machinery, the fixed faces from their table.

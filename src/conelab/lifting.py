@@ -15,16 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import SHIFT
-from .faces import MARGIN_DELTAS, ExposingPair, verify_catalogue
+from .faces import ExposingPair
 from .linalg import DEFAULT_TOL, DomainError
-
-
-@dataclass(frozen=True)
-class LiftedPair:
-    """Cone functional (-d, y) built from a body exposing pair (y, d)."""
-
-    vector: np.ndarray
-    source: ExposingPair
 
 
 def pair_for_scaled_body(pair):
@@ -40,21 +32,7 @@ def pair_for_scaled_body(pair):
 
 def lift_pair(pair):
     """Lift a body exposing pair (y, d) to the cone functional (-d, y)."""
-    return LiftedPair(
-        vector=np.concatenate([[-pair.offset], pair.normal]),
-        source=pair,
-    )
-
-
-def verify_cone_exposure(lifted, cone, face, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
-    """Check that a lifted pair exposes exactly the lifted face on the
-    sampled cone: zero on generators over the face, strictly negative off
-    it (margins graded by parameter distance), and off the hyperplane by
-    more than eq_abs beyond the smallest margin radius (the lifted rule of
-    faces.verify_catalogue, called here on one face).
-    """
-    return verify_catalogue([(face, None)], cone=cone, lifted=[lifted.vector], tol=tol,
-                            deltas=deltas)[1][0]
+    return np.concatenate([[-pair.offset], pair.normal])
 
 
 def support_values(samples, directions):

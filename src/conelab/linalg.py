@@ -1,11 +1,10 @@
 """Dense linear algebra kernel for low-dimensional cone computations.
 
-Everything here is pure: nullspace bases, certificate-producing conic
-membership (by LP for any cone in dimension n <= 5, exactly for the cones
-cone{h1, h2} + span{n} of R^3), and one-variable interval feasibility. All
-verdicts carry certificates that can be re-checked without any solver; the
-exact route keeps a batch's verdicts as arrays (SimplicialVerdicts) and
-builds a ConicVerdict per row only when one is asked for.
+Everything here is pure: nullspace bases, exact certificate-producing
+membership in the cones cone{h1, h2} + span{n} of R^3, and one-variable
+interval feasibility. Membership verdicts carry certificates that can be
+re-checked without any solver; a batch's verdicts are kept as arrays
+(SimplicialVerdicts).
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ import numpy as np
 # Singular values below RANK_RTOL * sigma_max count as zero.  The matrices
 # handled here have O(1) entries and are well conditioned.
 RANK_RTOL = 1e-10
-
-MIN_DIM = 2
-MAX_DIM = 5
 
 # Higham's gamma_6 = 6u / (1 - 6u), u = 2**-53 the unit roundoff of doubles.
 _GAMMA6 = 6 * 2.0**-53 / (1 - 6 * 2.0**-53)
@@ -38,16 +34,6 @@ class DegenerateInputError(ValueError):
     """Input is rank-deficient or otherwise unusable for the operation."""
 
 
-class SolverStallError(RuntimeError):
-    """Membership could not be certified either way; carries the best
-    certificates found so far in ``inside_residual`` / ``outside_margin``."""
-
-    def __init__(self, message, inside_residual=None, outside_margin=None):
-        super().__init__(message)
-        self.inside_residual = inside_residual
-        self.outside_margin = outside_margin
-
-
 @dataclass(frozen=True)
 class Tolerance:
     """Residual policy: ``eq_abs`` bounds "equals zero" residuals,
@@ -57,29 +43,11 @@ class Tolerance:
     margin_abs: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 < self.eq_abs and 0.0 < self.margin_abs):
-            raise DomainError("tolerances must be positive")
+        if not (0.0 < self.eq_abs < math.inf and 0.0 < self.margin_abs < math.inf):
+            raise DomainError("tolerances must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()
-
-
-def as_vector(x, dim=None):
-    """Validate and return a 1-D float array of dimension 2..5.
-
-    Raises DimensionMismatchError on a wrong/ragged dimension and
-    DomainError on NaN or infinite components.
-    """
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"expected a vector, got shape {v.shape}")
-    if not (MIN_DIM <= v.size <= MAX_DIM):
-        raise DimensionMismatchError(f"dimension {v.size} outside [{MIN_DIM}, {MAX_DIM}]")
-    if dim is not None and v.size != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("vector has NaN or infinite components")
-    return v
 
 
 def nullspace(rows, rank_rtol=RANK_RTOL):
@@ -124,80 +92,6 @@ class ConeModel:
         return self.generators.shape[1]
 
 
-@dataclass(frozen=True)
-class ConicVerdict:
-    """Certificate-carrying membership verdict.
-
-    inside=True:  coefficients >= 0 with ||G^T mu - x|| = residual <= eq_abs.
-    inside=False: normal s with <s, g> <= eq_abs for every generator g and
-                  <s, x> = margin > 0.
-    """
-
-    inside: bool
-    coefficients: np.ndarray | None = None
-    residual: float = math.nan
-    normal: np.ndarray | None = None
-    margin: float = math.nan
-
-    def recheck(self, point, cone, tol=DEFAULT_TOL):
-        """Re-validate the certificate from scratch (no solver involved)."""
-        g = cone.generators
-        x = np.asarray(point, dtype=float)
-        if self.inside:
-            mu = np.asarray(self.coefficients, dtype=float)
-            if np.any(mu < -tol.eq_abs):
-                return False
-            return float(np.linalg.norm(g.T @ np.maximum(mu, 0.0) - x)) <= 10 * tol.eq_abs
-        s = np.asarray(self.normal, dtype=float)
-        return bool(np.all(g @ s <= tol.eq_abs) and float(np.dot(s, x)) > 0.0)
-
-
-def conic_membership(point, cone, tol=DEFAULT_TOL):
-    """Decide whether point lies in the conic hull of cone.generators.
-
-    Dual route: nonnegative least squares for an inside certificate, an LP
-    over the box |s|_inf <= 1 for a separating normal. Raises
-    SolverStallError when neither certificate is conclusive (point within
-    tolerance of the sampled boundary); it carries the NNLS residual and
-    the LP margin. This is the package's only use of scipy, so scipy is
-    imported here and not with the module.
-    """
-    from scipy.optimize import linprog, nnls
-
-    g = cone.generators
-    x = as_vector(point, dim=g.shape[1]) if g.shape[1] <= MAX_DIM else np.asarray(point, float)
-    scale = max(1.0, float(np.linalg.norm(x)))
-
-    residual = math.inf
-    try:
-        coeffs, _ = nnls(g.T, x)
-        # the residual reported by nnls is not trustworthy on all scipy
-        # versions; recompute it from the certificate itself
-        residual = float(np.linalg.norm(g.T @ coeffs - x))
-    except RuntimeError:  # iteration cap; fall through to the separation LP
-        coeffs = None
-    if residual <= tol.eq_abs * scale:
-        return ConicVerdict(inside=True, coefficients=coeffs, residual=residual)
-
-    # Separation: maximize <s, x> subject to <s, g> <= 0, |s_i| <= 1.
-    res = linprog(
-        c=-x,
-        A_ub=g,
-        b_ub=np.zeros(len(g)),
-        bounds=[(-1.0, 1.0)] * g.shape[1],
-        method="highs",
-    )
-    if res.status == 0 and -res.fun > tol.margin_abs:
-        s = np.asarray(res.x, dtype=float)
-        return ConicVerdict(inside=False, normal=s, margin=float(np.dot(s, x)))
-
-    raise SolverStallError(
-        "membership ambiguous at this tolerance",
-        inside_residual=residual,
-        outside_margin=float(-res.fun) if res.status == 0 else None,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SimplicialVerdicts:
     """The verdicts of one simplicial_membership batch, as arrays.
@@ -205,8 +99,7 @@ class SimplicialVerdicts:
     Row i is inside when inside[i] (certificate coefficients[i] with
     residual residuals[i]), outside when outside[i] (normal normals[i] with
     margin margins[i]), and ambiguous when neither mask is set. The masks
-    never overlap. Indexing (and so iteration) builds the ConicVerdict of
-    row i, or returns None for an ambiguous row.
+    never overlap.
     """
 
     inside: np.ndarray
@@ -215,17 +108,6 @@ class SimplicialVerdicts:
     residuals: np.ndarray
     normals: np.ndarray
     margins: np.ndarray
-
-    def __len__(self):
-        return len(self.inside)
-
-    def __getitem__(self, i):
-        if self.inside[i]:
-            return ConicVerdict(True, coefficients=self.coefficients[i],
-                                residual=float(self.residuals[i]))
-        if self.outside[i]:
-            return ConicVerdict(False, normal=self.normals[i], margin=float(self.margins[i]))
-        return None
 
 
 def simplicial_membership(points, h1, h2, n, tol=DEFAULT_TOL):
@@ -236,7 +118,7 @@ def simplicial_membership(points, h1, h2, n, tol=DEFAULT_TOL):
     The inverse of [h1 h2 n] has rows adj_i / det, where adj = (h2 x n,
     n x h1, h1 x h2) and det = <h1, h2 x n>; x has coordinates c = adj x / det.
       * Inside: mu = (c1+, c2+, c3+, c3-) has ||G^T mu - x|| <= eq_abs *
-        max(1, ||x||), the NNLS test of conic_membership.
+        max(1, ||x||), the inside test of a nonnegative least-squares fit.
       * Outside: c_i < -gamma_6 <|x|, A_i> / |det| for i = 1 or 2, A_i the
         entrywise |a_j b_k| + |a_k b_j| of the cross product adj_i. That
         bounds the forward error of the computed c_i (gamma_2 per entry and
@@ -244,8 +126,8 @@ def simplicial_membership(points, h1, h2, n, tol=DEFAULT_TOL):
         u absorbs rounding c_i and the bound), so c_i < 0 exactly. The
         normal s = -adj_i / det must also give <s, g> <= eq_abs on all four
         generators and <s, x> > margin_abs.
-      * Otherwise ambiguous (neither mask set; the record's row is None),
-        where conic_membership would stall.
+      * Otherwise ambiguous (neither mask set): x is within tolerance of a
+        facet, where no certificate of either kind is conclusive.
 
     Raises DegenerateInputError when |det| <= RANK_RTOL ||h1|| ||h2|| ||n||;
     above that floor the rounding error of det cannot flip its sign.

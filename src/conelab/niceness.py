@@ -8,8 +8,8 @@ sampling of curve 1 refines toward the common endpoint: the numeric shadow
 of K_polar + F_perp not being closed. No finite sample can decide
 non-membership outright, so the verdict is evidence, never proof.
 
-Also here: the positivity-window bound used by the non-membership argument
-and the ingredient checks behind three-dimensional cones always being nice.
+Also here: the ingredient checks behind three-dimensional cones always being
+nice.
 """
 
 from __future__ import annotations
@@ -236,13 +236,13 @@ class NicenessVerdict:
 
 
 def validate_eps(eps_list):
-    """The refinement levels as a tuple of floats; they must be positive and
-    strictly decreasing."""
+    """The refinement levels as a tuple of floats; they must lie in (0, T)
+    (so are finite) and be strictly decreasing."""
     eps = tuple(float(e) for e in eps_list)
     if not eps:
         raise DomainError("epsilon list must not be empty")
-    if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise DomainError("epsilon list must be strictly decreasing and positive")
+    if any(not 0.0 < e < T_END for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
+        raise DomainError("epsilon list must be strictly decreasing and lie in (0, T)")
     return eps
 
 
@@ -287,20 +287,6 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False, tol=DEFAULT
         fitted_exponent=exponent,
         verdict=verdict,
     )
-
-
-def positivity_window(alpha):
-    """Largest guaranteed window (0, t_alpha) on which
-    alpha*(cos t - 1) + sin t stays positive.
-
-    alpha <= 0: pi/2 exactly. alpha > 0: the positive root of
-    t^2 + 3*alpha*t - 6 = 0, where the quadratic minorant
-    t*(1 - alpha*t/2 - t^2/6) loses positivity.
-    """
-    a = float(alpha)
-    if a <= 0.0:
-        return math.pi / 2.0
-    return (-3.0 * a + math.sqrt(9.0 * a * a + 24.0)) / 2.0
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,7 @@ class RunConfig:
     def __post_init__(self):
         if self.samples_per_curve < 8 or self.theta_grid_size < 8:
             raise DomainError("sample counts must be at least 8")
-        if self.eq_abs <= 0:
-            raise DomainError("tolerance must be positive")
+        Tolerance(eq_abs=self.eq_abs)  # positive and finite, else DomainError
         object.__setattr__(self, "eps_list", nn.validate_eps(self.eps_list))
 
     @property
@@ -208,7 +207,7 @@ def _exposure(config, lifted):
     cone, vectors = None, ()
     if lifted:
         cone = con.homogenize(con.sample_body(grids, shifted=True))
-        vectors = [lf.lift_pair(lf.pair_for_scaled_body(pair)).vector for _, pair in catalogue]
+        vectors = [lf.lift_pair(lf.pair_for_scaled_body(pair)) for _, pair in catalogue]
     reports, lifted_reports = fc.verify_catalogue(catalogue, body, cone, vectors, tol=config.tol)
     rows = [(face, pair, rep) for (face, pair), rep in zip(catalogue, reports)]
     return rows, cone, lifted_reports

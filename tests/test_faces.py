@@ -121,7 +121,7 @@ class TestExposingPairs:
             assert onface.sum() == (2 * n + 2 if face.full_curves else len(face.anchors))
             assert np.abs(slack[onface]).max() <= 1e-15, kind
             assert slack[~onface].max() < 0.0, kind
-            assert fc.verify_exposure(face, pair, body).passed, kind
+            assert fc.verify_catalogue([(face, pair)], body)[0][0].passed, kind
 
     def test_triangle_pairs_are_mirror_images(self):
         cat = fc.enumerate_faces(con.theta_grid(2))
@@ -148,7 +148,7 @@ class TestVerifyExposure:
         cat = fc.enumerate_faces(np.array([th]))
         f11 = face_of("F11", cat, th)
         pair = fc.exposing_pair(f11)
-        rep = fc.verify_exposure(f11, pair, body)
+        rep = fc.verify_catalogue([(f11, pair)], body)[0][0]
         assert rep.passed
         assert rep.max_onface_residual <= 1e-12
         # equality value on the curve-1 anchor reproduces the offset
@@ -174,25 +174,25 @@ class TestVerifyExposure:
         away = np.abs(ts - r.t) > 1e-9
         assert vals[away].max() < 0
         assert float(con.curve_point(3, r.t) @ pair.normal) == pytest.approx(pair.offset, abs=1e-12)
-        rep = fc.verify_exposure(f03, pair, body)
-        assert rep.passed
+        assert fc.verify_catalogue([(f03, pair)], body)[0][0].passed
 
     def test_mismatched_pair_is_an_input_error(self, body):
         cat = fc.enumerate_faces(np.array([T / 2]))
         f11 = face_of("F11", cat)
         wrong = fc.exposing_pair(face_of("F24", cat))
         with pytest.raises(DomainError):
-            fc.verify_exposure(f11, wrong, body)
+            fc.verify_catalogue([(f11, wrong)], body)
 
     def test_scaled_body_rejected(self):
         cat = fc.enumerate_faces(np.array([T / 2]))
         f24 = face_of("F24", cat)
         with pytest.raises(DomainError):
-            fc.verify_exposure(f24, fc.exposing_pair(f24), con.sample_body(con.curve_grid(16), shifted=True))
+            fc.verify_catalogue([(f24, fc.exposing_pair(f24))],
+                                con.sample_body(con.curve_grid(16), shifted=True))
 
     def test_whole_catalogue_passes_out_of_sample(self, body):
-        for face, pair in fc.build_catalogue(con.theta_grid(16)):
-            rep = fc.verify_exposure(face, pair, body)
+        catalogue = fc.build_catalogue(con.theta_grid(16))
+        for (face, _), rep in zip(catalogue, fc.verify_catalogue(catalogue, body)[0]):
             assert rep.passed, (face.label(), rep)
 
     def test_catalogue_computes_each_ruling_once(self, monkeypatch):
@@ -286,8 +286,7 @@ class TestSymmetry:
         r = con.ruling_data(th)
         f11 = fc.FaceDescriptor("F11", 1, param=th, partner=r.t, anchors=((1, th), (3, r.t)))
         f12 = fc.FaceDescriptor("F12", 1, param=th, partner=r.t, anchors=((4, th), (2, r.t)))
-        rep11 = fc.verify_exposure(f11, fc.exposing_pair(f11), body)
-        rep12 = fc.verify_exposure(f12, fc.exposing_pair(f12), body)
+        rep11, rep12 = fc.verify_catalogue([(f, fc.exposing_pair(f)) for f in (f11, f12)], body)[0]
         for delta in rep11.margins:
             assert rep11.margins[delta] == pytest.approx(rep12.margins[delta], abs=1e-12)
 

