@@ -10,13 +10,11 @@ from .construction import (
     SHIFT,
     T_END,
     BodySamples,
-    CurvePoint,
     RulingData,
     WitnessPair,
     curve_grid,
     curve_point,
     curve_points,
-    curve_sample,
     homogenize,
     partner_cos,
     partner_param,

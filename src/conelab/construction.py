@@ -82,25 +82,6 @@ def curve_point(curve_id, t):
     return curve_points(curve_id, t)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """A labelled arc sample; the point must match its closed form."""
-
-    curve_id: int
-    t: float
-    point: np.ndarray
-
-    def __post_init__(self):
-        expected = curve_point(self.curve_id, self.t)
-        if float(np.abs(np.asarray(self.point, dtype=float) - expected).max()) > 1e-12:
-            raise DomainError(f"point is not curve{self.curve_id}({self.t}) to 1e-12")
-
-
-def curve_sample(curve_id, t):
-    """Labelled sample of one arc."""
-    return CurvePoint(curve_id=curve_id, t=float(t), point=curve_point(curve_id, t))
-
-
 def partner_cos(theta):
     """sin(theta) / (1 + sin(theta) - cos(theta)); the cosine of the partner
     parameter. Strictly decreasing on (0, T] from 1 down to 1/sqrt(2).

@@ -30,7 +30,6 @@ from .construction import (
     BodySamples,
     curve_point,
     curve_points,
-    curve_sample,
     partner_param,
     ruling_data,
     theta_for_partner,
@@ -197,12 +196,13 @@ def enumerate_faces(theta_grid, t_grid=None):
 
 
 def face_samples(face):
-    """Labelled generator samples of the face (anchor parameters); planar
-    sides additionally expose which whole curves they contain."""
+    """Labelled generator samples (curve, t, point) of the face (anchor
+    parameters); planar sides additionally expose which whole curves they
+    contain."""
     anchors = list(face.anchors)
     if face.full_curves:
         anchors = [(i, t) for i in face.full_curves for t in (0.0, T_END / 2, T_END)]
-    return [curve_sample(i, t) for i, t in anchors]
+    return [(i, float(t), curve_point(i, t)) for i, t in anchors]
 
 
 def face_points(face):

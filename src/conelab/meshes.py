@@ -2,9 +2,9 @@
 
 The boundary decomposes into two planar sides (fanned from the common
 endpoint), two ruled strips between paired arc parameters, the two endpoint
-triangles, and the chord closing each planar side. Strip quads are split
-along whichever diagonal keeps both triangle planes supporting, so the
-emitted mesh is a convex-hull triangulation of its vertices.
+triangles, and the chord closing each planar side. Every strip quad is split
+along the same diagonal, the one that folds outward, so the emitted mesh is
+a convex-hull triangulation of its vertices at every size.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import SHIFT, curve_points, ruling_data, theta_grid
+from .construction import SHIFT, curve_points, partner_param, theta_grid
 from .linalg import DomainError
 
 BODY_NAMES = ("C", "Cprime")
@@ -30,32 +30,15 @@ class Mesh:
         return len(self.vertices), len(self.triangles)
 
 
-def _pick_diagonal(verts, quad, interior):
-    """Split quad (a, b, c, d) (a-b and d-c are consecutive rulings) along
-    the diagonal whose two triangle planes keep the opposite corner on the
-    same side as the body interior."""
-    a, b, c, d = quad
-
-    def supports(tri, other):
-        p = verts[list(tri)]
-        n = np.cross(p[1] - p[0], p[2] - p[0])
-        off = n @ p[0]
-        s_other = n @ verts[other] - off
-        s_int = n @ interior - off
-        return s_other * s_int >= -1e-15
-
-    if supports((a, b, c), d) and supports((a, c, d), b):
-        return [(a, b, c), (a, c, d)]
-    return [(a, b, d), (b, c, d)]
-
-
 def build_mesh(which, samples_per_curve=64):
     """Triangulate the body boundary with n parameters per curve.
 
     Vertices: the shared endpoint plus n samples per curve (curves 1 and 4
     at a uniform positive grid, curves 3 and 2 at the partner parameters, so
     ruling endpoints are actual vertices). Faces: 2(n-1)+1 triangles per
-    ruled strip, 2n-1 per planar side fan, plus the two endpoint triangles.
+    ruled strip, each quad split along the diagonal from its ruling-j end on
+    curve 3 (resp. 2) to its ruling-(j+1) end on curve 1 (resp. 4); 2n-1 per
+    planar side fan; plus the two endpoint triangles.
     """
     if which not in BODY_NAMES:
         raise DomainError(f"body must be one of {BODY_NAMES}")
@@ -64,7 +47,7 @@ def build_mesh(which, samples_per_curve=64):
         raise DomainError("mesh needs at least 2 samples per curve")
 
     thetas = theta_grid(n)
-    partners = np.array([ruling_data(th).t for th in thetas])
+    partners = np.array([partner_param(th) for th in thetas])
 
     verts = [np.zeros(3)]
     idx = {}
@@ -76,15 +59,25 @@ def build_mesh(which, samples_per_curve=64):
     if which == "Cprime":
         verts = 2.0 * verts + SHIFT
 
-    interior = verts.mean(axis=0)
     tris = []
 
     # ruled strips: (curve 1, curve 3) and (curve 4, curve 2)
     for a_cid, b_cid in ((1, 3), (4, 2)):
         a, b = idx[a_cid], idx[b_cid]
         tris.append((0, a[0], b[0]))  # collapses onto the shared endpoint
+        # Every quad (a_j, b_j, b_{j+1}, a_{j+1}) is split along b_j-a_{j+1},
+        # the hull edge. The strip is developable, so a quad folds only to
+        # second order and a float orientation test is round-off near the
+        # shared endpoint. The exact orientation
+        # det(b_j - a_j, b_{j+1} - a_j, a_{j+1} - a_j) is positive at every
+        # quad of the curve-1/3 strip: b_{j+1} lies on the body side of the
+        # plane (a_j, b_j, a_{j+1}), so this fold is convex and the other
+        # would fold inward. The curve-4/2 strip is the mirror image under
+        # (x, y, z) -> (z, -y, x), of determinant +1. The sign has no short
+        # proof; it rests on the Fraction test in tests/test_meshes.py.
         for j in range(n - 1):
-            tris.extend(_pick_diagonal(verts, (a[j], b[j], b[j + 1], a[j + 1]), interior))
+            tris.append((a[j], b[j], a[j + 1]))
+            tris.append((b[j], b[j + 1], a[j + 1]))
 
     # planar sides fanned from the shared endpoint; the middle fan triangle
     # is the chord between the two arc ends

@@ -93,7 +93,6 @@ def witness_slack(t, lam):
 class ShiftProfile:
     """Per-generator lambda bounds for q - lambda*u in the sampled polar."""
 
-    epsilon: float
     lower_bounds: tuple      # arrays (bound, curve_id, t), one entry per constraining generator
     upper_bounds: tuple
     counts: dict             # classification tallies; they sum to n_generators
@@ -107,7 +106,7 @@ def shift_profile(cone, pair=None, tol=DEFAULT_TOL):
     intersect the induced one-variable bounds.
 
     cone must carry (curve ids, parameters) label arrays, as produced by
-    homogenize; epsilon is the smallest positive curve-1 parameter.
+    homogenize.
     """
     w = pair if pair is not None else witness()
     g = cone.generators
@@ -131,9 +130,6 @@ def shift_profile(cone, pair=None, tol=DEFAULT_TOL):
     upper_vals = qg[upper] / ug[upper]
     lower_ids, lower_ts = ids[lower], ts[lower]
 
-    on_curve1 = ts[(ids == 1) & (ts > 0)]
-    epsilon = on_curve1.min() if on_curve1.size else math.nan
-
     if counts["infeasible-constant"]:
         interval = None
     else:
@@ -152,7 +148,6 @@ def shift_profile(cone, pair=None, tol=DEFAULT_TOL):
             if (qg[bounded] - lambda_star * ug[bounded]).max() > 1e-9:
                 raise AssertionError("feasible interval violates its own constraints")
     return ShiftProfile(
-        epsilon=float(epsilon),
         lower_bounds=(lower_vals, lower_ids, lower_ts),
         upper_bounds=(upper_vals, ids[upper], ts[upper]),
         counts=counts,
@@ -223,7 +218,6 @@ def closure_check(n=512):
 
 @dataclass(frozen=True)
 class NicenessVerdict:
-    face_id: str
     in_closure: bool
     closure: ClosureReport
     table: tuple             # rows (epsilon, lambda_star, product, curve_id, t)
@@ -280,7 +274,6 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False, tol=DEFAULT
     )
     verdict = "NotNiceEvidence" if (closure.in_closure and diverges) else "Inconclusive"
     return NicenessVerdict(
-        face_id="lifted planar side (curves 3/4)",
         in_closure=closure.in_closure,
         closure=closure,
         table=tuple(rows),

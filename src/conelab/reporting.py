@@ -362,8 +362,8 @@ def run_faces(config):
             "param": face.param,
             "partner": face.partner,
             "generators": [
-                {"curve": s.curve_id, "t": s.t, "point": s.point}
-                for s in fc.face_samples(face)
+                {"curve": i, "t": t, "point": point}
+                for i, t, point in fc.face_samples(face)
             ],
             "full_curves": list(face.full_curves),
             "pair": {

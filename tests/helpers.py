@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import optimize
@@ -379,3 +380,57 @@ def reference_nice3d_ingredients(cone, p1, p2, h1, h2, n_samples=1200, seed=7, t
         converse_max_violation=converse,
         passed=passed,
     )
+
+
+# Reference strip split for the meshes: each quad's diagonal chosen by a float
+# support test, as the library chose it before it fixed the diagonal
+# (meshes.build_mesh). Wherever that test was right, the fixed split must
+# reproduce its triangles exactly.
+
+def reference_pick_diagonal(verts, quad, interior):
+    """Split quad (a, b, c, d) (a-b and d-c are consecutive rulings) along
+    the diagonal whose two triangle planes keep the opposite corner on the
+    same side as the body interior."""
+    a, b, c, d = quad
+
+    def supports(tri, other):
+        p = verts[list(tri)]
+        n = np.cross(p[1] - p[0], p[2] - p[0])
+        off = n @ p[0]
+        s_other = n @ verts[other] - off
+        s_int = n @ interior - off
+        return s_other * s_int >= -1e-15
+
+    if supports((a, b, c), d) and supports((a, c, d), b):
+        return [(a, b, c), (a, c, d)]
+    return [(a, b, d), (b, c, d)]
+
+
+def strip_quads(n):
+    """Vertex indices (a_j, b_j, b_{j+1}, a_{j+1}) of every ruled-strip quad
+    of an n-sample mesh, curve-1/3 strip first, then curve 4/2; the vertex
+    layout is the shared endpoint, then n samples of each curve 1..4."""
+    idx = {cid: 1 + (cid - 1) * n + np.arange(n) for cid in (1, 2, 3, 4)}
+    return [
+        [(a[j], b[j], b[j + 1], a[j + 1]) for j in range(n - 1)]
+        for a, b in ((idx[1], idx[3]), (idx[4], idx[2]))
+    ]
+
+
+def reference_strip_triangles(verts, n):
+    """Both ruled strips, apex triangle first, split by the reference test."""
+    interior = verts.mean(axis=0)
+    tris = []
+    for quads in strip_quads(n):
+        tris.append((0, quads[0][0], quads[0][1]))
+        for quad in quads:
+            tris.extend(reference_pick_diagonal(verts, quad, interior))
+    return tris
+
+
+def exact_orientation(p, q, r, s):
+    """Exact det(q - p, r - p, s - p) of float points, as a Fraction."""
+    u, v, w = ([Fraction(x) - Fraction(y) for x, y in zip(pt, p)] for pt in (q, r, s))
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))

@@ -36,12 +36,6 @@ class TestCurves:
         with pytest.raises(DomainError):
             con.curve_point(5, 0.1)
 
-    def test_labelled_sample_validates_its_point(self):
-        s = con.curve_sample(2, 0.4)
-        assert np.allclose(s.point, con.curve_point(2, 0.4), atol=1e-15)
-        with pytest.raises(DomainError):
-            con.CurvePoint(curve_id=2, t=0.4, point=np.array([1.0, 0.0, 0.0]))
-
 
 class TestPartnerMachinery:
     def test_partner_cos_at_the_right_endpoint(self):

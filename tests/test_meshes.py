@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import exact_orientation, reference_strip_triangles, strip_quads
 
 from conelab import construction as con
 from conelab import meshes
@@ -64,13 +65,38 @@ class TestObjFormat:
 
 class TestConvexity:
     @pytest.mark.parametrize("which", ["C", "Cprime"])
-    @pytest.mark.parametrize("n", [4, 16, 64])
+    @pytest.mark.parametrize("n", [2, 3, 4, 16, 64, 256, 512, 1024])
     def test_every_face_plane_supports_the_vertex_set(self, which, n):
         mesh = meshes.build_mesh(which, n)
         rep = meshes.convexity_check(mesh.vertices, mesh.triangles)
         assert rep.passed, rep
         assert rep.n_degenerate == 0
         assert rep.worst_violation <= 1e-12
+
+    @pytest.mark.parametrize("which", ["C", "Cprime"])
+    @pytest.mark.parametrize("n", [2, 8, 64, 300])
+    def test_every_strip_quad_has_the_same_exact_orientation(self, which, n):
+        # the fact the fixed strip diagonal rests on, in exact arithmetic
+        verts = meshes.build_mesh(which, n).vertices
+        for quads in strip_quads(n):
+            for quad in quads:
+                assert exact_orientation(*verts[list(quad)]) > 0, quad
+
+    @pytest.mark.parametrize(("which", "n"), [
+        ("C", 4), ("C", 16), ("C", 64), ("C", 128),
+        ("Cprime", 4), ("Cprime", 64), ("Cprime", 128), ("Cprime", 512),
+    ])
+    def test_fixed_split_matches_the_float_test_where_it_was_convex(self, which, n):
+        # pins the default (64) and benchmark (128) meshes
+        mesh = meshes.build_mesh(which, n)
+        partners = [con.ruling_data(th).t for th in con.theta_grid(n)]
+        raw = mesh.vertices[2 * n + 1:3 * n + 1]  # curve 3 at the partners
+        expected = con.curve_points(3, partners)
+        if which == "Cprime":
+            expected = 2.0 * expected + con.SHIFT
+        assert np.array_equal(raw, expected)
+        strips = mesh.triangles[:2 * (2 * n - 1)]
+        assert strips.tolist() == [list(t) for t in reference_strip_triangles(mesh.vertices, n)]
 
     def test_oracle_flags_a_dented_mesh(self):
         mesh = meshes.build_mesh("C", 8)
