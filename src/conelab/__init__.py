@@ -16,10 +16,13 @@ from .construction import (
     curve_point,
     curve_points,
     homogenize,
+    lift_pairs,
+    lift_points,
     partner_cos,
     partner_param,
     ruling_data,
     sample_body,
+    scale_points,
     theta_for_partner,
     theta_grid,
     witness,
@@ -34,11 +37,7 @@ from .faces import (
     identity_suite,
     verify_catalogue,
 )
-from .lifting import (
-    lift_pair,
-    pair_for_scaled_body,
-    polar_correspondence_check,
-)
+from .lifting import polar_correspondence_check
 from .linalg import (
     ConeModel,
     DegenerateInputError,

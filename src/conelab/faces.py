@@ -12,7 +12,9 @@ Face kinds and their generators:
 
 Every face has a closed-form exposing pair: the singletons and the rulings
 take theirs from the ruling machinery, the fixed faces (origin, endpoint
-chords, endpoint triangles and planar sides) from one table.
+chords, endpoint triangles and planar sides) from one table. One exposure
+kernel, verify_catalogue, checks each pair on samples of C and, lifted by
+construction.lift_pairs, on the matching generators of the cone K over C'.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .construction import (
     CURVE_IDS,
     ENDPOINTS,
     T_END,
-    BodySamples,
     curve_point,
     curve_points,
+    lift_pairs,
+    lift_points,
     partner_param,
     ruling_data,
     theta_for_partner,
@@ -41,6 +44,7 @@ from .linalg import (
     DomainError,
 )
 
+# How every exposing pair is obtained; the face atlas records it per face.
 CLOSED_FORM = "closed-form"
 
 # Parameter-distance radii at which off-face margins are reported.
@@ -113,7 +117,6 @@ class FaceDescriptor:
 class ExposingPair:
     normal: np.ndarray
     offset: float
-    provenance: str
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
@@ -149,38 +152,34 @@ def singleton_pair(curve_id, t, rulings=None):
     """Closed-form exposing pair for the singleton face {curve_i(t)};
     rulings: optional theta -> RulingData dict shared between calls."""
     if curve_id == 1:
-        return ExposingPair(np.array([1.0, -math.sin(t), math.cos(t)]), 1.0 - math.cos(t), CLOSED_FORM)
+        return ExposingPair(np.array([1.0, -math.sin(t), math.cos(t)]), 1.0 - math.cos(t))
     if curve_id == 4:
-        return ExposingPair(np.array([math.cos(t), math.sin(t), 1.0]), 1.0 - math.cos(t), CLOSED_FORM)
+        return ExposingPair(np.array([math.cos(t), math.sin(t), 1.0]), 1.0 - math.cos(t))
     r = _ruling(theta_for_partner(t), rulings)
     if curve_id == 3:
-        return ExposingPair(r.normal + np.array([0.0, 0.0, 1.0]), r.offset, CLOSED_FORM)
+        return ExposingPair(r.normal + np.array([0.0, 0.0, 1.0]), r.offset)
     if curve_id == 2:
-        return ExposingPair(r.mirror_normal + np.array([1.0, 0.0, 0.0]), r.offset, CLOSED_FORM)
+        return ExposingPair(r.mirror_normal + np.array([1.0, 0.0, 0.0]), r.offset)
     raise DomainError(f"curve id {curve_id} not in {CURVE_IDS}")
 
 
-def enumerate_faces(theta_grid, t_grid=None):
-    """Materialize the full catalogue over the given parameter grids.
+def enumerate_faces(theta_grid):
+    """Materialize the full catalogue over the given parameter grid, which
+    carries both the singleton parameters and the ruling parameters.
 
-    Count: 1 + 4*|t_grid| + 2*|theta_grid| + 3 + 4.
+    Count: 1 + 4*|theta_grid| + 2*|theta_grid| + 3 + 4.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size == 0:
         raise DegenerateInputError("theta grid is empty")
     if theta_grid.min() <= 0 or theta_grid.max() > T_END + 1e-15:
         raise DomainError("theta grid must lie in (0, T]")
-    t_grid = theta_grid if t_grid is None else np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise DegenerateInputError("t grid is empty")
-    if t_grid.min() <= 0 or t_grid.max() > T_END + 1e-15:
-        raise DomainError("t grid must lie in (0, T]")
 
     faces = [FaceDescriptor("F00", 0, anchors=tuple((i, 0.0) for i in CURVE_IDS))]
     for i in CURVE_IDS:
         faces.extend(
             FaceDescriptor(f"F0{i}", 0, param=float(t), anchors=((i, float(t)),))
-            for t in t_grid
+            for t in theta_grid
         )
     for th in theta_grid:
         t = partner_param(th)
@@ -363,56 +362,39 @@ def _scan(faces, ids, ts, checks, deltas):
     return counts, residuals, margins
 
 
-def verify_catalogue(catalogue, body=None, cone=None, lifted=(), tol=DEFAULT_TOL,
-                     deltas=MARGIN_DELTAS):
+def verify_catalogue(catalogue, body, lifted=False, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
     """Exposure reports for every (face, pair) row of a catalogue: the body
-    check of each pair on the raw body and, given the cone over C' and the
-    cone functional lifted from each pair, the lifted check on the cone.
+    check of each pair on the samples of C and, when lifted, the lifted
+    check of its cone functional (construction.lift_pairs) on the
+    generators of K over the same samples (construction.lift_points).
 
-    Returns (body_reports, lifted_reports); a list is None when its sample
-    set is not given (the pairs may then be None). Both checks use the same
-    parameter distances, computed once per block of faces, and one rule: the
-    on-face residual is at most eq_abs and the margin (the smallest slack
-    d - <y, x>, resp. -<(-d', y), (1, x')>, over the samples at parameter
-    distance >= delta) is positive at every radius delta. The lifted margin
-    at the smallest radius must also exceed eq_abs: no generator that far
-    from the face may lie on the hyperplane within the tolerance. Nearer
-    generators are not held to it, since margins vanish quadratically
-    toward the face.
+    Returns (body_reports, lifted_reports), lifted_reports None unless
+    lifted. Both checks use the same parameter distances, computed once per
+    block of faces, and one rule: the on-face residual is at most eq_abs and
+    the margin (the smallest slack d - <y, x>, resp. -<(-d', y), (1, x')>,
+    over the samples at parameter distance >= delta) is positive at every
+    radius delta. The lifted margin at the smallest radius must also exceed
+    eq_abs: no generator that far from the face may lie on the hyperplane
+    within the tolerance. Nearer generators are not held to it, since
+    margins vanish quadratically toward the face.
 
     The catalogue is walked in blocks of faces (see BLOCK_ELEMENTS), so the
     memory held stays flat as catalogue and samples grow.
     """
-    if body is None and cone is None:
-        raise DomainError("exposure check needs a body or a cone")
     if min(deltas) <= ONFACE_DIST:
         raise DomainError(f"margin radii must exceed the on-face distance {ONFACE_DIST}")
     faces = [face for face, _ in catalogue]
-    checks = []
-    if body is not None:
-        if not isinstance(body, BodySamples) or body.shifted:
-            raise DomainError("exposure checks expect raw C samples")
-        if any(pair.normal.shape != (3,) for _, pair in catalogue):
-            raise DimensionMismatchError("pair normal must be 3-dimensional")
-        normals = np.array([pair.normal for _, pair in catalogue]).reshape(-1, 3)
-        offsets = np.array([pair.offset for _, pair in catalogue])
-        ids, ts = body.ids, body.ts
-        checks.append(_Check(body.xyz, normals, offsets,
-                             _anchor_residuals(faces, normals, offsets), 0.0, ""))
-    if cone is not None:
-        g = cone.generators
-        if len(lifted) != len(faces) or any(np.shape(y) != (g.shape[1],) for y in lifted):
-            raise DimensionMismatchError("lifted pair and cone dimensions differ")
-        if not cone.labels:
-            raise DomainError("cone generators carry no (curve, t) labels")
-        if body is not None and not (np.array_equal(cone.labels[0], ids)
-                                     and np.array_equal(cone.labels[1], ts)):
-            raise DomainError("cone and body are sampled at different parameters")
-        ids, ts = cone.labels
-        checks.append(_Check(g, np.array(lifted, dtype=float).reshape(-1, g.shape[1]), None,
+    if any(pair.normal.shape != (3,) for _, pair in catalogue):
+        raise DimensionMismatchError("pair normal must be 3-dimensional")
+    normals = np.array([pair.normal for _, pair in catalogue]).reshape(-1, 3)
+    offsets = np.array([pair.offset for _, pair in catalogue])
+    checks = [_Check(body.xyz, normals, offsets,
+                     _anchor_residuals(faces, normals, offsets), 0.0, "")]
+    if lifted:
+        checks.append(_Check(lift_points(body.xyz), lift_pairs(normals, offsets), None,
                              np.zeros(len(faces)), tol.eq_abs, "lift:"))
 
-    counts, residuals, margins = _scan(faces, ids, ts, checks, deltas)
+    counts, residuals, margins = _scan(faces, body.ids, body.ts, checks, deltas)
     smallest = min(deltas)
     reports = []
     for check, res, marg in zip(checks, residuals, margins):
@@ -429,9 +411,7 @@ def verify_catalogue(catalogue, body=None, cone=None, lifted=(), tol=DEFAULT_TOL
                 verdict="pass" if ok else "fail",
             ))
         reports.append(out)
-    reports = iter(reports)
-    return (next(reports) if body is not None else None,
-            next(reports) if cone is not None else None)
+    return reports[0], reports[1] if lifted else None
 
 
 def exposing_pair(face, rulings=None):
@@ -444,10 +424,10 @@ def exposing_pair(face, rulings=None):
         return singleton_pair(int(kind[2]), face.param, rulings)
     if kind in ("F11", "F12"):
         r = _ruling(face.param, rulings)
-        return ExposingPair(r.normal if kind == "F11" else r.mirror_normal, r.offset, CLOSED_FORM)
+        return ExposingPair(r.normal if kind == "F11" else r.mirror_normal, r.offset)
     if kind in _FIXED_PAIRS:
         y, d = _FIXED_PAIRS[kind]
-        return ExposingPair(np.array(y) / math.hypot(*y), d, CLOSED_FORM)
+        return ExposingPair(np.array(y) / math.hypot(*y), d)
     raise DomainError(f"unknown face kind {kind}")
 
 
@@ -476,8 +456,8 @@ def identity_suite(t, theta, curves=None):
     }
 
 
-def build_catalogue(theta_grid, t_grid=None):
+def build_catalogue(theta_grid):
     """Faces with their exposing pairs, ready for verification."""
-    faces = enumerate_faces(theta_grid, t_grid)
+    faces = enumerate_faces(theta_grid)
     rulings = {}  # one ruling_data call per distinct theta
     return [(f, exposing_pair(f, rulings)) for f in faces]

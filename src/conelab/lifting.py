@@ -1,10 +1,9 @@
-"""Cone-over-body correspondences: lifting exposing pairs one dimension up
-and the polar correspondence checks.
+"""Polar correspondence checks for cones over bodies.
 
-A body pair (y, d) with <y, x> <= d on the body lifts to the cone functional
-(-d, y), which vanishes exactly on the lifted face and is negative on every
-other generator. The polar of the cone over a body is generated by
-(-support(dir), dir) over directions plus the deep ray (-1, 0, ..., 0).
+The polar of the cone over a body with 0 in its interior is generated by
+(-support(dir), dir) over directions plus the deep ray (-1, 0, ..., 0). The
+lift of the body's exposing pairs to the cone K over C' is
+construction.lift_pairs.
 """
 
 from __future__ import annotations
@@ -14,25 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import SHIFT
-from .faces import ExposingPair
 from .linalg import DEFAULT_TOL, DomainError
-
-
-def pair_for_scaled_body(pair):
-    """Transfer a pair exposing a face of C to the matching face of
-    C' = 2C + SHIFT: the normal is unchanged, the offset becomes
-    2*d + <y, SHIFT>."""
-    return ExposingPair(
-        pair.normal.copy(),
-        2.0 * pair.offset + float(pair.normal @ SHIFT),
-        pair.provenance,
-    )
-
-
-def lift_pair(pair):
-    """Lift a body exposing pair (y, d) to the cone functional (-d, y)."""
-    return np.concatenate([[-pair.offset], pair.normal])
 
 
 def support_values(samples, directions):

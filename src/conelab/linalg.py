@@ -50,7 +50,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def nullspace(rows, rank_rtol=RANK_RTOL):
+def nullspace(rows):
     """Orthonormal basis of the kernel of the matrix with the given rows.
 
     Returns an array of shape (k, n) whose rows are unit-norm, mutually
@@ -62,7 +62,7 @@ def nullspace(rows, rank_rtol=RANK_RTOL):
     if a.ndim != 2:
         raise DimensionMismatchError("rows have inconsistent dimensions")
     _, sigma, vt = np.linalg.svd(a)
-    cutoff = rank_rtol * (sigma[0] if sigma.size else 0.0)
+    cutoff = RANK_RTOL * (sigma[0] if sigma.size else 0.0)
     rank = int(np.sum(sigma > cutoff))
     return vt[rank:]
 
@@ -72,7 +72,6 @@ class ConeModel:
     """Finitely many generators in R^n standing for their conic hull."""
 
     generators: np.ndarray
-    provenance: str = ""
     # Optional per-generator (curve ids, parameters) arrays, each as long as
     # generators; used by reporting, never by the geometry.
     labels: tuple = ()
@@ -86,10 +85,6 @@ class ConeModel:
         object.__setattr__(self, "generators", g)
         if self.labels and any(len(a) != len(g) for a in self.labels):
             raise DimensionMismatchError("labels do not match generator count")
-
-    @property
-    def dim(self):
-        return self.generators.shape[1]
 
 
 @dataclass(frozen=True, eq=False)

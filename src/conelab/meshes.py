@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import SHIFT, curve_points, partner_param, theta_grid
+from .construction import curve_points, partner_param, scale_points, theta_grid
 from .linalg import DomainError
 
 BODY_NAMES = ("C", "Cprime")
@@ -57,7 +57,7 @@ def build_mesh(which, samples_per_curve=64):
         verts.extend(pts)
     verts = np.vstack(verts)
     if which == "Cprime":
-        verts = 2.0 * verts + SHIFT
+        verts = scale_points(verts)
 
     tris = []
 
@@ -102,6 +102,9 @@ def write_obj(path, mesh):
 
 
 def read_obj(path):
+    """Vertices and 0-based triangles of an OBJ file; a face index outside
+    1..(number of vertices), 0 and negative indices included, is a
+    DomainError."""
     verts, tris = [], []
     with open(path, encoding="ascii") as fh:
         for line in fh:
@@ -115,7 +118,10 @@ def read_obj(path):
                 if len(face) != 3:
                     raise DomainError("mesh must contain triangles only")
                 tris.append(face)
-    return np.asarray(verts, dtype=float), np.asarray(tris, dtype=int)
+    verts, tris = np.asarray(verts, dtype=float), np.asarray(tris, dtype=int)
+    if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
+        raise DomainError(f"face index outside 1..{len(verts)}")
+    return verts, tris
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,11 @@ import numpy.random  # noqa: F401  (load at import, not on the first np.random c
 from .construction import (
     CURVE_IDS,
     ENDPOINTS,
-    SHIFT,
     T_END,
     curve_point,
     curve_points,
     homogenize,
+    lift_points,
     sample_body,
     witness,
 )
@@ -66,11 +66,9 @@ def perp_basis(points):
 
 
 def face_slice_points():
-    """Three points (1, 2p_i + SHIFT), i in {0, 3, 4}, spanning the slice of
-    the flat face; their perp is span{(1,0,0,-2)}."""
-    return np.vstack([
-        np.concatenate([[1.0], 2.0 * ENDPOINTS[i] + SHIFT]) for i in (0, 3, 4)
-    ])
+    """The lifts (1, 2p_i + SHIFT) of the endpoints p_i, i in {0, 3, 4},
+    spanning the slice of the flat face; their perp is span{(1,0,0,-2)}."""
+    return lift_points(np.vstack([ENDPOINTS[i] for i in (0, 3, 4)]))
 
 
 def witness_slack(t, lam):
@@ -82,8 +80,7 @@ def witness_slack(t, lam):
     """
     closed = 2.0 * (2.0 * (lam + 1.0) * (math.cos(t) - 1.0) + math.sin(t))
     w = witness()
-    gen = np.concatenate([[1.0], 2.0 * curve_point(1, t) + SHIFT])
-    direct = float(gen @ (w.q - lam * w.u))
+    direct = float(lift_points(curve_point(1, t))[0] @ (w.q - lam * w.u))
     if abs(closed - direct) > 1e-12:
         raise AssertionError(f"slack identity broke: |{closed} - {direct}|")
     return closed
@@ -94,21 +91,20 @@ class ShiftProfile:
     """Per-generator lambda bounds for q - lambda*u in the sampled polar."""
 
     lower_bounds: tuple      # arrays (bound, curve_id, t), one entry per constraining generator
-    upper_bounds: tuple
     counts: dict             # classification tallies; they sum to n_generators
     interval: tuple | None   # feasible (lo, hi); None when empty
     lambda_star: float | None
     achieving: tuple | None  # (curve_id, t) of the binding lower bound
 
 
-def shift_profile(cone, pair=None, tol=DEFAULT_TOL):
+def shift_profile(cone, tol=DEFAULT_TOL):
     """Classify every generator constraint <q, g> - lambda <u, g> <= 0 and
     intersect the induced one-variable bounds.
 
     cone must carry (curve ids, parameters) label arrays, as produced by
     homogenize.
     """
-    w = pair if pair is not None else witness()
+    w = witness()
     g = cone.generators
     if not cone.labels:
         raise DomainError("shift_profile needs labelled generators")
@@ -149,7 +145,6 @@ def shift_profile(cone, pair=None, tol=DEFAULT_TOL):
                 raise AssertionError("feasible interval violates its own constraints")
     return ShiftProfile(
         lower_bounds=(lower_vals, lower_ids, lower_ts),
-        upper_bounds=(upper_vals, ids[upper], ts[upper]),
         counts=counts,
         interval=interval,
         lambda_star=lambda_star,
@@ -172,17 +167,17 @@ def sweep_grid(epsilon, n):
 def refined_cone(epsilon, samples_per_curve=512):
     """Cone over C' sampled with the epsilon-anchored grid on every curve."""
     grid = sweep_grid(epsilon, samples_per_curve)
-    return homogenize(sample_body({i: grid for i in CURVE_IDS}, shifted=True))
+    return homogenize(sample_body({i: grid for i in CURVE_IDS}))
 
 
 def control_cone():
     """Polyhedral stand-in: the cone over the five scaled arc endpoints.
     Polyhedral cones are nice; the sweep must stay bounded on this one."""
-    gens = np.vstack([np.concatenate([[1.0], 2.0 * p + SHIFT]) for p in ENDPOINTS.values()])
+    gens = lift_points(np.vstack(list(ENDPOINTS.values())))
     # the origin (endpoint 0) is labelled as the start of curve 1
     ids = np.array([1, *CURVE_IDS])
     ts = np.array([0.0] + [T_END] * len(CURVE_IDS))
-    return ConeModel(gens, provenance="cone over endpoint polytope", labels=(ids, ts))
+    return ConeModel(gens, labels=(ids, ts))
 
 
 @dataclass(frozen=True)
@@ -201,8 +196,8 @@ def closure_check(n=512):
     w = witness()
     vals3 = 2.0 * (np.cos(ts) - 1.0)
     vals4 = -2.0 * np.sin(ts)
-    gens3 = np.hstack([np.ones((n, 1)), 2.0 * curve_points(3, ts) + SHIFT])
-    gens4 = np.hstack([np.ones((n, 1)), 2.0 * curve_points(4, ts) + SHIFT])
+    gens3 = lift_points(curve_points(3, ts))
+    gens4 = lift_points(curve_points(4, ts))
     res = max(
         float(np.abs(gens3 @ w.q - vals3).max()),
         float(np.abs(gens4 @ w.q - vals4).max()),
@@ -397,7 +392,7 @@ def nice3d_ingredients(cone, p1, p2, h1, h2, n_samples=1200, seed=7, tol=DEFAULT
 
 def octant_example():
     """Nonnegative octant with face cone{e1, e2}: everything orthogonal."""
-    cone = ConeModel(np.eye(3), provenance="nonnegative octant")
+    cone = ConeModel(np.eye(3))
     p1, p2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     h1, h2 = np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.0, 1.0])
     return cone, p1, p2, h1, h2
@@ -411,7 +406,7 @@ def half_disc_cone_example(n=65):
     """
     phi = np.linspace(0.0, math.pi, n)
     gens = np.stack([np.ones(n), np.cos(phi), np.sin(phi)], axis=1)
-    cone = ConeModel(gens, provenance="cone over half-disc")
+    cone = ConeModel(gens)
     p1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     p2 = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
     h1 = np.array([1.0, 1.0, 1.0])

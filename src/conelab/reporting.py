@@ -88,14 +88,15 @@ def write_json(path, obj):
 # shared construction of grids and bodies
 
 def _grids(config):
+    """The theta grid, which also carries the singleton faces, and the
+    per-curve sample grids holding every face anchor."""
     thetas = con.theta_grid(config.theta_grid_size)
-    t_grid = thetas  # singleton faces enumerated over the same parameter set
     partners = np.array([con.partner_param(th) for th in thetas])
     base = con.curve_grid(config.samples_per_curve)
-    g_outer = np.unique(np.concatenate([base, thetas, t_grid]))
-    g_inner = np.unique(np.concatenate([base, partners, t_grid]))
+    g_outer = np.unique(np.concatenate([base, thetas]))
+    g_inner = np.unique(np.concatenate([base, partners, thetas]))
     # curves 1/4 carry the ruling parameter, curves 2/3 its partner
-    return thetas, t_grid, {1: g_outer, 2: g_inner, 3: g_inner, 4: g_outer}
+    return thetas, {1: g_outer, 2: g_inner, 3: g_inner, 4: g_outer}
 
 
 def report_header(config):
@@ -139,12 +140,10 @@ def construction_section(config):
         offset_res = max(offset_res, abs(r.offset - math.sin(th) * (1.0 - math.cos(r.t))))
 
     w = con.witness()
-    shifted = con.sample_body(con.curve_grid(64), shifted=True)
-    raw = con.sample_body(con.curve_grid(64))
-    affine_res = max(
-        float(np.abs(shifted.points[i] - (2.0 * raw.points[i] + con.SHIFT)).max())
-        for i in con.CURVE_IDS
-    )
+    # the cone's generators lie over the points of C' = 2C + SHIFT
+    body = con.sample_body(con.curve_grid(64))
+    gens = con.homogenize(body).generators
+    affine_res = float(np.abs(gens[:, 1:] - con.scale_points(body.xyz)).max())
 
     passed = (
         end_res <= tol
@@ -198,19 +197,16 @@ def identity_section(config, n=100):
 
 
 def _exposure(config, lifted):
-    """One pass of the exposure kernel over the catalogue on the config's
-    grids: (face, pair, report) rows on the raw body and, when lifted, the
-    cone over C' with the reports of the lifted pairs (else None, None)."""
-    thetas, t_grid, grids = _grids(config)
-    catalogue = fc.build_catalogue(thetas, t_grid)
+    """One pass of the exposure kernel over the catalogue on one body
+    sampled on the config's grids: (face, pair, report) rows on C and, when
+    lifted, the cone over C' with the reports of the lifted pairs (else
+    None, None)."""
+    thetas, grids = _grids(config)
+    catalogue = fc.build_catalogue(thetas)
     body = con.sample_body(grids)
-    cone, vectors = None, ()
-    if lifted:
-        cone = con.homogenize(con.sample_body(grids, shifted=True))
-        vectors = [lf.lift_pair(lf.pair_for_scaled_body(pair)) for _, pair in catalogue]
-    reports, lifted_reports = fc.verify_catalogue(catalogue, body, cone, vectors, tol=config.tol)
+    reports, lifted_reports = fc.verify_catalogue(catalogue, body, lifted, tol=config.tol)
     rows = [(face, pair, rep) for (face, pair), rep in zip(catalogue, reports)]
-    return rows, cone, lifted_reports
+    return rows, con.homogenize(body) if lifted else None, lifted_reports
 
 
 def face_section(face_rows):
@@ -369,7 +365,7 @@ def run_faces(config):
             "pair": {
                 "normal": pair.normal,
                 "offset": pair.offset,
-                "provenance": pair.provenance,
+                "provenance": fc.CLOSED_FORM,
             },
             "report": {
                 "max_onface_residual": rep.max_onface_residual,

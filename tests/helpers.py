@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize
 
-from conelab.construction import BodySamples
+from conelab.construction import CURVE_IDS, SHIFT
 from conelab.faces import (
     MARGIN_DELTAS,
     ExposingPair,
@@ -107,10 +107,10 @@ def support_plane_through(points, body, margin_radius=0.05):
     if res.status != 0 or -res.fun <= 0.0:
         raise DegenerateInputError("no strictly supporting hyperplane found")
     y = res.x[:3]
-    return ExposingPair(y / np.linalg.norm(y), res.x[3] / np.linalg.norm(y), "lp-oracle")
+    return ExposingPair(y / np.linalg.norm(y), res.x[3] / np.linalg.norm(y))
 
 
-def polar_generator_model(samples, directions, provenance="sampled polar cone"):
+def polar_generator_model(samples, directions):
     """Generator representation of the polar of cone({1} x samples):
     one generator (-support(dir), dir) per direction, plus the deep ray
     (-1, 0, ..., 0)."""
@@ -122,7 +122,7 @@ def polar_generator_model(samples, directions, provenance="sampled polar cone"):
     gens = np.hstack([-sups[:, None], directions])
     deep = np.zeros((1, samples.shape[1] + 1))
     deep[0, 0] = -1.0
-    return ConeModel(np.vstack([gens, deep]), provenance=provenance)
+    return ConeModel(np.vstack([gens, deep]))
 
 
 # Reference membership: the general LP route for any finitely generated cone,
@@ -217,7 +217,23 @@ def row_verdicts(verdicts):
 
 # Reference exposure checks: one face and one full pass over the samples at
 # a time, as the library ran them before its blocked kernel
-# (faces.verify_catalogue). The kernel must reproduce their reports exactly.
+# (faces.verify_catalogue), on the cone over C' sampled curve by curve and
+# the per-face cone functionals, as the library built them before
+# construction.lift_points and lift_pairs. The kernel must reproduce their
+# reports exactly.
+
+def reference_cone(body):
+    """The cone over C': each curve's samples p of C moved to 2p + SHIFT,
+    then homogenized to (1, 2p + SHIFT)."""
+    pts = np.vstack([2.0 * body.points[i] + SHIFT for i in CURVE_IDS])
+    return ConeModel(np.hstack([np.ones((len(pts), 1)), pts]), labels=(body.ids, body.ts))
+
+
+def reference_lift(pair):
+    """The cone functional (-(2d + <y, SHIFT>), y) of one body pair (y, d):
+    the pair moved to C' = 2C + SHIFT, then lifted to (-d', y)."""
+    return np.concatenate([[-(2.0 * pair.offset + float(pair.normal @ SHIFT))], pair.normal])
+
 
 def reference_param_distances(face, ids, ts):
     """Parameter distance of each sample (ids[k], ts[k]) to the face."""
@@ -242,9 +258,7 @@ def _margins_by_radius(slack, dists, deltas):
 
 
 def reference_verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
-    """Body check of one exposing pair on the raw body samples."""
-    if not isinstance(body, BodySamples) or body.shifted:
-        raise DomainError("verify_exposure expects raw C samples")
+    """Body check of one exposing pair on the samples of C."""
     y, d = pair.normal, pair.offset
     if y.shape != (3,):
         raise DimensionMismatchError("pair normal must be 3-dimensional")

@@ -35,13 +35,12 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def default_setup():
-    """Catalogue, bodies, and cone at the acceptance scale (512/64)."""
+    """Catalogue and body at the acceptance scale (512/64)."""
     config = reporting.RunConfig()  # 512 samples per curve, 64 ruling values
-    thetas, t_grid, grids = reporting._grids(config)
+    thetas, grids = reporting._grids(config)
     body = con.sample_body(grids)
-    cone = con.homogenize(con.sample_body(grids, shifted=True))
-    catalogue = fc.build_catalogue(thetas, t_grid)
-    return {"config": config, "body": body, "cone": cone, "catalogue": catalogue}
+    catalogue = fc.build_catalogue(thetas)
+    return {"config": config, "body": body, "catalogue": catalogue}
 
 
 def test_criterion_1_construction_fidelity():
@@ -58,7 +57,7 @@ def test_criterion_1_construction_fidelity():
         worst <= 1e-12
         and scan.strictly_decreasing
         and end_high <= 1e-12
-        and scan.first_value < 1.0
+        and con.partner_cos(T / 1000) < 1.0
         and toward_one <= 1e-5
         and elapsed < 1.0
     )
@@ -80,28 +79,22 @@ def test_criterion_2_identity_suite():
 def test_criterion_3_face_exposure(default_setup):
     catalogue = default_setup["catalogue"]
     reports = fc.verify_catalogue(catalogue, default_setup["body"], deltas=DELTAS)[0]
-    closed_form_pairs = 0
     failures = []
-    for (_, pair), rep in zip(catalogue, reports):
+    for rep in reports:
         checks = rep.max_onface_residual <= 1e-9 and all(
             rep.margins[d] > 0.0 for d in DELTAS
         )
-        if pair.provenance == fc.CLOSED_FORM:
-            closed_form_pairs += 1
         if not (rep.passed and checks):
             failures.append(rep.face_label)
-    ok = not failures and closed_form_pairs == len(default_setup["catalogue"])
+    ok = not failures
     report(3, "face exposure 512/64", ok,
-           f"{len(default_setup['catalogue'])} faces, {closed_form_pairs} closed-form pairs, "
-           f"{len(failures)} failures")
+           f"{len(catalogue)} faces, {len(failures)} failures")
 
 
 def test_criterion_4_homogenization(default_setup):
-    catalogue = default_setup["catalogue"]
-    lifted = [lf.lift_pair(lf.pair_for_scaled_body(pair)) for _, pair in catalogue]
     failures = []
-    for rep in fc.verify_catalogue(catalogue, cone=default_setup["cone"], lifted=lifted,
-                                   deltas=DELTAS)[1]:
+    for rep in fc.verify_catalogue(default_setup["catalogue"], default_setup["body"],
+                                   lifted=True, deltas=DELTAS)[1]:
         if not (rep.passed and rep.max_onface_residual <= 1e-9
                 and all(rep.margins[d] > 0.0 for d in DELTAS)):
             failures.append(rep.face_label)

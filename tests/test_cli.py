@@ -15,7 +15,7 @@ import scipy.optimize
 import conelab
 from conelab import meshes
 from conelab.cli import main
-from conelab import construction, faces, lifting, reporting
+from conelab import construction, faces, reporting
 from conelab.reporting import RunConfig, render_json, run_faces, run_verify
 from conelab.linalg import ConeModel, DomainError
 from helpers import reference_conic_membership
@@ -246,7 +246,7 @@ class TestRunConfig:
         assert atlas["failed_reports"] == len(section["failures"])
 
     def test_verify_builds_grids_and_catalogue_once(self, monkeypatch):
-        calls = {"grids": 0, "catalogue": 0, "kernel": 0}
+        calls = {"grids": 0, "catalogue": 0, "kernel": 0, "body": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -257,27 +257,30 @@ class TestRunConfig:
         monkeypatch.setattr(reporting, "_grids", counted("grids", reporting._grids))
         monkeypatch.setattr(faces, "build_catalogue", counted("catalogue", faces.build_catalogue))
         monkeypatch.setattr(faces, "verify_catalogue", counted("kernel", faces.verify_catalogue))
+        # reporting's bodies; niceness binds its own sample_body for the sweep
+        monkeypatch.setattr(construction, "sample_body", counted("body", construction.sample_body))
         run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
-        # one kernel call checks every face on the body and on the cone
-        assert calls == {"grids": 1, "catalogue": 1, "kernel": 1}
+        # one kernel call checks every face on the body and on the cone over
+        # it; the other body is the construction section's 64-sample check
+        assert calls == {"grids": 1, "catalogue": 1, "kernel": 1, "body": 2}
 
     def test_faces_builds_no_cone_and_no_lifted_pairs(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("faces must not touch the cone")
 
-        for module, name in ((construction, "homogenize"), (lifting, "lift_pair"),
-                             (lifting, "pair_for_scaled_body")):
+        for module, name in ((construction, "homogenize"), (faces, "lift_points"),
+                             (faces, "lift_pairs")):
             monkeypatch.setattr(module, name, refuse)
         kernel_calls = []
         real_kernel = faces.verify_catalogue
 
-        def kernel(catalogue, body=None, cone=None, lifted=(), **kwargs):
-            kernel_calls.append((cone, len(lifted)))
-            return real_kernel(catalogue, body, cone, lifted, **kwargs)
+        def kernel(catalogue, body, lifted=False, **kwargs):
+            kernel_calls.append(lifted)
+            return real_kernel(catalogue, body, lifted, **kwargs)
 
         monkeypatch.setattr(faces, "verify_catalogue", kernel)
         atlas = run_faces(RunConfig(samples_per_curve=64, theta_grid_size=8))
-        assert kernel_calls == [(None, 0)]
+        assert kernel_calls == [False]
         assert atlas["failed_reports"] == 0
 
     def test_faces_report_excludes_output_path_from_hash(self, tmp_path):

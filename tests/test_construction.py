@@ -52,9 +52,7 @@ class TestPartnerMachinery:
     def test_scan_strictly_decreasing_with_negative_derivative(self):
         scan = con.scan_partner_cos(np.linspace(T / 1000, T, 1000))
         assert scan.strictly_decreasing
-        assert scan.violations == 0
-        assert scan.max_derivative < 0.0
-        assert scan.first_value > scan.last_value == pytest.approx(SQRT2_INV, abs=1e-12)
+        assert con.partner_cos(T / 1000) > scan.last_value == pytest.approx(SQRT2_INV, abs=1e-12)
 
     def test_partner_param_is_an_increasing_bijection(self):
         grid = np.linspace(T / 500, T, 500)
@@ -73,8 +71,8 @@ class TestPartnerMachinery:
         thetas = con.theta_grid(n)
         assert max(con.partner_param(th) for th in thetas) == T
         assert con.ruling_data(T).t == T
-        _, _, grids = reporting._grids(reporting.RunConfig(samples_per_curve=64,
-                                                           theta_grid_size=n))
+        _, grids = reporting._grids(reporting.RunConfig(samples_per_curve=64,
+                                                        theta_grid_size=n))
         for g in grids.values():
             assert g.max() == T and np.count_nonzero(g == T) == 1
 
@@ -117,11 +115,14 @@ class TestRulingData:
 
 class TestBodiesAndCone:
     def test_scaled_samples_are_exact_affine_images(self):
-        grid = con.curve_grid(33)
-        raw = con.sample_body(grid)
-        scaled = con.sample_body(grid, shifted=True)
-        for i in con.CURVE_IDS:
-            assert np.abs(scaled.points[i] - (2.0 * raw.points[i] + con.SHIFT)).max() == 0.0
+        raw = con.sample_body(con.curve_grid(33))
+        scaled = np.vstack([2.0 * raw.points[i] + con.SHIFT for i in con.CURVE_IDS])
+        assert np.array_equal(con.scale_points(raw.xyz), scaled)
+        gens = con.lift_points(raw.xyz)
+        assert np.array_equal(gens[:, 0], np.ones(len(gens)))
+        assert np.array_equal(gens[:, 1:], scaled)
+        # a single point lifts to one row
+        assert np.array_equal(con.lift_points(raw.xyz[5]), gens[5:6])
 
     def test_grids_must_cover_both_endpoints(self):
         with pytest.raises(DomainError):
@@ -143,30 +144,26 @@ class TestBodiesAndCone:
             assert np.array_equal(x, con.curve_point(i, t))
 
     def test_homogenize_hands_the_label_arrays_to_the_cone(self):
-        body = con.sample_body(con.curve_grid(16), shifted=True)
+        body = con.sample_body(con.curve_grid(16))
         cone = con.homogenize(body)
         ids, ts = cone.labels
         assert np.array_equal(ids, body.ids) and np.array_equal(ts, body.ts)
-        assert np.array_equal(cone.generators[:, 1:], body.xyz)
+        assert np.array_equal(cone.generators[:, 1:], con.scale_points(body.xyz))
 
     def test_homogenize_generator_for_the_origin_sample(self):
-        cone = con.homogenize(con.sample_body(con.curve_grid(8), shifted=True))
+        cone = con.homogenize(con.sample_body(con.curve_grid(8)))
         origin_rows = [g for g, i, t in zip(cone.generators, *cone.labels) if t == 0.0]
         for g in origin_rows:
             assert np.allclose(g, [1.0, 0.5, 0.0, 0.5], atol=1e-15)
 
     def test_homogenize_generator_for_scaled_p1(self):
         grid = con.curve_grid(8)
-        cone = con.homogenize(con.sample_body(grid, shifted=True))
+        cone = con.homogenize(con.sample_body(grid))
         ids, ts = cone.labels
         k = int(np.flatnonzero((ids == 1) & (ts == T))[0])
         expected = [1.0, 0.5, -math.sqrt(2.0), math.sqrt(2.0) - 1.5]
         assert np.allclose(cone.generators[k], expected, atol=1e-15)
         assert len(cone.generators) == 4 * len(grid)
-
-    def test_homogenize_rejects_raw_body(self):
-        with pytest.raises(DomainError):
-            con.homogenize(con.sample_body(con.curve_grid(8)))
 
     def test_homogenize_rejects_non_body(self):
         with pytest.raises(DegenerateInputError):

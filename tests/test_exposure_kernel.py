@@ -1,6 +1,8 @@
 """The blocked exposure kernel `faces.verify_catalogue` against the per-face
-reference checks in helpers: reports equal to the last bit, independent of
-the block size, and memory flat in the catalogue size."""
+reference checks in helpers: reports equal to the last bit, its lifted side
+derived from the body and the pairs equal to the reference cone and
+functionals, independent of the block size, and memory flat in the
+catalogue size."""
 
 import functools
 import math
@@ -11,34 +13,35 @@ import pytest
 
 from conelab import construction as con
 from conelab import faces as fc
-from conelab import lifting as lf
 from conelab import reporting
-from conelab.linalg import ConeModel, DomainError, Tolerance
+from conelab.linalg import DomainError, Tolerance
 from helpers import (
+    reference_cone,
+    reference_lift,
     reference_param_distances,
     reference_verify_cone_exposure,
     reference_verify_exposure,
 )
 
+T = con.T_END
 DELTAS = (0.01, 0.05, 0.1)  # the radii pinned by test_acceptance.py
 
 
 @functools.lru_cache(maxsize=None)
 def setup(samples, thetas):
-    """Catalogue, raw body, cone over C' and lifted pairs on the grids that
-    `verify` uses at this size."""
-    th, t_grid, grids = reporting._grids(
+    """Catalogue, body, and the reference cone over C' and lifted pairs, on
+    the grids that `verify` uses at this size."""
+    th, grids = reporting._grids(
         reporting.RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
     )
-    catalogue = fc.build_catalogue(th, t_grid)
-    cone = con.homogenize(con.sample_body(grids, shifted=True))
-    lifted = [lf.lift_pair(lf.pair_for_scaled_body(pair)) for _, pair in catalogue]
-    return catalogue, con.sample_body(grids), cone, lifted
+    catalogue = fc.build_catalogue(th)
+    body = con.sample_body(grids)
+    return catalogue, body, reference_cone(body), [reference_lift(pair) for _, pair in catalogue]
 
 
 def kernel(samples, thetas, **kwargs):
-    catalogue, body, cone, lifted = setup(samples, thetas)
-    return fc.verify_catalogue(catalogue, body, cone, lifted, **kwargs)
+    catalogue, body, _, _ = setup(samples, thetas)
+    return fc.verify_catalogue(catalogue, body, lifted=True, **kwargs)
 
 
 def bits(reports):
@@ -77,6 +80,15 @@ def test_reports_equal_the_per_face_reference(samples, thetas, deltas):
         assert all(r.passed for r in body_reports + lifted_reports)
 
 
+@pytest.mark.parametrize("samples, thetas", [(64, 8), (512, 64), (512, 512), (2048, 256)])
+def test_array_lifts_have_the_bits_of_the_reference(samples, thetas):
+    catalogue, body, cone, lifted = setup(samples, thetas)
+    normals = np.array([pair.normal for _, pair in catalogue])
+    offsets = np.array([pair.offset for _, pair in catalogue])
+    assert con.homogenize(body).generators.tobytes() == cone.generators.tobytes()
+    assert con.lift_pairs(normals, offsets).tobytes() == np.array(lifted).tobytes()
+
+
 @pytest.mark.parametrize("samples, thetas", [(64, 8), (512, 64)])
 def test_reports_do_not_depend_on_the_block_size(monkeypatch, samples, thetas):
     catalogue, body, _, _ = setup(samples, thetas)
@@ -90,28 +102,39 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, samples, thetas):
 
 @pytest.mark.parametrize("far_value, verdict", [(-0.5, "fail"), (-2.0, "pass")])
 def test_far_generator_must_clear_eq_abs_on_the_cone(far_value, verdict):
-    # functional e4: each generator's value is its last coordinate; the face
-    # is {curve1(0.5)} and every other generator is >= 0.2 away from it
-    tol = Tolerance()
-    ids, ts = np.array([1, 1, 1, 2]), np.array([0.3, 0.5, 0.7, 0.4])
-    values = np.array([-1.0, 0.0, -1.0, far_value * tol.eq_abs])
-    cone = ConeModel(np.column_stack([np.ones(4), np.zeros((4, 2)), values]), labels=(ids, ts))
+    # A hand-made body on the grids {0, 0.3, 0.5, 0.7, T} (curve 1),
+    # {0, 0.4, T} (curve 2) and {0, T} (curves 3, 4). The pair x_1 <= 0
+    # exposes the face {curve1(0.5)}, since curve 1 lies in x_1 = 0; it lifts
+    # to (-1/2, 1, 0, 0), of value 2 x_1 on the generator over x. The face
+    # sample has x_1 = 0, the curve-2 sample at 0.4 (0.9 away from the face)
+    # x_1 = far_value * eq_abs / 2, and every other sample x_1 = -1/2. A
+    # dyadic eq_abs keeps every lifted value exact.
+    tol = Tolerance(eq_abs=2.0**-30)
+    grids = {1: np.array([0.0, 0.3, 0.5, 0.7, T]), 2: np.array([0.0, 0.4, T]),
+             3: np.array([0.0, T]), 4: np.array([0.0, T])}
+    first = {i: np.full(g.size, -0.5) for i, g in grids.items()}
+    first[1][2], first[2][1] = 0.0, far_value * tol.eq_abs / 2.0
+    points = {i: np.column_stack([x, np.zeros((x.size, 2))]) for i, x in first.items()}
+    body = con.BodySamples(grids=grids, points=points)
     face = fc.FaceDescriptor("F01", 0, param=0.5, anchors=((1, 0.5),))
-    y = np.array([0.0, 0.0, 0.0, 1.0])
-    rep = fc.verify_catalogue([(face, None)], cone=cone, lifted=[y], tol=tol)[1][0]
+    pair = fc.ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0)
+    body_rep, rep = (reports[0] for reports in
+                     fc.verify_catalogue([(face, pair)], body, lifted=True, tol=tol))
+    assert body_rep.passed
     assert rep.verdict == verdict
     assert rep.margins[0.01] == -far_value * tol.eq_abs
     assert rep.onface_count == 1
-    assert bits([rep]) == bits([reference_verify_cone_exposure(y, cone, face, tol=tol)])
+    assert bits([rep]) == bits([reference_verify_cone_exposure(
+        reference_lift(pair), reference_cone(body), face, tol=tol)])
 
 
 @pytest.mark.parametrize("samples, thetas", [(512, 64), (2048, 256)])
 def test_kernel_memory_stays_under_two_mib(samples, thetas):
-    catalogue, body, cone, lifted = setup(samples, thetas)
-    fc.verify_catalogue(catalogue[:4], body, cone, lifted[:4])  # warm numpy up
+    catalogue, body, _, _ = setup(samples, thetas)
+    fc.verify_catalogue(catalogue[:4], body, lifted=True)  # warm numpy up
     tracemalloc.start()
     try:
-        fc.verify_catalogue(catalogue, body, cone, lifted)
+        fc.verify_catalogue(catalogue, body, lifted=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -31,8 +31,8 @@ def face_of(kind, catalogue, param=None):
 
 class TestEnumerate:
     def test_count_formula(self):
-        cat = fc.enumerate_faces(con.theta_grid(3), con.theta_grid(5))
-        assert len(cat) == 1 + 4 * 5 + 2 * 3 + 3 + 4 == 34
+        cat = fc.enumerate_faces(con.theta_grid(5))
+        assert len(cat) == 1 + 4 * 5 + 2 * 5 + 3 + 4 == 38
 
     def test_single_theta_gives_one_ruled_face_per_family(self):
         cat = fc.enumerate_faces(np.array([T]))
@@ -76,14 +76,12 @@ class TestExposingPairs:
         pair = fc.singleton_pair(1, th)
         assert np.allclose(pair.normal, [1.0, -math.sin(th), math.cos(th)], atol=1e-15)
         assert pair.offset == pytest.approx(1.0 - math.cos(th), abs=1e-15)
-        assert pair.provenance == fc.CLOSED_FORM
 
     def test_flat_side_pair_matches_brute_force_max(self, body):
         face = fc.FaceDescriptor("F24", 2, full_curves=(3, 4))
         pair = fc.exposing_pair(face)
         assert np.allclose(np.abs(pair.normal), [0.0, 0.0, 1.0], atol=1e-12)
         assert pair.offset == pytest.approx(0.0, abs=1e-12)
-        assert pair.provenance == fc.CLOSED_FORM
         # brute force: the third coordinate tops out at 0, exactly on curves 3/4
         third = body.xyz[:, 2]
         assert third.max() == pytest.approx(0.0, abs=1e-15)
@@ -110,7 +108,6 @@ class TestExposingPairs:
         for kind in ("F00", "F13", "F14", "F15", "F21", "F22", "F23", "F24"):
             face = face_of(kind, cat)
             pair = fc.exposing_pair(face)
-            assert pair.provenance == fc.CLOSED_FORM
             if not face.full_curves:
                 oracle = support_plane_through(fc.face_points(face), coarse_body)
                 assert np.abs(pair.normal - oracle.normal).max() <= 1e-12, kind
@@ -166,9 +163,8 @@ class TestVerifyExposure:
     def test_singleton_on_curve3_equality_only_at_partner(self, body):
         th = T / 3
         r = con.ruling_data(th)
-        cat = fc.enumerate_faces(np.array([th]), np.array([r.t]))
-        f03 = face_of("F03", cat, r.t)
-        pair = fc.exposing_pair(f03)
+        f03 = fc.FaceDescriptor("F03", 0, param=r.t, anchors=((3, r.t),))
+        pair = fc.singleton_pair(3, r.t)
         vals = body.points[3] @ pair.normal - pair.offset
         ts = body.grids[3]
         away = np.abs(ts - r.t) > 1e-9
@@ -183,22 +179,15 @@ class TestVerifyExposure:
         with pytest.raises(DomainError):
             fc.verify_catalogue([(f11, wrong)], body)
 
-    def test_scaled_body_rejected(self):
-        cat = fc.enumerate_faces(np.array([T / 2]))
-        f24 = face_of("F24", cat)
-        with pytest.raises(DomainError):
-            fc.verify_catalogue([(f24, fc.exposing_pair(f24))],
-                                con.sample_body(con.curve_grid(16), shifted=True))
-
     def test_whole_catalogue_passes_out_of_sample(self, body):
         catalogue = fc.build_catalogue(con.theta_grid(16))
         for (face, _), rep in zip(catalogue, fc.verify_catalogue(catalogue, body)[0]):
             assert rep.passed, (face.label(), rep)
 
     def test_catalogue_computes_each_ruling_once(self, monkeypatch):
-        thetas, t_grid, _ = reporting._grids(reporting.RunConfig(samples_per_curve=64,
-                                                                 theta_grid_size=8))
-        plain = [(f, fc.exposing_pair(f)) for f in fc.enumerate_faces(thetas, t_grid)]
+        thetas, _ = reporting._grids(reporting.RunConfig(samples_per_curve=64,
+                                                         theta_grid_size=8))
+        plain = [(f, fc.exposing_pair(f)) for f in fc.enumerate_faces(thetas)]
         seen = []
 
         def counted(theta):
@@ -206,7 +195,7 @@ class TestVerifyExposure:
             return con.ruling_data(theta)
 
         monkeypatch.setattr(fc, "ruling_data", counted)
-        shared = fc.build_catalogue(thetas, t_grid)
+        shared = fc.build_catalogue(thetas)
         # F11/F12 share theta; F02/F03 share theta_for_partner(t)
         assert len(seen) == len(set(seen)) == 2 * len(thetas)
         for (face, pair), (_, ref) in zip(shared, plain):
@@ -294,8 +283,8 @@ class TestSymmetry:
 class TestCoverage:
     def test_every_sample_lies_in_a_catalogued_face(self):
         grid = con.curve_grid(64)
-        positive = grid[grid > 0]
-        cat = fc.enumerate_faces(con.theta_grid(8), positive)
+        # the catalogue's grid carries the singletons: every positive sample
+        cat = fc.enumerate_faces(grid[grid > 0])
         body = con.sample_body(grid)
         ids, ts = body.ids, body.ts
         covered = np.zeros(len(ids), dtype=bool)

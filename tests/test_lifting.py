@@ -4,99 +4,99 @@ import pytest
 from conelab import construction as con
 from conelab import faces as fc
 from conelab import lifting as lf
-from conelab.linalg import DimensionMismatchError, DomainError
+from conelab.linalg import DomainError
 from helpers import polar_generator_model
 
 T = con.T_END
 
 
-def lifted_report(face, cone):
+def lift(normal, offset):
+    """The cone functional of one body pair (y, d)."""
+    return con.lift_pairs(np.array([normal], dtype=float), [offset])[0]
+
+
+def lifted_report(face, body):
     """The exposure kernel's lifted check of the face's closed-form pair."""
-    y = lf.lift_pair(lf.pair_for_scaled_body(fc.exposing_pair(face)))
-    return fc.verify_catalogue([(face, None)], cone=cone, lifted=[y])[1][0]
+    return fc.verify_catalogue([(face, fc.exposing_pair(face))], body, lifted=True)[1][0]
 
 
 @pytest.fixture(scope="module")
-def cone():
+def body():
     # grids carry selected ruling anchors so lifted equality sets are nonempty
     thetas = np.array([T / 4, T / 2, T])
     partners = np.array([con.ruling_data(th).t for th in thetas])
     base = con.curve_grid(256)
     outer = np.unique(np.concatenate([base, thetas]))
     inner = np.unique(np.concatenate([base, partners]))
-    grids = {1: outer, 2: inner, 3: inner, 4: outer}
-    return con.homogenize(con.sample_body(grids, shifted=True))
+    return con.sample_body({1: outer, 2: inner, 3: inner, 4: outer})
 
 
 class TestLifting:
     def test_lift_is_minus_offset_then_normal(self):
-        pair = fc.ExposingPair(np.array([0.0, 0.0, 1.0]), 1.0, fc.CLOSED_FORM)
-        assert np.array_equal(lf.lift_pair(pair), [-1.0, 0.0, 0.0, 1.0])
+        # (e3, 1/4) moves to (e3, 1) on C' = 2C + SHIFT
+        assert np.array_equal(lift([0.0, 0.0, 1.0], 0.25), [-1.0, 0.0, 0.0, 1.0])
 
     def test_zero_offset_pair(self):
-        pair = fc.ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0, fc.CLOSED_FORM)
-        assert np.array_equal(lf.lift_pair(pair), [0.0, 1.0, 0.0, 0.0])
+        # (e1, -1/4) moves to (e1, 0) on C'
+        assert np.array_equal(lift([1.0, 0.0, 0.0], -0.25), [0.0, 1.0, 0.0, 0.0])
 
     def test_scaled_body_transfer(self):
-        pair = fc.ExposingPair(np.array([0.0, 0.0, 1.0]), 0.0, fc.CLOSED_FORM)
-        moved = lf.pair_for_scaled_body(pair)
-        assert moved.offset == pytest.approx(0.5)  # 2*0 + <e3, SHIFT>
-        assert np.array_equal(moved.normal, pair.normal)
+        y = lift([0.0, 0.0, 1.0], 0.0)
+        assert -y[0] == pytest.approx(0.5)  # 2*0 + <e3, SHIFT>
+        assert np.array_equal(y[1:], [0.0, 0.0, 1.0])
 
     def test_lifted_flat_side_annihilates_its_generators(self):
-        pair = lf.pair_for_scaled_body(fc.ExposingPair(np.array([0.0, 0.0, 1.0]), 0.0, fc.CLOSED_FORM))
-        y = lf.lift_pair(pair)
+        y = lift([0.0, 0.0, 1.0], 0.0)
         assert np.allclose(y, [-0.5, 0.0, 0.0, 1.0], atol=1e-15)
         ts = np.linspace(0.0, T, 97)
         for i in (3, 4):
-            gens = np.hstack([np.ones((97, 1)), 2.0 * con.curve_points(i, ts) + con.SHIFT])
-            assert np.abs(gens @ y).max() <= 1e-15
+            assert np.abs(con.lift_points(con.curve_points(i, ts)) @ y).max() <= 1e-15
         # the doubled pair from the correspondence with the perp direction
         assert np.allclose(2.0 * y, -con.witness().u, atol=1e-15)
 
+    def test_lifted_value_is_twice_the_body_slack(self):
+        pairs = [fc.exposing_pair(f) for f in fc.enumerate_faces(con.theta_grid(8))]
+        normals = np.array([p.normal for p in pairs])
+        offsets = np.array([p.offset for p in pairs])
+        x = con.curve_points(1, np.linspace(0.0, T, 33))
+        values = con.lift_points(x) @ con.lift_pairs(normals, offsets).T
+        assert np.abs(values - 2.0 * (x @ normals.T - offsets)).max() <= 1e-15
+
 
 class TestConeExposure:
-    def test_flat_side_equality_set(self, cone):
+    def test_flat_side_equality_set(self, body):
         face = fc.FaceDescriptor("F24", 2, full_curves=(3, 4))
-        rep = lifted_report(face, cone)
+        rep = lifted_report(face, body)
         assert rep.passed
-        ids, ts = cone.labels
-        expected = int(((ids == 3) | (ids == 4) | (ts == 0.0)).sum())
+        expected = int(((body.ids == 3) | (body.ids == 4) | (body.ts == 0.0)).sum())
         assert rep.onface_count == expected
 
-    def test_singleton_equality_only_at_its_generator(self, cone):
+    def test_singleton_equality_only_at_its_generator(self, body):
         th = T / 2
         face = fc.FaceDescriptor("F01", 0, param=th, anchors=((1, th),))
-        rep = lifted_report(face, cone)
+        rep = lifted_report(face, body)
         assert rep.passed
         assert rep.onface_count == 1
 
-    def test_ruled_face_equality_pair(self, cone):
+    def test_ruled_face_equality_pair(self, body):
         th = T / 4
         r = con.ruling_data(th)
         face = fc.FaceDescriptor("F11", 1, param=th, partner=r.t, anchors=((1, th), (3, r.t)))
-        rep = lifted_report(face, cone)
+        rep = lifted_report(face, body)
         assert rep.passed
         assert rep.onface_count == 2
 
-    def test_apex_value_is_zero(self, cone):
-        face = fc.FaceDescriptor("F24", 2, full_curves=(3, 4))
-        lifted = lf.lift_pair(lf.pair_for_scaled_body(fc.exposing_pair(face)))
-        assert float(np.zeros(4) @ lifted) == 0.0
+    def test_apex_value_is_zero(self):
+        pair = fc.exposing_pair(fc.FaceDescriptor("F24", 2, full_curves=(3, 4)))
+        assert float(np.zeros(4) @ lift(pair.normal, pair.offset)) == 0.0
 
-    def test_dimension_mismatch(self, cone):
-        face = fc.FaceDescriptor("F24", 2, full_curves=(3, 4))
-        with pytest.raises(DimensionMismatchError):
-            fc.verify_catalogue([(face, None)], cone=cone, lifted=[np.array([1.0, 0.0, 0.0])])
-
-    def test_whole_catalogue_lifts_cleanly(self, cone):
+    def test_whole_catalogue_lifts_cleanly(self, body):
         catalogue = fc.build_catalogue(np.array([T / 4, T / 2, T]))
-        lifted = [lf.lift_pair(lf.pair_for_scaled_body(pair)) for _, pair in catalogue]
-        for rep in fc.verify_catalogue(catalogue, cone=cone, lifted=lifted)[1]:
+        for rep in fc.verify_catalogue(catalogue, body, lifted=True)[1]:
             assert rep.passed, rep.face_label
 
-    def test_apex_exposure_on_the_slice(self, cone):
-        rep = lf.apex_exposure_report(cone)
+    def test_apex_exposure_on_the_slice(self, body):
+        rep = lf.apex_exposure_report(con.homogenize(body))
         assert rep["passed"]
         assert rep["max_generator_value"] == pytest.approx(-1.0)
 

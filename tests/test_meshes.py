@@ -4,6 +4,7 @@ from helpers import exact_orientation, reference_strip_triangles, strip_quads
 
 from conelab import construction as con
 from conelab import meshes
+from conelab.cli import main
 from conelab.linalg import DomainError
 
 
@@ -50,6 +51,31 @@ class TestObjFormat:
         verts, tris = meshes.read_obj(path)
         assert np.abs(verts - mesh.vertices).max() == 0.0
         assert np.array_equal(tris, mesh.triangles)
+
+    @pytest.mark.parametrize("which", ["C", "Cprime"])
+    def test_mesh_command_output_reads_back_unchanged(self, tmp_path, which):
+        path = tmp_path / f"{which}.obj"
+        assert main(["mesh", "--which", which, "--out", str(path)]) == 0
+        mesh = meshes.build_mesh(which, 64)
+        verts, tris = meshes.read_obj(path)
+        assert np.array_equal(verts, mesh.vertices)
+        assert np.array_equal(tris, mesh.triangles)
+
+    @pytest.mark.parametrize("bad_face", [
+        "f 0 3 4",   # OBJ indices are 1-based: 0 would wrap to the last vertex
+        "f -1 2 3",  # relative indices would wrap the same way
+        "f 1 2 5",   # past the four vertices
+    ])
+    def test_face_index_outside_the_vertex_list_rejected(self, tmp_path, bad_face):
+        path = tmp_path / "tetra.obj"
+        faces = ["f 1 2 3", "f 1 2 4", "f 1 3 4", bad_face]
+        vertices = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "v 0 0 1"]
+        path.write_text("\n".join(["o tetra", *vertices, *faces]) + "\n", encoding="ascii")
+        with pytest.raises(DomainError):
+            meshes.read_obj(path)
+        path.write_text("\n".join(["o tetra", *vertices, *faces[:3], "f 2 3 4"]) + "\n",
+                        encoding="ascii")
+        assert meshes.read_obj(path)[1].max() == 3
 
     def test_indices_are_one_based_triangles(self, tmp_path):
         mesh = meshes.build_mesh("C", 4)

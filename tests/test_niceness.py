@@ -131,9 +131,9 @@ class TestMembershipCrossCheck:
         cone = nn.refined_cone(epsilon, 128)
         prof = nn.shift_profile(cone)
         w = con.witness()
-        samples = con.sample_body(
-            {i: nn.sweep_grid(epsilon, 128) for i in con.CURVE_IDS}, shifted=True
-        ).xyz
+        samples = con.scale_points(
+            con.sample_body({i: nn.sweep_grid(epsilon, 128) for i in con.CURVE_IDS}).xyz
+        )
 
         lam_in = prof.lambda_star + 1.0
         point_in = w.q - lam_in * w.u
