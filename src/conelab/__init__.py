@@ -43,11 +43,9 @@ from .linalg import (
     DegenerateInputError,
     DimensionMismatchError,
     DomainError,
-    SimplicialVerdicts,
     Tolerance,
     feasible_interval,
     nullspace,
-    simplicial_membership,
 )
 from .niceness import (
     NicenessVerdict,

@@ -1,9 +1,9 @@
-"""Polar correspondence checks for cones over bodies.
+"""Polar correspondence checks for cones over control bodies.
 
 The polar of the cone over a body with 0 in its interior is generated by
 (-support(dir), dir) over directions plus the deep ray (-1, 0, ..., 0). The
-lift of the body's exposing pairs to the cone K over C' is
-construction.lift_pairs.
+lifts of the body's points and exposing pairs to the cone K over C' are
+construction.lift_points and lift_pairs.
 """
 
 from __future__ import annotations
@@ -62,16 +62,6 @@ def polar_correspondence_check(samples, directions, interior_margin=1e-6, tol=DE
         min_sharpness_violation=min_violation,
         passed=passed,
     )
-
-
-def apex_exposure_report(cone):
-    """The functional x -> -x_0 is zero at the apex and strictly negative on
-    every generator of a cone over a body on the x_0 = 1 slice."""
-    first = cone.generators[:, 0]
-    return {
-        "max_generator_value": float((-first).max()),
-        "passed": bool((-first).max() < 0.0),
-    }
 
 
 def unit_circle_grid(n):

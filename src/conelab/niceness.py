@@ -8,8 +8,9 @@ sampling of curve 1 refines toward the common endpoint: the numeric shadow
 of K_polar + F_perp not being closed. No finite sample can decide
 non-membership outright, so the verdict is evidence, never proof.
 
-Also here: the ingredient checks behind three-dimensional cones always being
-nice.
+Also here: the check, at the generators, that a 3D cone's exposing normals
+span the dual of a 2D face together with its orthogonal complement, the
+step behind facially exposed three-dimensional cones always being nice.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # noqa: F401  (load at import, not on the first np.random call)
 
 from .construction import (
     CURVE_IDS,
@@ -38,7 +38,6 @@ from .linalg import (
     DomainError,
     feasible_interval,
     nullspace,
-    simplicial_membership,
 )
 
 # |<u, g>| below this counts as "no lambda dependence" when classifying
@@ -282,35 +281,30 @@ class Nice3DReport:
     projections: tuple            # q_1, q_2 as arrays
     sign_pattern_ok: bool
     projection_identity_residual: float
-    agreement_checked: int
-    agreement_failures: int
-    agreement_skipped: int        # boundary-ambiguous membership calls
-    dual_wedge_checked: int
-    dual_wedge_failures: int
-    converse_max_violation: float
+    wedge_generators: tuple       # r_1, r_2 as arrays
+    multipliers: tuple            # c_1, c_2 with q_i = c_i * r_i
+    certificate_residual: float   # max over i of |q_i - c_i * r_i| / |q_i|
     passed: bool
 
 
-def nice3d_ingredients(cone, p1, p2, h1, h2, n_samples=1200, seed=7, tol=DEFAULT_TOL):
-    """Ingredient checks for "every facially exposed 3D cone is nice".
+def nice3d_ingredients(cone, p1, p2, h1, h2, tol=DEFAULT_TOL):
+    """Decide "every facially exposed 3D cone is nice" for one face at its
+    generators.
 
-    Given a 3D cone with 2D face F = cone{p1, p2} and normals h1, h2 exposing
-    the edge rays (h_i nonnegative on the cone, zero exactly on the ray of
-    p_i), verifies:
+    Given a 3D cone with 2D face F = cone{p1, p2}, F_perp = span{n}, and
+    normals h1, h2 exposing the edge rays (h_i nonnegative on the cone, zero
+    exactly on the ray of p_i), checks:
 
-      * q_i = projection of h_i onto span F is nonzero, with the sign
-        pattern <q_i, p_i> = 0 and <q_i, p_j> > 0 for i != j;
-      * projecting commutes with membership: x in cone{h1,h2} + F_perp
-        iff its projection lies in cone{q1,q2} + F_perp, on random samples;
-      * every sampled element of the dual wedge of F lies in
-        cone{h1,h2} + F_perp, and conversely every sampled element of that
-        sum satisfies the wedge inequalities.
+      * q_i = h_i - <h_i, n> n, the projection of h_i onto span F, has the
+        sign pattern <q_i, p_i> = 0 and <q_i, p_j> > 0 for i != j;
+      * the generator certificate: with r_i = +-(n x p_i) signed so that
+        <r_i, p_j> > 0, q_i = c_i * r_i with c_i = <q_i, r_i> / |r_i|^2 > 0,
+        up to eq_abs * |q_i|.
 
+    The dual wedge F* = {y : <y, p1> >= 0, <y, p2> >= 0} is cone{r1, r2} +
+    span{n}, and cone{h1, h2} + span{n} = cone{q1, q2} + span{n}; so the
+    certificate gives cone{h1, h2} + F_perp = F*, the closedness claim.
     Normals lying in F_perp are rejected: they could not single out an edge.
-    Both sums are simplicial: membership is exact (simplicial_membership,
-    which raises DegenerateInputError if q1 and q2 are parallel); the counts
-    come from its inside/outside masks. The dual wedge is sampled in blocks
-    that consume the generator exactly as one draw at a time would.
     """
     g = cone.generators
     if g.shape[1] != 3:
@@ -338,54 +332,23 @@ def nice3d_ingredients(cone, p1, p2, h1, h2, n_samples=1200, seed=7, tol=DEFAULT
     )
     proj_res = max(abs(float(q @ p) - float(h @ p)) for h, q in zip(hs, qs) for p in (p1, p2))
 
-    rng = np.random.default_rng(seed)
-    xs = rng.normal(size=(n_samples, 3))
-    lifted = simplicial_membership(xs, *hs, nrm, tol=tol)
-    planar = simplicial_membership(xs - np.outer(xs @ nrm, nrm), *qs, nrm, tol=tol)
-    both = (lifted.inside | lifted.outside) & (planar.inside | planar.outside)
-    checked = int(both.sum())
-    skipped = n_samples - checked
-    failures = int((lifted.inside != planar.inside)[both].sum())
-
-    # Rejection-sample the dual wedge in blocks: each draw takes as many
-    # normal rows as are still missing, so it never overshoots and the
-    # generator stops on the draw where one-at-a-time sampling would stop.
-    # An ambiguous membership verdict costs a redraw in the next round.
-    wedge_checked = wedge_failures = 0
-    while wedge_checked < n_samples:
-        ys = np.empty((n_samples - wedge_checked, 3))
-        filled = 0
-        while filled < len(ys):
-            y = rng.normal(size=(len(ys) - filled, 3))
-            y = y[(y @ p1 >= 0.0) & (y @ p2 >= 0.0)]
-            ys[filled:filled + len(y)] = y
-            filled += len(y)
-        wedge = simplicial_membership(ys, *hs, nrm, tol=tol)
-        wedge_checked += int((wedge.inside | wedge.outside).sum())
-        wedge_failures += int(wedge.outside.sum())
-
-    combos = rng.random(size=(n_samples, 3))
-    pts = combos[:, :1] * hs[0] + combos[:, 1:2] * hs[1] + (combos[:, 2:] - 0.5) * 4.0 * nrm
-    converse = float(-np.minimum(pts @ p1, pts @ p2).min())
-
-    passed = (
-        sign_ok
-        and proj_res <= 1e-12
-        and failures == 0
-        and wedge_failures == 0
-        and converse <= tol.eq_abs
-        and checked >= max(1, int(0.8 * n_samples))
+    # <n x p1, p2> = det(n, p1, p2) is nonzero: p1, p2 are independent and
+    # orthogonal to n. Its sign orients r1 toward p2 and r2 toward p1.
+    orient = math.copysign(1.0, float(np.cross(nrm, p1) @ p2))
+    rs = (orient * np.cross(nrm, p1), -orient * np.cross(nrm, p2))
+    cs = tuple(float(q @ r) / float(r @ r) for q, r in zip(qs, rs))
+    cert_res = max(
+        float(np.linalg.norm(q - c * r) / np.linalg.norm(q)) for q, r, c in zip(qs, rs, cs)
     )
+
+    passed = sign_ok and proj_res <= 1e-12 and min(cs) > 0.0 and cert_res <= tol.eq_abs
     return Nice3DReport(
         projections=tuple(qs),
         sign_pattern_ok=sign_ok,
         projection_identity_residual=proj_res,
-        agreement_checked=checked,
-        agreement_failures=failures,
-        agreement_skipped=skipped,
-        dual_wedge_checked=wedge_checked,
-        dual_wedge_failures=wedge_failures,
-        converse_max_violation=converse,
+        wedge_generators=rs,
+        multipliers=cs,
+        certificate_residual=cert_res,
         passed=passed,
     )
 

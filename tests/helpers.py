@@ -22,9 +22,7 @@ from conelab.linalg import (
     DegenerateInputError,
     DimensionMismatchError,
     DomainError,
-    simplicial_membership,
 )
-from conelab.niceness import Nice3DReport, perp_basis
 
 
 def mirror_point(x):
@@ -126,9 +124,12 @@ def polar_generator_model(samples, directions):
 
 
 # Reference membership: the general LP route for any finitely generated cone,
-# against which the exact simplicial route (linalg.simplicial_membership) is
+# against which the generator certificate of niceness.nice3d_ingredients is
 # cross-checked. The solvers are looked up on scipy.optimize at call time, so
 # counters patched there see these calls.
+
+# a separating normal must clear this margin on the point
+MARGIN_ABS = 1e-12
 
 @dataclass(frozen=True)
 class ConicVerdict:
@@ -193,26 +194,10 @@ def reference_conic_membership(point, cone, tol=DEFAULT_TOL):
         bounds=[(-1.0, 1.0)] * g.shape[1],
         method="highs",
     )
-    if res.status == 0 and -res.fun > tol.margin_abs:
+    if res.status == 0 and -res.fun > MARGIN_ABS:
         s = np.asarray(res.x, dtype=float)
         return ConicVerdict(inside=False, normal=s, margin=float(np.dot(s, x)))
     return None
-
-
-def row_verdict(verdicts, i):
-    """Row i of a SimplicialVerdicts record as a ConicVerdict, or None when
-    the row is ambiguous."""
-    if verdicts.inside[i]:
-        return ConicVerdict(True, coefficients=verdicts.coefficients[i],
-                            residual=float(verdicts.residuals[i]))
-    if verdicts.outside[i]:
-        return ConicVerdict(False, normal=verdicts.normals[i], margin=float(verdicts.margins[i]))
-    return None
-
-
-def row_verdicts(verdicts):
-    """Every row of a SimplicialVerdicts record, as row_verdict builds it."""
-    return [row_verdict(verdicts, i) for i in range(len(verdicts.inside))]
 
 
 # Reference exposure checks: one face and one full pass over the samples at
@@ -324,75 +309,6 @@ def reference_verify_cone_exposure(lifted, cone, face, tol=DEFAULT_TOL, deltas=M
         margins=margins,
         onface_count=int(expected.sum()),
         verdict="pass" if ok else "fail",
-    )
-
-
-# Reference nice3d: the dual wedge drawn one rng.normal(size=3) at a time and
-# every count taken from per-row verdicts, as the library ran it before its
-# block sampler. nice3d_ingredients must reproduce its reports exactly.
-
-def reference_wedge_draws(rng, p1, p2, count):
-    """count points of the dual wedge <y, p1> >= 0, <y, p2> >= 0,
-    rejection-sampled one draw at a time."""
-    ys = []
-    while len(ys) < count:
-        y = rng.normal(size=3)
-        if float(y @ p1) >= 0.0 and float(y @ p2) >= 0.0:
-            ys.append(y)
-    return np.array(ys)
-
-
-def reference_nice3d_ingredients(cone, p1, p2, h1, h2, n_samples=1200, seed=7, tol=DEFAULT_TOL):
-    """The report of nice3d_ingredients on inputs it accepts."""
-    p1, p2 = (np.asarray(p, dtype=float) for p in (p1, p2))
-    nrm = perp_basis(np.vstack([p1, p2]))[0]
-    hs = [np.asarray(h, dtype=float) for h in (h1, h2)]
-    qs = [h - float(h @ nrm) * nrm for h in hs]
-    sign_ok = all(
-        abs(float(q @ p_own)) <= tol.eq_abs and float(q @ p_other) > tol.eq_abs
-        for q, p_own, p_other in ((qs[0], p1, p2), (qs[1], p2, p1))
-    )
-    proj_res = max(abs(float(q @ p) - float(h @ p)) for h, q in zip(hs, qs) for p in (p1, p2))
-
-    rng = np.random.default_rng(seed)
-    xs = rng.normal(size=(n_samples, 3))
-    lifted = simplicial_membership(xs, *hs, nrm, tol=tol)
-    planar = simplicial_membership(xs - np.outer(xs @ nrm, nrm), *qs, nrm, tol=tol)
-    both = [(a.inside, b.inside) for a, b in zip(row_verdicts(lifted), row_verdicts(planar))
-            if a is not None and b is not None]
-    failures = sum(a != b for a, b in both)
-
-    wedge_checked = wedge_failures = 0
-    while wedge_checked < n_samples:
-        ys = reference_wedge_draws(rng, p1, p2, n_samples - wedge_checked)
-        verdicts = [v for v in row_verdicts(simplicial_membership(ys, *hs, nrm, tol=tol))
-                    if v is not None]
-        wedge_checked += len(verdicts)
-        wedge_failures += sum(not v.inside for v in verdicts)
-
-    combos = rng.random(size=(n_samples, 3))
-    pts = combos[:, :1] * hs[0] + combos[:, 1:2] * hs[1] + (combos[:, 2:] - 0.5) * 4.0 * nrm
-    converse = float(-np.minimum(pts @ p1, pts @ p2).min())
-
-    passed = (
-        sign_ok
-        and proj_res <= 1e-12
-        and failures == 0
-        and wedge_failures == 0
-        and converse <= tol.eq_abs
-        and len(both) >= max(1, int(0.8 * n_samples))
-    )
-    return Nice3DReport(
-        projections=tuple(qs),
-        sign_pattern_ok=sign_ok,
-        projection_identity_residual=proj_res,
-        agreement_checked=len(both),
-        agreement_failures=int(failures),
-        agreement_skipped=n_samples - len(both),
-        dual_wedge_checked=wedge_checked,
-        dual_wedge_failures=int(wedge_failures),
-        converse_max_violation=converse,
-        passed=passed,
     )
 
 

@@ -157,23 +157,26 @@ def test_criterion_7_positivity_window():
 
 
 def test_criterion_8_three_dimensional_ingredients():
-    octant = nn.nice3d_ingredients(*nn.octant_example(), n_samples=1200)
-    half_disc = nn.nice3d_ingredients(*nn.half_disc_cone_example(), n_samples=1200)
+    octant = nn.nice3d_ingredients(*nn.octant_example())
+    half_disc = nn.nice3d_ingredients(*nn.half_disc_cone_example())
     cone, p1, p2, _, h2 = nn.octant_example()
     try:
-        nn.nice3d_ingredients(cone, p1, p2, np.array([0.0, 0.0, 1.0]), h2, n_samples=8)
+        nn.nice3d_ingredients(cone, p1, p2, np.array([0.0, 0.0, 1.0]), h2)
         rejection = False
     except DomainError:
         rejection = True
+    multipliers = octant.multipliers + half_disc.multipliers
+    residual = max(octant.certificate_residual, half_disc.certificate_residual)
     ok = (
         octant.passed and half_disc.passed
         and octant.sign_pattern_ok and half_disc.sign_pattern_ok
-        and octant.agreement_checked >= 1000 and half_disc.agreement_checked >= 1000
-        and octant.agreement_failures == 0 and half_disc.agreement_failures == 0
+        and min(multipliers) > 0.0
+        and residual <= 1e-15
         and rejection
     )
     report(8, "3D closedness ingredients", ok,
-           f"agreement {octant.agreement_checked}+{half_disc.agreement_checked} points")
+           f"multipliers {min(multipliers):.4g}..{max(multipliers):.4g}, "
+           f"certificate residual {residual:.1e}")
 
 
 def test_criterion_9_cli_contract(tmp_path):

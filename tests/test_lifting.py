@@ -95,11 +95,6 @@ class TestConeExposure:
         for rep in fc.verify_catalogue(catalogue, body, lifted=True)[1]:
             assert rep.passed, rep.face_label
 
-    def test_apex_exposure_on_the_slice(self, body):
-        rep = lf.apex_exposure_report(con.homogenize(body))
-        assert rep["passed"]
-        assert rep["max_generator_value"] == pytest.approx(-1.0)
-
 
 class TestPolar:
     def test_square_polar_is_the_crosspolytope(self):

@@ -1,19 +1,18 @@
-import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conelab import construction as con
 from conelab import niceness as nn
-from conelab.linalg import DegenerateInputError, DomainError, Tolerance
+from conelab.linalg import ConeModel, DegenerateInputError, DomainError
 from helpers import (
     check_positivity_window,
     fibonacci_sphere_grid,
     polar_generator_model,
     positivity_window,
     reference_conic_membership,
-    reference_nice3d_ingredients,
 )
 
 T = con.T_END
@@ -120,7 +119,6 @@ class TestShiftProfile:
             nn.shift_profile(cone)
 
     def test_unlabelled_cone_rejected(self):
-        from conelab.linalg import ConeModel
         with pytest.raises(DomainError):
             nn.shift_profile(ConeModel(np.eye(4)))
 
@@ -228,72 +226,119 @@ class TestPositivityWindow:
             assert ok, (alpha, min_val)
 
 
-def assert_same_report(rep, ref):
-    for field in dataclasses.fields(rep):
-        got, want = getattr(rep, field.name), getattr(ref, field.name)
-        if field.name == "projections":
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        else:
-            assert type(got) is type(want) and got == want, field.name
+EXAMPLES = [nn.octant_example, nn.half_disc_cone_example]
+
+
+def random_rotation(rng):
+    """A random orthogonal 3x3 matrix with determinant +1."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
 
 
 class TestNice3D:
     def test_octant_projections_align_with_axes(self):
-        rep = nn.nice3d_ingredients(*nn.octant_example(), n_samples=400)
+        rep = nn.nice3d_ingredients(*nn.octant_example())
         assert rep.passed
         q1, q2 = rep.projections
         assert np.allclose(q1, [0.0, 1.0, 0.0], atol=1e-12)
         assert np.allclose(q2, [1.0, 0.0, 0.0], atol=1e-12)
-        assert rep.agreement_failures == 0
-        assert rep.dual_wedge_failures == 0
+        # q_i = c_i * r_i with r1 = e2, r2 = e1: the dual wedge is the quadrant
+        assert np.array_equal(np.abs(np.array(rep.wedge_generators)), [[0, 1, 0], [1, 0, 0]])
+        assert rep.multipliers == (1.0, 1.0)
+        assert rep.certificate_residual == 0.0
 
     def test_half_disc_cone_passes(self):
-        rep = nn.nice3d_ingredients(*nn.half_disc_cone_example(), n_samples=400)
+        rep = nn.nice3d_ingredients(*nn.half_disc_cone_example())
         assert rep.passed
         assert rep.sign_pattern_ok
         assert rep.projection_identity_residual <= 1e-12
+        assert rep.multipliers == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)), rel=1e-15)
+        assert rep.certificate_residual <= 1e-15
 
-    @pytest.mark.parametrize("example", [nn.octant_example, nn.half_disc_cone_example])
-    def test_block_sampler_replays_the_per_draw_stream(self, example):
-        # converse_max_violation is drawn after the wedge, so equal reports
-        # mean the generator stopped on the same draw, not only equal counts
-        for n_samples in (1, 8, 400, 1200):
-            for seed in (7, 11, 2024):
-                rep = nn.nice3d_ingredients(*example(), n_samples=n_samples, seed=seed)
-                ref = reference_nice3d_ingredients(*example(), n_samples=n_samples, seed=seed)
-                assert_same_report(rep, ref)
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_certificate_is_exact_in_fractions(self, example):
+        # on the float inputs: q_i x r_i = 0 and c_i = <q_i, r_i>/|r_i|^2 > 0
+        _, p1, p2, _, _ = example()
+        rep = nn.nice3d_ingredients(*example())
+        for i, (q, r) in enumerate(zip(rep.projections, rep.wedge_generators)):
+            q, r = [Fraction(float(v)) for v in q], [Fraction(float(v)) for v in r]
+            cross = [q[1] * r[2] - q[2] * r[1], q[2] * r[0] - q[0] * r[2],
+                     q[0] * r[1] - q[1] * r[0]]
+            assert cross == [0, 0, 0]
+            c = sum(a * b for a, b in zip(q, r)) / sum(b * b for b in r)
+            assert c > 0
+            assert rep.multipliers[i] == float(c)
+            p_other = (p2, p1)[i]
+            assert sum(a * Fraction(float(b)) for a, b in zip(r, p_other)) > 0
 
-    @pytest.mark.parametrize("example", [nn.octant_example, nn.half_disc_cone_example])
-    def test_ambiguous_wedge_verdicts_redraw_in_a_second_round(self, example, monkeypatch):
-        # below the rounding of the inside residual some wedge points are
-        # neither certified inside nor outside and must be drawn again
-        calls, membership = [], nn.simplicial_membership
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_wedge_agrees_with_the_lp_reference(self, example):
+        # the certificate claims {y : <y, p1> >= 0, <y, p2> >= 0} equals
+        # cone{h1, h2} + span{n}; test it on seeded random points
+        _, p1, p2, h1, h2 = example()
+        nrm = nn.perp_basis(np.vstack([p1, p2]))[0]
+        cone = ConeModel(np.vstack([h1, h2, nrm, -nrm]))
+        xs = np.random.default_rng(7).normal(size=(1200, 3))
+        wedge = (xs @ p1 >= 0.0) & (xs @ p2 >= 0.0)
+        decided = 0
+        for x, in_wedge in zip(xs, wedge):
+            verdict = reference_conic_membership(x, cone)
+            if verdict is not None:
+                decided += 1
+                assert verdict.inside == bool(in_wedge), x
+        assert decided >= 1000
 
-        def counted(points, *args, **kwargs):
-            calls.append(len(points))
-            return membership(points, *args, **kwargs)
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_seeded_rotations_pass(self, example):
+        rng = np.random.default_rng(19)
+        base = nn.nice3d_ingredients(*example())
+        cone, *vectors = example()
+        for _ in range(20):
+            rot = random_rotation(rng)
+            rep = nn.nice3d_ingredients(ConeModel(cone.generators @ rot.T),
+                                        *(rot @ v for v in vectors))
+            assert rep.passed and rep.sign_pattern_ok
+            assert rep.certificate_residual <= 1e-15
+            assert rep.multipliers == pytest.approx(base.multipliers, rel=1e-12)
 
-        monkeypatch.setattr(nn, "simplicial_membership", counted)
-        tiny = Tolerance(eq_abs=1e-17, margin_abs=1e-12)
-        for seed in (7, 11, 2024):
-            calls.clear()
-            rep = nn.nice3d_ingredients(*example(), n_samples=400, seed=seed, tol=tiny)
-            assert len(calls) > 3 and calls[2] == 400 and calls[3] < 400
-            assert rep.dual_wedge_checked == 400
-            ref = reference_nice3d_ingredients(*example(), n_samples=400, seed=seed, tol=tiny)
-            assert_same_report(rep, ref)
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_swapping_the_edges_swaps_the_report(self, example):
+        cone, p1, p2, h1, h2 = example()
+        rep = nn.nice3d_ingredients(cone, p1, p2, h1, h2)
+        swapped = nn.nice3d_ingredients(cone, p2, p1, h2, h1)
+        assert swapped.passed and swapped.multipliers == rep.multipliers[::-1]
+        for a, b in zip(swapped.wedge_generators, rep.wedge_generators[::-1]):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_normals_of_the_other_edge_fail(self, example):
+        # h2 exposes p2, not p1: q_1 is then orthogonal to r_1
+        cone, p1, p2, h1, h2 = example()
+        rep = nn.nice3d_ingredients(cone, p1, p2, h2, h1)
+        assert not rep.sign_pattern_ok
+        assert max(rep.multipliers) <= 0.0 and rep.certificate_residual == 1.0
+        assert not rep.passed
+
+    def test_normal_not_zero_on_its_edge_fails(self):
+        # h1 >= 0 on the octant but positive on p1 = e1: it exposes no edge
+        cone, p1, p2, _, h2 = nn.octant_example()
+        rep = nn.nice3d_ingredients(cone, p1, p2, np.array([0.5, 1.0, 1.0]), h2)
+        assert not rep.sign_pattern_ok
+        assert rep.certificate_residual > 0.1
+        assert not rep.passed
 
     def test_normal_in_face_complement_rejected(self):
         cone, p1, p2, _, h2 = nn.octant_example()
         with pytest.raises(DomainError, match="complement"):
-            nn.nice3d_ingredients(cone, p1, p2, np.array([0.0, 0.0, 1.0]), h2, n_samples=8)
+            nn.nice3d_ingredients(cone, p1, p2, np.array([0.0, 0.0, 1.0]), h2)
 
     def test_normal_negative_on_cone_rejected(self):
         cone, p1, p2, h1, _ = nn.octant_example()
-        with pytest.raises(DomainError):
-            nn.nice3d_ingredients(cone, p1, p2, h1, np.array([-1.0, 0.0, 1.0]), n_samples=8)
+        with pytest.raises(DomainError, match="negative"):
+            nn.nice3d_ingredients(cone, p1, p2, h1, np.array([-1.0, 0.0, 1.0]))
 
     def test_collinear_face_rejected(self):
         cone, p1, _, h1, h2 = nn.octant_example()
         with pytest.raises(DegenerateInputError):
-            nn.nice3d_ingredients(cone, p1, 2.0 * p1, h1, h2, n_samples=8)
+            nn.nice3d_ingredients(cone, p1, 2.0 * p1, h1, h2)
