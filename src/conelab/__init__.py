@@ -1,7 +1,7 @@
 """conelab: low-dimensional convex cone toolkit built around a 4D cone that
 is facially exposed yet not nice (its dual sum with a face complement is not
-closed). Provides the body/cone construction, a verified face catalogue,
-homogenization and polar machinery, divergence-based non-niceness evidence,
+closed). Provides the body/cone construction, a face catalogue verified on
+the body and on the cone over it, divergence-based non-niceness evidence,
 and mesh/report exporters."""
 
 from .construction import (
@@ -37,7 +37,6 @@ from .faces import (
     identity_suite,
     verify_catalogue,
 )
-from .lifting import polar_correspondence_check
 from .linalg import (
     ConeModel,
     DegenerateInputError,

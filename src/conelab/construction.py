@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.ma  # noqa: F401  (np.unique loads it on first call; load it at import)
 
 from .linalg import ConeModel, DegenerateInputError, DomainError
 
@@ -44,15 +43,6 @@ ENDPOINTS = {
     3: np.array([-_SQRT2_INV, 1.0 - _SQRT2_INV, 0.0]),
     4: np.array([_SQRT2_INV - 1.0, _SQRT2_INV, 0.0]),
 }
-
-# Each arc lies on a unit circle; centre per curve id.
-ARC_CENTERS = {
-    1: np.array([0.0, 0.0, -1.0]),
-    2: np.array([0.0, -1.0, 0.0]),
-    3: np.array([0.0, 1.0, 0.0]),
-    4: np.array([-1.0, 0.0, 0.0]),
-}
-
 
 def _check_param(t, lo=0.0, hi=T_END, name="t", open_lo=False):
     t = float(t)
@@ -116,28 +106,6 @@ def theta_for_partner(t):
     """
     t = _check_param(t, open_lo=True)
     return math.pi - 2.0 * math.atan2(math.cos(t), 1.0 - math.cos(t))
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    """Result of a monotonicity scan of partner_cos over a grid."""
-
-    strictly_decreasing: bool
-    last_value: float
-
-
-def scan_partner_cos(grid):
-    """Scan partner_cos over a strictly increasing grid in (0, T]."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise DegenerateInputError("monotonicity scan needs at least two points")
-    if np.any(np.diff(grid) <= 0):
-        raise DomainError("grid must be strictly increasing")
-    vals = np.array([partner_cos(t) for t in grid])
-    return ScanReport(
-        strictly_decreasing=not (np.diff(vals) >= 0).any(),
-        last_value=float(vals[-1]),
-    )
 
 
 @dataclass(frozen=True)
@@ -268,9 +236,7 @@ class WitnessPair:
 
 
 def witness():
-    """Return the fixed witness constants, guarded against typos."""
+    """Return the fixed witness constants."""
     q = np.array([-1.0, 0.0, -1.0, 2.0])
     u = np.array([1.0, 0.0, 0.0, -2.0])
-    if float(q @ u) != -5.0:
-        raise AssertionError("witness constants corrupted")
     return WitnessPair(q=q, u=u)

@@ -44,6 +44,9 @@ from .linalg import (
 # constraints; 4*(1-cos t) clears it for every t >= 1e-5.
 _U_COEFF_TOL = 1e-12
 
+# generators of the half-disc example's cone, on its arc
+HALF_DISC_RAYS = 65
+
 
 def perp_basis(points):
     """Orthonormal basis of the orthogonal complement of span(points).
@@ -361,14 +364,14 @@ def octant_example():
     return cone, p1, p2, h1, h2
 
 
-def half_disc_cone_example(n=65):
+def half_disc_cone_example():
     """Cone over the half-disc {|x| <= 1, y >= 0} with its flat 2D face.
 
-    The corner rays (1, +-1, 0) are exposed by h = (1, -+1, 1), obtained by
-    lifting the corner-exposing pairs of the half-disc.
+    The corner rays (1, +-1, 0) are exposed by h = (1, -+1, 1), the lifts of
+    the corner-exposing pairs of the half-disc.
     """
-    phi = np.linspace(0.0, math.pi, n)
-    gens = np.stack([np.ones(n), np.cos(phi), np.sin(phi)], axis=1)
+    phi = np.linspace(0.0, math.pi, HALF_DISC_RAYS)
+    gens = np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)], axis=1)
     cone = ConeModel(gens)
     p1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     p2 = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)

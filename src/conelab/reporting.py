@@ -17,13 +17,13 @@ import numpy as np
 
 from . import construction as con
 from . import faces as fc
-from . import lifting as lf
 from . import niceness as nn
 from .linalg import DomainError, Tolerance
 
 SCHEMA_VERSION = 1
 
-_ENDPOINT_TOL = 1e-12
+# points per axis of the identity suite's (t, theta) grid
+IDENTITY_GRID = 100
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,22 @@ def write_json(path, obj):
 # --------------------------------------------------------------------------
 # shared construction of grids and bodies
 
+def _merge(*grids):
+    """Sorted union of parameter grids, each value once: a sort and an
+    adjacent-inequality mask, which keeps the masked-array module that
+    numpy's set routines import off the command path."""
+    g = np.sort(np.concatenate(grids))
+    return g[np.concatenate([[True], g[1:] != g[:-1]])]
+
+
 def _grids(config):
     """The theta grid, which also carries the singleton faces, and the
     per-curve sample grids holding every face anchor."""
     thetas = con.theta_grid(config.theta_grid_size)
     partners = np.array([con.partner_param(th) for th in thetas])
     base = con.curve_grid(config.samples_per_curve)
-    g_outer = np.unique(np.concatenate([base, thetas]))
-    g_inner = np.unique(np.concatenate([base, partners, thetas]))
+    g_outer = _merge(base, thetas)
+    g_inner = _merge(base, partners, thetas)
     # curves 1/4 carry the ruling parameter, curves 2/3 its partner
     return thetas, {1: g_outer, 2: g_inner, 3: g_inner, 4: g_outer}
 
@@ -110,62 +118,6 @@ def report_header(config):
 # --------------------------------------------------------------------------
 # verify sections
 
-def construction_section(config):
-    tol = _ENDPOINT_TOL
-    end_res = 0.0
-    for i in con.CURVE_IDS:
-        end_res = max(end_res, float(np.linalg.norm(con.curve_point(i, 0.0))))
-        end_res = max(
-            end_res,
-            float(np.linalg.norm(con.curve_point(i, con.T_END) - con.ENDPOINTS[i])),
-        )
-
-    ts = np.linspace(0.0, con.T_END, 257)
-    circle_res = max(
-        float(np.abs(np.linalg.norm(con.curve_points(i, ts) - con.ARC_CENTERS[i], axis=1) - 1.0).max())
-        for i in con.CURVE_IDS
-    )
-
-    grid = np.linspace(con.T_END / 1000, con.T_END, 1000)
-    scan = con.scan_partner_cos(grid)
-    end_hi = abs(scan.last_value - 1.0 / math.sqrt(2.0))
-    end_lo = abs(con.partner_cos(1e-6) - 1.0)
-
-    bij_hi = abs(con.partner_param(con.T_END) - con.T_END)
-    bij_lo = con.partner_param(1e-18)  # limit value is 0
-
-    offset_res = 0.0
-    for th in np.linspace(con.T_END / 128, con.T_END, 128):
-        r = con.ruling_data(th)  # re-validates both offset closed forms
-        offset_res = max(offset_res, abs(r.offset - math.sin(th) * (1.0 - math.cos(r.t))))
-
-    w = con.witness()
-
-    passed = (
-        end_res <= tol
-        and circle_res <= tol
-        and scan.strictly_decreasing
-        and end_hi <= tol
-        and end_lo <= 1e-5
-        and bij_hi <= 1e-9
-        and bij_lo <= 1e-6
-        and offset_res <= tol
-        and float(w.q @ w.u) == -5.0
-    )
-    return {
-        "endpoint_residual": end_res,
-        "unit_circle_residual": circle_res,
-        "partner_cos_strictly_decreasing": scan.strictly_decreasing,
-        "partner_cos_end_residual": end_hi,
-        "partner_cos_origin_residual": end_lo,
-        "bijection_top_residual": bij_hi,
-        "bijection_origin_value": bij_lo,
-        "offset_forms_residual": offset_res,
-        "witness_dot": float(w.q @ w.u),
-        "pass": passed,
-    }
-
-
 def identity_grid_max(t_grid, theta_grid):
     """Max residual per identity over the full (t, theta) grid, vectorized
     over t for each theta; the arcs are evaluated on the t grid once."""
@@ -177,7 +129,8 @@ def identity_grid_max(t_grid, theta_grid):
     return maxima
 
 
-def identity_section(config, n=100):
+def identity_section(config):
+    n = IDENTITY_GRID
     t_grid = np.linspace(0.0, con.T_END, n)
     theta_grid = np.linspace(con.T_END / n, con.T_END, n)
     maxima = identity_grid_max(t_grid, theta_grid)
@@ -223,7 +176,7 @@ def face_section(face_rows):
     }
 
 
-def homogenization_section(config, lifted_reports):
+def homogenization_section(lifted_reports):
     failures = []
     worst_res = 0.0
     for rep in lifted_reports:
@@ -231,42 +184,10 @@ def homogenization_section(config, lifted_reports):
         if not rep.passed:
             failures.append(rep.face_label)
 
-    square = lf.polar_correspondence_check(
-        lf.square_body(16), lf.unit_circle_grid(256), interior_margin=0.5, tol=config.tol
-    )
-    disc_samples = lf.unit_circle_grid(256)
-    disc = lf.polar_correspondence_check(
-        disc_samples, lf.unit_circle_grid(128), interior_margin=0.5, tol=config.tol
-    )
-    # radius probe at the disc's sampling tolerance: between-sample direction
-    probe_dir = np.array([math.cos(math.pi / 256), math.sin(math.pi / 256)])
-    sup_in = float(lf.support_values(disc_samples, [(1 - 1e-3) * probe_dir])[0])
-    sup_out = float(lf.support_values(disc_samples, [(1 + 1e-3) * probe_dir])[0])
-    disc_probe_ok = sup_in <= 1.0 < sup_out
-
-    passed = (
-        not failures
-        and square.passed
-        and disc.passed
-        and disc_probe_ok
-    )
     return {
         "lift_failures": failures,
         "worst_lifted_residual": worst_res,
-        "square_polar": {
-            "max_membership_residual": square.max_membership_residual,
-            "min_sharpness_violation": square.min_sharpness_violation,
-            "pass": square.passed,
-        },
-        "disc_polar": {
-            "max_membership_residual": disc.max_membership_residual,
-            "min_sharpness_violation": disc.min_sharpness_violation,
-            "probe_inside_support": sup_in,
-            "probe_outside_support": sup_out,
-            "probe_pass": disc_probe_ok,
-            "pass": disc.passed and disc_probe_ok,
-        },
-        "pass": passed,
+        "pass": not failures,
     }
 
 
@@ -323,11 +244,10 @@ def niceness_section(config):
 def run_verify(config):
     report = report_header(config)
     sections = {}
-    sections["construction"] = construction_section(config)
     sections["identity_suite"] = identity_section(config)
     face_rows, lifted_reports = _exposure(config, lifted=True)
     sections["face_exposure"] = face_section(face_rows)
-    sections["homogenization"] = homogenization_section(config, lifted_reports)
+    sections["homogenization"] = homogenization_section(lifted_reports)
     sections["niceness"] = niceness_section(config)
     failures = [name for name, sec in sections.items() if not sec["pass"]]
     report["sections"] = sections

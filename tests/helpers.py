@@ -15,7 +15,6 @@ from conelab.faces import (
     FaceDescriptor,
     face_points,
 )
-from conelab.lifting import support_values
 from conelab.linalg import (
     DEFAULT_TOL,
     ConeModel,
@@ -116,7 +115,7 @@ def polar_generator_model(samples, directions):
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if directions.shape[1] != samples.shape[1]:
         raise DimensionMismatchError("directions and samples dimensions differ")
-    sups = support_values(samples, directions)
+    sups = (directions @ samples.T).max(axis=1)  # support function of the samples
     gens = np.hstack([-sups[:, None], directions])
     deep = np.zeros((1, samples.shape[1] + 1))
     deep[0, 0] = -1.0

@@ -34,7 +34,7 @@ class TestVerifyCommand:
         assert report["overall"] == "pass"
         assert report["failures"] == []
         assert set(report["sections"]) == {
-            "construction", "identity_suite", "face_exposure", "homogenization", "niceness",
+            "identity_suite", "face_exposure", "homogenization", "niceness",
         }
 
     def test_sub_noise_tolerance_fails_naming_the_section(self, tmp_path, capsys):
@@ -177,10 +177,14 @@ class TestCommandFlags:
 class TestImportPath:
     def test_cli_runs_without_scipy_or_lazy_imports(self, tmp_path):
         # A fresh interpreter: the test process itself has scipy loaded.
-        # Every module the commands need (numpy.ma, locale) loads with
-        # conelab.cli, so none is imported inside main.
+        # Every module the commands need (locale) loads with conelab.cli, so
+        # none is imported inside main. numpy.ma is compared with what a bare
+        # `import numpy` loads: numpy 1.24 imports it eagerly, numpy 2.x only
+        # on demand, and no command may demand it.
         script = textwrap.dedent("""
             import json, sys
+            import numpy
+            numpy_ma_before = "numpy.ma" in sys.modules
             import conelab.cli
             loaded = set(sys.modules)
             out = sys.argv[1]
@@ -196,6 +200,7 @@ class TestImportPath:
                 "codes": codes,
                 "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                 "imported_by_main": sorted(set(sys.modules) - loaded),
+                "numpy_ma_added": "numpy.ma" in sys.modules and not numpy_ma_before,
             }))
         """)
         src = str(Path(conelab.__file__).resolve().parents[1])
@@ -204,7 +209,8 @@ class TestImportPath:
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), *FAST],
                               env=env, capture_output=True, text=True, check=True)
         result = json.loads(proc.stdout.splitlines()[-1])
-        assert result == {"codes": [0] * 5, "scipy": [], "imported_by_main": []}
+        assert result == {"codes": [0] * 5, "scipy": [], "imported_by_main": [],
+                          "numpy_ma_added": False}
 
     def test_no_module_imports_scipy(self):
         # function bodies included: a lazy import would not show in the run above

@@ -10,6 +10,14 @@ from conelab.linalg import DegenerateInputError, DomainError
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 T = con.T_END
 
+# Each arc lies on a unit circle; centre per curve id.
+ARC_CENTERS = {
+    1: np.array([0.0, 0.0, -1.0]),
+    2: np.array([0.0, -1.0, 0.0]),
+    3: np.array([0.0, 1.0, 0.0]),
+    4: np.array([-1.0, 0.0, 0.0]),
+}
+
 
 class TestCurves:
     def test_all_curves_start_at_the_origin(self):
@@ -24,7 +32,7 @@ class TestCurves:
 
     def test_each_arc_lies_on_its_unit_circle(self):
         ts = np.linspace(0.0, T, 403)
-        for i, center in con.ARC_CENTERS.items():
+        for i, center in ARC_CENTERS.items():
             radii = np.linalg.norm(con.curve_points(i, ts) - center, axis=1)
             assert np.abs(radii - 1.0).max() <= 1e-12
 
@@ -50,9 +58,9 @@ class TestPartnerMachinery:
             assert con.partner_cos(th) == pytest.approx(direct, abs=1e-12)
 
     def test_scan_strictly_decreasing_with_negative_derivative(self):
-        scan = con.scan_partner_cos(np.linspace(T / 1000, T, 1000))
-        assert scan.strictly_decreasing
-        assert con.partner_cos(T / 1000) > scan.last_value == pytest.approx(SQRT2_INV, abs=1e-12)
+        cosines = np.array([con.partner_cos(th) for th in np.linspace(T / 1000, T, 1000)])
+        assert np.all(np.diff(cosines) < 0)
+        assert con.partner_cos(T / 1000) > cosines[-1] == pytest.approx(SQRT2_INV, abs=1e-12)
 
     def test_partner_param_is_an_increasing_bijection(self):
         grid = np.linspace(T / 500, T, 500)
@@ -75,12 +83,6 @@ class TestPartnerMachinery:
                                                         theta_grid_size=n))
         for g in grids.values():
             assert g.max() == T and np.count_nonzero(g == T) == 1
-
-    def test_scan_rejects_bad_grids(self):
-        with pytest.raises(DomainError):
-            con.scan_partner_cos([0.3, 0.2])
-        with pytest.raises(DegenerateInputError):
-            con.scan_partner_cos([0.3])
 
 
 class TestRulingData:

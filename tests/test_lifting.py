@@ -3,8 +3,6 @@ import pytest
 
 from conelab import construction as con
 from conelab import faces as fc
-from conelab import lifting as lf
-from conelab.linalg import DomainError
 from helpers import polar_generator_model
 
 T = con.T_END
@@ -97,48 +95,12 @@ class TestConeExposure:
 
 
 class TestPolar:
-    def test_square_polar_is_the_crosspolytope(self):
-        square = lf.square_body(16)
-        # (-1, 1/2, 1/2): one-norm 1, on the boundary of the polar
-        gens = np.hstack([np.ones((len(square), 1)), square])
-        inside = np.array([-1.0, 0.5, 0.5])
-        assert (gens @ inside).max() <= 1e-12
-        outside = np.array([-1.0, 1.01, 0.0])
-        assert (gens @ outside).max() > 1e-3
-
-    def test_direction_zero_always_inside(self):
-        square = lf.square_body(8)
-        gens = np.hstack([np.ones((len(square), 1)), square])
-        assert (gens @ np.array([-1.0, 0.0, 0.0])).max() == -1.0
-
-    def test_disc_polar_radius_threshold(self):
-        disc = lf.unit_circle_grid(256)
-        gens = np.hstack([np.ones((len(disc), 1)), disc])
-        probe = lf.unit_circle_grid(17)  # directions incommensurate with samples
-        for direction in probe:
-            inside = np.concatenate([[-1.0], (1.0 - 1e-3) * direction])
-            outside = np.concatenate([[-1.0], (1.0 + 1e-3) * direction])
-            assert (gens @ inside).max() <= 0.0
-            assert (gens @ outside).max() > 0.0
-
-    def test_correspondence_check_passes_on_controls(self):
-        rep = lf.polar_correspondence_check(lf.square_body(16), lf.unit_circle_grid(256),
-                                            interior_margin=0.5)
-        assert rep.passed
-        assert rep.max_membership_residual <= 1e-9
-        assert rep.min_sharpness_violation > 0.0
-        rep = lf.polar_correspondence_check(lf.unit_circle_grid(256), lf.unit_circle_grid(128),
-                                            interior_margin=0.5)
-        assert rep.passed
-
-    def test_body_without_interior_origin_rejected(self):
-        shifted_square = lf.square_body(8) + np.array([5.0, 0.0])
-        with pytest.raises(DomainError):
-            lf.polar_correspondence_check(shifted_square, lf.unit_circle_grid(64),
-                                          interior_margin=0.5)
-
     def test_polar_generator_model_is_valid(self):
-        samples = lf.square_body(8)
-        model = polar_generator_model(samples, lf.unit_circle_grid(32))
+        edge = np.linspace(-1.0, 1.0, 8)
+        ones = np.ones_like(edge)
+        samples = np.vstack([np.stack([edge, ones], axis=1), np.stack([edge, -ones], axis=1),
+                             np.stack([ones, edge], axis=1), np.stack([-ones, edge], axis=1)])
+        angles = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+        model = polar_generator_model(samples, np.stack([np.cos(angles), np.sin(angles)], axis=1))
         cone_gens = np.hstack([np.ones((len(samples), 1)), samples])
         assert (model.generators @ cone_gens.T).max() <= 1e-12
