@@ -9,9 +9,11 @@ from .construction import (
     ENDPOINTS,
     SHIFT,
     T_END,
+    WITNESS_Q,
+    WITNESS_U,
     BodySamples,
+    Cone,
     RulingData,
-    WitnessPair,
     curve_grid,
     curve_point,
     curve_points,
@@ -25,7 +27,6 @@ from .construction import (
     scale_points,
     theta_for_partner,
     theta_grid,
-    witness,
 )
 from .faces import (
     ExposingPair,
@@ -38,17 +39,14 @@ from .faces import (
     verify_catalogue,
 )
 from .linalg import (
-    ConeModel,
+    EQ_ABS,
     DegenerateInputError,
     DimensionMismatchError,
     DomainError,
-    Tolerance,
     feasible_interval,
     nullspace,
 )
 from .niceness import (
-    NicenessVerdict,
-    ShiftProfile,
     closure_check,
     divergence_sweep,
     half_disc_cone_example,
@@ -56,7 +54,6 @@ from .niceness import (
     octant_example,
     perp_basis,
     shift_profile,
-    witness_slack,
 )
 from .reporting import RunConfig, run_faces, run_nice3d, run_sweep, run_verify
 

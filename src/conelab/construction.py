@@ -12,7 +12,9 @@ module is the only one that applies the map: lift_points takes points x of
 C to the rows (1, 2x + SHIFT) of K, scale_points to the points 2x + SHIFT of
 C', and lift_pairs is the dual, taking an exposing pair (y, d) of a face of
 C to the functional (-(2d + <y, SHIFT>), y) that exposes the lifted face of
-K. The theta-machinery pairs a parameter theta on curve 1 (resp. 4) with a
+K. Samples of C and of K travel as the NamedTuples BodySamples and Cone,
+each label array (curve ids, parameters) aligned with its rows. The
+theta-machinery pairs a parameter theta on curve 1 (resp. 4) with a
 partner parameter on curve 3 (resp. 2); the segments between paired points
 rule the curved part of the boundary of C and carry closed-form exposing
 normals.
@@ -21,11 +23,12 @@ normals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ConeModel, DegenerateInputError, DomainError
+from .linalg import DegenerateInputError, DomainError
 
 T_END = math.pi / 4
 CURVE_IDS = (1, 2, 3, 4)
@@ -47,7 +50,8 @@ ENDPOINTS = {
 def _check_param(t, lo=0.0, hi=T_END, name="t", open_lo=False):
     t = float(t)
     slack = 1e-15  # forgive one ulp of pi/4 round-off at the right endpoint
-    if t < lo - slack or t > hi + slack or (open_lo and t <= lo):
+    # written so that NaN, which fails every comparison, is rejected too
+    if not lo - slack <= t <= hi + slack or (open_lo and t <= lo):
         raise DomainError(f"{name}={t} outside {'(' if open_lo else '['}{lo}, {hi}]")
     return min(max(t, lo), hi)
 
@@ -55,8 +59,9 @@ def _check_param(t, lo=0.0, hi=T_END, name="t", open_lo=False):
 def curve_points(curve_id, ts):
     """Vectorized arc evaluation; ts may be a scalar or an array in [0, T]."""
     ts = np.asarray(ts, dtype=float)
-    if ts.size and (ts.min() < -1e-15 or ts.max() > T_END + 1e-15):
-        raise DomainError(f"curve parameters outside [0, {T_END}]")
+    # min and max propagate NaN, which then fails both comparisons
+    if ts.size and not (ts.min() >= -1e-15 and ts.max() <= T_END + 1e-15):
+        raise DomainError(f"curve parameters must be finite and lie in [0, {T_END}]")
     s, c = np.sin(ts), np.cos(ts)
     z = np.zeros_like(ts)
     if curve_id == 1:
@@ -182,29 +187,22 @@ def lift_pairs(normals, offsets):
     return np.column_stack([-(2.0 * offsets + normals @ SHIFT), normals])
 
 
-@dataclass(frozen=True)
-class BodySamples:
-    """Per-curve parameter grids and sampled points of C, also stacked curve
-    by curve: xyz[k] is the sample of curve ids[k] at ts[k]."""
+class BodySamples(NamedTuple):
+    """Samples of C stacked curve by curve: xyz[k] is the point of curve
+    ids[k] at parameter ts[k]."""
 
-    grids: dict
-    points: dict
-    ids: np.ndarray = field(init=False, repr=False)
-    ts: np.ndarray = field(init=False, repr=False)
-    xyz: np.ndarray = field(init=False, repr=False)
+    ids: np.ndarray
+    ts: np.ndarray
+    xyz: np.ndarray
 
-    def __post_init__(self):
-        for i in CURVE_IDS:
-            if i not in self.grids or self.grids[i].size == 0:
-                raise DegenerateInputError(f"curve {i} has no samples")
-            g = self.grids[i]
-            if abs(g[0]) > 1e-15 or abs(g[-1] - T_END) > 1e-12:
-                raise DomainError("grids must include both endpoints 0 and T")
-        ids = np.concatenate([np.full(self.grids[i].size, i) for i in CURVE_IDS])
-        ts = np.concatenate([np.asarray(self.grids[i], dtype=float) for i in CURVE_IDS])
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "xyz", np.vstack([self.points[i] for i in CURVE_IDS]))
+
+class Cone(NamedTuple):
+    """Generators of the sampled cone K, one per row, with the (curve id,
+    parameter) label of the sample of C that each one lifts."""
+
+    generators: np.ndarray
+    ids: np.ndarray
+    ts: np.ndarray
 
 
 def sample_body(grids):
@@ -215,7 +213,17 @@ def sample_body(grids):
     """
     if not isinstance(grids, dict):
         grids = {i: np.asarray(grids, dtype=float) for i in CURVE_IDS}
-    return BodySamples(grids=grids, points={i: curve_points(i, grids[i]) for i in CURVE_IDS})
+    for i in CURVE_IDS:
+        if i not in grids or grids[i].size == 0:
+            raise DegenerateInputError(f"curve {i} has no samples")
+        g = grids[i]
+        if abs(g[0]) > 1e-15 or abs(g[-1] - T_END) > 1e-12:
+            raise DomainError("grids must include both endpoints 0 and T")
+    return BodySamples(
+        ids=np.concatenate([np.full(grids[i].size, i) for i in CURVE_IDS]),
+        ts=np.concatenate([np.asarray(grids[i], dtype=float) for i in CURVE_IDS]),
+        xyz=np.vstack([curve_points(i, grids[i]) for i in CURVE_IDS]),
+    )
 
 
 def homogenize(body):
@@ -223,20 +231,10 @@ def homogenize(body):
     samples x of C, labelled with their (curve ids, parameters)."""
     if not isinstance(body, BodySamples):
         raise DegenerateInputError("homogenize expects BodySamples")
-    return ConeModel(generators=lift_points(body.xyz), labels=(body.ids, body.ts))
+    return Cone(lift_points(body.xyz), body.ids, body.ts)
 
 
-@dataclass(frozen=True)
-class WitnessPair:
-    """The fixed 4D witness: q is in the closure of (polar cone + F_perp)
-    but not in the sum itself; u spans F_perp for the flat face F."""
-
-    q: np.ndarray
-    u: np.ndarray
-
-
-def witness():
-    """Return the fixed witness constants."""
-    q = np.array([-1.0, 0.0, -1.0, 2.0])
-    u = np.array([1.0, 0.0, 0.0, -2.0])
-    return WitnessPair(q=q, u=u)
+# The fixed 4D witness: WITNESS_Q is in the closure of (polar cone + F_perp)
+# but not in the sum itself; WITNESS_U spans F_perp for the flat face F.
+WITNESS_Q = np.array([-1.0, 0.0, -1.0, 2.0])
+WITNESS_U = np.array([1.0, 0.0, 0.0, -2.0])

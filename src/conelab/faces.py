@@ -37,12 +37,7 @@ from .construction import (
     ruling_data,
     theta_for_partner,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    DegenerateInputError,
-    DimensionMismatchError,
-    DomainError,
-)
+from .linalg import EQ_ABS, DegenerateInputError, DimensionMismatchError, DomainError
 
 # How every exposing pair is obtained; the face atlas records it per face.
 CLOSED_FORM = "closed-form"
@@ -172,8 +167,9 @@ def enumerate_faces(theta_grid):
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size == 0:
         raise DegenerateInputError("theta grid is empty")
-    if theta_grid.min() <= 0 or theta_grid.max() > T_END + 1e-15:
-        raise DomainError("theta grid must lie in (0, T]")
+    # min and max propagate NaN, which then fails both comparisons
+    if not (theta_grid.min() > 0 and theta_grid.max() <= T_END + 1e-15):
+        raise DomainError("theta grid must be finite and lie in (0, T]")
 
     faces = [FaceDescriptor("F00", 0, anchors=tuple((i, 0.0) for i in CURVE_IDS))]
     for i in CURVE_IDS:
@@ -362,7 +358,7 @@ def _scan(faces, ids, ts, checks, deltas):
     return counts, residuals, margins
 
 
-def verify_catalogue(catalogue, body, lifted=False, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
+def verify_catalogue(catalogue, body, lifted=False, eq_abs=EQ_ABS, deltas=MARGIN_DELTAS):
     """Exposure reports for every (face, pair) row of a catalogue: the body
     check of each pair on the samples of C and, when lifted, the lifted
     check of its cone functional (construction.lift_pairs) on the
@@ -392,7 +388,7 @@ def verify_catalogue(catalogue, body, lifted=False, tol=DEFAULT_TOL, deltas=MARG
                      _anchor_residuals(faces, normals, offsets), 0.0, "")]
     if lifted:
         checks.append(_Check(lift_points(body.xyz), lift_pairs(normals, offsets), None,
-                             np.zeros(len(faces)), tol.eq_abs, "lift:"))
+                             np.zeros(len(faces)), eq_abs, "lift:"))
 
     counts, residuals, margins = _scan(faces, body.ids, body.ts, checks, deltas)
     smallest = min(deltas)
@@ -402,7 +398,7 @@ def verify_catalogue(catalogue, body, lifted=False, tol=DEFAULT_TOL, deltas=MARG
         out = []
         for j, face in enumerate(faces):
             max_res = float(max(check.anchor_res[j], res[j]))
-            ok = max_res <= tol.eq_abs and all(m > f for m, f in zip(marg[j], floors))
+            ok = max_res <= eq_abs and all(m > f for m, f in zip(marg[j], floors))
             out.append(ExposureReport(
                 face_label=check.prefix + face.label(),
                 max_onface_residual=max_res,

@@ -11,12 +11,14 @@ non-membership outright, so the verdict is evidence, never proof.
 Also here: the check, at the generators, that a 3D cone's exposing normals
 span the dual of a 2D face together with its orthogonal complement, the
 step behind facially exposed three-dimensional cones always being nice.
+
+The profile, the closure check, the sweep and the 3D check return plain
+dicts of the values that the reports write.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,21 +26,15 @@ from .construction import (
     CURVE_IDS,
     ENDPOINTS,
     T_END,
-    curve_point,
+    WITNESS_Q,
+    WITNESS_U,
+    Cone,
     curve_points,
     homogenize,
     lift_points,
     sample_body,
-    witness,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    ConeModel,
-    DegenerateInputError,
-    DomainError,
-    feasible_interval,
-    nullspace,
-)
+from .linalg import EQ_ABS, DegenerateInputError, DomainError, feasible_interval, nullspace
 
 # |<u, g>| below this counts as "no lambda dependence" when classifying
 # constraints; 4*(1-cos t) clears it for every t >= 1e-5.
@@ -46,6 +42,12 @@ _U_COEFF_TOL = 1e-12
 
 # generators of the half-disc example's cone, on its arc
 HALF_DISC_RAYS = 65
+
+# how the verify report relates the sweep to the dual-cone form
+DUAL_FORM_NOTE = (
+    "computed for the polar cone; the dual-cone sum is its negative, "
+    "so the same divergence applies to it"
+)
 
 
 def perp_basis(points):
@@ -67,57 +69,24 @@ def perp_basis(points):
     return basis
 
 
-def face_slice_points():
-    """The lifts (1, 2p_i + SHIFT) of the endpoints p_i, i in {0, 3, 4},
-    spanning the slice of the flat face; their perp is span{(1,0,0,-2)}."""
-    return lift_points(np.vstack([ENDPOINTS[i] for i in (0, 3, 4)]))
+def shift_profile(cone, eq_abs=EQ_ABS):
+    """Classify every generator constraint <q, g> - lambda <u, g> <= 0 of a
+    Cone and intersect the induced one-variable bounds.
 
-
-def witness_slack(t, lam):
-    """Value of <(1, 2*curve1(t) + SHIFT), q - lam*u>.
-
-    Returned from the closed form 2*(2*(lam+1)*(cos t - 1) + sin t); the dot
-    product route must agree to 1e-12 (checked on every call). Positive
-    values certify that q - lam*u is not a valid polar functional.
+    Returns a dict: lower_bounds, arrays (bound, curve_id, t) with one entry
+    per constraining generator; counts, classification tallies summing to
+    the number of generators; interval, the feasible (lo, hi) or None when
+    empty; lambda_star, its lower end or None; achieving, the (curve_id, t)
+    of the binding lower bound or None.
     """
-    closed = 2.0 * (2.0 * (lam + 1.0) * (math.cos(t) - 1.0) + math.sin(t))
-    w = witness()
-    direct = float(lift_points(curve_point(1, t))[0] @ (w.q - lam * w.u))
-    if abs(closed - direct) > 1e-12:
-        raise AssertionError(f"slack identity broke: |{closed} - {direct}|")
-    return closed
-
-
-@dataclass(frozen=True)
-class ShiftProfile:
-    """Per-generator lambda bounds for q - lambda*u in the sampled polar."""
-
-    lower_bounds: tuple      # arrays (bound, curve_id, t), one entry per constraining generator
-    counts: dict             # classification tallies; they sum to n_generators
-    interval: tuple | None   # feasible (lo, hi); None when empty
-    lambda_star: float | None
-    achieving: tuple | None  # (curve_id, t) of the binding lower bound
-
-
-def shift_profile(cone, tol=DEFAULT_TOL):
-    """Classify every generator constraint <q, g> - lambda <u, g> <= 0 and
-    intersect the induced one-variable bounds.
-
-    cone must carry (curve ids, parameters) label arrays, as produced by
-    homogenize.
-    """
-    w = witness()
-    g = cone.generators
-    if not cone.labels:
-        raise DomainError("shift_profile needs labelled generators")
-    ids, ts = cone.labels
-    qg = g @ w.q
-    ug = g @ w.u
+    g, ids, ts = cone.generators, cone.ids, cone.ts
+    qg = g @ WITNESS_Q
+    ug = g @ WITNESS_U
 
     lower = ug > _U_COEFF_TOL
     upper = ug < -_U_COEFF_TOL
     flat = ~(lower | upper)
-    unconditional = flat & (qg <= tol.eq_abs)
+    unconditional = flat & (qg <= eq_abs)
     counts = {
         "lower": int(lower.sum()),
         "upper": int(upper.sum()),
@@ -145,13 +114,13 @@ def shift_profile(cone, tol=DEFAULT_TOL):
             bounded = lower | upper
             if (qg[bounded] - lambda_star * ug[bounded]).max() > 1e-9:
                 raise AssertionError("feasible interval violates its own constraints")
-    return ShiftProfile(
-        lower_bounds=(lower_vals, lower_ids, lower_ts),
-        counts=counts,
-        interval=interval,
-        lambda_star=lambda_star,
-        achieving=achieving,
-    )
+    return {
+        "lower_bounds": (lower_vals, lower_ids, lower_ts),
+        "counts": counts,
+        "interval": interval,
+        "lambda_star": lambda_star,
+        "achieving": achieving,
+    }
 
 
 def sweep_grid(epsilon, n):
@@ -179,51 +148,29 @@ def control_cone():
     # the origin (endpoint 0) is labelled as the start of curve 1
     ids = np.array([1, *CURVE_IDS])
     ts = np.array([0.0] + [T_END] * len(CURVE_IDS))
-    return ConeModel(gens, labels=(ids, ts))
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    """Exact membership of q in the polar of the flat face: both closed
-    forms 2(cos t - 1) and -2 sin t are analytically nonpositive."""
-
-    max_curve3_value: float
-    max_curve4_value: float
-    max_identity_residual: float
-    in_closure: bool
+    return Cone(gens, ids, ts)
 
 
 def closure_check(n=512):
+    """Exact membership of q in the polar of the flat face: both closed
+    forms 2(cos t - 1) and -2 sin t are analytically nonpositive, and the
+    generators of curves 3 and 4 must reproduce them."""
     ts = np.linspace(0.0, T_END, n)
-    w = witness()
     vals3 = 2.0 * (np.cos(ts) - 1.0)
     vals4 = -2.0 * np.sin(ts)
     gens3 = lift_points(curve_points(3, ts))
     gens4 = lift_points(curve_points(4, ts))
     res = max(
-        float(np.abs(gens3 @ w.q - vals3).max()),
-        float(np.abs(gens4 @ w.q - vals4).max()),
+        float(np.abs(gens3 @ WITNESS_Q - vals3).max()),
+        float(np.abs(gens4 @ WITNESS_Q - vals4).max()),
     )
     m3, m4 = float(vals3.max()), float(vals4.max())
-    return ClosureReport(
-        max_curve3_value=m3,
-        max_curve4_value=m4,
-        max_identity_residual=res,
-        in_closure=(m3 <= 0.0 and m4 <= 0.0 and res <= 1e-12),
-    )
-
-
-@dataclass(frozen=True)
-class NicenessVerdict:
-    in_closure: bool
-    closure: ClosureReport
-    table: tuple             # rows (epsilon, lambda_star, product, curve_id, t)
-    fitted_exponent: float   # slope of log(lambda_star) against log(1/epsilon)
-    verdict: str             # "NotNiceEvidence" | "Inconclusive"
-    dual_form_note: str = (
-        "computed for the polar cone; the dual-cone sum is its negative, "
-        "so the same divergence applies to it"
-    )
+    return {
+        "max_curve3_value": m3,
+        "max_curve4_value": m4,
+        "max_identity_residual": res,
+        "in_closure": m3 <= 0.0 and m4 <= 0.0 and res <= 1e-12,
+    }
 
 
 def validate_eps(eps_list):
@@ -237,21 +184,24 @@ def validate_eps(eps_list):
     return eps
 
 
-def divergence_sweep(eps_list, samples_per_curve=512, control=False, tol=DEFAULT_TOL):
+def divergence_sweep(eps_list, samples_per_curve=512, control=False, eq_abs=EQ_ABS):
     """Run shift_profile per refinement level and fit the divergence.
 
-    Verdict NotNiceEvidence requires the exact closure check to pass and
-    lambda_star * epsilon to settle in [0.8, 1.2] on the last three levels
-    (at least three levels are needed; otherwise Inconclusive).
+    Returns a dict: rows, one (epsilon, lambda_star, product, curve_id, t)
+    per level; closure, the closure_check dict; fitted_exponent, the slope
+    of log(lambda_star) against log(1/epsilon); verdict, "NotNiceEvidence"
+    or "Inconclusive". NotNiceEvidence requires the exact closure check to
+    pass and lambda_star * epsilon to settle in [0.8, 1.2] on the last three
+    levels (at least three levels are needed).
     """
     eps = validate_eps(eps_list)
     rows = []
     for e in eps:
         cone = control_cone() if control else refined_cone(e, samples_per_curve)
-        prof = shift_profile(cone, tol=tol)
-        lam = prof.lambda_star
+        prof = shift_profile(cone, eq_abs=eq_abs)
+        lam = prof["lambda_star"]
         product = lam * e if lam is not None and math.isfinite(lam) else math.nan
-        cid, t = prof.achieving if prof.achieving else (None, None)
+        cid, t = prof["achieving"] or (None, None)
         rows.append((e, lam, product, cid, t))
 
     closure = closure_check(samples_per_curve)
@@ -269,34 +219,22 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False, tol=DEFAULT
     diverges = len(rows) >= 3 and all(
         math.isfinite(p) and 0.8 <= p <= 1.2 for p in tail
     )
-    verdict = "NotNiceEvidence" if (closure.in_closure and diverges) else "Inconclusive"
-    return NicenessVerdict(
-        in_closure=closure.in_closure,
-        closure=closure,
-        table=tuple(rows),
-        fitted_exponent=exponent,
-        verdict=verdict,
-    )
+    verdict = "NotNiceEvidence" if (closure["in_closure"] and diverges) else "Inconclusive"
+    return {
+        "rows": rows,
+        "closure": closure,
+        "fitted_exponent": exponent,
+        "verdict": verdict,
+    }
 
 
-@dataclass(frozen=True)
-class Nice3DReport:
-    projections: tuple            # q_1, q_2 as arrays
-    sign_pattern_ok: bool
-    projection_identity_residual: float
-    wedge_generators: tuple       # r_1, r_2 as arrays
-    multipliers: tuple            # c_1, c_2 with q_i = c_i * r_i
-    certificate_residual: float   # max over i of |q_i - c_i * r_i| / |q_i|
-    passed: bool
-
-
-def nice3d_ingredients(cone, p1, p2, h1, h2, tol=DEFAULT_TOL):
+def nice3d_ingredients(generators, p1, p2, h1, h2, eq_abs=EQ_ABS):
     """Decide "every facially exposed 3D cone is nice" for one face at its
     generators.
 
-    Given a 3D cone with 2D face F = cone{p1, p2}, F_perp = span{n}, and
-    normals h1, h2 exposing the edge rays (h_i nonnegative on the cone, zero
-    exactly on the ray of p_i), checks:
+    Given the (m, 3) generators of a 3D cone with 2D face F = cone{p1, p2},
+    F_perp = span{n}, and normals h1, h2 exposing the edge rays (h_i
+    nonnegative on the cone, zero exactly on the ray of p_i), checks:
 
       * q_i = h_i - <h_i, n> n, the projection of h_i onto span F, has the
         sign pattern <q_i, p_i> = 0 and <q_i, p_j> > 0 for i != j;
@@ -308,10 +246,19 @@ def nice3d_ingredients(cone, p1, p2, h1, h2, tol=DEFAULT_TOL):
     span{n}, and cone{h1, h2} + span{n} = cone{q1, q2} + span{n}; so the
     certificate gives cone{h1, h2} + F_perp = F*, the closedness claim.
     Normals lying in F_perp are rejected: they could not single out an edge.
+
+    Returns the nice3d report's dict for the example: projections q_i,
+    sign_pattern_ok, projection_identity_residual, wedge_generators r_i,
+    multipliers c_i, certificate_residual (max over i of
+    |q_i - c_i r_i| / |q_i|) and pass.
     """
-    g = cone.generators
-    if g.shape[1] != 3:
-        raise DomainError("nice3d_ingredients expects a 3D cone")
+    g = np.asarray(generators, dtype=float)
+    if g.ndim != 2 or g.shape[1] != 3:
+        raise DomainError("nice3d_ingredients expects an (m, 3) generator array")
+    if not len(g):
+        raise DegenerateInputError("cone has no generators")
+    if not np.all(np.isfinite(g)):
+        raise DomainError("cone generators have NaN or infinite components")
     p1, p2 = (np.asarray(p, dtype=float) for p in (p1, p2))
     perp = perp_basis(np.vstack([p1, p2]))
     if len(perp) != 1:
@@ -321,16 +268,16 @@ def nice3d_ingredients(cone, p1, p2, h1, h2, tol=DEFAULT_TOL):
     hs = [np.asarray(h, dtype=float) for h in (h1, h2)]
     qs = [h - float(h @ nrm) * nrm for h in hs]
     for h, q in zip(hs, qs):
-        if float((g @ h).min()) < -tol.eq_abs:
+        if float((g @ h).min()) < -eq_abs:
             raise DomainError("exposing normal is negative somewhere on the cone")
-        if float(np.linalg.norm(q)) <= tol.eq_abs:
+        if float(np.linalg.norm(q)) <= eq_abs:
             raise DomainError(
                 "exposing normal lies in the face's orthogonal complement; "
                 "it would expose the whole face, not an edge"
             )
 
     sign_ok = all(
-        abs(float(q @ p_own)) <= tol.eq_abs and float(q @ p_other) > tol.eq_abs
+        abs(float(q @ p_own)) <= eq_abs and float(q @ p_other) > eq_abs
         for q, p_own, p_other in ((qs[0], p1, p2), (qs[1], p2, p1))
     )
     proj_res = max(abs(float(q @ p) - float(h @ p)) for h, q in zip(hs, qs) for p in (p1, p2))
@@ -344,24 +291,23 @@ def nice3d_ingredients(cone, p1, p2, h1, h2, tol=DEFAULT_TOL):
         float(np.linalg.norm(q - c * r) / np.linalg.norm(q)) for q, r, c in zip(qs, rs, cs)
     )
 
-    passed = sign_ok and proj_res <= 1e-12 and min(cs) > 0.0 and cert_res <= tol.eq_abs
-    return Nice3DReport(
-        projections=tuple(qs),
-        sign_pattern_ok=sign_ok,
-        projection_identity_residual=proj_res,
-        wedge_generators=rs,
-        multipliers=cs,
-        certificate_residual=cert_res,
-        passed=passed,
-    )
+    return {
+        "projections": tuple(qs),
+        "sign_pattern_ok": sign_ok,
+        "projection_identity_residual": proj_res,
+        "wedge_generators": rs,
+        "multipliers": cs,
+        "certificate_residual": cert_res,
+        "pass": sign_ok and proj_res <= 1e-12 and min(cs) > 0.0 and cert_res <= eq_abs,
+    }
 
 
 def octant_example():
-    """Nonnegative octant with face cone{e1, e2}: everything orthogonal."""
-    cone = ConeModel(np.eye(3))
+    """Nonnegative octant with face cone{e1, e2}: everything orthogonal.
+    Returns the generators, p1, p2, h1 and h2."""
     p1, p2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     h1, h2 = np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.0, 1.0])
-    return cone, p1, p2, h1, h2
+    return np.eye(3), p1, p2, h1, h2
 
 
 def half_disc_cone_example():
@@ -372,9 +318,8 @@ def half_disc_cone_example():
     """
     phi = np.linspace(0.0, math.pi, HALF_DISC_RAYS)
     gens = np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)], axis=1)
-    cone = ConeModel(gens)
     p1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     p2 = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
     h1 = np.array([1.0, 1.0, 1.0])
     h2 = np.array([1.0, -1.0, 1.0])
-    return cone, p1, p2, h1, h2
+    return gens, p1, p2, h1, h2

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize
 
-from conelab.construction import CURVE_IDS, SHIFT
+from conelab.construction import ENDPOINTS, SHIFT, lift_points
 from conelab.faces import (
     MARGIN_DELTAS,
     ExposingPair,
@@ -15,13 +15,20 @@ from conelab.faces import (
     FaceDescriptor,
     face_points,
 )
-from conelab.linalg import (
-    DEFAULT_TOL,
-    ConeModel,
-    DegenerateInputError,
-    DimensionMismatchError,
-    DomainError,
-)
+from conelab.linalg import EQ_ABS, DegenerateInputError, DimensionMismatchError, DomainError
+
+
+def face_slice_points():
+    """The lifts (1, 2p_i + SHIFT) of the endpoints p_i, i in {0, 3, 4},
+    spanning the slice of the flat face; their perp is span{(1,0,0,-2)}."""
+    return lift_points(np.vstack([ENDPOINTS[i] for i in (0, 3, 4)]))
+
+
+def witness_slack(t, lam):
+    """Value of <(1, 2*curve1(t) + SHIFT), q - lam*u> from its closed form
+    2*(2*(lam+1)*(cos t - 1) + sin t). Positive values certify that
+    q - lam*u is not a valid polar functional."""
+    return 2.0 * (2.0 * (lam + 1.0) * (math.cos(t) - 1.0) + math.sin(t))
 
 
 def mirror_point(x):
@@ -108,8 +115,8 @@ def support_plane_through(points, body, margin_radius=0.05):
 
 
 def polar_generator_model(samples, directions):
-    """Generator representation of the polar of cone({1} x samples):
-    one generator (-support(dir), dir) per direction, plus the deep ray
+    """Generators of the polar of cone({1} x samples), one per row: one
+    generator (-support(dir), dir) per direction, plus the deep ray
     (-1, 0, ..., 0)."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -119,7 +126,7 @@ def polar_generator_model(samples, directions):
     gens = np.hstack([-sups[:, None], directions])
     deep = np.zeros((1, samples.shape[1] + 1))
     deep[0, 0] = -1.0
-    return ConeModel(np.vstack([gens, deep]))
+    return np.vstack([gens, deep])
 
 
 # Reference membership: the general LP route for any finitely generated cone,
@@ -145,28 +152,29 @@ class ConicVerdict:
     normal: np.ndarray | None = None
     margin: float = math.nan
 
-    def recheck(self, point, cone, tol=DEFAULT_TOL):
+    def recheck(self, point, generators, eq_abs=EQ_ABS):
         """Re-validate the certificate from scratch (no solver involved)."""
-        g = cone.generators
+        g = np.asarray(generators, dtype=float)
         x = np.asarray(point, dtype=float)
         if self.inside:
             mu = np.asarray(self.coefficients, dtype=float)
-            if np.any(mu < -tol.eq_abs):
+            if np.any(mu < -eq_abs):
                 return False
-            return float(np.linalg.norm(g.T @ np.maximum(mu, 0.0) - x)) <= 10 * tol.eq_abs
+            return float(np.linalg.norm(g.T @ np.maximum(mu, 0.0) - x)) <= 10 * eq_abs
         s = np.asarray(self.normal, dtype=float)
-        return bool(np.all(g @ s <= tol.eq_abs) and float(np.dot(s, x)) > 0.0)
+        return bool(np.all(g @ s <= eq_abs) and float(np.dot(s, x)) > 0.0)
 
 
-def reference_conic_membership(point, cone, tol=DEFAULT_TOL):
-    """Decide whether point lies in the conic hull of cone.generators.
+def reference_conic_membership(point, generators, eq_abs=EQ_ABS):
+    """Decide whether point lies in the conic hull of the generators, given
+    one per row.
 
     Dual route: nonnegative least squares for an inside certificate, an LP
     over the box |s|_inf <= 1 for a separating normal. Returns None when
     neither certificate is conclusive (point within tolerance of the
     sampled boundary).
     """
-    g = cone.generators
+    g = np.atleast_2d(np.asarray(generators, dtype=float))
     x = np.asarray(point, dtype=float)
     if x.shape != (g.shape[1],):
         raise DimensionMismatchError(f"expected a vector of dimension {g.shape[1]}")
@@ -182,7 +190,7 @@ def reference_conic_membership(point, cone, tol=DEFAULT_TOL):
         residual = float(np.linalg.norm(g.T @ coeffs - x))
     except RuntimeError:  # iteration cap; fall through to the separation LP
         coeffs = None
-    if residual <= tol.eq_abs * scale:
+    if residual <= eq_abs * scale:
         return ConicVerdict(inside=True, coefficients=coeffs, residual=residual)
 
     # Separation: maximize <s, x> subject to <s, g> <= 0, |s_i| <= 1.
@@ -201,16 +209,16 @@ def reference_conic_membership(point, cone, tol=DEFAULT_TOL):
 
 # Reference exposure checks: one face and one full pass over the samples at
 # a time, as the library ran them before its blocked kernel
-# (faces.verify_catalogue), on the cone over C' sampled curve by curve and
-# the per-face cone functionals, as the library built them before
+# (faces.verify_catalogue), on the generators of the cone over C' and the
+# per-face cone functionals, as the library built them before
 # construction.lift_points and lift_pairs. The kernel must reproduce their
 # reports exactly.
 
 def reference_cone(body):
-    """The cone over C': each curve's samples p of C moved to 2p + SHIFT,
-    then homogenized to (1, 2p + SHIFT)."""
-    pts = np.vstack([2.0 * body.points[i] + SHIFT for i in CURVE_IDS])
-    return ConeModel(np.hstack([np.ones((len(pts), 1)), pts]), labels=(body.ids, body.ts))
+    """Generators of the cone over C', one per row: the samples p of C
+    moved to 2p + SHIFT, then homogenized to (1, 2p + SHIFT)."""
+    pts = 2.0 * body.xyz + SHIFT
+    return np.hstack([np.ones((len(pts), 1)), pts])
 
 
 def reference_lift(pair):
@@ -241,7 +249,7 @@ def _margins_by_radius(slack, dists, deltas):
     return margins
 
 
-def reference_verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
+def reference_verify_exposure(face, pair, body, eq_abs=EQ_ABS, deltas=MARGIN_DELTAS):
     """Body check of one exposing pair on the samples of C."""
     y, d = pair.normal, pair.offset
     if y.shape != (3,):
@@ -265,7 +273,7 @@ def reference_verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_D
     max_res = float(max(residuals))
 
     margins = _margins_by_radius(d - values, dists, deltas)
-    ok = max_res <= tol.eq_abs and all(m > 0.0 for m in margins.values())
+    ok = max_res <= eq_abs and all(m > 0.0 for m in margins.values())
     return ExposureReport(
         face_label=face.label(),
         max_onface_residual=max_res,
@@ -275,21 +283,21 @@ def reference_verify_exposure(face, pair, body, tol=DEFAULT_TOL, deltas=MARGIN_D
     )
 
 
-def reference_verify_cone_exposure(lifted, cone, face, tol=DEFAULT_TOL, deltas=MARGIN_DELTAS):
+def reference_verify_cone_exposure(lifted, generators, ids, ts, face, eq_abs=EQ_ABS,
+                                   deltas=MARGIN_DELTAS):
     """Lifted check of one cone functional (-d', y) on the cone's
-    generators: the measured equality set |value| <= eq_abs must hold every
-    on-face generator and no generator at parameter distance >= min(deltas)."""
+    generators, labelled with the (curve ids, parameters) of their samples:
+    the measured equality set |value| <= eq_abs must hold every on-face
+    generator and no generator at parameter distance >= min(deltas)."""
     y = np.asarray(lifted, dtype=float)
-    g = cone.generators
+    g = np.asarray(generators, dtype=float)
     if g.shape[1] != y.size:
         raise DimensionMismatchError("lifted pair and cone dimensions differ")
-    if not cone.labels:
-        raise DomainError("cone generators carry no (curve, t) labels")
 
     values = g @ y
-    dists = reference_param_distances(face, *cone.labels)
+    dists = reference_param_distances(face, ids, ts)
     expected = dists <= 1e-9
-    measured = np.abs(values) <= tol.eq_abs
+    measured = np.abs(values) <= eq_abs
 
     max_res = float(np.abs(values[expected]).max()) if expected.any() else 0.0
     margins = _margins_by_radius(-values, dists, deltas)
@@ -299,7 +307,7 @@ def reference_verify_cone_exposure(lifted, cone, face, tol=DEFAULT_TOL, deltas=M
     sets_match = on_face_ok and not bool(stray.any())
     ok = (
         sets_match
-        and max_res <= tol.eq_abs
+        and max_res <= eq_abs
         and all(m > 0.0 for m in margins.values())
     )
     return ExposureReport(

@@ -18,7 +18,7 @@ from conelab import niceness as nn
 from conelab import reporting
 from conelab.cli import main
 from conelab.linalg import DomainError
-from helpers import check_positivity_window, positivity_window
+from helpers import check_positivity_window, face_slice_points, positivity_window
 
 T = con.T_END
 DELTAS = (0.01, 0.05, 0.1)
@@ -102,7 +102,7 @@ def test_criterion_4_homogenization(default_setup):
 
 
 def test_criterion_5_perp_space():
-    basis = nn.perp_basis(nn.face_slice_points())
+    basis = nn.perp_basis(face_slice_points())
     target = np.array([1.0, 0.0, 0.0, -2.0]) / math.sqrt(5.0)
     angle = math.acos(min(1.0, abs(float(basis[0] @ target))))
     ok = basis.shape == (1, 4) and angle < 1e-9
@@ -114,14 +114,14 @@ def test_criterion_6_non_niceness_evidence():
     sweep = nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4])
     control = nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], control=True)
     elapsed = time.perf_counter() - start
-    products = [row[2] for row in sweep.table]
+    products = [row[2] for row in sweep["rows"]]
     ok = (
         all(0.9 <= p <= 1.1 for p in products[-2:])
-        and sweep.closure.max_curve3_value <= 0.0
-        and sweep.closure.max_curve4_value <= 0.0
-        and sweep.in_closure
-        and sweep.verdict == "NotNiceEvidence"
-        and control.verdict == "Inconclusive"
+        and sweep["closure"]["max_curve3_value"] <= 0.0
+        and sweep["closure"]["max_curve4_value"] <= 0.0
+        and sweep["closure"]["in_closure"]
+        and sweep["verdict"] == "NotNiceEvidence"
+        and control["verdict"] == "Inconclusive"
         and elapsed < 10.0
     )
     report(6, "non-niceness divergence", ok,
@@ -149,11 +149,11 @@ def test_criterion_8_three_dimensional_ingredients():
         rejection = False
     except DomainError:
         rejection = True
-    multipliers = octant.multipliers + half_disc.multipliers
-    residual = max(octant.certificate_residual, half_disc.certificate_residual)
+    multipliers = octant["multipliers"] + half_disc["multipliers"]
+    residual = max(octant["certificate_residual"], half_disc["certificate_residual"])
     ok = (
-        octant.passed and half_disc.passed
-        and octant.sign_pattern_ok and half_disc.sign_pattern_ok
+        octant["pass"] and half_disc["pass"]
+        and octant["sign_pattern_ok"] and half_disc["sign_pattern_ok"]
         and min(multipliers) > 0.0
         and residual <= 1e-15
         and rejection

@@ -17,7 +17,7 @@ from conelab import meshes
 from conelab.cli import main
 from conelab import construction, faces, reporting
 from conelab.reporting import RunConfig, render_json, run_faces, run_verify
-from conelab.linalg import ConeModel, DomainError
+from conelab.linalg import DomainError
 from helpers import reference_conic_membership
 
 FAST = ["--samples", "96", "--theta-grid", "12"]
@@ -155,7 +155,7 @@ class TestNice3DCommand:
         assert report["half_disc"]["multipliers"] == pytest.approx((math.sqrt(2.0),) * 2,
                                                                    rel=1e-15)
         # the counters do see the LP route
-        reference_conic_membership([1.0, -1.0, 0.0], ConeModel(np.eye(3)))
+        reference_conic_membership([1.0, -1.0, 0.0], np.eye(3))
         assert calls == {"linprog": 1, "nnls": 1}
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conelab import construction as con
+from conelab import faces as fc
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
 
@@ -43,6 +44,23 @@ class TestCurves:
             con.curve_point(1, T + 0.1)
         with pytest.raises(DomainError):
             con.curve_point(5, 0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda v: con.curve_point(1, v),
+        lambda v: con.curve_points(2, [0.1, v]),
+        lambda v: con.partner_cos(v),
+        lambda v: con.theta_for_partner(v),
+        lambda v: con.ruling_data(v),
+        lambda v: con.sample_body(np.array([0.0, v, T])),
+        lambda v: fc.enumerate_faces([0.1, v]),
+    ], ids=["curve_point", "curve_points", "partner_cos", "theta_for_partner",
+            "ruling_data", "sample_body", "enumerate_faces"])
+    def test_non_finite_parameters_rejected(self, call, value):
+        # every bound check compares with NaN as False, so each must be
+        # written to reject it
+        with pytest.raises(DomainError):
+            call(value)
 
 
 class TestPartnerMachinery:
@@ -118,7 +136,8 @@ class TestRulingData:
 class TestBodiesAndCone:
     def test_scaled_samples_are_exact_affine_images(self):
         raw = con.sample_body(con.curve_grid(33))
-        scaled = np.vstack([2.0 * raw.points[i] + con.SHIFT for i in con.CURVE_IDS])
+        scaled = np.vstack([2.0 * con.curve_points(i, raw.ts[raw.ids == i]) + con.SHIFT
+                            for i in con.CURVE_IDS])
         assert np.array_equal(con.scale_points(raw.xyz), scaled)
         gens = con.lift_points(raw.xyz)
         assert np.array_equal(gens[:, 0], np.ones(len(gens)))
@@ -148,21 +167,19 @@ class TestBodiesAndCone:
     def test_homogenize_hands_the_label_arrays_to_the_cone(self):
         body = con.sample_body(con.curve_grid(16))
         cone = con.homogenize(body)
-        ids, ts = cone.labels
-        assert np.array_equal(ids, body.ids) and np.array_equal(ts, body.ts)
+        assert np.array_equal(cone.ids, body.ids) and np.array_equal(cone.ts, body.ts)
         assert np.array_equal(cone.generators[:, 1:], con.scale_points(body.xyz))
 
     def test_homogenize_generator_for_the_origin_sample(self):
         cone = con.homogenize(con.sample_body(con.curve_grid(8)))
-        origin_rows = [g for g, i, t in zip(cone.generators, *cone.labels) if t == 0.0]
+        origin_rows = [g for g, t in zip(cone.generators, cone.ts) if t == 0.0]
         for g in origin_rows:
             assert np.allclose(g, [1.0, 0.5, 0.0, 0.5], atol=1e-15)
 
     def test_homogenize_generator_for_scaled_p1(self):
         grid = con.curve_grid(8)
         cone = con.homogenize(con.sample_body(grid))
-        ids, ts = cone.labels
-        k = int(np.flatnonzero((ids == 1) & (ts == T))[0])
+        k = int(np.flatnonzero((cone.ids == 1) & (cone.ts == T))[0])
         expected = [1.0, 0.5, -math.sqrt(2.0), math.sqrt(2.0) - 1.5]
         assert np.allclose(cone.generators[k], expected, atol=1e-15)
         assert len(cone.generators) == 4 * len(grid)
@@ -174,13 +191,11 @@ class TestBodiesAndCone:
 
 class TestWitness:
     def test_fixed_constants(self):
-        w = con.witness()
-        assert np.array_equal(w.q, [-1.0, 0.0, -1.0, 2.0])
-        assert np.array_equal(w.u, [1.0, 0.0, 0.0, -2.0])
-        assert float(w.q @ w.u) == -5.0
+        assert np.array_equal(con.WITNESS_Q, [-1.0, 0.0, -1.0, 2.0])
+        assert np.array_equal(con.WITNESS_U, [1.0, 0.0, 0.0, -2.0])
+        assert float(con.WITNESS_Q @ con.WITNESS_U) == -5.0
 
     def test_u_annihilates_the_flat_face_generators(self):
-        w = con.witness()
         ts = np.linspace(0.0, T, 101)
         gens = np.hstack([np.ones((101, 1)), 2.0 * con.curve_points(3, ts) + con.SHIFT])
-        assert np.abs(gens @ w.u).max() <= 1e-12
+        assert np.abs(gens @ con.WITNESS_U).max() <= 1e-12

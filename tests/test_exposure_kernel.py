@@ -14,7 +14,7 @@ import pytest
 from conelab import construction as con
 from conelab import faces as fc
 from conelab import reporting
-from conelab.linalg import DomainError, Tolerance
+from conelab.linalg import DomainError
 from helpers import (
     reference_cone,
     reference_lift,
@@ -29,8 +29,8 @@ DELTAS = (0.01, 0.05, 0.1)  # the radii pinned by test_acceptance.py
 
 @functools.lru_cache(maxsize=None)
 def setup(samples, thetas):
-    """Catalogue, body, and the reference cone over C' and lifted pairs, on
-    the grids that `verify` uses at this size."""
+    """Catalogue, body, and the reference generators of the cone over C'
+    and lifted pairs, on the grids that `verify` uses at this size."""
     th, grids = reporting._grids(
         reporting.RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
     )
@@ -67,7 +67,7 @@ def test_reports_equal_the_per_face_reference(samples, thetas, deltas):
         [reference_verify_exposure(face, pair, body, deltas=deltas) for face, pair in catalogue]
     )
     assert bits(lifted_reports) == bits([
-        reference_verify_cone_exposure(lift, cone, face, deltas=deltas)
+        reference_verify_cone_exposure(lift, cone, body.ids, body.ts, face, deltas=deltas)
         for (face, _), lift in zip(catalogue, lifted)
     ])
     if (samples, thetas) == (512, 512):
@@ -85,7 +85,7 @@ def test_array_lifts_have_the_bits_of_the_reference(samples, thetas):
     catalogue, body, cone, lifted = setup(samples, thetas)
     normals = np.array([pair.normal for _, pair in catalogue])
     offsets = np.array([pair.offset for _, pair in catalogue])
-    assert con.homogenize(body).generators.tobytes() == cone.generators.tobytes()
+    assert con.homogenize(body).generators.tobytes() == cone.tobytes()
     assert con.lift_pairs(normals, offsets).tobytes() == np.array(lifted).tobytes()
 
 
@@ -109,23 +109,25 @@ def test_far_generator_must_clear_eq_abs_on_the_cone(far_value, verdict):
     # sample has x_1 = 0, the curve-2 sample at 0.4 (0.9 away from the face)
     # x_1 = far_value * eq_abs / 2, and every other sample x_1 = -1/2. A
     # dyadic eq_abs keeps every lifted value exact.
-    tol = Tolerance(eq_abs=2.0**-30)
+    eq_abs = 2.0**-30
     grids = {1: np.array([0.0, 0.3, 0.5, 0.7, T]), 2: np.array([0.0, 0.4, T]),
              3: np.array([0.0, T]), 4: np.array([0.0, T])}
     first = {i: np.full(g.size, -0.5) for i, g in grids.items()}
-    first[1][2], first[2][1] = 0.0, far_value * tol.eq_abs / 2.0
-    points = {i: np.column_stack([x, np.zeros((x.size, 2))]) for i, x in first.items()}
-    body = con.BodySamples(grids=grids, points=points)
+    first[1][2], first[2][1] = 0.0, far_value * eq_abs / 2.0
+    x1 = np.concatenate(list(first.values()))
+    body = con.BodySamples(ids=np.concatenate([np.full(g.size, i) for i, g in grids.items()]),
+                           ts=np.concatenate(list(grids.values())),
+                           xyz=np.column_stack([x1, np.zeros((x1.size, 2))]))
     face = fc.FaceDescriptor("F01", 0, param=0.5, anchors=((1, 0.5),))
     pair = fc.ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0)
     body_rep, rep = (reports[0] for reports in
-                     fc.verify_catalogue([(face, pair)], body, lifted=True, tol=tol))
+                     fc.verify_catalogue([(face, pair)], body, lifted=True, eq_abs=eq_abs))
     assert body_rep.passed
     assert rep.verdict == verdict
-    assert rep.margins[0.01] == -far_value * tol.eq_abs
+    assert rep.margins[0.01] == -far_value * eq_abs
     assert rep.onface_count == 1
     assert bits([rep]) == bits([reference_verify_cone_exposure(
-        reference_lift(pair), reference_cone(body), face, tol=tol)])
+        reference_lift(pair), reference_cone(body), body.ids, body.ts, face, eq_abs=eq_abs)])
 
 
 @pytest.mark.parametrize("samples, thetas", [(512, 64), (2048, 256)])

@@ -156,7 +156,7 @@ class TestVerifyExposure:
         for th in np.linspace(T / 16, T, 16):
             r = con.ruling_data(th)
             for i in (2, 4):
-                vals = body.points[i] @ r.normal
+                vals = body.xyz[body.ids == i] @ r.normal
                 assert vals.max() <= 1e-15
             assert r.offset > 0
 
@@ -165,8 +165,8 @@ class TestVerifyExposure:
         r = con.ruling_data(th)
         f03 = fc.FaceDescriptor("F03", 0, param=r.t, anchors=((3, r.t),))
         pair = fc.singleton_pair(3, r.t)
-        vals = body.points[3] @ pair.normal - pair.offset
-        ts = body.grids[3]
+        vals = body.xyz[body.ids == 3] @ pair.normal - pair.offset
+        ts = body.ts[body.ids == 3]
         away = np.abs(ts - r.t) > 1e-9
         assert vals[away].max() < 0
         assert float(con.curve_point(3, r.t) @ pair.normal) == pytest.approx(pair.offset, abs=1e-12)

@@ -50,7 +50,7 @@ class TestLifting:
         for i in (3, 4):
             assert np.abs(con.lift_points(con.curve_points(i, ts)) @ y).max() <= 1e-15
         # the doubled pair from the correspondence with the perp direction
-        assert np.allclose(2.0 * y, -con.witness().u, atol=1e-15)
+        assert np.allclose(2.0 * y, -con.WITNESS_U, atol=1e-15)
 
     def test_lifted_value_is_twice_the_body_slack(self):
         pairs = [fc.exposing_pair(f) for f in fc.enumerate_faces(con.theta_grid(8))]
@@ -103,4 +103,4 @@ class TestPolar:
         angles = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
         model = polar_generator_model(samples, np.stack([np.cos(angles), np.sin(angles)], axis=1))
         cone_gens = np.hstack([np.ones((len(samples), 1)), samples])
-        assert (model.generators @ cone_gens.T).max() <= 1e-12
+        assert (model @ cone_gens.T).max() <= 1e-12

@@ -6,13 +6,15 @@ import pytest
 
 from conelab import construction as con
 from conelab import niceness as nn
-from conelab.linalg import ConeModel, DegenerateInputError, DomainError
+from conelab.linalg import DegenerateInputError, DomainError
 from helpers import (
     check_positivity_window,
+    face_slice_points,
     fibonacci_sphere_grid,
     polar_generator_model,
     positivity_window,
     reference_conic_membership,
+    witness_slack,
 )
 
 T = con.T_END
@@ -20,7 +22,7 @@ T = con.T_END
 
 class TestPerpBasis:
     def test_flat_face_slice_points(self):
-        basis = nn.perp_basis(nn.face_slice_points())
+        basis = nn.perp_basis(face_slice_points())
         assert basis.shape == (1, 4)
         target = np.array([1.0, 0.0, 0.0, -2.0]) / math.sqrt(5.0)
         angle = math.acos(min(1.0, abs(float(basis[0] @ target))))
@@ -43,51 +45,73 @@ class TestPerpBasis:
     def test_vector_outside_the_kernel_fails_the_recheck(self, monkeypatch):
         monkeypatch.setattr(nn, "nullspace", lambda rows: np.array([[1.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(AssertionError):
-            nn.perp_basis(nn.face_slice_points())
+            nn.perp_basis(face_slice_points())
+
+
+# Unit roundoff of binary64, and Higham's gamma_n = n u / (1 - n u).
+U = 2.0**-53
+
+
+def gamma(n):
+    return n * U / (1.0 - n * U)
 
 
 class TestWitnessSlack:
     def test_zero_at_the_origin_parameter(self):
-        for lam in (-2.0, 0.0, 5.0):
-            assert nn.witness_slack(0.0, lam) == 0.0
+        for lam in (-2.0, 0.0, 5.0, -1e6, 1e6):
+            assert witness_slack(0.0, lam) == 0.0
 
     def test_shift_minus_one_reduces_to_twice_sine(self):
         for t in np.linspace(0.01, T, 23):
-            assert nn.witness_slack(t, -1.0) == pytest.approx(2.0 * math.sin(t), abs=1e-12)
-            assert nn.witness_slack(t, -1.0) > 0.0
+            assert witness_slack(t, -1.0) == pytest.approx(2.0 * math.sin(t), abs=1e-12)
+            assert witness_slack(t, -1.0) > 0.0
 
     def test_value_at_top_parameter_no_shift(self):
         # frozen from a 50-digit evaluation of 2*(2*(cos T - 1) + sin T)
-        assert nn.witness_slack(T, 0.0) == pytest.approx(0.24264068711928514, abs=1e-12)
+        assert witness_slack(T, 0.0) == pytest.approx(0.24264068711928514, abs=1e-12)
 
     def test_identity_on_random_inputs(self):
+        # The dot product <a, b> of a = (1, 2 curve1(t) + SHIFT) and
+        # b = q - lam u agrees with the closed form to gamma_16 sum |a_i||b_i|
+        # (Higham, section 3.1), a bound that grows with lam as the operands
+        # do; an absolute bound fails for |lam| >~ 1e3. Budget: gamma_4 for
+        # the 4-term product, gamma_2 for rounding a_i and b_i once each
+        # (cos t - 1 is exact by Sterbenz), gamma_3 for the closed form's
+        # three roundings, whose terms 4|lam+1||cos t - 1| and 2 sin t sum
+        # to at most sum |a_i||b_i| on [0, T], one spare u, and 6u for math
+        # and numpy returning cos t and sin t one ulp apart.
         rng = np.random.default_rng(5)
-        for t, lam in zip(rng.uniform(0, T, 200), rng.uniform(-8, 8, 200)):
-            nn.witness_slack(float(t), float(lam))  # raises if the dot product disagrees
+        ts = rng.uniform(0, T, 800)
+        lams = np.concatenate([rng.uniform(-8, 8, 200), np.full(200, -1e6), np.full(200, 1e6),
+                               rng.uniform(-1e7, 1e7, 200)])
+        for t, lam in zip(ts.tolist(), lams.tolist()):
+            a = con.lift_points(con.curve_point(1, t))[0]
+            b = con.WITNESS_Q - lam * con.WITNESS_U
+            bound = gamma(16) * float(np.abs(a) @ np.abs(b))
+            assert abs(witness_slack(t, lam) - float(a @ b)) <= bound, (t, lam)
 
 
 class TestShiftProfile:
     def test_flat_face_generators_are_unconditional(self):
         cone = nn.refined_cone(0.05, samples_per_curve=64)
         prof = nn.shift_profile(cone)
-        w = con.witness()
-        for g, cid, t in zip(cone.generators, *cone.labels):
+        for g, cid, t in zip(*cone):
             if cid == 3:
-                assert float(g @ w.q) == pytest.approx(2.0 * (math.cos(t) - 1.0), abs=1e-12)
-                assert abs(float(g @ w.u)) <= 1e-12
+                assert float(g @ con.WITNESS_Q) == pytest.approx(2.0 * (math.cos(t) - 1.0), abs=1e-12)
+                assert abs(float(g @ con.WITNESS_U)) <= 1e-12
             if cid == 4:
-                assert float(g @ w.q) == pytest.approx(-2.0 * math.sin(t), abs=1e-12)
-                assert abs(float(g @ w.u)) <= 1e-12
+                assert float(g @ con.WITNESS_Q) == pytest.approx(-2.0 * math.sin(t), abs=1e-12)
+                assert abs(float(g @ con.WITNESS_U)) <= 1e-12
         n_gens = len(cone.generators)
-        assert sum(prof.counts.values()) == n_gens
-        assert prof.counts["infeasible-constant"] == 0
+        assert sum(prof["counts"].values()) == n_gens
+        assert prof["counts"]["infeasible-constant"] == 0
         # curves 3/4 entirely unconditional, plus the four origin samples
-        assert prof.counts["unconditional"] == 2 * 64 + 2
+        assert prof["counts"]["unconditional"] == 2 * 64 + 2
 
     def test_curve1_bound_formula(self):
         cone = nn.refined_cone(0.02, samples_per_curve=64)
         prof = nn.shift_profile(cone)
-        for bound, cid, t in zip(*prof.lower_bounds):
+        for bound, cid, t in zip(*prof["lower_bounds"]):
             if cid == 1:
                 formula = math.sin(t) / (2.0 * (1.0 - math.cos(t))) - 1.0
                 assert bound == pytest.approx(formula, rel=1e-9)
@@ -98,29 +122,24 @@ class TestShiftProfile:
     def test_lambda_star_at_centi_epsilon(self):
         # frozen from a 50-digit evaluation of sin(e)/(2(1-cos e)) - 1, e=0.01
         prof = nn.shift_profile(nn.refined_cone(0.01, 128))
-        assert prof.lambda_star == pytest.approx(98.9991666652777745, rel=1e-8)
-        assert prof.achieving == (1, 0.01)
-        assert prof.interval[1] == math.inf
+        assert prof["lambda_star"] == pytest.approx(98.9991666652777745, rel=1e-8)
+        assert prof["achieving"] == (1, 0.01)
+        assert prof["interval"][1] == math.inf
 
     def test_bound_reproduces_equality_at_its_lambda(self):
         cone = nn.refined_cone(0.03, samples_per_curve=32)
         prof = nn.shift_profile(cone)
-        w = con.witness()
-        by_label = {(cid, t): g for g, cid, t in zip(cone.generators, *cone.labels)}
-        for bound, cid, t in list(zip(*prof.lower_bounds))[:20]:
+        by_label = {(cid, t): g for g, cid, t in zip(*cone)}
+        for bound, cid, t in list(zip(*prof["lower_bounds"]))[:20]:
             g = by_label[(cid, t)]
-            assert abs(float(g @ (w.q - bound * w.u))) <= 1e-9
+            assert abs(float(g @ (con.WITNESS_Q - bound * con.WITNESS_U))) <= 1e-9
 
     def test_interval_below_lambda_star_fails_the_recheck(self, monkeypatch):
         cone = nn.refined_cone(0.01, 64)
-        lam = nn.shift_profile(cone).lambda_star
+        lam = nn.shift_profile(cone)["lambda_star"]
         monkeypatch.setattr(nn, "feasible_interval", lambda lowers, uppers: (lam - 1.0, math.inf))
         with pytest.raises(AssertionError):
             nn.shift_profile(cone)
-
-    def test_unlabelled_cone_rejected(self):
-        with pytest.raises(DomainError):
-            nn.shift_profile(ConeModel(np.eye(4)))
 
 
 class TestMembershipCrossCheck:
@@ -128,13 +147,12 @@ class TestMembershipCrossCheck:
         epsilon = 0.01
         cone = nn.refined_cone(epsilon, 128)
         prof = nn.shift_profile(cone)
-        w = con.witness()
         samples = con.scale_points(
             con.sample_body({i: nn.sweep_grid(epsilon, 128) for i in con.CURVE_IDS}).xyz
         )
 
-        lam_in = prof.lambda_star + 1.0
-        point_in = w.q - lam_in * w.u
+        lam_in = prof["lambda_star"] + 1.0
+        point_in = con.WITNESS_Q - lam_in * con.WITNESS_U
         # direction grid includes the query's own direction plus a spread
         dirs = np.vstack([
             point_in[1:] / np.linalg.norm(point_in[1:]),
@@ -148,52 +166,52 @@ class TestMembershipCrossCheck:
 
         # one unit below the threshold the membership flips, and a cone
         # generator (the binding curve-1 sample) separates
-        lam_out = prof.lambda_star - 1.0
-        point_out = w.q - lam_out * w.u
+        lam_out = prof["lambda_star"] - 1.0
+        point_out = con.WITNESS_Q - lam_out * con.WITNESS_U
         verdict_out = reference_conic_membership(point_out, polar)
         assert not verdict_out.inside
         assert verdict_out.recheck(point_out, polar)
         binding = np.concatenate([[1.0], 2.0 * con.curve_point(1, epsilon) + con.SHIFT])
         assert float(binding @ point_out) > 0.0
-        assert (polar.generators @ binding).max() <= 1e-9
+        assert (polar @ binding).max() <= 1e-9
 
 
 class TestDivergenceSweep:
     def test_default_levels_give_reciprocal_growth(self):
-        verdict = nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], samples_per_curve=64)
-        assert verdict.verdict == "NotNiceEvidence"
-        products = [row[2] for row in verdict.table]
+        sweep = nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], samples_per_curve=64)
+        assert sweep["verdict"] == "NotNiceEvidence"
+        products = [row[2] for row in sweep["rows"]]
         # frozen from 50-digit evaluations of eps * (sin(eps)/(2(1-cos eps)) - 1)
         assert products[0] == pytest.approx(0.899166527744700725, rel=1e-6)
         assert products[1] == pytest.approx(0.989991666652777745, rel=1e-6)
         for p in products[-2:]:
             assert 0.9 <= p <= 1.1
-        assert verdict.fitted_exponent == pytest.approx(1.0, abs=0.05)
+        assert sweep["fitted_exponent"] == pytest.approx(1.0, abs=0.05)
 
     def test_closure_is_exact_not_toleranced(self):
         rep = nn.closure_check(512)
-        assert rep.in_closure
-        assert rep.max_curve3_value <= 0.0
-        assert rep.max_curve4_value <= 0.0
-        assert rep.max_identity_residual <= 1e-12
+        assert rep["in_closure"]
+        assert rep["max_curve3_value"] <= 0.0
+        assert rep["max_curve4_value"] <= 0.0
+        assert rep["max_identity_residual"] <= 1e-12
 
     def test_achieving_generator_stays_on_curve1(self):
-        verdict = nn.divergence_sweep([5e-2, 5e-3, 5e-4], samples_per_curve=32)
-        for eps, _, _, cid, t in verdict.table:
+        sweep = nn.divergence_sweep([5e-2, 5e-3, 5e-4], samples_per_curve=32)
+        for eps, _, _, cid, t in sweep["rows"]:
             assert cid == 1
             assert t == pytest.approx(eps)
 
     def test_polyhedral_control_is_inconclusive(self):
-        verdict = nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], control=True)
-        assert verdict.verdict == "Inconclusive"
-        lams = [row[1] for row in verdict.table]
+        sweep = nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], control=True)
+        assert sweep["verdict"] == "Inconclusive"
+        lams = [row[1] for row in sweep["rows"]]
         assert max(lams) - min(lams) <= 1e-12  # constant over refinement
         assert lams[0] == pytest.approx(0.20710678118654752, abs=1e-12)
-        assert abs(verdict.fitted_exponent) < 0.01
+        assert abs(sweep["fitted_exponent"]) < 0.01
 
     def test_fewer_than_three_levels_is_inconclusive(self):
-        verdict = nn.divergence_sweep([1e-2], samples_per_curve=32)
-        assert verdict.verdict == "Inconclusive"
+        sweep = nn.divergence_sweep([1e-2], samples_per_curve=32)
+        assert sweep["verdict"] == "Inconclusive"
 
     def test_non_monotone_levels_rejected(self):
         with pytest.raises(DomainError):
@@ -239,36 +257,36 @@ def random_rotation(rng):
 class TestNice3D:
     def test_octant_projections_align_with_axes(self):
         rep = nn.nice3d_ingredients(*nn.octant_example())
-        assert rep.passed
-        q1, q2 = rep.projections
+        assert rep["pass"]
+        q1, q2 = rep["projections"]
         assert np.allclose(q1, [0.0, 1.0, 0.0], atol=1e-12)
         assert np.allclose(q2, [1.0, 0.0, 0.0], atol=1e-12)
         # q_i = c_i * r_i with r1 = e2, r2 = e1: the dual wedge is the quadrant
-        assert np.array_equal(np.abs(np.array(rep.wedge_generators)), [[0, 1, 0], [1, 0, 0]])
-        assert rep.multipliers == (1.0, 1.0)
-        assert rep.certificate_residual == 0.0
+        assert np.array_equal(np.abs(np.array(rep["wedge_generators"])), [[0, 1, 0], [1, 0, 0]])
+        assert rep["multipliers"] == (1.0, 1.0)
+        assert rep["certificate_residual"] == 0.0
 
     def test_half_disc_cone_passes(self):
         rep = nn.nice3d_ingredients(*nn.half_disc_cone_example())
-        assert rep.passed
-        assert rep.sign_pattern_ok
-        assert rep.projection_identity_residual <= 1e-12
-        assert rep.multipliers == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)), rel=1e-15)
-        assert rep.certificate_residual <= 1e-15
+        assert rep["pass"]
+        assert rep["sign_pattern_ok"]
+        assert rep["projection_identity_residual"] <= 1e-12
+        assert rep["multipliers"] == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)), rel=1e-15)
+        assert rep["certificate_residual"] <= 1e-15
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_certificate_is_exact_in_fractions(self, example):
         # on the float inputs: q_i x r_i = 0 and c_i = <q_i, r_i>/|r_i|^2 > 0
         _, p1, p2, _, _ = example()
         rep = nn.nice3d_ingredients(*example())
-        for i, (q, r) in enumerate(zip(rep.projections, rep.wedge_generators)):
+        for i, (q, r) in enumerate(zip(rep["projections"], rep["wedge_generators"])):
             q, r = [Fraction(float(v)) for v in q], [Fraction(float(v)) for v in r]
             cross = [q[1] * r[2] - q[2] * r[1], q[2] * r[0] - q[0] * r[2],
                      q[0] * r[1] - q[1] * r[0]]
             assert cross == [0, 0, 0]
             c = sum(a * b for a, b in zip(q, r)) / sum(b * b for b in r)
             assert c > 0
-            assert rep.multipliers[i] == float(c)
+            assert rep["multipliers"][i] == float(c)
             p_other = (p2, p1)[i]
             assert sum(a * Fraction(float(b)) for a, b in zip(r, p_other)) > 0
 
@@ -278,7 +296,7 @@ class TestNice3D:
         # cone{h1, h2} + span{n}; test it on seeded random points
         _, p1, p2, h1, h2 = example()
         nrm = nn.perp_basis(np.vstack([p1, p2]))[0]
-        cone = ConeModel(np.vstack([h1, h2, nrm, -nrm]))
+        cone = np.vstack([h1, h2, nrm, -nrm])
         xs = np.random.default_rng(7).normal(size=(1200, 3))
         wedge = (xs @ p1 >= 0.0) & (xs @ p2 >= 0.0)
         decided = 0
@@ -296,19 +314,19 @@ class TestNice3D:
         cone, *vectors = example()
         for _ in range(20):
             rot = random_rotation(rng)
-            rep = nn.nice3d_ingredients(ConeModel(cone.generators @ rot.T),
+            rep = nn.nice3d_ingredients(cone @ rot.T,
                                         *(rot @ v for v in vectors))
-            assert rep.passed and rep.sign_pattern_ok
-            assert rep.certificate_residual <= 1e-15
-            assert rep.multipliers == pytest.approx(base.multipliers, rel=1e-12)
+            assert rep["pass"] and rep["sign_pattern_ok"]
+            assert rep["certificate_residual"] <= 1e-15
+            assert rep["multipliers"] == pytest.approx(base["multipliers"], rel=1e-12)
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_swapping_the_edges_swaps_the_report(self, example):
         cone, p1, p2, h1, h2 = example()
         rep = nn.nice3d_ingredients(cone, p1, p2, h1, h2)
         swapped = nn.nice3d_ingredients(cone, p2, p1, h2, h1)
-        assert swapped.passed and swapped.multipliers == rep.multipliers[::-1]
-        for a, b in zip(swapped.wedge_generators, rep.wedge_generators[::-1]):
+        assert swapped["pass"] and swapped["multipliers"] == rep["multipliers"][::-1]
+        for a, b in zip(swapped["wedge_generators"], rep["wedge_generators"][::-1]):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("example", EXAMPLES)
@@ -316,17 +334,17 @@ class TestNice3D:
         # h2 exposes p2, not p1: q_1 is then orthogonal to r_1
         cone, p1, p2, h1, h2 = example()
         rep = nn.nice3d_ingredients(cone, p1, p2, h2, h1)
-        assert not rep.sign_pattern_ok
-        assert max(rep.multipliers) <= 0.0 and rep.certificate_residual == 1.0
-        assert not rep.passed
+        assert not rep["sign_pattern_ok"]
+        assert max(rep["multipliers"]) <= 0.0 and rep["certificate_residual"] == 1.0
+        assert not rep["pass"]
 
     def test_normal_not_zero_on_its_edge_fails(self):
         # h1 >= 0 on the octant but positive on p1 = e1: it exposes no edge
         cone, p1, p2, _, h2 = nn.octant_example()
         rep = nn.nice3d_ingredients(cone, p1, p2, np.array([0.5, 1.0, 1.0]), h2)
-        assert not rep.sign_pattern_ok
-        assert rep.certificate_residual > 0.1
-        assert not rep.passed
+        assert not rep["sign_pattern_ok"]
+        assert rep["certificate_residual"] > 0.1
+        assert not rep["pass"]
 
     def test_normal_in_face_complement_rejected(self):
         cone, p1, p2, _, h2 = nn.octant_example()
@@ -342,3 +360,17 @@ class TestNice3D:
         cone, p1, _, h1, h2 = nn.octant_example()
         with pytest.raises(DegenerateInputError):
             nn.nice3d_ingredients(cone, p1, 2.0 * p1, h1, h2)
+
+    @pytest.mark.parametrize("generators, error", [
+        (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, math.nan], [0.0, 0.0, 1.0]]), DomainError),
+        (np.array([[1.0, 0.0, 0.0], [0.0, math.inf, 0.0]]), DomainError),
+        (np.empty((0, 3)), DegenerateInputError),
+        (np.eye(4), DomainError),
+        (np.eye(3)[:, :2], DomainError),
+        (np.array([1.0, 0.0, 0.0]), DomainError),
+        (np.ones((2, 3, 3)), DomainError),
+    ], ids=["nan", "inf", "empty", "4d", "2d", "one-row-vector", "3-axis"])
+    def test_generators_must_be_a_finite_m_by_3_array(self, generators, error):
+        _, p1, p2, h1, h2 = nn.octant_example()
+        with pytest.raises(error):
+            nn.nice3d_ingredients(generators, p1, p2, h1, h2)
