@@ -208,8 +208,8 @@ class Cone(NamedTuple):
 def sample_body(grids):
     """Sample the four arcs on the given per-curve grids.
 
-    grids: dict curve_id -> array of parameters (must include 0 and T), or a
-    single array used for every curve.
+    grids: dict curve_id -> non-decreasing array of parameters (must include
+    0 and T), or a single array used for every curve.
     """
     if not isinstance(grids, dict):
         grids = {i: np.asarray(grids, dtype=float) for i in CURVE_IDS}
@@ -219,6 +219,9 @@ def sample_body(grids):
         g = grids[i]
         if abs(g[0]) > 1e-15 or abs(g[-1] - T_END) > 1e-12:
             raise DomainError("grids must include both endpoints 0 and T")
+        # the exposure kernel needs sorted runs; NaN fails the comparison too
+        if not (g[1:] >= g[:-1]).all():
+            raise DomainError(f"grid of curve {i} must be non-decreasing")
     return BodySamples(
         ids=np.concatenate([np.full(grids[i].size, i) for i in CURVE_IDS]),
         ts=np.concatenate([np.asarray(grids[i], dtype=float) for i in CURVE_IDS]),

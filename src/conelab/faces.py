@@ -15,6 +15,9 @@ take theirs from the ruling machinery, the fixed faces (origin, endpoint
 chords, endpoint triangles and planar sides) from one table. One exposure
 kernel, verify_catalogue, checks each pair on samples of C and, lifted by
 construction.lift_pairs, on the matching generators of the cone K over C'.
+The samples of each curve are sorted by parameter, so the samples on a face
+and those at distance >= delta from it are index ranges of each curve,
+found once; the kernel reduces each pair's values over those ranges.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ MARGIN_DELTAS = (0.01, 0.05, 0.1)
 # Samples at parameter distance at most this from a face lie on it.
 ONFACE_DIST = 1e-9
 
-# (face, sample) entries per block of the exposure kernel: one float64
-# temporary of a block is 256 KB, so the kernel's memory stays flat as the
-# catalogue and the samples grow (the whole faces x samples matrix at
-# 2048/256 would be ~120 MB per temporary).
+# (face, sample) values per block of the exposure kernel, written into one
+# 256 KB float64 buffer reused by every block and check, so the kernel's
+# memory stays flat as the catalogue and the samples grow (the whole faces x
+# samples matrix at 2048/256 would be ~120 MB).
 BLOCK_ELEMENTS = 1 << 15
 
 _A = 1.0 / math.sqrt(2.0)
@@ -120,8 +123,7 @@ class ExposingPair:
         object.__setattr__(self, "normal", n)
 
 
-@dataclass(frozen=True, slots=True)  # one per face and check: keep it small
-class ExposureReport:
+class ExposureReport(NamedTuple):  # one per face and check: cheap to build
     face_label: str
     max_onface_residual: float
     margins: dict            # delta -> smallest measured margin at that radius
@@ -267,13 +269,13 @@ def _anchor_residuals(faces, normals, offsets):
 
 
 def _distance_table(faces):
-    """Per face: the anchor parameter on each curve (inf where it has none),
-    the reach of the other curves through the common endpoint (the smallest
-    anchor parameter; 0 for a planar side) and the curves wholly contained
-    in the face."""
+    """Per face and curve: the anchor parameter (inf where the face has none)
+    and the reach through the common endpoint (the smallest anchor parameter;
+    0 for a planar side, -inf on the curves wholly contained in the face). A
+    sample of curve c at t lies at parameter distance min(|t - anchor|,
+    t + reach) from the face, where -inf means on it."""
     anchor_t = np.full((len(faces), len(CURVE_IDS)), math.inf)
-    reach = np.full(len(faces), math.inf)
-    full = np.zeros((len(faces), len(CURVE_IDS)), dtype=bool)
+    reach = np.full(anchor_t.shape, math.inf)
     for j, face in enumerate(faces):
         for i, t in face.anchors:
             if anchor_t[j, i - 1] != math.inf:
@@ -281,80 +283,108 @@ def _distance_table(faces):
             anchor_t[j, i - 1] = t
         if face.full_curves:
             reach[j] = 0.0
-            full[j, [i - 1 for i in face.full_curves]] = True
-    return anchor_t, np.minimum(reach, anchor_t.min(axis=1)), full
+            reach[j, [i - 1 for i in face.full_curves]] = -math.inf
+    return anchor_t, np.minimum(reach, anchor_t.min(axis=1, keepdims=True))
 
 
-def _curve_runs(ids):
+def _curve_runs(ids, ts):
     """(start, stop, curve index) of each run of equal curve ids; one run
-    per curve for samples stacked curve by curve."""
+    per curve for samples stacked curve by curve. The parameters must not
+    decrease along a run."""
     ids = np.asarray(ids)
-    if not np.isin(ids, CURVE_IDS).all():
+    if not (ids[:, None] == CURVE_IDS).any(axis=1).all():
         raise DomainError(f"sample curve ids must lie in {CURVE_IDS}")
-    cuts = np.flatnonzero(np.diff(ids)) + 1
+    same = ids[1:] == ids[:-1]
+    # a NaN fails the comparison, or is caught alone in its run by isnan
+    if not (ts[1:] >= ts[:-1])[same].all() or np.isnan(ts).any():
+        raise DomainError("sample parameters must be non-decreasing along each curve run")
+    cuts = np.flatnonzero(~same) + 1
     starts, stops = np.append(0, cuts), np.append(cuts, len(ids))
     return [(a, b, int(ids[a]) - 1) for a, b in zip(starts, stops)]
 
 
-def _block_distances(table, rows, runs, ts):
-    """Parameter distances of a block of faces (a slice of the table) to
-    every sample: min(|t - a_curve|, t + reach), and 0 on the curves wholly
-    contained in the face."""
-    anchor_t, reach, full = table
-    dist = np.empty((rows.stop - rows.start, len(ts)))
-    for start, stop, c in runs:
-        np.subtract(ts[start:stop], anchor_t[rows, c, None], out=dist[:, start:stop])
-    np.abs(dist, out=dist)
-    np.minimum(dist, ts + reach[rows, None], out=dist)
-    if full[rows].any():
-        for start, stop, c in runs:
-            dist[full[rows, c], start:stop] = 0.0
-    return dist
+def _sample_ranges(faces, ids, ts, deltas):
+    """Index ranges of the samples on each face (parameter distance at most
+    ONFACE_DIST) and, per delta, of those at distance >= delta: shape
+    (1 + len(deltas), faces, 4 * runs), two disjoint ranges (start, stop)
+    per curve run, empty where stop <= start.
+
+    Along a sorted run fl(t + reach) and fl(t - anchor) do not decrease, so
+    each range end is the first sample at which one of them reaches a bound
+    (x > b is x >= nextafter(b, inf) for floats). np.searchsorted finds it
+    up to the rounding of bound - shift; stepping while the kernel's own
+    predicate disagrees at the neighbouring sample makes it exact.
+    """
+    anchor_t, reach = _distance_table(faces)
+    runs = _curve_runs(ids, ts)
+    # distance <= ONFACE_DIST is the complement of distance >= its successor
+    radii = [math.nextafter(ONFACE_DIST, math.inf), *deltas]
+    # per radius: where t + reach reaches it, where t - anchor exceeds -radius
+    # (enters the band around the anchor) and where it reaches the radius
+    bounds = np.array([b for r in radii for b in (r, math.nextafter(-r, math.inf), r)])
+    on_reach = np.arange(len(bounds)) % 3 == 0
+    ends = np.empty((len(radii), len(faces), len(runs), 4), dtype=np.int32)
+    for r, (lo, hi, c) in enumerate(runs):
+        shift = np.where(on_reach, reach[:, c, None], -anchor_t[:, c, None])
+        k = lo + np.searchsorted(ts[lo:hi], bounds - shift)
+        while True:
+            down = (k > lo) & (ts[np.maximum(k - 1, lo)] + shift >= bounds)
+            short = (k < hi) & ~(ts[np.minimum(k, hi - 1)] + shift >= bounds)
+            if not (down.any() or short.any()):
+                break
+            k += short.astype(int) - down
+        near, enter, leave = k.reshape(len(faces), len(radii), 3).transpose(2, 1, 0)
+        cols = ends[:, :, r].transpose(2, 0, 1)  # (start, stop, start, stop) x radius x face
+        # at distance >= radius: past the near prefix and outside the band
+        cols[0], cols[1], cols[2], cols[3] = near, enter, np.maximum(near, leave), hi
+        # on the face, the complement: the near prefix and the band
+        on = cols[:, 0]
+        on[0], on[1], on[2], on[3] = lo, near[0], np.maximum(near[0], enter[0]), leave[0]
+    return ends.reshape(len(radii), len(faces), 4 * len(runs))
 
 
-class _Check(NamedTuple):
-    """One side of the exposure kernel: a functional per face, evaluated on
-    the sample points. The slack is offset - value for a body pair and
-    -value for a cone functional (offsets None), which vanishes on the
-    lifted face."""
-
-    points: np.ndarray
-    functionals: np.ndarray
-    offsets: np.ndarray | None
-    anchor_res: np.ndarray    # residual at the face points, per face
-    floor: float              # the margin at the smallest radius must exceed it
-    prefix: str
+def _reduce_ranges(ufunc, values, ends, empty):
+    """ufunc.reduce over values[start:stop] for each range of ends (start,
+    stop, start, ... along the last axis), `empty` for an empty range. Every
+    end must be below len(values)."""
+    out = ufunc.reduceat(values, ends.reshape(-1))[::2].reshape(*ends.shape[:-1], -1)
+    out[ends[..., 1::2] <= ends[..., ::2]] = empty
+    return out
 
 
 def _scan(faces, ids, ts, checks, deltas):
-    """Walk the faces in blocks of about BLOCK_ELEMENTS (face, sample)
-    entries. Per face: the on-face sample count and, per check, the largest
-    on-face |slack| and the smallest slack at distance >= each delta."""
-    table = _distance_table(faces)
-    runs = _curve_runs(ids)
-    step = max(1, BLOCK_ELEMENTS // len(ts))
-    counts = np.empty(len(faces), dtype=int)
+    """Per face: the on-face sample count and, per check, the largest
+    on-face |slack| and the smallest slack at distance >= each delta, both
+    inf where no sample is in the range. A check is (points, functionals,
+    offsets), one functional per face; its slack at a point is offset -
+    <functional, point>.
+
+    The faces are walked in blocks of about BLOCK_ELEMENTS (face, sample)
+    values, written into one buffer. The slack is monotone in the value v,
+    so its extremes over a range are those of the values: the smallest
+    slack is d - max v, the largest |slack| the larger of |d - max v| and
+    |d - min v|.
+    """
+    ends = _sample_ranges(faces, ids, ts, deltas)
+    counts = np.maximum(ends[0, :, 1::2] - ends[0, :, ::2], 0).sum(axis=1)
+    n = len(ts)
+    step = max(1, BLOCK_ELEMENTS // n)
+    buf = np.zeros(min(step, len(faces)) * n + 1)  # the last entry keeps every end valid
     residuals = [np.empty(len(faces)) for _ in checks]
     margins = [np.empty((len(faces), len(deltas))) for _ in checks]
     for start in range(0, len(faces), step):
         rows = slice(start, min(start + step, len(faces)))
-        dist = _block_distances(table, rows, runs, ts)
-        onface = dist <= ONFACE_DIST
-        far = [dist >= delta for delta in deltas]
-        del dist
-        counts[rows] = [np.count_nonzero(row) for row in onface]
-        for check, res, marg in zip(checks, residuals, margins):
-            slack = np.empty(onface.shape)
+        size = rows.stop - rows.start
+        block = ends[:, rows] + n * np.arange(size)[:, None]
+        values = buf[:size * n + 1]
+        for (points, functionals, offsets), res, marg in zip(checks, residuals, margins):
             # one matrix-vector product per face, the bits of points @ y
-            np.matmul(check.points, check.functionals[rows, :, None], out=slack[:, :, None])
-            if check.offsets is None:
-                np.negative(slack, out=slack)
-            else:
-                np.subtract(check.offsets[rows, None], slack, out=slack)
-            for k, mask in enumerate(far):
-                marg[rows, k] = np.minimum.reduce(slack, axis=1, where=mask, initial=math.inf)
-            np.abs(slack, out=slack)
-            res[rows] = np.maximum.reduce(slack, axis=1, where=onface, initial=0.0)
+            np.matmul(points, functionals[rows, :, None], out=values[:-1].reshape(size, n, 1))
+            top = _reduce_ranges(np.maximum, values, block, -math.inf).max(axis=2)
+            low = _reduce_ranges(np.minimum, values, block[0], math.inf).min(axis=1)
+            d = offsets[rows]
+            marg[rows] = d[:, None] - top[1:].T
+            res[rows] = np.maximum(np.abs(d - top[0]), np.abs(d - low))
     return counts, residuals, margins
 
 
@@ -365,16 +395,17 @@ def verify_catalogue(catalogue, body, lifted=False, eq_abs=EQ_ABS, deltas=MARGIN
     generators of K over the same samples (construction.lift_points).
 
     Returns (body_reports, lifted_reports), lifted_reports None unless
-    lifted. Both checks use the same parameter distances, computed once per
-    block of faces, and one rule: the on-face residual is at most eq_abs and
-    the margin (the smallest slack d - <y, x>, resp. -<(-d', y), (1, x')>,
-    over the samples at parameter distance >= delta) is positive at every
-    radius delta. The lifted margin at the smallest radius must also exceed
-    eq_abs: no generator that far from the face may lie on the hyperplane
-    within the tolerance. Nearer generators are not held to it, since
-    margins vanish quadratically toward the face.
+    lifted. Both checks use the same sample ranges, found once, and one
+    rule: the on-face residual is at most eq_abs and the margin (the
+    smallest slack d - <y, x>, resp. -<(-d', y), (1, x')>, over the samples
+    at parameter distance >= delta) is positive at every radius delta. The
+    lifted margin at the smallest radius must also exceed eq_abs: no
+    generator that far from the face may lie on the hyperplane within the
+    tolerance. Nearer generators are not held to it, since margins vanish
+    quadratically toward the face.
 
-    The catalogue is walked in blocks of faces (see BLOCK_ELEMENTS), so the
+    The samples of each curve run must be sorted by parameter, and the
+    catalogue is walked in blocks of faces (see BLOCK_ELEMENTS), so the
     memory held stays flat as catalogue and samples grow.
     """
     if min(deltas) <= ONFACE_DIST:
@@ -384,29 +415,28 @@ def verify_catalogue(catalogue, body, lifted=False, eq_abs=EQ_ABS, deltas=MARGIN
         raise DimensionMismatchError("pair normal must be 3-dimensional")
     normals = np.array([pair.normal for _, pair in catalogue]).reshape(-1, 3)
     offsets = np.array([pair.offset for _, pair in catalogue])
-    checks = [_Check(body.xyz, normals, offsets,
-                     _anchor_residuals(faces, normals, offsets), 0.0, "")]
+    anchor_res = _anchor_residuals(faces, normals, offsets)
+    checks = [(body.xyz, normals, offsets)]
     if lifted:
-        checks.append(_Check(lift_points(body.xyz), lift_pairs(normals, offsets), None,
-                             np.zeros(len(faces)), eq_abs, "lift:"))
-
+        # a cone functional's slack is -value, which is -0.0 - value to the bit
+        checks.append((lift_points(body.xyz), lift_pairs(normals, offsets),
+                       np.full(len(faces), -0.0)))
     counts, residuals, margins = _scan(faces, body.ids, body.ts, checks, deltas)
-    smallest = min(deltas)
+    del checks  # frees the lifted points before the reports are built
+    labels = [face.label() for face in faces]
     reports = []
-    for check, res, marg in zip(checks, residuals, margins):
-        floors = [check.floor if delta == smallest else 0.0 for delta in deltas]
-        out = []
-        for j, face in enumerate(faces):
-            max_res = float(max(check.anchor_res[j], res[j]))
-            ok = max_res <= eq_abs and all(m > f for m, f in zip(marg[j], floors))
-            out.append(ExposureReport(
-                face_label=check.prefix + face.label(),
-                max_onface_residual=max_res,
-                margins={delta: float(m) for delta, m in zip(deltas, marg[j])},
-                onface_count=int(counts[j]),
-                verdict="pass" if ok else "fail",
-            ))
-        reports.append(out)
+    # the lifted faces have no face-point residual, and their margin at the
+    # smallest radius must exceed eq_abs
+    for prefix, floor, base, res, marg in zip(("", "lift:"), (0.0, eq_abs), (anchor_res, 0.0),
+                                              residuals, margins):
+        floors = np.where(np.equal(deltas, min(deltas)), floor, 0.0)
+        max_res = np.maximum(base, np.where(counts > 0, res, 0.0))
+        passed = ((max_res <= eq_abs) & (marg > floors).all(axis=1)).tolist()
+        reports.append([
+            ExposureReport(prefix + label, r, dict(zip(deltas, m)), c, "pass" if ok else "fail")
+            for label, r, c, ok, *m in zip(labels, max_res.tolist(), counts.tolist(), passed,
+                                           *marg.T.tolist())
+        ])
     return reports[0], reports[1] if lifted else None
 
 
@@ -427,29 +457,38 @@ def exposing_pair(face, rulings=None):
     raise DomainError(f"unknown face kind {kind}")
 
 
-def identity_suite(t, theta, curves=None):
+def identity_suite(t, theta):
     """Residuals of the six inner-product identities behind the catalogue.
 
     Each identity is evaluated twice, once as a numeric dot product and once
     from its trigonometric closed form, and the absolute difference is
-    returned. t may be a scalar or an array in [0, T]; the residuals have its
-    shape. All six are <= 1e-12 across the whole parameter square. curves:
-    the four arcs evaluated at t (curve id -> points), when the caller
-    shares them between several theta.
+    returned. t and theta may be scalars or arrays, t in [0, T] and theta in
+    (0, T]; the residuals have shape theta.shape + t.shape. The arcs are
+    evaluated on t once, and each theta's ruling_data once. All six are
+    <= 1e-12 across the whole parameter square.
     """
-    t = np.asarray(t, dtype=float)
-    g = curves if curves is not None else {i: curve_points(i, t) for i in CURVE_IDS}
-    r = ruling_data(theta)
-    th, tt, y = r.theta, r.t, r.normal
-    y3 = y + np.array([0.0, 0.0, 1.0])
-    return {
-        "curve1_vs_ruling": np.abs(g[1] @ y - math.cos(tt) * (np.cos(t - th) - math.cos(th))),
-        "curve3_vs_ruling": np.abs(g[3] @ y - math.sin(th) * (np.cos(t - tt) - math.cos(tt))),
-        "curve2_vs_ruling": np.abs(g[2] @ y - math.cos(tt) * (math.sin(th) - np.sin(t + th))),
-        "curve4_vs_ruling": np.abs(g[4] @ y - math.sin(th) * (math.sin(tt) - np.sin(t + tt))),
-        "curve1_vs_shifted": np.abs(g[1] @ y3 - (g[1] @ y + np.cos(t) - 1.0)),
-        "curve2_vs_shifted": np.abs(g[2] @ y3 - (g[2] @ y - np.sin(t))),
+    shape = np.shape(theta) + np.shape(t)
+    t = np.asarray(t, dtype=float).reshape(-1)
+    g = {i: curve_points(i, t) for i in CURVE_IDS}
+    rulings = [ruling_data(th) for th in np.reshape(theta, -1)]
+    y = np.array([r.normal for r in rulings])[:, :, None]
+    # the scalar closed-form factors of each ruling, one row per theta
+    th, tt, cos_tt, sin_th, cos_th, sin_tt = np.array([
+        (r.theta, r.t, math.cos(r.t), math.sin(r.theta), math.cos(r.theta), math.sin(r.t))
+        for r in rulings]).T[:, :, None]
+    # one matrix-vector product per theta, the bits of points @ y
+    dot = {i: np.matmul(g[i], y)[:, :, 0] for i in CURVE_IDS}
+    y3 = y + np.array([0.0, 0.0, 1.0])[:, None]
+    dot3 = {i: np.matmul(g[i], y3)[:, :, 0] for i in (1, 2)}
+    res = {
+        "curve1_vs_ruling": np.abs(dot[1] - cos_tt * (np.cos(t - th) - cos_th)),
+        "curve3_vs_ruling": np.abs(dot[3] - sin_th * (np.cos(t - tt) - cos_tt)),
+        "curve2_vs_ruling": np.abs(dot[2] - cos_tt * (sin_th - np.sin(t + th))),
+        "curve4_vs_ruling": np.abs(dot[4] - sin_th * (sin_tt - np.sin(t + tt))),
+        "curve1_vs_shifted": np.abs(dot3[1] - (dot[1] + np.cos(t) - 1.0)),
+        "curve2_vs_shifted": np.abs(dot3[2] - (dot[2] - np.sin(t))),
     }
+    return {k: v.reshape(shape) for k, v in res.items()}
 
 
 def build_catalogue(theta_grid):

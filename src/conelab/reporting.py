@@ -116,14 +116,9 @@ def report_header(config):
 # verify sections
 
 def identity_grid_max(t_grid, theta_grid):
-    """Max residual per identity over the full (t, theta) grid, vectorized
-    over t for each theta; the arcs are evaluated on the t grid once."""
-    curves = {i: con.curve_points(i, t_grid) for i in con.CURVE_IDS}
-    maxima = {}
-    for th in np.asarray(theta_grid, dtype=float):
-        for k, v in fc.identity_suite(t_grid, th, curves).items():
-            maxima[k] = max(maxima.get(k, 0.0), float(v.max()))
-    return maxima
+    """Max residual per identity over the full (t, theta) grid, evaluated in
+    one batched call."""
+    return {k: float(v.max()) for k, v in fc.identity_suite(t_grid, theta_grid).items()}
 
 
 def identity_section(config):

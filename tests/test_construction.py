@@ -151,6 +151,15 @@ class TestBodiesAndCone:
         with pytest.raises(DomainError):
             con.sample_body(np.linspace(0.0, T / 2, 16))
 
+    def test_grids_must_be_non_decreasing(self):
+        # the exposure kernel reads each curve's samples as one sorted run
+        g = con.curve_grid(9)
+        for bad in (g[[0, 2, 1, *range(3, 9)]], np.where(np.arange(9) == 4, np.nan, g)):
+            with pytest.raises(DomainError):
+                con.sample_body({1: g, 2: g, 3: bad, 4: g})
+        repeated = np.array([0.0, 0.3, 0.3, T])
+        assert len(con.sample_body(repeated).ts) == 16
+
     def test_empty_grid_rejected(self):
         with pytest.raises(DegenerateInputError):
             con.sample_body(np.array([]))

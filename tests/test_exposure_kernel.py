@@ -1,7 +1,8 @@
 """The blocked exposure kernel `faces.verify_catalogue` against the per-face
-reference checks in helpers: reports equal to the last bit, its lifted side
-derived from the body and the pairs equal to the reference cone and
-functionals, independent of the block size, and memory flat in the
+reference checks in helpers: reports equal to the last bit, its sample
+ranges selecting exactly the samples the reference distances select, its
+lifted side derived from the body and the pairs equal to the reference cone
+and functionals, independent of the block size, and memory flat in the
 catalogue size."""
 
 import functools
@@ -53,12 +54,19 @@ def bits(reports):
     ]
 
 
+# (8, 512), (64, 512) and (512, 8): coarse samples against fine thetas, so
+# anchors fall between base samples and the reach of many faces is < delta,
+# which gives the middle ranges of the far sets
 @pytest.mark.parametrize("samples, thetas, deltas", [
     (64, 8, fc.MARGIN_DELTAS),
     (512, 64, fc.MARGIN_DELTAS),
     (512, 512, fc.MARGIN_DELTAS),
     (512, 64, DELTAS),
     (256, 32, (0.1, 0.02)),
+    (8, 8, fc.MARGIN_DELTAS),
+    (8, 512, fc.MARGIN_DELTAS),
+    (64, 512, fc.MARGIN_DELTAS),
+    (512, 8, fc.MARGIN_DELTAS),
 ])
 def test_reports_equal_the_per_face_reference(samples, thetas, deltas):
     catalogue, body, cone, lifted = setup(samples, thetas)
@@ -70,7 +78,7 @@ def test_reports_equal_the_per_face_reference(samples, thetas, deltas):
         reference_verify_cone_exposure(lift, cone, body.ids, body.ts, face, deltas=deltas)
         for (face, _), lift in zip(catalogue, lifted)
     ])
-    if (samples, thetas) == (512, 512):
+    if thetas == 512:
         # the known fine-grid failure: weakly exposed singletons near the origin
         assert all(r.passed for r in body_reports)
         assert [r.face_label for r in lifted_reports if not r.passed] == [
@@ -100,34 +108,59 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, samples, thetas):
         assert bits(blocked[1]) == bits(default[1])
 
 
-@pytest.mark.parametrize("far_value, verdict", [(-0.5, "fail"), (-2.0, "pass")])
-def test_far_generator_must_clear_eq_abs_on_the_cone(far_value, verdict):
-    # A hand-made body on the grids {0, 0.3, 0.5, 0.7, T} (curve 1),
-    # {0, 0.4, T} (curve 2) and {0, T} (curves 3, 4). The pair x_1 <= 0
-    # exposes the face {curve1(0.5)}, since curve 1 lies in x_1 = 0; it lifts
-    # to (-1/2, 1, 0, 0), of value 2 x_1 on the generator over x. The face
-    # sample has x_1 = 0, the curve-2 sample at 0.4 (0.9 away from the face)
-    # x_1 = far_value * eq_abs / 2, and every other sample x_1 = -1/2. A
-    # dyadic eq_abs keeps every lifted value exact.
-    eq_abs = 2.0**-30
+def hand_made_body(far_x1):
+    """A body on the grids {0, 0.3, 0.5, 0.7, T} (curve 1), {0, 0.4, T}
+    (curve 2) and {0, T} (curves 3, 4), with one exposed face: the pair
+    x_1 <= 0 exposes {curve1(0.5)}, since curve 1 lies in x_1 = 0; it lifts
+    to (-1/2, 1, 0, 0), of value 2 x_1 on the generator over x. The face
+    sample has x_1 = 0, the curve-2 sample at 0.4 (0.9 away from the face)
+    x_1 = far_x1, and every other sample x_1 = -1/2. Returns the body, the
+    face and the pair."""
     grids = {1: np.array([0.0, 0.3, 0.5, 0.7, T]), 2: np.array([0.0, 0.4, T]),
              3: np.array([0.0, T]), 4: np.array([0.0, T])}
     first = {i: np.full(g.size, -0.5) for i, g in grids.items()}
-    first[1][2], first[2][1] = 0.0, far_value * eq_abs / 2.0
+    first[1][2], first[2][1] = 0.0, far_x1
     x1 = np.concatenate(list(first.values()))
     body = con.BodySamples(ids=np.concatenate([np.full(g.size, i) for i, g in grids.items()]),
                            ts=np.concatenate(list(grids.values())),
                            xyz=np.column_stack([x1, np.zeros((x1.size, 2))]))
     face = fc.FaceDescriptor("F01", 0, param=0.5, anchors=((1, 0.5),))
-    pair = fc.ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0)
+    return body, face, fc.ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0)
+
+
+def hand_made_reports(far_x1, eq_abs):
+    """Kernel and reference reports, body and lifted, on hand_made_body."""
+    body, face, pair = hand_made_body(far_x1)
     body_rep, rep = (reports[0] for reports in
                      fc.verify_catalogue([(face, pair)], body, lifted=True, eq_abs=eq_abs))
+    body_ref = reference_verify_exposure(face, pair, body, eq_abs=eq_abs)
+    ref = reference_verify_cone_exposure(
+        reference_lift(pair), reference_cone(body), body.ids, body.ts, face, eq_abs=eq_abs)
+    return body_rep, rep, body_ref, ref
+
+
+@pytest.mark.parametrize("far_value, verdict", [(-0.5, "fail"), (-2.0, "pass")])
+def test_far_generator_must_clear_eq_abs_on_the_cone(far_value, verdict):
+    # The far sample of hand_made_body has x_1 = far_value * eq_abs / 2. A
+    # dyadic eq_abs keeps every lifted value exact.
+    eq_abs = 2.0**-30
+    body_rep, rep, _, ref = hand_made_reports(far_value * eq_abs / 2.0, eq_abs)
     assert body_rep.passed
     assert rep.verdict == verdict
     assert rep.margins[0.01] == -far_value * eq_abs
     assert rep.onface_count == 1
-    assert bits([rep]) == bits([reference_verify_cone_exposure(
-        reference_lift(pair), reference_cone(body), body.ids, body.ts, face, eq_abs=eq_abs)])
+    assert bits([rep]) == bits([ref])
+
+
+def test_zero_far_slack_keeps_its_sign():
+    # The far sample lies on both hyperplanes: its body slack is 0 - 0 = +0.0
+    # and its lifted slack -(+0.0) = -0.0. The margins keep those signs, as
+    # the reference's do, and a zero margin fails both checks.
+    body_rep, rep, body_ref, ref = hand_made_reports(0.0, 2.0**-30)
+    assert bits([body_rep]) == bits([body_ref]) and bits([rep]) == bits([ref])
+    assert not np.signbit(body_rep.margins[0.01]) and not np.signbit(body_ref.margins[0.01])
+    assert np.signbit(rep.margins[0.01]) and np.signbit(ref.margins[0.01])
+    assert body_rep.verdict == rep.verdict == "fail"
 
 
 @pytest.mark.parametrize("samples, thetas", [(512, 64), (2048, 256)])
@@ -144,19 +177,75 @@ def test_kernel_memory_stays_under_two_mib(samples, thetas):
     assert peak <= 2 * 2**20
 
 
-def test_param_distances_equal_the_reference():
-    def kernel_distances(face, ids, ts):
-        return fc._block_distances(fc._distance_table([face]), slice(0, 1), fc._curve_runs(ids), ts)[0]
+def assert_ranges_select(ends, dist, deltas):
+    """The ranges of one face (a row of faces._sample_ranges) are disjoint
+    and select exactly the samples at reference distance <= ONFACE_DIST and,
+    per delta, >= delta."""
+    index = np.arange(len(dist))
+    inside = (index >= ends[:, ::2, None]) & (index < ends[:, 1::2, None])
+    assert inside.sum(axis=1).max() <= 1
+    expected = [dist <= fc.ONFACE_DIST] + [dist >= delta for delta in deltas]
+    assert np.array_equal(inside.any(axis=1), expected)
 
-    catalogue, body, _, _ = setup(64, 8)
-    for face, _ in catalogue:
-        assert np.array_equal(kernel_distances(face, body.ids, body.ts),
-                              reference_param_distances(face, body.ids, body.ts)), face.label()
+
+def test_param_distances_equal_the_reference():
+    # (8, 512) and (512, 8): coarse samples against fine thetas and back
+    for samples, thetas in ((64, 8), (8, 512), (512, 8)):
+        catalogue, body, _, _ = setup(samples, thetas)
+        faces = [face for face, _ in catalogue]
+        ends = fc._sample_ranges(faces, body.ids, body.ts, fc.MARGIN_DELTAS)
+        for j, face in enumerate(faces):
+            dist = reference_param_distances(face, body.ids, body.ts)
+            assert_ranges_select(ends[:, j], dist, fc.MARGIN_DELTAS)
     twice = fc.FaceDescriptor("F11", 1, anchors=((1, 0.1), (1, 0.2)))
     with pytest.raises(DomainError):
-        kernel_distances(twice, body.ids, body.ts)
+        fc._sample_ranges([twice], body.ids, body.ts, fc.MARGIN_DELTAS)
     with pytest.raises(DomainError):  # id 0 would index curve 4's anchors
-        kernel_distances(catalogue[0][0], body.ids - 1, body.ts)
+        fc._sample_ranges(faces[:1], body.ids - 1, body.ts, fc.MARGIN_DELTAS)
+
+
+def test_range_ends_follow_the_float_predicate():
+    # Every curve is sampled, with repeats, at the floats a few ulps either
+    # side of each bound of the distance predicate: anchor +- ONFACE_DIST,
+    # anchor +- delta and delta - reach for two singletons (one of reach
+    # 0.004 < delta), and ONFACE_DIST and delta for a planar side (reach
+    # 0). There np.searchsorted on bound - shift can miss the predicate's
+    # own boundary, which the ranges must still follow to the sample.
+    deltas = (0.005, 0.01, 0.02)
+    anchors = (0.004, 0.3)
+    faces = [fc.FaceDescriptor("F01", 0, param=anchors[0], anchors=((1, anchors[0]),)),
+             fc.FaceDescriptor("F03", 0, param=anchors[1], anchors=((3, anchors[1]),)),
+             fc.FaceDescriptor("F23", 2, full_curves=(1, 2))]
+    bounds = (fc.ONFACE_DIST, *deltas)
+    centres = [x for a in anchors for b in bounds for x in (a + b, a - b, b - a)] + list(bounds)
+    grid = [0.0, T]
+    for x in centres:
+        for _ in range(8):
+            x = np.nextafter(x, -math.inf)
+        for _ in range(16):
+            grid += [x, x] if len(grid) % 3 else [x]
+            x = np.nextafter(x, math.inf)
+    grid = np.sort(np.array([t for t in grid if t >= 0.0]))
+    ids, ts = np.repeat(con.CURVE_IDS, len(grid)), np.tile(grid, len(con.CURVE_IDS))
+    ends = fc._sample_ranges(faces, ids, ts, deltas)
+    for j, face in enumerate(faces):
+        assert_ranges_select(ends[:, j], reference_param_distances(face, ids, ts), deltas)
+
+
+@pytest.mark.parametrize("fault", ["swap", "nan", "nan alone"])
+def test_curve_runs_must_be_sorted(fault):
+    catalogue, body, _, _ = setup(64, 8)
+    ids, ts = body.ids.copy(), body.ts.copy()
+    k = np.flatnonzero(ids == 2)[5]
+    if fault == "swap":
+        ts[[k, k + 1]] = ts[[k + 1, k]]
+    elif fault == "nan":
+        ts[k] = math.nan
+    else:  # a NaN that is a run of its own
+        ids[k] = 3
+        ts[k] = math.nan
+    with pytest.raises(DomainError):
+        fc.verify_catalogue(catalogue, body._replace(ids=ids, ts=ts))
 
 
 def test_batched_anchor_residuals_have_the_per_face_bits():
@@ -170,6 +259,11 @@ def test_batched_anchor_residuals_have_the_per_face_bits():
             pts, y, d = fc.face_points(face), pair.normal, pair.offset
             per_face = max(np.abs(pts @ y - d).max(), abs(float(pts.mean(axis=0) @ y) - d))
             assert res == per_face, face.label()
+
+
+def test_empty_catalogue_gives_no_reports():
+    _, body, _, _ = setup(64, 8)
+    assert fc.verify_catalogue([], body, lifted=True) == ([], [])
 
 
 def test_margin_radii_must_be_off_the_face():
