@@ -72,7 +72,7 @@ def build_parser():
 def _config(args, **extra):
     fields = {field: getattr(args, dest)
               for dest, (field, *_) in _RUN_FLAGS.items() if hasattr(args, dest)}
-    return reporting.RunConfig(out=args.out, **fields, **extra)
+    return reporting.RunConfig(**fields, **extra)
 
 
 def main(argv=None):

@@ -23,7 +23,6 @@ normals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -113,8 +112,7 @@ def theta_for_partner(t):
     return math.pi - 2.0 * math.atan2(math.cos(t), 1.0 - math.cos(t))
 
 
-@dataclass(frozen=True)
-class RulingData:
+class RulingData(NamedTuple):
     """One ruling of the curved boundary: parameter theta on curve 1/4, its
     partner t on curve 3/2, the exposing normal for the curve-1/3 segment,
     the mirrored normal for the curve-4/2 segment, and the shared offset."""
@@ -138,9 +136,6 @@ def ruling_data(theta):
     normal = np.array([-st * sth, -ct * sth, ct * cth])
     mirror = np.array([ct * cth, sth * ct, -st * sth])
     offset = ct * (1.0 - cth)
-    alt = sth * (1.0 - ct)
-    if abs(offset - alt) > 1e-12:
-        raise DomainError(f"offset closed forms disagree by {abs(offset - alt)}")
     return RulingData(theta=theta, t=t, normal=normal, mirror_normal=mirror, offset=offset)
 
 

@@ -12,9 +12,12 @@ Face kinds and their generators:
 
 Every face has a closed-form exposing pair: the singletons and the rulings
 take theirs from the ruling machinery, the fixed faces (origin, endpoint
-chords, endpoint triangles and planar sides) from one table. One exposure
-kernel, verify_catalogue, checks each pair on samples of C and, lifted by
-construction.lift_pairs, on the matching generators of the cone K over C'.
+chords, endpoint triangles and planar sides) from one table. The generator
+points of a face, as (curve, t) pairs, come from face_generators alone: the
+atlas lists them and the exposure kernel takes its residual at them. One
+exposure kernel, verify_catalogue, checks each pair on samples of C and,
+lifted by construction.lift_pairs, on the matching generators of the cone K
+over C'.
 The samples of each curve are sorted by parameter, so the samples on a face
 and those at distance >= delta from it are index ranges of each curve,
 found once; the kernel reduces each pair's values over those ranges.
@@ -23,14 +26,12 @@ found once; the kernel reduces each pair's values over those ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .construction import (
     CURVE_IDS,
-    ENDPOINTS,
     T_END,
     curve_point,
     curve_points,
@@ -96,8 +97,7 @@ _FIXED_FACES = {
 }
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
+class FaceDescriptor(NamedTuple):
     kind: str
     dimension: int
     param: float | None = None       # t for F0i, theta for F11/F12
@@ -111,16 +111,9 @@ class FaceDescriptor:
         return f"{self.kind}({self.param:.6f})"
 
 
-@dataclass(frozen=True)
-class ExposingPair:
+class ExposingPair(NamedTuple):  # verify_catalogue checks the normals
     normal: np.ndarray
     offset: float
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        if not n.any():
-            raise DegenerateInputError("exposing normal must be nonzero")
-        object.__setattr__(self, "normal", n)
 
 
 class ExposureReport(NamedTuple):  # one per face and check: cheap to build
@@ -192,55 +185,37 @@ def enumerate_faces(theta_grid):
     return faces
 
 
+def face_generators(face):
+    """The generator points of the face as (curve, t) pairs: its anchors,
+    or t = 0, T/2 and T on each curve wholly contained in a planar side."""
+    if face.full_curves:
+        return [(i, t) for i in face.full_curves for t in (0.0, T_END / 2, T_END)]
+    return list(face.anchors)
+
+
 def face_samples(face):
-    """Labelled generator samples (curve, t, point) of the face (anchor
-    parameters); planar sides additionally expose which whole curves they
-    contain."""
-    anchors = list(face.anchors)
-    if face.full_curves:
-        anchors = [(i, t) for i in face.full_curves for t in (0.0, T_END / 2, T_END)]
-    return [(i, float(t), curve_point(i, t)) for i, t in anchors]
-
-
-def face_points(face):
-    """Representative points of the face: generators, plus curve midpoints
-    for the planar sides (whose generator set is a whole pair of arcs)."""
-    if face.full_curves:
-        pts = [ENDPOINTS[0]]
-        for i in face.full_curves:
-            pts.append(curve_point(i, T_END / 2))
-            pts.append(curve_point(i, T_END))
-        return np.vstack(pts)
-    if face.kind == "F00":
-        return ENDPOINTS[0][None, :]
-    if face.kind in _FIXED_FACES:
-        return np.vstack([ENDPOINTS[i] for i in _FIXED_FACES[face.kind][0]])
-    return np.vstack([curve_point(i, t) for i, t in face.anchors])
-
-
-def _parametric(face):
-    """Faces whose points are the curve points of their anchors."""
-    return not face.full_curves and face.kind != "F00" and face.kind not in _FIXED_FACES
+    """Labelled generator samples (curve, t, point) of the face."""
+    return [(i, float(t), curve_point(i, t)) for i, t in face_generators(face)]
 
 
 def _anchor_residuals(faces, normals, offsets):
-    """Largest |<y, p> - d| over the face_points p of each face and their
-    centroid, for the whole catalogue at once.
+    """Largest |<y, p> - d| over the generator points p of each face
+    (face_generators) and their centroid, for the whole catalogue at once.
 
-    The anchors of the parametric faces are evaluated with one curve_points
-    call per curve, clamped to [0, T] as curve_point clamps them, and the
-    faces with the same number of points share one stacked product; every
-    value has the bits of the per-face product. Raises DomainError for the
-    first face whose pair misses its points by more than 1e-3.
+    The generators are evaluated with one curve_points call per curve,
+    clamped to [0, T] as curve_point clamps them, and the faces with the
+    same number of generators share one stacked product; every value has
+    the bits of the per-face product. Raises DomainError for the first face
+    whose pair misses its generators by more than 1e-3.
     """
-    points = [None if _parametric(f) else face_points(f) for f in faces]
+    points = []
     slots = {i: ([], []) for i in CURVE_IDS}  # curve -> [(face, row)], [t]
     for j, face in enumerate(faces):
-        if points[j] is None:
-            points[j] = np.empty((len(face.anchors), 3))
-            for k, (i, t) in enumerate(face.anchors):
-                slots[i][0].append((j, k))
-                slots[i][1].append(t)
+        generators = face_generators(face)
+        points.append(np.empty((len(generators), 3)))
+        for k, (i, t) in enumerate(generators):
+            slots[i][0].append((j, k))
+            slots[i][1].append(t)
     for i, (where, ts) in slots.items():
         ts = np.array(ts)
         clamped = np.clip(ts, 0.0, T_END)
@@ -411,9 +386,11 @@ def verify_catalogue(catalogue, body, lifted=False, eq_abs=EQ_ABS, deltas=MARGIN
     if min(deltas) <= ONFACE_DIST:
         raise DomainError(f"margin radii must exceed the on-face distance {ONFACE_DIST}")
     faces = [face for face, _ in catalogue]
-    if any(pair.normal.shape != (3,) for _, pair in catalogue):
+    if any(np.shape(pair.normal) != (3,) for _, pair in catalogue):
         raise DimensionMismatchError("pair normal must be 3-dimensional")
     normals = np.array([pair.normal for _, pair in catalogue]).reshape(-1, 3)
+    if not normals.any(axis=1).all():
+        raise DegenerateInputError("exposing normal must be nonzero")
     offsets = np.array([pair.offset for _, pair in catalogue])
     anchor_res = _anchor_residuals(faces, normals, offsets)
     checks = [(body.xyz, normals, offsets)]

@@ -9,7 +9,7 @@ a convex-hull triangulation of its vertices at every size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .linalg import DomainError
 BODY_NAMES = ("C", "Cprime")
 
 
-@dataclass(frozen=True)
-class Mesh:
+class Mesh(NamedTuple):
     which: str
     vertices: np.ndarray   # (v, 3)
     triangles: np.ndarray  # (f, 3) 0-based vertex indices
@@ -124,8 +123,7 @@ def read_obj(path):
     return verts, tris
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     n_faces: int
     n_degenerate: int
     worst_violation: float

@@ -260,10 +260,7 @@ def nice3d_ingredients(generators, p1, p2, h1, h2, eq_abs=EQ_ABS):
     if not np.all(np.isfinite(g)):
         raise DomainError("cone generators have NaN or infinite components")
     p1, p2 = (np.asarray(p, dtype=float) for p in (p1, p2))
-    perp = perp_basis(np.vstack([p1, p2]))
-    if len(perp) != 1:
-        raise DegenerateInputError("face generators must span a plane")
-    nrm = perp[0]
+    nrm = perp_basis(np.vstack([p1, p2]))[0]  # raises unless p1, p2 span a plane
 
     hs = [np.asarray(h, dtype=float) for h in (h1, h2)]
     qs = [h - float(h @ nrm) * nrm for h in hs]

@@ -33,7 +33,6 @@ class RunConfig:
     eq_abs: float = EQ_ABS
     eps_list: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
     control: bool = False
-    out: str | None = None
 
     def __post_init__(self):
         if self.samples_per_curve < 8 or self.theta_grid_size < 8:
@@ -43,16 +42,8 @@ class RunConfig:
         object.__setattr__(self, "eps_list", nn.validate_eps(self.eps_list))
 
 
-def semantic_config(config):
-    """Computation-relevant parameters only; output paths do not affect
-    results and stay out of the report and its hash."""
-    cfg = asdict(config)
-    cfg.pop("out", None)
-    return cfg
-
-
 def config_hash(config):
-    payload = json.dumps(semantic_config(config), sort_keys=True).encode()
+    payload = json.dumps(asdict(config), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
@@ -107,7 +98,7 @@ def _grids(config):
 def report_header(config):
     return {
         "schema": SCHEMA_VERSION,
-        "config": semantic_config(config),
+        "config": asdict(config),
         "config_hash": config_hash(config),
     }
 

@@ -13,7 +13,7 @@ from conelab.faces import (
     ExposingPair,
     ExposureReport,
     FaceDescriptor,
-    face_points,
+    face_samples,
 )
 from conelab.linalg import EQ_ABS, DegenerateInputError, DimensionMismatchError, DomainError
 
@@ -22,6 +22,11 @@ def face_slice_points():
     """The lifts (1, 2p_i + SHIFT) of the endpoints p_i, i in {0, 3, 4},
     spanning the slice of the flat face; their perp is span{(1,0,0,-2)}."""
     return lift_points(np.vstack([ENDPOINTS[i] for i in (0, 3, 4)]))
+
+
+def face_sample_points(face):
+    """The points of face_samples, one per row: the face's generators."""
+    return np.vstack([point for _, _, point in face_samples(face)])
 
 
 def witness_slack(t, lam):
@@ -255,7 +260,7 @@ def reference_verify_exposure(face, pair, body, eq_abs=EQ_ABS, deltas=MARGIN_DEL
     if y.shape != (3,):
         raise DimensionMismatchError("pair normal must be 3-dimensional")
 
-    anchor_pts = face_points(face)
+    anchor_pts = face_sample_points(face)
     anchor_res = np.abs(anchor_pts @ y - d)
     if anchor_res.max() > 1e-3:
         raise DomainError(

@@ -118,6 +118,22 @@ class TestRulingData:
         assert r.offset == pytest.approx(0.20710678118654752, abs=1e-12)
         assert r.offset == pytest.approx(math.sin(T) * (1.0 - math.cos(r.t)), abs=1e-12)
 
+    def test_offset_identity_within_its_forward_error_bound(self):
+        # ct = partner_cos(theta) solves ct (1 + sin th - cos th) = sin th, so
+        # ct (1 - cos th) = sin th (1 - ct) exactly. In doubles, with unit
+        # roundoff u = 2^-53 and sin/cos within 1 ulp: ct = c/(c + s) of the
+        # half-angle sin and cos is within 4u of its value in [1/sqrt2, 1);
+        # 1 - cos th and 1 - ct are exact subtractions (Sterbenz) of operands
+        # within u resp. 4u; so the offset ct (1 - cos th) is within
+        # 4u * 0.3 + u + u/4 < 2.5u and sin th (1 - ct) within
+        # u * 0.3 + 0.71 * 4u + u/4 < 3.4u of the common exact value.
+        bound = 6.0 * 2.0**-53
+        thetas = np.concatenate([np.geomspace(1e-9, T, 10_001),
+                                 np.linspace(T / 10_000, T, 10_000)])
+        gaps = [abs(con.ruling_data(th).offset - math.sin(th) * (1.0 - con.partner_cos(th)))
+                for th in thetas]
+        assert max(gaps) <= bound
+
     def test_bundle_invariants_on_a_grid(self):
         for th in np.linspace(T / 64, T, 64):
             r = con.ruling_data(th)

@@ -15,8 +15,9 @@ import pytest
 from conelab import construction as con
 from conelab import faces as fc
 from conelab import reporting
-from conelab.linalg import DomainError
+from conelab.linalg import DegenerateInputError, DomainError
 from helpers import (
+    face_sample_points,
     reference_cone,
     reference_lift,
     reference_param_distances,
@@ -249,16 +250,29 @@ def test_curve_runs_must_be_sorted(fault):
 
 
 def test_batched_anchor_residuals_have_the_per_face_bits():
+    # the residual at the points the atlas lists, face by face, for every kind
     for samples, thetas in ((64, 8), (512, 512)):
         catalogue, _, _, _ = setup(samples, thetas)
         faces = [face for face, _ in catalogue]
+        assert {face.kind for face in faces} == {
+            "F00", "F01", "F02", "F03", "F04", "F11", "F12",
+            "F13", "F14", "F15", "F21", "F22", "F23", "F24"}
         normals = np.array([pair.normal for _, pair in catalogue])
         offsets = np.array([pair.offset for _, pair in catalogue])
         batched = fc._anchor_residuals(faces, normals, offsets)
         for (face, pair), res in zip(catalogue, batched):
-            pts, y, d = fc.face_points(face), pair.normal, pair.offset
+            pts, y, d = face_sample_points(face), pair.normal, pair.offset
             per_face = max(np.abs(pts @ y - d).max(), abs(float(pts.mean(axis=0) @ y) - d))
             assert res == per_face, face.label()
+
+
+def test_zero_normal_rejected():
+    catalogue, body, _, _ = setup(64, 8)
+    face, pair = catalogue[3]
+    zeroed = [*catalogue[:3], (face, pair._replace(normal=np.zeros(3))), *catalogue[4:]]
+    with pytest.raises(DegenerateInputError):
+        fc.verify_catalogue(zeroed, body)
+    fc.verify_catalogue(catalogue, body)  # the same catalogue with its own normal passes
 
 
 def test_empty_catalogue_gives_no_reports():

@@ -7,7 +7,12 @@ from conelab import construction as con
 from conelab import faces as fc
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
-from helpers import mirror_point, reference_param_distances, support_plane_through
+from helpers import (
+    face_sample_points,
+    mirror_point,
+    reference_param_distances,
+    support_plane_through,
+)
 
 T = con.T_END
 
@@ -40,14 +45,14 @@ class TestEnumerate:
         f12 = [f for f in cat if f.kind == "F12"]
         assert len(f11) == len(f12) == 1
         # at the top parameter the ruling joins the two arc endpoints p1, p3
-        pts = fc.face_points(f11[0])
+        pts = face_sample_points(f11[0])
         assert np.allclose(pts[0], con.ENDPOINTS[1], atol=1e-12)
         assert np.allclose(pts[1], con.ENDPOINTS[3], atol=1e-12)
 
     def test_endpoint_chords_always_present(self):
         cat = fc.enumerate_faces(con.theta_grid(2))
         assert {f.kind for f in cat} >= {"F13", "F14", "F15", "F21", "F22", "F23", "F24"}
-        pts = fc.face_points(face_of("F13", cat))
+        pts = face_sample_points(face_of("F13", cat))
         assert np.allclose(pts, [con.ENDPOINTS[1], con.ENDPOINTS[2]], atol=1e-15)
 
     def test_dimension_matches_kind(self):
@@ -109,7 +114,7 @@ class TestExposingPairs:
             face = face_of(kind, cat)
             pair = fc.exposing_pair(face)
             if not face.full_curves:
-                oracle = support_plane_through(fc.face_points(face), coarse_body)
+                oracle = support_plane_through(face_sample_points(face), coarse_body)
                 assert np.abs(pair.normal - oracle.normal).max() <= 1e-12, kind
                 assert abs(pair.offset - oracle.offset) <= 1e-12, kind
             slack = fine.xyz @ pair.normal - pair.offset
