@@ -1,8 +1,8 @@
 """conelab: low-dimensional convex cone toolkit built around a 4D cone that
 is facially exposed yet not nice (its dual sum with a face complement is not
 closed). Provides the body/cone construction, a face catalogue verified on
-the body and on the cone over it, divergence-based non-niceness evidence,
-and mesh/report exporters."""
+the body and carried to the cone over it by the exact lift identity,
+divergence-based non-niceness evidence, and mesh/report exporters."""
 
 from .construction import (
     CURVE_IDS,

@@ -11,13 +11,16 @@ C' = 2C + SHIFT with SHIFT = (1/2, 0, 1/2), and K = cone({1} x C'). This
 module is the only one that applies the map: lift_points takes points x of
 C to the rows (1, 2x + SHIFT) of K, scale_points to the points 2x + SHIFT of
 C', and lift_pairs is the dual, taking an exposing pair (y, d) of a face of
-C to the functional (-(2d + <y, SHIFT>), y) that exposes the lifted face of
-K. Samples of C and of K travel as the NamedTuples BodySamples and Cone,
-each label array (curve ids, parameters) aligned with its rows. The
-theta-machinery pairs a parameter theta on curve 1 (resp. 4) with a
-partner parameter on curve 3 (resp. 2); the segments between paired points
-rule the curved part of the boundary of C and carry closed-form exposing
-normals.
+C to the functional (-(2d + <y, SHIFT>), y) of K. Exactly,
+<lift_pairs(y, d), lift_points(x)> = 2(<y, x> - d), so a pair exposing a
+face of C lifts to one exposing the cone over it (reporting's
+homogenization section evaluates this within its forward-error bound), and
+(-1, 0, 0, 0) exposes the apex. Samples of C and of K travel as the
+NamedTuples BodySamples and Cone, each label array (curve ids, parameters)
+aligned with its rows. The theta-machinery pairs a parameter theta on curve
+1 (resp. 4) with a partner parameter on curve 3 (resp. 2); the segments
+between paired points rule the curved part of the boundary of C and carry
+closed-form exposing normals.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ take theirs from the ruling machinery, the fixed faces (origin, endpoint
 chords, endpoint triangles and planar sides) from one table. The generator
 points of a face, as (curve, t) pairs, come from face_generators alone: the
 atlas lists them and the exposure kernel takes its residual at them. One
-exposure kernel, verify_catalogue, checks each pair on samples of C and,
-lifted by construction.lift_pairs, on the matching generators of the cone K
-over C'.
+exposure kernel, verify_catalogue, checks each pair on samples of C. The
+faces of the cone K over C' need no second check: lift_pairs(y, d) takes
+the value 2(<y, x> - d) on the generator lift_points(x), so it exposes the
+cone over the face that (y, d) exposes (reporting.homogenization_section).
 The samples of each curve are sorted by parameter, so the samples on a face
 and those at distance >= delta from it are index ranges of each curve,
 found once; the kernel reduces each pair's values over those ranges.
@@ -33,10 +34,7 @@ import numpy as np
 from .construction import (
     CURVE_IDS,
     T_END,
-    curve_point,
     curve_points,
-    lift_pairs,
-    lift_points,
     partner_param,
     ruling_data,
     theta_for_partner,
@@ -53,9 +51,9 @@ MARGIN_DELTAS = (0.01, 0.05, 0.1)
 ONFACE_DIST = 1e-9
 
 # (face, sample) values per block of the exposure kernel, written into one
-# 256 KB float64 buffer reused by every block and check, so the kernel's
-# memory stays flat as the catalogue and the samples grow (the whole faces x
-# samples matrix at 2048/256 would be ~120 MB).
+# 256 KB float64 buffer reused by every block, so the kernel's memory stays
+# flat as the catalogue and the samples grow (the whole faces x samples
+# matrix at 2048/256 would be ~120 MB).
 BLOCK_ELEMENTS = 1 << 15
 
 _A = 1.0 / math.sqrt(2.0)
@@ -116,7 +114,7 @@ class ExposingPair(NamedTuple):  # verify_catalogue checks the normals
     offset: float
 
 
-class ExposureReport(NamedTuple):  # one per face and check: cheap to build
+class ExposureReport(NamedTuple):  # one per face: cheap to build
     face_label: str
     max_onface_residual: float
     margins: dict            # delta -> smallest measured margin at that radius
@@ -193,21 +191,10 @@ def face_generators(face):
     return list(face.anchors)
 
 
-def face_samples(face):
-    """Labelled generator samples (curve, t, point) of the face."""
-    return [(i, float(t), curve_point(i, t)) for i, t in face_generators(face)]
-
-
-def _anchor_residuals(faces, normals, offsets):
-    """Largest |<y, p> - d| over the generator points p of each face
-    (face_generators) and their centroid, for the whole catalogue at once.
-
-    The generators are evaluated with one curve_points call per curve,
-    clamped to [0, T] as curve_point clamps them, and the faces with the
-    same number of generators share one stacked product; every value has
-    the bits of the per-face product. Raises DomainError for the first face
-    whose pair misses its generators by more than 1e-3.
-    """
+def face_generator_points(faces):
+    """The points of face_generators, one (k, 3) array per face, from one
+    curve_points call per curve on parameters clamped to [0, T] as
+    curve_point clamps them, so each point has the bits of curve_point."""
     points = []
     slots = {i: ([], []) for i in CURVE_IDS}  # curve -> [(face, row)], [t]
     for j, face in enumerate(faces):
@@ -223,7 +210,17 @@ def _anchor_residuals(faces, normals, offsets):
             raise DomainError(f"anchor parameter on curve {i} outside [0, {T_END}]")
         for (j, k), p in zip(where, curve_points(i, clamped)):
             points[j][k] = p
+    return points
 
+
+def _anchor_residuals(faces, normals, offsets):
+    """Largest |<y, p> - d| over the generator points p of each face and
+    their centroid. The faces with the same number of generators share one
+    stacked product, with the bits of the per-face product. Raises
+    DomainError for the first face whose pair misses its generators by
+    more than 1e-3.
+    """
+    points = face_generator_points(faces)
     anchor_res = np.empty(len(faces))
     res = np.empty(len(faces))
     for size in {len(p) for p in points}:
@@ -327,12 +324,11 @@ def _reduce_ranges(ufunc, values, ends, empty):
     return out
 
 
-def _scan(faces, ids, ts, checks, deltas):
-    """Per face: the on-face sample count and, per check, the largest
-    on-face |slack| and the smallest slack at distance >= each delta, both
-    inf where no sample is in the range. A check is (points, functionals,
-    offsets), one functional per face; its slack at a point is offset -
-    <functional, point>.
+def _scan(faces, ids, ts, points, normals, offsets, deltas):
+    """Per face: the on-face sample count, the largest on-face |slack| and
+    the smallest slack at distance >= each delta, both inf where no sample
+    is in the range. The slack of face j's pair at a point x is
+    offsets[j] - <normals[j], x>.
 
     The faces are walked in blocks of about BLOCK_ELEMENTS (face, sample)
     values, written into one buffer. The slack is monotone in the value v,
@@ -345,39 +341,28 @@ def _scan(faces, ids, ts, checks, deltas):
     n = len(ts)
     step = max(1, BLOCK_ELEMENTS // n)
     buf = np.zeros(min(step, len(faces)) * n + 1)  # the last entry keeps every end valid
-    residuals = [np.empty(len(faces)) for _ in checks]
-    margins = [np.empty((len(faces), len(deltas))) for _ in checks]
+    residuals = np.empty(len(faces))
+    margins = np.empty((len(faces), len(deltas)))
     for start in range(0, len(faces), step):
         rows = slice(start, min(start + step, len(faces)))
         size = rows.stop - rows.start
         block = ends[:, rows] + n * np.arange(size)[:, None]
         values = buf[:size * n + 1]
-        for (points, functionals, offsets), res, marg in zip(checks, residuals, margins):
-            # one matrix-vector product per face, the bits of points @ y
-            np.matmul(points, functionals[rows, :, None], out=values[:-1].reshape(size, n, 1))
-            top = _reduce_ranges(np.maximum, values, block, -math.inf).max(axis=2)
-            low = _reduce_ranges(np.minimum, values, block[0], math.inf).min(axis=1)
-            d = offsets[rows]
-            marg[rows] = d[:, None] - top[1:].T
-            res[rows] = np.maximum(np.abs(d - top[0]), np.abs(d - low))
+        # one matrix-vector product per face, the bits of points @ y
+        np.matmul(points, normals[rows, :, None], out=values[:-1].reshape(size, n, 1))
+        top = _reduce_ranges(np.maximum, values, block, -math.inf).max(axis=2)
+        low = _reduce_ranges(np.minimum, values, block[0], math.inf).min(axis=1)
+        d = offsets[rows]
+        margins[rows] = d[:, None] - top[1:].T
+        residuals[rows] = np.maximum(np.abs(d - top[0]), np.abs(d - low))
     return counts, residuals, margins
 
 
-def verify_catalogue(catalogue, body, lifted=False, eq_abs=EQ_ABS, deltas=MARGIN_DELTAS):
-    """Exposure reports for every (face, pair) row of a catalogue: the body
-    check of each pair on the samples of C and, when lifted, the lifted
-    check of its cone functional (construction.lift_pairs) on the
-    generators of K over the same samples (construction.lift_points).
-
-    Returns (body_reports, lifted_reports), lifted_reports None unless
-    lifted. Both checks use the same sample ranges, found once, and one
-    rule: the on-face residual is at most eq_abs and the margin (the
-    smallest slack d - <y, x>, resp. -<(-d', y), (1, x')>, over the samples
-    at parameter distance >= delta) is positive at every radius delta. The
-    lifted margin at the smallest radius must also exceed eq_abs: no
-    generator that far from the face may lie on the hyperplane within the
-    tolerance. Nearer generators are not held to it, since margins vanish
-    quadratically toward the face.
+def verify_catalogue(catalogue, body, eq_abs=EQ_ABS, deltas=MARGIN_DELTAS):
+    """Exposure report of every (face, pair) row of a catalogue, checked on
+    the samples of C: a face passes when its on-face residual is at most
+    eq_abs and its margin (the smallest slack d - <y, x> over the samples
+    at parameter distance >= delta) is positive at every radius delta.
 
     The samples of each curve run must be sorted by parameter, and the
     catalogue is walked in blocks of faces (see BLOCK_ELEMENTS), so the
@@ -393,28 +378,14 @@ def verify_catalogue(catalogue, body, lifted=False, eq_abs=EQ_ABS, deltas=MARGIN
         raise DegenerateInputError("exposing normal must be nonzero")
     offsets = np.array([pair.offset for _, pair in catalogue])
     anchor_res = _anchor_residuals(faces, normals, offsets)
-    checks = [(body.xyz, normals, offsets)]
-    if lifted:
-        # a cone functional's slack is -value, which is -0.0 - value to the bit
-        checks.append((lift_points(body.xyz), lift_pairs(normals, offsets),
-                       np.full(len(faces), -0.0)))
-    counts, residuals, margins = _scan(faces, body.ids, body.ts, checks, deltas)
-    del checks  # frees the lifted points before the reports are built
-    labels = [face.label() for face in faces]
-    reports = []
-    # the lifted faces have no face-point residual, and their margin at the
-    # smallest radius must exceed eq_abs
-    for prefix, floor, base, res, marg in zip(("", "lift:"), (0.0, eq_abs), (anchor_res, 0.0),
-                                              residuals, margins):
-        floors = np.where(np.equal(deltas, min(deltas)), floor, 0.0)
-        max_res = np.maximum(base, np.where(counts > 0, res, 0.0))
-        passed = ((max_res <= eq_abs) & (marg > floors).all(axis=1)).tolist()
-        reports.append([
-            ExposureReport(prefix + label, r, dict(zip(deltas, m)), c, "pass" if ok else "fail")
-            for label, r, c, ok, *m in zip(labels, max_res.tolist(), counts.tolist(), passed,
-                                           *marg.T.tolist())
-        ])
-    return reports[0], reports[1] if lifted else None
+    counts, res, margins = _scan(faces, body.ids, body.ts, body.xyz, normals, offsets, deltas)
+    max_res = np.maximum(anchor_res, np.where(counts > 0, res, 0.0))
+    passed = ((max_res <= eq_abs) & (margins > 0.0).all(axis=1)).tolist()
+    return [
+        ExposureReport(face.label(), r, dict(zip(deltas, m)), c, "pass" if ok else "fail")
+        for face, r, c, ok, *m in zip(faces, max_res.tolist(), counts.tolist(), passed,
+                                      *margins.T.tolist())
+    ]
 
 
 def exposing_pair(face, rulings=None):

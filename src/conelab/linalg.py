@@ -1,7 +1,8 @@
 """Dense linear algebra kernel for low-dimensional cone computations.
 
-Everything here is pure: the default equality tolerance, nullspace bases,
-and one-variable interval feasibility.
+Everything here is pure: the default equality tolerance, the rounding
+error constant gamma, nullspace bases, and one-variable interval
+feasibility.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ class DomainError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Input is rank-deficient or otherwise unusable for the operation."""
+
+
+def gamma(n):
+    """n*u / (1 - n*u), u = 2**-53: the relative error bound of n rounded
+    operations (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 3.1)."""
+    nu = n * 2.0**-53
+    if not 0.0 <= nu < 1.0:
+        raise DomainError(f"gamma_n needs 0 <= n*u < 1, got n = {n}")
+    return nu / (1.0 - nu)
 
 
 def nullspace(rows):

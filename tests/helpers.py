@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize
 
-from conelab.construction import ENDPOINTS, SHIFT, lift_points
+from conelab.construction import ENDPOINTS, SHIFT, curve_point, lift_points
 from conelab.faces import (
     MARGIN_DELTAS,
     ExposingPair,
     ExposureReport,
     FaceDescriptor,
-    face_samples,
+    face_generators,
 )
 from conelab.linalg import EQ_ABS, DegenerateInputError, DimensionMismatchError, DomainError
 
@@ -25,8 +25,9 @@ def face_slice_points():
 
 
 def face_sample_points(face):
-    """The points of face_samples, one per row: the face's generators."""
-    return np.vstack([point for _, _, point in face_samples(face)])
+    """The generator points of one face, one per row, one curve_point call
+    each."""
+    return np.vstack([curve_point(i, t) for i, t in face_generators(face)])
 
 
 def witness_slack(t, lam):
@@ -214,10 +215,11 @@ def reference_conic_membership(point, generators, eq_abs=EQ_ABS):
 
 # Reference exposure checks: one face and one full pass over the samples at
 # a time, as the library ran them before its blocked kernel
-# (faces.verify_catalogue), on the generators of the cone over C' and the
-# per-face cone functionals, as the library built them before
-# construction.lift_points and lift_pairs. The kernel must reproduce their
-# reports exactly.
+# (faces.verify_catalogue), whose body reports must equal them exactly. The
+# lifted check runs on the generators of the cone over C' and the per-face
+# cone functionals, as the library built them before construction.lift_points
+# and lift_pairs: an independent per-face computation on the cone, which
+# the tests hold to the lift identity against the kernel's body margins.
 
 def reference_cone(body):
     """Generators of the cone over C', one per row: the samples p of C

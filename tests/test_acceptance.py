@@ -18,7 +18,12 @@ from conelab import niceness as nn
 from conelab import reporting
 from conelab.cli import main
 from conelab.linalg import DomainError
-from helpers import check_positivity_window, face_slice_points, positivity_window
+from helpers import (
+    check_positivity_window,
+    face_slice_points,
+    positivity_window,
+    reference_verify_cone_exposure,
+)
 
 T = con.T_END
 DELTAS = (0.01, 0.05, 0.1)
@@ -77,7 +82,7 @@ def test_criterion_2_identity_suite():
 
 def test_criterion_3_face_exposure(default_setup):
     catalogue = default_setup["catalogue"]
-    reports = fc.verify_catalogue(catalogue, default_setup["body"], deltas=DELTAS)[0]
+    reports = fc.verify_catalogue(catalogue, default_setup["body"], deltas=DELTAS)
     failures = []
     for rep in reports:
         checks = rep.max_onface_residual <= 1e-9 and all(
@@ -91,14 +96,23 @@ def test_criterion_3_face_exposure(default_setup):
 
 
 def test_criterion_4_homogenization(default_setup):
+    # every lifted pair checked face by face on the generators of the cone
+    # over C', and the verify section: the lift identity within its bound
+    cone = con.homogenize(default_setup["body"])
     failures = []
-    for rep in fc.verify_catalogue(default_setup["catalogue"], default_setup["body"],
-                                   lifted=True, deltas=DELTAS)[1]:
+    for face, pair in default_setup["catalogue"]:
+        lift = con.lift_pairs([pair.normal], [pair.offset])[0]
+        rep = reference_verify_cone_exposure(lift, cone.generators, cone.ids, cone.ts, face,
+                                             deltas=DELTAS)
         if not (rep.passed and rep.max_onface_residual <= 1e-9
                 and all(rep.margins[d] > 0.0 for d in DELTAS)):
             failures.append(rep.face_label)
-    ok = not failures
-    report(4, "lifted exposure", ok, f"{len(failures)} lift failures")
+    section = reporting.homogenization_section(reporting._exposure(default_setup["config"]))
+    ok = (not failures and section["pass"]
+          and section["max_identity_residual"] <= section["identity_bound"] <= 1e-14)
+    report(4, "lifted exposure", ok,
+           f"{len(failures)} lift failures, identity residual "
+           f"{section['max_identity_residual']:.1e} <= {section['identity_bound']:.1e}")
 
 
 def test_criterion_5_perp_space():

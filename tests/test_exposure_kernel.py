@@ -1,9 +1,10 @@
 """The blocked exposure kernel `faces.verify_catalogue` against the per-face
-reference checks in helpers: reports equal to the last bit, its sample
-ranges selecting exactly the samples the reference distances select, its
-lifted side derived from the body and the pairs equal to the reference cone
-and functionals, independent of the block size, and memory flat in the
-catalogue size."""
+reference checks in helpers: body reports equal to the last bit, lifted
+reference margins on the cone over C' twice the body margins within the
+forward-error bound of the lift identity, sample ranges selecting exactly
+the samples the reference distances select, array lifts equal to the
+reference cone and functionals, reports independent of the block size, and
+memory flat in the catalogue size."""
 
 import functools
 import math
@@ -15,7 +16,7 @@ import pytest
 from conelab import construction as con
 from conelab import faces as fc
 from conelab import reporting
-from conelab.linalg import DegenerateInputError, DomainError
+from conelab.linalg import DegenerateInputError, DomainError, gamma
 from helpers import (
     face_sample_points,
     reference_cone,
@@ -43,7 +44,7 @@ def setup(samples, thetas):
 
 def kernel(samples, thetas, **kwargs):
     catalogue, body, _, _ = setup(samples, thetas)
-    return fc.verify_catalogue(catalogue, body, lifted=True, **kwargs)
+    return fc.verify_catalogue(catalogue, body, **kwargs)
 
 
 def bits(reports):
@@ -58,7 +59,7 @@ def bits(reports):
 # (8, 512), (64, 512) and (512, 8): coarse samples against fine thetas, so
 # anchors fall between base samples and the reach of many faces is < delta,
 # which gives the middle ranges of the far sets
-@pytest.mark.parametrize("samples, thetas, deltas", [
+CELLS = pytest.mark.parametrize("samples, thetas, deltas", [
     (64, 8, fc.MARGIN_DELTAS),
     (512, 64, fc.MARGIN_DELTAS),
     (512, 512, fc.MARGIN_DELTAS),
@@ -69,24 +70,42 @@ def bits(reports):
     (64, 512, fc.MARGIN_DELTAS),
     (512, 8, fc.MARGIN_DELTAS),
 ])
+
+
+@CELLS
 def test_reports_equal_the_per_face_reference(samples, thetas, deltas):
-    catalogue, body, cone, lifted = setup(samples, thetas)
-    body_reports, lifted_reports = kernel(samples, thetas, deltas=deltas)
-    assert bits(body_reports) == bits(
+    catalogue, body, _, _ = setup(samples, thetas)
+    reports = kernel(samples, thetas, deltas=deltas)
+    assert bits(reports) == bits(
         [reference_verify_exposure(face, pair, body, deltas=deltas) for face, pair in catalogue]
     )
-    assert bits(lifted_reports) == bits([
-        reference_verify_cone_exposure(lift, cone, body.ids, body.ts, face, deltas=deltas)
-        for (face, _), lift in zip(catalogue, lifted)
-    ])
-    if thetas == 512:
-        # the known fine-grid failure: weakly exposed singletons near the origin
-        assert all(r.passed for r in body_reports)
-        assert [r.face_label for r in lifted_reports if not r.passed] == [
-            "lift:F02(0.001534)", "lift:F03(0.001534)",
-        ]
-    else:
-        assert all(r.passed for r in body_reports + lifted_reports)
+    assert all(r.passed for r in reports)
+
+
+@CELLS
+def test_lifted_reference_margins_are_twice_the_body_margins(samples, thetas, deltas):
+    # <lift(y, d), (1, 2x + SHIFT)> = 2(<y, x> - d) exactly, so each lifted
+    # margin of the per-face reference on the cone is twice the kernel's
+    # body margin over the same samples, up to rounding. Computed, the two
+    # values at one sample differ by at most
+    # gamma_10 (|2d| + |y|.(|SHIFT| + |2x + SHIFT| + 2|x|)); the scale is
+    # bounded here by the largest |x_k| and |2x_k + SHIFT| per coordinate,
+    # and gamma_12 leaves two roundings for the comparison itself.
+    catalogue, body, cone, lifted = setup(samples, thetas)
+    reports = kernel(samples, thetas, deltas=deltas)
+    x = body.xyz
+    spread = (np.abs(con.SHIFT) + np.abs(2.0 * x + con.SHIFT).max(axis=0)
+              + 2.0 * np.abs(x).max(axis=0))
+    for (face, pair), lift, rep in zip(catalogue, lifted, reports):
+        ref = reference_verify_cone_exposure(lift, cone, body.ids, body.ts, face, deltas=deltas)
+        assert ref.onface_count == rep.onface_count, face.label()
+        bound = gamma(12) * (abs(2.0 * pair.offset) + float(np.abs(pair.normal) @ spread))
+        for delta in deltas:
+            cone_margin, body_margin = ref.margins[delta], 2.0 * rep.margins[delta]
+            if math.isinf(body_margin):
+                assert cone_margin == body_margin, face.label()
+            else:
+                assert abs(cone_margin - body_margin) <= bound, (face.label(), delta)
 
 
 @pytest.mark.parametrize("samples, thetas", [(64, 8), (512, 64), (512, 512), (2048, 256)])
@@ -104,23 +123,19 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, samples, thetas):
     default = kernel(samples, thetas)
     for budget in (1, len(catalogue) * len(body.ts)):  # one face, one block
         monkeypatch.setattr(fc, "BLOCK_ELEMENTS", budget)
-        blocked = kernel(samples, thetas)
-        assert bits(blocked[0]) == bits(default[0])
-        assert bits(blocked[1]) == bits(default[1])
+        assert bits(kernel(samples, thetas)) == bits(default)
 
 
-def hand_made_body(far_x1):
+def hand_made_body():
     """A body on the grids {0, 0.3, 0.5, 0.7, T} (curve 1), {0, 0.4, T}
-    (curve 2) and {0, T} (curves 3, 4), with one exposed face: the pair
-    x_1 <= 0 exposes {curve1(0.5)}, since curve 1 lies in x_1 = 0; it lifts
-    to (-1/2, 1, 0, 0), of value 2 x_1 on the generator over x. The face
-    sample has x_1 = 0, the curve-2 sample at 0.4 (0.9 away from the face)
-    x_1 = far_x1, and every other sample x_1 = -1/2. Returns the body, the
-    face and the pair."""
+    (curve 2) and {0, T} (curves 3, 4), with one face: the pair x_1 <= 0
+    holds {curve1(0.5)}, since curve 1 lies in x_1 = 0. The face sample and
+    the curve-2 sample at 0.4 (0.9 away from the face) have x_1 = 0, every
+    other sample x_1 = -1/2. Returns the body, the face and the pair."""
     grids = {1: np.array([0.0, 0.3, 0.5, 0.7, T]), 2: np.array([0.0, 0.4, T]),
              3: np.array([0.0, T]), 4: np.array([0.0, T])}
     first = {i: np.full(g.size, -0.5) for i, g in grids.items()}
-    first[1][2], first[2][1] = 0.0, far_x1
+    first[1][2], first[2][1] = 0.0, 0.0
     x1 = np.concatenate(list(first.values()))
     body = con.BodySamples(ids=np.concatenate([np.full(g.size, i) for i, g in grids.items()]),
                            ts=np.concatenate(list(grids.values())),
@@ -129,48 +144,25 @@ def hand_made_body(far_x1):
     return body, face, fc.ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0)
 
 
-def hand_made_reports(far_x1, eq_abs):
-    """Kernel and reference reports, body and lifted, on hand_made_body."""
-    body, face, pair = hand_made_body(far_x1)
-    body_rep, rep = (reports[0] for reports in
-                     fc.verify_catalogue([(face, pair)], body, lifted=True, eq_abs=eq_abs))
-    body_ref = reference_verify_exposure(face, pair, body, eq_abs=eq_abs)
-    ref = reference_verify_cone_exposure(
-        reference_lift(pair), reference_cone(body), body.ids, body.ts, face, eq_abs=eq_abs)
-    return body_rep, rep, body_ref, ref
-
-
-@pytest.mark.parametrize("far_value, verdict", [(-0.5, "fail"), (-2.0, "pass")])
-def test_far_generator_must_clear_eq_abs_on_the_cone(far_value, verdict):
-    # The far sample of hand_made_body has x_1 = far_value * eq_abs / 2. A
-    # dyadic eq_abs keeps every lifted value exact.
-    eq_abs = 2.0**-30
-    body_rep, rep, _, ref = hand_made_reports(far_value * eq_abs / 2.0, eq_abs)
-    assert body_rep.passed
-    assert rep.verdict == verdict
-    assert rep.margins[0.01] == -far_value * eq_abs
-    assert rep.onface_count == 1
-    assert bits([rep]) == bits([ref])
-
-
 def test_zero_far_slack_keeps_its_sign():
-    # The far sample lies on both hyperplanes: its body slack is 0 - 0 = +0.0
-    # and its lifted slack -(+0.0) = -0.0. The margins keep those signs, as
-    # the reference's do, and a zero margin fails both checks.
-    body_rep, rep, body_ref, ref = hand_made_reports(0.0, 2.0**-30)
-    assert bits([body_rep]) == bits([body_ref]) and bits([rep]) == bits([ref])
-    assert not np.signbit(body_rep.margins[0.01]) and not np.signbit(body_ref.margins[0.01])
-    assert np.signbit(rep.margins[0.01]) and np.signbit(ref.margins[0.01])
-    assert body_rep.verdict == rep.verdict == "fail"
+    # The far sample lies on the hyperplane: its slack is 0 - 0 = +0.0. The
+    # margin keeps that sign, as the reference's does, and a zero margin
+    # fails the check.
+    body, face, pair = hand_made_body()
+    rep, = fc.verify_catalogue([(face, pair)], body, eq_abs=2.0**-30)
+    ref = reference_verify_exposure(face, pair, body, eq_abs=2.0**-30)
+    assert bits([rep]) == bits([ref])
+    assert not np.signbit(rep.margins[0.01]) and not np.signbit(ref.margins[0.01])
+    assert rep.verdict == "fail"
 
 
 @pytest.mark.parametrize("samples, thetas", [(512, 64), (2048, 256)])
 def test_kernel_memory_stays_under_two_mib(samples, thetas):
     catalogue, body, _, _ = setup(samples, thetas)
-    fc.verify_catalogue(catalogue[:4], body, lifted=True)  # warm numpy up
+    fc.verify_catalogue(catalogue[:4], body)  # warm numpy up
     tracemalloc.start()
     try:
-        fc.verify_catalogue(catalogue, body, lifted=True)
+        fc.verify_catalogue(catalogue, body)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,11 +269,11 @@ def test_zero_normal_rejected():
 
 def test_empty_catalogue_gives_no_reports():
     _, body, _, _ = setup(64, 8)
-    assert fc.verify_catalogue([], body, lifted=True) == ([], [])
+    assert fc.verify_catalogue([], body) == []
 
 
 def test_margin_radii_must_be_off_the_face():
     catalogue, body, _, _ = setup(64, 8)
     with pytest.raises(DomainError):
         fc.verify_catalogue(catalogue, body, deltas=(1e-9, 0.1))
-    assert math.isinf(fc.verify_catalogue(catalogue[:1], body, deltas=(1.0,))[0][0].margins[1.0])
+    assert math.isinf(fc.verify_catalogue(catalogue[:1], body, deltas=(1.0,))[0].margins[1.0])

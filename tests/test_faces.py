@@ -123,7 +123,7 @@ class TestExposingPairs:
             assert onface.sum() == (2 * n + 2 if face.full_curves else len(face.anchors))
             assert np.abs(slack[onface]).max() <= 1e-15, kind
             assert slack[~onface].max() < 0.0, kind
-            assert fc.verify_catalogue([(face, pair)], body)[0][0].passed, kind
+            assert fc.verify_catalogue([(face, pair)], body)[0].passed, kind
 
     def test_triangle_pairs_are_mirror_images(self):
         cat = fc.enumerate_faces(con.theta_grid(2))
@@ -150,7 +150,7 @@ class TestVerifyExposure:
         cat = fc.enumerate_faces(np.array([th]))
         f11 = face_of("F11", cat, th)
         pair = fc.exposing_pair(f11)
-        rep = fc.verify_catalogue([(f11, pair)], body)[0][0]
+        rep = fc.verify_catalogue([(f11, pair)], body)[0]
         assert rep.passed
         assert rep.max_onface_residual <= 1e-12
         # equality value on the curve-1 anchor reproduces the offset
@@ -175,7 +175,7 @@ class TestVerifyExposure:
         away = np.abs(ts - r.t) > 1e-9
         assert vals[away].max() < 0
         assert float(con.curve_point(3, r.t) @ pair.normal) == pytest.approx(pair.offset, abs=1e-12)
-        assert fc.verify_catalogue([(f03, pair)], body)[0][0].passed
+        assert fc.verify_catalogue([(f03, pair)], body)[0].passed
 
     def test_mismatched_pair_is_an_input_error(self, body):
         cat = fc.enumerate_faces(np.array([T / 2]))
@@ -186,7 +186,7 @@ class TestVerifyExposure:
 
     def test_whole_catalogue_passes_out_of_sample(self, body):
         catalogue = fc.build_catalogue(con.theta_grid(16))
-        for (face, _), rep in zip(catalogue, fc.verify_catalogue(catalogue, body)[0]):
+        for (face, _), rep in zip(catalogue, fc.verify_catalogue(catalogue, body)):
             assert rep.passed, (face.label(), rep)
 
     def test_catalogue_computes_each_ruling_once(self, monkeypatch):
@@ -280,7 +280,7 @@ class TestSymmetry:
         r = con.ruling_data(th)
         f11 = fc.FaceDescriptor("F11", 1, param=th, partner=r.t, anchors=((1, th), (3, r.t)))
         f12 = fc.FaceDescriptor("F12", 1, param=th, partner=r.t, anchors=((4, th), (2, r.t)))
-        rep11, rep12 = fc.verify_catalogue([(f, fc.exposing_pair(f)) for f in (f11, f12)], body)[0]
+        rep11, rep12 = fc.verify_catalogue([(f, fc.exposing_pair(f)) for f in (f11, f12)], body)
         for delta in rep11.margins:
             assert rep11.margins[delta] == pytest.approx(rep12.margins[delta], abs=1e-12)
 

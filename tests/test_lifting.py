@@ -3,7 +3,7 @@ import pytest
 
 from conelab import construction as con
 from conelab import faces as fc
-from helpers import polar_generator_model
+from helpers import polar_generator_model, reference_verify_cone_exposure
 
 T = con.T_END
 
@@ -14,8 +14,12 @@ def lift(normal, offset):
 
 
 def lifted_report(face, body):
-    """The exposure kernel's lifted check of the face's closed-form pair."""
-    return fc.verify_catalogue([(face, fc.exposing_pair(face))], body, lifted=True)[1][0]
+    """The per-face reference check of the lift of the face's closed-form
+    pair on the generators of the cone over C'."""
+    pair = fc.exposing_pair(face)
+    cone = con.homogenize(body)
+    return reference_verify_cone_exposure(lift(pair.normal, pair.offset), cone.generators,
+                                          cone.ids, cone.ts, face)
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +94,8 @@ class TestConeExposure:
 
     def test_whole_catalogue_lifts_cleanly(self, body):
         catalogue = fc.build_catalogue(np.array([T / 4, T / 2, T]))
-        for rep in fc.verify_catalogue(catalogue, body, lifted=True)[1]:
-            assert rep.passed, rep.face_label
+        for face, _ in catalogue:
+            assert lifted_report(face, body).passed, face.label()
 
 
 class TestPolar:

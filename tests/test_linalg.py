@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conelab.linalg import DegenerateInputError, feasible_interval, nullspace
+from conelab.linalg import DegenerateInputError, DomainError, feasible_interval, gamma, nullspace
 from helpers import reference_conic_membership
 
 SQRT2 = math.sqrt(2.0)
@@ -106,3 +106,14 @@ class TestFeasibleInterval:
                 for x in feasible:
                     assert lo - 1e-12 <= x <= hi + 1e-12
 
+
+
+class TestGamma:
+    def test_values_and_domain(self):
+        u = 2.0**-53
+        assert gamma(0) == 0.0
+        assert gamma(1) == u / (1.0 - u)
+        assert 12 * u < gamma(12) < 12 * u * (1.0 + 1e-14)
+        for n in (-1, 2**53, 2**54):
+            with pytest.raises(DomainError):
+                gamma(n)
