@@ -28,16 +28,7 @@ from .construction import (
     theta_for_partner,
     theta_grid,
 )
-from .faces import (
-    ExposingPair,
-    ExposureReport,
-    FaceDescriptor,
-    build_catalogue,
-    enumerate_faces,
-    exposing_pair,
-    identity_suite,
-    verify_catalogue,
-)
+from .faces import Catalogue, Exposure, build_catalogue, identity_suite, verify_catalogue
 from .linalg import (
     EQ_ABS,
     DegenerateInputError,

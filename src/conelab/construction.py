@@ -20,7 +20,9 @@ NamedTuples BodySamples and Cone, each label array (curve ids, parameters)
 aligned with its rows. The theta-machinery pairs a parameter theta on curve
 1 (resp. 4) with a partner parameter on curve 3 (resp. 2); the segments
 between paired points rule the curved part of the boundary of C and carry
-closed-form exposing normals.
+closed-form exposing normals. It takes a scalar or a whole array of
+parameters, so the face catalogue gets all its rulings from one array
+evaluation per parameter set.
 """
 
 from __future__ import annotations
@@ -50,12 +52,16 @@ ENDPOINTS = {
 }
 
 def _check_param(t, lo=0.0, hi=T_END, name="t", open_lo=False):
-    t = float(t)
+    """t, a scalar or an array, clamped to [lo, hi]; DomainError for a
+    value outside it."""
+    t = np.asarray(t, dtype=float)
     slack = 1e-15  # forgive one ulp of pi/4 round-off at the right endpoint
     # written so that NaN, which fails every comparison, is rejected too
-    if not lo - slack <= t <= hi + slack or (open_lo and t <= lo):
-        raise DomainError(f"{name}={t} outside {'(' if open_lo else '['}{lo}, {hi}]")
-    return min(max(t, lo), hi)
+    inside = (lo - slack <= t) & (t <= hi + slack) & ~(open_lo & (t <= lo))
+    if not inside.all():
+        bad = t[~inside] if t.ndim else t
+        raise DomainError(f"{name}={bad} outside {'(' if open_lo else '['}{lo}, {hi}]")
+    return np.clip(t, lo, hi)
 
 
 def curve_points(curve_id, ts):
@@ -85,16 +91,26 @@ def curve_point(curve_id, t):
     return curve_points(curve_id, t)
 
 
+def _per_element(fn, *args):
+    """fn, a math function of floats, applied element by element to arrays
+    of one shape. The math module's acos and atan2 are kept because numpy's
+    arccos and arctan2 round some values differently, which would move the
+    partners and the report bytes."""
+    values = [fn(*v) for v in zip(*(np.ravel(a).tolist() for a in args))]
+    return np.reshape(values, np.shape(args[0]))
+
+
 def partner_cos(theta):
     """sin(theta) / (1 + sin(theta) - cos(theta)); the cosine of the partner
     parameter. Strictly decreasing on (0, T] from 1 down to 1/sqrt(2).
+    theta may be a scalar or an array, as in the functions below.
 
     Evaluated via the equivalent half-angle form
     cos(theta/2) / (cos(theta/2) + sin(theta/2)), which has no cancellation
     as theta -> 0 (the direct form loses ~16/|log10 theta| digits there).
     """
     theta = _check_param(theta, name="theta", open_lo=True)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return c / (c + s)
 
 
@@ -102,7 +118,7 @@ def partner_param(theta):
     """Partner parameter arccos(partner_cos(theta)); a strictly increasing
     bijection of (0, T] onto (0, T]. The arccos rounds to T + 1.1e-16 at
     theta = T, so it is clamped to T: the partner stays a curve parameter."""
-    return min(math.acos(partner_cos(theta)), T_END)
+    return np.minimum(_per_element(math.acos, partner_cos(theta)), T_END)
 
 
 def theta_for_partner(t):
@@ -111,35 +127,36 @@ def theta_for_partner(t):
     Solves cos(t) = sin(theta)/(1 + sin(theta) - cos(theta)) for theta;
     the nontrivial root of the induced A sin + B cos = B equation.
     """
-    t = _check_param(t, open_lo=True)
-    return math.pi - 2.0 * math.atan2(math.cos(t), 1.0 - math.cos(t))
+    c = np.cos(_check_param(t, open_lo=True))
+    return math.pi - 2.0 * _per_element(math.atan2, c, 1.0 - c)
 
 
 class RulingData(NamedTuple):
-    """One ruling of the curved boundary: parameter theta on curve 1/4, its
-    partner t on curve 3/2, the exposing normal for the curve-1/3 segment,
-    the mirrored normal for the curve-4/2 segment, and the shared offset."""
+    """Rulings of the curved boundary, one per parameter theta on curve 1/4:
+    the partner t on curve 3/2, the exposing normal of the curve-1/3
+    segment, the mirrored normal of the curve-4/2 segment, and the shared
+    offset. Each field has the shape of theta, the normals one more axis of
+    length 3."""
 
-    theta: float
-    t: float
+    theta: np.ndarray
+    t: np.ndarray
     normal: np.ndarray
     mirror_normal: np.ndarray
-    offset: float
+    offset: np.ndarray
 
 
 def ruling_data(theta):
-    """Assemble the closed-form ruling quantities for theta in (0, T]."""
+    """The closed-form ruling quantities for theta in (0, T], a scalar or an
+    array, in one array evaluation."""
     theta = _check_param(theta, name="theta", open_lo=True)
     ct = partner_cos(theta)
-    if not (_SQRT2_INV - 1e-12 <= ct < 1.0):
+    if not ((_SQRT2_INV - 1e-12 <= ct) & (ct < 1.0)).all():
         raise DomainError(f"partner cosine {ct} escaped [1/sqrt2, 1)")
     t = partner_param(theta)
-    st = math.sin(t)
-    sth, cth = math.sin(theta), math.cos(theta)
-    normal = np.array([-st * sth, -ct * sth, ct * cth])
-    mirror = np.array([ct * cth, sth * ct, -st * sth])
-    offset = ct * (1.0 - cth)
-    return RulingData(theta=theta, t=t, normal=normal, mirror_normal=mirror, offset=offset)
+    st, sth, cth = np.sin(t), np.sin(theta), np.cos(theta)
+    normal = np.stack([-st * sth, -ct * sth, ct * cth], axis=-1)
+    mirror = np.stack([ct * cth, sth * ct, -st * sth], axis=-1)
+    return RulingData(theta, t, normal, mirror, ct * (1.0 - cth))
 
 
 def curve_grid(n):

@@ -10,12 +10,17 @@ Face kinds and their generators:
     F21/F22      endpoint triangles p1p2p3, p2p3p4           dim 2
     F23/F24      the two planar sides co{curves 1,2 / 3,4}   dim 2
 
-Every face has a closed-form exposing pair: the singletons and the rulings
-take theirs from the ruling machinery, the fixed faces (origin, endpoint
-chords, endpoint triangles and planar sides) from one table. The generator
-points of a face, as (curve, t) pairs, come from face_generators alone: the
-atlas lists them and the exposure kernel takes its residual at them. One
-exposure kernel, verify_catalogue, checks each pair on samples of C. The
+build_catalogue makes the catalogue in one pass, as a Catalogue of arrays
+with one row per face. Every face has a closed-form exposing pair: the
+singletons and the rulings take theirs from two array evaluations of the
+ruling machinery, the fixed faces (origin, endpoint chords, endpoint
+triangles and planar sides) from one table. The generator points of every
+face, labelled (curve, t), are computed once per catalogue, in one
+curve_points call per curve: the atlas lists them, the exposure kernel
+takes its residual at them and reporting's homogenization section
+evaluates the lift identity at them. One exposure kernel,
+verify_catalogue, checks each pair on samples of C and returns its
+verdicts as arrays (Exposure), one row per face. The
 faces of the cone K over C' need no second check: lift_pairs(y, d) takes
 the value 2(<y, x> - d) on the generator lift_points(x), so it exposes the
 cone over the face that (y, d) exposes (reporting.homogenization_section).
@@ -35,11 +40,10 @@ from .construction import (
     CURVE_IDS,
     T_END,
     curve_points,
-    partner_param,
     ruling_data,
     theta_for_partner,
 )
-from .linalg import EQ_ABS, DegenerateInputError, DimensionMismatchError, DomainError
+from .linalg import EQ_ABS, DegenerateInputError, DomainError
 
 # How every exposing pair is obtained; the face atlas records it per face.
 CLOSED_FORM = "closed-form"
@@ -58,8 +62,10 @@ BLOCK_ELEMENTS = 1 << 15
 
 _A = 1.0 / math.sqrt(2.0)
 
-# Fixed faces: kind -> (unnormalised normal y, offset d of y/|y|). On the
-# four arcs, with s = sin t, c = cos t and t in [0, T]:
+# Fixed faces in catalogue order (F00 first, the others last): kind ->
+# (unnormalised normal y, offset d of y/|y|, generators as (curve, t) pairs,
+# curves wholly contained in the face). On the four arcs, with s = sin t,
+# c = cos t and t in [0, T]:
 #   F00: curves 1, 4 give (c - 1)/sqrt2 and curves 2, 3 give -s/sqrt2, < 0 for t > 0.
 #   F13: curves 1, 2 give (1 + s - c)/sqrt3 <= d, equal only at t = T;
 #        curves 3, 4 give (c - 1 - s)/sqrt3 <= 0.
@@ -74,159 +80,147 @@ _A = 1.0 / math.sqrt(2.0)
 #        1, 4 and 2, 3; both are normalised by the same |y|.
 #   F23: curves 1, 2 give 0; curves 3, 4 give -s and c - 1, < 0 for t > 0.
 #   F24: curves 3, 4 give 0; curves 1, 2 give c - 1 and -s, < 0 for t > 0.
-_FIXED_PAIRS = {
-    "F00": ((1.0, 0.0, 1.0), 0.0),
-    "F13": ((1.0, -1.0, -1.0), 1.0 / math.sqrt(3.0)),
-    "F14": ((-1.0, 1.0, 1.0), 1.0 / math.sqrt(3.0)),
-    "F15": ((-1.0, 0.0, -1.0), 0.5),
-    "F21": ((_A - 2.0, -_A, -_A), _A / math.hypot(_A - 2.0, _A, _A)),
-    "F22": ((-_A, _A, _A - 2.0), _A / math.hypot(_A - 2.0, _A, _A)),
-    "F23": ((1.0, 0.0, 0.0), 0.0),
-    "F24": ((0.0, 0.0, 1.0), 0.0),
-}
-
-# Endpoint-anchored faces: kind -> (endpoint indices, dimension).
-_FIXED_FACES = {
-    "F13": ((1, 2), 1),
-    "F14": ((3, 4), 1),
-    "F15": ((2, 3), 1),
-    "F21": ((1, 2, 3), 2),
-    "F22": ((2, 3, 4), 2),
+# A planar side's generators are t = 0, T/2 and T on each of its curves.
+_SIDE = (0.0, T_END / 2, T_END)
+_FIXED = {
+    "F00": ((1.0, 0.0, 1.0), 0.0, tuple((i, 0.0) for i in CURVE_IDS), ()),
+    "F13": ((1.0, -1.0, -1.0), 1.0 / math.sqrt(3.0), ((1, T_END), (2, T_END)), ()),
+    "F14": ((-1.0, 1.0, 1.0), 1.0 / math.sqrt(3.0), ((3, T_END), (4, T_END)), ()),
+    "F15": ((-1.0, 0.0, -1.0), 0.5, ((2, T_END), (3, T_END)), ()),
+    "F21": ((_A - 2.0, -_A, -_A), _A / math.hypot(_A - 2.0, _A, _A),
+            ((1, T_END), (2, T_END), (3, T_END)), ()),
+    "F22": ((-_A, _A, _A - 2.0), _A / math.hypot(_A - 2.0, _A, _A),
+            ((2, T_END), (3, T_END), (4, T_END)), ()),
+    "F23": ((1.0, 0.0, 0.0), 0.0, tuple((i, t) for i in (1, 2) for t in _SIDE), (1, 2)),
+    "F24": ((0.0, 0.0, 1.0), 0.0, tuple((i, t) for i in (3, 4) for t in _SIDE), (3, 4)),
 }
 
 
-class FaceDescriptor(NamedTuple):
-    kind: str
-    dimension: int
-    param: float | None = None       # t for F0i, theta for F11/F12
-    partner: float | None = None     # partner parameter for F11/F12
-    anchors: tuple = ()              # ((curve_id, t), ...) pinning the face
-    full_curves: tuple = ()          # curves wholly contained in the face
+class Catalogue(NamedTuple):
+    """The face catalogue as arrays, one row per face in catalogue order:
+    kind, parameter and partner (nan where the kind has none), the curves
+    wholly contained in the face (a (faces, 4) mask), and the exposing pair
+    (y, d). The generator points of all faces are stacked face by face,
+    `sizes` of them per face, each with its (curve, t) label; a face that
+    holds no whole curve is anchored at its generators."""
 
-    def label(self):
-        if self.param is None:
-            return self.kind
-        return f"{self.kind}({self.param:.6f})"
-
-
-class ExposingPair(NamedTuple):  # verify_catalogue checks the normals
-    normal: np.ndarray
-    offset: float
-
-
-class ExposureReport(NamedTuple):  # one per face: cheap to build
-    face_label: str
-    max_onface_residual: float
-    margins: dict            # delta -> smallest measured margin at that radius
-    onface_count: int
-    verdict: str             # "pass" | "fail"
-
-    @property
-    def passed(self):
-        return self.verdict == "pass"
+    kinds: list
+    params: np.ndarray
+    partners: np.ndarray
+    full: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray
+    gen_ids: np.ndarray
+    gen_ts: np.ndarray
+    points: np.ndarray
 
 
-def _ruling(theta, rulings):
-    """ruling_data(theta), kept in the rulings dict (when one is given) so
-    that each theta is computed once."""
-    if rulings is None:
-        return ruling_data(theta)
-    if theta not in rulings:
-        rulings[theta] = ruling_data(theta)
-    return rulings[theta]
+class Exposure(NamedTuple):
+    """Verdicts of verify_catalogue, one row per face: samples on the face,
+    largest on-face residual, margin at each radius (one column per delta)
+    and whether the face passes."""
+
+    onface_counts: np.ndarray
+    residuals: np.ndarray
+    margins: np.ndarray
+    passed: np.ndarray
 
 
-def singleton_pair(curve_id, t, rulings=None):
-    """Closed-form exposing pair for the singleton face {curve_i(t)};
-    rulings: optional theta -> RulingData dict shared between calls."""
-    if curve_id == 1:
-        return ExposingPair(np.array([1.0, -math.sin(t), math.cos(t)]), 1.0 - math.cos(t))
-    if curve_id == 4:
-        return ExposingPair(np.array([math.cos(t), math.sin(t), 1.0]), 1.0 - math.cos(t))
-    r = _ruling(theta_for_partner(t), rulings)
-    if curve_id == 3:
-        return ExposingPair(r.normal + np.array([0.0, 0.0, 1.0]), r.offset)
-    if curve_id == 2:
-        return ExposingPair(r.mirror_normal + np.array([1.0, 0.0, 0.0]), r.offset)
-    raise DomainError(f"curve id {curve_id} not in {CURVE_IDS}")
-
-
-def enumerate_faces(theta_grid):
-    """Materialize the full catalogue over the given parameter grid, which
-    carries both the singleton parameters and the ruling parameters.
-
-    Count: 1 + 4*|theta_grid| + 2*|theta_grid| + 3 + 4.
-    """
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    if theta_grid.size == 0:
-        raise DegenerateInputError("theta grid is empty")
-    # min and max propagate NaN, which then fails both comparisons
-    if not (theta_grid.min() > 0 and theta_grid.max() <= T_END + 1e-15):
-        raise DomainError("theta grid must be finite and lie in (0, T]")
-
-    faces = [FaceDescriptor("F00", 0, anchors=tuple((i, 0.0) for i in CURVE_IDS))]
-    for i in CURVE_IDS:
-        faces.extend(
-            FaceDescriptor(f"F0{i}", 0, param=float(t), anchors=((i, float(t)),))
-            for t in theta_grid
-        )
-    for th in theta_grid:
-        t = partner_param(th)
-        faces.append(FaceDescriptor("F11", 1, param=float(th), partner=t,
-                                    anchors=((1, float(th)), (3, t))))
-        faces.append(FaceDescriptor("F12", 1, param=float(th), partner=t,
-                                    anchors=((4, float(th)), (2, t))))
-    for kind, (ends, dim) in _FIXED_FACES.items():
-        faces.append(FaceDescriptor(kind, dim, anchors=tuple((i, T_END) for i in ends)))
-    faces.append(FaceDescriptor("F23", 2, full_curves=(1, 2)))
-    faces.append(FaceDescriptor("F24", 2, full_curves=(3, 4)))
-    return faces
-
-
-def face_generators(face):
-    """The generator points of the face as (curve, t) pairs: its anchors,
-    or t = 0, T/2 and T on each curve wholly contained in a planar side."""
-    if face.full_curves:
-        return [(i, t) for i in face.full_curves for t in (0.0, T_END / 2, T_END)]
-    return list(face.anchors)
-
-
-def face_generator_points(faces):
-    """The points of face_generators, one (k, 3) array per face, from one
+def generator_points(ids, ts):
+    """The points of the generators (ids[k], ts[k]), one per row, from one
     curve_points call per curve on parameters clamped to [0, T] as
     curve_point clamps them, so each point has the bits of curve_point."""
-    points = []
-    slots = {i: ([], []) for i in CURVE_IDS}  # curve -> [(face, row)], [t]
-    for j, face in enumerate(faces):
-        generators = face_generators(face)
-        points.append(np.empty((len(generators), 3)))
-        for k, (i, t) in enumerate(generators):
-            slots[i][0].append((j, k))
-            slots[i][1].append(t)
-    for i, (where, ts) in slots.items():
-        ts = np.array(ts)
-        clamped = np.clip(ts, 0.0, T_END)
-        if ts.size and np.abs(ts - clamped).max() > 1e-15:
-            raise DomainError(f"anchor parameter on curve {i} outside [0, {T_END}]")
-        for (j, k), p in zip(where, curve_points(i, clamped)):
-            points[j][k] = p
+    clamped = np.clip(ts, 0.0, T_END)
+    if ts.size and np.abs(ts - clamped).max() > 1e-15:
+        raise DomainError(f"generator parameter outside [0, {T_END}]")
+    points = np.empty((len(ts), 3))
+    for i in CURVE_IDS:
+        on = ids == i
+        points[on] = curve_points(i, clamped[on])
     return points
 
 
-def _anchor_residuals(faces, normals, offsets):
+def _fixed_face(kind):
+    """The block of one fixed face (see build_catalogue)."""
+    y, d, generators, curves = _FIXED[kind]
+    ids, ts = zip(*generators)
+    return ([kind], [math.nan], [math.nan], [[i in curves for i in CURVE_IDS]],
+            [np.array(y) / math.hypot(*y)], [d], np.array([ids]), np.array([ts]))
+
+
+def build_catalogue(theta_grid):
+    """The whole catalogue over the given parameter grid, which carries both
+    the singleton parameters and the ruling parameters, built kind by kind
+    from arrays: the rulings are one evaluation of ruling_data on the grid
+    (F11, F12) and one on its theta_for_partner image (F02, F03 at the grid
+    parameters), and the generator points one generator_points call.
+
+    Count: 1 + 4*|theta_grid| + 2*|theta_grid| + 3 + 4.
+    """
+    th = np.asarray(theta_grid, dtype=float)
+    if th.size == 0:
+        raise DegenerateInputError("theta grid is empty")
+    n = th.size
+    ruled = ruling_data(th)
+    back = ruling_data(theta_for_partner(th))
+    s, c, one, nan = np.sin(th), np.cos(th), np.ones(n), np.full(n, math.nan)
+    singles = (  # the pairs of F01..F04
+        (np.column_stack([one, -s, c]), 1.0 - c),
+        (back.mirror_normal + [1.0, 0.0, 0.0], back.offset),
+        (back.normal + [0.0, 0.0, 1.0], back.offset),
+        (np.column_stack([c, s, one]), 1.0 - c),
+    )
+    # One block per kind, F11 and F12 interleaved in one: kinds, params,
+    # partners, full curves, normals, offsets, and the generators' curves
+    # and parameters, each with one row per face.
+    blocks = [_fixed_face("F00")]
+    blocks += [([f"F0{i}"] * n, th, nan, np.zeros((n, 4), bool), y, d, np.full((n, 1), i),
+                th[:, None]) for i, (y, d) in zip(CURVE_IDS, singles)]
+    blocks.append((["F11", "F12"] * n, np.repeat(th, 2), np.repeat(ruled.t, 2),
+                   np.zeros((2 * n, 4), bool),
+                   np.stack([ruled.normal, ruled.mirror_normal], axis=1).reshape(-1, 3),
+                   np.repeat(ruled.offset, 2), np.tile([[1, 3], [4, 2]], (n, 1)),
+                   np.repeat(np.column_stack([th, ruled.t]), 2, axis=0)))
+    blocks += [_fixed_face(kind) for kind in list(_FIXED)[1:]]
+    kinds, params, partners, full, normals, offsets, ids, ts = zip(*blocks)
+    gen_ids = np.concatenate([a.ravel() for a in ids])
+    gen_ts = np.concatenate([a.ravel() for a in ts])
+    return Catalogue(
+        kinds=[kind for block in kinds for kind in block],
+        params=np.concatenate(params),
+        partners=np.concatenate(partners),
+        full=np.concatenate(full),
+        normals=np.concatenate(normals),
+        offsets=np.concatenate(offsets),
+        sizes=np.concatenate([np.full(len(a), a.shape[1]) for a in ids]),
+        gen_ids=gen_ids,
+        gen_ts=gen_ts,
+        points=generator_points(gen_ids, gen_ts),
+    )
+
+
+def face_label(catalogue, j):
+    """The kind of face j, with its parameter where it has one."""
+    kind, param = catalogue.kinds[j], catalogue.params[j]
+    return kind if math.isnan(param) else f"{kind}({param:.6f})"
+
+
+def _anchor_residuals(catalogue):
     """Largest |<y, p> - d| over the generator points p of each face and
     their centroid. The faces with the same number of generators share one
     stacked product, with the bits of the per-face product. Raises
     DomainError for the first face whose pair misses its generators by
     more than 1e-3.
     """
-    points = face_generator_points(faces)
-    anchor_res = np.empty(len(faces))
-    res = np.empty(len(faces))
-    for size in {len(p) for p in points}:
-        rows = [j for j, p in enumerate(points) if len(p) == size]
-        pts = np.stack([points[j] for j in rows])
-        y, d = normals[rows][:, :, None], offsets[rows]
+    sizes = catalogue.sizes
+    starts = np.cumsum(sizes) - sizes
+    anchor_res = np.empty(len(sizes))
+    res = np.empty(len(sizes))
+    for size in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == size)
+        pts = catalogue.points[starts[rows, None] + np.arange(size)]
+        y, d = catalogue.normals[rows][:, :, None], catalogue.offsets[rows]
         anchor_res[rows] = np.abs(np.matmul(pts, y)[:, :, 0] - d[:, None]).max(axis=1)
         # convex combinations of generators must reach the same hyperplane
         centroid_res = np.abs(np.matmul(pts.mean(axis=1)[:, None, :], y)[:, 0, 0] - d)
@@ -234,28 +228,29 @@ def _anchor_residuals(faces, normals, offsets):
     bad = np.flatnonzero(anchor_res > 1e-3)
     if bad.size:
         j = bad[0]
-        raise DomainError(
-            f"pair does not match face {faces[j].label()}: anchor residual {anchor_res[j]:.3g}"
-        )
+        raise DomainError(f"pair does not match face {face_label(catalogue, j)}: "
+                          f"anchor residual {anchor_res[j]:.3g}")
     return res
 
 
-def _distance_table(faces):
+def _distance_table(catalogue):
     """Per face and curve: the anchor parameter (inf where the face has none)
     and the reach through the common endpoint (the smallest anchor parameter;
     0 for a planar side, -inf on the curves wholly contained in the face). A
     sample of curve c at t lies at parameter distance min(|t - anchor|,
-    t + reach) from the face, where -inf means on it."""
-    anchor_t = np.full((len(faces), len(CURVE_IDS)), math.inf)
-    reach = np.full(anchor_t.shape, math.inf)
-    for j, face in enumerate(faces):
-        for i, t in face.anchors:
-            if anchor_t[j, i - 1] != math.inf:
-                raise DomainError(f"face {face.label()} has two anchors on curve {i}")
-            anchor_t[j, i - 1] = t
-        if face.full_curves:
-            reach[j] = 0.0
-            reach[j, [i - 1 for i in face.full_curves]] = -math.inf
+    t + reach) from the face, where -inf means on it. The anchors of a face
+    are its generators, unless it holds whole curves."""
+    n, full = len(catalogue.sizes), catalogue.full
+    face = np.repeat(np.arange(n), catalogue.sizes)
+    anchored = ~full.any(axis=1)[face]
+    face, curve = face[anchored], catalogue.gen_ids[anchored] - 1
+    twice = np.flatnonzero(np.bincount(4 * face + curve, minlength=4 * n) > 1)
+    if twice.size:
+        j, c = divmod(int(twice[0]), 4)
+        raise DomainError(f"face {face_label(catalogue, j)} has two anchors on curve {c + 1}")
+    anchor_t = np.full((n, len(CURVE_IDS)), math.inf)
+    anchor_t[face, curve] = catalogue.gen_ts[anchored]
+    reach = np.where(full, -math.inf, np.where(full.any(axis=1, keepdims=True), 0.0, math.inf))
     return anchor_t, np.minimum(reach, anchor_t.min(axis=1, keepdims=True))
 
 
@@ -275,7 +270,7 @@ def _curve_runs(ids, ts):
     return [(a, b, int(ids[a]) - 1) for a, b in zip(starts, stops)]
 
 
-def _sample_ranges(faces, ids, ts, deltas):
+def _sample_ranges(catalogue, ids, ts, deltas):
     """Index ranges of the samples on each face (parameter distance at most
     ONFACE_DIST) and, per delta, of those at distance >= delta: shape
     (1 + len(deltas), faces, 4 * runs), two disjoint ranges (start, stop)
@@ -287,15 +282,16 @@ def _sample_ranges(faces, ids, ts, deltas):
     up to the rounding of bound - shift; stepping while the kernel's own
     predicate disagrees at the neighbouring sample makes it exact.
     """
-    anchor_t, reach = _distance_table(faces)
+    anchor_t, reach = _distance_table(catalogue)
     runs = _curve_runs(ids, ts)
+    n = len(anchor_t)
     # distance <= ONFACE_DIST is the complement of distance >= its successor
     radii = [math.nextafter(ONFACE_DIST, math.inf), *deltas]
     # per radius: where t + reach reaches it, where t - anchor exceeds -radius
     # (enters the band around the anchor) and where it reaches the radius
     bounds = np.array([b for r in radii for b in (r, math.nextafter(-r, math.inf), r)])
     on_reach = np.arange(len(bounds)) % 3 == 0
-    ends = np.empty((len(radii), len(faces), len(runs), 4), dtype=np.int32)
+    ends = np.empty((len(radii), n, len(runs), 4), dtype=np.int32)
     for r, (lo, hi, c) in enumerate(runs):
         shift = np.where(on_reach, reach[:, c, None], -anchor_t[:, c, None])
         k = lo + np.searchsorted(ts[lo:hi], bounds - shift)
@@ -305,14 +301,14 @@ def _sample_ranges(faces, ids, ts, deltas):
             if not (down.any() or short.any()):
                 break
             k += short.astype(int) - down
-        near, enter, leave = k.reshape(len(faces), len(radii), 3).transpose(2, 1, 0)
+        near, enter, leave = k.reshape(n, len(radii), 3).transpose(2, 1, 0)
         cols = ends[:, :, r].transpose(2, 0, 1)  # (start, stop, start, stop) x radius x face
         # at distance >= radius: past the near prefix and outside the band
         cols[0], cols[1], cols[2], cols[3] = near, enter, np.maximum(near, leave), hi
         # on the face, the complement: the near prefix and the band
         on = cols[:, 0]
         on[0], on[1], on[2], on[3] = lo, near[0], np.maximum(near[0], enter[0]), leave[0]
-    return ends.reshape(len(radii), len(faces), 4 * len(runs))
+    return ends.reshape(len(radii), n, 4 * len(runs))
 
 
 def _reduce_ranges(ufunc, values, ends, empty):
@@ -324,7 +320,7 @@ def _reduce_ranges(ufunc, values, ends, empty):
     return out
 
 
-def _scan(faces, ids, ts, points, normals, offsets, deltas):
+def _scan(catalogue, body, deltas):
     """Per face: the on-face sample count, the largest on-face |slack| and
     the smallest slack at distance >= each delta, both inf where no sample
     is in the range. The slack of face j's pair at a point x is
@@ -336,15 +332,18 @@ def _scan(faces, ids, ts, points, normals, offsets, deltas):
     slack is d - max v, the largest |slack| the larger of |d - max v| and
     |d - min v|.
     """
-    ends = _sample_ranges(faces, ids, ts, deltas)
+    ids, ts, points = body
+    normals, offsets = catalogue.normals, catalogue.offsets
+    faces = len(normals)
+    ends = _sample_ranges(catalogue, ids, ts, deltas)
     counts = np.maximum(ends[0, :, 1::2] - ends[0, :, ::2], 0).sum(axis=1)
     n = len(ts)
     step = max(1, BLOCK_ELEMENTS // n)
-    buf = np.zeros(min(step, len(faces)) * n + 1)  # the last entry keeps every end valid
-    residuals = np.empty(len(faces))
-    margins = np.empty((len(faces), len(deltas)))
-    for start in range(0, len(faces), step):
-        rows = slice(start, min(start + step, len(faces)))
+    buf = np.zeros(min(step, faces) * n + 1)  # the last entry keeps every end valid
+    residuals = np.empty(faces)
+    margins = np.empty((faces, len(deltas)))
+    for start in range(0, faces, step):
+        rows = slice(start, min(start + step, faces))
         size = rows.stop - rows.start
         block = ends[:, rows] + n * np.arange(size)[:, None]
         values = buf[:size * n + 1]
@@ -359,10 +358,10 @@ def _scan(faces, ids, ts, points, normals, offsets, deltas):
 
 
 def verify_catalogue(catalogue, body, eq_abs=EQ_ABS, deltas=MARGIN_DELTAS):
-    """Exposure report of every (face, pair) row of a catalogue, checked on
-    the samples of C: a face passes when its on-face residual is at most
-    eq_abs and its margin (the smallest slack d - <y, x> over the samples
-    at parameter distance >= delta) is positive at every radius delta.
+    """Exposure of every face of a catalogue, checked on the samples of C:
+    a face passes when its on-face residual is at most eq_abs and its
+    margin (the smallest slack d - <y, x> over the samples at parameter
+    distance >= delta) is positive at every radius delta.
 
     The samples of each curve run must be sorted by parameter, and the
     catalogue is walked in blocks of faces (see BLOCK_ELEMENTS), so the
@@ -370,39 +369,13 @@ def verify_catalogue(catalogue, body, eq_abs=EQ_ABS, deltas=MARGIN_DELTAS):
     """
     if min(deltas) <= ONFACE_DIST:
         raise DomainError(f"margin radii must exceed the on-face distance {ONFACE_DIST}")
-    faces = [face for face, _ in catalogue]
-    if any(np.shape(pair.normal) != (3,) for _, pair in catalogue):
-        raise DimensionMismatchError("pair normal must be 3-dimensional")
-    normals = np.array([pair.normal for _, pair in catalogue]).reshape(-1, 3)
-    if not normals.any(axis=1).all():
+    if not catalogue.normals.any(axis=1).all():
         raise DegenerateInputError("exposing normal must be nonzero")
-    offsets = np.array([pair.offset for _, pair in catalogue])
-    anchor_res = _anchor_residuals(faces, normals, offsets)
-    counts, res, margins = _scan(faces, body.ids, body.ts, body.xyz, normals, offsets, deltas)
-    max_res = np.maximum(anchor_res, np.where(counts > 0, res, 0.0))
-    passed = ((max_res <= eq_abs) & (margins > 0.0).all(axis=1)).tolist()
-    return [
-        ExposureReport(face.label(), r, dict(zip(deltas, m)), c, "pass" if ok else "fail")
-        for face, r, c, ok, *m in zip(faces, max_res.tolist(), counts.tolist(), passed,
-                                      *margins.T.tolist())
-    ]
-
-
-def exposing_pair(face, rulings=None):
-    """Closed-form exposing pair for a catalogued face: singletons and
-    rulings from the ruling machinery, the fixed faces from their table.
-    rulings: optional theta -> RulingData dict shared between calls.
-    """
-    kind = face.kind
-    if kind in ("F01", "F02", "F03", "F04"):
-        return singleton_pair(int(kind[2]), face.param, rulings)
-    if kind in ("F11", "F12"):
-        r = _ruling(face.param, rulings)
-        return ExposingPair(r.normal if kind == "F11" else r.mirror_normal, r.offset)
-    if kind in _FIXED_PAIRS:
-        y, d = _FIXED_PAIRS[kind]
-        return ExposingPair(np.array(y) / math.hypot(*y), d)
-    raise DomainError(f"unknown face kind {kind}")
+    anchor_res = _anchor_residuals(catalogue)
+    counts, res, margins = _scan(catalogue, body, deltas)
+    residuals = np.maximum(anchor_res, np.where(counts > 0, res, 0.0))
+    return Exposure(counts, residuals, margins,
+                    (residuals <= eq_abs) & (margins > 0.0).all(axis=1))
 
 
 def identity_suite(t, theta):
@@ -412,18 +385,17 @@ def identity_suite(t, theta):
     from its trigonometric closed form, and the absolute difference is
     returned. t and theta may be scalars or arrays, t in [0, T] and theta in
     (0, T]; the residuals have shape theta.shape + t.shape. The arcs are
-    evaluated on t once, and each theta's ruling_data once. All six are
+    evaluated on t once, and the rulings in one ruling_data call. All six are
     <= 1e-12 across the whole parameter square.
     """
     shape = np.shape(theta) + np.shape(t)
     t = np.asarray(t, dtype=float).reshape(-1)
     g = {i: curve_points(i, t) for i in CURVE_IDS}
-    rulings = [ruling_data(th) for th in np.reshape(theta, -1)]
-    y = np.array([r.normal for r in rulings])[:, :, None]
-    # the scalar closed-form factors of each ruling, one row per theta
-    th, tt, cos_tt, sin_th, cos_th, sin_tt = np.array([
-        (r.theta, r.t, math.cos(r.t), math.sin(r.theta), math.cos(r.theta), math.sin(r.t))
-        for r in rulings]).T[:, :, None]
+    r = ruling_data(np.reshape(theta, -1))
+    y = r.normal[:, :, None]
+    # the closed-form factors of each ruling, one row per theta
+    th, tt = r.theta[:, None], r.t[:, None]
+    cos_tt, sin_th, cos_th, sin_tt = np.cos(tt), np.sin(th), np.cos(th), np.sin(tt)
     # one matrix-vector product per theta, the bits of points @ y
     dot = {i: np.matmul(g[i], y)[:, :, 0] for i in CURVE_IDS}
     y3 = y + np.array([0.0, 0.0, 1.0])[:, None]
@@ -437,10 +409,3 @@ def identity_suite(t, theta):
         "curve2_vs_shifted": np.abs(dot3[2] - (dot[2] - np.sin(t))),
     }
     return {k: v.reshape(shape) for k, v in res.items()}
-
-
-def build_catalogue(theta_grid):
-    """Faces with their exposing pairs, ready for verification."""
-    faces = enumerate_faces(theta_grid)
-    rulings = {}  # one ruling_data call per distinct theta
-    return [(f, exposing_pair(f, rulings)) for f in faces]

@@ -46,7 +46,7 @@ def build_mesh(which, samples_per_curve=64):
         raise DomainError("mesh needs at least 2 samples per curve")
 
     thetas = theta_grid(n)
-    partners = np.array([partner_param(th) for th in thetas])
+    partners = partner_param(thetas)
 
     verts = [np.zeros(3)]
     idx = {}

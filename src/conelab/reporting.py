@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ def _grids(config):
     """The theta grid, which also carries the singleton faces, and the
     per-curve sample grids holding every face anchor."""
     thetas = con.theta_grid(config.theta_grid_size)
-    partners = np.array([con.partner_param(th) for th in thetas])
+    partners = con.partner_param(thetas)
     base = con.curve_grid(config.samples_per_curve)
     g_outer = _merge(base, thetas)
     g_inner = _merge(base, partners, thetas)
@@ -127,36 +128,28 @@ def identity_section(config):
 
 
 def _exposure(config):
-    """One pass of the exposure kernel over the catalogue on one body
-    sampled on the config's grids: (face, pair, report) rows on C."""
+    """The catalogue over the config's theta grid, and one pass of the
+    exposure kernel over it on a body sampled on the config's grids."""
     thetas, grids = _grids(config)
     catalogue = fc.build_catalogue(thetas)
     body = con.sample_body(grids)
-    reports = fc.verify_catalogue(catalogue, body, eq_abs=config.eq_abs)
-    return [(face, pair, rep) for (face, pair), rep in zip(catalogue, reports)]
+    return catalogue, fc.verify_catalogue(catalogue, body, eq_abs=config.eq_abs)
 
 
-def face_section(face_rows):
-    counts, failures = {}, []
-    worst_res = 0.0
-    min_margin = math.inf
-    for face, _, rep in face_rows:
-        counts[face.kind] = counts.get(face.kind, 0) + 1
-        worst_res = max(worst_res, rep.max_onface_residual)
-        min_margin = min(min_margin, min(rep.margins.values()))
-        if not rep.passed:
-            failures.append(rep.face_label)
+def face_section(catalogue, exposure):
+    """Reduced from the kernel's arrays; only failing faces get a label."""
+    failures = [fc.face_label(catalogue, j) for j in np.flatnonzero(~exposure.passed).tolist()]
     return {
-        "kind_counts": counts,
-        "n_faces": len(face_rows),
-        "worst_onface_residual": worst_res,
-        "min_margin": min_margin,
+        "kind_counts": dict(Counter(catalogue.kinds)),
+        "n_faces": len(catalogue.kinds),
+        "worst_onface_residual": float(exposure.residuals.max()),
+        "min_margin": float(exposure.margins.min()),
         "failures": failures,
         "pass": not failures,
     }
 
 
-def homogenization_section(face_rows):
+def homogenization_section(catalogue):
     """The faces of the cone K over {1} x C' are its apex {0}, exposed by
     (-1, 0, 0, 0), and the cones over the faces of C'. The lift of a pair
     takes the value <lift_pairs(y, d), lift_points(x)> = 2(<y, x> - d) on
@@ -168,11 +161,9 @@ def homogenization_section(face_rows):
     gamma_12 times the largest such scale, two roundings to spare for the
     residual and the scale themselves. No tolerance is read.
     """
-    points = fc.face_generator_points([face for face, _, _ in face_rows])
-    counts = [len(p) for p in points]
-    x = np.vstack(points)
-    y = np.repeat([pair.normal for _, pair, _ in face_rows], counts, axis=0)
-    d = np.repeat([pair.offset for _, pair, _ in face_rows], counts)
+    x = catalogue.points
+    y = np.repeat(catalogue.normals, catalogue.sizes, axis=0)
+    d = np.repeat(catalogue.offsets, catalogue.sizes)
     lifted = (con.lift_points(x) * con.lift_pairs(y, d)).sum(axis=1)
     residual = np.abs(lifted - 2.0 * ((x * y).sum(axis=1) - d))
     spread = np.abs(con.SHIFT) + np.abs(2.0 * x + con.SHIFT) + 2.0 * np.abs(x)
@@ -219,9 +210,9 @@ def run_verify(config):
     report = report_header(config)
     sections = {}
     sections["identity_suite"] = identity_section(config)
-    face_rows = _exposure(config)
-    sections["face_exposure"] = face_section(face_rows)
-    sections["homogenization"] = homogenization_section(face_rows)
+    catalogue, exposure = _exposure(config)
+    sections["face_exposure"] = face_section(catalogue, exposure)
+    sections["homogenization"] = homogenization_section(catalogue)
     sections["niceness"] = niceness_section(config)
     failures = [name for name, sec in sections.items() if not sec["pass"]]
     report["sections"] = sections
@@ -231,34 +222,41 @@ def run_verify(config):
 
 
 def run_faces(config):
-    face_rows = _exposure(config)
-    summary = face_section(face_rows)
+    """The face atlas: the one place where each face gets a record."""
+    catalogue, exposure = _exposure(config)
+    summary = face_section(catalogue, exposure)
     atlas = report_header(config)
-    points = fc.face_generator_points([face for face, _, _ in face_rows])
+    generators = [
+        {"curve": i, "t": t, "point": point} for i, t, point in
+        zip(catalogue.gen_ids.tolist(), catalogue.gen_ts.tolist(), catalogue.points.tolist())
+    ]
+    ends = np.cumsum(catalogue.sizes).tolist()
     atlas["faces"] = [
         {
-            "kind": face.kind,
-            "dimension": face.dimension,
-            "param": face.param,
-            "partner": face.partner,
-            "generators": [
-                {"curve": i, "t": t, "point": point}
-                for (i, t), point in zip(fc.face_generators(face), face_points)
-            ],
-            "full_curves": list(face.full_curves),
+            "kind": kind,
+            "dimension": int(kind[1]),
+            "param": None if math.isnan(param) else param,
+            "partner": None if math.isnan(partner) else partner,
+            "generators": generators[stop - size:stop],
+            "full_curves": [i for i, on in zip(con.CURVE_IDS, full) if on],
             "pair": {
-                "normal": pair.normal,
-                "offset": pair.offset,
+                "normal": normal,
+                "offset": offset,
                 "provenance": fc.CLOSED_FORM,
             },
             "report": {
-                "max_onface_residual": rep.max_onface_residual,
-                "margins": rep.margins,
-                "onface_count": rep.onface_count,
-                "verdict": rep.verdict,
+                "max_onface_residual": residual,
+                "margins": dict(zip(fc.MARGIN_DELTAS, margins)),
+                "onface_count": count,
+                "verdict": "pass" if ok else "fail",
             },
         }
-        for (face, pair, rep), face_points in zip(face_rows, points)
+        for kind, param, partner, size, stop, full, normal, offset, residual, margins, count, ok
+        in zip(catalogue.kinds, catalogue.params.tolist(), catalogue.partners.tolist(),
+               catalogue.sizes.tolist(), ends, catalogue.full.tolist(),
+               catalogue.normals.tolist(), catalogue.offsets.tolist(),
+               exposure.residuals.tolist(), exposure.margins.tolist(),
+               exposure.onface_counts.tolist(), exposure.passed.tolist())
     ]
     atlas["kind_counts"] = summary["kind_counts"]
     atlas["failed_reports"] = len(summary["failures"])

@@ -3,19 +3,219 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
 
-from conelab.construction import ENDPOINTS, SHIFT, curve_point, lift_points
-from conelab.faces import (
-    MARGIN_DELTAS,
-    ExposingPair,
-    ExposureReport,
-    FaceDescriptor,
-    face_generators,
+from conelab import faces as fc
+from conelab.construction import (
+    CURVE_IDS,
+    ENDPOINTS,
+    SHIFT,
+    T_END,
+    RulingData,
+    curve_point,
+    curve_points,
+    lift_points,
 )
+from conelab.faces import MARGIN_DELTAS
 from conelab.linalg import EQ_ABS, DegenerateInputError, DimensionMismatchError, DomainError
+
+
+# Reference catalogue: the per-face scalar route that faces.build_catalogue
+# replaces. Each theta gets one math-module evaluation of the ruling closed
+# forms, each face a FaceDescriptor and an ExposingPair, and the generator
+# points are gathered generator by generator. The array catalogue must equal
+# it bit for bit.
+
+class FaceDescriptor(NamedTuple):
+    kind: str
+    dimension: int
+    param: float | None = None       # t for F0i, theta for F11/F12
+    partner: float | None = None     # partner parameter for F11/F12
+    anchors: tuple = ()              # ((curve_id, t), ...) pinning the face
+    full_curves: tuple = ()          # curves wholly contained in the face
+
+    def label(self):
+        if self.param is None:
+            return self.kind
+        return f"{self.kind}({self.param:.6f})"
+
+
+class ExposingPair(NamedTuple):
+    normal: np.ndarray
+    offset: float
+
+
+class ExposureReport(NamedTuple):
+    face_label: str
+    max_onface_residual: float
+    margins: dict            # delta -> smallest measured margin at that radius
+    onface_count: int
+    verdict: str             # "pass" | "fail"
+
+    @property
+    def passed(self):
+        return self.verdict == "pass"
+
+
+# Endpoint-anchored faces: kind -> (endpoint indices, dimension).
+_FIXED_FACES = {
+    "F13": ((1, 2), 1),
+    "F14": ((3, 4), 1),
+    "F15": ((2, 3), 1),
+    "F21": ((1, 2, 3), 2),
+    "F22": ((2, 3, 4), 2),
+}
+
+
+def reference_ruling(theta):
+    """The ruling at one theta in (0, T] (clamped there), in math-module
+    arithmetic: partner cosine from the half-angle form, its math.acos
+    clamped to T, normals and offset."""
+    theta = min(max(float(theta), 0.0), T_END)
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    ct = c / (c + s)
+    t = min(math.acos(ct), T_END)
+    st, sth, cth = math.sin(t), math.sin(theta), math.cos(theta)
+    return RulingData(theta, t, np.array([-st * sth, -ct * sth, ct * cth]),
+                      np.array([ct * cth, sth * ct, -st * sth]), ct * (1.0 - cth))
+
+
+def reference_theta_for_partner(t):
+    """The theta whose partner is t, by math.atan2."""
+    t = min(max(float(t), 0.0), T_END)
+    return math.pi - 2.0 * math.atan2(math.cos(t), 1.0 - math.cos(t))
+
+
+def singleton_pair(curve_id, t):
+    """Closed-form exposing pair for the singleton face {curve_i(t)}."""
+    if curve_id == 1:
+        return ExposingPair(np.array([1.0, -math.sin(t), math.cos(t)]), 1.0 - math.cos(t))
+    if curve_id == 4:
+        return ExposingPair(np.array([math.cos(t), math.sin(t), 1.0]), 1.0 - math.cos(t))
+    r = reference_ruling(reference_theta_for_partner(t))
+    if curve_id == 3:
+        return ExposingPair(r.normal + np.array([0.0, 0.0, 1.0]), r.offset)
+    return ExposingPair(r.mirror_normal + np.array([1.0, 0.0, 0.0]), r.offset)
+
+
+def exposing_pair(face):
+    """Closed-form exposing pair for a catalogued face: singletons and
+    rulings from the ruling machinery, the fixed faces from their table."""
+    kind = face.kind
+    if kind in ("F01", "F02", "F03", "F04"):
+        return singleton_pair(int(kind[2]), face.param)
+    if kind in ("F11", "F12"):
+        r = reference_ruling(face.param)
+        return ExposingPair(r.normal if kind == "F11" else r.mirror_normal, r.offset)
+    y, d, *_ = fc._FIXED[kind]
+    return ExposingPair(np.array(y) / math.hypot(*y), d)
+
+
+def enumerate_faces(theta_grid):
+    """The catalogue's faces, one FaceDescriptor each, in catalogue order."""
+    faces = [FaceDescriptor("F00", 0, anchors=tuple((i, 0.0) for i in CURVE_IDS))]
+    for i in CURVE_IDS:
+        faces.extend(
+            FaceDescriptor(f"F0{i}", 0, param=float(t), anchors=((i, float(t)),))
+            for t in theta_grid
+        )
+    for th in theta_grid:
+        t = reference_ruling(th).t
+        faces.append(FaceDescriptor("F11", 1, param=float(th), partner=t,
+                                    anchors=((1, float(th)), (3, t))))
+        faces.append(FaceDescriptor("F12", 1, param=float(th), partner=t,
+                                    anchors=((4, float(th)), (2, t))))
+    for kind, (ends, dim) in _FIXED_FACES.items():
+        faces.append(FaceDescriptor(kind, dim, anchors=tuple((i, T_END) for i in ends)))
+    faces.append(FaceDescriptor("F23", 2, full_curves=(1, 2)))
+    faces.append(FaceDescriptor("F24", 2, full_curves=(3, 4)))
+    return faces
+
+
+def reference_catalogue(theta_grid):
+    """(face, pair) rows of the catalogue over the theta grid."""
+    return [(face, exposing_pair(face)) for face in enumerate_faces(theta_grid)]
+
+
+def face_generators(face):
+    """The generator points of the face as (curve, t) pairs: its anchors,
+    or t = 0, T/2 and T on each curve wholly contained in a planar side."""
+    if face.full_curves:
+        return [(i, t) for i in face.full_curves for t in (0.0, T_END / 2, T_END)]
+    return list(face.anchors)
+
+
+def reference_generator_points(faces):
+    """The points of face_generators, one (k, 3) array per face, filled
+    generator by generator from one curve_points call per curve on the
+    parameters clamped to [0, T]."""
+    points = []
+    slots = {i: ([], []) for i in CURVE_IDS}  # curve -> [(face, row)], [t]
+    for j, face in enumerate(faces):
+        generators = face_generators(face)
+        points.append(np.empty((len(generators), 3)))
+        for k, (i, t) in enumerate(generators):
+            slots[i][0].append((j, k))
+            slots[i][1].append(t)
+    for i, (where, ts) in slots.items():
+        for (j, k), p in zip(where, curve_points(i, np.clip(np.array(ts), 0.0, T_END))):
+            points[j][k] = p
+    return points
+
+
+def catalogue_of(rows):
+    """The array catalogue (faces.Catalogue) of (face, pair) rows, with the
+    reference generator points."""
+    faces = [face for face, _ in rows]
+    generators = [face_generators(face) for face in faces]
+    flat = [g for gs in generators for g in gs]
+    return fc.Catalogue(
+        kinds=[face.kind for face in faces],
+        params=np.array([math.nan if f.param is None else f.param for f in faces]),
+        partners=np.array([math.nan if f.partner is None else f.partner for f in faces]),
+        full=np.array([[i in f.full_curves for i in CURVE_IDS] for f in faces],
+                      dtype=bool).reshape(-1, 4),
+        normals=np.array([pair.normal for _, pair in rows], dtype=float).reshape(-1, 3),
+        offsets=np.array([pair.offset for _, pair in rows], dtype=float),
+        sizes=np.array([len(g) for g in generators], dtype=int),
+        gen_ids=np.array([i for i, _ in flat], dtype=int),
+        gen_ts=np.array([t for _, t in flat], dtype=float),
+        points=np.vstack([np.empty((0, 3)), *reference_generator_points(faces)]),
+    )
+
+
+def face_rows(catalogue):
+    """(face, pair) rows of an array catalogue, one FaceDescriptor and
+    ExposingPair per face."""
+    ends = np.cumsum(catalogue.sizes).tolist()
+    rows = []
+    for j, (kind, param, partner) in enumerate(zip(catalogue.kinds, catalogue.params.tolist(),
+                                                   catalogue.partners.tolist())):
+        part = slice(ends[j] - int(catalogue.sizes[j]), ends[j])
+        generators = tuple(zip(catalogue.gen_ids[part].tolist(), catalogue.gen_ts[part].tolist()))
+        full = tuple(i for i, on in zip(CURVE_IDS, catalogue.full[j].tolist()) if on)
+        face = FaceDescriptor(kind, int(kind[1]),
+                              param=None if math.isnan(param) else param,
+                              partner=None if math.isnan(partner) else partner,
+                              anchors=() if full else generators, full_curves=full)
+        rows.append((face, ExposingPair(catalogue.normals[j], float(catalogue.offsets[j]))))
+    return rows
+
+
+def exposure_reports(catalogue, body, eq_abs=EQ_ABS, deltas=MARGIN_DELTAS):
+    """The verdicts of faces.verify_catalogue as one ExposureReport per face,
+    the form of the per-face reference."""
+    exposure = fc.verify_catalogue(catalogue, body, eq_abs=eq_abs, deltas=deltas)
+    return [
+        ExposureReport(fc.face_label(catalogue, j), residual, dict(zip(deltas, margins)), count,
+                       "pass" if ok else "fail")
+        for j, (residual, margins, count, ok) in enumerate(zip(
+            exposure.residuals.tolist(), exposure.margins.tolist(),
+            exposure.onface_counts.tolist(), exposure.passed.tolist()))
+    ]
 
 
 def face_slice_points():

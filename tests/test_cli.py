@@ -50,13 +50,15 @@ class TestVerifyCommand:
     def test_a_face_failing_the_body_check_fails_verify(self, monkeypatch):
         # F24's offset moved off its face by 1e-6: the body check fails, and
         # the lift identity, which holds for every pair, still passes
-        real = faces.exposing_pair
+        real = faces.build_catalogue
 
-        def shifted(face, rulings=None):
-            pair = real(face, rulings)
-            return pair._replace(offset=pair.offset - 1e-6) if face.kind == "F24" else pair
+        def shifted(theta_grid):
+            catalogue = real(theta_grid)
+            offsets = catalogue.offsets.copy()
+            offsets[catalogue.kinds.index("F24")] -= 1e-6
+            return catalogue._replace(offsets=offsets)
 
-        monkeypatch.setattr(faces, "exposing_pair", shifted)
+        monkeypatch.setattr(faces, "build_catalogue", shifted)
         report = run_verify(RunConfig(samples_per_curve=96, theta_grid_size=12))
         assert report["failures"] == ["face_exposure"]
         assert report["sections"]["face_exposure"]["failures"] == ["F24"]
@@ -312,7 +314,7 @@ class TestRunConfig:
         assert atlas["failed_reports"] == len(section["failures"])
 
     def test_verify_builds_grids_and_catalogue_once(self, monkeypatch):
-        calls = {"grids": 0, "catalogue": 0, "kernel": 0, "body": 0}
+        calls = {"grids": 0, "catalogue": 0, "points": 0, "kernel": 0, "body": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -323,12 +325,14 @@ class TestRunConfig:
         monkeypatch.setattr(reporting, "_grids", counted("grids", reporting._grids))
         monkeypatch.setattr(faces, "build_catalogue", counted("catalogue", faces.build_catalogue))
         monkeypatch.setattr(faces, "verify_catalogue", counted("kernel", faces.verify_catalogue))
+        monkeypatch.setattr(faces, "generator_points", counted("points", faces.generator_points))
         # reporting's bodies; niceness binds its own sample_body for the sweep
         monkeypatch.setattr(construction, "sample_body", counted("body", construction.sample_body))
         run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
         # one kernel call checks every face on the body; the faces of the
-        # cone over it follow by the lift identity, with no second scan
-        assert calls == {"grids": 1, "catalogue": 1, "kernel": 1, "body": 1}
+        # cone over it follow by the lift identity, with no second scan, at
+        # the generator points the catalogue computed once
+        assert calls == {"grids": 1, "catalogue": 1, "points": 1, "kernel": 1, "body": 1}
 
     def test_faces_builds_no_cone_and_no_lifted_pairs(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -338,16 +342,23 @@ class TestRunConfig:
         assert not hasattr(faces, "lift_points") and not hasattr(faces, "lift_pairs")
         for name in ("homogenize", "lift_points", "lift_pairs"):
             monkeypatch.setattr(construction, name, refuse)
-        kernel_calls = []
-        real_kernel = faces.verify_catalogue
+        kernel_calls, point_calls = [], []
+        real_kernel, real_points = faces.verify_catalogue, faces.generator_points
 
         def kernel(catalogue, body, **kwargs):
-            kernel_calls.append(len(catalogue))
+            kernel_calls.append(len(catalogue.kinds))
             return real_kernel(catalogue, body, **kwargs)
 
+        def points(ids, ts):
+            point_calls.append(len(ts))
+            return real_points(ids, ts)
+
         monkeypatch.setattr(faces, "verify_catalogue", kernel)
+        monkeypatch.setattr(faces, "generator_points", points)
         atlas = run_faces(RunConfig(samples_per_curve=64, theta_grid_size=8))
         assert kernel_calls == [len(atlas["faces"])]
+        # the atlas lists the generator points the catalogue computed once
+        assert point_calls == [sum(len(f["generators"]) for f in atlas["faces"])]
         assert atlas["failed_reports"] == 0
 
     def test_faces_output_path_leaves_the_report_unchanged(self, tmp_path):

@@ -53,9 +53,9 @@ class TestCurves:
         lambda v: con.theta_for_partner(v),
         lambda v: con.ruling_data(v),
         lambda v: con.sample_body(np.array([0.0, v, T])),
-        lambda v: fc.enumerate_faces([0.1, v]),
+        lambda v: fc.build_catalogue([0.1, v]),
     ], ids=["curve_point", "curve_points", "partner_cos", "theta_for_partner",
-            "ruling_data", "sample_body", "enumerate_faces"])
+            "ruling_data", "sample_body", "build_catalogue"])
     def test_non_finite_parameters_rejected(self, call, value):
         # every bound check compares with NaN as False, so each must be
         # written to reject it
@@ -130,9 +130,9 @@ class TestRulingData:
         bound = 6.0 * 2.0**-53
         thetas = np.concatenate([np.geomspace(1e-9, T, 10_001),
                                  np.linspace(T / 10_000, T, 10_000)])
-        gaps = [abs(con.ruling_data(th).offset - math.sin(th) * (1.0 - con.partner_cos(th)))
-                for th in thetas]
-        assert max(gaps) <= bound
+        sin_form = np.sin(thetas) * (1.0 - con.partner_cos(thetas))
+        gaps = np.abs(con.ruling_data(thetas).offset - sin_form)
+        assert gaps.max() <= bound
 
     def test_bundle_invariants_on_a_grid(self):
         for th in np.linspace(T / 64, T, 64):

@@ -1,5 +1,6 @@
 """The blocked exposure kernel `faces.verify_catalogue` against the per-face
-reference checks in helpers: body reports equal to the last bit, lifted
+reference checks in helpers, on the reference catalogue's (face, pair) rows:
+body reports equal to the last bit, lifted
 reference margins on the cone over C' twice the body margins within the
 forward-error bound of the lift identity, sample ranges selecting exactly
 the samples the reference distances select, array lifts equal to the
@@ -18,7 +19,12 @@ from conelab import faces as fc
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError, gamma
 from helpers import (
+    ExposingPair,
+    FaceDescriptor,
+    catalogue_of,
+    exposure_reports,
     face_sample_points,
+    reference_catalogue,
     reference_cone,
     reference_lift,
     reference_param_distances,
@@ -32,19 +38,28 @@ DELTAS = (0.01, 0.05, 0.1)  # the radii pinned by test_acceptance.py
 
 @functools.lru_cache(maxsize=None)
 def setup(samples, thetas):
-    """Catalogue, body, and the reference generators of the cone over C'
-    and lifted pairs, on the grids that `verify` uses at this size."""
+    """Reference (face, pair) rows, body, and the reference generators of
+    the cone over C' and lifted pairs, on the grids that `verify` uses at
+    this size; the array catalogue is arrays(samples, thetas)."""
     th, grids = reporting._grids(
         reporting.RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
     )
-    catalogue = fc.build_catalogue(th)
+    catalogue = reference_catalogue(th)
     body = con.sample_body(grids)
     return catalogue, body, reference_cone(body), [reference_lift(pair) for _, pair in catalogue]
 
 
+@functools.lru_cache(maxsize=None)
+def arrays(samples, thetas):
+    th, _ = reporting._grids(
+        reporting.RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
+    )
+    return fc.build_catalogue(th)
+
+
 def kernel(samples, thetas, **kwargs):
-    catalogue, body, _, _ = setup(samples, thetas)
-    return fc.verify_catalogue(catalogue, body, **kwargs)
+    _, body, _, _ = setup(samples, thetas)
+    return exposure_reports(arrays(samples, thetas), body, **kwargs)
 
 
 def bits(reports):
@@ -110,9 +125,8 @@ def test_lifted_reference_margins_are_twice_the_body_margins(samples, thetas, de
 
 @pytest.mark.parametrize("samples, thetas", [(64, 8), (512, 64), (512, 512), (2048, 256)])
 def test_array_lifts_have_the_bits_of_the_reference(samples, thetas):
-    catalogue, body, cone, lifted = setup(samples, thetas)
-    normals = np.array([pair.normal for _, pair in catalogue])
-    offsets = np.array([pair.offset for _, pair in catalogue])
+    _, body, cone, lifted = setup(samples, thetas)
+    normals, offsets = arrays(samples, thetas).normals, arrays(samples, thetas).offsets
     assert con.homogenize(body).generators.tobytes() == cone.tobytes()
     assert con.lift_pairs(normals, offsets).tobytes() == np.array(lifted).tobytes()
 
@@ -140,8 +154,8 @@ def hand_made_body():
     body = con.BodySamples(ids=np.concatenate([np.full(g.size, i) for i, g in grids.items()]),
                            ts=np.concatenate(list(grids.values())),
                            xyz=np.column_stack([x1, np.zeros((x1.size, 2))]))
-    face = fc.FaceDescriptor("F01", 0, param=0.5, anchors=((1, 0.5),))
-    return body, face, fc.ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0)
+    face = FaceDescriptor("F01", 0, param=0.5, anchors=((1, 0.5),))
+    return body, face, ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0)
 
 
 def test_zero_far_slack_keeps_its_sign():
@@ -149,7 +163,7 @@ def test_zero_far_slack_keeps_its_sign():
     # margin keeps that sign, as the reference's does, and a zero margin
     # fails the check.
     body, face, pair = hand_made_body()
-    rep, = fc.verify_catalogue([(face, pair)], body, eq_abs=2.0**-30)
+    rep, = exposure_reports(catalogue_of([(face, pair)]), body, eq_abs=2.0**-30)
     ref = reference_verify_exposure(face, pair, body, eq_abs=2.0**-30)
     assert bits([rep]) == bits([ref])
     assert not np.signbit(rep.margins[0.01]) and not np.signbit(ref.margins[0.01])
@@ -158,8 +172,9 @@ def test_zero_far_slack_keeps_its_sign():
 
 @pytest.mark.parametrize("samples, thetas", [(512, 64), (2048, 256)])
 def test_kernel_memory_stays_under_two_mib(samples, thetas):
-    catalogue, body, _, _ = setup(samples, thetas)
-    fc.verify_catalogue(catalogue[:4], body)  # warm numpy up
+    _, body, _, _ = setup(samples, thetas)
+    catalogue = arrays(samples, thetas)
+    fc.verify_catalogue(catalogue, body)  # warm numpy up
     tracemalloc.start()
     try:
         fc.verify_catalogue(catalogue, body)
@@ -186,15 +201,16 @@ def test_param_distances_equal_the_reference():
     for samples, thetas in ((64, 8), (8, 512), (512, 8)):
         catalogue, body, _, _ = setup(samples, thetas)
         faces = [face for face, _ in catalogue]
-        ends = fc._sample_ranges(faces, body.ids, body.ts, fc.MARGIN_DELTAS)
+        ends = fc._sample_ranges(arrays(samples, thetas), body.ids, body.ts, fc.MARGIN_DELTAS)
         for j, face in enumerate(faces):
             dist = reference_param_distances(face, body.ids, body.ts)
             assert_ranges_select(ends[:, j], dist, fc.MARGIN_DELTAS)
-    twice = fc.FaceDescriptor("F11", 1, anchors=((1, 0.1), (1, 0.2)))
+    twice = FaceDescriptor("F11", 1, anchors=((1, 0.1), (1, 0.2)))
     with pytest.raises(DomainError):
-        fc._sample_ranges([twice], body.ids, body.ts, fc.MARGIN_DELTAS)
+        fc._sample_ranges(catalogue_of([(twice, catalogue[0][1])]), body.ids, body.ts,
+                          fc.MARGIN_DELTAS)
     with pytest.raises(DomainError):  # id 0 would index curve 4's anchors
-        fc._sample_ranges(faces[:1], body.ids - 1, body.ts, fc.MARGIN_DELTAS)
+        fc._sample_ranges(catalogue_of(catalogue[:1]), body.ids - 1, body.ts, fc.MARGIN_DELTAS)
 
 
 def test_range_ends_follow_the_float_predicate():
@@ -206,9 +222,9 @@ def test_range_ends_follow_the_float_predicate():
     # own boundary, which the ranges must still follow to the sample.
     deltas = (0.005, 0.01, 0.02)
     anchors = (0.004, 0.3)
-    faces = [fc.FaceDescriptor("F01", 0, param=anchors[0], anchors=((1, anchors[0]),)),
-             fc.FaceDescriptor("F03", 0, param=anchors[1], anchors=((3, anchors[1]),)),
-             fc.FaceDescriptor("F23", 2, full_curves=(1, 2))]
+    faces = [FaceDescriptor("F01", 0, param=anchors[0], anchors=((1, anchors[0]),)),
+             FaceDescriptor("F03", 0, param=anchors[1], anchors=((3, anchors[1]),)),
+             FaceDescriptor("F23", 2, full_curves=(1, 2))]
     bounds = (fc.ONFACE_DIST, *deltas)
     centres = [x for a in anchors for b in bounds for x in (a + b, a - b, b - a)] + list(bounds)
     grid = [0.0, T]
@@ -220,14 +236,15 @@ def test_range_ends_follow_the_float_predicate():
             x = np.nextafter(x, math.inf)
     grid = np.sort(np.array([t for t in grid if t >= 0.0]))
     ids, ts = np.repeat(con.CURVE_IDS, len(grid)), np.tile(grid, len(con.CURVE_IDS))
-    ends = fc._sample_ranges(faces, ids, ts, deltas)
+    pair = ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0)
+    ends = fc._sample_ranges(catalogue_of([(face, pair) for face in faces]), ids, ts, deltas)
     for j, face in enumerate(faces):
         assert_ranges_select(ends[:, j], reference_param_distances(face, ids, ts), deltas)
 
 
 @pytest.mark.parametrize("fault", ["swap", "nan", "nan alone"])
 def test_curve_runs_must_be_sorted(fault):
-    catalogue, body, _, _ = setup(64, 8)
+    _, body, _, _ = setup(64, 8)
     ids, ts = body.ids.copy(), body.ts.copy()
     k = np.flatnonzero(ids == 2)[5]
     if fault == "swap":
@@ -238,7 +255,7 @@ def test_curve_runs_must_be_sorted(fault):
         ids[k] = 3
         ts[k] = math.nan
     with pytest.raises(DomainError):
-        fc.verify_catalogue(catalogue, body._replace(ids=ids, ts=ts))
+        fc.verify_catalogue(arrays(64, 8), body._replace(ids=ids, ts=ts))
 
 
 def test_batched_anchor_residuals_have_the_per_face_bits():
@@ -249,9 +266,7 @@ def test_batched_anchor_residuals_have_the_per_face_bits():
         assert {face.kind for face in faces} == {
             "F00", "F01", "F02", "F03", "F04", "F11", "F12",
             "F13", "F14", "F15", "F21", "F22", "F23", "F24"}
-        normals = np.array([pair.normal for _, pair in catalogue])
-        offsets = np.array([pair.offset for _, pair in catalogue])
-        batched = fc._anchor_residuals(faces, normals, offsets)
+        batched = fc._anchor_residuals(arrays(samples, thetas))
         for (face, pair), res in zip(catalogue, batched):
             pts, y, d = face_sample_points(face), pair.normal, pair.offset
             per_face = max(np.abs(pts @ y - d).max(), abs(float(pts.mean(axis=0) @ y) - d))
@@ -259,21 +274,24 @@ def test_batched_anchor_residuals_have_the_per_face_bits():
 
 
 def test_zero_normal_rejected():
-    catalogue, body, _, _ = setup(64, 8)
-    face, pair = catalogue[3]
-    zeroed = [*catalogue[:3], (face, pair._replace(normal=np.zeros(3))), *catalogue[4:]]
+    _, body, _, _ = setup(64, 8)
+    catalogue = arrays(64, 8)
+    normals = catalogue.normals.copy()
+    normals[3] = 0.0
     with pytest.raises(DegenerateInputError):
-        fc.verify_catalogue(zeroed, body)
+        fc.verify_catalogue(catalogue._replace(normals=normals), body)
     fc.verify_catalogue(catalogue, body)  # the same catalogue with its own normal passes
 
 
 def test_empty_catalogue_gives_no_reports():
     _, body, _, _ = setup(64, 8)
-    assert fc.verify_catalogue([], body) == []
+    exposure = fc.verify_catalogue(catalogue_of([]), body)
+    assert all(len(field) == 0 for field in exposure)
 
 
 def test_margin_radii_must_be_off_the_face():
     catalogue, body, _, _ = setup(64, 8)
     with pytest.raises(DomainError):
-        fc.verify_catalogue(catalogue, body, deltas=(1e-9, 0.1))
-    assert math.isinf(fc.verify_catalogue(catalogue[:1], body, deltas=(1.0,))[0].margins[1.0])
+        fc.verify_catalogue(arrays(64, 8), body, deltas=(1e-9, 0.1))
+    far = exposure_reports(catalogue_of(catalogue[:1]), body, deltas=(1.0,))
+    assert math.isinf(far[0].margins[1.0])

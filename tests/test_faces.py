@@ -8,8 +8,14 @@ from conelab import faces as fc
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
 from helpers import (
+    FaceDescriptor,
+    catalogue_of,
+    exposing_pair,
+    exposure_reports,
+    face_rows,
     face_sample_points,
     mirror_point,
+    reference_catalogue,
     reference_param_distances,
     support_plane_through,
 )
@@ -28,63 +34,95 @@ def coarse_body():
 
 
 def face_of(kind, catalogue, param=None):
-    for f in catalogue:
+    """The first (face, pair) row of the given kind (and parameter) of an
+    array catalogue."""
+    for f, pair in face_rows(catalogue):
         if f.kind == kind and (param is None or f.param == pytest.approx(param, abs=1e-12)):
-            return f
+            return f, pair
     raise AssertionError(f"{kind}({param}) not in catalogue")
+
+
+def as_bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
 
 
 class TestEnumerate:
     def test_count_formula(self):
-        cat = fc.enumerate_faces(con.theta_grid(5))
-        assert len(cat) == 1 + 4 * 5 + 2 * 5 + 3 + 4 == 38
+        cat = fc.build_catalogue(con.theta_grid(5))
+        assert len(cat.kinds) == 1 + 4 * 5 + 2 * 5 + 3 + 4 == 38
+        for field in (cat.params, cat.partners, cat.full, cat.normals, cat.offsets, cat.sizes):
+            assert len(field) == 38
+        assert len(cat.gen_ids) == len(cat.gen_ts) == len(cat.points) == cat.sizes.sum()
 
     def test_single_theta_gives_one_ruled_face_per_family(self):
-        cat = fc.enumerate_faces(np.array([T]))
-        f11 = [f for f in cat if f.kind == "F11"]
-        f12 = [f for f in cat if f.kind == "F12"]
-        assert len(f11) == len(f12) == 1
+        cat = fc.build_catalogue(np.array([T]))
+        assert cat.kinds.count("F11") == cat.kinds.count("F12") == 1
         # at the top parameter the ruling joins the two arc endpoints p1, p3
-        pts = face_sample_points(f11[0])
+        pts = face_sample_points(face_of("F11", cat)[0])
         assert np.allclose(pts[0], con.ENDPOINTS[1], atol=1e-12)
         assert np.allclose(pts[1], con.ENDPOINTS[3], atol=1e-12)
 
     def test_endpoint_chords_always_present(self):
-        cat = fc.enumerate_faces(con.theta_grid(2))
-        assert {f.kind for f in cat} >= {"F13", "F14", "F15", "F21", "F22", "F23", "F24"}
-        pts = face_sample_points(face_of("F13", cat))
+        cat = fc.build_catalogue(con.theta_grid(2))
+        assert set(cat.kinds) >= {"F13", "F14", "F15", "F21", "F22", "F23", "F24"}
+        pts = face_sample_points(face_of("F13", cat)[0])
         assert np.allclose(pts, [con.ENDPOINTS[1], con.ENDPOINTS[2]], atol=1e-15)
 
     def test_dimension_matches_kind(self):
-        for f in fc.enumerate_faces(con.theta_grid(4)):
-            assert f.dimension == int(f.kind[1])
+        # the atlas's dimension is the affine dimension of the face's
+        # generator points
+        atlas = reporting.run_faces(reporting.RunConfig(samples_per_curve=8, theta_grid_size=8))
+        for f in atlas["faces"]:
+            pts = np.array([g["point"] for g in f["generators"]])
+            rank = np.linalg.matrix_rank(pts - pts[0], tol=1e-12)
+            assert f["dimension"] == int(f["kind"][1]) == rank, f["kind"]
 
     def test_ruled_face_generators(self):
         th = T / 3
-        cat = fc.enumerate_faces(np.array([th]))
+        cat = fc.build_catalogue(np.array([th]))
         r = con.ruling_data(th)
-        f11 = face_of("F11", cat, th)
+        f11, _ = face_of("F11", cat, th)
         assert f11.anchors == ((1, th), (3, r.t))
-        f12 = face_of("F12", cat, th)
+        f12, _ = face_of("F12", cat, th)
         assert f12.anchors == ((4, th), (2, r.t))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DegenerateInputError):
-            fc.enumerate_faces(np.array([]))
+            fc.build_catalogue(np.array([]))
         with pytest.raises(DomainError):
-            fc.enumerate_faces(np.array([0.0, T]))
+            fc.build_catalogue(np.array([0.0, T]))
+
+
+class TestArrayCatalogue:
+    @pytest.mark.parametrize("n", [8, 64, 512, 1024])
+    def test_array_catalogue_has_the_bits_of_the_per_face_route(self, n):
+        # theta_grid(n) runs from T/n up to T, where the partner's arccos
+        # rounds above T and is clamped to T
+        thetas = con.theta_grid(n)
+        assert thetas[0] == T / n and thetas[-1] == T
+        cat = fc.build_catalogue(thetas)
+        # the reference's generator points are gathered generator by generator
+        expected = catalogue_of(reference_catalogue(thetas))
+        assert cat.kinds == expected.kinds
+        for field in ("params", "partners", "normals", "offsets", "gen_ts", "points"):
+            got, ref = as_bits(getattr(cat, field)), as_bits(getattr(expected, field))
+            assert np.array_equal(got, ref), field
+        for field in ("full", "sizes", "gen_ids"):
+            assert np.array_equal(getattr(cat, field), getattr(expected, field)), field
+        top = [j for j, kind in enumerate(cat.kinds) if kind == "F11"][-1]
+        assert cat.params[top] == T and cat.partners[top] == T
 
 
 class TestExposingPairs:
     def test_singleton_pair_on_curve1(self):
         th = math.pi / 8
-        pair = fc.singleton_pair(1, th)
+        _, pair = face_of("F01", fc.build_catalogue(np.array([th])))
         assert np.allclose(pair.normal, [1.0, -math.sin(th), math.cos(th)], atol=1e-15)
         assert pair.offset == pytest.approx(1.0 - math.cos(th), abs=1e-15)
 
     def test_flat_side_pair_matches_brute_force_max(self, body):
-        face = fc.FaceDescriptor("F24", 2, full_curves=(3, 4))
-        pair = fc.exposing_pair(face)
+        face, pair = face_of("F24", fc.build_catalogue(con.theta_grid(2)))
+        assert face.full_curves == (3, 4)
         assert np.allclose(np.abs(pair.normal), [0.0, 0.0, 1.0], atol=1e-12)
         assert pair.offset == pytest.approx(0.0, abs=1e-12)
         # brute force: the third coordinate tops out at 0, exactly on curves 3/4
@@ -95,8 +133,8 @@ class TestExposingPairs:
                 assert i in (3, 4) or t == 0.0
 
     def test_triangle_pair_from_plane_through_generators(self, body):
-        face = fc.FaceDescriptor("F21", 2, anchors=((1, T), (2, T), (3, T)))
-        pair = fc.exposing_pair(face)
+        face, pair = face_of("F21", fc.build_catalogue(con.theta_grid(2)))
+        assert face.anchors == ((1, T), (2, T), (3, T))
         a = 1.0 / math.sqrt(2.0)
         reference = np.array([a - 2.0, -a, -a])
         reference /= np.linalg.norm(reference)
@@ -107,12 +145,11 @@ class TestExposingPairs:
         # the closed forms of the fixed faces expose their faces on a fine
         # body; those of the faces spanned by endpoints equal the max-margin
         # LP oracle (the planar sides have the brute-force test above)
-        cat = fc.enumerate_faces(con.theta_grid(2))
+        cat = fc.build_catalogue(con.theta_grid(2))
         n = 4096
         fine = con.sample_body(con.curve_grid(n))
         for kind in ("F00", "F13", "F14", "F15", "F21", "F22", "F23", "F24"):
-            face = face_of(kind, cat)
-            pair = fc.exposing_pair(face)
+            face, pair = face_of(kind, cat)
             if not face.full_curves:
                 oracle = support_plane_through(face_sample_points(face), coarse_body)
                 assert np.abs(pair.normal - oracle.normal).max() <= 1e-12, kind
@@ -123,12 +160,12 @@ class TestExposingPairs:
             assert onface.sum() == (2 * n + 2 if face.full_curves else len(face.anchors))
             assert np.abs(slack[onface]).max() <= 1e-15, kind
             assert slack[~onface].max() < 0.0, kind
-            assert fc.verify_catalogue([(face, pair)], body)[0].passed, kind
+            assert exposure_reports(catalogue_of([(face, pair)]), body)[0].passed, kind
 
     def test_triangle_pairs_are_mirror_images(self):
-        cat = fc.enumerate_faces(con.theta_grid(2))
-        p21 = fc.exposing_pair(face_of("F21", cat))
-        p22 = fc.exposing_pair(face_of("F22", cat))
+        cat = fc.build_catalogue(con.theta_grid(2))
+        _, p21 = face_of("F21", cat)
+        _, p22 = face_of("F22", cat)
         assert np.array_equal(mirror_point(p21.normal), p22.normal)
         assert p21.offset == p22.offset
 
@@ -140,17 +177,16 @@ class TestExposingPairs:
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
         monkeypatch.setattr(con, "sample_body", refuse)
-        for (face, pair), (_, ref) in zip(fc.build_catalogue(con.theta_grid(64)), expected):
+        for (face, pair), (_, ref) in zip(face_rows(fc.build_catalogue(con.theta_grid(64))),
+                                          face_rows(expected)):
             assert np.array_equal(pair.normal, ref.normal) and pair.offset == ref.offset, face.label()
 
 
 class TestVerifyExposure:
     def test_ruled_face_equality_and_margins(self, body):
         th = T / 2
-        cat = fc.enumerate_faces(np.array([th]))
-        f11 = face_of("F11", cat, th)
-        pair = fc.exposing_pair(f11)
-        rep = fc.verify_catalogue([(f11, pair)], body)[0]
+        f11, pair = face_of("F11", fc.build_catalogue(np.array([th])), th)
+        rep = exposure_reports(catalogue_of([(f11, pair)]), body)[0]
         assert rep.passed
         assert rep.max_onface_residual <= 1e-12
         # equality value on the curve-1 anchor reproduces the offset
@@ -168,42 +204,44 @@ class TestVerifyExposure:
     def test_singleton_on_curve3_equality_only_at_partner(self, body):
         th = T / 3
         r = con.ruling_data(th)
-        f03 = fc.FaceDescriptor("F03", 0, param=r.t, anchors=((3, r.t),))
-        pair = fc.singleton_pair(3, r.t)
+        f03, pair = face_of("F03", fc.build_catalogue(np.array([r.t])))
         vals = body.xyz[body.ids == 3] @ pair.normal - pair.offset
         ts = body.ts[body.ids == 3]
         away = np.abs(ts - r.t) > 1e-9
         assert vals[away].max() < 0
         assert float(con.curve_point(3, r.t) @ pair.normal) == pytest.approx(pair.offset, abs=1e-12)
-        assert fc.verify_catalogue([(f03, pair)], body)[0].passed
+        assert exposure_reports(catalogue_of([(f03, pair)]), body)[0].passed
 
     def test_mismatched_pair_is_an_input_error(self, body):
-        cat = fc.enumerate_faces(np.array([T / 2]))
-        f11 = face_of("F11", cat)
-        wrong = fc.exposing_pair(face_of("F24", cat))
+        cat = fc.build_catalogue(np.array([T / 2]))
+        f11, _ = face_of("F11", cat)
+        _, wrong = face_of("F24", cat)
         with pytest.raises(DomainError):
-            fc.verify_catalogue([(f11, wrong)], body)
+            fc.verify_catalogue(catalogue_of([(f11, wrong)]), body)
 
     def test_whole_catalogue_passes_out_of_sample(self, body):
         catalogue = fc.build_catalogue(con.theta_grid(16))
-        for (face, _), rep in zip(catalogue, fc.verify_catalogue(catalogue, body)):
-            assert rep.passed, (face.label(), rep)
+        for rep in exposure_reports(catalogue, body):
+            assert rep.passed, rep
 
     def test_catalogue_computes_each_ruling_once(self, monkeypatch):
         thetas, _ = reporting._grids(reporting.RunConfig(samples_per_curve=64,
                                                          theta_grid_size=8))
-        plain = [(f, fc.exposing_pair(f)) for f in fc.enumerate_faces(thetas)]
+        plain = reference_catalogue(thetas)
         seen = []
 
         def counted(theta):
-            seen.append(theta)
+            seen.append(np.array(theta))
             return con.ruling_data(theta)
 
         monkeypatch.setattr(fc, "ruling_data", counted)
         shared = fc.build_catalogue(thetas)
-        # F11/F12 share theta; F02/F03 share theta_for_partner(t)
-        assert len(seen) == len(set(seen)) == 2 * len(thetas)
-        for (face, pair), (_, ref) in zip(shared, plain):
+        # one array evaluation per theta set: the grid for F11/F12 and its
+        # theta_for_partner image for F02/F03
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], thetas)
+        assert np.array_equal(seen[1], con.theta_for_partner(thetas))
+        for (face, pair), (_, ref) in zip(face_rows(shared), plain):
             assert np.array_equal(pair.normal, ref.normal) and pair.offset == ref.offset
             if face.kind == "F11":
                 assert face.partner == con.ruling_data(face.param).t
@@ -278,9 +316,10 @@ class TestSymmetry:
     def test_mirror_image_reports_match(self, body):
         th = T / 5
         r = con.ruling_data(th)
-        f11 = fc.FaceDescriptor("F11", 1, param=th, partner=r.t, anchors=((1, th), (3, r.t)))
-        f12 = fc.FaceDescriptor("F12", 1, param=th, partner=r.t, anchors=((4, th), (2, r.t)))
-        rep11, rep12 = fc.verify_catalogue([(f, fc.exposing_pair(f)) for f in (f11, f12)], body)
+        f11 = FaceDescriptor("F11", 1, param=th, partner=r.t, anchors=((1, th), (3, r.t)))
+        f12 = FaceDescriptor("F12", 1, param=th, partner=r.t, anchors=((4, th), (2, r.t)))
+        rep11, rep12 = exposure_reports(catalogue_of([(f, exposing_pair(f)) for f in (f11, f12)]),
+                                        body)
         for delta in rep11.margins:
             assert rep11.margins[delta] == pytest.approx(rep12.margins[delta], abs=1e-12)
 
@@ -289,10 +328,10 @@ class TestCoverage:
     def test_every_sample_lies_in_a_catalogued_face(self):
         grid = con.curve_grid(64)
         # the catalogue's grid carries the singletons: every positive sample
-        cat = fc.enumerate_faces(grid[grid > 0])
+        cat = fc.build_catalogue(grid[grid > 0])
         body = con.sample_body(grid)
         ids, ts = body.ids, body.ts
         covered = np.zeros(len(ids), dtype=bool)
-        for face in cat:
+        for face, _ in face_rows(cat):
             covered |= reference_param_distances(face, ids, ts) <= 1e-12
         assert covered.all()

@@ -3,7 +3,13 @@ import pytest
 
 from conelab import construction as con
 from conelab import faces as fc
-from helpers import polar_generator_model, reference_verify_cone_exposure
+from helpers import (
+    FaceDescriptor,
+    exposing_pair,
+    face_rows,
+    polar_generator_model,
+    reference_verify_cone_exposure,
+)
 
 T = con.T_END
 
@@ -16,7 +22,7 @@ def lift(normal, offset):
 def lifted_report(face, body):
     """The per-face reference check of the lift of the face's closed-form
     pair on the generators of the cone over C'."""
-    pair = fc.exposing_pair(face)
+    pair = exposing_pair(face)
     cone = con.homogenize(body)
     return reference_verify_cone_exposure(lift(pair.normal, pair.offset), cone.generators,
                                           cone.ids, cone.ts, face)
@@ -57,9 +63,8 @@ class TestLifting:
         assert np.allclose(2.0 * y, -con.WITNESS_U, atol=1e-15)
 
     def test_lifted_value_is_twice_the_body_slack(self):
-        pairs = [fc.exposing_pair(f) for f in fc.enumerate_faces(con.theta_grid(8))]
-        normals = np.array([p.normal for p in pairs])
-        offsets = np.array([p.offset for p in pairs])
+        catalogue = fc.build_catalogue(con.theta_grid(8))
+        normals, offsets = catalogue.normals, catalogue.offsets
         x = con.curve_points(1, np.linspace(0.0, T, 33))
         values = con.lift_points(x) @ con.lift_pairs(normals, offsets).T
         assert np.abs(values - 2.0 * (x @ normals.T - offsets)).max() <= 1e-15
@@ -67,7 +72,7 @@ class TestLifting:
 
 class TestConeExposure:
     def test_flat_side_equality_set(self, body):
-        face = fc.FaceDescriptor("F24", 2, full_curves=(3, 4))
+        face = FaceDescriptor("F24", 2, full_curves=(3, 4))
         rep = lifted_report(face, body)
         assert rep.passed
         expected = int(((body.ids == 3) | (body.ids == 4) | (body.ts == 0.0)).sum())
@@ -75,7 +80,7 @@ class TestConeExposure:
 
     def test_singleton_equality_only_at_its_generator(self, body):
         th = T / 2
-        face = fc.FaceDescriptor("F01", 0, param=th, anchors=((1, th),))
+        face = FaceDescriptor("F01", 0, param=th, anchors=((1, th),))
         rep = lifted_report(face, body)
         assert rep.passed
         assert rep.onface_count == 1
@@ -83,18 +88,18 @@ class TestConeExposure:
     def test_ruled_face_equality_pair(self, body):
         th = T / 4
         r = con.ruling_data(th)
-        face = fc.FaceDescriptor("F11", 1, param=th, partner=r.t, anchors=((1, th), (3, r.t)))
+        face = FaceDescriptor("F11", 1, param=th, partner=r.t, anchors=((1, th), (3, r.t)))
         rep = lifted_report(face, body)
         assert rep.passed
         assert rep.onface_count == 2
 
     def test_apex_value_is_zero(self):
-        pair = fc.exposing_pair(fc.FaceDescriptor("F24", 2, full_curves=(3, 4)))
+        pair = exposing_pair(FaceDescriptor("F24", 2, full_curves=(3, 4)))
         assert float(np.zeros(4) @ lift(pair.normal, pair.offset)) == 0.0
 
     def test_whole_catalogue_lifts_cleanly(self, body):
         catalogue = fc.build_catalogue(np.array([T / 4, T / 2, T]))
-        for face, _ in catalogue:
+        for face, _ in face_rows(catalogue):
             assert lifted_report(face, body).passed, face.label()
 
 
