@@ -28,7 +28,7 @@ from .construction import (
     theta_for_partner,
     theta_grid,
 )
-from .faces import Catalogue, Exposure, build_catalogue, identity_suite, verify_catalogue
+from .faces import Catalogue, Exposure, build_catalogue, verify_catalogue
 from .linalg import (
     EQ_ABS,
     DegenerateInputError,

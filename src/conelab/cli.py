@@ -28,7 +28,6 @@ def _parse_eps(text):
 _RUN_FLAGS = {
     "samples": ("samples_per_curve", "--samples", int, "curve samples per verification body"),
     "theta_grid": ("theta_grid_size", "--theta-grid", int, "ruling-parameter grid size"),
-    "tol": ("eq_abs", "--tol", float, "absolute equality tolerance"),
     "eps": ("eps_list", "--eps", _parse_eps,
             "comma-separated refinement levels, strictly decreasing"),
 }
@@ -53,10 +52,10 @@ def build_parser():
         return p
 
     command("verify", "run the full pipeline, emit a JSON report", "verify_report.json",
-            "samples", "theta_grid", "tol", "eps")
+            "samples", "theta_grid", "eps")
     command("faces", "emit the face atlas with exposure reports", "face_atlas.json",
-            "samples", "theta_grid", "tol")
-    p_sweep = command("sweep", "divergence sweep as CSV", "sweep.csv", "samples", "tol", "eps")
+            "samples", "theta_grid")
+    p_sweep = command("sweep", "divergence sweep as CSV", "sweep.csv", "samples", "eps")
     p_sweep.add_argument("--control", action="store_true",
                          help="run the polyhedral control cone instead")
 
@@ -65,7 +64,7 @@ def build_parser():
     p_mesh.add_argument("--samples", type=int, default=64)
     p_mesh.add_argument("--out", default=None)
 
-    command("nice3d", "3D closedness ingredient checks", "nice3d_report.json", "tol")
+    command("nice3d", "3D closedness ingredient checks", "nice3d_report.json")
     return parser
 
 

@@ -51,7 +51,7 @@ ENDPOINTS = {
     4: np.array([_SQRT2_INV - 1.0, _SQRT2_INV, 0.0]),
 }
 
-def _check_param(t, lo=0.0, hi=T_END, name="t", open_lo=False):
+def check_param(t, lo=0.0, hi=T_END, name="t", open_lo=False):
     """t, a scalar or an array, clamped to [lo, hi]; DomainError for a
     value outside it."""
     t = np.asarray(t, dtype=float)
@@ -87,7 +87,7 @@ def curve_points(curve_id, ts):
 
 def curve_point(curve_id, t):
     """Single point on one of the four arcs; t must lie in [0, T]."""
-    t = _check_param(t)
+    t = check_param(t)
     return curve_points(curve_id, t)
 
 
@@ -109,16 +109,21 @@ def partner_cos(theta):
     cos(theta/2) / (cos(theta/2) + sin(theta/2)), which has no cancellation
     as theta -> 0 (the direct form loses ~16/|log10 theta| digits there).
     """
-    theta = _check_param(theta, name="theta", open_lo=True)
+    theta = check_param(theta, name="theta", open_lo=True)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return c / (c + s)
 
 
+def _partner_of_cos(ct):
+    """The partner parameter arccos(ct). The arccos rounds to T + 1.1e-16 at
+    theta = T, so it is clamped to T: the partner stays a curve parameter."""
+    return np.minimum(_per_element(math.acos, ct), T_END)
+
+
 def partner_param(theta):
     """Partner parameter arccos(partner_cos(theta)); a strictly increasing
-    bijection of (0, T] onto (0, T]. The arccos rounds to T + 1.1e-16 at
-    theta = T, so it is clamped to T: the partner stays a curve parameter."""
-    return np.minimum(_per_element(math.acos, partner_cos(theta)), T_END)
+    bijection of (0, T] onto (0, T]."""
+    return _partner_of_cos(partner_cos(theta))
 
 
 def theta_for_partner(t):
@@ -127,7 +132,7 @@ def theta_for_partner(t):
     Solves cos(t) = sin(theta)/(1 + sin(theta) - cos(theta)) for theta;
     the nontrivial root of the induced A sin + B cos = B equation.
     """
-    c = np.cos(_check_param(t, open_lo=True))
+    c = np.cos(check_param(t, open_lo=True))
     return math.pi - 2.0 * _per_element(math.atan2, c, 1.0 - c)
 
 
@@ -147,12 +152,13 @@ class RulingData(NamedTuple):
 
 def ruling_data(theta):
     """The closed-form ruling quantities for theta in (0, T], a scalar or an
-    array, in one array evaluation."""
-    theta = _check_param(theta, name="theta", open_lo=True)
+    array, in one array evaluation; partner_cos runs once, and the partner
+    is taken from its value as partner_param takes it."""
+    theta = check_param(theta, name="theta", open_lo=True)
     ct = partner_cos(theta)
     if not ((_SQRT2_INV - 1e-12 <= ct) & (ct < 1.0)).all():
         raise DomainError(f"partner cosine {ct} escaped [1/sqrt2, 1)")
-    t = partner_param(theta)
+    t = _partner_of_cos(ct)
     st, sth, cth = np.sin(t), np.sin(theta), np.cos(theta)
     normal = np.stack([-st * sth, -ct * sth, ct * cth], axis=-1)
     mirror = np.stack([ct * cth, sth * ct, -st * sth], axis=-1)

@@ -39,6 +39,7 @@ import numpy as np
 from .construction import (
     CURVE_IDS,
     T_END,
+    check_param,
     curve_points,
     ruling_data,
     theta_for_partner,
@@ -129,11 +130,9 @@ class Exposure(NamedTuple):
 
 def generator_points(ids, ts):
     """The points of the generators (ids[k], ts[k]), one per row, from one
-    curve_points call per curve on parameters clamped to [0, T] as
-    curve_point clamps them, so each point has the bits of curve_point."""
-    clamped = np.clip(ts, 0.0, T_END)
-    if ts.size and np.abs(ts - clamped).max() > 1e-15:
-        raise DomainError(f"generator parameter outside [0, {T_END}]")
+    curve_points call per curve on parameters checked and clamped to [0, T]
+    as curve_point does it, so each point has the bits of curve_point."""
+    clamped = check_param(ts)
     points = np.empty((len(ts), 3))
     for i in CURVE_IDS:
         on = ids == i
@@ -357,9 +356,9 @@ def _scan(catalogue, body, deltas):
     return counts, residuals, margins
 
 
-def verify_catalogue(catalogue, body, eq_abs=EQ_ABS, deltas=MARGIN_DELTAS):
+def verify_catalogue(catalogue, body, deltas=MARGIN_DELTAS):
     """Exposure of every face of a catalogue, checked on the samples of C:
-    a face passes when its on-face residual is at most eq_abs and its
+    a face passes when its on-face residual is at most EQ_ABS and its
     margin (the smallest slack d - <y, x> over the samples at parameter
     distance >= delta) is positive at every radius delta.
 
@@ -375,37 +374,4 @@ def verify_catalogue(catalogue, body, eq_abs=EQ_ABS, deltas=MARGIN_DELTAS):
     counts, res, margins = _scan(catalogue, body, deltas)
     residuals = np.maximum(anchor_res, np.where(counts > 0, res, 0.0))
     return Exposure(counts, residuals, margins,
-                    (residuals <= eq_abs) & (margins > 0.0).all(axis=1))
-
-
-def identity_suite(t, theta):
-    """Residuals of the six inner-product identities behind the catalogue.
-
-    Each identity is evaluated twice, once as a numeric dot product and once
-    from its trigonometric closed form, and the absolute difference is
-    returned. t and theta may be scalars or arrays, t in [0, T] and theta in
-    (0, T]; the residuals have shape theta.shape + t.shape. The arcs are
-    evaluated on t once, and the rulings in one ruling_data call. All six are
-    <= 1e-12 across the whole parameter square.
-    """
-    shape = np.shape(theta) + np.shape(t)
-    t = np.asarray(t, dtype=float).reshape(-1)
-    g = {i: curve_points(i, t) for i in CURVE_IDS}
-    r = ruling_data(np.reshape(theta, -1))
-    y = r.normal[:, :, None]
-    # the closed-form factors of each ruling, one row per theta
-    th, tt = r.theta[:, None], r.t[:, None]
-    cos_tt, sin_th, cos_th, sin_tt = np.cos(tt), np.sin(th), np.cos(th), np.sin(tt)
-    # one matrix-vector product per theta, the bits of points @ y
-    dot = {i: np.matmul(g[i], y)[:, :, 0] for i in CURVE_IDS}
-    y3 = y + np.array([0.0, 0.0, 1.0])[:, None]
-    dot3 = {i: np.matmul(g[i], y3)[:, :, 0] for i in (1, 2)}
-    res = {
-        "curve1_vs_ruling": np.abs(dot[1] - cos_tt * (np.cos(t - th) - cos_th)),
-        "curve3_vs_ruling": np.abs(dot[3] - sin_th * (np.cos(t - tt) - cos_tt)),
-        "curve2_vs_ruling": np.abs(dot[2] - cos_tt * (sin_th - np.sin(t + th))),
-        "curve4_vs_ruling": np.abs(dot[4] - sin_th * (sin_tt - np.sin(t + tt))),
-        "curve1_vs_shifted": np.abs(dot3[1] - (dot[1] + np.cos(t) - 1.0)),
-        "curve2_vs_shifted": np.abs(dot3[2] - (dot[2] - np.sin(t))),
-    }
-    return {k: v.reshape(shape) for k, v in res.items()}
+                    (residuals <= EQ_ABS) & (margins > 0.0).all(axis=1))

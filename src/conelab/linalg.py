@@ -1,6 +1,6 @@
 """Dense linear algebra kernel for low-dimensional cone computations.
 
-Everything here is pure: the default equality tolerance, the rounding
+Everything here is pure: the equality bound EQ_ABS, the rounding
 error constant gamma, nullspace bases, and one-variable interval
 feasibility.
 """
@@ -15,8 +15,9 @@ import numpy as np
 # handled here have O(1) entries and are well conditioned.
 RANK_RTOL = 1e-10
 
-# Default bound on residuals that count as "equals zero"; the kernels take it
-# as their eq_abs argument and RunConfig.eq_abs defaults to it.
+# Bound on residuals that count as "equals zero", read directly by the
+# exposure kernel, shift_profile and nice3d_ingredients; no option sets it.
+# It is not derived from a forward-error bound yet.
 EQ_ABS = 1e-9
 
 
@@ -46,7 +47,8 @@ def nullspace(rows):
     """Orthonormal basis of the kernel of the matrix with the given rows.
 
     Returns an array of shape (k, n) whose rows are unit-norm, mutually
-    orthogonal, and satisfy ||A v|| <= eq_abs; k = n - numerical rank.
+    orthogonal, and satisfy ||A v|| <= RANK_RTOL * sigma_max; k = n - numerical
+    rank.
     """
     a = np.atleast_2d(np.asarray(rows, dtype=float))
     if a.size == 0:

@@ -69,7 +69,7 @@ def perp_basis(points):
     return basis
 
 
-def shift_profile(cone, eq_abs=EQ_ABS):
+def shift_profile(cone):
     """Classify every generator constraint <q, g> - lambda <u, g> <= 0 of a
     Cone and intersect the induced one-variable bounds.
 
@@ -86,7 +86,7 @@ def shift_profile(cone, eq_abs=EQ_ABS):
     lower = ug > _U_COEFF_TOL
     upper = ug < -_U_COEFF_TOL
     flat = ~(lower | upper)
-    unconditional = flat & (qg <= eq_abs)
+    unconditional = flat & (qg <= EQ_ABS)
     counts = {
         "lower": int(lower.sum()),
         "upper": int(upper.sum()),
@@ -184,7 +184,7 @@ def validate_eps(eps_list):
     return eps
 
 
-def divergence_sweep(eps_list, samples_per_curve=512, control=False, eq_abs=EQ_ABS):
+def divergence_sweep(eps_list, samples_per_curve=512, control=False):
     """Run shift_profile per refinement level and fit the divergence.
 
     Returns a dict: rows, one (epsilon, lambda_star, product, curve_id, t)
@@ -198,7 +198,7 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False, eq_abs=EQ_A
     rows = []
     for e in eps:
         cone = control_cone() if control else refined_cone(e, samples_per_curve)
-        prof = shift_profile(cone, eq_abs=eq_abs)
+        prof = shift_profile(cone)
         lam = prof["lambda_star"]
         product = lam * e if lam is not None and math.isfinite(lam) else math.nan
         cid, t = prof["achieving"] or (None, None)
@@ -228,7 +228,7 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False, eq_abs=EQ_A
     }
 
 
-def nice3d_ingredients(generators, p1, p2, h1, h2, eq_abs=EQ_ABS):
+def nice3d_ingredients(generators, p1, p2, h1, h2):
     """Decide "every facially exposed 3D cone is nice" for one face at its
     generators.
 
@@ -240,7 +240,7 @@ def nice3d_ingredients(generators, p1, p2, h1, h2, eq_abs=EQ_ABS):
         sign pattern <q_i, p_i> = 0 and <q_i, p_j> > 0 for i != j;
       * the generator certificate: with r_i = +-(n x p_i) signed so that
         <r_i, p_j> > 0, q_i = c_i * r_i with c_i = <q_i, r_i> / |r_i|^2 > 0,
-        up to eq_abs * |q_i|.
+        up to EQ_ABS * |q_i|.
 
     The dual wedge F* = {y : <y, p1> >= 0, <y, p2> >= 0} is cone{r1, r2} +
     span{n}, and cone{h1, h2} + span{n} = cone{q1, q2} + span{n}; so the
@@ -265,16 +265,16 @@ def nice3d_ingredients(generators, p1, p2, h1, h2, eq_abs=EQ_ABS):
     hs = [np.asarray(h, dtype=float) for h in (h1, h2)]
     qs = [h - float(h @ nrm) * nrm for h in hs]
     for h, q in zip(hs, qs):
-        if float((g @ h).min()) < -eq_abs:
+        if float((g @ h).min()) < -EQ_ABS:
             raise DomainError("exposing normal is negative somewhere on the cone")
-        if float(np.linalg.norm(q)) <= eq_abs:
+        if float(np.linalg.norm(q)) <= EQ_ABS:
             raise DomainError(
                 "exposing normal lies in the face's orthogonal complement; "
                 "it would expose the whole face, not an edge"
             )
 
     sign_ok = all(
-        abs(float(q @ p_own)) <= eq_abs and float(q @ p_other) > eq_abs
+        abs(float(q @ p_own)) <= EQ_ABS and float(q @ p_other) > EQ_ABS
         for q, p_own, p_other in ((qs[0], p1, p2), (qs[1], p2, p1))
     )
     proj_res = max(abs(float(q @ p) - float(h @ p)) for h, q in zip(hs, qs) for p in (p1, p2))
@@ -295,7 +295,7 @@ def nice3d_ingredients(generators, p1, p2, h1, h2, eq_abs=EQ_ABS):
         "wedge_generators": rs,
         "multipliers": cs,
         "certificate_residual": cert_res,
-        "pass": sign_ok and proj_res <= 1e-12 and min(cs) > 0.0 and cert_res <= eq_abs,
+        "pass": sign_ok and proj_res <= 1e-12 and min(cs) > 0.0 and cert_res <= EQ_ABS,
     }
 
 

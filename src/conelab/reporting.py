@@ -19,27 +19,21 @@ import numpy as np
 from . import construction as con
 from . import faces as fc
 from . import niceness as nn
-from .linalg import EQ_ABS, DomainError, gamma
+from .linalg import DomainError, gamma
 
 SCHEMA_VERSION = 1
-
-# points per axis of the identity suite's (t, theta) grid
-IDENTITY_GRID = 100
 
 
 @dataclass(frozen=True)
 class RunConfig:
     samples_per_curve: int = 512
     theta_grid_size: int = 64
-    eq_abs: float = EQ_ABS
     eps_list: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
     control: bool = False
 
     def __post_init__(self):
         if self.samples_per_curve < 8 or self.theta_grid_size < 8:
             raise DomainError("sample counts must be at least 8")
-        if not 0.0 < self.eq_abs < math.inf:
-            raise DomainError("tolerances must be positive and finite")
         object.__setattr__(self, "eps_list", nn.validate_eps(self.eps_list))
 
 
@@ -107,33 +101,13 @@ def report_header(config):
 # --------------------------------------------------------------------------
 # verify sections
 
-def identity_grid_max(t_grid, theta_grid):
-    """Max residual per identity over the full (t, theta) grid, evaluated in
-    one batched call."""
-    return {k: float(v.max()) for k, v in fc.identity_suite(t_grid, theta_grid).items()}
-
-
-def identity_section(config):
-    n = IDENTITY_GRID
-    t_grid = np.linspace(0.0, con.T_END, n)
-    theta_grid = np.linspace(con.T_END / n, con.T_END, n)
-    maxima = identity_grid_max(t_grid, theta_grid)
-    worst = max(maxima.values())
-    return {
-        "grid": [n, n],
-        "max_residuals": maxima,
-        "worst": worst,
-        "pass": worst <= config.eq_abs,
-    }
-
-
 def _exposure(config):
     """The catalogue over the config's theta grid, and one pass of the
     exposure kernel over it on a body sampled on the config's grids."""
     thetas, grids = _grids(config)
     catalogue = fc.build_catalogue(thetas)
     body = con.sample_body(grids)
-    return catalogue, fc.verify_catalogue(catalogue, body, eq_abs=config.eq_abs)
+    return catalogue, fc.verify_catalogue(catalogue, body)
 
 
 def face_section(catalogue, exposure):
@@ -177,12 +151,9 @@ def homogenization_section(catalogue):
 
 
 def niceness_section(config):
-    sweep = nn.divergence_sweep(
-        config.eps_list, samples_per_curve=config.samples_per_curve, eq_abs=config.eq_abs
-    )
+    sweep = nn.divergence_sweep(config.eps_list, samples_per_curve=config.samples_per_curve)
     control = nn.divergence_sweep(
-        config.eps_list, samples_per_curve=config.samples_per_curve,
-        control=True, eq_abs=config.eq_abs,
+        config.eps_list, samples_per_curve=config.samples_per_curve, control=True
     )
     gamma1_dominates = all(
         row[3] == 1 for row in sweep["rows"] if row[0] < 0.1 and row[3] is not None
@@ -208,12 +179,12 @@ def niceness_section(config):
 
 def run_verify(config):
     report = report_header(config)
-    sections = {}
-    sections["identity_suite"] = identity_section(config)
     catalogue, exposure = _exposure(config)
-    sections["face_exposure"] = face_section(catalogue, exposure)
-    sections["homogenization"] = homogenization_section(catalogue)
-    sections["niceness"] = niceness_section(config)
+    sections = {
+        "face_exposure": face_section(catalogue, exposure),
+        "homogenization": homogenization_section(catalogue),
+        "niceness": niceness_section(config),
+    }
     failures = [name for name, sec in sections.items() if not sec["pass"]]
     report["sections"] = sections
     report["failures"] = failures
@@ -267,10 +238,7 @@ def run_sweep(config):
     """The header and the divergence_sweep dict: rows, closure,
     fitted_exponent and verdict."""
     sweep = nn.divergence_sweep(
-        config.eps_list,
-        samples_per_curve=config.samples_per_curve,
-        control=config.control,
-        eq_abs=config.eq_abs,
+        config.eps_list, samples_per_curve=config.samples_per_curve, control=config.control
     )
     return {**report_header(config), **sweep}
 
@@ -294,7 +262,7 @@ def run_nice3d(config):
     out = report_header(config)
     for name, example in (("octant", nn.octant_example()),
                           ("half_disc", nn.half_disc_cone_example())):
-        out[name] = nn.nice3d_ingredients(*example, eq_abs=config.eq_abs)
+        out[name] = nn.nice3d_ingredients(*example)
     generators, p1, p2, _, _ = nn.octant_example()
     try:
         nn.nice3d_ingredients(generators, p1, p2, np.array([0.0, 0.0, 1.0]),

