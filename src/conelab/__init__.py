@@ -17,13 +17,13 @@ from .construction import (
     curve_grid,
     curve_point,
     curve_points,
-    homogenize,
     lift_pairs,
     lift_points,
     partner_cos,
     partner_param,
     ruling_data,
     sample_body,
+    sample_cone,
     scale_points,
     theta_for_partner,
     theta_grid,

@@ -29,10 +29,10 @@ from .construction import (
     WITNESS_Q,
     WITNESS_U,
     Cone,
-    curve_points,
-    homogenize,
+    arc_sin_cos,
+    lift_arc,
     lift_points,
-    sample_body,
+    sample_cone,
 )
 from .linalg import EQ_ABS, DegenerateInputError, DomainError, feasible_interval, nullspace
 
@@ -137,8 +137,7 @@ def sweep_grid(epsilon, n):
 
 def refined_cone(epsilon, samples_per_curve=512):
     """Cone over C' sampled with the epsilon-anchored grid on every curve."""
-    grid = sweep_grid(epsilon, samples_per_curve)
-    return homogenize(sample_body({i: grid for i in CURVE_IDS}))
+    return sample_cone(dict.fromkeys(CURVE_IDS, sweep_grid(epsilon, samples_per_curve)))
 
 
 def control_cone():
@@ -154,17 +153,11 @@ def control_cone():
 def closure_check(n=512):
     """Exact membership of q in the polar of the flat face: both closed
     forms 2(cos t - 1) and -2 sin t are analytically nonpositive, and the
-    generators of curves 3 and 4 must reproduce them."""
-    ts = np.linspace(0.0, T_END, n)
-    vals3 = 2.0 * (np.cos(ts) - 1.0)
-    vals4 = -2.0 * np.sin(ts)
-    gens3 = lift_points(curve_points(3, ts))
-    gens4 = lift_points(curve_points(4, ts))
-    res = max(
-        float(np.abs(gens3 @ WITNESS_Q - vals3).max()),
-        float(np.abs(gens4 @ WITNESS_Q - vals4).max()),
-    )
-    m3, m4 = float(vals3.max()), float(vals4.max())
+    generators of curves 3 and 4, from the same sin and cos, reproduce them."""
+    s, c = arc_sin_cos(np.linspace(0.0, T_END, n))
+    vals = {3: 2.0 * (c - 1.0), 4: -2.0 * s}
+    res = max(float(np.abs(lift_arc(i, s, c) @ WITNESS_Q - v).max()) for i, v in vals.items())
+    m3, m4 = float(vals[3].max()), float(vals[4].max())
     return {
         "max_curve3_value": m3,
         "max_curve4_value": m4,

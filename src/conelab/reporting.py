@@ -79,15 +79,16 @@ def _merge(*grids):
 
 
 def _grids(config):
-    """The theta grid, which also carries the singleton faces, and the
-    per-curve sample grids holding every face anchor."""
+    """The face catalogue over the config's theta grid, and the per-curve
+    sample grids holding every face anchor."""
     thetas = con.theta_grid(config.theta_grid_size)
-    partners = con.partner_param(thetas)
+    catalogue = fc.build_catalogue(thetas)
     base = con.curve_grid(config.samples_per_curve)
     g_outer = _merge(base, thetas)
-    g_inner = _merge(base, partners, thetas)
+    # the rulings' partners, which only the F11 and F12 rows have
+    g_inner = _merge(base, catalogue.partners[~np.isnan(catalogue.partners)], thetas)
     # curves 1/4 carry the ruling parameter, curves 2/3 its partner
-    return thetas, {1: g_outer, 2: g_inner, 3: g_inner, 4: g_outer}
+    return catalogue, {1: g_outer, 2: g_inner, 3: g_inner, 4: g_outer}
 
 
 def report_header(config):
@@ -104,10 +105,8 @@ def report_header(config):
 def _exposure(config):
     """The catalogue over the config's theta grid, and one pass of the
     exposure kernel over it on a body sampled on the config's grids."""
-    thetas, grids = _grids(config)
-    catalogue = fc.build_catalogue(thetas)
-    body = con.sample_body(grids)
-    return catalogue, fc.verify_catalogue(catalogue, body)
+    catalogue, grids = _grids(config)
+    return catalogue, fc.verify_catalogue(catalogue, con.sample_body(grids))
 
 
 def face_section(catalogue, exposure):

@@ -14,6 +14,7 @@ from conelab.construction import (
     ENDPOINTS,
     SHIFT,
     T_END,
+    Cone,
     RulingData,
     curve_point,
     curve_points,
@@ -445,6 +446,15 @@ def reference_conic_membership(point, generators, eq_abs=EQ_ABS):
         s = np.asarray(res.x, dtype=float)
         return ConicVerdict(inside=False, normal=s, margin=float(np.dot(s, x)))
     return None
+
+
+def reference_sample_cone(grids):
+    """The cone over C' sampled on per-curve grids the way the library built
+    it before construction.sample_cone: one curve_points call per curve, the
+    points stacked into a body and then lifted."""
+    return Cone(lift_points(np.vstack([curve_points(i, grids[i]) for i in CURVE_IDS])),
+                np.concatenate([np.full(grids[i].size, i) for i in CURVE_IDS]),
+                np.concatenate([grids[i] for i in CURVE_IDS]))
 
 
 # Reference exposure checks: one face and one full pass over the samples at

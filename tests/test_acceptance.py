@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from conelab import construction as con
-from conelab import faces as fc
 from conelab import meshes
 from conelab import niceness as nn
 from conelab import reporting
@@ -44,10 +43,9 @@ def report(num, name, ok, detail=""):
 def default_setup():
     """Catalogue and body at the acceptance scale (512/64)."""
     config = reporting.RunConfig()  # 512 samples per curve, 64 ruling values
-    thetas, grids = reporting._grids(config)
+    catalogue, grids = reporting._grids(config)
     body = con.sample_body(grids)
-    catalogue = fc.build_catalogue(thetas)
-    return {"config": config, "body": body, "catalogue": catalogue}
+    return {"config": config, "grids": grids, "body": body, "catalogue": catalogue}
 
 
 def test_criterion_1_construction_fidelity():
@@ -100,7 +98,7 @@ def test_criterion_3_face_exposure(default_setup):
 def test_criterion_4_homogenization(default_setup):
     # every lifted pair checked face by face on the generators of the cone
     # over C', and the verify section: the lift identity within its bound
-    cone = con.homogenize(default_setup["body"])
+    cone = con.sample_cone(default_setup["grids"])
     failures = []
     for face, pair in face_rows(default_setup["catalogue"]):
         lift = con.lift_pairs([pair.normal], [pair.offset])[0]

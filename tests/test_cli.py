@@ -320,7 +320,7 @@ class TestRunConfig:
         assert atlas["failed_reports"] == len(section["failures"])
 
     def test_verify_builds_grids_and_catalogue_once(self, monkeypatch):
-        calls = {"grids": 0, "catalogue": 0, "points": 0, "kernel": 0, "body": 0}
+        calls = {"grids": 0, "catalogue": 0, "points": 0, "kernel": 0, "body": 0, "partners": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -334,11 +334,16 @@ class TestRunConfig:
         monkeypatch.setattr(faces, "generator_points", counted("points", faces.generator_points))
         # reporting's bodies; niceness binds its own sample_body for the sweep
         monkeypatch.setattr(construction, "sample_body", counted("body", construction.sample_body))
+        monkeypatch.setattr(construction, "partner_cos",
+                            counted("partners", construction.partner_cos))
         run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
         # one kernel call checks every face on the body; the faces of the
         # cone over it follow by the lift identity, with no second scan, at
-        # the generator points the catalogue computed once
-        assert calls == {"grids": 1, "catalogue": 1, "points": 1, "kernel": 1, "body": 1}
+        # the generator points the catalogue computed once. The partners are
+        # the catalogue's: its two ruling_data calls are the only partner_cos
+        # calls, and the grids read the partners from its rows.
+        assert calls == {"grids": 1, "catalogue": 1, "points": 1, "kernel": 1, "body": 1,
+                         "partners": 2}
 
     def test_faces_builds_no_cone_and_no_lifted_pairs(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -346,7 +351,7 @@ class TestRunConfig:
 
         # the lifts live in construction alone: the kernel cannot reach them
         assert not hasattr(faces, "lift_points") and not hasattr(faces, "lift_pairs")
-        for name in ("homogenize", "lift_points", "lift_pairs"):
+        for name in ("sample_cone", "lift_points", "lift_pairs"):
             monkeypatch.setattr(construction, name, refuse)
         kernel_calls, point_calls = [], []
         real_kernel, real_points = faces.verify_catalogue, faces.generator_points

@@ -5,8 +5,10 @@ import pytest
 
 from conelab import construction as con
 from conelab import faces as fc
+from conelab import niceness as nn
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
+from helpers import reference_sample_cone
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 T = con.T_END
@@ -53,9 +55,10 @@ class TestCurves:
         lambda v: con.theta_for_partner(v),
         lambda v: con.ruling_data(v),
         lambda v: con.sample_body(np.array([0.0, v, T])),
+        lambda v: con.sample_cone(np.array([0.0, v, T])),
         lambda v: fc.build_catalogue([0.1, v]),
     ], ids=["curve_point", "curve_points", "partner_cos", "theta_for_partner",
-            "ruling_data", "sample_body", "build_catalogue"])
+            "ruling_data", "sample_body", "sample_cone", "build_catalogue"])
     def test_non_finite_parameters_rejected(self, call, value):
         # every bound check compares with NaN as False, so each must be
         # written to reject it
@@ -162,10 +165,18 @@ class TestBodiesAndCone:
         assert np.array_equal(con.lift_points(raw.xyz[5]), gens[5:6])
 
     def test_grids_must_cover_both_endpoints(self):
-        with pytest.raises(DomainError):
-            con.sample_body(np.linspace(0.1, T, 16))
-        with pytest.raises(DomainError):
-            con.sample_body(np.linspace(0.0, T / 2, 16))
+        # within the endpoint test's 1e-12 of T, but past the 1e-15 that the
+        # curve parameters may exceed T by; on one curve or on all of them
+        past = np.linspace(0.0, T + 5e-13, 16)
+        for sample in (con.sample_body, con.sample_cone):
+            with pytest.raises(DomainError):
+                sample(np.linspace(0.1, T, 16))
+            with pytest.raises(DomainError):
+                sample(np.linspace(0.0, T / 2, 16))
+            for grids in (past, {1: con.curve_grid(16), 2: past, 3: past,
+                                 4: con.curve_grid(16)}):
+                with pytest.raises(DomainError, match="must be finite and lie in"):
+                    sample(grids)
 
     def test_grids_must_be_non_decreasing(self):
         # the exposure kernel reads each curve's samples as one sorted run
@@ -189,29 +200,96 @@ class TestBodiesAndCone:
         for i, t, x in zip(body.ids, body.ts, body.xyz):
             assert np.array_equal(x, con.curve_point(i, t))
 
-    def test_homogenize_hands_the_label_arrays_to_the_cone(self):
+    def test_sample_cone_hands_the_label_arrays_to_the_cone(self):
         body = con.sample_body(con.curve_grid(16))
-        cone = con.homogenize(body)
+        cone = con.sample_cone(con.curve_grid(16))
         assert np.array_equal(cone.ids, body.ids) and np.array_equal(cone.ts, body.ts)
         assert np.array_equal(cone.generators[:, 1:], con.scale_points(body.xyz))
 
-    def test_homogenize_generator_for_the_origin_sample(self):
-        cone = con.homogenize(con.sample_body(con.curve_grid(8)))
+    def test_sample_cone_generator_for_the_origin_sample(self):
+        cone = con.sample_cone(con.curve_grid(8))
         origin_rows = [g for g, t in zip(cone.generators, cone.ts) if t == 0.0]
+        assert len(origin_rows) == 4
         for g in origin_rows:
             assert np.allclose(g, [1.0, 0.5, 0.0, 0.5], atol=1e-15)
 
-    def test_homogenize_generator_for_scaled_p1(self):
+    def test_sample_cone_generator_for_scaled_p1(self):
         grid = con.curve_grid(8)
-        cone = con.homogenize(con.sample_body(grid))
+        cone = con.sample_cone(grid)
         k = int(np.flatnonzero((cone.ids == 1) & (cone.ts == T))[0])
         expected = [1.0, 0.5, -math.sqrt(2.0), math.sqrt(2.0) - 1.5]
         assert np.allclose(cone.generators[k], expected, atol=1e-15)
         assert len(cone.generators) == 4 * len(grid)
 
-    def test_homogenize_rejects_non_body(self):
+    def test_sample_cone_refuses_what_sample_body_refuses(self):
+        g = con.curve_grid(9)
         with pytest.raises(DegenerateInputError):
-            con.homogenize(np.zeros((3, 3)))
+            con.sample_cone(np.array([]))
+        with pytest.raises(DegenerateInputError):
+            con.sample_cone({1: g, 2: g, 3: g})
+        with pytest.raises(DomainError):
+            con.sample_cone({1: g, 2: g, 3: g[[0, 2, 1, *range(3, 9)]], 4: g})
+
+
+def _same_cone(a, b):
+    return all(x.tobytes() == y.tobytes() and x.dtype == y.dtype for x, y in zip(a, b))
+
+
+class TestSampleCone:
+    """sample_cone writes the cone in one pass: it must hold the bytes of
+    sampling each curve, stacking the body and lifting it."""
+
+    @pytest.mark.parametrize("n", [8, 512, 8192])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6, 1e-7, 1e-9])
+    def test_sweep_grids_have_the_bits_of_the_reference(self, eps, n):
+        grids = dict.fromkeys(con.CURVE_IDS, nn.sweep_grid(eps, n))
+        assert _same_cone(con.sample_cone(grids), reference_sample_cone(grids))
+        assert _same_cone(nn.refined_cone(eps, n), reference_sample_cone(grids))
+
+    @pytest.mark.parametrize("samples, thetas", [(512, 64), (64, 512), (2048, 256)])
+    def test_verify_grids_have_the_bits_of_the_reference(self, samples, thetas):
+        _, grids = reporting._grids(reporting.RunConfig(samples_per_curve=samples,
+                                                        theta_grid_size=thetas))
+        # curves 1/4 share one grid array and 2/3 another
+        assert grids[1] is grids[4] and grids[2] is grids[3] and grids[1] is not grids[2]
+        assert _same_cone(con.sample_cone(grids), reference_sample_cone(grids))
+        body = con.sample_body(grids)
+        assert body.xyz.tobytes() == np.vstack(
+            [con.curve_points(i, grids[i]) for i in con.CURVE_IDS]).tobytes()
+
+    def test_repeated_values_have_the_bits_of_the_reference(self):
+        g = np.array([0.0, 0.0, 0.1, 0.3, 0.3, 0.3, T, T])
+        grids = {1: g, 2: con.curve_grid(5), 3: g.copy(), 4: g}
+        assert _same_cone(con.sample_cone(grids), reference_sample_cone(grids))
+
+    def test_sweep_rows_equal_those_of_the_reference_cone(self):
+        # the benchmark's size: 8,192 samples, six levels down to 1e-6
+        levels = (0.3, 0.05, 0.004, 0.0003, 2e-5, 1e-6)
+        rows = []
+        for e in levels:
+            grids = dict.fromkeys(con.CURVE_IDS, nn.sweep_grid(e, 8192))
+            prof = nn.shift_profile(reference_sample_cone(grids))
+            lam = prof["lambda_star"]
+            rows.append((e, lam, lam * e, *prof["achieving"]))
+        assert nn.divergence_sweep(levels, samples_per_curve=8192)["rows"] == rows
+
+    def test_one_arc_evaluation_per_distinct_grid(self, monkeypatch):
+        calls = []
+        real = con.arc_sin_cos
+
+        def counted(ts):
+            calls.append(len(ts))
+            return real(ts)
+
+        monkeypatch.setattr(con, "arc_sin_cos", counted)
+        con.sample_cone(dict.fromkeys(con.CURVE_IDS, nn.sweep_grid(1e-3, 512)))
+        nn.refined_cone(1e-3, 512)
+        con.sample_cone(nn.sweep_grid(1e-3, 512))
+        assert calls == [512, 512, 512]
+        _, grids = reporting._grids(reporting.RunConfig())
+        calls.clear()
+        con.sample_body(grids)
+        assert calls == [grids[1].size, grids[2].size]
 
 
 class TestWitness:

@@ -41,20 +41,20 @@ def setup(samples, thetas):
     """Reference (face, pair) rows, body, and the reference generators of
     the cone over C' and lifted pairs, on the grids that `verify` uses at
     this size; the array catalogue is arrays(samples, thetas)."""
-    th, grids = reporting._grids(
+    _, grids = reporting._grids(
         reporting.RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
     )
-    catalogue = reference_catalogue(th)
+    catalogue = reference_catalogue(con.theta_grid(thetas))
     body = con.sample_body(grids)
     return catalogue, body, reference_cone(body), [reference_lift(pair) for _, pair in catalogue]
 
 
 @functools.lru_cache(maxsize=None)
 def arrays(samples, thetas):
-    th, _ = reporting._grids(
+    catalogue, _ = reporting._grids(
         reporting.RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
     )
-    return fc.build_catalogue(th)
+    return catalogue
 
 
 def kernel(samples, thetas, **kwargs):
@@ -127,7 +127,10 @@ def test_lifted_reference_margins_are_twice_the_body_margins(samples, thetas, de
 def test_array_lifts_have_the_bits_of_the_reference(samples, thetas):
     _, body, cone, lifted = setup(samples, thetas)
     normals, offsets = arrays(samples, thetas).normals, arrays(samples, thetas).offsets
-    assert con.homogenize(body).generators.tobytes() == cone.tobytes()
+    _, grids = reporting._grids(
+        reporting.RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
+    )
+    assert con.sample_cone(grids).generators.tobytes() == cone.tobytes()
     assert con.lift_pairs(normals, offsets).tobytes() == np.array(lifted).tobytes()
 
 

@@ -227,8 +227,7 @@ class TestVerifyExposure:
             assert rep.passed, rep
 
     def test_catalogue_computes_each_ruling_once(self, monkeypatch):
-        thetas, _ = reporting._grids(reporting.RunConfig(samples_per_curve=64,
-                                                         theta_grid_size=8))
+        thetas = con.theta_grid(8)
         plain = reference_catalogue(thetas)
         seen, cosines = [], []
         real_cos = con.partner_cos

@@ -19,24 +19,23 @@ def lift(normal, offset):
     return con.lift_pairs(np.array([normal], dtype=float), [offset])[0]
 
 
-def lifted_report(face, body):
+def lifted_report(face, cone):
     """The per-face reference check of the lift of the face's closed-form
     pair on the generators of the cone over C'."""
     pair = exposing_pair(face)
-    cone = con.homogenize(body)
     return reference_verify_cone_exposure(lift(pair.normal, pair.offset), cone.generators,
                                           cone.ids, cone.ts, face)
 
 
 @pytest.fixture(scope="module")
-def body():
+def cone():
     # grids carry selected ruling anchors so lifted equality sets are nonempty
     thetas = np.array([T / 4, T / 2, T])
     partners = np.array([con.ruling_data(th).t for th in thetas])
     base = con.curve_grid(256)
     outer = np.unique(np.concatenate([base, thetas]))
     inner = np.unique(np.concatenate([base, partners]))
-    return con.sample_body({1: outer, 2: inner, 3: inner, 4: outer})
+    return con.sample_cone({1: outer, 2: inner, 3: inner, 4: outer})
 
 
 class TestLifting:
@@ -71,25 +70,25 @@ class TestLifting:
 
 
 class TestConeExposure:
-    def test_flat_side_equality_set(self, body):
+    def test_flat_side_equality_set(self, cone):
         face = FaceDescriptor("F24", 2, full_curves=(3, 4))
-        rep = lifted_report(face, body)
+        rep = lifted_report(face, cone)
         assert rep.passed
-        expected = int(((body.ids == 3) | (body.ids == 4) | (body.ts == 0.0)).sum())
+        expected = int(((cone.ids == 3) | (cone.ids == 4) | (cone.ts == 0.0)).sum())
         assert rep.onface_count == expected
 
-    def test_singleton_equality_only_at_its_generator(self, body):
+    def test_singleton_equality_only_at_its_generator(self, cone):
         th = T / 2
         face = FaceDescriptor("F01", 0, param=th, anchors=((1, th),))
-        rep = lifted_report(face, body)
+        rep = lifted_report(face, cone)
         assert rep.passed
         assert rep.onface_count == 1
 
-    def test_ruled_face_equality_pair(self, body):
+    def test_ruled_face_equality_pair(self, cone):
         th = T / 4
         r = con.ruling_data(th)
         face = FaceDescriptor("F11", 1, param=th, partner=r.t, anchors=((1, th), (3, r.t)))
-        rep = lifted_report(face, body)
+        rep = lifted_report(face, cone)
         assert rep.passed
         assert rep.onface_count == 2
 
@@ -97,10 +96,10 @@ class TestConeExposure:
         pair = exposing_pair(FaceDescriptor("F24", 2, full_curves=(3, 4)))
         assert float(np.zeros(4) @ lift(pair.normal, pair.offset)) == 0.0
 
-    def test_whole_catalogue_lifts_cleanly(self, body):
+    def test_whole_catalogue_lifts_cleanly(self, cone):
         catalogue = fc.build_catalogue(np.array([T / 4, T / 2, T]))
         for face, _ in face_rows(catalogue):
-            assert lifted_report(face, body).passed, face.label()
+            assert lifted_report(face, cone).passed, face.label()
 
 
 class TestPolar:
