@@ -32,10 +32,8 @@ from .faces import Catalogue, Exposure, build_catalogue, verify_catalogue
 from .linalg import (
     EQ_ABS,
     DegenerateInputError,
-    DimensionMismatchError,
     DomainError,
     feasible_interval,
-    nullspace,
 )
 from .niceness import (
     closure_check,
@@ -43,7 +41,6 @@ from .niceness import (
     half_disc_cone_example,
     nice3d_ingredients,
     octant_example,
-    perp_basis,
     shift_profile,
 )
 from .reporting import RunConfig, run_faces, run_nice3d, run_sweep, run_verify

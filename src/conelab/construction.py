@@ -53,17 +53,17 @@ ENDPOINTS = {
     4: np.array([_SQRT2_INV - 1.0, _SQRT2_INV, 0.0]),
 }
 
-def check_param(t, lo=0.0, hi=T_END, name="t", open_lo=False):
-    """t, a scalar or an array, clamped to [lo, hi]; DomainError for a
-    value outside it."""
+def check_param(t, name="t", open_lo=False):
+    """t, a scalar or an array, clamped to [0, T]; DomainError for a
+    value outside it (or at 0 when open_lo)."""
     t = np.asarray(t, dtype=float)
     slack = 1e-15  # forgive one ulp of pi/4 round-off at the right endpoint
     # written so that NaN, which fails every comparison, is rejected too
-    inside = (lo - slack <= t) & (t <= hi + slack) & ~(open_lo & (t <= lo))
+    inside = (-slack <= t) & (t <= T_END + slack) & ~(open_lo & (t <= 0.0))
     if not inside.all():
         bad = t[~inside] if t.ndim else t
-        raise DomainError(f"{name}={bad} outside {'(' if open_lo else '['}{lo}, {hi}]")
-    return np.clip(t, lo, hi)
+        raise DomainError(f"{name}={bad} outside {'(' if open_lo else '['}0.0, {T_END}]")
+    return np.clip(t, 0.0, T_END)
 
 
 # Each arc's coordinate columns from s = sin t and c = cos t; 0.0 is a zero column.

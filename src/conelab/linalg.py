@@ -1,7 +1,8 @@
-"""Dense linear algebra kernel for low-dimensional cone computations.
+"""Forward-error constants and small numeric kernels shared by the
+cone computations.
 
 Everything here is pure: the equality bound EQ_ABS, the rounding
-error constant gamma, nullspace bases, and one-variable interval
+error constant gamma, the error classes, and one-variable interval
 feasibility.
 """
 
@@ -11,18 +12,10 @@ import math
 
 import numpy as np
 
-# Singular values below RANK_RTOL * sigma_max count as zero.  The matrices
-# handled here have O(1) entries and are well conditioned.
-RANK_RTOL = 1e-10
-
 # Bound on residuals that count as "equals zero", read directly by the
 # exposure kernel, shift_profile and nice3d_ingredients; no option sets it.
 # It is not derived from a forward-error bound yet.
 EQ_ABS = 1e-9
-
-
-class DimensionMismatchError(ValueError):
-    """Inputs do not share a consistent dimension."""
 
 
 class DomainError(ValueError):
@@ -41,24 +34,6 @@ def gamma(n):
     if not 0.0 <= nu < 1.0:
         raise DomainError(f"gamma_n needs 0 <= n*u < 1, got n = {n}")
     return nu / (1.0 - nu)
-
-
-def nullspace(rows):
-    """Orthonormal basis of the kernel of the matrix with the given rows.
-
-    Returns an array of shape (k, n) whose rows are unit-norm, mutually
-    orthogonal, and satisfy ||A v|| <= RANK_RTOL * sigma_max; k = n - numerical
-    rank.
-    """
-    a = np.atleast_2d(np.asarray(rows, dtype=float))
-    if a.size == 0:
-        raise DegenerateInputError("matrix is empty")
-    if a.ndim != 2:
-        raise DimensionMismatchError("rows have inconsistent dimensions")
-    _, sigma, vt = np.linalg.svd(a)
-    cutoff = RANK_RTOL * (sigma[0] if sigma.size else 0.0)
-    rank = int(np.sum(sigma > cutoff))
-    return vt[rank:]
 
 
 def feasible_interval(lowers, uppers):

@@ -34,7 +34,7 @@ from .construction import (
     lift_points,
     sample_cone,
 )
-from .linalg import EQ_ABS, DegenerateInputError, DomainError, feasible_interval, nullspace
+from .linalg import EQ_ABS, DegenerateInputError, DomainError, feasible_interval
 
 # |<u, g>| below this counts as "no lambda dependence" when classifying
 # constraints; 4*(1-cos t) clears it for every t >= 1e-5.
@@ -48,25 +48,6 @@ DUAL_FORM_NOTE = (
     "computed for the polar cone; the dual-cone sum is its negative, "
     "so the same divergence applies to it"
 )
-
-
-def perp_basis(points):
-    """Orthonormal basis of the orthogonal complement of span(points).
-
-    Degenerate input (numerical rank below min(len(points), dim)) is
-    rejected rather than silently accepted. Each basis vector is re-checked
-    against the equality system <point, v> = 0 before being returned.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    basis = nullspace(pts)
-    rank = pts.shape[1] - len(basis)
-    if rank < min(len(pts), pts.shape[1]):
-        raise DegenerateInputError(
-            f"points have rank {rank} < {min(len(pts), pts.shape[1])}; span is degenerate"
-        )
-    if len(basis) and np.abs(pts @ basis.T).max() > 1e-9:
-        raise AssertionError("nullspace vector fails the defining system")
-    return basis
 
 
 def shift_profile(cone):
@@ -225,9 +206,16 @@ def nice3d_ingredients(generators, p1, p2, h1, h2):
     """Decide "every facially exposed 3D cone is nice" for one face at its
     generators.
 
-    Given the (m, 3) generators of a 3D cone with 2D face F = cone{p1, p2},
-    F_perp = span{n}, and normals h1, h2 exposing the edge rays (h_i
-    nonnegative on the cone, zero exactly on the ray of p_i), checks:
+    Given the (m, 3) generators of a 3D cone with 2D face F = cone{p1, p2}
+    and normals h1, h2 exposing the edge rays (h_i nonnegative on the cone,
+    zero exactly on the ray of p_i), F_perp = span{n} with
+    n = p1 x p2 / |p1 x p2|. The pair is rejected as not spanning a plane
+    when |p1 x p2| <= 1e-10 * (|p1|^2 + |p2|^2): the singular values of the
+    2 x 3 matrix [p1; p2] satisfy s1 * s2 = |p1 x p2| and
+    s1^2 + s2^2 = |p1|^2 + |p2|^2, so this is the rank test
+    s2 <= 1e-10 * s1 in closed form, up to a factor 1 + 1e-20. The sign of
+    n does not matter: q_i and r_i below are unchanged when n becomes -n.
+    Then it checks:
 
       * q_i = h_i - <h_i, n> n, the projection of h_i onto span F, has the
         sign pattern <q_i, p_i> = 0 and <q_i, p_j> > 0 for i != j;
@@ -252,10 +240,15 @@ def nice3d_ingredients(generators, p1, p2, h1, h2):
         raise DegenerateInputError("cone has no generators")
     if not np.all(np.isfinite(g)):
         raise DomainError("cone generators have NaN or infinite components")
-    p1, p2 = (np.asarray(p, dtype=float) for p in (p1, p2))
-    nrm = perp_basis(np.vstack([p1, p2]))[0]  # raises unless p1, p2 span a plane
+    p1, p2, *hs = (np.asarray(v, dtype=float) for v in (p1, p2, h1, h2))
+    if any(v.shape != (3,) or not np.all(np.isfinite(v)) for v in (p1, p2, *hs)):
+        raise DomainError("p1, p2, h1 and h2 must each be a finite vector of shape (3,)")
+    cross = np.cross(p1, p2)
+    cross_norm = float(np.linalg.norm(cross))
+    if cross_norm <= 1e-10 * float(p1 @ p1 + p2 @ p2):
+        raise DegenerateInputError("p1 and p2 do not span a plane")
+    nrm = cross / cross_norm + 0.0  # clears signed zeros, which r_i would carry into the report
 
-    hs = [np.asarray(h, dtype=float) for h in (h1, h2)]
     qs = [h - float(h @ nrm) * nrm for h in hs]
     for h, q in zip(hs, qs):
         if float((g @ h).min()) < -EQ_ABS:

@@ -157,9 +157,9 @@ def niceness_section(config):
     gamma1_dominates = all(
         row[3] == 1 for row in sweep["rows"] if row[0] < 0.1 and row[3] is not None
     )
+    # divergence_sweep returns NotNiceEvidence only when the closure check passes
     passed = (
-        sweep["closure"]["in_closure"]
-        and sweep["verdict"] == "NotNiceEvidence"
+        sweep["verdict"] == "NotNiceEvidence"
         and control["verdict"] == "Inconclusive"
         and gamma1_dominates
     )

@@ -22,7 +22,7 @@ from conelab.construction import (
     ruling_data,
 )
 from conelab.faces import MARGIN_DELTAS
-from conelab.linalg import EQ_ABS, DegenerateInputError, DimensionMismatchError, DomainError
+from conelab.linalg import EQ_ABS, DegenerateInputError, DomainError
 
 
 # Reference catalogue: the per-face scalar route that faces.build_catalogue
@@ -362,7 +362,7 @@ def polar_generator_model(samples, directions):
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if directions.shape[1] != samples.shape[1]:
-        raise DimensionMismatchError("directions and samples dimensions differ")
+        raise DomainError("directions and samples dimensions differ")
     sups = (directions @ samples.T).max(axis=1)  # support function of the samples
     gens = np.hstack([-sups[:, None], directions])
     deep = np.zeros((1, samples.shape[1] + 1))
@@ -418,7 +418,7 @@ def reference_conic_membership(point, generators, eq_abs=EQ_ABS):
     g = np.atleast_2d(np.asarray(generators, dtype=float))
     x = np.asarray(point, dtype=float)
     if x.shape != (g.shape[1],):
-        raise DimensionMismatchError(f"expected a vector of dimension {g.shape[1]}")
+        raise DomainError(f"expected a vector of dimension {g.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise DomainError("vector has NaN or infinite components")
     scale = max(1.0, float(np.linalg.norm(x)))
@@ -504,7 +504,7 @@ def reference_verify_exposure(face, pair, body, eq_abs=EQ_ABS, deltas=MARGIN_DEL
     """Body check of one exposing pair on the samples of C."""
     y, d = pair.normal, pair.offset
     if y.shape != (3,):
-        raise DimensionMismatchError("pair normal must be 3-dimensional")
+        raise DomainError("pair normal must be 3-dimensional")
 
     anchor_pts = face_sample_points(face)
     anchor_res = np.abs(anchor_pts @ y - d)
@@ -543,7 +543,7 @@ def reference_verify_cone_exposure(lifted, generators, ids, ts, face, eq_abs=EQ_
     y = np.asarray(lifted, dtype=float)
     g = np.asarray(generators, dtype=float)
     if g.shape[1] != y.size:
-        raise DimensionMismatchError("lifted pair and cone dimensions differ")
+        raise DomainError("lifted pair and cone dimensions differ")
 
     values = g @ y
     dists = reference_param_distances(face, ids, ts)

@@ -117,11 +117,14 @@ def test_criterion_4_homogenization(default_setup):
 
 
 def test_criterion_5_perp_space():
-    basis = nn.perp_basis(face_slice_points())
-    target = np.array([1.0, 0.0, 0.0, -2.0]) / math.sqrt(5.0)
-    angle = math.acos(min(1.0, abs(float(basis[0] @ target))))
-    ok = basis.shape == (1, 4) and angle < 1e-9
-    report(5, "face complement computation", ok, f"angular error {angle:.2e} rad")
+    # u is orthogonal to the three slice points exactly, and they span a 3D
+    # subspace of R^4, so F_perp = span{u}
+    pts = face_slice_points()
+    products = pts @ con.WITNESS_U
+    rank = int(np.linalg.matrix_rank(pts))
+    ok = bool(np.all(products == 0.0)) and rank == 3
+    report(5, "face complement computation", ok,
+           f"max |<u, p>| {np.abs(products).max():.1e}, slice rank {rank}")
 
 
 def test_criterion_6_non_niceness_evidence():

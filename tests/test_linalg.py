@@ -3,53 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conelab.linalg import DegenerateInputError, DomainError, feasible_interval, gamma, nullspace
+from conelab.linalg import DomainError, feasible_interval, gamma
 from helpers import reference_conic_membership
-
-SQRT2 = math.sqrt(2.0)
-
-
-class TestNullspace:
-    def test_face_slice_rows_give_the_known_perp_direction(self):
-        rows = [
-            [1.0, 0.5, 0.0, 0.5],
-            [1.0, 0.5 - SQRT2, 2.0 - SQRT2, 0.5],
-            [1.0, SQRT2 - 1.5, SQRT2, 0.5],
-        ]
-        basis = nullspace(rows)
-        assert basis.shape == (1, 4)
-        target = np.array([1.0, 0.0, 0.0, -2.0]) / math.sqrt(5.0)
-        assert abs(abs(basis[0] @ target) - 1.0) < 1e-12
-
-    def test_identity_has_empty_kernel(self):
-        assert nullspace(np.eye(3)).shape == (0, 3)
-
-    def test_single_row_gives_two_orthonormal_vectors(self):
-        basis = nullspace([[1.0, 1.0, 0.0]])
-        assert basis.shape == (2, 3)
-        assert np.allclose(basis @ np.array([1.0, 1.0, 0.0]), 0.0, atol=1e-12)
-        assert np.allclose(basis @ basis.T, np.eye(2), atol=1e-12)
-
-    def test_injected_kernel_vector_is_recovered(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = rng.integers(2, 6)
-            v = rng.normal(size=n)
-            v /= np.linalg.norm(v)
-            a = rng.normal(size=(n, n))
-            a -= np.outer(a @ v, v)  # force v into the kernel
-            basis = nullspace(a)
-            assert len(basis) >= 1
-            cos = np.abs(basis @ v).max()
-            assert cos > 1.0 - 1e-8
-            # post-conditions: orthonormal, annihilated by a
-            assert np.allclose(basis @ basis.T, np.eye(len(basis)), atol=1e-9)
-            assert np.abs(a @ basis.T).max() < 1e-9
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            nullspace(np.empty((0, 3)))
-
 
 class TestConicMembership:
     def test_inside_quadrant(self):

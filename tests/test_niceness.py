@@ -9,7 +9,6 @@ from conelab import niceness as nn
 from conelab.linalg import DegenerateInputError, DomainError
 from helpers import (
     check_positivity_window,
-    face_slice_points,
     fibonacci_sphere_grid,
     polar_generator_model,
     positivity_window,
@@ -18,34 +17,6 @@ from helpers import (
 )
 
 T = con.T_END
-
-
-class TestPerpBasis:
-    def test_flat_face_slice_points(self):
-        basis = nn.perp_basis(face_slice_points())
-        assert basis.shape == (1, 4)
-        target = np.array([1.0, 0.0, 0.0, -2.0]) / math.sqrt(5.0)
-        angle = math.acos(min(1.0, abs(float(basis[0] @ target))))
-        assert angle < 1e-9
-
-    def test_standard_basis_leaves_e4(self):
-        basis = nn.perp_basis(np.eye(4)[:3])
-        assert basis.shape == (1, 4)
-        assert np.allclose(np.abs(basis[0]), [0, 0, 0, 1], atol=1e-12)
-
-    def test_full_span_leaves_nothing(self):
-        pts = np.vstack([np.eye(4)[:3], [1.0, 1.0, 1.0, 1.0]])
-        assert nn.perp_basis(pts).shape == (0, 4)
-
-    def test_degenerate_points_flagged(self):
-        pts = np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0], [3.0, 0, 0, 0]])
-        with pytest.raises(DegenerateInputError):
-            nn.perp_basis(pts)
-
-    def test_vector_outside_the_kernel_fails_the_recheck(self, monkeypatch):
-        monkeypatch.setattr(nn, "nullspace", lambda rows: np.array([[1.0, 0.0, 0.0, 0.0]]))
-        with pytest.raises(AssertionError):
-            nn.perp_basis(face_slice_points())
 
 
 # Unit roundoff of binary64, and Higham's gamma_n = n u / (1 - n u).
@@ -273,6 +244,10 @@ class TestNice3D:
         assert rep["projection_identity_residual"] <= 1e-12
         assert rep["multipliers"] == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)), rel=1e-15)
         assert rep["certificate_residual"] <= 1e-15
+        # bit for bit, signed zeros included, as the nice3d report prints them
+        a = 1.0 / math.sqrt(2.0)
+        expected = np.array([[a, a, -0.0], [a, -a, -0.0]])
+        assert np.array(rep["wedge_generators"]).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_certificate_is_exact_in_fractions(self, example):
@@ -295,7 +270,7 @@ class TestNice3D:
         # the certificate claims {y : <y, p1> >= 0, <y, p2> >= 0} equals
         # cone{h1, h2} + span{n}; test it on seeded random points
         _, p1, p2, h1, h2 = example()
-        nrm = nn.perp_basis(np.vstack([p1, p2]))[0]
+        nrm = np.cross(p1, p2)
         cone = np.vstack([h1, h2, nrm, -nrm])
         xs = np.random.default_rng(7).normal(size=(1200, 3))
         wedge = (xs @ p1 >= 0.0) & (xs @ p2 >= 0.0)
@@ -360,6 +335,45 @@ class TestNice3D:
         cone, p1, _, h1, h2 = nn.octant_example()
         with pytest.raises(DegenerateInputError):
             nn.nice3d_ingredients(cone, p1, 2.0 * p1, h1, h2)
+
+    def test_rejection_matches_the_svd_rank_test(self):
+        # seeded pairs [p1; p2] = U diag(s, s*ratio) V with ratio = s2/s1 a
+        # relative 1e-4 or 1e-2 either side of 1e-10, or log-uniform in
+        # [1e-11, 1e-9]: rejected exactly when s2 <= 1e-10 * s1 by an SVD
+        rng = np.random.default_rng(29)
+        cone, _, _, h1, h2 = nn.octant_example()
+        ratios = np.concatenate([1e-10 * (1.0 + np.repeat([-1e-2, -1e-4, 1e-4, 1e-2], 100)),
+                                 10.0 ** rng.uniform(-11.0, -9.0, 400)])
+        rejected = 0
+        for ratio in ratios:
+            s = 10.0 ** rng.uniform(-3.0, 3.0)
+            u = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+            v = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            p1, p2 = u @ np.diag([s, s * ratio]) @ v[:2]
+            sigma = np.linalg.svd(np.vstack([p1, p2]), compute_uv=False)
+            svd_rejects = bool(sigma[1] <= 1e-10 * sigma[0])
+            assert svd_rejects == (ratio <= 1e-10), ratio
+            if svd_rejects:
+                rejected += 1
+                with pytest.raises(DegenerateInputError):
+                    nn.nice3d_ingredients(cone, p1, p2, h1, h2)
+            else:
+                nn.nice3d_ingredients(cone, p1, p2, h1, h2)
+        assert 300 <= rejected <= 500
+
+    @pytest.mark.parametrize("vector", ["p1", "p2", "h1", "h2"])
+    @pytest.mark.parametrize("bad", [
+        np.array([1.0, 0.0]),
+        np.array([0.0, math.nan, 1.0]),
+        np.array([math.inf, 0.0, 1.0]),
+        np.ones(4),
+        np.eye(3),
+    ], ids=["2-vector", "nan", "inf", "4-vector", "matrix"])
+    def test_face_vectors_and_normals_must_be_finite_3_vectors(self, vector, bad):
+        cone, *vectors = nn.octant_example()
+        args = dict(zip(["p1", "p2", "h1", "h2"], vectors), **{vector: bad})
+        with pytest.raises(DomainError, match="shape"):
+            nn.nice3d_ingredients(cone, **args)
 
     @pytest.mark.parametrize("generators, error", [
         (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, math.nan], [0.0, 0.0, 1.0]]), DomainError),
