@@ -11,7 +11,6 @@ from .construction import (
     T_END,
     WITNESS_Q,
     WITNESS_U,
-    BodySamples,
     Cone,
     RulingData,
     curve_grid,
@@ -22,7 +21,6 @@ from .construction import (
     partner_cos,
     partner_param,
     ruling_data,
-    sample_body,
     sample_cone,
     scale_points,
     theta_for_partner,

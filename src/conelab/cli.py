@@ -26,7 +26,7 @@ def _parse_eps(text):
 # Run flags: dest -> (RunConfig field, flag, type, help). Each command takes
 # only the flags it reads; every default is the RunConfig field's.
 _RUN_FLAGS = {
-    "samples": ("samples_per_curve", "--samples", int, "curve samples per verification body"),
+    "samples": ("samples_per_curve", "--samples", int, "curve samples per divergence-sweep level"),
     "theta_grid": ("theta_grid_size", "--theta-grid", int, "ruling-parameter grid size"),
     "eps": ("eps_list", "--eps", _parse_eps,
             "comma-separated refinement levels, strictly decreasing"),
@@ -54,7 +54,7 @@ def build_parser():
     command("verify", "run the full pipeline, emit a JSON report", "verify_report.json",
             "samples", "theta_grid", "eps")
     command("faces", "emit the face atlas with exposure reports", "face_atlas.json",
-            "samples", "theta_grid")
+            "theta_grid")
     p_sweep = command("sweep", "divergence sweep as CSV", "sweep.csv", "samples", "eps")
     p_sweep.add_argument("--control", action="store_true",
                          help="run the polyhedral control cone instead")

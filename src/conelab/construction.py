@@ -17,14 +17,13 @@ samples of C with no body in between, scale_points gives the points
 Exactly, <lift_pairs(y, d), lift_points(x)> = 2(<y, x> - d), so a pair
 exposing a face of C lifts to one exposing the cone over it (reporting's
 homogenization section evaluates this within its forward-error bound), and
-(-1, 0, 0, 0) exposes the apex. Samples of C and of K travel as the
-NamedTuples BodySamples and Cone, each label array (curve ids, parameters)
-aligned with its rows. The theta-machinery pairs a parameter theta on curve
-1 (resp. 4) with a partner parameter on curve 3 (resp. 2); the segments
-between paired points rule the curved part of the boundary of C and carry
-closed-form exposing normals. It takes a scalar or a whole array of
-parameters, so the face catalogue gets all its rulings from one array
-evaluation per parameter set.
+(-1, 0, 0, 0) exposes the apex. Samples of K travel as the NamedTuple Cone,
+its label arrays (curve ids, parameters) aligned with its rows. The
+theta-machinery pairs a parameter theta on curve 1 (resp. 4) with a partner
+parameter on curve 3 (resp. 2); the segments between paired points rule the
+curved part of the boundary of C and carry closed-form exposing normals. It
+takes a scalar or a whole array of parameters, so the face catalogue gets
+all its rulings from one array evaluation per parameter set.
 """
 
 from __future__ import annotations
@@ -85,18 +84,15 @@ def arc_sin_cos(ts):
     return np.sin(ts), np.cos(ts)
 
 
-def _fill(columns, points):
-    for k, col in enumerate(columns):
-        points[..., k] = col
-    return points
-
-
 def curve_points(curve_id, ts):
     """Vectorized arc evaluation; ts may be a scalar or an array in [0, T]."""
     if curve_id not in _ARC_COLUMNS:
         raise DomainError(f"curve id {curve_id} not in {CURVE_IDS}")
     ts = np.asarray(ts, dtype=float)
-    return _fill(_ARC_COLUMNS[curve_id](*arc_sin_cos(ts)), np.empty(ts.shape + (3,)))
+    points = np.empty(ts.shape + (3,))
+    for k, col in enumerate(_ARC_COLUMNS[curve_id](*arc_sin_cos(ts))):
+        points[..., k] = col
+    return points
 
 
 def curve_point(curve_id, t):
@@ -229,15 +225,6 @@ def lift_pairs(normals, offsets):
     return np.column_stack([-(2.0 * offsets + normals @ SHIFT), normals])
 
 
-class BodySamples(NamedTuple):
-    """Samples of C stacked curve by curve: xyz[k] is the point of curve
-    ids[k] at parameter ts[k]."""
-
-    ids: np.ndarray
-    ts: np.ndarray
-    xyz: np.ndarray
-
-
 class Cone(NamedTuple):
     """Generators of the sampled cone K, one per row, with the (curve id,
     parameter) label of the sample of C that each one lifts."""
@@ -247,11 +234,13 @@ class Cone(NamedTuple):
     ts: np.ndarray
 
 
-def _sample(grids, width, write):
-    """Labels and (N, width) rows of the four arcs sampled on grids, a dict
-    curve_id -> non-decreasing parameters holding 0 and T (or one array for
-    every curve): arc_sin_cos runs once per distinct grid array, and write
-    puts each curve's coordinate columns straight into its rows."""
+def sample_cone(grids):
+    """The cone K over C' sampled on grids, a dict curve_id -> non-decreasing
+    parameters holding 0 and T (or one array for every curve), written
+    straight into one (N, 4) array with no body in between: arc_sin_cos runs
+    once per distinct grid array, and _lift writes each curve's columns into
+    its rows. At the sweep's 4 x 8,192 samples this is about four times
+    faster than sampling the body and lifting it."""
     if not isinstance(grids, dict):
         grids = dict.fromkeys(CURVE_IDS, np.asarray(grids, dtype=float))
     for i in CURVE_IDS:
@@ -260,30 +249,17 @@ def _sample(grids, width, write):
         g = grids[i]
         if abs(g[0]) > 1e-15 or abs(g[-1] - T_END) > 1e-12:
             raise DomainError("grids must include both endpoints 0 and T")
-        # the exposure kernel needs sorted runs; NaN fails the comparison too
+        # each curve's samples are one run sorted by parameter; NaN fails too
         if not (g[1:] >= g[:-1]).all():
             raise DomainError(f"grid of curve {i} must be non-decreasing")
     trig, sizes = {}, [grids[i].size for i in CURVE_IDS]
-    rows = np.empty((sum(sizes), width))
-    for i, block in zip(CURVE_IDS, np.split(rows, np.cumsum(sizes)[:-1])):
+    generators = np.empty((sum(sizes), 4))
+    for i, block in zip(CURVE_IDS, np.split(generators, np.cumsum(sizes)[:-1])):
         if id(grids[i]) not in trig:
             trig[id(grids[i])] = arc_sin_cos(grids[i])
-        write(_ARC_COLUMNS[i](*trig[id(grids[i])]), block)
+        _lift(_ARC_COLUMNS[i](*trig[id(grids[i])]), block)
     ts = np.concatenate([np.asarray(grids[i], dtype=float) for i in CURVE_IDS])
-    return np.repeat(CURVE_IDS, sizes), ts, rows
-
-
-def sample_body(grids):
-    """Sample the four arcs of C on the given per-curve grids (see _sample)."""
-    return BodySamples(*_sample(grids, 3, _fill))
-
-
-def sample_cone(grids):
-    """The cone K over C' sampled on grids (see _sample), written straight
-    into one (N, 4) array with no body in between: at the sweep's 4 x 8,192
-    samples about four times faster than sampling the body and lifting it."""
-    ids, ts, generators = _sample(grids, 4, _lift)
-    return Cone(generators, ids, ts)
+    return Cone(generators, np.repeat(CURVE_IDS, sizes), ts)
 
 
 # The fixed 4D witness: WITNESS_Q is in the closure of (polar cone + F_perp)

@@ -16,17 +16,19 @@ singletons and the rulings take theirs from two array evaluations of the
 ruling machinery, the fixed faces (origin, endpoint chords, endpoint
 triangles and planar sides) from one table. The generator points of every
 face, labelled (curve, t), are computed once per catalogue, in one
-curve_points call per curve: the atlas lists them, the exposure kernel
-takes its residual at them and reporting's homogenization section
-evaluates the lift identity at them. One exposure kernel,
-verify_catalogue, checks each pair on samples of C and returns its
-verdicts as arrays (Exposure), one row per face. The
-faces of the cone K over C' need no second check: lift_pairs(y, d) takes
-the value 2(<y, x> - d) on the generator lift_points(x), so it exposes the
-cone over the face that (y, d) exposes (reporting.homogenization_section).
-The samples of each curve are sorted by parameter, so the samples on a face
-and those at distance >= delta from it are index ranges of each curve,
-found once; the kernel reduces each pair's values over those ranges.
+curve_points call per curve: the atlas lists them, verify_catalogue takes
+the on-face residual at them and reporting's homogenization section
+evaluates the lift identity at them.
+
+verify_catalogue checks each pair over the whole arcs of C, with no
+samples, and returns its verdicts as arrays (Exposure), one row per face.
+On curve i, <y, x(t)> = A_i sin t + B_i (cos t - 1), and the points at
+parameter distance >= delta from a face are at most two intervals of each
+curve, so every margin is the maximum of a sinusoid over a few intervals,
+reached at an end or at t* = atan2(A_i, B_i). The faces of the cone K over
+C' need no second check: lift_pairs(y, d) takes the value 2(<y, x> - d) on
+the generator lift_points(x), so it exposes the cone over the face that
+(y, d) exposes (reporting.homogenization_section).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .construction import (
+    _ARC_COLUMNS,
     CURVE_IDS,
     T_END,
     check_param,
@@ -44,7 +47,7 @@ from .construction import (
     ruling_data,
     theta_for_partner,
 )
-from .linalg import EQ_ABS, DegenerateInputError, DomainError
+from .linalg import EQ_ABS, DegenerateInputError, DomainError, gamma
 
 # How every exposing pair is obtained; the face atlas records it per face.
 CLOSED_FORM = "closed-form"
@@ -52,14 +55,8 @@ CLOSED_FORM = "closed-form"
 # Parameter-distance radii at which off-face margins are reported.
 MARGIN_DELTAS = (0.01, 0.05, 0.1)
 
-# Samples at parameter distance at most this from a face lie on it.
-ONFACE_DIST = 1e-9
-
-# (face, sample) values per block of the exposure kernel, written into one
-# 256 KB float64 buffer reused by every block, so the kernel's memory stays
-# flat as the catalogue and the samples grow (the whole faces x samples
-# matrix at 2048/256 would be ~120 MB).
-BLOCK_ELEMENTS = 1 << 15
+# Roundings in the error bound of a closed-form margin (verify_catalogue).
+MARGIN_ROUNDINGS = 10
 
 _A = 1.0 / math.sqrt(2.0)
 
@@ -118,13 +115,13 @@ class Catalogue(NamedTuple):
 
 
 class Exposure(NamedTuple):
-    """Verdicts of verify_catalogue, one row per face: samples on the face,
-    largest on-face residual, margin at each radius (one column per delta)
-    and whether the face passes."""
+    """Verdicts of verify_catalogue, one row per face: largest on-face
+    residual, margin at each radius (one column per delta), the rounding
+    bound a margin must exceed, and whether the face passes."""
 
-    onface_counts: np.ndarray
     residuals: np.ndarray
     margins: np.ndarray
+    bounds: np.ndarray
     passed: np.ndarray
 
 
@@ -235,8 +232,8 @@ def _anchor_residuals(catalogue):
 def _distance_table(catalogue):
     """Per face and curve: the anchor parameter (inf where the face has none)
     and the reach through the common endpoint (the smallest anchor parameter;
-    0 for a planar side, -inf on the curves wholly contained in the face). A
-    sample of curve c at t lies at parameter distance min(|t - anchor|,
+    0 for a planar side, -inf on the curves wholly contained in the face). The
+    point of curve c at t lies at parameter distance min(|t - anchor|,
     t + reach) from the face, where -inf means on it. The anchors of a face
     are its generators, unless it holds whole curves."""
     n, full = len(catalogue.sizes), catalogue.full
@@ -253,125 +250,79 @@ def _distance_table(catalogue):
     return anchor_t, np.minimum(reach, anchor_t.min(axis=1, keepdims=True))
 
 
-def _curve_runs(ids, ts):
-    """(start, stop, curve index) of each run of equal curve ids; one run
-    per curve for samples stacked curve by curve. The parameters must not
-    decrease along a run."""
-    ids = np.asarray(ids)
-    if not (ids[:, None] == CURVE_IDS).any(axis=1).all():
-        raise DomainError(f"sample curve ids must lie in {CURVE_IDS}")
-    same = ids[1:] == ids[:-1]
-    # a NaN fails the comparison, or is caught alone in its run by isnan
-    if not (ts[1:] >= ts[:-1])[same].all() or np.isnan(ts).any():
-        raise DomainError("sample parameters must be non-decreasing along each curve run")
-    cuts = np.flatnonzero(~same) + 1
-    starts, stops = np.append(0, cuts), np.append(cuts, len(ids))
-    return [(a, b, int(ids[a]) - 1) for a, b in zip(starts, stops)]
+def _arc_coefficients(normals):
+    """(A, B), each (faces, 4): on curve i, <y, x(t)> = A sin t + B (cos t - 1)
+    with A = <y, col_i(1, 1)> and B = <y, col_i(0, 2)>, the arc's columns
+    (construction._ARC_COLUMNS) at sin t = 1, cos t - 1 = 0 and at sin t = 0,
+    cos t - 1 = 1. Each column holds one entry +-1, so A and B are exact."""
+    a, b = (np.array([_ARC_COLUMNS[i](*sc) for i in CURVE_IDS]).T
+            for sc in ((1.0, 1.0), (0.0, 2.0)))
+    return normals @ a, normals @ b
 
 
-def _sample_ranges(catalogue, ids, ts, deltas):
-    """Index ranges of the samples on each face (parameter distance at most
-    ONFACE_DIST) and, per delta, of those at distance >= delta: shape
-    (1 + len(deltas), faces, 4 * runs), two disjoint ranges (start, stop)
-    per curve run, empty where stop <= start.
+def _arc_value(a, b, t):
+    """a sin t - 2b sin^2(t/2), which is a sin t + b (cos t - 1) without the
+    cancellation of cos t - 1; t is moved into [0, T] first, so the infinite
+    ends of empty intervals take no sine."""
+    t = np.clip(t, 0.0, T_END)
+    half = np.sin(t / 2.0)
+    return a * np.sin(t) - 2.0 * b * half * half
 
-    Along a sorted run fl(t + reach) and fl(t - anchor) do not decrease, so
-    each range end is the first sample at which one of them reaches a bound
-    (x > b is x >= nextafter(b, inf) for floats). np.searchsorted finds it
-    up to the rounding of bound - shift; stepping while the kernel's own
-    predicate disagrees at the neighbouring sample makes it exact.
+
+def _arc_max(a, b, lo, hi):
+    """Largest _arc_value over t in [lo, hi] within [0, T], -inf where
+    lo > hi; the arguments broadcast. On the line the value is
+    R cos(t - t*) - b with t* = atan2(a, b), so over an interval it peaks at
+    an end or at t*."""
+    peak = _arc_value(a, b, np.clip(np.arctan2(a, b), lo, hi))
+    top = np.maximum(np.maximum(_arc_value(a, b, lo), _arc_value(a, b, hi)), peak)
+    return np.where(lo <= hi, top, -math.inf)
+
+
+def _far_intervals(anchor, reach, delta):
+    """(lo, hi), each (2, faces, 4): the points of each curve at parameter
+    distance >= delta from each face (see _distance_table), which are
+    [max(0, delta - reach), T] less the band (anchor - delta, anchor + delta),
+    as the part below the band and the part above it; empty where lo > hi."""
+    lo = np.maximum(delta - reach, 0.0)
+    return (np.stack([lo, np.maximum(lo, anchor + delta)]),
+            np.stack([np.minimum(anchor - delta, T_END), np.full_like(lo, T_END)]))
+
+
+def verify_catalogue(catalogue, deltas=MARGIN_DELTAS):
+    """Exposure of every face of a catalogue over the whole arcs of C, in
+    closed form (see _arc_max); every linear functional attains its maximum
+    over C on the arcs.
+
+    The margin at radius delta is the smallest slack d - <y, x> over the
+    points at parameter distance >= delta from the face (_far_intervals).
+    The on-face residual is the largest |<y, x> - d| at
+    the face's generators and their centroid and, on the curves the face
+    holds whole, over those curves.
+
+    A face passes when its residual is at most EQ_ABS and its margin at
+    every radius exceeds gamma(MARGIN_ROUNDINGS) * (|d| + max over curves of
+    |A| + 2|B|), a bound on the rounding error of the computed margin
+    (Higham, section 3.1): A and B are exact, the longest path
+    d - (a sin t - 2b sin(t/2) sin(t/2)) has four roundings, each of its two
+    libm sine factors counts one ulp (2u), and two roundings to spare cover
+    evaluating the bound itself; 4 + 2*2 + 2 = 10.
     """
-    anchor_t, reach = _distance_table(catalogue)
-    runs = _curve_runs(ids, ts)
-    n = len(anchor_t)
-    # distance <= ONFACE_DIST is the complement of distance >= its successor
-    radii = [math.nextafter(ONFACE_DIST, math.inf), *deltas]
-    # per radius: where t + reach reaches it, where t - anchor exceeds -radius
-    # (enters the band around the anchor) and where it reaches the radius
-    bounds = np.array([b for r in radii for b in (r, math.nextafter(-r, math.inf), r)])
-    on_reach = np.arange(len(bounds)) % 3 == 0
-    ends = np.empty((len(radii), n, len(runs), 4), dtype=np.int32)
-    for r, (lo, hi, c) in enumerate(runs):
-        shift = np.where(on_reach, reach[:, c, None], -anchor_t[:, c, None])
-        k = lo + np.searchsorted(ts[lo:hi], bounds - shift)
-        while True:
-            down = (k > lo) & (ts[np.maximum(k - 1, lo)] + shift >= bounds)
-            short = (k < hi) & ~(ts[np.minimum(k, hi - 1)] + shift >= bounds)
-            if not (down.any() or short.any()):
-                break
-            k += short.astype(int) - down
-        near, enter, leave = k.reshape(n, len(radii), 3).transpose(2, 1, 0)
-        cols = ends[:, :, r].transpose(2, 0, 1)  # (start, stop, start, stop) x radius x face
-        # at distance >= radius: past the near prefix and outside the band
-        cols[0], cols[1], cols[2], cols[3] = near, enter, np.maximum(near, leave), hi
-        # on the face, the complement: the near prefix and the band
-        on = cols[:, 0]
-        on[0], on[1], on[2], on[3] = lo, near[0], np.maximum(near[0], enter[0]), leave[0]
-    return ends.reshape(len(radii), n, 4 * len(runs))
-
-
-def _reduce_ranges(ufunc, values, ends, empty):
-    """ufunc.reduce over values[start:stop] for each range of ends (start,
-    stop, start, ... along the last axis), `empty` for an empty range. Every
-    end must be below len(values)."""
-    out = ufunc.reduceat(values, ends.reshape(-1))[::2].reshape(*ends.shape[:-1], -1)
-    out[ends[..., 1::2] <= ends[..., ::2]] = empty
-    return out
-
-
-def _scan(catalogue, body, deltas):
-    """Per face: the on-face sample count, the largest on-face |slack| and
-    the smallest slack at distance >= each delta, both inf where no sample
-    is in the range. The slack of face j's pair at a point x is
-    offsets[j] - <normals[j], x>.
-
-    The faces are walked in blocks of about BLOCK_ELEMENTS (face, sample)
-    values, written into one buffer. The slack is monotone in the value v,
-    so its extremes over a range are those of the values: the smallest
-    slack is d - max v, the largest |slack| the larger of |d - max v| and
-    |d - min v|.
-    """
-    ids, ts, points = body
-    normals, offsets = catalogue.normals, catalogue.offsets
-    faces = len(normals)
-    ends = _sample_ranges(catalogue, ids, ts, deltas)
-    counts = np.maximum(ends[0, :, 1::2] - ends[0, :, ::2], 0).sum(axis=1)
-    n = len(ts)
-    step = max(1, BLOCK_ELEMENTS // n)
-    buf = np.zeros(min(step, faces) * n + 1)  # the last entry keeps every end valid
-    residuals = np.empty(faces)
-    margins = np.empty((faces, len(deltas)))
-    for start in range(0, faces, step):
-        rows = slice(start, min(start + step, faces))
-        size = rows.stop - rows.start
-        block = ends[:, rows] + n * np.arange(size)[:, None]
-        values = buf[:size * n + 1]
-        # one matrix-vector product per face, the bits of points @ y
-        np.matmul(points, normals[rows, :, None], out=values[:-1].reshape(size, n, 1))
-        top = _reduce_ranges(np.maximum, values, block, -math.inf).max(axis=2)
-        low = _reduce_ranges(np.minimum, values, block[0], math.inf).min(axis=1)
-        d = offsets[rows]
-        margins[rows] = d[:, None] - top[1:].T
-        residuals[rows] = np.maximum(np.abs(d - top[0]), np.abs(d - low))
-    return counts, residuals, margins
-
-
-def verify_catalogue(catalogue, body, deltas=MARGIN_DELTAS):
-    """Exposure of every face of a catalogue, checked on the samples of C:
-    a face passes when its on-face residual is at most EQ_ABS and its
-    margin (the smallest slack d - <y, x> over the samples at parameter
-    distance >= delta) is positive at every radius delta.
-
-    The samples of each curve run must be sorted by parameter, and the
-    catalogue is walked in blocks of faces (see BLOCK_ELEMENTS), so the
-    memory held stays flat as catalogue and samples grow.
-    """
-    if min(deltas) <= ONFACE_DIST:
-        raise DomainError(f"margin radii must exceed the on-face distance {ONFACE_DIST}")
-    if not catalogue.normals.any(axis=1).all():
+    if min(deltas) <= 0.0:
+        raise DomainError("margin radii must be positive")
+    normals, d = catalogue.normals, catalogue.offsets[:, None]
+    if not normals.any(axis=1).all():
         raise DegenerateInputError("exposing normal must be nonzero")
-    anchor_res = _anchor_residuals(catalogue)
-    counts, res, margins = _scan(catalogue, body, deltas)
-    residuals = np.maximum(anchor_res, np.where(counts > 0, res, 0.0))
-    return Exposure(counts, residuals, margins,
-                    (residuals <= EQ_ABS) & (margins > 0.0).all(axis=1))
+    a, b = _arc_coefficients(normals)
+    anchor, reach = _distance_table(catalogue)
+    margins = np.empty((len(d), len(deltas)))
+    for k, delta in enumerate(deltas):
+        far = _arc_max(a, b, *_far_intervals(anchor, reach, delta))
+        margins[:, k] = d[:, 0] - far.max(axis=(0, 2))
+    top, low = _arc_max(a, b, 0.0, T_END), -_arc_max(-a, -b, 0.0, T_END)
+    whole = np.where(catalogue.full, np.maximum(top - d, d - low), 0.0).max(axis=1)
+    residuals = np.maximum(_anchor_residuals(catalogue), whole)
+    scale = np.abs(d[:, 0]) + (np.abs(a) + 2.0 * np.abs(b)).max(axis=1)
+    bounds = gamma(MARGIN_ROUNDINGS) * scale
+    return Exposure(residuals, margins, bounds,
+                    (residuals <= EQ_ABS) & (margins > bounds[:, None]).all(axis=1))

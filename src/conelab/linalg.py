@@ -13,8 +13,9 @@ import math
 import numpy as np
 
 # Bound on residuals that count as "equals zero", read directly by the
-# exposure kernel, shift_profile and nice3d_ingredients; no option sets it.
-# It is not derived from a forward-error bound yet.
+# on-face residual of faces.verify_catalogue, shift_profile and
+# nice3d_ingredients; no option sets it. It is not derived from a
+# forward-error bound yet (the margins of verify_catalogue are: see there).
 EQ_ABS = 1e-9
 
 

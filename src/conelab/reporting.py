@@ -67,30 +67,6 @@ def write_json(path, obj):
         fh.write(render_json(obj))
 
 
-# --------------------------------------------------------------------------
-# shared construction of grids and bodies
-
-def _merge(*grids):
-    """Sorted union of parameter grids, each value once: a sort and an
-    adjacent-inequality mask, which keeps the masked-array module that
-    numpy's set routines import off the command path."""
-    g = np.sort(np.concatenate(grids))
-    return g[np.concatenate([[True], g[1:] != g[:-1]])]
-
-
-def _grids(config):
-    """The face catalogue over the config's theta grid, and the per-curve
-    sample grids holding every face anchor."""
-    thetas = con.theta_grid(config.theta_grid_size)
-    catalogue = fc.build_catalogue(thetas)
-    base = con.curve_grid(config.samples_per_curve)
-    g_outer = _merge(base, thetas)
-    # the rulings' partners, which only the F11 and F12 rows have
-    g_inner = _merge(base, catalogue.partners[~np.isnan(catalogue.partners)], thetas)
-    # curves 1/4 carry the ruling parameter, curves 2/3 its partner
-    return catalogue, {1: g_outer, 2: g_inner, 3: g_inner, 4: g_outer}
-
-
 def report_header(config):
     return {
         "schema": SCHEMA_VERSION,
@@ -103,14 +79,14 @@ def report_header(config):
 # verify sections
 
 def _exposure(config):
-    """The catalogue over the config's theta grid, and one pass of the
-    exposure kernel over it on a body sampled on the config's grids."""
-    catalogue, grids = _grids(config)
-    return catalogue, fc.verify_catalogue(catalogue, con.sample_body(grids))
+    """The catalogue over the config's theta grid, and its exposure verdicts
+    over the whole arcs."""
+    catalogue = fc.build_catalogue(con.theta_grid(config.theta_grid_size))
+    return catalogue, fc.verify_catalogue(catalogue)
 
 
 def face_section(catalogue, exposure):
-    """Reduced from the kernel's arrays; only failing faces get a label."""
+    """Reduced from verify_catalogue's arrays; only failing faces get a label."""
     failures = [fc.face_label(catalogue, j) for j in np.flatnonzero(~exposure.passed).tolist()]
     return {
         "kind_counts": dict(Counter(catalogue.kinds)),
@@ -217,16 +193,15 @@ def run_faces(config):
             "report": {
                 "max_onface_residual": residual,
                 "margins": dict(zip(fc.MARGIN_DELTAS, margins)),
-                "onface_count": count,
                 "verdict": "pass" if ok else "fail",
             },
         }
-        for kind, param, partner, size, stop, full, normal, offset, residual, margins, count, ok
+        for kind, param, partner, size, stop, full, normal, offset, residual, margins, ok
         in zip(catalogue.kinds, catalogue.params.tolist(), catalogue.partners.tolist(),
                catalogue.sizes.tolist(), ends, catalogue.full.tolist(),
                catalogue.normals.tolist(), catalogue.offsets.tolist(),
                exposure.residuals.tolist(), exposure.margins.tolist(),
-               exposure.onface_counts.tolist(), exposure.passed.tolist())
+               exposure.passed.tolist())
     ]
     atlas["kind_counts"] = summary["kind_counts"]
     atlas["failed_reports"] = len(summary["failures"])

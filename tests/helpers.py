@@ -16,10 +16,13 @@ from conelab.construction import (
     T_END,
     Cone,
     RulingData,
+    curve_grid,
     curve_point,
     curve_points,
     lift_points,
     ruling_data,
+    sample_cone,
+    theta_grid,
 )
 from conelab.faces import MARGIN_DELTAS
 from conelab.linalg import EQ_ABS, DegenerateInputError, DomainError
@@ -54,8 +57,8 @@ class ExposureReport(NamedTuple):
     face_label: str
     max_onface_residual: float
     margins: dict            # delta -> smallest measured margin at that radius
-    onface_count: int
     verdict: str             # "pass" | "fail"
+    onface_count: int | None = None  # samples on the face (sampled references)
 
     @property
     def passed(self):
@@ -207,17 +210,58 @@ def face_rows(catalogue):
     return rows
 
 
-def exposure_reports(catalogue, body, deltas=MARGIN_DELTAS):
+def exposure_reports(catalogue, deltas=MARGIN_DELTAS):
     """The verdicts of faces.verify_catalogue as one ExposureReport per face,
     the form of the per-face reference."""
-    exposure = fc.verify_catalogue(catalogue, body, deltas=deltas)
+    exposure = fc.verify_catalogue(catalogue, deltas=deltas)
     return [
-        ExposureReport(fc.face_label(catalogue, j), residual, dict(zip(deltas, margins)), count,
+        ExposureReport(fc.face_label(catalogue, j), residual, dict(zip(deltas, margins)),
                        "pass" if ok else "fail")
-        for j, (residual, margins, count, ok) in enumerate(zip(
-            exposure.residuals.tolist(), exposure.margins.tolist(),
-            exposure.onface_counts.tolist(), exposure.passed.tolist()))
+        for j, (residual, margins, ok) in enumerate(zip(
+            exposure.residuals.tolist(), exposure.margins.tolist(), exposure.passed.tolist()))
     ]
+
+
+# Sampled bodies: the per-face references scan the samples of C on grids that
+# hold every face anchor, as the library sampled its body for the exposure
+# check before that check became closed-form over whole arcs.
+
+class BodySamples(NamedTuple):
+    """Samples of C stacked curve by curve: xyz[k] is the point of curve
+    ids[k] at parameter ts[k]."""
+
+    ids: np.ndarray
+    ts: np.ndarray
+    xyz: np.ndarray
+
+
+def sample_body(grids):
+    """The samples of C on per-curve grids, a dict curve_id -> parameters or
+    one array for every curve: construction.sample_cone checks the grids and
+    labels the samples, and each curve's points come from one curve_points
+    call."""
+    cone = sample_cone(grids)
+    xyz = np.vstack([curve_points(i, cone.ts[cone.ids == i]) for i in CURVE_IDS])
+    return BodySamples(cone.ids, cone.ts, xyz)
+
+
+def merge_grids(*grids):
+    """Sorted union of parameter grids, each value once."""
+    g = np.sort(np.concatenate(grids))
+    return g[np.concatenate([[True], g[1:] != g[:-1]])]
+
+
+def verification_grids(config):
+    """The face catalogue over the config's theta grid, and per-curve sample
+    grids holding every face anchor: the config's curve grid with the theta
+    grid on curves 1/4, and with the thetas and the rulings' partners on
+    curves 2/3 (curves 1/4 carry the ruling parameter, 2/3 its partner)."""
+    thetas = theta_grid(config.theta_grid_size)
+    catalogue = fc.build_catalogue(thetas)
+    base = curve_grid(config.samples_per_curve)
+    outer = merge_grids(base, thetas)
+    inner = merge_grids(base, catalogue.partners[~np.isnan(catalogue.partners)], thetas)
+    return catalogue, {1: outer, 2: inner, 3: inner, 4: outer}
 
 
 def identity_suite(t, theta):
@@ -458,12 +502,14 @@ def reference_sample_cone(grids):
 
 
 # Reference exposure checks: one face and one full pass over the samples at
-# a time, as the library ran them before its blocked kernel
-# (faces.verify_catalogue), whose body reports must equal them exactly. The
-# lifted check runs on the generators of the cone over C' and the per-face
-# cone functionals, as the library built them before construction.lift_points
-# and lift_pairs: an independent per-face computation on the cone, which
-# the tests hold to the lift identity against the kernel's body margins.
+# a time, as the library ran them before its exposure check
+# (faces.verify_catalogue) became closed-form over whole arcs; its verdicts
+# must equal theirs, and its margins, taken over every point of the arcs,
+# must not exceed theirs beyond its rounding bound. The lifted check runs on
+# the generators of the cone over C' and the per-face cone functionals, as
+# the library built them before construction.lift_points and lift_pairs: an
+# independent per-face computation on the cone, which the tests hold to the
+# lift identity against the sampled body margins.
 
 def reference_cone(body):
     """Generators of the cone over C', one per row: the samples p of C

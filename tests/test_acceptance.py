@@ -25,6 +25,7 @@ from helpers import (
     identity_suite,
     positivity_window,
     reference_verify_cone_exposure,
+    verification_grids,
 )
 
 T = con.T_END
@@ -41,11 +42,10 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def default_setup():
-    """Catalogue and body at the acceptance scale (512/64)."""
+    """Catalogue and sample grids at the acceptance scale (512/64)."""
     config = reporting.RunConfig()  # 512 samples per curve, 64 ruling values
-    catalogue, grids = reporting._grids(config)
-    body = con.sample_body(grids)
-    return {"config": config, "grids": grids, "body": body, "catalogue": catalogue}
+    catalogue, grids = verification_grids(config)
+    return {"config": config, "grids": grids, "catalogue": catalogue}
 
 
 def test_criterion_1_construction_fidelity():
@@ -82,7 +82,7 @@ def test_criterion_2_identity_suite():
 
 def test_criterion_3_face_exposure(default_setup):
     catalogue = default_setup["catalogue"]
-    reports = exposure_reports(catalogue, default_setup["body"], deltas=DELTAS)
+    reports = exposure_reports(catalogue, deltas=DELTAS)
     failures = []
     for rep in reports:
         checks = rep.max_onface_residual <= 1e-9 and all(

@@ -21,6 +21,7 @@ from conelab.linalg import DomainError
 from helpers import reference_conic_membership
 
 FAST = ["--samples", "96", "--theta-grid", "12"]
+FACES_FAST = FAST[2:]  # faces reads no --samples
 
 
 def refuse_work(monkeypatch):
@@ -77,7 +78,7 @@ class TestVerifyCommand:
 class TestFacesCommand:
     def test_atlas_contents(self, tmp_path):
         out = tmp_path / "atlas.json"
-        assert main(["faces", *FAST, "--out", str(out)]) == 0
+        assert main(["faces", *FACES_FAST, "--out", str(out)]) == 0
         atlas = json.loads(out.read_text())
         assert atlas["schema"] == 1
         assert atlas["failed_reports"] == 0
@@ -176,6 +177,8 @@ class TestCommandFlags:
         ["nice3d", "--samples", "3"],
         ["nice3d", "--theta-grid", "3"],
         ["nice3d", "--eps", "0.1"],
+        # the exposure check runs over whole arcs, so faces samples nothing
+        ["faces", "--samples", "8"],
     ])
     def test_flags_the_command_does_not_read_are_rejected(self, argv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -200,7 +203,7 @@ class TestImportPath:
             out = sys.argv[1]
             runs = [
                 ["verify", *sys.argv[2:], "--out", out + "/v.json"],
-                ["faces", *sys.argv[2:], "--out", out + "/f.json"],
+                ["faces", *sys.argv[4:], "--out", out + "/f.json"],  # FAST less --samples
                 ["sweep", "--samples", "64", "--out", out + "/s.csv"],
                 ["mesh", "--samples", "24", "--out", out + "/m.obj"],
                 ["nice3d", "--out", out + "/n.json"],
@@ -290,7 +293,7 @@ class TestRunConfig:
                 RunConfig(eps_list=eps_list)
 
     @pytest.mark.parametrize("argv", [
-        ["faces", "--samples", "4"],
+        ["faces", "--theta-grid", "4"],
         ["sweep", "--samples", "4"],
         ["verify", "--theta-grid", "1"],
         ["sweep", "--control", "--eps", "5,4,3"],
@@ -320,7 +323,7 @@ class TestRunConfig:
         assert atlas["failed_reports"] == len(section["failures"])
 
     def test_verify_builds_grids_and_catalogue_once(self, monkeypatch):
-        calls = {"grids": 0, "catalogue": 0, "points": 0, "kernel": 0, "body": 0, "partners": 0}
+        calls = {"grids": 0, "catalogue": 0, "points": 0, "kernel": 0, "partners": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -328,22 +331,19 @@ class TestRunConfig:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(reporting, "_grids", counted("grids", reporting._grids))
+        monkeypatch.setattr(construction, "theta_grid", counted("grids", construction.theta_grid))
         monkeypatch.setattr(faces, "build_catalogue", counted("catalogue", faces.build_catalogue))
         monkeypatch.setattr(faces, "verify_catalogue", counted("kernel", faces.verify_catalogue))
         monkeypatch.setattr(faces, "generator_points", counted("points", faces.generator_points))
-        # reporting's bodies; niceness binds its own sample_body for the sweep
-        monkeypatch.setattr(construction, "sample_body", counted("body", construction.sample_body))
         monkeypatch.setattr(construction, "partner_cos",
                             counted("partners", construction.partner_cos))
         run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
-        # one kernel call checks every face on the body; the faces of the
-        # cone over it follow by the lift identity, with no second scan, at
-        # the generator points the catalogue computed once. The partners are
-        # the catalogue's: its two ruling_data calls are the only partner_cos
-        # calls, and the grids read the partners from its rows.
-        assert calls == {"grids": 1, "catalogue": 1, "points": 1, "kernel": 1, "body": 1,
-                         "partners": 2}
+        # one theta grid and one kernel call, over whole arcs with no body
+        # sampled, check every face; the faces of the cone over C follow by
+        # the lift identity, with no second scan, at the generator points the
+        # catalogue computed once. The catalogue's two ruling_data calls are
+        # the only partner_cos calls.
+        assert calls == {"grids": 1, "catalogue": 1, "points": 1, "kernel": 1, "partners": 2}
 
     def test_faces_builds_no_cone_and_no_lifted_pairs(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -356,9 +356,9 @@ class TestRunConfig:
         kernel_calls, point_calls = [], []
         real_kernel, real_points = faces.verify_catalogue, faces.generator_points
 
-        def kernel(catalogue, body, **kwargs):
+        def kernel(catalogue, **kwargs):
             kernel_calls.append(len(catalogue.kinds))
-            return real_kernel(catalogue, body, **kwargs)
+            return real_kernel(catalogue, **kwargs)
 
         def points(ids, ts):
             point_calls.append(len(ts))
@@ -375,5 +375,5 @@ class TestRunConfig:
     def test_faces_output_path_leaves_the_report_unchanged(self, tmp_path):
         a, b = tmp_path / "x.json", tmp_path / "y.json"
         for out in (a, b):
-            assert main(["faces", "--samples", "8", "--theta-grid", "8", "--out", str(out)]) == 0
+            assert main(["faces", "--theta-grid", "8", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()

@@ -8,7 +8,7 @@ from conelab import faces as fc
 from conelab import niceness as nn
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
-from helpers import reference_sample_cone
+from helpers import reference_sample_cone, sample_body, verification_grids
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 T = con.T_END
@@ -54,7 +54,7 @@ class TestCurves:
         lambda v: con.partner_cos(v),
         lambda v: con.theta_for_partner(v),
         lambda v: con.ruling_data(v),
-        lambda v: con.sample_body(np.array([0.0, v, T])),
+        lambda v: sample_body(np.array([0.0, v, T])),
         lambda v: con.sample_cone(np.array([0.0, v, T])),
         lambda v: fc.build_catalogue([0.1, v]),
     ], ids=["curve_point", "curve_points", "partner_cos", "theta_for_partner",
@@ -100,8 +100,8 @@ class TestPartnerMachinery:
         thetas = con.theta_grid(n)
         assert max(con.partner_param(th) for th in thetas) == T
         assert con.ruling_data(T).t == T
-        _, grids = reporting._grids(reporting.RunConfig(samples_per_curve=64,
-                                                        theta_grid_size=n))
+        _, grids = verification_grids(reporting.RunConfig(samples_per_curve=64,
+                                                          theta_grid_size=n))
         for g in grids.values():
             assert g.max() == T and np.count_nonzero(g == T) == 1
 
@@ -154,7 +154,7 @@ class TestRulingData:
 
 class TestBodiesAndCone:
     def test_scaled_samples_are_exact_affine_images(self):
-        raw = con.sample_body(con.curve_grid(33))
+        raw = sample_body(con.curve_grid(33))
         scaled = np.vstack([2.0 * con.curve_points(i, raw.ts[raw.ids == i]) + con.SHIFT
                             for i in con.CURVE_IDS])
         assert np.array_equal(con.scale_points(raw.xyz), scaled)
@@ -168,40 +168,39 @@ class TestBodiesAndCone:
         # within the endpoint test's 1e-12 of T, but past the 1e-15 that the
         # curve parameters may exceed T by; on one curve or on all of them
         past = np.linspace(0.0, T + 5e-13, 16)
-        for sample in (con.sample_body, con.sample_cone):
-            with pytest.raises(DomainError):
-                sample(np.linspace(0.1, T, 16))
-            with pytest.raises(DomainError):
-                sample(np.linspace(0.0, T / 2, 16))
-            for grids in (past, {1: con.curve_grid(16), 2: past, 3: past,
-                                 4: con.curve_grid(16)}):
-                with pytest.raises(DomainError, match="must be finite and lie in"):
-                    sample(grids)
+        with pytest.raises(DomainError):
+            con.sample_cone(np.linspace(0.1, T, 16))
+        with pytest.raises(DomainError):
+            con.sample_cone(np.linspace(0.0, T / 2, 16))
+        for grids in (past, {1: con.curve_grid(16), 2: past, 3: past, 4: con.curve_grid(16)}):
+            with pytest.raises(DomainError, match="must be finite and lie in"):
+                con.sample_cone(grids)
 
     def test_grids_must_be_non_decreasing(self):
-        # the exposure kernel reads each curve's samples as one sorted run
+        # each curve's samples are one run sorted by parameter
         g = con.curve_grid(9)
         for bad in (g[[0, 2, 1, *range(3, 9)]], np.where(np.arange(9) == 4, np.nan, g)):
             with pytest.raises(DomainError):
-                con.sample_body({1: g, 2: g, 3: bad, 4: g})
+                con.sample_cone({1: g, 2: g, 3: bad, 4: g})
         repeated = np.array([0.0, 0.3, 0.3, T])
-        assert len(con.sample_body(repeated).ts) == 16
+        assert len(con.sample_cone(repeated).ts) == 16
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DegenerateInputError):
-            con.sample_body(np.array([]))
+            con.sample_cone(np.array([]))
 
     def test_label_arrays_match_the_stacked_points(self):
         outer = con.curve_grid(33)
         inner = np.unique(np.concatenate([outer, [0.1, 0.2, 0.3]]))
         grids = {1: outer, 2: inner, 3: inner, 4: outer}
-        body = con.sample_body(grids)
-        assert len(body.ids) == len(body.ts) == len(body.xyz) == sum(g.size for g in grids.values())
-        for i, t, x in zip(body.ids, body.ts, body.xyz):
-            assert np.array_equal(x, con.curve_point(i, t))
+        cone = con.sample_cone(grids)
+        assert len(cone.ids) == len(cone.ts) == len(cone.generators) == sum(
+            g.size for g in grids.values())
+        for i, t, g in zip(cone.ids, cone.ts, cone.generators):
+            assert np.array_equal(g, con.lift_points(con.curve_point(i, t))[0])
 
     def test_sample_cone_hands_the_label_arrays_to_the_cone(self):
-        body = con.sample_body(con.curve_grid(16))
+        body = sample_body(con.curve_grid(16))
         cone = con.sample_cone(con.curve_grid(16))
         assert np.array_equal(cone.ids, body.ids) and np.array_equal(cone.ts, body.ts)
         assert np.array_equal(cone.generators[:, 1:], con.scale_points(body.xyz))
@@ -248,14 +247,11 @@ class TestSampleCone:
 
     @pytest.mark.parametrize("samples, thetas", [(512, 64), (64, 512), (2048, 256)])
     def test_verify_grids_have_the_bits_of_the_reference(self, samples, thetas):
-        _, grids = reporting._grids(reporting.RunConfig(samples_per_curve=samples,
-                                                        theta_grid_size=thetas))
+        _, grids = verification_grids(reporting.RunConfig(samples_per_curve=samples,
+                                                          theta_grid_size=thetas))
         # curves 1/4 share one grid array and 2/3 another
         assert grids[1] is grids[4] and grids[2] is grids[3] and grids[1] is not grids[2]
         assert _same_cone(con.sample_cone(grids), reference_sample_cone(grids))
-        body = con.sample_body(grids)
-        assert body.xyz.tobytes() == np.vstack(
-            [con.curve_points(i, grids[i]) for i in con.CURVE_IDS]).tobytes()
 
     def test_repeated_values_have_the_bits_of_the_reference(self):
         g = np.array([0.0, 0.0, 0.1, 0.3, 0.3, 0.3, T, T])
@@ -286,9 +282,9 @@ class TestSampleCone:
         nn.refined_cone(1e-3, 512)
         con.sample_cone(nn.sweep_grid(1e-3, 512))
         assert calls == [512, 512, 512]
-        _, grids = reporting._grids(reporting.RunConfig())
+        _, grids = verification_grids(reporting.RunConfig())
         calls.clear()
-        con.sample_body(grids)
+        con.sample_cone(grids)
         assert calls == [grids[1].size, grids[2].size]
 
 

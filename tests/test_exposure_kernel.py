@@ -1,11 +1,14 @@
-"""The blocked exposure kernel `faces.verify_catalogue` against the per-face
-reference checks in helpers, on the reference catalogue's (face, pair) rows:
-body reports equal to the last bit, lifted
-reference margins on the cone over C' twice the body margins within the
-forward-error bound of the lift identity, sample ranges selecting exactly
-the samples the reference distances select, array lifts equal to the
-reference cone and functionals, reports independent of the block size, and
-memory flat in the catalogue size."""
+"""The closed-form exposure check `faces.verify_catalogue` against the
+per-face sampled reference checks in helpers, on the reference catalogue's
+(face, pair) rows and on bodies sampled on grids that hold every face
+anchor: equal verdicts, every sampled margin at least the closed-form margin
+less its rounding bound (the samples are points of the arcs), and equal
+residuals on the faces anchored at their generators. Also: lifted reference
+margins on the cone over C' twice the sampled body margins within the
+forward-error bound of the lift identity, array lifts equal to the reference
+cone and functionals, far intervals selecting exactly the samples the
+reference distances select, the interval maximum against 50-digit
+arithmetic, and memory flat in the catalogue size."""
 
 import functools
 import math
@@ -16,8 +19,8 @@ import pytest
 
 from conelab import construction as con
 from conelab import faces as fc
-from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError, gamma
+from conelab.reporting import RunConfig
 from helpers import (
     ExposingPair,
     FaceDescriptor,
@@ -30,6 +33,8 @@ from helpers import (
     reference_param_distances,
     reference_verify_cone_exposure,
     reference_verify_exposure,
+    sample_body,
+    verification_grids,
 )
 
 T = con.T_END
@@ -38,42 +43,30 @@ DELTAS = (0.01, 0.05, 0.1)  # the radii pinned by test_acceptance.py
 
 @functools.lru_cache(maxsize=None)
 def setup(samples, thetas):
-    """Reference (face, pair) rows, body, and the reference generators of
-    the cone over C' and lifted pairs, on the grids that `verify` uses at
-    this size; the array catalogue is arrays(samples, thetas)."""
-    _, grids = reporting._grids(
-        reporting.RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
-    )
+    """Reference (face, pair) rows, the body sampled on grids holding every
+    face anchor, and the reference generators of the cone over C' and lifted
+    pairs."""
+    _, grids = verification_grids(RunConfig(samples_per_curve=samples, theta_grid_size=thetas))
     catalogue = reference_catalogue(con.theta_grid(thetas))
-    body = con.sample_body(grids)
+    body = sample_body(grids)
     return catalogue, body, reference_cone(body), [reference_lift(pair) for _, pair in catalogue]
 
 
 @functools.lru_cache(maxsize=None)
-def arrays(samples, thetas):
-    catalogue, _ = reporting._grids(
-        reporting.RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
-    )
-    return catalogue
+def arrays(thetas):
+    return fc.build_catalogue(con.theta_grid(thetas))
 
 
-def kernel(samples, thetas, **kwargs):
-    _, body, _, _ = setup(samples, thetas)
-    return exposure_reports(arrays(samples, thetas), body, **kwargs)
+@functools.lru_cache(maxsize=None)
+def sampled(samples, thetas, deltas):
+    """The per-face sampled reference reports."""
+    catalogue, body, _, _ = setup(samples, thetas)
+    return [reference_verify_exposure(face, pair, body, deltas=deltas) for face, pair in catalogue]
 
 
-def bits(reports):
-    """Every field of every report, floats as their exact hex form."""
-    return [
-        (r.face_label, r.max_onface_residual.hex(),
-         {d: m.hex() for d, m in r.margins.items()}, r.onface_count, r.verdict)
-        for r in reports
-    ]
-
-
-# (8, 512), (64, 512) and (512, 8): coarse samples against fine thetas, so
-# anchors fall between base samples and the reach of many faces is < delta,
-# which gives the middle ranges of the far sets
+# every cell of the knob lattice {8, 64, 512}^2 and 2048/256; coarse samples
+# against fine thetas put anchors between base samples and the reach of many
+# faces below delta, which gives the far sets their middle parts
 CELLS = pytest.mark.parametrize("samples, thetas, deltas", [
     (64, 8, fc.MARGIN_DELTAS),
     (512, 64, fc.MARGIN_DELTAS),
@@ -84,30 +77,45 @@ CELLS = pytest.mark.parametrize("samples, thetas, deltas", [
     (8, 512, fc.MARGIN_DELTAS),
     (64, 512, fc.MARGIN_DELTAS),
     (512, 8, fc.MARGIN_DELTAS),
+    (8, 64, fc.MARGIN_DELTAS),
+    (64, 64, fc.MARGIN_DELTAS),
+    (2048, 256, fc.MARGIN_DELTAS),
 ])
 
 
 @CELLS
 def test_reports_equal_the_per_face_reference(samples, thetas, deltas):
-    catalogue, body, _, _ = setup(samples, thetas)
-    reports = kernel(samples, thetas, deltas=deltas)
-    assert bits(reports) == bits(
-        [reference_verify_exposure(face, pair, body, deltas=deltas) for face, pair in catalogue]
-    )
-    assert all(r.passed for r in reports)
+    catalogue, _, _, _ = setup(samples, thetas)
+    exposure = fc.verify_catalogue(arrays(thetas), deltas=deltas)
+    reports = sampled(samples, thetas, deltas)
+    assert exposure.passed.tolist() == [r.passed for r in reports]
+    assert exposure.passed.all()
+    for (face, pair), ref, margins, bound, residual in zip(
+            catalogue, reports, exposure.margins.tolist(), exposure.bounds.tolist(),
+            exposure.residuals.tolist()):
+        for delta, margin in zip(deltas, margins):
+            # the samples at distance >= delta are points of the arcs there
+            assert ref.margins[delta] >= margin - bound, (face.label(), delta)
+        if not face.full_curves:
+            # The on-face samples are the generators themselves, whose value
+            # the reference also takes from its body-wide product: the two
+            # 3-term products of one point differ by at most
+            # 2 gamma_3 (|d| + |y|.|x|), and |x_k| <= 1 on C.
+            scale = abs(pair.offset) + float(np.abs(pair.normal).sum())
+            assert abs(residual - ref.max_onface_residual) <= 2 * gamma(3) * scale, face.label()
 
 
 @CELLS
 def test_lifted_reference_margins_are_twice_the_body_margins(samples, thetas, deltas):
     # <lift(y, d), (1, 2x + SHIFT)> = 2(<y, x> - d) exactly, so each lifted
-    # margin of the per-face reference on the cone is twice the kernel's
+    # margin of the per-face reference on the cone is twice the sampled
     # body margin over the same samples, up to rounding. Computed, the two
     # values at one sample differ by at most
     # gamma_10 (|2d| + |y|.(|SHIFT| + |2x + SHIFT| + 2|x|)); the scale is
     # bounded here by the largest |x_k| and |2x_k + SHIFT| per coordinate,
     # and gamma_12 leaves two roundings for the comparison itself.
     catalogue, body, cone, lifted = setup(samples, thetas)
-    reports = kernel(samples, thetas, deltas=deltas)
+    reports = sampled(samples, thetas, deltas)
     x = body.xyz
     spread = (np.abs(con.SHIFT) + np.abs(2.0 * x + con.SHIFT).max(axis=0)
               + 2.0 * np.abs(x).max(axis=0))
@@ -125,140 +133,84 @@ def test_lifted_reference_margins_are_twice_the_body_margins(samples, thetas, de
 
 @pytest.mark.parametrize("samples, thetas", [(64, 8), (512, 64), (512, 512), (2048, 256)])
 def test_array_lifts_have_the_bits_of_the_reference(samples, thetas):
-    _, body, cone, lifted = setup(samples, thetas)
-    normals, offsets = arrays(samples, thetas).normals, arrays(samples, thetas).offsets
-    _, grids = reporting._grids(
-        reporting.RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
-    )
+    _, _, cone, lifted = setup(samples, thetas)
+    normals, offsets = arrays(thetas).normals, arrays(thetas).offsets
+    _, grids = verification_grids(RunConfig(samples_per_curve=samples, theta_grid_size=thetas))
     assert con.sample_cone(grids).generators.tobytes() == cone.tobytes()
     assert con.lift_pairs(normals, offsets).tobytes() == np.array(lifted).tobytes()
 
 
-@pytest.mark.parametrize("samples, thetas", [(64, 8), (512, 64)])
-def test_reports_do_not_depend_on_the_block_size(monkeypatch, samples, thetas):
-    catalogue, body, _, _ = setup(samples, thetas)
-    default = kernel(samples, thetas)
-    for budget in (1, len(catalogue) * len(body.ts)):  # one face, one block
-        monkeypatch.setattr(fc, "BLOCK_ELEMENTS", budget)
-        assert bits(kernel(samples, thetas)) == bits(default)
-
-
-def hand_made_body():
-    """A body on the grids {0, 0.3, 0.5, 0.7, T} (curve 1), {0, 0.4, T}
-    (curve 2) and {0, T} (curves 3, 4), with one face: the pair x_1 <= 0
-    holds {curve1(0.5)}, since curve 1 lies in x_1 = 0. The face sample and
-    the curve-2 sample at 0.4 (0.9 away from the face) have x_1 = 0, every
-    other sample x_1 = -1/2. Returns the body, the face and the pair."""
-    grids = {1: np.array([0.0, 0.3, 0.5, 0.7, T]), 2: np.array([0.0, 0.4, T]),
-             3: np.array([0.0, T]), 4: np.array([0.0, T])}
-    first = {i: np.full(g.size, -0.5) for i, g in grids.items()}
-    first[1][2], first[2][1] = 0.0, 0.0
-    x1 = np.concatenate(list(first.values()))
-    body = con.BodySamples(ids=np.concatenate([np.full(g.size, i) for i, g in grids.items()]),
-                           ts=np.concatenate(list(grids.values())),
-                           xyz=np.column_stack([x1, np.zeros((x1.size, 2))]))
-    face = FaceDescriptor("F01", 0, param=0.5, anchors=((1, 0.5),))
-    return body, face, ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0)
-
-
 def test_zero_far_slack_keeps_its_sign():
-    # The far sample lies on the hyperplane: its slack is 0 - 0 = +0.0. The
-    # margin keeps that sign, as the reference's does, and a zero margin
-    # fails the check.
-    body, face, pair = hand_made_body()
-    rep, = exposure_reports(catalogue_of([(face, pair)]), body)
-    ref = reference_verify_exposure(face, pair, body)
-    assert bits([rep]) == bits([ref])
-    assert not np.signbit(rep.margins[0.01]) and not np.signbit(ref.margins[0.01])
-    assert rep.verdict == "fail"
+    # The pair x_1 <= 0 holds {curve1(0.5)}, and curves 1 and 2 lie in
+    # x_1 = 0 (A = B = 0 there), so the slack far from the face is 0 - 0 =
+    # +0.0. The margin keeps that sign, as the sampled reference's does, and
+    # a zero margin fails the check.
+    face = FaceDescriptor("F01", 0, param=0.5, anchors=((1, 0.5),))
+    pair = ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0)
+    rep, = exposure_reports(catalogue_of([(face, pair)]))
+    ref = reference_verify_exposure(face, pair, sample_body(con.curve_grid(64)))
+    assert rep.margins == ref.margins == dict.fromkeys(fc.MARGIN_DELTAS, 0.0)
+    assert not np.signbit(list(rep.margins.values())).any()
+    assert rep.verdict == ref.verdict == "fail"
+
+
+def test_margin_below_its_rounding_bound_fails():
+    # x_1 <= 1e-17 leaves a margin of exactly 1e-17, which the rounding of
+    # the values on curves 3 and 4 (|A| + 2|B| = 2 on curve 4) could make
+    # out of a margin of zero: it is below the bound, about 2.2e-15, so the
+    # face fails, where a bare margin > 0 test would pass it
+    face = FaceDescriptor("F01", 0, param=0.5, anchors=((1, 0.5),))
+    catalogue = catalogue_of([(face, ExposingPair(np.array([1.0, 0.0, 0.0]), 1e-17))])
+    exposure = fc.verify_catalogue(catalogue)
+    assert (exposure.margins == 1e-17).all()
+    assert exposure.bounds[0] == gamma(fc.MARGIN_ROUNDINGS) * 2.0
+    assert not exposure.passed[0]
+
+
+def test_residual_of_a_planar_side_covers_its_whole_curves():
+    # F23 tilted by 1e-6 out of x_1 = 0 and listed by its origin generator
+    # alone: the pair is exact there, but leaves curve 1, which the face
+    # holds whole, by up to 1e-6 sin T. The residual is that largest
+    # |<y, x> - d| over the curves, so the face fails.
+    face = FaceDescriptor("F23", 2, full_curves=(1, 2))
+    catalogue = catalogue_of([(face, ExposingPair(np.array([1.0, -1e-6, 0.0]), 0.0))])
+    catalogue = catalogue._replace(sizes=np.array([1]), gen_ids=np.array([1]),
+                                   gen_ts=np.array([0.0]), points=np.zeros((1, 3)))
+    exposure = fc.verify_catalogue(catalogue)
+    assert fc._anchor_residuals(catalogue)[0] == 0.0
+    assert exposure.residuals[0] == pytest.approx(1e-6 * math.sin(T), rel=1e-12)
+    assert not exposure.passed[0]
 
 
 @pytest.mark.parametrize("samples, thetas", [(512, 64), (2048, 256)])
 def test_kernel_memory_stays_under_two_mib(samples, thetas):
-    _, body, _, _ = setup(samples, thetas)
-    catalogue = arrays(samples, thetas)
-    fc.verify_catalogue(catalogue, body)  # warm numpy up
+    catalogue = arrays(thetas)
+    fc.verify_catalogue(catalogue)  # warm numpy up
     tracemalloc.start()
     try:
-        fc.verify_catalogue(catalogue, body)
+        fc.verify_catalogue(catalogue)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the whole faces x samples matrix would take ~25 MB at 512/64
+    # a handful of (2, faces, 4) arrays per radius, whatever the sample count
     assert peak <= 2 * 2**20
-
-
-def assert_ranges_select(ends, dist, deltas):
-    """The ranges of one face (a row of faces._sample_ranges) are disjoint
-    and select exactly the samples at reference distance <= ONFACE_DIST and,
-    per delta, >= delta."""
-    index = np.arange(len(dist))
-    inside = (index >= ends[:, ::2, None]) & (index < ends[:, 1::2, None])
-    assert inside.sum(axis=1).max() <= 1
-    expected = [dist <= fc.ONFACE_DIST] + [dist >= delta for delta in deltas]
-    assert np.array_equal(inside.any(axis=1), expected)
 
 
 def test_param_distances_equal_the_reference():
     # (8, 512) and (512, 8): coarse samples against fine thetas and back
     for samples, thetas in ((64, 8), (8, 512), (512, 8)):
         catalogue, body, _, _ = setup(samples, thetas)
-        faces = [face for face, _ in catalogue]
-        ends = fc._sample_ranges(arrays(samples, thetas), body.ids, body.ts, fc.MARGIN_DELTAS)
-        for j, face in enumerate(faces):
-            dist = reference_param_distances(face, body.ids, body.ts)
-            assert_ranges_select(ends[:, j], dist, fc.MARGIN_DELTAS)
+        anchor, reach = fc._distance_table(arrays(thetas))
+        curve = body.ids - 1
+        for delta in fc.MARGIN_DELTAS:
+            lo, hi = fc._far_intervals(anchor, reach, delta)
+            far = ((lo[:, :, curve] <= body.ts) & (body.ts <= hi[:, :, curve])).any(axis=0)
+            for (face, _), selected in zip(catalogue, far):
+                dist = reference_param_distances(face, body.ids, body.ts)
+                assert np.array_equal(selected, dist >= delta), (face.label(), delta)
     twice = FaceDescriptor("F11", 1, anchors=((1, 0.1), (1, 0.2)))
     with pytest.raises(DomainError):
-        fc._sample_ranges(catalogue_of([(twice, catalogue[0][1])]), body.ids, body.ts,
-                          fc.MARGIN_DELTAS)
-    with pytest.raises(DomainError):  # id 0 would index curve 4's anchors
-        fc._sample_ranges(catalogue_of(catalogue[:1]), body.ids - 1, body.ts, fc.MARGIN_DELTAS)
-
-
-def test_range_ends_follow_the_float_predicate():
-    # Every curve is sampled, with repeats, at the floats a few ulps either
-    # side of each bound of the distance predicate: anchor +- ONFACE_DIST,
-    # anchor +- delta and delta - reach for two singletons (one of reach
-    # 0.004 < delta), and ONFACE_DIST and delta for a planar side (reach
-    # 0). There np.searchsorted on bound - shift can miss the predicate's
-    # own boundary, which the ranges must still follow to the sample.
-    deltas = (0.005, 0.01, 0.02)
-    anchors = (0.004, 0.3)
-    faces = [FaceDescriptor("F01", 0, param=anchors[0], anchors=((1, anchors[0]),)),
-             FaceDescriptor("F03", 0, param=anchors[1], anchors=((3, anchors[1]),)),
-             FaceDescriptor("F23", 2, full_curves=(1, 2))]
-    bounds = (fc.ONFACE_DIST, *deltas)
-    centres = [x for a in anchors for b in bounds for x in (a + b, a - b, b - a)] + list(bounds)
-    grid = [0.0, T]
-    for x in centres:
-        for _ in range(8):
-            x = np.nextafter(x, -math.inf)
-        for _ in range(16):
-            grid += [x, x] if len(grid) % 3 else [x]
-            x = np.nextafter(x, math.inf)
-    grid = np.sort(np.array([t for t in grid if t >= 0.0]))
-    ids, ts = np.repeat(con.CURVE_IDS, len(grid)), np.tile(grid, len(con.CURVE_IDS))
-    pair = ExposingPair(np.array([1.0, 0.0, 0.0]), 0.0)
-    ends = fc._sample_ranges(catalogue_of([(face, pair) for face in faces]), ids, ts, deltas)
-    for j, face in enumerate(faces):
-        assert_ranges_select(ends[:, j], reference_param_distances(face, ids, ts), deltas)
-
-
-@pytest.mark.parametrize("fault", ["swap", "nan", "nan alone"])
-def test_curve_runs_must_be_sorted(fault):
-    _, body, _, _ = setup(64, 8)
-    ids, ts = body.ids.copy(), body.ts.copy()
-    k = np.flatnonzero(ids == 2)[5]
-    if fault == "swap":
-        ts[[k, k + 1]] = ts[[k + 1, k]]
-    elif fault == "nan":
-        ts[k] = math.nan
-    else:  # a NaN that is a run of its own
-        ids[k] = 3
-        ts[k] = math.nan
-    with pytest.raises(DomainError):
-        fc.verify_catalogue(arrays(64, 8), body._replace(ids=ids, ts=ts))
+        fc.verify_catalogue(catalogue_of([(twice, catalogue[0][1])]))
 
 
 def test_batched_anchor_residuals_have_the_per_face_bits():
@@ -269,7 +221,7 @@ def test_batched_anchor_residuals_have_the_per_face_bits():
         assert {face.kind for face in faces} == {
             "F00", "F01", "F02", "F03", "F04", "F11", "F12",
             "F13", "F14", "F15", "F21", "F22", "F23", "F24"}
-        batched = fc._anchor_residuals(arrays(samples, thetas))
+        batched = fc._anchor_residuals(arrays(thetas))
         for (face, pair), res in zip(catalogue, batched):
             pts, y, d = face_sample_points(face), pair.normal, pair.offset
             per_face = max(np.abs(pts @ y - d).max(), abs(float(pts.mean(axis=0) @ y) - d))
@@ -277,24 +229,69 @@ def test_batched_anchor_residuals_have_the_per_face_bits():
 
 
 def test_zero_normal_rejected():
-    _, body, _, _ = setup(64, 8)
-    catalogue = arrays(64, 8)
+    catalogue = arrays(8)
     normals = catalogue.normals.copy()
     normals[3] = 0.0
     with pytest.raises(DegenerateInputError):
-        fc.verify_catalogue(catalogue._replace(normals=normals), body)
-    fc.verify_catalogue(catalogue, body)  # the same catalogue with its own normal passes
+        fc.verify_catalogue(catalogue._replace(normals=normals))
+    fc.verify_catalogue(catalogue)  # the same catalogue with its own normal passes
 
 
 def test_empty_catalogue_gives_no_reports():
-    _, body, _, _ = setup(64, 8)
-    exposure = fc.verify_catalogue(catalogue_of([]), body)
+    exposure = fc.verify_catalogue(catalogue_of([]))
     assert all(len(field) == 0 for field in exposure)
 
 
 def test_margin_radii_must_be_off_the_face():
-    catalogue, body, _, _ = setup(64, 8)
-    with pytest.raises(DomainError):
-        fc.verify_catalogue(arrays(64, 8), body, deltas=(1e-9, 0.1))
-    far = exposure_reports(catalogue_of(catalogue[:1]), body, deltas=(1.0,))
+    catalogue, _, _, _ = setup(64, 8)
+    for deltas in ((0.0, 0.1), (-0.01,)):  # radius 0 takes in the face itself
+        with pytest.raises(DomainError):
+            fc.verify_catalogue(arrays(8), deltas=deltas)
+    far = exposure_reports(catalogue_of(catalogue[:1]), deltas=(1.0,))
     assert math.isinf(far[0].margins[1.0])
+
+
+def exact_arc_max(mp, a, b, lo, hi):
+    """max of a sin t + b (cos t - 1) over [lo, hi] in mpmath arithmetic."""
+    if lo > hi:
+        return -mp.inf
+    a, b, lo, hi = (mp.mpf(v) for v in (a, b, lo, hi))
+    points = [lo, hi]
+    peak = mp.atan2(a, b)
+    if lo <= peak <= hi:
+        points.append(peak)
+    return max(a * mp.sin(t) + b * (mp.cos(t) - 1) for t in points)
+
+
+def test_arc_max_against_50_digits():
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    rng = np.random.default_rng(2113)
+    n = 2000
+    a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    b = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    lo, hi = np.sort(rng.uniform(0.0, T, (2, n)), axis=0)
+    d = rng.uniform(-1.0, 1.0, n) * (np.abs(a) + np.abs(b))
+    # peaks inside [0, T]: a > 0 and b > 0 with a / b below tan T = 1
+    inner = rng.uniform(0.1, 0.99, 40)
+    peak = np.arctan2(inner, 1.0)
+    edges = [
+        (inner, np.ones(40), peak, np.full(40, T)),                      # t* at the low end
+        (inner, np.ones(40), np.zeros(40), peak),                        # t* at the high end
+        (inner, np.ones(40), np.nextafter(peak, 1.0), np.full(40, T)),   # just below the interval
+        (inner, np.ones(40), np.zeros(40), np.nextafter(peak, 0.0)),     # just above it
+        (inner, np.ones(40), peak + 1e-9, np.full(40, T)),
+        (np.zeros(2), np.zeros(2), np.array([0.0, 0.3]), np.array([T, 0.3])),  # A = B = 0
+        (inner, np.ones(40), np.full(40, 0.5), np.full(40, 0.4)),        # empty
+    ]
+    for ea, eb, elo, ehi in edges:
+        a, b, lo, hi = (np.concatenate([x, e]) for x, e in zip((a, b, lo, hi), (ea, eb, elo, ehi)))
+        d = np.concatenate([d, np.zeros(len(ea))])
+    top = fc._arc_max(a, b, lo, hi)
+    bound = gamma(fc.MARGIN_ROUNDINGS) * (np.abs(d) + np.abs(a) + 2.0 * np.abs(b))
+    assert np.isneginf(top[lo > hi]).all() and (top[lo <= hi] > -math.inf).all()
+    for k in np.flatnonzero(lo <= hi):
+        exact = exact_arc_max(mp, a[k], b[k], lo[k], hi[k])
+        assert abs(float(top[k]) - exact) <= bound[k], k
+        # the margin d - max too, with the rounding of its subtraction
+        assert abs(float(d[k] - top[k]) - (mp.mpf(d[k]) - exact)) <= bound[k], k

@@ -19,6 +19,7 @@ from helpers import (
     mirror_point,
     reference_catalogue,
     reference_param_distances,
+    sample_body,
     support_plane_through,
 )
 
@@ -27,12 +28,12 @@ T = con.T_END
 
 @pytest.fixture(scope="module")
 def body():
-    return con.sample_body(con.curve_grid(512))
+    return sample_body(con.curve_grid(512))
 
 
 @pytest.fixture(scope="module")
 def coarse_body():
-    return con.sample_body(con.curve_grid(128))
+    return sample_body(con.curve_grid(128))
 
 
 def face_of(kind, catalogue, param=None):
@@ -143,13 +144,13 @@ class TestExposingPairs:
         assert abs(abs(float(pair.normal @ reference)) - 1.0) < 1e-9
         assert (body.xyz @ pair.normal - pair.offset).max() <= 1e-12
 
-    def test_origin_pair_and_closed_form_both_expose(self, body, coarse_body):
+    def test_origin_pair_and_closed_form_both_expose(self, coarse_body):
         # the closed forms of the fixed faces expose their faces on a fine
         # body; those of the faces spanned by endpoints equal the max-margin
         # LP oracle (the planar sides have the brute-force test above)
         cat = fc.build_catalogue(con.theta_grid(2))
         n = 4096
-        fine = con.sample_body(con.curve_grid(n))
+        fine = sample_body(con.curve_grid(n))
         for kind in ("F00", "F13", "F14", "F15", "F21", "F22", "F23", "F24"):
             face, pair = face_of(kind, cat)
             if not face.full_curves:
@@ -162,7 +163,7 @@ class TestExposingPairs:
             assert onface.sum() == (2 * n + 2 if face.full_curves else len(face.anchors))
             assert np.abs(slack[onface]).max() <= 1e-15, kind
             assert slack[~onface].max() < 0.0, kind
-            assert exposure_reports(catalogue_of([(face, pair)]), body)[0].passed, kind
+            assert exposure_reports(catalogue_of([(face, pair)]))[0].passed, kind
 
     def test_triangle_pairs_are_mirror_images(self):
         cat = fc.build_catalogue(con.theta_grid(2))
@@ -178,17 +179,17 @@ class TestExposingPairs:
             raise AssertionError("a closed-form catalogue samples no body and fits no plane")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        monkeypatch.setattr(con, "sample_body", refuse)
+        monkeypatch.setattr(con, "sample_cone", refuse)
         for (face, pair), (_, ref) in zip(face_rows(fc.build_catalogue(con.theta_grid(64))),
                                           face_rows(expected)):
             assert np.array_equal(pair.normal, ref.normal) and pair.offset == ref.offset, face.label()
 
 
 class TestVerifyExposure:
-    def test_ruled_face_equality_and_margins(self, body):
+    def test_ruled_face_equality_and_margins(self):
         th = T / 2
         f11, pair = face_of("F11", fc.build_catalogue(np.array([th])), th)
-        rep = exposure_reports(catalogue_of([(f11, pair)]), body)[0]
+        rep = exposure_reports(catalogue_of([(f11, pair)]))[0]
         assert rep.passed
         assert rep.max_onface_residual <= 1e-12
         # equality value on the curve-1 anchor reproduces the offset
@@ -212,18 +213,18 @@ class TestVerifyExposure:
         away = np.abs(ts - r.t) > 1e-9
         assert vals[away].max() < 0
         assert float(con.curve_point(3, r.t) @ pair.normal) == pytest.approx(pair.offset, abs=1e-12)
-        assert exposure_reports(catalogue_of([(f03, pair)]), body)[0].passed
+        assert exposure_reports(catalogue_of([(f03, pair)]))[0].passed
 
-    def test_mismatched_pair_is_an_input_error(self, body):
+    def test_mismatched_pair_is_an_input_error(self):
         cat = fc.build_catalogue(np.array([T / 2]))
         f11, _ = face_of("F11", cat)
         _, wrong = face_of("F24", cat)
         with pytest.raises(DomainError):
-            fc.verify_catalogue(catalogue_of([(f11, wrong)]), body)
+            fc.verify_catalogue(catalogue_of([(f11, wrong)]))
 
-    def test_whole_catalogue_passes_out_of_sample(self, body):
+    def test_whole_catalogue_passes_out_of_sample(self):
         catalogue = fc.build_catalogue(con.theta_grid(16))
-        for rep in exposure_reports(catalogue, body):
+        for rep in exposure_reports(catalogue):
             assert rep.passed, rep
 
     def test_catalogue_computes_each_ruling_once(self, monkeypatch):
@@ -323,15 +324,31 @@ class TestSymmetry:
             r = con.ruling_data(th)
             assert np.allclose(mirror_point(r.normal), r.mirror_normal, atol=1e-12)
 
-    def test_mirror_image_reports_match(self, body):
+    def test_mirror_image_reports_match(self):
         th = T / 5
         r = con.ruling_data(th)
         f11 = FaceDescriptor("F11", 1, param=th, partner=r.t, anchors=((1, th), (3, r.t)))
         f12 = FaceDescriptor("F12", 1, param=th, partner=r.t, anchors=((4, th), (2, r.t)))
-        rep11, rep12 = exposure_reports(catalogue_of([(f, exposing_pair(f)) for f in (f11, f12)]),
-                                        body)
+        rep11, rep12 = exposure_reports(catalogue_of([(f, exposing_pair(f)) for f in (f11, f12)]))
         for delta in rep11.margins:
             assert rep11.margins[delta] == pytest.approx(rep12.margins[delta], abs=1e-12)
+
+
+class TestMarginLaw:
+    # The slope of log(smallest margin of a kind) against log(delta) at 8
+    # radii from 1e-3 to 0.1. The arcs touch a face's hyperplane tangentially
+    # at its anchors, so the margin shrinks like delta^2, except at the
+    # endpoint faces (chords F13-F15, triangles F21/F22): the arcs end on
+    # their hyperplanes at a nonzero angle, so there it shrinks like delta.
+    def test_margins_shrink_quadratically_except_at_the_endpoint_faces(self):
+        catalogue = fc.build_catalogue(con.theta_grid(64))
+        deltas = np.geomspace(1e-3, 0.1, 8)
+        margins = fc.verify_catalogue(catalogue, deltas=tuple(deltas)).margins
+        kinds = np.array(catalogue.kinds)
+        for kind in sorted(set(catalogue.kinds)):
+            slope = np.polyfit(np.log(deltas), np.log(margins[kinds == kind].min(axis=0)), 1)[0]
+            expected = 1.0 if kind in ("F13", "F14", "F15", "F21", "F22") else 2.0
+            assert abs(slope - expected) <= 0.1, (kind, slope)
 
 
 class TestCoverage:
@@ -339,7 +356,7 @@ class TestCoverage:
         grid = con.curve_grid(64)
         # the catalogue's grid carries the singletons: every positive sample
         cat = fc.build_catalogue(grid[grid > 0])
-        body = con.sample_body(grid)
+        body = sample_body(grid)
         ids, ts = body.ids, body.ts
         covered = np.zeros(len(ids), dtype=bool)
         for face, _ in face_rows(cat):

@@ -118,9 +118,7 @@ class TestMembershipCrossCheck:
         epsilon = 0.01
         cone = nn.refined_cone(epsilon, 128)
         prof = nn.shift_profile(cone)
-        samples = con.scale_points(
-            con.sample_body({i: nn.sweep_grid(epsilon, 128) for i in con.CURVE_IDS}).xyz
-        )
+        samples = cone.generators[:, 1:]  # the points of C' the cone is over
 
         lam_in = prof["lambda_star"] + 1.0
         point_in = con.WITNESS_Q - lam_in * con.WITNESS_U
