@@ -107,7 +107,7 @@ def main(argv=None):
             return 0
 
         if args.command == "nice3d":
-            report = reporting.run_nice3d(_config(args))
+            report = reporting.run_nice3d()
             reporting.write_json(args.out, report)
             print(f"wrote {args.out}; pass: {report['pass']}")
             return 0 if report["pass"] else 1

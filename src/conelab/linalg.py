@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 
-# Bound on residuals that count as "equals zero", read directly by the
-# on-face residual of faces.verify_catalogue, shift_profile and
-# nice3d_ingredients; no option sets it. It is not derived from a
+# Bound on residuals that count as "equals zero". Its only readers are the
+# on-face residual of faces.verify_catalogue and shift_profile (nice3d
+# decides in exact integers); no option sets it. It is not derived from a
 # forward-error bound yet (the margins of verify_catalogue are: see there).
 EQ_ABS = 1e-9
 

@@ -202,36 +202,54 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False):
     }
 
 
+def _ints(v):
+    """A float array as a positive power-of-two multiple of itself, exactly,
+    in Python ints (dtype object); returns it and that power of two."""
+    ratios = [x.as_integer_ratio() for x in v.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    return np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(v.shape), den
+
+
+def _cross(a, b):
+    """a x b for 3-vectors of Python ints."""
+    return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+
+
+def _ratio(num, den):
+    """num / den for ints, den > 0, correctly rounded; +-inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def nice3d_ingredients(generators, p1, p2, h1, h2):
     """Decide "every facially exposed 3D cone is nice" for one face at its
-    generators.
+    generators, in exact integer arithmetic.
 
     Given the (m, 3) generators of a 3D cone with 2D face F = cone{p1, p2}
     and normals h1, h2 exposing the edge rays (h_i nonnegative on the cone,
-    zero exactly on the ray of p_i), F_perp = span{n} with
-    n = p1 x p2 / |p1 x p2|. The pair is rejected as not spanning a plane
-    when |p1 x p2| <= 1e-10 * (|p1|^2 + |p2|^2): the singular values of the
-    2 x 3 matrix [p1; p2] satisfy s1 * s2 = |p1 x p2| and
-    s1^2 + s2^2 = |p1|^2 + |p2|^2, so this is the rank test
-    s2 <= 1e-10 * s1 in closed form, up to a factor 1 + 1e-20. The sign of
-    n does not matter: q_i and r_i below are unchanged when n becomes -n.
-    Then it checks:
+    zero exactly on the ray of p_i), F_perp = span{c} with c = p1 x p2.
+    Each test below is the sign of a polynomial homogeneous in each of p1,
+    p2, h1, h2 and the generators, and every float is a dyadic rational, so
+    each of them is replaced by a positive integer multiple of itself: no
+    tolerance is read, and the verdict is the same at every scale. Rejected
+    are c = 0, a normal negative at some generator, and a normal in F_perp
+    (q_i' = 0 below), which would expose the whole face, not an edge. Then:
 
-      * q_i = h_i - <h_i, n> n, the projection of h_i onto span F, has the
-        sign pattern <q_i, p_i> = 0 and <q_i, p_j> > 0 for i != j;
-      * the generator certificate: with r_i = +-(n x p_i) signed so that
-        <r_i, p_j> > 0, q_i = c_i * r_i with c_i = <q_i, r_i> / |r_i|^2 > 0,
-        up to EQ_ABS * |q_i|.
+      * q_i' = |c|^2 h_i - <h_i, c> c, |c|^2 times the projection q_i of
+        h_i onto span F, has the sign pattern <q_i', p_i> = 0 < <q_i', p_j>;
+      * the generator certificate: q_i' x r_i = 0 and <q_i', r_i> > 0, with
+        r_i = |p_i|^2 p_j - <p_i, p_j> p_i (r1 = c x p1, r2 = p2 x c).
 
     The dual wedge F* = {y : <y, p1> >= 0, <y, p2> >= 0} is cone{r1, r2} +
-    span{n}, and cone{h1, h2} + span{n} = cone{q1, q2} + span{n}; so the
+    span{c}, and cone{h1, h2} + span{c} = cone{q1, q2} + span{c}; so the
     certificate gives cone{h1, h2} + F_perp = F*, the closedness claim.
-    Normals lying in F_perp are rejected: they could not single out an edge.
 
-    Returns the nice3d report's dict for the example: projections q_i,
-    sign_pattern_ok, projection_identity_residual, wedge_generators r_i,
-    multipliers c_i, certificate_residual (max over i of
-    |q_i - c_i r_i| / |q_i|) and pass.
+    Returns the nice3d report's dict: projections q_i, sign_pattern_ok,
+    wedge_generators w_i = r_i / |p_i|^2 (the part of p_j orthogonal to
+    p_i), multipliers c_i with q_i = c_i w_i, and pass. Each float in it is
+    one correctly rounded int / int of an exact value; no verdict reads it.
     """
     g = np.asarray(generators, dtype=float)
     if g.ndim != 2 or g.shape[1] != 3:
@@ -240,48 +258,34 @@ def nice3d_ingredients(generators, p1, p2, h1, h2):
         raise DegenerateInputError("cone has no generators")
     if not np.all(np.isfinite(g)):
         raise DomainError("cone generators have NaN or infinite components")
-    p1, p2, *hs = (np.asarray(v, dtype=float) for v in (p1, p2, h1, h2))
-    if any(v.shape != (3,) or not np.all(np.isfinite(v)) for v in (p1, p2, *hs)):
+    vectors = [np.asarray(v, dtype=float) for v in (p1, p2, h1, h2)]
+    if any(v.shape != (3,) or not np.all(np.isfinite(v)) for v in vectors):
         raise DomainError("p1, p2, h1 and h2 must each be a finite vector of shape (3,)")
-    cross = np.cross(p1, p2)
-    cross_norm = float(np.linalg.norm(cross))
-    if cross_norm <= 1e-10 * float(p1 @ p1 + p2 @ p2):
+    (g, _), (p1, d1), (p2, d2), *hs = (_ints(v) for v in (g, *vectors))
+    c = _cross(p1, p2)
+    if not c.any():
         raise DegenerateInputError("p1 and p2 do not span a plane")
-    nrm = cross / cross_norm + 0.0  # clears signed zeros, which r_i would carry into the report
+    if any((g @ h).min() < 0 for h, _ in hs):
+        raise DomainError("exposing normal is negative somewhere on the cone")
+    cc = c @ c
+    qs = [cc * h - (h @ c) * c for h, _ in hs]
+    if not all(q.any() for q in qs):
+        raise DomainError("exposing normal lies in the face's orthogonal complement; "
+                          "it would expose the whole face, not an edge")
 
-    qs = [h - float(h @ nrm) * nrm for h in hs]
-    for h, q in zip(hs, qs):
-        if float((g @ h).min()) < -EQ_ABS:
-            raise DomainError("exposing normal is negative somewhere on the cone")
-        if float(np.linalg.norm(q)) <= EQ_ABS:
-            raise DomainError(
-                "exposing normal lies in the face's orthogonal complement; "
-                "it would expose the whole face, not an edge"
-            )
-
-    sign_ok = all(
-        abs(float(q @ p_own)) <= EQ_ABS and float(q @ p_other) > EQ_ABS
-        for q, p_own, p_other in ((qs[0], p1, p2), (qs[1], p2, p1))
-    )
-    proj_res = max(abs(float(q @ p) - float(h @ p)) for h, q in zip(hs, qs) for p in (p1, p2))
-
-    # <n x p1, p2> = det(n, p1, p2) is nonzero: p1, p2 are independent and
-    # orthogonal to n. Its sign orients r1 toward p2 and r2 toward p1.
-    orient = math.copysign(1.0, float(np.cross(nrm, p1) @ p2))
-    rs = (orient * np.cross(nrm, p1), -orient * np.cross(nrm, p2))
-    cs = tuple(float(q @ r) / float(r @ r) for q, r in zip(qs, rs))
-    cert_res = max(
-        float(np.linalg.norm(q - c * r) / np.linalg.norm(q)) for q, r, c in zip(qs, rs, cs)
-    )
-
+    n1, n2, p12 = p1 @ p1, p2 @ p2, p1 @ p2
+    rs = (n1 * p2 - p12 * p1, n2 * p1 - p12 * p2)
+    sign_ok = qs[0] @ p1 == 0 < qs[0] @ p2 and qs[1] @ p2 == 0 < qs[1] @ p1
+    certified = all(not _cross(q, r).any() and q @ r > 0 for q, r in zip(qs, rs))
+    # q_i = q_i' / (|c|^2 e_i) and w_i = r_i / (|p_i|^2 d_j) for the scales e, d
+    dens = (n1 * d2, n2 * d1)
     return {
-        "projections": tuple(qs),
+        "projections": tuple([_ratio(a, cc * e) for a in q] for q, (_, e) in zip(qs, hs)),
         "sign_pattern_ok": sign_ok,
-        "projection_identity_residual": proj_res,
-        "wedge_generators": rs,
-        "multipliers": cs,
-        "certificate_residual": cert_res,
-        "pass": sign_ok and proj_res <= 1e-12 and min(cs) > 0.0 and cert_res <= EQ_ABS,
+        "wedge_generators": tuple([_ratio(a, d) for a in r] for r, d in zip(rs, dens)),
+        "multipliers": tuple(_ratio(q @ r * d, cc * e * (r @ r))
+                             for q, r, d, (_, e) in zip(qs, rs, dens, hs)),
+        "pass": sign_ok and certified,
     }
 
 

@@ -37,11 +37,6 @@ class RunConfig:
         object.__setattr__(self, "eps_list", nn.validate_eps(self.eps_list))
 
 
-def config_hash(config):
-    payload = json.dumps(asdict(config), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:12]
-
-
 def _native(obj):
     """Recursively convert report values to JSON-native types."""
     if isinstance(obj, dict):
@@ -67,12 +62,11 @@ def write_json(path, obj):
         fh.write(render_json(obj))
 
 
-def report_header(config):
-    return {
-        "schema": SCHEMA_VERSION,
-        "config": asdict(config),
-        "config_hash": config_hash(config),
-    }
+def report_header(config, *fields):
+    """The schema, the config fields a command reads, and their hash."""
+    knobs = {name: getattr(config, name) for name in fields}
+    digest = hashlib.sha256(json.dumps(knobs, sort_keys=True).encode()).hexdigest()[:12]
+    return {"schema": SCHEMA_VERSION, "config": knobs, "config_hash": digest}
 
 
 # --------------------------------------------------------------------------
@@ -153,7 +147,8 @@ def niceness_section(config):
 
 
 def run_verify(config):
-    report = report_header(config)
+    # the sweep and its control both run, so the header names every field
+    report = report_header(config, *asdict(config))
     catalogue, exposure = _exposure(config)
     sections = {
         "face_exposure": face_section(catalogue, exposure),
@@ -171,7 +166,7 @@ def run_faces(config):
     """The face atlas: the one place where each face gets a record."""
     catalogue, exposure = _exposure(config)
     summary = face_section(catalogue, exposure)
-    atlas = report_header(config)
+    atlas = report_header(config, "theta_grid_size")
     generators = [
         {"curve": i, "t": t, "point": point} for i, t, point in
         zip(catalogue.gen_ids.tolist(), catalogue.gen_ts.tolist(), catalogue.points.tolist())
@@ -214,7 +209,7 @@ def run_sweep(config):
     sweep = nn.divergence_sweep(
         config.eps_list, samples_per_curve=config.samples_per_curve, control=config.control
     )
-    return {**report_header(config), **sweep}
+    return {**report_header(config, "samples_per_curve", "eps_list", "control"), **sweep}
 
 
 def write_sweep_csv(path, sweep):
@@ -232,15 +227,15 @@ def write_sweep_csv(path, sweep):
         writer.writerow([f"# verdict={sweep['verdict']}"])
 
 
-def run_nice3d(config):
-    out = report_header(config)
+def run_nice3d():
+    """The two examples' reports and the rejection of a normal in F_perp."""
+    out = report_header(None)
     for name, example in (("octant", nn.octant_example()),
                           ("half_disc", nn.half_disc_cone_example())):
         out[name] = nn.nice3d_ingredients(*example)
-    generators, p1, p2, _, _ = nn.octant_example()
+    generators, p1, p2, _, h2 = nn.octant_example()
     try:
-        nn.nice3d_ingredients(generators, p1, p2, np.array([0.0, 0.0, 1.0]),
-                              np.array([1.0, 0.0, 1.0]))
+        nn.nice3d_ingredients(generators, p1, p2, np.array([0.0, 0.0, 1.0]), h2)
         rejection = False
     except DomainError:
         rejection = True

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import json
 import math
 import os
@@ -142,7 +143,9 @@ class TestNice3DCommand:
             assert rep[name]["pass"] is True
             assert rep[name]["sign_pattern_ok"] is True
             assert min(rep[name]["multipliers"]) > 0.0
-            assert rep[name]["certificate_residual"] <= 1e-15
+            # decided exactly: no residual field is reported
+            assert set(rep[name]) == {"projections", "sign_pattern_ok", "wedge_generators",
+                                      "multipliers", "pass"}
             # q_i = c_i * r_i with c_i > 0 points along r_i
             r1, r2 = rep[name]["wedge_generators"]
             q1, q2 = rep[name]["projections"]
@@ -159,7 +162,7 @@ class TestNice3DCommand:
 
         for key in calls:
             monkeypatch.setattr(scipy.optimize, key, counted(key, getattr(scipy.optimize, key)))
-        report = reporting.run_nice3d(RunConfig())
+        report = reporting.run_nice3d()
         assert calls == {"linprog": 0, "nnls": 0}
         # the multipliers of q_i = c_i * r_i: 1 on the octant, sqrt 2 on the half-disc
         assert report["octant"]["multipliers"] == (1.0, 1.0)
@@ -168,6 +171,35 @@ class TestNice3DCommand:
         # the counters do see the LP route
         reference_conic_membership([1.0, -1.0, 0.0], np.eye(3))
         assert calls == {"linprog": 1, "nnls": 1}
+
+
+class TestReportHeaders:
+    # each header names the config fields its command reads, and hashes them
+    @pytest.mark.parametrize("argv, fields", [
+        (["verify", *FAST], {"samples_per_curve": 96, "theta_grid_size": 12,
+                             "eps_list": [0.1, 0.01, 0.001, 0.0001], "control": False}),
+        (["faces", *FACES_FAST], {"theta_grid_size": 12}),
+        (["nice3d"], {}),
+    ], ids=["verify", "faces", "nice3d"])
+    def test_json_header_fields(self, argv, fields, tmp_path):
+        out = tmp_path / "r.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["schema"] == 1
+        assert report["config"] == fields
+        digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+        assert report["config_hash"] == digest[:12]
+
+    def test_sweep_header_fields(self):
+        # the CSV carries no header; the dict that run_sweep returns does
+        sweep = reporting.run_sweep(RunConfig(samples_per_curve=64, theta_grid_size=12))
+        assert sweep["config"] == {"samples_per_curve": 64, "control": False,
+                                   "eps_list": (0.1, 0.01, 0.001, 0.0001)}
+
+    def test_default_verify_hash_is_the_one_of_all_fields(self):
+        # verify names every field, as it did when every header hashed the
+        # whole config: its default report keeps the hash it always had
+        assert reporting.run_verify(RunConfig())["config_hash"] == "ae0458fccdc3"
 
 
 class TestCommandFlags:
@@ -193,11 +225,13 @@ class TestImportPath:
         # Every module the commands need (locale) loads with conelab.cli, so
         # none is imported inside main. numpy.ma is compared with what a bare
         # `import numpy` loads: numpy 1.24 imports it eagerly, numpy 2.x only
-        # on demand, and no command may demand it.
+        # on demand, and no command may demand it. Nor may a command load
+        # fractions or decimal (3-4 ms to import): nice3d decides in Python ints.
         script = textwrap.dedent("""
             import json, sys
             import numpy
             numpy_ma_before = "numpy.ma" in sys.modules
+            with_numpy = set(sys.modules)
             import conelab.cli
             loaded = set(sys.modules)
             out = sys.argv[1]
@@ -214,6 +248,8 @@ class TestImportPath:
                 "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                 "imported_by_main": sorted(set(sys.modules) - loaded),
                 "numpy_ma_added": "numpy.ma" in sys.modules and not numpy_ma_before,
+                "fractions_or_decimal": sorted({"fractions", "decimal"}
+                                               & (set(sys.modules) - with_numpy)),
             }))
         """)
         src = str(Path(conelab.__file__).resolve().parents[1])
@@ -223,7 +259,7 @@ class TestImportPath:
                               env=env, capture_output=True, text=True, check=True)
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result == {"codes": [0] * 5, "scipy": [], "imported_by_main": [],
-                          "numpy_ma_added": False}
+                          "numpy_ma_added": False, "fractions_or_decimal": []}
 
     def test_no_module_imports_scipy(self):
         # function bodies included: a lazy import would not show in the run above
@@ -306,8 +342,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("command", ["verify", "faces", "sweep", "nice3d"])
     def test_retired_tol_flag_exits_2_before_any_work(self, command, tmp_path, capsys,
                                                       monkeypatch):
-        # every verdict reads the fixed linalg.EQ_ABS; a script that still
-        # passes --tol fails loudly instead of running with another bound
+        # no verdict reads a tolerance that a flag could set; a script that
+        # still passes --tol fails loudly instead of running with another bound
         refuse_work(monkeypatch)
         with pytest.raises(SystemExit) as exc:
             main([command, "--tol", "1e-9", "--out", str(tmp_path / "x")])

@@ -47,5 +47,5 @@ def test_sweep_verdict(eps_list, control, verdict):
 class TestNice3DCommand:
     def test_passes(self):
         # nice3d takes no knob but --out, so the lattice has one cell
-        report = reporting.run_nice3d(RunConfig())
+        report = reporting.run_nice3d()
         assert report["pass"] is True and report["perp_normal_rejected"] is True

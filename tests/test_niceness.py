@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -215,6 +216,11 @@ class TestPositivityWindow:
 
 EXAMPLES = [nn.octant_example, nn.half_disc_cone_example]
 
+# scales of p (or h) under which both examples must pass: a subnormal power
+# of two, extremes near the float range, and the 1e-10 and 1e10 at which the
+# former float route failed
+SCALES = [1e-300, 1e-10, 1.0, 1e10, 1e300, 2.0**-1070]
+
 
 def random_rotation(rng):
     """A random orthogonal 3x3 matrix with determinant +1."""
@@ -223,45 +229,138 @@ def random_rotation(rng):
     return q if np.linalg.det(q) > 0 else -q
 
 
+def cube_rotations():
+    """The 24 rotations of the cube: the signed permutation matrices with
+    determinant +1, which map float vectors to float vectors exactly."""
+    rots = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            rot = np.zeros((3, 3))
+            rot[range(3), perm] = signs
+            if np.linalg.det(rot) > 0:
+                rots.append(rot)
+    return rots
+
+
+def exact(v):
+    return [Fraction(float(x)) for x in v]
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def exposes_its_edges(generators, p1, p2, h1, h2):
+    """In Fractions: h_i >= 0 at every generator, zero on p_i and positive
+    on the other edge p_j."""
+    gens = [exact(g) for g in generators]
+    p1, p2, h1, h2 = map(exact, (p1, p2, h1, h2))
+    return all(
+        all(dot(g, h) >= 0 for g in gens) and dot(h, p_own) == 0 < dot(h, p_other)
+        for h, p_own, p_other in ((h1, p1, p2), (h2, p2, p1))
+    )
+
+
+def verdict(*args):
+    """The report's verdict fields, or the class of the rejection."""
+    try:
+        rep = nn.nice3d_ingredients(*args)
+    except (DomainError, DegenerateInputError) as exc:
+        return type(exc)
+    return rep["pass"], rep["sign_pattern_ok"]
+
+
 class TestNice3D:
     def test_octant_projections_align_with_axes(self):
         rep = nn.nice3d_ingredients(*nn.octant_example())
         assert rep["pass"]
-        q1, q2 = rep["projections"]
-        assert np.allclose(q1, [0.0, 1.0, 0.0], atol=1e-12)
-        assert np.allclose(q2, [1.0, 0.0, 0.0], atol=1e-12)
-        # q_i = c_i * r_i with r1 = e2, r2 = e1: the dual wedge is the quadrant
-        assert np.array_equal(np.abs(np.array(rep["wedge_generators"])), [[0, 1, 0], [1, 0, 0]])
+        assert rep["projections"] == ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+        # q_i = c_i * w_i with w1 = e2, w2 = e1: the dual wedge is the quadrant
+        assert rep["wedge_generators"] == ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
         assert rep["multipliers"] == (1.0, 1.0)
-        assert rep["certificate_residual"] == 0.0
 
     def test_half_disc_cone_passes(self):
         rep = nn.nice3d_ingredients(*nn.half_disc_cone_example())
         assert rep["pass"]
         assert rep["sign_pattern_ok"]
-        assert rep["projection_identity_residual"] <= 1e-12
         assert rep["multipliers"] == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)), rel=1e-15)
-        assert rep["certificate_residual"] <= 1e-15
-        # bit for bit, signed zeros included, as the nice3d report prints them
+        # bit for bit, as the nice3d report prints them: int / int gives no
+        # signed zeros
         a = 1.0 / math.sqrt(2.0)
-        expected = np.array([[a, a, -0.0], [a, -a, -0.0]])
+        expected = np.array([[a, a, 0.0], [a, -a, 0.0]])
         assert np.array(rep["wedge_generators"]).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("example", EXAMPLES)
+    @pytest.mark.parametrize("p_scale", SCALES)
+    def test_every_scaled_cell_passes(self, example, p_scale):
+        # among them the octant with h or p scaled by 1e-10 and the half-disc
+        # with h scaled by 1e10, which the float route failed
+        cone, p1, p2, h1, h2 = example()
+        for h_scale in SCALES:
+            rep = nn.nice3d_ingredients(cone, p_scale * p1, p_scale * p2,
+                                        h_scale * h1, h_scale * h2)
+            assert rep["pass"] and rep["sign_pattern_ok"], h_scale
+
+    def test_multipliers_past_the_float_range_read_inf(self):
+        # c_i = 2^1070 overflows on conversion; the exact verdict still passes
+        cone, p1, p2, h1, h2 = nn.octant_example()
+        tiny = 2.0**-1070
+        rep = nn.nice3d_ingredients(cone, tiny * p1, tiny * p2, h1, h2)
+        assert rep["pass"] and rep["multipliers"] == (math.inf, math.inf)
+        assert rep["wedge_generators"] == ([0.0, tiny, 0.0], [tiny, 0.0, 0.0])
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    @pytest.mark.parametrize("swap", [False, True], ids=["normals", "other-edge-normals"])
+    def test_power_of_two_scaling_keeps_the_report(self, example, swap):
+        # each of p1, p2, h1, h2 scaled by its own 2^k: the verdict fields
+        # stay, and since each float is one rounding of an exact value that
+        # scales by a power of two, q_i scales by 2^k(h_i), w_i by 2^k(p_j)
+        # and c_i by 2^(k(h_i) - k(p_j)), bit for bit
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        cone, p1, p2, h1, h2 = example()
+        if swap:
+            h1, h2 = h2, h1
+        base = nn.nice3d_ingredients(cone, p1, p2, h1, h2)
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.lists(st.integers(-500, 500), min_size=4, max_size=4))
+        def check(ks):
+            k1, k2, l1, l2 = ks
+            rep = nn.nice3d_ingredients(cone, math.ldexp(1.0, k1) * p1, math.ldexp(1.0, k2) * p2,
+                                        math.ldexp(1.0, l1) * h1, math.ldexp(1.0, l2) * h2)
+            assert (rep["pass"], rep["sign_pattern_ok"]) == (base["pass"], base["sign_pattern_ok"])
+            for q, q0, w, w0, c, c0, kh, kp in zip(
+                    rep["projections"], base["projections"], rep["wedge_generators"],
+                    base["wedge_generators"], rep["multipliers"], base["multipliers"],
+                    (l1, l2), (k2, k1)):
+                assert q == [math.ldexp(x, kh) for x in q0]
+                assert w == [math.ldexp(x, kp) for x in w0]
+                assert c == math.ldexp(c0, kh - kp)
+
+        check()
+
+    @pytest.mark.parametrize("example", EXAMPLES)
     def test_certificate_is_exact_in_fractions(self, example):
-        # on the float inputs: q_i x r_i = 0 and c_i = <q_i, r_i>/|r_i|^2 > 0
-        _, p1, p2, _, _ = example()
-        rep = nn.nice3d_ingredients(*example())
-        for i, (q, r) in enumerate(zip(rep["projections"], rep["wedge_generators"])):
-            q, r = [Fraction(float(v)) for v in q], [Fraction(float(v)) for v in r]
-            cross = [q[1] * r[2] - q[2] * r[1], q[2] * r[0] - q[0] * r[2],
-                     q[0] * r[1] - q[1] * r[0]]
-            assert cross == [0, 0, 0]
-            c = sum(a * b for a, b in zip(q, r)) / sum(b * b for b in r)
-            assert c > 0
-            assert rep["multipliers"][i] == float(c)
-            p_other = (p2, p1)[i]
-            assert sum(a * Fraction(float(b)) for a, b in zip(r, p_other)) > 0
+        # recomputed in Fractions on the float inputs: q_i is the projection
+        # of h_i onto span F, w_i the part of p_j orthogonal to p_i, and
+        # q_i = c_i w_i with c_i > 0; the report holds each rounded once
+        cone, *vectors = example()
+        p1, p2, h1, h2 = map(exact, vectors)
+        rep = nn.nice3d_ingredients(cone, *vectors)
+        c = cross(p1, p2)
+        for i, (h, p_own, p_other) in enumerate(((h1, p1, p2), (h2, p2, p1))):
+            q = [a - dot(h, c) / dot(c, c) * b for a, b in zip(h, c)]
+            w = [a - dot(p_own, p_other) / dot(p_own, p_own) * b for a, b in zip(p_other, p_own)]
+            mult = dot(q, w) / dot(w, w)
+            assert mult > 0 and q == [mult * a for a in w]
+            assert rep["projections"][i] == [float(a) for a in q]
+            assert rep["wedge_generators"][i] == [float(a) for a in w]
+            assert rep["multipliers"][i] == float(mult)
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_wedge_agrees_with_the_lp_reference(self, example):
@@ -281,17 +380,29 @@ class TestNice3D:
         assert decided >= 1000
 
     @pytest.mark.parametrize("example", EXAMPLES)
-    def test_seeded_rotations_pass(self, example):
-        rng = np.random.default_rng(19)
+    def test_cube_rotations_pass(self, example):
+        # signed permutations rotate float inputs exactly, so every one of
+        # the 24 passes with the base report's multipliers
         base = nn.nice3d_ingredients(*example())
         cone, *vectors = example()
+        for rot in cube_rotations():
+            rep = nn.nice3d_ingredients(cone @ rot.T, *(rot @ v for v in vectors))
+            assert rep["pass"] and rep["sign_pattern_ok"]
+            assert rep["multipliers"] == base["multipliers"]
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_rounded_rotations_are_not_exposing_inputs(self, example):
+        # a float-rounded rotation moves h_i off zero on p_i, or below zero at
+        # a generator, in exact arithmetic; the exact route must not pass such
+        # a case, whatever a tolerance would have forgiven
+        rng = np.random.default_rng(19)
+        cone, *vectors = example()
+        assert exposes_its_edges(cone, *vectors)
         for _ in range(20):
             rot = random_rotation(rng)
-            rep = nn.nice3d_ingredients(cone @ rot.T,
-                                        *(rot @ v for v in vectors))
-            assert rep["pass"] and rep["sign_pattern_ok"]
-            assert rep["certificate_residual"] <= 1e-15
-            assert rep["multipliers"] == pytest.approx(base["multipliers"], rel=1e-12)
+            args = (cone @ rot.T, *(rot @ v for v in vectors))
+            assert not exposes_its_edges(*args)
+            assert verdict(*args) in (DomainError, (False, False))
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_swapping_the_edges_swaps_the_report(self, example):
@@ -304,19 +415,20 @@ class TestNice3D:
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_normals_of_the_other_edge_fail(self, example):
-        # h2 exposes p2, not p1: q_1 is then orthogonal to r_1
+        # h2 exposes p2, not p1: q_1 is then orthogonal to w_1
         cone, p1, p2, h1, h2 = example()
         rep = nn.nice3d_ingredients(cone, p1, p2, h2, h1)
         assert not rep["sign_pattern_ok"]
-        assert max(rep["multipliers"]) <= 0.0 and rep["certificate_residual"] == 1.0
+        assert rep["multipliers"] == (0.0, 0.0)
         assert not rep["pass"]
 
     def test_normal_not_zero_on_its_edge_fails(self):
-        # h1 >= 0 on the octant but positive on p1 = e1: it exposes no edge
+        # h1 >= 0 on the octant but positive on p1 = e1: it exposes no edge,
+        # and q_1 = (0.5, 1, 0) is not parallel to w_1 = e2
         cone, p1, p2, _, h2 = nn.octant_example()
         rep = nn.nice3d_ingredients(cone, p1, p2, np.array([0.5, 1.0, 1.0]), h2)
         assert not rep["sign_pattern_ok"]
-        assert rep["certificate_residual"] > 0.1
+        assert np.cross(rep["projections"][0], rep["wedge_generators"][0]).any()
         assert not rep["pass"]
 
     def test_normal_in_face_complement_rejected(self):
@@ -334,30 +446,35 @@ class TestNice3D:
         with pytest.raises(DegenerateInputError):
             nn.nice3d_ingredients(cone, p1, 2.0 * p1, h1, h2)
 
-    def test_rejection_matches_the_svd_rank_test(self):
-        # seeded pairs [p1; p2] = U diag(s, s*ratio) V with ratio = s2/s1 a
-        # relative 1e-4 or 1e-2 either side of 1e-10, or log-uniform in
-        # [1e-11, 1e-9]: rejected exactly when s2 <= 1e-10 * s1 by an SVD
-        rng = np.random.default_rng(29)
+    def test_rejected_exactly_when_p1_x_p2_is_zero(self):
+        # p2 = -2^k p1 and 3 p1 are rejected unless rounding made them
+        # independent: 2^-1000 * 1e-300 underflows to 0, and 3 * 0.1 and
+        # 3 * -0.7 round differently. Seeded pairs
+        # [p1; p2] = U diag(s, s*ratio) V with ratio = s2/s1 a relative 1e-4
+        # or 1e-2 either side of 1e-10, or log-uniform in [1e-11, 1e-9], have
+        # p1 x p2 != 0 in Fractions and are accepted: no rank tolerance
         cone, _, _, h1, h2 = nn.octant_example()
+        rejected = 0
+        for p1 in (np.array([1.0, 2.0, 3.0]), np.array([0.1, -0.7, 1e-300]),
+                   np.array([3.0, 0.0, 0.0])):
+            for p2 in [-math.ldexp(1.0, k) * p1 for k in (-1000, -3, 0, 7, 1000)] + [3.0 * p1]:
+                if any(cross(exact(p1), exact(p2))):
+                    nn.nice3d_ingredients(cone, p1, p2, h1, h2)
+                else:
+                    rejected += 1
+                    with pytest.raises(DegenerateInputError):
+                        nn.nice3d_ingredients(cone, p1, p2, h1, h2)
+        assert rejected == 16
+        rng = np.random.default_rng(29)
         ratios = np.concatenate([1e-10 * (1.0 + np.repeat([-1e-2, -1e-4, 1e-4, 1e-2], 100)),
                                  10.0 ** rng.uniform(-11.0, -9.0, 400)])
-        rejected = 0
         for ratio in ratios:
             s = 10.0 ** rng.uniform(-3.0, 3.0)
             u = np.linalg.qr(rng.normal(size=(2, 2)))[0]
             v = np.linalg.qr(rng.normal(size=(3, 3)))[0]
             p1, p2 = u @ np.diag([s, s * ratio]) @ v[:2]
-            sigma = np.linalg.svd(np.vstack([p1, p2]), compute_uv=False)
-            svd_rejects = bool(sigma[1] <= 1e-10 * sigma[0])
-            assert svd_rejects == (ratio <= 1e-10), ratio
-            if svd_rejects:
-                rejected += 1
-                with pytest.raises(DegenerateInputError):
-                    nn.nice3d_ingredients(cone, p1, p2, h1, h2)
-            else:
-                nn.nice3d_ingredients(cone, p1, p2, h1, h2)
-        assert 300 <= rejected <= 500
+            assert any(cross(exact(p1), exact(p2))), ratio
+            nn.nice3d_ingredients(cone, p1, p2, h1, h2)
 
     @pytest.mark.parametrize("vector", ["p1", "p2", "h1", "h2"])
     @pytest.mark.parametrize("bad", [
