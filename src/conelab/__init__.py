@@ -27,12 +27,7 @@ from .construction import (
     theta_grid,
 )
 from .faces import Catalogue, Exposure, build_catalogue, verify_catalogue
-from .linalg import (
-    EQ_ABS,
-    DegenerateInputError,
-    DomainError,
-    feasible_interval,
-)
+from .linalg import EQ_ABS, DegenerateInputError, DomainError
 from .niceness import (
     closure_check,
     divergence_sweep,

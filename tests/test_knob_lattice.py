@@ -16,15 +16,17 @@ from conelab.reporting import RunConfig
 SIZES = (8, 64, 512)
 EPS_TO_1E_4 = (1e-1, 1e-2, 1e-3, 1e-4)
 EPS_TO_1E_7 = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+EPS_TO_1E_9 = EPS_TO_1E_7 + (1e-8, 1e-9)
 
 
 @pytest.mark.parametrize("eq_abs", [EQ_ABS])
 @pytest.mark.parametrize("thetas", SIZES)
 @pytest.mark.parametrize("samples", SIZES)
 def test_verify_and_faces_pass(samples, thetas, eq_abs):
-    # every verdict reads the one bound EQ_ABS, which names the cell; the
-    # worst on-face residual sits 1000x below it, so the verdict would be the
-    # same at any bound from 1e-12 up
+    # the face check's on-face residual reads the one bound EQ_ABS, which
+    # names the cell; the worst residual sits 1000x below it, so the verdict
+    # would be the same at any bound from 1e-12 up (the sweep and nice3d
+    # read no tolerance)
     config = RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
     report = reporting.run_verify(config)
     assert (report["overall"], report["failures"]) == ("pass", [])
@@ -35,9 +37,12 @@ def test_verify_and_faces_pass(samples, thetas, eq_abs):
 @pytest.mark.parametrize("eps_list, control, verdict", [
     (EPS_TO_1E_4, False, "NotNiceEvidence"),
     (EPS_TO_1E_4, True, "Inconclusive"),
-    pytest.param(EPS_TO_1E_7, False, "NotNiceEvidence", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 3: curve-1 rows below 1e-7 are read as flat")),
+    (EPS_TO_1E_7, False, "NotNiceEvidence"),
     (EPS_TO_1E_7, True, "Inconclusive"),
+    (EPS_TO_1E_9, True, "Inconclusive"),
+    pytest.param(EPS_TO_1E_9, False, "NotNiceEvidence", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 3: cos eps rounds to 1 below ~1.05e-8, "
+                            "so the sampled curve-1 row is flat")),
 ])
 def test_sweep_verdict(eps_list, control, verdict):
     config = RunConfig(samples_per_curve=64, eps_list=eps_list, control=control)

@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from conelab.linalg import DomainError, feasible_interval, gamma
+from conelab.linalg import DomainError, gamma
 from helpers import reference_conic_membership
 
 class TestConicMembership:
@@ -34,33 +32,6 @@ class TestConicMembership:
                 point = 3.0 * rng.normal(size=dim)
             verdict = reference_conic_membership(point, gens)
             assert verdict.recheck(point, gens)
-
-
-class TestFeasibleInterval:
-    def test_examples(self):
-        assert feasible_interval([0.0, 1.0], [3.0]) == (1.0, 3.0)
-        assert feasible_interval([5.0], [2.0]) is None
-        assert feasible_interval([], []) == (-math.inf, math.inf)
-
-    def test_matches_exhaustive_scan(self):
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            lowers = rng.normal(size=rng.integers(0, 5)).tolist()
-            uppers = rng.normal(size=rng.integers(0, 5)).tolist()
-            interval = feasible_interval(lowers, uppers)
-            candidates = lowers + uppers + [-10.0, 0.0, 10.0]
-            feasible = [
-                x for x in candidates
-                if all(lo <= x for lo in lowers) and all(x <= hi for hi in uppers)
-            ]
-            if interval is None:
-                assert not feasible
-            else:
-                lo, hi = interval
-                assert lo <= hi
-                for x in feasible:
-                    assert lo - 1e-12 <= x <= hi + 1e-12
-
 
 
 class TestGamma:

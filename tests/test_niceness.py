@@ -65,20 +65,21 @@ class TestWitnessSlack:
 
 class TestShiftProfile:
     def test_flat_face_generators_are_unconditional(self):
+        # only curves 1 and 2 off the origin bound lambda; every other row,
+        # curves 3 and 4 and the four origin samples, is flat and holds
         cone = nn.refined_cone(0.05, samples_per_curve=64)
         prof = nn.shift_profile(cone)
         for g, cid, t in zip(*cone):
             if cid == 3:
                 assert float(g @ con.WITNESS_Q) == pytest.approx(2.0 * (math.cos(t) - 1.0), abs=1e-12)
-                assert abs(float(g @ con.WITNESS_U)) <= 1e-12
+                assert float(g @ con.WITNESS_U) == 0.0
             if cid == 4:
                 assert float(g @ con.WITNESS_Q) == pytest.approx(-2.0 * math.sin(t), abs=1e-12)
-                assert abs(float(g @ con.WITNESS_U)) <= 1e-12
-        n_gens = len(cone.generators)
-        assert sum(prof["counts"].values()) == n_gens
-        assert prof["counts"]["infeasible-constant"] == 0
-        # curves 3/4 entirely unconditional, plus the four origin samples
-        assert prof["counts"]["unconditional"] == 2 * 64 + 2
+                assert float(g @ con.WITNESS_U) == 0.0
+        _, ids, ts = prof["lower_bounds"]
+        expected = [(cid, t) for _, cid, t in zip(*cone) if cid in (1, 2) and t > 0.0]
+        assert list(zip(ids.tolist(), ts.tolist())) == expected
+        assert len(expected) == 2 * 63
 
     def test_curve1_bound_formula(self):
         cone = nn.refined_cone(0.02, samples_per_curve=64)
@@ -96,7 +97,6 @@ class TestShiftProfile:
         prof = nn.shift_profile(nn.refined_cone(0.01, 128))
         assert prof["lambda_star"] == pytest.approx(98.9991666652777745, rel=1e-8)
         assert prof["achieving"] == (1, 0.01)
-        assert prof["interval"][1] == math.inf
 
     def test_bound_reproduces_equality_at_its_lambda(self):
         cone = nn.refined_cone(0.03, samples_per_curve=32)
@@ -106,12 +106,53 @@ class TestShiftProfile:
             g = by_label[(cid, t)]
             assert abs(float(g @ (con.WITNESS_Q - bound * con.WITNESS_U))) <= 1e-9
 
-    def test_interval_below_lambda_star_fails_the_recheck(self, monkeypatch):
-        cone = nn.refined_cone(0.01, 64)
-        lam = nn.shift_profile(cone)["lambda_star"]
-        monkeypatch.setattr(nn, "feasible_interval", lambda lowers, uppers: (lam - 1.0, math.inf))
-        with pytest.raises(AssertionError):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_generator_bounds_lambda_from_above(self, seed):
+        # <u, g> = -4 x_3 with x_3 = c - 1 (exact), -s or 0, and rounding is
+        # monotone: every computed <u, g> is >= 0, at the smallest and
+        # subnormal parameters too, and the curve-3/4 rows have <q, g> <= 0
+        rng = np.random.default_rng(seed)
+        ts = np.sort(np.concatenate([[0.0, 5e-324, 1e-300, 1e-8, T],
+                                     rng.uniform(0.0, T, 500),
+                                     T * 10.0 ** rng.uniform(-20.0, 0.0, 500)]))
+        for cone in (con.sample_cone(ts), nn.control_cone()):
+            ug, qg = cone.generators @ con.WITNESS_U, cone.generators @ con.WITNESS_Q
+            assert (ug >= 0.0).all()
+            assert (qg[cone.ids >= 3] <= 0.0).all()
+
+    def test_flat_row_with_positive_witness_value_holds_for_no_lambda(self):
+        # <u, g> = 0 and <q, g> = 2: no lambda satisfies 2 - lambda * 0 <= 0
+        cone = nn.refined_cone(0.01, 16)
+        flat = np.array([[1.0, 0.0, -2.0, 0.5]])
+        assert float(flat[0] @ con.WITNESS_U) == 0.0 and float(flat[0] @ con.WITNESS_Q) == 2.0
+        cone = con.Cone(np.vstack([cone.generators, flat]), np.append(cone.ids, 3),
+                        np.append(cone.ts, 0.5))
+        prof = nn.shift_profile(cone)
+        assert prof["lambda_star"] is None and prof["achieving"] is None
+
+    def test_negative_u_coefficient_is_not_a_generator_of_k(self):
+        # x_3 <= 0 on C, so <u, g> < 0 marks a row outside K
+        cone = con.Cone(np.array([[1.0, 0.5, 0.0, 0.75]]), np.array([1]), np.array([0.1]))
+        with pytest.raises(DomainError):
             nn.shift_profile(cone)
+
+    def test_no_bound_row_gives_minus_infinity(self):
+        prof = nn.shift_profile(con.Cone(np.array([[1.0, 0.5, 0.0, 0.5]]), np.array([3]),
+                                         np.array([0.0])))
+        assert prof["lambda_star"] == -math.inf and prof["achieving"] is None
+
+    def test_row_at_ten_to_the_minus_seven_binds_on_curve_1(self):
+        # 4(1 - cos t) ~ 2e-14 there, once read as flat by a 1e-12 cut
+        prof = nn.shift_profile(nn.refined_cone(1e-7, 512))
+        assert prof["achieving"] == (1, 1e-7)
+        assert abs(prof["lambda_star"] * 1e-7 - 1.0) <= 0.01
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-12])
+    def test_rows_where_cos_rounds_to_one_hold_for_no_lambda(self, eps):
+        # below ~1.05e-8 cos t rounds to 1, so the curve-1 row at t = eps is
+        # flat with <q, g> = 2 sin t > 0
+        assert math.cos(eps) == 1.0
+        assert nn.shift_profile(nn.refined_cone(eps, 64))["lambda_star"] is None
 
 
 class TestMembershipCrossCheck:
@@ -164,6 +205,35 @@ class TestDivergenceSweep:
         assert rep["max_curve3_value"] <= 0.0
         assert rep["max_curve4_value"] <= 0.0
         assert rep["max_identity_residual"] <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closure_residual_within_its_dot_product_bound(self, seed):
+        # 2(c - 1) and -2s are the exact dot products of the stored
+        # generators with q, so each row's residual is the rounding of a
+        # 4-term dot product: at most gamma_4 |g|^T |q|
+        ts = np.random.default_rng(seed).uniform(0.0, T, 4000)
+        s, c = con.arc_sin_cos(ts)
+        for i, closed_form in ((3, 2.0 * (c - 1.0)), (4, -2.0 * s)):
+            g = con.lift_arc(i, s, c)
+            bound = gamma(4) * (np.abs(g) @ np.abs(con.WITNESS_Q))
+            assert (np.abs(g @ con.WITNESS_Q - closed_form) <= bound).all()
+        for n in (2, 3, 64, 4097):
+            assert nn.closure_check(n)["in_closure"]
+
+    def test_perturbed_generator_fails_the_closure_bound(self, monkeypatch):
+        # 16 ulps of 1 in one curve-3 generator exceed gamma_4 * ~2.6
+        real = con.lift_arc
+
+        def perturbed(i, s, c):
+            g = real(i, s, c)
+            if i == 3:
+                g[len(g) // 2, 2] += 16 * np.finfo(float).eps
+            return g
+
+        monkeypatch.setattr(nn, "lift_arc", perturbed)
+        rep = nn.closure_check(512)
+        assert not rep["in_closure"]
+        assert rep["max_curve3_value"] <= 0.0 and rep["max_curve4_value"] <= 0.0
 
     def test_achieving_generator_stays_on_curve1(self):
         sweep = nn.divergence_sweep([5e-2, 5e-3, 5e-4], samples_per_curve=32)
@@ -361,6 +431,36 @@ class TestNice3D:
             assert rep["projections"][i] == [float(a) for a in q]
             assert rep["wedge_generators"][i] == [float(a) for a in w]
             assert rep["multipliers"][i] == float(mult)
+
+    def test_sign_pattern_is_the_generator_certificate(self):
+        # pass reads only the sign pattern; the certificate q_i' x r_i = 0 and
+        # <q_i', r_i> > 0, recomputed here in Fractions, must agree with it
+        # whenever c != 0 and q_i' != 0. Half the normals are built
+        # orthogonal to their edge, a (c x p_i) + b c, so both verdicts occur;
+        # the one zero generator leaves the sign of h on the cone unchecked
+        rng = np.random.default_rng(31)
+        verdicts = []
+        for _ in range(3000):
+            p1, p2 = rng.integers(-3, 4, size=(2, 3)).astype(float)
+            c = cross(exact(p1), exact(p2))
+            if not any(c):
+                continue
+            hs = []
+            for p in (p1, p2):
+                a, b = rng.integers(-2, 3, size=2)
+                h = np.array([float(a * x + b * y) for x, y in zip(cross(c, exact(p)), c)])
+                hs.append(h if rng.random() < 0.5 else rng.integers(-3, 4, size=3).astype(float))
+            qs = [[dot(c, c) * x - dot(exact(h), c) * y for x, y in zip(exact(h), c)] for h in hs]
+            if not all(any(q) for q in qs):
+                continue
+            e1, e2 = exact(p1), exact(p2)
+            rs = ([dot(e1, e1) * x - dot(e1, e2) * y for x, y in zip(e2, e1)],
+                  [dot(e2, e2) * x - dot(e1, e2) * y for x, y in zip(e1, e2)])
+            certified = all(not any(cross(q, r)) and dot(q, r) > 0 for q, r in zip(qs, rs))
+            rep = nn.nice3d_ingredients(np.zeros((1, 3)), p1, p2, *hs)
+            assert rep["pass"] == rep["sign_pattern_ok"] == certified, (p1, p2, hs)
+            verdicts.append(certified)
+        assert verdicts.count(True) >= 50 and verdicts.count(False) >= 1000
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_wedge_agrees_with_the_lp_reference(self, example):
