@@ -14,7 +14,6 @@ from .construction import (
     Cone,
     RulingData,
     curve_grid,
-    curve_point,
     curve_points,
     lift_pairs,
     lift_points,
@@ -27,7 +26,7 @@ from .construction import (
     theta_grid,
 )
 from .faces import Catalogue, Exposure, build_catalogue, verify_catalogue
-from .linalg import EQ_ABS, DegenerateInputError, DomainError
+from .linalg import DegenerateInputError, DomainError
 from .niceness import (
     closure_check,
     divergence_sweep,

@@ -53,16 +53,16 @@ ENDPOINTS = {
 }
 
 def check_param(t, name="t", open_lo=False):
-    """t, a scalar or an array, clamped to [0, T]; DomainError for a
-    value outside it (or at 0 when open_lo)."""
+    """t, a scalar or an array, as a float array; DomainError for a value
+    outside [0, T] (or at 0 when open_lo). The domain is exact: every grid
+    of the package holds 0 and T_END themselves."""
     t = np.asarray(t, dtype=float)
-    slack = 1e-15  # forgive one ulp of pi/4 round-off at the right endpoint
     # written so that NaN, which fails every comparison, is rejected too
-    inside = (-slack <= t) & (t <= T_END + slack) & ~(open_lo & (t <= 0.0))
+    inside = (0.0 <= t) & (t <= T_END) & ~(open_lo & (t <= 0.0))
     if not inside.all():
         bad = t[~inside] if t.ndim else t
         raise DomainError(f"{name}={bad} outside {'(' if open_lo else '['}0.0, {T_END}]")
-    return np.clip(t, 0.0, T_END)
+    return t
 
 
 # Each arc's coordinate columns from s = sin t and c = cos t; 0.0 is a zero column.
@@ -77,10 +77,7 @@ _ARC_COLUMNS = {
 def arc_sin_cos(ts):
     """sin and cos of curve parameters ts, which must be finite and lie in
     [0, T]: the one evaluation that the samples of every arc are taken from."""
-    ts = np.asarray(ts, dtype=float)
-    # min and max propagate NaN, which then fails both comparisons
-    if ts.size and not (ts.min() >= -1e-15 and ts.max() <= T_END + 1e-15):
-        raise DomainError(f"curve parameters must be finite and lie in [0, {T_END}]")
+    ts = check_param(ts)
     return np.sin(ts), np.cos(ts)
 
 
@@ -93,11 +90,6 @@ def curve_points(curve_id, ts):
     for k, col in enumerate(_ARC_COLUMNS[curve_id](*arc_sin_cos(ts))):
         points[..., k] = col
     return points
-
-
-def curve_point(curve_id, t):
-    """Single point on one of the four arcs; t must lie in [0, T]."""
-    return curve_points(curve_id, check_param(t))
 
 
 def _per_element(fn, *args):
@@ -165,8 +157,9 @@ def ruling_data(theta):
     is taken from its value as partner_param takes it."""
     theta = check_param(theta, name="theta", open_lo=True)
     ct = partner_cos(theta)
-    if not ((_SQRT2_INV - 1e-12 <= ct) & (ct < 1.0)).all():
-        raise DomainError(f"partner cosine {ct} escaped [1/sqrt2, 1)")
+    # below theta ~ 2e-16, c + s rounds to c and ct to 1: no partner then
+    if not (ct < 1.0).all():
+        raise DomainError(f"partner cosine {ct} rounds to 1")
     t = _partner_of_cos(ct)
     st, sth, cth = np.sin(t), np.sin(theta), np.cos(theta)
     normal = np.stack([-st * sth, -ct * sth, ct * cth], axis=-1)
@@ -236,8 +229,8 @@ class Cone(NamedTuple):
 
 def sample_cone(grids):
     """The cone K over C' sampled on grids, a dict curve_id -> non-decreasing
-    parameters holding 0 and T (or one array for every curve), written
-    straight into one (N, 4) array with no body in between: arc_sin_cos runs
+    parameters from exactly 0 to exactly T (or one array for every curve),
+    written straight into one (N, 4) array with no body in between: arc_sin_cos runs
     once per distinct grid array, and _lift writes each curve's columns into
     its rows. At the sweep's 4 x 8,192 samples this is about four times
     faster than sampling the body and lifting it."""
@@ -247,8 +240,8 @@ def sample_cone(grids):
         if i not in grids or grids[i].size == 0:
             raise DegenerateInputError(f"curve {i} has no samples")
         g = grids[i]
-        if abs(g[0]) > 1e-15 or abs(g[-1] - T_END) > 1e-12:
-            raise DomainError("grids must include both endpoints 0 and T")
+        if not (g[0] == 0.0 and g[-1] == T_END):
+            raise DomainError(f"grid of curve {i} must start at 0 and end at T = {T_END}")
         # each curve's samples are one run sorted by parameter; NaN fails too
         if not (g[1:] >= g[:-1]).all():
             raise DomainError(f"grid of curve {i} must be non-decreasing")

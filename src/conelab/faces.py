@@ -16,9 +16,10 @@ singletons and the rulings take theirs from two array evaluations of the
 ruling machinery, the fixed faces (origin, endpoint chords, endpoint
 triangles and planar sides) from one table. The generator points of every
 face, labelled (curve, t), are computed once per catalogue, in one
-curve_points call per curve: the atlas lists them, verify_catalogue takes
-the on-face residual at them and reporting's homogenization section
-evaluates the lift identity at them.
+curve_points call per curve: the atlas lists them and reporting's
+homogenization section evaluates the lift identity at them. verify_catalogue
+takes the on-face residual at their labels, from the closed form of the
+margins.
 
 verify_catalogue checks each pair over the whole arcs of C, with no
 samples, and returns its verdicts as arrays (Exposure), one row per face.
@@ -42,12 +43,11 @@ from .construction import (
     _ARC_COLUMNS,
     CURVE_IDS,
     T_END,
-    check_param,
     curve_points,
     ruling_data,
     theta_for_partner,
 )
-from .linalg import EQ_ABS, DegenerateInputError, DomainError, gamma
+from .linalg import DegenerateInputError, DomainError, gamma
 
 # How every exposing pair is obtained; the face atlas records it per face.
 CLOSED_FORM = "closed-form"
@@ -117,7 +117,8 @@ class Catalogue(NamedTuple):
 class Exposure(NamedTuple):
     """Verdicts of verify_catalogue, one row per face: largest on-face
     residual, margin at each radius (one column per delta), the rounding
-    bound a margin must exceed, and whether the face passes."""
+    bound that the residual must not exceed and every margin must, and
+    whether the face passes."""
 
     residuals: np.ndarray
     margins: np.ndarray
@@ -127,13 +128,12 @@ class Exposure(NamedTuple):
 
 def generator_points(ids, ts):
     """The points of the generators (ids[k], ts[k]), one per row, from one
-    curve_points call per curve on parameters checked and clamped to [0, T]
-    as curve_point does it, so each point has the bits of curve_point."""
-    clamped = check_param(ts)
+    curve_points call per curve, which checks the parameters; each point
+    has the bits of curve_points on its parameter alone."""
     points = np.empty((len(ts), 3))
     for i in CURVE_IDS:
         on = ids == i
-        points[on] = curve_points(i, clamped[on])
+        points[on] = curve_points(i, ts[on])
     return points
 
 
@@ -200,33 +200,6 @@ def face_label(catalogue, j):
     """The kind of face j, with its parameter where it has one."""
     kind, param = catalogue.kinds[j], catalogue.params[j]
     return kind if math.isnan(param) else f"{kind}({param:.6f})"
-
-
-def _anchor_residuals(catalogue):
-    """Largest |<y, p> - d| over the generator points p of each face and
-    their centroid. The faces with the same number of generators share one
-    stacked product, with the bits of the per-face product. Raises
-    DomainError for the first face whose pair misses its generators by
-    more than 1e-3.
-    """
-    sizes = catalogue.sizes
-    starts = np.cumsum(sizes) - sizes
-    anchor_res = np.empty(len(sizes))
-    res = np.empty(len(sizes))
-    for size in set(sizes.tolist()):
-        rows = np.flatnonzero(sizes == size)
-        pts = catalogue.points[starts[rows, None] + np.arange(size)]
-        y, d = catalogue.normals[rows][:, :, None], catalogue.offsets[rows]
-        anchor_res[rows] = np.abs(np.matmul(pts, y)[:, :, 0] - d[:, None]).max(axis=1)
-        # convex combinations of generators must reach the same hyperplane
-        centroid_res = np.abs(np.matmul(pts.mean(axis=1)[:, None, :], y)[:, 0, 0] - d)
-        res[rows] = np.maximum(anchor_res[rows], centroid_res)
-    bad = np.flatnonzero(anchor_res > 1e-3)
-    if bad.size:
-        j = bad[0]
-        raise DomainError(f"pair does not match face {face_label(catalogue, j)}: "
-                          f"anchor residual {anchor_res[j]:.3g}")
-    return res
 
 
 def _distance_table(catalogue):
@@ -296,17 +269,22 @@ def verify_catalogue(catalogue, deltas=MARGIN_DELTAS):
 
     The margin at radius delta is the smallest slack d - <y, x> over the
     points at parameter distance >= delta from the face (_far_intervals).
-    The on-face residual is the largest |<y, x> - d| at
-    the face's generators and their centroid and, on the curves the face
-    holds whole, over those curves.
+    The on-face residual is the largest |d - <y, x>| at the face's
+    generators, each taken by _arc_value at its (curve, t) label, and, on
+    the curves the face holds whole, over those curves. A convex
+    combination of the generators takes a value between theirs, so they
+    bound the residual of the whole face.
 
-    A face passes when its residual is at most EQ_ABS and its margin at
-    every radius exceeds gamma(MARGIN_ROUNDINGS) * (|d| + max over curves of
-    |A| + 2|B|), a bound on the rounding error of the computed margin
+    Residual and margins are one computed quantity, d - _arc_value(A, B, t),
+    at points on the face and far from it. Its rounding error is at most
+    gamma(MARGIN_ROUNDINGS) * (|d| + max over curves of |A| + 2|B|)
     (Higham, section 3.1): A and B are exact, the longest path
     d - (a sin t - 2b sin(t/2) sin(t/2)) has four roundings, each of its two
     libm sine factors counts one ulp (2u), and two roundings to spare cover
-    evaluating the bound itself; 4 + 2*2 + 2 = 10.
+    evaluating the bound itself; 4 + 2*2 + 2 = 10. A face passes when its
+    residual is at most that bound, so its generators lie on the hyperplane
+    to the resolution of the check, and its margin at every radius exceeds
+    it, so the far points lie strictly inside.
     """
     if min(deltas) <= 0.0:
         raise DomainError("margin radii must be positive")
@@ -319,10 +297,13 @@ def verify_catalogue(catalogue, deltas=MARGIN_DELTAS):
     for k, delta in enumerate(deltas):
         far = _arc_max(a, b, *_far_intervals(anchor, reach, delta))
         margins[:, k] = d[:, 0] - far.max(axis=(0, 2))
+    face, curve = np.repeat(np.arange(len(d)), catalogue.sizes), catalogue.gen_ids - 1
+    onface = np.abs(d[face, 0] - _arc_value(a[face, curve], b[face, curve], catalogue.gen_ts))
     top, low = _arc_max(a, b, 0.0, T_END), -_arc_max(-a, -b, 0.0, T_END)
     whole = np.where(catalogue.full, np.maximum(top - d, d - low), 0.0).max(axis=1)
-    residuals = np.maximum(_anchor_residuals(catalogue), whole)
+    starts = np.cumsum(catalogue.sizes) - catalogue.sizes
+    residuals = np.maximum(np.maximum.reduceat(onface, starts), whole)
     scale = np.abs(d[:, 0]) + (np.abs(a) + 2.0 * np.abs(b)).max(axis=1)
     bounds = gamma(MARGIN_ROUNDINGS) * scale
     return Exposure(residuals, margins, bounds,
-                    (residuals <= EQ_ABS) & (margins > bounds[:, None]).all(axis=1))
+                    (residuals <= bounds) & (margins > bounds[:, None]).all(axis=1))

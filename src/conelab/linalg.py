@@ -1,15 +1,10 @@
-"""Forward-error constants and error classes shared by the cone
-computations: the equality bound EQ_ABS, the rounding error constant
-gamma, DomainError and DegenerateInputError.
+"""The rounding error constant gamma and the error classes shared by the
+cone computations, DomainError and DegenerateInputError. No command's
+verdict reads a bare tolerance: each threshold is gamma times a stated
+scale, or the verdict is decided exactly.
 """
 
 from __future__ import annotations
-
-# Bound on residuals that count as "equals zero". Its one reader is the
-# on-face residual of faces.verify_catalogue (the sweep and nice3d read no
-# tolerance); no option sets it. It is not derived from a forward-error
-# bound yet (the margins of verify_catalogue are: see there).
-EQ_ABS = 1e-9
 
 
 class DomainError(ValueError):

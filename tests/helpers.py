@@ -17,7 +17,6 @@ from conelab.construction import (
     Cone,
     RulingData,
     curve_grid,
-    curve_point,
     curve_points,
     lift_points,
     ruling_data,
@@ -25,7 +24,7 @@ from conelab.construction import (
     theta_grid,
 )
 from conelab.faces import MARGIN_DELTAS
-from conelab.linalg import EQ_ABS, DegenerateInputError, DomainError
+from conelab.linalg import DegenerateInputError, DomainError
 
 
 # Reference catalogue: the per-face scalar route that faces.build_catalogue
@@ -304,9 +303,9 @@ def face_slice_points():
 
 
 def face_sample_points(face):
-    """The generator points of one face, one per row, one curve_point call
-    each."""
-    return np.vstack([curve_point(i, t) for i, t in face_generators(face)])
+    """The generator points of one face, one per row, one scalar
+    curve_points call each."""
+    return np.vstack([curve_points(i, t) for i, t in face_generators(face)])
 
 
 def witness_slack(t, lam):
@@ -421,6 +420,10 @@ def polar_generator_model(samples, directions):
 
 # a separating normal must clear this margin on the point
 MARGIN_ABS = 1e-12
+
+# the absolute equality bound of the sampled reference checks below
+EQ_ABS = 1e-9
+
 
 @dataclass(frozen=True)
 class ConicVerdict:

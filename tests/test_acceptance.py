@@ -52,8 +52,8 @@ def test_criterion_1_construction_fidelity():
     start = time.perf_counter()
     worst = 0.0
     for i in con.CURVE_IDS:
-        worst = max(worst, float(np.linalg.norm(con.curve_point(i, 0.0))))
-        worst = max(worst, float(np.linalg.norm(con.curve_point(i, T) - con.ENDPOINTS[i])))
+        worst = max(worst, float(np.linalg.norm(con.curve_points(i, 0.0))))
+        worst = max(worst, float(np.linalg.norm(con.curve_points(i, T) - con.ENDPOINTS[i])))
     cosines = np.array([con.partner_cos(t) for t in np.linspace(T / 1000, T, 1000)])
     end_high = abs(cosines[-1] - 1.0 / math.sqrt(2.0))
     toward_one = abs(con.partner_cos(1e-6) - 1.0)

@@ -25,13 +25,13 @@ ARC_CENTERS = {
 class TestCurves:
     def test_all_curves_start_at_the_origin(self):
         for i in con.CURVE_IDS:
-            assert np.linalg.norm(con.curve_point(i, 0.0)) <= 1e-12
+            assert np.linalg.norm(con.curve_points(i, 0.0)) <= 1e-12
 
     def test_endpoint_values(self):
-        assert np.allclose(con.curve_point(1, T), [0.0, -SQRT2_INV, SQRT2_INV - 1.0], atol=1e-15)
-        assert np.allclose(con.curve_point(2, T), [0.0, SQRT2_INV - 1.0, -SQRT2_INV], atol=1e-15)
-        assert np.allclose(con.curve_point(3, T), [-SQRT2_INV, 1.0 - SQRT2_INV, 0.0], atol=1e-15)
-        assert np.allclose(con.curve_point(4, T), [SQRT2_INV - 1.0, SQRT2_INV, 0.0], atol=1e-15)
+        assert np.allclose(con.curve_points(1, T), [0.0, -SQRT2_INV, SQRT2_INV - 1.0], atol=1e-15)
+        assert np.allclose(con.curve_points(2, T), [0.0, SQRT2_INV - 1.0, -SQRT2_INV], atol=1e-15)
+        assert np.allclose(con.curve_points(3, T), [-SQRT2_INV, 1.0 - SQRT2_INV, 0.0], atol=1e-15)
+        assert np.allclose(con.curve_points(4, T), [SQRT2_INV - 1.0, SQRT2_INV, 0.0], atol=1e-15)
 
     def test_each_arc_lies_on_its_unit_circle(self):
         ts = np.linspace(0.0, T, 403)
@@ -41,15 +41,22 @@ class TestCurves:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            con.curve_point(1, -0.1)
+            con.curve_points(1, -0.1)
         with pytest.raises(DomainError):
-            con.curve_point(1, T + 0.1)
+            con.curve_points(1, T + 0.1)
         with pytest.raises(DomainError):
-            con.curve_point(5, 0.1)
+            con.curve_points(5, 0.1)
+
+    def test_the_domain_is_exactly_0_to_T(self):
+        # one ulp past T, and the smallest subnormal below 0, are outside
+        for t in (np.nextafter(T, 1.0), -5e-324):
+            with pytest.raises(DomainError):
+                con.curve_points(1, t)
+        assert con.curve_points(1, [0.0, T]).shape == (2, 3)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("call", [
-        lambda v: con.curve_point(1, v),
+        lambda v: con.curve_points(1, v),
         lambda v: con.curve_points(2, [0.1, v]),
         lambda v: con.partner_cos(v),
         lambda v: con.theta_for_partner(v),
@@ -165,15 +172,22 @@ class TestBodiesAndCone:
         assert np.array_equal(con.lift_points(raw.xyz[5]), gens[5:6])
 
     def test_grids_must_cover_both_endpoints(self):
-        # within the endpoint test's 1e-12 of T, but past the 1e-15 that the
-        # curve parameters may exceed T by; on one curve or on all of them
+        # a grid that ends past T, on one curve or on all of them
         past = np.linspace(0.0, T + 5e-13, 16)
         with pytest.raises(DomainError):
             con.sample_cone(np.linspace(0.1, T, 16))
         with pytest.raises(DomainError):
             con.sample_cone(np.linspace(0.0, T / 2, 16))
         for grids in (past, {1: con.curve_grid(16), 2: past, 3: past, 4: con.curve_grid(16)}):
-            with pytest.raises(DomainError, match="must be finite and lie in"):
+            with pytest.raises(DomainError, match="must start at 0 and end at T"):
+                con.sample_cone(grids)
+
+    def test_grids_must_end_exactly_at_T(self):
+        # 5e-13 short of T does not hold T, on one curve or on all of them
+        short = np.linspace(0.0, T - 5e-13, 16)
+        for grids in (short, {1: con.curve_grid(16), 2: short, 3: con.curve_grid(16),
+                              4: con.curve_grid(16)}):
+            with pytest.raises(DomainError, match="must start at 0 and end at T"):
                 con.sample_cone(grids)
 
     def test_grids_must_be_non_decreasing(self):
@@ -197,7 +211,7 @@ class TestBodiesAndCone:
         assert len(cone.ids) == len(cone.ts) == len(cone.generators) == sum(
             g.size for g in grids.values())
         for i, t, g in zip(cone.ids, cone.ts, cone.generators):
-            assert np.array_equal(g, con.lift_points(con.curve_point(i, t))[0])
+            assert np.array_equal(g, con.lift_points(con.curve_points(i, t))[0])
 
     def test_sample_cone_hands_the_label_arrays_to_the_cone(self):
         body = sample_body(con.curve_grid(16))

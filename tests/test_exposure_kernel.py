@@ -2,13 +2,14 @@
 per-face sampled reference checks in helpers, on the reference catalogue's
 (face, pair) rows and on bodies sampled on grids that hold every face
 anchor: equal verdicts, every sampled margin at least the closed-form margin
-less its rounding bound (the samples are points of the arcs), and equal
-residuals on the faces anchored at their generators. Also: lifted reference
-margins on the cone over C' twice the sampled body margins within the
-forward-error bound of the lift identity, array lifts equal to the reference
-cone and functionals, far intervals selecting exactly the samples the
-reference distances select, the interval maximum against 50-digit
-arithmetic, and memory flat in the catalogue size."""
+less its rounding bound (the samples are points of the arcs), and residuals
+equal to rounding on the faces anchored at their generators. Also: lifted
+reference margins on the cone over C' twice the sampled body margins within
+the forward-error bound of the lift identity, array lifts equal to the
+reference cone and functionals, far intervals selecting exactly the samples
+the reference distances select, the interval maximum and every generator's
+residual against 50-digit arithmetic, and memory flat in the catalogue
+size."""
 
 import functools
 import math
@@ -26,7 +27,6 @@ from helpers import (
     FaceDescriptor,
     catalogue_of,
     exposure_reports,
-    face_sample_points,
     reference_catalogue,
     reference_cone,
     reference_lift,
@@ -97,10 +97,11 @@ def test_reports_equal_the_per_face_reference(samples, thetas, deltas):
             # the samples at distance >= delta are points of the arcs there
             assert ref.margins[delta] >= margin - bound, (face.label(), delta)
         if not face.full_curves:
-            # The on-face samples are the generators themselves, whose value
-            # the reference also takes from its body-wide product: the two
-            # 3-term products of one point differ by at most
-            # 2 gamma_3 (|d| + |y|.|x|), and |x_k| <= 1 on C.
+            # The on-face samples are the generators themselves: the
+            # reference takes their value by a 3-term product at the point,
+            # verify_catalogue by the arc closed form at its label. Both
+            # round the same exact value; on these cells they differ by at
+            # most 0.08 of 2 gamma_3 (|d| + |y|.|x|), with |x_k| <= 1 on C.
             scale = abs(pair.offset) + float(np.abs(pair.normal).sum())
             assert abs(residual - ref.max_onface_residual) <= 2 * gamma(3) * scale, face.label()
 
@@ -177,7 +178,6 @@ def test_residual_of_a_planar_side_covers_its_whole_curves():
     catalogue = catalogue._replace(sizes=np.array([1]), gen_ids=np.array([1]),
                                    gen_ts=np.array([0.0]), points=np.zeros((1, 3)))
     exposure = fc.verify_catalogue(catalogue)
-    assert fc._anchor_residuals(catalogue)[0] == 0.0
     assert exposure.residuals[0] == pytest.approx(1e-6 * math.sin(T), rel=1e-12)
     assert not exposure.passed[0]
 
@@ -213,19 +213,39 @@ def test_param_distances_equal_the_reference():
         fc.verify_catalogue(catalogue_of([(twice, catalogue[0][1])]))
 
 
-def test_batched_anchor_residuals_have_the_per_face_bits():
-    # the residual at the points the atlas lists, face by face, for every kind
-    for samples, thetas in ((64, 8), (512, 512)):
-        catalogue, _, _, _ = setup(samples, thetas)
-        faces = [face for face, _ in catalogue]
-        assert {face.kind for face in faces} == {
+def test_generator_residuals_against_50_digits():
+    # Each generator's residual is d - _arc_value(A, B, t) at its (curve, t)
+    # label. Against <y, x(t)> - d in 50-digit arithmetic, on the float y,
+    # d and t themselves, it is off by at most the face's rounding bound,
+    # for every generator of every kind; so is each face's residual
+    # against the largest exact |<y, x(t)> - d| over its generators (on
+    # F23 and F24, whose whole curves it also covers, y is a unit vector
+    # and the exact value is 0 on those curves).
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    for thetas in (8, 512):
+        catalogue = arrays(thetas)
+        assert set(catalogue.kinds) == {
             "F00", "F01", "F02", "F03", "F04", "F11", "F12",
             "F13", "F14", "F15", "F21", "F22", "F23", "F24"}
-        batched = fc._anchor_residuals(arrays(thetas))
-        for (face, pair), res in zip(catalogue, batched):
-            pts, y, d = face_sample_points(face), pair.normal, pair.offset
-            per_face = max(np.abs(pts @ y - d).max(), abs(float(pts.mean(axis=0) @ y) - d))
-            assert res == per_face, face.label()
+        exposure = fc.verify_catalogue(catalogue)
+        face = np.repeat(np.arange(len(catalogue.kinds)), catalogue.sizes)
+        a, b = fc._arc_coefficients(catalogue.normals)
+        curve = catalogue.gen_ids - 1
+        computed = (catalogue.offsets[face]
+                    - fc._arc_value(a[face, curve], b[face, curve], catalogue.gen_ts))
+        exact = []
+        for i, t, y, d in zip(catalogue.gen_ids.tolist(), catalogue.gen_ts.tolist(),
+                              catalogue.normals[face].tolist(), catalogue.offsets[face].tolist()):
+            x = con._ARC_COLUMNS[i](mp.sin(mp.mpf(t)), mp.cos(mp.mpf(t)))
+            exact.append(mp.mpf(d) - mp.fsum(mp.mpf(yk) * xk for yk, xk in zip(y, x)))
+        bounds = exposure.bounds[face]
+        for k in range(len(face)):
+            assert abs(mp.mpf(computed[k]) - exact[k]) <= bounds[k], k
+        largest = np.zeros(len(catalogue.kinds))
+        np.maximum.at(largest, face, [float(abs(e)) for e in exact])
+        assert (np.abs(exposure.residuals - largest) <= exposure.bounds).all()
+        assert (exposure.residuals <= exposure.bounds).all()
 
 
 def test_zero_normal_rejected():
@@ -275,6 +295,7 @@ def test_arc_max_against_50_digits():
     # peaks inside [0, T]: a > 0 and b > 0 with a / b below tan T = 1
     inner = rng.uniform(0.1, 0.99, 40)
     peak = np.arctan2(inner, 1.0)
+    single = np.concatenate([[0.0, T], rng.uniform(0.0, T, 38)])
     edges = [
         (inner, np.ones(40), peak, np.full(40, T)),                      # t* at the low end
         (inner, np.ones(40), np.zeros(40), peak),                        # t* at the high end
@@ -283,6 +304,9 @@ def test_arc_max_against_50_digits():
         (inner, np.ones(40), peak + 1e-9, np.full(40, T)),
         (np.zeros(2), np.zeros(2), np.array([0.0, 0.3]), np.array([T, 0.3])),  # A = B = 0
         (inner, np.ones(40), np.full(40, 0.5), np.full(40, 0.4)),        # empty
+        # lo == hi: the single point at which an on-face residual is taken
+        (inner, np.ones(40), peak, peak),
+        (a[:40], b[:40], single, single),
     ]
     for ea, eb, elo, ehi in edges:
         a, b, lo, hi = (np.concatenate([x, e]) for x, e in zip((a, b, lo, hi), (ea, eb, elo, ehi)))

@@ -193,7 +193,7 @@ class TestVerifyExposure:
         assert rep.passed
         assert rep.max_onface_residual <= 1e-12
         # equality value on the curve-1 anchor reproduces the offset
-        assert float(con.curve_point(1, th) @ pair.normal) == pytest.approx(pair.offset, abs=1e-12)
+        assert float(con.curve_points(1, th) @ pair.normal) == pytest.approx(pair.offset, abs=1e-12)
         assert all(m > 0 for m in rep.margins.values())
 
     def test_ruling_normal_nonpositive_on_curves_2_and_4(self, body):
@@ -212,15 +212,31 @@ class TestVerifyExposure:
         ts = body.ts[body.ids == 3]
         away = np.abs(ts - r.t) > 1e-9
         assert vals[away].max() < 0
-        assert float(con.curve_point(3, r.t) @ pair.normal) == pytest.approx(pair.offset, abs=1e-12)
+        assert float(con.curve_points(3, r.t) @ pair.normal) == pytest.approx(pair.offset, abs=1e-12)
         assert exposure_reports(catalogue_of([(f03, pair)]))[0].passed
 
-    def test_mismatched_pair_is_an_input_error(self):
+    def test_mismatched_pair_fails_the_face(self):
+        # F24's pair misses F11's generators: the face fails, as it does
+        # for any other wrong pair
         cat = fc.build_catalogue(np.array([T / 2]))
         f11, _ = face_of("F11", cat)
         _, wrong = face_of("F24", cat)
-        with pytest.raises(DomainError):
-            fc.verify_catalogue(catalogue_of([(f11, wrong)]))
+        exposure = fc.verify_catalogue(catalogue_of([(f11, wrong)]))
+        assert exposure.passed.tolist() == [False]
+        assert exposure.residuals[0] > exposure.bounds[0]
+
+    def test_pair_moved_off_its_face_by_1e_12_fails(self):
+        # the offset of an F01 pair moved out by 1e-12: the far points lie
+        # even deeper inside, but the generator misses the hyperplane by
+        # 1e-12, over 300 times the rounding bound of the check (2.7e-15)
+        cat = fc.build_catalogue(np.array([T / 2]))
+        f01, pair = face_of("F01", cat)
+        exposure = fc.verify_catalogue(
+            catalogue_of([(f01, pair._replace(offset=pair.offset + 1e-12))]))
+        assert exposure.residuals[0] == pytest.approx(1e-12, rel=1e-3)
+        assert exposure.bounds[0] < 3e-15
+        assert (exposure.margins > exposure.bounds[0]).all()
+        assert exposure.passed.tolist() == [False]
 
     def test_whole_catalogue_passes_out_of_sample(self):
         catalogue = fc.build_catalogue(con.theta_grid(16))
@@ -258,7 +274,7 @@ class TestVerifyExposure:
     def test_ruled_midpoints_achieve_equality(self):
         for th in np.linspace(T / 32, T, 32):
             r = con.ruling_data(th)
-            mid = 0.5 * (con.curve_point(1, th) + con.curve_point(3, r.t))
+            mid = 0.5 * (con.curve_points(1, th) + con.curve_points(3, r.t))
             assert abs(float(mid @ r.normal) - r.offset) <= 1e-9
 
 
@@ -271,11 +287,11 @@ class TestIdentities:
     def test_equality_at_matching_parameters(self):
         th = 0.37
         r = con.ruling_data(th)
-        assert float(con.curve_point(1, th) @ r.normal) == pytest.approx(r.offset, abs=1e-12)
+        assert float(con.curve_points(1, th) @ r.normal) == pytest.approx(r.offset, abs=1e-12)
 
     def test_curve2_value_vanishes_at_zero(self):
         r = con.ruling_data(0.52)
-        assert float(con.curve_point(2, 0.0) @ r.normal) == 0.0
+        assert float(con.curve_points(2, 0.0) @ r.normal) == 0.0
 
     def test_shifted_normal_rows_for_curves_3_and_4_are_unchanged(self):
         # the shifted normal adds a third coordinate; curves 3/4 have none

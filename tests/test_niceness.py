@@ -57,7 +57,7 @@ class TestWitnessSlack:
         lams = np.concatenate([rng.uniform(-8, 8, 200), np.full(200, -1e6), np.full(200, 1e6),
                                rng.uniform(-1e7, 1e7, 200)])
         for t, lam in zip(ts.tolist(), lams.tolist()):
-            a = con.lift_points(con.curve_point(1, t))[0]
+            a = con.lift_points(con.curve_points(1, t))[0]
             b = con.WITNESS_Q - lam * con.WITNESS_U
             bound = gamma(16) * float(np.abs(a) @ np.abs(b))
             assert abs(witness_slack(t, lam) - float(a @ b)) <= bound, (t, lam)
@@ -182,7 +182,7 @@ class TestMembershipCrossCheck:
         verdict_out = reference_conic_membership(point_out, polar)
         assert not verdict_out.inside
         assert verdict_out.recheck(point_out, polar)
-        binding = np.concatenate([[1.0], 2.0 * con.curve_point(1, epsilon) + con.SHIFT])
+        binding = np.concatenate([[1.0], 2.0 * con.curve_points(1, epsilon) + con.SHIFT])
         assert float(binding @ point_out) > 0.0
         assert (polar @ binding).max() <= 1e-9
 
