@@ -6,12 +6,10 @@ divergence-based non-niceness evidence, and mesh/report exporters."""
 
 from .construction import (
     CURVE_IDS,
-    ENDPOINTS,
     SHIFT,
     T_END,
     WITNESS_Q,
     WITNESS_U,
-    Cone,
     RulingData,
     curve_grid,
     curve_points,
@@ -20,7 +18,6 @@ from .construction import (
     partner_cos,
     partner_param,
     ruling_data,
-    sample_cone,
     scale_points,
     theta_for_partner,
     theta_grid,
@@ -33,7 +30,7 @@ from .niceness import (
     half_disc_cone_example,
     nice3d_ingredients,
     octant_example,
-    shift_profile,
+    shift_bounds,
 )
 from .reporting import RunConfig, run_faces, run_nice3d, run_sweep, run_verify
 

@@ -2,28 +2,30 @@
 4D cone K.
 
 The body C is the convex hull of four unit-circle arcs meeting at the
-origin, parametrized on [0, T] with T = pi/4 and sampled from one
-arc_sin_cos evaluation per parameter grid:
+origin, parametrized on [0, T] with T = pi/4 (curve_points samples them):
 
     curve 1: (0, -sin t, cos t - 1)        curve 2: (0, cos t - 1, -sin t)
     curve 3: (-sin t, 1 - cos t, 0)        curve 4: (cos t - 1, sin t, 0)
 
+On curve i a functional takes <y, x(t)> = A_i sin t + B_i (cos t - 1);
+arc_coefficients, arc_value and arc_max are that closed form, which the
+face check and the sweep both read.
+
 C' = 2C + SHIFT with SHIFT = (1/2, 0, 1/2), and K = cone({1} x C'). This
 module is the only one that applies the map: lift_points takes points x of
-C to the rows (1, 2x + SHIFT) of K, sample_cone writes those rows for the
-samples of C with no body in between, scale_points gives the points
+C to the rows (1, 2x + SHIFT) of K, scale_points gives the points
 2x + SHIFT of C', and lift_pairs is the dual, taking an exposing pair
 (y, d) of a face of C to the functional (-(2d + <y, SHIFT>), y) of K.
 Exactly, <lift_pairs(y, d), lift_points(x)> = 2(<y, x> - d), so a pair
 exposing a face of C lifts to one exposing the cone over it (reporting's
 homogenization section evaluates this within its forward-error bound), and
-(-1, 0, 0, 0) exposes the apex. Samples of K travel as the NamedTuple Cone,
-its label arrays (curve ids, parameters) aligned with its rows. The
-theta-machinery pairs a parameter theta on curve 1 (resp. 4) with a partner
-parameter on curve 3 (resp. 2); the segments between paired points rule the
-curved part of the boundary of C and carry closed-form exposing normals. It
-takes a scalar or a whole array of parameters, so the face catalogue gets
-all its rulings from one array evaluation per parameter set.
+(-1, 0, 0, 0) exposes the apex. The witnesses q and u are the lifts of
+(y, 0) with y = WITNESS_Q[1:] and WITNESS_U[1:], so they take 2<y, x> too.
+The theta-machinery pairs a parameter theta on curve 1 (resp. 4) with a
+partner parameter on curve 3 (resp. 2); the segments between paired points
+rule the curved part of the boundary of C and carry closed-form exposing
+normals. It takes a scalar or a whole array of parameters, so the face
+catalogue gets all its rulings from one array evaluation per parameter set.
 """
 
 from __future__ import annotations
@@ -41,16 +43,6 @@ CURVE_IDS = (1, 2, 3, 4)
 # Translation applied after doubling: C' = 2C + SHIFT.
 SHIFT = np.array([0.5, 0.0, 0.5])
 
-_SQRT2_INV = 1.0 / math.sqrt(2.0)
-
-# Arc endpoints; index 0 is the common point of all four arcs.
-ENDPOINTS = {
-    0: np.zeros(3),
-    1: np.array([0.0, -_SQRT2_INV, _SQRT2_INV - 1.0]),
-    2: np.array([0.0, _SQRT2_INV - 1.0, -_SQRT2_INV]),
-    3: np.array([-_SQRT2_INV, 1.0 - _SQRT2_INV, 0.0]),
-    4: np.array([_SQRT2_INV - 1.0, _SQRT2_INV, 0.0]),
-}
 
 def check_param(t, name="t", open_lo=False):
     """t, a scalar or an array, as a float array; DomainError for a value
@@ -74,22 +66,59 @@ _ARC_COLUMNS = {
 }
 
 
-def arc_sin_cos(ts):
-    """sin and cos of curve parameters ts, which must be finite and lie in
-    [0, T]: the one evaluation that the samples of every arc are taken from."""
-    ts = check_param(ts)
-    return np.sin(ts), np.cos(ts)
+def check_grid(grid):
+    """grid as a float array of parameters, non-decreasing from exactly 0 to
+    exactly T (so NaN fails): a sample of every arc with both its ends."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise DegenerateInputError("grid has no samples")
+    if not (grid[0] == 0.0 and grid[-1] == T_END):
+        raise DomainError(f"grid must start at 0 and end at T = {T_END}")
+    if not (grid[1:] >= grid[:-1]).all():
+        raise DomainError("grid must be non-decreasing")
+    return grid
 
 
 def curve_points(curve_id, ts):
     """Vectorized arc evaluation; ts may be a scalar or an array in [0, T]."""
     if curve_id not in _ARC_COLUMNS:
         raise DomainError(f"curve id {curve_id} not in {CURVE_IDS}")
-    ts = np.asarray(ts, dtype=float)
+    ts = check_param(ts)
     points = np.empty(ts.shape + (3,))
-    for k, col in enumerate(_ARC_COLUMNS[curve_id](*arc_sin_cos(ts))):
+    for k, col in enumerate(_ARC_COLUMNS[curve_id](np.sin(ts), np.cos(ts))):
         points[..., k] = col
     return points
+
+
+def arc_coefficients(normals):
+    """(A, B), each of shape normals.shape[:-1] + (4,): on curve i,
+    <y, x(t)> = A sin t + B (cos t - 1) with A = <y, col_i(1, 1)> and
+    B = <y, col_i(0, 2)>, the arc's columns (_ARC_COLUMNS) at sin t = 1,
+    cos t - 1 = 0 and at sin t = 0, cos t - 1 = 1. Each column holds one
+    entry +-1, so A and B are exact."""
+    a, b = (np.array([_ARC_COLUMNS[i](*sc) for i in CURVE_IDS]).T
+            for sc in ((1.0, 1.0), (0.0, 2.0)))
+    return normals @ a, normals @ b
+
+
+def arc_value(a, b, t):
+    """a sin t - 2b sin^2(t/2), which is a sin t + b (cos t - 1) without the
+    cancellation of cos t - 1; the arguments broadcast, and sin t and
+    sin(t/2) are taken once on t. t is moved into [0, T] first, so the
+    infinite ends of empty intervals take no sine."""
+    t = np.clip(t, 0.0, T_END)
+    half = np.sin(t / 2.0)
+    return a * np.sin(t) - 2.0 * b * half * half
+
+
+def arc_max(a, b, lo, hi):
+    """Largest arc_value over t in [lo, hi] within [0, T], -inf where
+    lo > hi; the arguments broadcast. On the line the value is
+    R cos(t - t*) - b with t* = atan2(a, b), so over an interval it peaks at
+    an end or at t*."""
+    peak = arc_value(a, b, np.clip(np.arctan2(a, b), lo, hi))
+    top = np.maximum(np.maximum(arc_value(a, b, lo), arc_value(a, b, hi)), peak)
+    return np.where(lo <= hi, top, -math.inf)
 
 
 def _per_element(fn, *args):
@@ -181,26 +210,12 @@ def theta_grid(n):
     return np.linspace(T_END / n, T_END, n)
 
 
-def _lift(columns, rows=None):
-    """(1, 2x + SHIFT) for points x given as three columns, written into rows
-    (new by default); SHIFT[k] is added even where 0, so -0.0 lifts to +0.0."""
-    rows = np.empty((len(columns[1]), 4)) if rows is None else rows
-    rows[:, 0] = 1.0
-    for k, col in enumerate(columns):
-        np.multiply(col, 2.0, out=rows[:, k + 1])
-        rows[:, k + 1] += SHIFT[k]
-    return rows
-
-
 def lift_points(x):
     """C points, one per row or a single point, to the rows (1, 2x + SHIFT)
-    of the cone K over C'."""
-    return _lift(np.atleast_2d(np.asarray(x, dtype=float)).T)
-
-
-def lift_arc(curve_id, s, c):
-    """The generators of K over one arc at parameters with sines s, cosines c."""
-    return _lift(_ARC_COLUMNS[curve_id](s, c))
+    of the cone K over C'; SHIFT[k] is added even where 0, so -0.0 lifts to
+    +0.0."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return np.column_stack([np.ones(len(x)), 2.0 * x + SHIFT])
 
 
 def scale_points(x):
@@ -216,43 +231,6 @@ def lift_pairs(normals, offsets):
     2(<y, x> - d)."""
     normals, offsets = np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float)
     return np.column_stack([-(2.0 * offsets + normals @ SHIFT), normals])
-
-
-class Cone(NamedTuple):
-    """Generators of the sampled cone K, one per row, with the (curve id,
-    parameter) label of the sample of C that each one lifts."""
-
-    generators: np.ndarray
-    ids: np.ndarray
-    ts: np.ndarray
-
-
-def sample_cone(grids):
-    """The cone K over C' sampled on grids, a dict curve_id -> non-decreasing
-    parameters from exactly 0 to exactly T (or one array for every curve),
-    written straight into one (N, 4) array with no body in between: arc_sin_cos runs
-    once per distinct grid array, and _lift writes each curve's columns into
-    its rows. At the sweep's 4 x 8,192 samples this is about four times
-    faster than sampling the body and lifting it."""
-    if not isinstance(grids, dict):
-        grids = dict.fromkeys(CURVE_IDS, np.asarray(grids, dtype=float))
-    for i in CURVE_IDS:
-        if i not in grids or grids[i].size == 0:
-            raise DegenerateInputError(f"curve {i} has no samples")
-        g = grids[i]
-        if not (g[0] == 0.0 and g[-1] == T_END):
-            raise DomainError(f"grid of curve {i} must start at 0 and end at T = {T_END}")
-        # each curve's samples are one run sorted by parameter; NaN fails too
-        if not (g[1:] >= g[:-1]).all():
-            raise DomainError(f"grid of curve {i} must be non-decreasing")
-    trig, sizes = {}, [grids[i].size for i in CURVE_IDS]
-    generators = np.empty((sum(sizes), 4))
-    for i, block in zip(CURVE_IDS, np.split(generators, np.cumsum(sizes)[:-1])):
-        if id(grids[i]) not in trig:
-            trig[id(grids[i])] = arc_sin_cos(grids[i])
-        _lift(_ARC_COLUMNS[i](*trig[id(grids[i])]), block)
-    ts = np.concatenate([np.asarray(grids[i], dtype=float) for i in CURVE_IDS])
-    return Cone(generators, np.repeat(CURVE_IDS, sizes), ts)
 
 
 # The fixed 4D witness: WITNESS_Q is in the closure of (polar cone + F_perp)

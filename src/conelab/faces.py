@@ -23,10 +23,12 @@ margins.
 
 verify_catalogue checks each pair over the whole arcs of C, with no
 samples, and returns its verdicts as arrays (Exposure), one row per face.
-On curve i, <y, x(t)> = A_i sin t + B_i (cos t - 1), and the points at
-parameter distance >= delta from a face are at most two intervals of each
-curve, so every margin is the maximum of a sinusoid over a few intervals,
-reached at an end or at t* = atan2(A_i, B_i). The faces of the cone K over
+On curve i, <y, x(t)> = A_i sin t + B_i (cos t - 1) (construction's
+arc_coefficients and arc_value, the closed form the sweep reads too), and
+the points at parameter distance >= delta from a face are at most two
+intervals of each curve, so every margin is the maximum of a sinusoid over a
+few intervals, reached at an end or at t* = atan2(A_i, B_i) (arc_max). The
+faces of the cone K over
 C' need no second check: lift_pairs(y, d) takes the value 2(<y, x> - d) on
 the generator lift_points(x), so it exposes the cone over the face that
 (y, d) exposes (reporting.homogenization_section).
@@ -40,9 +42,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .construction import (
-    _ARC_COLUMNS,
     CURVE_IDS,
     T_END,
+    arc_coefficients,
+    arc_max,
+    arc_value,
     curve_points,
     ruling_data,
     theta_for_partner,
@@ -223,35 +227,6 @@ def _distance_table(catalogue):
     return anchor_t, np.minimum(reach, anchor_t.min(axis=1, keepdims=True))
 
 
-def _arc_coefficients(normals):
-    """(A, B), each (faces, 4): on curve i, <y, x(t)> = A sin t + B (cos t - 1)
-    with A = <y, col_i(1, 1)> and B = <y, col_i(0, 2)>, the arc's columns
-    (construction._ARC_COLUMNS) at sin t = 1, cos t - 1 = 0 and at sin t = 0,
-    cos t - 1 = 1. Each column holds one entry +-1, so A and B are exact."""
-    a, b = (np.array([_ARC_COLUMNS[i](*sc) for i in CURVE_IDS]).T
-            for sc in ((1.0, 1.0), (0.0, 2.0)))
-    return normals @ a, normals @ b
-
-
-def _arc_value(a, b, t):
-    """a sin t - 2b sin^2(t/2), which is a sin t + b (cos t - 1) without the
-    cancellation of cos t - 1; t is moved into [0, T] first, so the infinite
-    ends of empty intervals take no sine."""
-    t = np.clip(t, 0.0, T_END)
-    half = np.sin(t / 2.0)
-    return a * np.sin(t) - 2.0 * b * half * half
-
-
-def _arc_max(a, b, lo, hi):
-    """Largest _arc_value over t in [lo, hi] within [0, T], -inf where
-    lo > hi; the arguments broadcast. On the line the value is
-    R cos(t - t*) - b with t* = atan2(a, b), so over an interval it peaks at
-    an end or at t*."""
-    peak = _arc_value(a, b, np.clip(np.arctan2(a, b), lo, hi))
-    top = np.maximum(np.maximum(_arc_value(a, b, lo), _arc_value(a, b, hi)), peak)
-    return np.where(lo <= hi, top, -math.inf)
-
-
 def _far_intervals(anchor, reach, delta):
     """(lo, hi), each (2, faces, 4): the points of each curve at parameter
     distance >= delta from each face (see _distance_table), which are
@@ -264,18 +239,18 @@ def _far_intervals(anchor, reach, delta):
 
 def verify_catalogue(catalogue, deltas=MARGIN_DELTAS):
     """Exposure of every face of a catalogue over the whole arcs of C, in
-    closed form (see _arc_max); every linear functional attains its maximum
+    closed form (see arc_max); every linear functional attains its maximum
     over C on the arcs.
 
     The margin at radius delta is the smallest slack d - <y, x> over the
     points at parameter distance >= delta from the face (_far_intervals).
     The on-face residual is the largest |d - <y, x>| at the face's
-    generators, each taken by _arc_value at its (curve, t) label, and, on
+    generators, each taken by arc_value at its (curve, t) label, and, on
     the curves the face holds whole, over those curves. A convex
     combination of the generators takes a value between theirs, so they
     bound the residual of the whole face.
 
-    Residual and margins are one computed quantity, d - _arc_value(A, B, t),
+    Residual and margins are one computed quantity, d - arc_value(A, B, t),
     at points on the face and far from it. Its rounding error is at most
     gamma(MARGIN_ROUNDINGS) * (|d| + max over curves of |A| + 2|B|)
     (Higham, section 3.1): A and B are exact, the longest path
@@ -291,15 +266,15 @@ def verify_catalogue(catalogue, deltas=MARGIN_DELTAS):
     normals, d = catalogue.normals, catalogue.offsets[:, None]
     if not normals.any(axis=1).all():
         raise DegenerateInputError("exposing normal must be nonzero")
-    a, b = _arc_coefficients(normals)
+    a, b = arc_coefficients(normals)
     anchor, reach = _distance_table(catalogue)
     margins = np.empty((len(d), len(deltas)))
     for k, delta in enumerate(deltas):
-        far = _arc_max(a, b, *_far_intervals(anchor, reach, delta))
+        far = arc_max(a, b, *_far_intervals(anchor, reach, delta))
         margins[:, k] = d[:, 0] - far.max(axis=(0, 2))
     face, curve = np.repeat(np.arange(len(d)), catalogue.sizes), catalogue.gen_ids - 1
-    onface = np.abs(d[face, 0] - _arc_value(a[face, curve], b[face, curve], catalogue.gen_ts))
-    top, low = _arc_max(a, b, 0.0, T_END), -_arc_max(-a, -b, 0.0, T_END)
+    onface = np.abs(d[face, 0] - arc_value(a[face, curve], b[face, curve], catalogue.gen_ts))
+    top, low = arc_max(a, b, 0.0, T_END), -arc_max(-a, -b, 0.0, T_END)
     whole = np.where(catalogue.full, np.maximum(top - d, d - low), 0.0).max(axis=1)
     starts = np.cumsum(catalogue.sizes) - catalogue.sizes
     residuals = np.maximum(np.maximum.reduceat(onface, starts), whole)

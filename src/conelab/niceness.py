@@ -8,33 +8,36 @@ sampling of curve 1 refines toward the common endpoint: the numeric shadow
 of K_polar + F_perp not being closed. No finite sample can decide
 non-membership outright, so the verdict is evidence, never proof.
 
+q and u are lifts of pairs (y, 0) of C, so on the generator over x(t)
+each takes 2<y, x(t)>: the sweep reads its rows from the arcs' closed form
+(construction.arc_value), and the closure check its maxima (arc_max).
+
 Also here: the check, at the generators, that a 3D cone's exposing normals
 span the dual of a 2D face together with its orthogonal complement, the
 step behind facially exposed three-dimensional cones always being nice.
 
-The profile, the closure check, the sweep and the 3D check return plain
+The bounds, the closure check, the sweep and the 3D check return plain
 dicts of the values that the reports write.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .construction import (
     CURVE_IDS,
-    ENDPOINTS,
     T_END,
     WITNESS_Q,
     WITNESS_U,
-    Cone,
-    arc_sin_cos,
-    lift_arc,
-    lift_points,
-    sample_cone,
+    arc_coefficients,
+    arc_max,
+    arc_value,
+    check_grid,
 )
-from .linalg import DegenerateInputError, DomainError, gamma
+from .linalg import DegenerateInputError, DomainError
 
 # generators of the half-disc example's cone, on its arc
 HALF_DISC_RAYS = 65
@@ -45,41 +48,52 @@ DUAL_FORM_NOTE = (
     "so the same divergence applies to it"
 )
 
+# The control is the cone over the five arc endpoints: every curve at 0 and T.
+CONTROL_GRID = np.array([0.0, T_END])
 
-def shift_profile(cone):
-    """Solve every generator constraint <q, g> - lambda <u, g> <= 0 of a
-    Cone for the shift multiplier lambda.
+# Smallest refinement level, 2**-510: from t = EPS_FLOOR up, sin^2(t/2) is at
+# least the smallest normal float, so no row underflows and each rounding
+# keeps its relative error bound u (Higham, section 2.1).
+EPS_FLOOR = 2.0 * math.sqrt(sys.float_info.min)
 
-    For g = (1, 2x + SHIFT), <u, g> = 1 - 2 g_3 = -4 x_3, and x_3 is c - 1,
-    -s or 0 on the arcs. c - 1 is exact (Sterbenz) and rounding is monotone,
-    so every computed <u, g> of sample_cone or control_cone is >= 0: no
-    generator bounds lambda from above, and none is tested against a
-    tolerance. A row with <u, g> > 0 bounds lambda from below by
-    <q, g> / <u, g>; a flat row (<u, g> = 0) holds for every lambda if
-    <q, g> <= 0 and for none otherwise. Curve 1 gives flat rows with
-    <q, g> = 2 sin t > 0 once cos t rounds to 1, below t ~ 1.05e-8 (and
-    <q, g> itself rounds to 0 below t ~ 2.8e-17).
 
-    Returns a dict: lower_bounds, arrays (bound, curve_id, t) with one entry
-    per row with <u, g> > 0; lambda_star, the largest bound (-inf with none),
-    or None when a flat row holds for no lambda; achieving, the (curve_id,
-    t) of the binding bound or None. DomainError for a row with <u, g> < 0
-    (or NaN), which no generator of K has.
+def _witness_arcs():
+    """(A, B) of u and q, each (2, 4); per call, so importing makes no matrix
+    product. u: A = (0, 2, 0, 0), B = (-2, 0, 0, 0); q: (1, -2, 0, -1), (2, -1, 1, 0)."""
+    return arc_coefficients(np.array([WITNESS_U[1:], WITNESS_Q[1:]]))
+
+
+def shift_bounds(grid):
+    """Solve every constraint <q, g> - lambda <u, g> <= 0 of the cone K
+    sampled on grid (the same parameters on every curve; see
+    construction.check_grid) for the shift multiplier lambda.
+
+    Each row is one arc value A sin t - 2B sin^2(t/2) per curve and
+    functional, from one sin t and one sin(t/2) per grid. On every curve one
+    of A_u, B_u is 0 and the other term is >= 0, and rounding keeps the sign
+    of a product, so no row bounds lambda from above. A row with <u, g> > 0
+    bounds it from below by <q, g> / <u, g>: cot(t/2)/2 - 1 on curve 1,
+    tan(t/2)/2 - 1 on curve 2. A flat row (<u, g> = 0; curves 3 and 4, where
+    <q, g> <= 0) holds for every lambda if <q, g> <= 0 and for none
+    otherwise, which happens only far below EPS_FLOOR, once sin^2(t/2)
+    underflows to 0.
+
+    Returns a dict: lower_bounds, arrays (bound, curve_id, t), one entry per
+    row with <u, g> > 0, curve by curve (the grid holds T, so curve 1 gives
+    one); lambda_star, the largest bound, or None when a flat row holds for
+    no lambda; achieving, the (curve_id, t) of the binding bound or None.
     """
-    g, ids, ts = cone.generators, cone.ids, cone.ts
-    qg = g @ WITNESS_Q
-    ug = g @ WITNESS_U
-    if not (ug >= 0.0).all():
-        raise DomainError("a generator has <u, g> < 0, so it is not one of K")
+    grid = check_grid(grid)
+    a, b = (c[:, :, None] for c in _witness_arcs())
+    ug, qg = arc_value(a, b, grid).reshape(2, -1)
     bounding = ug > 0.0
     bounds = qg[bounding] / ug[bounding]
-    bound_ids, bound_ts = ids[bounding], ts[bounding]
+    bound_ids = np.repeat(CURVE_IDS, grid.size)[bounding]
+    bound_ts = np.tile(grid, len(CURVE_IDS))[bounding]
     lambda_star = achieving = None
     if (qg[~bounding] <= 0.0).all():
-        lambda_star = -math.inf
-        if bounds.size:
-            k = int(np.argmax(bounds))
-            lambda_star, achieving = float(bounds[k]), (int(bound_ids[k]), float(bound_ts[k]))
+        k = int(np.argmax(bounds))
+        lambda_star, achieving = float(bounds[k]), (int(bound_ids[k]), float(bound_ts[k]))
     return {
         "lower_bounds": (bounds, bound_ids, bound_ts),
         "lambda_star": lambda_star,
@@ -99,58 +113,35 @@ def sweep_grid(epsilon, n):
     return np.concatenate([[0.0], ladder])
 
 
-def refined_cone(epsilon, samples_per_curve=512):
-    """Cone over C' sampled with the epsilon-anchored grid on every curve."""
-    return sample_cone(dict.fromkeys(CURVE_IDS, sweep_grid(epsilon, samples_per_curve)))
-
-
-def control_cone():
-    """Polyhedral stand-in: the cone over the five scaled arc endpoints.
-    Polyhedral cones are nice; the sweep must stay bounded on this one."""
-    gens = lift_points(np.vstack(list(ENDPOINTS.values())))
-    # the origin (endpoint 0) is labelled as the start of curve 1
-    ids = np.array([1, *CURVE_IDS])
-    ts = np.array([0.0] + [T_END] * len(CURVE_IDS))
-    return Cone(gens, ids, ts)
-
-
-def closure_check(n=512):
-    """Exact membership of q in the polar of the flat face: both closed
-    forms 2(cos t - 1) and -2 sin t are analytically nonpositive, and the
-    generators of curves 3 and 4, from the same sin and cos, reproduce them.
-
-    c - 1 is exact (Sterbenz) and so are the doublings, so the closed forms
-    are the exact dot products of the stored generators with q: the residual
-    is only the rounding of a 4-term dot product, at most
-    gamma_4 * max over rows of |g|^T |q| (Higham, section 3.1).
-    """
-    s, c = arc_sin_cos(np.linspace(0.0, T_END, n))
-    vals = {3: 2.0 * (c - 1.0), 4: -2.0 * s}
-    gens = {i: lift_arc(i, s, c) for i in vals}
-    res = max(float(np.abs(gens[i] @ WITNESS_Q - v).max()) for i, v in vals.items())
-    bound = gamma(4) * max(float((np.abs(g) @ np.abs(WITNESS_Q)).max()) for g in gens.values())
-    m3, m4 = float(vals[3].max()), float(vals[4].max())
+def closure_check():
+    """Exact membership of q in the polar of the flat face F, which is
+    cl(K polar + F_perp): over F, the cone over curves 3 and 4, <q, g> is
+    twice -2 sin^2(t/2) and -sin t, and their maxima over the whole arcs
+    (arc_max) are <= 0. A rounded product keeps its sign, so the test is
+    exact."""
+    a, b = (c[1, 2:] for c in _witness_arcs())
+    m3, m4 = arc_max(a, b, 0.0, T_END).tolist()
     return {
         "max_curve3_value": m3,
         "max_curve4_value": m4,
-        "max_identity_residual": res,
-        "in_closure": m3 <= 0.0 and m4 <= 0.0 and res <= bound,
+        "in_closure": m3 <= 0.0 and m4 <= 0.0,
     }
 
 
 def validate_eps(eps_list):
-    """The refinement levels as a tuple of floats; they must lie in (0, T)
-    (so are finite) and be strictly decreasing."""
+    """The refinement levels as a tuple of floats; they must lie in
+    [EPS_FLOOR, T) (so are finite) and be strictly decreasing."""
     eps = tuple(float(e) for e in eps_list)
     if not eps:
         raise DomainError("epsilon list must not be empty")
-    if any(not 0.0 < e < T_END for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise DomainError("epsilon list must be strictly decreasing and lie in (0, T)")
+    if any(not EPS_FLOOR <= e < T_END for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
+        raise DomainError(f"epsilon list must be strictly decreasing and lie in "
+                          f"[{EPS_FLOOR:.17g}, {T_END})")
     return eps
 
 
 def divergence_sweep(eps_list, samples_per_curve=512, control=False):
-    """Run shift_profile per refinement level and fit the divergence.
+    """Run shift_bounds per refinement level and fit the divergence.
 
     Returns a dict: rows, one (epsilon, lambda_star, product, curve_id, t)
     per level; closure, the closure_check dict; fitted_exponent, the slope
@@ -162,14 +153,13 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False):
     eps = validate_eps(eps_list)
     rows = []
     for e in eps:
-        cone = control_cone() if control else refined_cone(e, samples_per_curve)
-        prof = shift_profile(cone)
+        prof = shift_bounds(CONTROL_GRID if control else sweep_grid(e, samples_per_curve))
         lam = prof["lambda_star"]
-        product = lam * e if lam is not None and math.isfinite(lam) else math.nan
+        product = lam * e if lam is not None else math.nan
         cid, t = prof["achieving"] or (None, None)
         rows.append((e, lam, product, cid, t))
 
-    closure = closure_check(samples_per_curve)
+    closure = closure_check()
 
     finite = [(e, lam) for e, lam, *_ in rows if lam is not None and lam > 0]
     if len(finite) >= 2:

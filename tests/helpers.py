@@ -11,20 +11,34 @@ from scipy import optimize
 from conelab import faces as fc
 from conelab.construction import (
     CURVE_IDS,
-    ENDPOINTS,
     SHIFT,
     T_END,
-    Cone,
+    WITNESS_Q,
+    WITNESS_U,
     RulingData,
+    arc_coefficients,
+    arc_value,
+    check_grid,
     curve_grid,
     curve_points,
     lift_points,
     ruling_data,
-    sample_cone,
     theta_grid,
 )
 from conelab.faces import MARGIN_DELTAS
 from conelab.linalg import DegenerateInputError, DomainError
+
+
+_SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+# Arc endpoints; index 0 is the common point of all four arcs.
+ENDPOINTS = {
+    0: np.zeros(3),
+    1: np.array([0.0, -_SQRT2_INV, _SQRT2_INV - 1.0]),
+    2: np.array([0.0, _SQRT2_INV - 1.0, -_SQRT2_INV]),
+    3: np.array([-_SQRT2_INV, 1.0 - _SQRT2_INV, 0.0]),
+    4: np.array([_SQRT2_INV - 1.0, _SQRT2_INV, 0.0]),
+}
 
 
 # Reference catalogue: the per-face scalar route that faces.build_catalogue
@@ -234,11 +248,34 @@ class BodySamples(NamedTuple):
     xyz: np.ndarray
 
 
+class Cone(NamedTuple):
+    """Generators of the sampled cone K, one per row, with the (curve id,
+    parameter) label of the sample of C that each one lifts."""
+
+    generators: np.ndarray
+    ids: np.ndarray
+    ts: np.ndarray
+
+
+def sample_cone(grids):
+    """The cone K over C' sampled on grids, a dict curve_id -> parameters (or
+    one array for every curve), each checked by construction.check_grid: one
+    curve_points call per curve, the points stacked into a body and then
+    lifted. This is the dot-product route that niceness.shift_bounds's
+    closed-form rows are cross-checked against: <u, g> and <q, g> are
+    g @ WITNESS_U and g @ WITNESS_Q."""
+    if not isinstance(grids, dict):
+        grids = dict.fromkeys(CURVE_IDS, grids)
+    grids = {i: check_grid(grids.get(i, ())) for i in CURVE_IDS}
+    return Cone(lift_points(np.vstack([curve_points(i, grids[i]) for i in CURVE_IDS])),
+                np.concatenate([np.full(grids[i].size, i) for i in CURVE_IDS]),
+                np.concatenate([grids[i] for i in CURVE_IDS]))
+
+
 def sample_body(grids):
-    """The samples of C on per-curve grids, a dict curve_id -> parameters or
-    one array for every curve: construction.sample_cone checks the grids and
-    labels the samples, and each curve's points come from one curve_points
-    call."""
+    """The samples of C on per-curve grids, as sample_cone takes them, with
+    the labels of sample_cone; each curve's points come from one
+    curve_points call."""
     cone = sample_cone(grids)
     xyz = np.vstack([curve_points(i, cone.ts[cone.ids == i]) for i in CURVE_IDS])
     return BodySamples(cone.ids, cone.ts, xyz)
@@ -495,13 +532,19 @@ def reference_conic_membership(point, generators, eq_abs=EQ_ABS):
     return None
 
 
-def reference_sample_cone(grids):
-    """The cone over C' sampled on per-curve grids the way the library built
-    it before construction.sample_cone: one curve_points call per curve, the
-    points stacked into a body and then lifted."""
-    return Cone(lift_points(np.vstack([curve_points(i, grids[i]) for i in CURVE_IDS])),
-                np.concatenate([np.full(grids[i].size, i) for i in CURVE_IDS]),
-                np.concatenate([grids[i] for i in CURVE_IDS]))
+def reference_shift_bounds(grid):
+    """The lower bounds of niceness.shift_bounds, as (bound, curve_id, t)
+    arrays, taken one curve at a time: each curve's rows <u, g> and <q, g>
+    from one construction.arc_value call each on that curve's scalar
+    (A, B), the bounds where <u, g> > 0."""
+    grid = np.asarray(grid, dtype=float)
+    a, b = arc_coefficients(np.array([WITNESS_U[1:], WITNESS_Q[1:]]))
+    parts = []
+    for k, i in enumerate(CURVE_IDS):
+        ug, qg = (arc_value(a[j, k], b[j, k], grid) for j in (0, 1))
+        on = ug > 0.0
+        parts.append((qg[on] / ug[on], np.full(int(on.sum()), i), grid[on]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 # Reference exposure checks: one face and one full pass over the samples at

@@ -18,6 +18,7 @@ from conelab import reporting
 from conelab.cli import main
 from conelab.linalg import DomainError
 from helpers import (
+    ENDPOINTS,
     check_positivity_window,
     exposure_reports,
     face_rows,
@@ -25,6 +26,7 @@ from helpers import (
     identity_suite,
     positivity_window,
     reference_verify_cone_exposure,
+    sample_cone,
     verification_grids,
 )
 
@@ -53,7 +55,7 @@ def test_criterion_1_construction_fidelity():
     worst = 0.0
     for i in con.CURVE_IDS:
         worst = max(worst, float(np.linalg.norm(con.curve_points(i, 0.0))))
-        worst = max(worst, float(np.linalg.norm(con.curve_points(i, T) - con.ENDPOINTS[i])))
+        worst = max(worst, float(np.linalg.norm(con.curve_points(i, T) - ENDPOINTS[i])))
     cosines = np.array([con.partner_cos(t) for t in np.linspace(T / 1000, T, 1000)])
     end_high = abs(cosines[-1] - 1.0 / math.sqrt(2.0))
     toward_one = abs(con.partner_cos(1e-6) - 1.0)
@@ -98,7 +100,7 @@ def test_criterion_3_face_exposure(default_setup):
 def test_criterion_4_homogenization(default_setup):
     # every lifted pair checked face by face on the generators of the cone
     # over C', and the verify section: the lift identity within its bound
-    cone = con.sample_cone(default_setup["grids"])
+    cone = sample_cone(default_setup["grids"])
     failures = []
     for face, pair in face_rows(default_setup["catalogue"]):
         lift = con.lift_pairs([pair.normal], [pair.offset])[0]

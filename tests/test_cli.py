@@ -113,6 +113,23 @@ class TestSweepCommand:
         products = [float(r.split(",")[2]) for r in lines[1:-1]]
         assert max(products) < 0.1  # no reciprocal growth on the control
 
+    def test_levels_far_below_t_of_1e_17_bind_at_epsilon(self, tmp_path):
+        # each row is an arc value, 4 sin^2(t/2) on curve 1, which neither
+        # cancels nor rounds away: lambda* is cot(eps/2)/2 - 1 at curve 1,
+        # t = eps, down to 1e-100 (the 4D dot products read 0.2071 at t = T
+        # there, the bound of the only row they left)
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 50
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--samples", "8", "--eps", "1e-1,1e-50,1e-100",
+                     "--out", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[-1] == ["# verdict=NotNiceEvidence"]
+        for (eps, lam, _, cid, t), level in zip(rows[1:-1], (1e-1, 1e-50, 1e-100)):
+            assert (float(eps), cid, float(t)) == (level, "1", level)
+            exact = mp.cot(mp.mpf(level) / 2) / 2 - 1
+            assert abs(float(lam) - exact) <= 8 * 2.0**-53 * exact
+
     def test_empty_eps_is_a_usage_error(self, tmp_path):
         assert main(["sweep", "--eps", "", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -333,6 +350,9 @@ class TestRunConfig:
         ["sweep", "--samples", "4"],
         ["verify", "--theta-grid", "1"],
         ["sweep", "--control", "--eps", "5,4,3"],
+        # below 2 sqrt(smallest normal) = 2**-510 ~ 3e-154 sin^2(eps/2) underflows
+        ["sweep", "--eps", "1e-1,1e-2,1e-200"],
+        ["verify", "--eps", "1e-1,1e-2,2.9e-154"],
     ])
     def test_out_of_domain_values_exit_2_before_any_work(self, argv, tmp_path, monkeypatch):
         refuse_work(monkeypatch)
@@ -387,7 +407,7 @@ class TestRunConfig:
 
         # the lifts live in construction alone: the kernel cannot reach them
         assert not hasattr(faces, "lift_points") and not hasattr(faces, "lift_pairs")
-        for name in ("sample_cone", "lift_points", "lift_pairs"):
+        for name in ("lift_points", "lift_pairs"):
             monkeypatch.setattr(construction, name, refuse)
         kernel_calls, point_calls = [], []
         real_kernel, real_points = faces.verify_catalogue, faces.generator_points

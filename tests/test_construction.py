@@ -8,7 +8,13 @@ from conelab import faces as fc
 from conelab import niceness as nn
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
-from helpers import reference_sample_cone, sample_body, verification_grids
+from helpers import (
+    reference_cone,
+    reference_shift_bounds,
+    sample_body,
+    sample_cone,
+    verification_grids,
+)
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 T = con.T_END
@@ -62,10 +68,11 @@ class TestCurves:
         lambda v: con.theta_for_partner(v),
         lambda v: con.ruling_data(v),
         lambda v: sample_body(np.array([0.0, v, T])),
-        lambda v: con.sample_cone(np.array([0.0, v, T])),
+        lambda v: sample_cone(np.array([0.0, v, T])),
+        lambda v: nn.shift_bounds(np.array([0.0, v, T])),
         lambda v: fc.build_catalogue([0.1, v]),
     ], ids=["curve_point", "curve_points", "partner_cos", "theta_for_partner",
-            "ruling_data", "sample_body", "sample_cone", "build_catalogue"])
+            "ruling_data", "sample_body", "sample_cone", "shift_bounds", "build_catalogue"])
     def test_non_finite_parameters_rejected(self, call, value):
         # every bound check compares with NaN as False, so each must be
         # written to reject it
@@ -171,43 +178,52 @@ class TestBodiesAndCone:
         # a single point lifts to one row
         assert np.array_equal(con.lift_points(raw.xyz[5]), gens[5:6])
 
+    # shift_bounds and the test route sample_cone both take their grids
+    # through construction.check_grid
     def test_grids_must_cover_both_endpoints(self):
         # a grid that ends past T, on one curve or on all of them
         past = np.linspace(0.0, T + 5e-13, 16)
-        with pytest.raises(DomainError):
-            con.sample_cone(np.linspace(0.1, T, 16))
-        with pytest.raises(DomainError):
-            con.sample_cone(np.linspace(0.0, T / 2, 16))
+        for grid in (np.linspace(0.1, T, 16), np.linspace(0.0, T / 2, 16), past):
+            with pytest.raises(DomainError, match="must start at 0 and end at T"):
+                nn.shift_bounds(grid)
         for grids in (past, {1: con.curve_grid(16), 2: past, 3: past, 4: con.curve_grid(16)}):
             with pytest.raises(DomainError, match="must start at 0 and end at T"):
-                con.sample_cone(grids)
+                sample_cone(grids)
 
     def test_grids_must_end_exactly_at_T(self):
         # 5e-13 short of T does not hold T, on one curve or on all of them
         short = np.linspace(0.0, T - 5e-13, 16)
+        with pytest.raises(DomainError, match="must start at 0 and end at T"):
+            nn.shift_bounds(short)
         for grids in (short, {1: con.curve_grid(16), 2: short, 3: con.curve_grid(16),
                               4: con.curve_grid(16)}):
             with pytest.raises(DomainError, match="must start at 0 and end at T"):
-                con.sample_cone(grids)
+                sample_cone(grids)
 
     def test_grids_must_be_non_decreasing(self):
         # each curve's samples are one run sorted by parameter
         g = con.curve_grid(9)
         for bad in (g[[0, 2, 1, *range(3, 9)]], np.where(np.arange(9) == 4, np.nan, g)):
             with pytest.raises(DomainError):
-                con.sample_cone({1: g, 2: g, 3: bad, 4: g})
+                nn.shift_bounds(bad)
+            with pytest.raises(DomainError):
+                sample_cone({1: g, 2: g, 3: bad, 4: g})
         repeated = np.array([0.0, 0.3, 0.3, T])
-        assert len(con.sample_cone(repeated).ts) == 16
+        assert len(sample_cone(repeated).ts) == 16
+        # curves 1 and 2 bound lambda at their three positive samples
+        assert len(nn.shift_bounds(repeated)["lower_bounds"][0]) == 6
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DegenerateInputError):
-            con.sample_cone(np.array([]))
+            nn.shift_bounds(np.array([]))
+        with pytest.raises(DegenerateInputError):
+            sample_cone(np.array([]))
 
     def test_label_arrays_match_the_stacked_points(self):
         outer = con.curve_grid(33)
         inner = np.unique(np.concatenate([outer, [0.1, 0.2, 0.3]]))
         grids = {1: outer, 2: inner, 3: inner, 4: outer}
-        cone = con.sample_cone(grids)
+        cone = sample_cone(grids)
         assert len(cone.ids) == len(cone.ts) == len(cone.generators) == sum(
             g.size for g in grids.values())
         for i, t, g in zip(cone.ids, cone.ts, cone.generators):
@@ -215,12 +231,12 @@ class TestBodiesAndCone:
 
     def test_sample_cone_hands_the_label_arrays_to_the_cone(self):
         body = sample_body(con.curve_grid(16))
-        cone = con.sample_cone(con.curve_grid(16))
+        cone = sample_cone(con.curve_grid(16))
         assert np.array_equal(cone.ids, body.ids) and np.array_equal(cone.ts, body.ts)
         assert np.array_equal(cone.generators[:, 1:], con.scale_points(body.xyz))
 
     def test_sample_cone_generator_for_the_origin_sample(self):
-        cone = con.sample_cone(con.curve_grid(8))
+        cone = sample_cone(con.curve_grid(8))
         origin_rows = [g for g, t in zip(cone.generators, cone.ts) if t == 0.0]
         assert len(origin_rows) == 4
         for g in origin_rows:
@@ -228,7 +244,7 @@ class TestBodiesAndCone:
 
     def test_sample_cone_generator_for_scaled_p1(self):
         grid = con.curve_grid(8)
-        cone = con.sample_cone(grid)
+        cone = sample_cone(grid)
         k = int(np.flatnonzero((cone.ids == 1) & (cone.ts == T))[0])
         expected = [1.0, 0.5, -math.sqrt(2.0), math.sqrt(2.0) - 1.5]
         assert np.allclose(cone.generators[k], expected, atol=1e-15)
@@ -237,69 +253,96 @@ class TestBodiesAndCone:
     def test_sample_cone_refuses_what_sample_body_refuses(self):
         g = con.curve_grid(9)
         with pytest.raises(DegenerateInputError):
-            con.sample_cone(np.array([]))
+            sample_cone(np.array([]))
         with pytest.raises(DegenerateInputError):
-            con.sample_cone({1: g, 2: g, 3: g})
+            sample_cone({1: g, 2: g, 3: g})
         with pytest.raises(DomainError):
-            con.sample_cone({1: g, 2: g, 3: g[[0, 2, 1, *range(3, 9)]], 4: g})
+            sample_cone({1: g, 2: g, 3: g[[0, 2, 1, *range(3, 9)]], 4: g})
 
 
-def _same_cone(a, b):
+def _same_bounds(a, b):
     return all(x.tobytes() == y.tobytes() and x.dtype == y.dtype for x, y in zip(a, b))
 
 
+def _route_error(t, bound):
+    """The dot-product route's error in a bound at parameter t: it evaluates
+    1 - cos t by cancellation, so about 4u/t^2 relative, taken twice (the
+    form perfbench/checks.py states), of |bound| + 1, the size of the two
+    terms of cot(t/2)/2 - 1 and tan(t/2)/2 - 1 (near T, where cot(t/2)/2 is
+    about 1.2, the difference is 6 times smaller than they are)."""
+    return 8.0 * 2.0**-53 / (t * t) * (np.abs(bound) + 1.0)
+
+
 class TestSampleCone:
-    """sample_cone writes the cone in one pass: it must hold the bytes of
-    sampling each curve, stacking the body and lifting it."""
+    """The sweep's rows come from one (2, 4, n) array of arc values: its
+    bounds must hold the bits of taking each curve and functional on its own
+    (helpers.reference_shift_bounds), and agree with the dot-product route
+    g @ WITNESS_Q / g @ WITNESS_U on the generators of helpers.sample_cone
+    within that route's rounding error. That route's generators hold the
+    bits of the reference lift."""
 
     @pytest.mark.parametrize("n", [8, 512, 8192])
     @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6, 1e-7, 1e-9])
     def test_sweep_grids_have_the_bits_of_the_reference(self, eps, n):
-        grids = dict.fromkeys(con.CURVE_IDS, nn.sweep_grid(eps, n))
-        assert _same_cone(con.sample_cone(grids), reference_sample_cone(grids))
-        assert _same_cone(nn.refined_cone(eps, n), reference_sample_cone(grids))
+        grid = nn.sweep_grid(eps, n)
+        assert _same_bounds(nn.shift_bounds(grid)["lower_bounds"], reference_shift_bounds(grid))
 
     @pytest.mark.parametrize("samples, thetas", [(512, 64), (64, 512), (2048, 256)])
     def test_verify_grids_have_the_bits_of_the_reference(self, samples, thetas):
+        # the per-curve grids the sampled face references run on: the cone
+        # of the dot-product route lifts their body samples by lift_points,
+        # which must hold the bits of moving them to 2x + SHIFT and
+        # homogenizing (helpers.reference_cone)
         _, grids = verification_grids(reporting.RunConfig(samples_per_curve=samples,
                                                           theta_grid_size=thetas))
         # curves 1/4 share one grid array and 2/3 another
         assert grids[1] is grids[4] and grids[2] is grids[3] and grids[1] is not grids[2]
-        assert _same_cone(con.sample_cone(grids), reference_sample_cone(grids))
+        cone = sample_cone(grids)
+        assert cone.generators.tobytes() == reference_cone(sample_body(grids)).tobytes()
 
     def test_repeated_values_have_the_bits_of_the_reference(self):
         g = np.array([0.0, 0.0, 0.1, 0.3, 0.3, 0.3, T, T])
-        grids = {1: g, 2: con.curve_grid(5), 3: g.copy(), 4: g}
-        assert _same_cone(con.sample_cone(grids), reference_sample_cone(grids))
+        assert _same_bounds(nn.shift_bounds(g)["lower_bounds"], reference_shift_bounds(g))
+
+    @pytest.mark.parametrize("n", [8, 512, 8192])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
+    def test_bounds_agree_with_the_dot_product_route(self, eps, n):
+        grid = nn.sweep_grid(eps, n)
+        bounds, ids, ts = nn.shift_bounds(grid)["lower_bounds"]
+        g = sample_cone(grid).generators
+        ug, qg = g @ con.WITNESS_U, g @ con.WITNESS_Q
+        # the same rows bound lambda in both routes: curves 1 and 2 off t = 0
+        assert (ug > 0.0).sum() == len(bounds)
+        assert (np.abs(bounds - qg[ug > 0.0] / ug[ug > 0.0]) <= _route_error(ts, bounds)).all()
 
     def test_sweep_rows_equal_those_of_the_reference_cone(self):
-        # the benchmark's size: 8,192 samples, six levels down to 1e-6
+        # the benchmark's size: 8,192 samples, six levels down to 1e-6; each
+        # row's (curve, t) equals the dot-product route's, and its lambda_star
+        # equals that route's within the route's rounding error
         levels = (0.3, 0.05, 0.004, 0.0003, 2e-5, 1e-6)
-        rows = []
-        for e in levels:
-            grids = dict.fromkeys(con.CURVE_IDS, nn.sweep_grid(e, 8192))
-            prof = nn.shift_profile(reference_sample_cone(grids))
-            lam = prof["lambda_star"]
-            rows.append((e, lam, lam * e, *prof["achieving"]))
-        assert nn.divergence_sweep(levels, samples_per_curve=8192)["rows"] == rows
+        rows = nn.divergence_sweep(levels, samples_per_curve=8192)["rows"]
+        for e, lam, product, cid, t in rows:
+            cone = sample_cone(nn.sweep_grid(e, 8192))
+            ug, qg = cone.generators @ con.WITNESS_U, cone.generators @ con.WITNESS_Q
+            on = ug > 0.0
+            bounds = qg[on] / ug[on]
+            k = int(np.argmax(bounds))
+            assert (cid, t) == (int(cone.ids[on][k]), float(cone.ts[on][k])) == (1, e)
+            assert abs(lam - bounds[k]) <= _route_error(e, lam)
+            assert product == lam * e
 
     def test_one_arc_evaluation_per_distinct_grid(self, monkeypatch):
         calls = []
-        real = con.arc_sin_cos
+        real = nn.arc_value
 
-        def counted(ts):
-            calls.append(len(ts))
-            return real(ts)
+        def counted(a, b, t):
+            calls.append((a.shape, len(t)))
+            return real(a, b, t)
 
-        monkeypatch.setattr(con, "arc_sin_cos", counted)
-        con.sample_cone(dict.fromkeys(con.CURVE_IDS, nn.sweep_grid(1e-3, 512)))
-        nn.refined_cone(1e-3, 512)
-        con.sample_cone(nn.sweep_grid(1e-3, 512))
-        assert calls == [512, 512, 512]
-        _, grids = verification_grids(reporting.RunConfig())
-        calls.clear()
-        con.sample_cone(grids)
-        assert calls == [grids[1].size, grids[2].size]
+        # both functionals on all four curves in one call per level
+        monkeypatch.setattr(nn, "arc_value", counted)
+        nn.divergence_sweep([1e-1, 1e-2, 1e-3], samples_per_curve=512)
+        assert calls == [((2, 4, 1), 512)] * 3
 
 
 class TestWitness:
@@ -307,6 +350,13 @@ class TestWitness:
         assert np.array_equal(con.WITNESS_Q, [-1.0, 0.0, -1.0, 2.0])
         assert np.array_equal(con.WITNESS_U, [1.0, 0.0, 0.0, -2.0])
         assert float(con.WITNESS_Q @ con.WITNESS_U) == -5.0
+
+    def test_witnesses_are_the_lifts_of_arc_pairs(self):
+        # q and u are lift_pairs(y, 0), bit for bit, so on the generator over
+        # x they take 2<y, x>: the sweep reads them as arc values
+        ys = np.array([con.WITNESS_U[1:], con.WITNESS_Q[1:]])
+        lifted = con.lift_pairs(ys, [0.0, 0.0])
+        assert lifted.tobytes() == np.array([con.WITNESS_U, con.WITNESS_Q]).tobytes()
 
     def test_u_annihilates_the_flat_face_generators(self):
         ts = np.linspace(0.0, T, 101)

@@ -34,6 +34,7 @@ from helpers import (
     reference_verify_cone_exposure,
     reference_verify_exposure,
     sample_body,
+    sample_cone,
     verification_grids,
 )
 
@@ -137,7 +138,7 @@ def test_array_lifts_have_the_bits_of_the_reference(samples, thetas):
     _, _, cone, lifted = setup(samples, thetas)
     normals, offsets = arrays(thetas).normals, arrays(thetas).offsets
     _, grids = verification_grids(RunConfig(samples_per_curve=samples, theta_grid_size=thetas))
-    assert con.sample_cone(grids).generators.tobytes() == cone.tobytes()
+    assert sample_cone(grids).generators.tobytes() == cone.tobytes()
     assert con.lift_pairs(normals, offsets).tobytes() == np.array(lifted).tobytes()
 
 
@@ -214,7 +215,7 @@ def test_param_distances_equal_the_reference():
 
 
 def test_generator_residuals_against_50_digits():
-    # Each generator's residual is d - _arc_value(A, B, t) at its (curve, t)
+    # Each generator's residual is d - arc_value(A, B, t) at its (curve, t)
     # label. Against <y, x(t)> - d in 50-digit arithmetic, on the float y,
     # d and t themselves, it is off by at most the face's rounding bound,
     # for every generator of every kind; so is each face's residual
@@ -230,10 +231,10 @@ def test_generator_residuals_against_50_digits():
             "F13", "F14", "F15", "F21", "F22", "F23", "F24"}
         exposure = fc.verify_catalogue(catalogue)
         face = np.repeat(np.arange(len(catalogue.kinds)), catalogue.sizes)
-        a, b = fc._arc_coefficients(catalogue.normals)
+        a, b = con.arc_coefficients(catalogue.normals)
         curve = catalogue.gen_ids - 1
         computed = (catalogue.offsets[face]
-                    - fc._arc_value(a[face, curve], b[face, curve], catalogue.gen_ts))
+                    - con.arc_value(a[face, curve], b[face, curve], catalogue.gen_ts))
         exact = []
         for i, t, y, d in zip(catalogue.gen_ids.tolist(), catalogue.gen_ts.tolist(),
                               catalogue.normals[face].tolist(), catalogue.offsets[face].tolist()):
@@ -311,7 +312,7 @@ def test_arc_max_against_50_digits():
     for ea, eb, elo, ehi in edges:
         a, b, lo, hi = (np.concatenate([x, e]) for x, e in zip((a, b, lo, hi), (ea, eb, elo, ehi)))
         d = np.concatenate([d, np.zeros(len(ea))])
-    top = fc._arc_max(a, b, lo, hi)
+    top = con.arc_max(a, b, lo, hi)
     bound = gamma(fc.MARGIN_ROUNDINGS) * (np.abs(d) + np.abs(a) + 2.0 * np.abs(b))
     assert np.isneginf(top[lo > hi]).all() and (top[lo <= hi] > -math.inf).all()
     for k in np.flatnonzero(lo <= hi):

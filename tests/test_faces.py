@@ -9,6 +9,7 @@ from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
 import helpers
 from helpers import (
+    ENDPOINTS,
     FaceDescriptor,
     catalogue_of,
     exposing_pair,
@@ -62,14 +63,14 @@ class TestEnumerate:
         assert cat.kinds.count("F11") == cat.kinds.count("F12") == 1
         # at the top parameter the ruling joins the two arc endpoints p1, p3
         pts = face_sample_points(face_of("F11", cat)[0])
-        assert np.allclose(pts[0], con.ENDPOINTS[1], atol=1e-12)
-        assert np.allclose(pts[1], con.ENDPOINTS[3], atol=1e-12)
+        assert np.allclose(pts[0], ENDPOINTS[1], atol=1e-12)
+        assert np.allclose(pts[1], ENDPOINTS[3], atol=1e-12)
 
     def test_endpoint_chords_always_present(self):
         cat = fc.build_catalogue(con.theta_grid(2))
         assert set(cat.kinds) >= {"F13", "F14", "F15", "F21", "F22", "F23", "F24"}
         pts = face_sample_points(face_of("F13", cat)[0])
-        assert np.allclose(pts, [con.ENDPOINTS[1], con.ENDPOINTS[2]], atol=1e-15)
+        assert np.allclose(pts, [ENDPOINTS[1], ENDPOINTS[2]], atol=1e-15)
 
     def test_dimension_matches_kind(self):
         # the atlas's dimension is the affine dimension of the face's
@@ -179,7 +180,7 @@ class TestExposingPairs:
             raise AssertionError("a closed-form catalogue samples no body and fits no plane")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        monkeypatch.setattr(con, "sample_cone", refuse)
+        monkeypatch.setattr(con, "curve_grid", refuse)
         for (face, pair), (_, ref) in zip(face_rows(fc.build_catalogue(con.theta_grid(64))),
                                           face_rows(expected)):
             assert np.array_equal(pair.normal, ref.normal) and pair.offset == ref.offset, face.label()

@@ -38,9 +38,7 @@ def test_verify_and_faces_pass(samples, thetas, eq_abs):
     (EPS_TO_1E_7, False, "NotNiceEvidence"),
     (EPS_TO_1E_7, True, "Inconclusive"),
     (EPS_TO_1E_9, True, "Inconclusive"),
-    pytest.param(EPS_TO_1E_9, False, "NotNiceEvidence", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 3: cos eps rounds to 1 below ~1.05e-8, "
-                            "so the sampled curve-1 row is flat")),
+    (EPS_TO_1E_9, False, "NotNiceEvidence"),
 ])
 def test_sweep_verdict(eps_list, control, verdict):
     config = RunConfig(samples_per_curve=64, eps_list=eps_list, control=control)

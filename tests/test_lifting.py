@@ -9,6 +9,7 @@ from helpers import (
     face_rows,
     polar_generator_model,
     reference_verify_cone_exposure,
+    sample_cone,
 )
 
 T = con.T_END
@@ -35,7 +36,7 @@ def cone():
     base = con.curve_grid(256)
     outer = np.unique(np.concatenate([base, thetas]))
     inner = np.unique(np.concatenate([base, partners]))
-    return con.sample_cone({1: outer, 2: inner, 3: inner, 4: outer})
+    return sample_cone({1: outer, 2: inner, 3: inner, 4: outer})
 
 
 class TestLifting:

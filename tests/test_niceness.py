@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from conelab import construction as con
 from conelab import niceness as nn
 from conelab.linalg import DegenerateInputError, DomainError
+from conelab.reporting import RunConfig
 from helpers import (
     check_positivity_window,
     fibonacci_sphere_grid,
     polar_generator_model,
     positivity_window,
     reference_conic_membership,
+    sample_cone,
     witness_slack,
 )
 
@@ -63,12 +66,21 @@ class TestWitnessSlack:
             assert abs(witness_slack(t, lam) - float(a @ b)) <= bound, (t, lam)
 
 
+def closed_form_lambda(mp, eps):
+    """cot(eps/2)/2 - 1 at the float eps, in mpmath arithmetic."""
+    return mp.cot(mp.mpf(eps) / 2) / 2 - 1
+
+
 class TestShiftProfile:
+    """niceness.shift_bounds, the sweep's shift profile: one lower bound on
+    lambda per row of the cone K sampled on a grid."""
+
     def test_flat_face_generators_are_unconditional(self):
         # only curves 1 and 2 off the origin bound lambda; every other row,
         # curves 3 and 4 and the four origin samples, is flat and holds
-        cone = nn.refined_cone(0.05, samples_per_curve=64)
-        prof = nn.shift_profile(cone)
+        grid = nn.sweep_grid(0.05, 64)
+        cone = sample_cone(grid)
+        prof = nn.shift_bounds(grid)
         for g, cid, t in zip(*cone):
             if cid == 3:
                 assert float(g @ con.WITNESS_Q) == pytest.approx(2.0 * (math.cos(t) - 1.0), abs=1e-12)
@@ -82,8 +94,7 @@ class TestShiftProfile:
         assert len(expected) == 2 * 63
 
     def test_curve1_bound_formula(self):
-        cone = nn.refined_cone(0.02, samples_per_curve=64)
-        prof = nn.shift_profile(cone)
+        prof = nn.shift_bounds(nn.sweep_grid(0.02, 64))
         for bound, cid, t in zip(*prof["lower_bounds"]):
             if cid == 1:
                 formula = math.sin(t) / (2.0 * (1.0 - math.cos(t))) - 1.0
@@ -94,13 +105,14 @@ class TestShiftProfile:
 
     def test_lambda_star_at_centi_epsilon(self):
         # frozen from a 50-digit evaluation of sin(e)/(2(1-cos e)) - 1, e=0.01
-        prof = nn.shift_profile(nn.refined_cone(0.01, 128))
-        assert prof["lambda_star"] == pytest.approx(98.9991666652777745, rel=1e-8)
+        prof = nn.shift_bounds(nn.sweep_grid(0.01, 128))
+        assert prof["lambda_star"] == pytest.approx(98.9991666652777745, rel=1e-14)
         assert prof["achieving"] == (1, 0.01)
 
     def test_bound_reproduces_equality_at_its_lambda(self):
-        cone = nn.refined_cone(0.03, samples_per_curve=32)
-        prof = nn.shift_profile(cone)
+        grid = nn.sweep_grid(0.03, 32)
+        cone = sample_cone(grid)
+        prof = nn.shift_bounds(grid)
         by_label = {(cid, t): g for g, cid, t in zip(*cone)}
         for bound, cid, t in list(zip(*prof["lower_bounds"]))[:20]:
             g = by_label[(cid, t)]
@@ -110,57 +122,95 @@ class TestShiftProfile:
     def test_no_generator_bounds_lambda_from_above(self, seed):
         # <u, g> = -4 x_3 with x_3 = c - 1 (exact), -s or 0, and rounding is
         # monotone: every computed <u, g> is >= 0, at the smallest and
-        # subnormal parameters too, and the curve-3/4 rows have <q, g> <= 0
+        # subnormal parameters too, and the curve-3/4 rows have <q, g> <= 0;
+        # so are the closed-form rows, where one of A_u, B_u is 0 on each
+        # curve and the other term is >= 0
         rng = np.random.default_rng(seed)
         ts = np.sort(np.concatenate([[0.0, 5e-324, 1e-300, 1e-8, T],
                                      rng.uniform(0.0, T, 500),
                                      T * 10.0 ** rng.uniform(-20.0, 0.0, 500)]))
-        for cone in (con.sample_cone(ts), nn.control_cone()):
-            ug, qg = cone.generators @ con.WITNESS_U, cone.generators @ con.WITNESS_Q
-            assert (ug >= 0.0).all()
-            assert (qg[cone.ids >= 3] <= 0.0).all()
+        cone = sample_cone(ts)
+        ug, qg = cone.generators @ con.WITNESS_U, cone.generators @ con.WITNESS_Q
+        assert (ug >= 0.0).all()
+        assert (qg[cone.ids >= 3] <= 0.0).all()
+        a, b = con.arc_coefficients(np.array([con.WITNESS_U[1:], con.WITNESS_Q[1:]]))
+        ug, qg = con.arc_value(a[:, :, None], b[:, :, None], ts)
+        assert (ug >= 0.0).all()
+        assert (qg[2:] <= 0.0).all()
+        assert len(nn.shift_bounds(ts)["lower_bounds"][0]) == int((ug > 0.0).sum())
 
     def test_flat_row_with_positive_witness_value_holds_for_no_lambda(self):
-        # <u, g> = 0 and <q, g> = 2: no lambda satisfies 2 - lambda * 0 <= 0
-        cone = nn.refined_cone(0.01, 16)
-        flat = np.array([[1.0, 0.0, -2.0, 0.5]])
-        assert float(flat[0] @ con.WITNESS_U) == 0.0 and float(flat[0] @ con.WITNESS_Q) == 2.0
-        cone = con.Cone(np.vstack([cone.generators, flat]), np.append(cone.ids, 3),
-                        np.append(cone.ts, 0.5))
-        prof = nn.shift_profile(cone)
+        # far below the floor, sin^2(t/2) underflows to 0 at t = 1e-170: the
+        # curve-1 row there is flat, <u, g> = 0, with <q, g> = sin t > 0, and
+        # no lambda satisfies sin t - lambda * 0 <= 0
+        assert math.sin(5e-171) ** 2 == 0.0
+        prof = nn.shift_bounds(nn.sweep_grid(1e-170, 16))
         assert prof["lambda_star"] is None and prof["achieving"] is None
+        _, ids, ts = prof["lower_bounds"]
+        assert (1, 1e-170) not in zip(ids.tolist(), ts.tolist())
 
     def test_negative_u_coefficient_is_not_a_generator_of_k(self):
-        # x_3 <= 0 on C, so <u, g> < 0 marks a row outside K
-        cone = con.Cone(np.array([[1.0, 0.5, 0.0, 0.75]]), np.array([1]), np.array([0.1]))
-        with pytest.raises(DomainError):
-            nn.shift_profile(cone)
-
-    def test_no_bound_row_gives_minus_infinity(self):
-        prof = nn.shift_profile(con.Cone(np.array([[1.0, 0.5, 0.0, 0.5]]), np.array([3]),
-                                         np.array([0.0])))
-        assert prof["lambda_star"] == -math.inf and prof["achieving"] is None
+        # x_3 <= 0 on C, so no generator of K has <u, g> = -4 x_3 < 0: in the
+        # closed form, u has A = 2 on curve 2, B = -2 on curve 1 and A = B = 0
+        # on curves 3 and 4, so A sin t and -2B sin^2(t/2) are never negative
+        a, b = con.arc_coefficients(con.WITNESS_U[None, 1:])
+        assert np.array_equal(a, [[0.0, 2.0, 0.0, 0.0]])
+        assert np.array_equal(b, [[-2.0, 0.0, 0.0, 0.0]])
+        # the point (0, 0, 1/4), off C, would give a negative row
+        assert float(con.lift_points([0.0, 0.0, 0.25])[0] @ con.WITNESS_U) < 0.0
 
     def test_row_at_ten_to_the_minus_seven_binds_on_curve_1(self):
         # 4(1 - cos t) ~ 2e-14 there, once read as flat by a 1e-12 cut
-        prof = nn.shift_profile(nn.refined_cone(1e-7, 512))
+        prof = nn.shift_bounds(nn.sweep_grid(1e-7, 512))
         assert prof["achieving"] == (1, 1e-7)
-        assert abs(prof["lambda_star"] * 1e-7 - 1.0) <= 0.01
+        assert abs(prof["lambda_star"] * 1e-7 - 1.0) <= 2e-7
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-12])
-    def test_rows_where_cos_rounds_to_one_hold_for_no_lambda(self, eps):
-        # below ~1.05e-8 cos t rounds to 1, so the curve-1 row at t = eps is
-        # flat with <q, g> = 2 sin t > 0
+    def test_rows_where_cos_rounds_to_one_give_the_closed_form(self, eps):
+        # below ~1.05e-8 cos t rounds to 1, so 1 - cos t would read 0; the
+        # closed-form row 4 sin^2(t/2) does not cancel
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 50
         assert math.cos(eps) == 1.0
-        assert nn.shift_profile(nn.refined_cone(eps, 64))["lambda_star"] is None
+        prof = nn.shift_bounds(nn.sweep_grid(eps, 64))
+        assert prof["achieving"] == (1, eps)
+        exact = closed_form_lambda(mp, eps)
+        assert abs(prof["lambda_star"] - exact) <= 8 * U * exact
+
+    @pytest.mark.parametrize("n", [8, 512, 8192])
+    def test_lambda_star_is_the_closed_form_down_to_the_floor(self, n):
+        # lambda* = cot(eps/2)/2 - 1, at (1, eps), within 8u relative for
+        # log-uniform eps from 1e-1 down to the floor, and at the floor itself
+        # (2.24u is the worst seen on 240 levels from 0.63 down)
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 50
+        rng = np.random.default_rng(n)
+        levels = 10.0 ** rng.uniform(math.log10(nn.EPS_FLOOR), -1.0, 40)
+        for eps in [1e-1, nn.EPS_FLOOR, *levels.tolist()]:
+            prof = nn.shift_bounds(nn.sweep_grid(eps, n))
+            assert prof["achieving"] == (1, eps)
+            exact = closed_form_lambda(mp, eps)
+            assert abs(prof["lambda_star"] - exact) <= 8 * U * exact, eps
+
+    def test_eps_floor_is_derived_and_enforced(self):
+        # from 2 sqrt(min normal) up sin^2(t/2) is normal; the floor passes,
+        # the float just below it raises, through RunConfig too
+        assert nn.EPS_FLOOR == 2.0 * math.sqrt(sys.float_info.min) == 2.0**-510
+        assert nn.validate_eps([0.1, nn.EPS_FLOOR]) == (0.1, nn.EPS_FLOOR)
+        below = float(np.nextafter(nn.EPS_FLOOR, 0.0))
+        with pytest.raises(DomainError):
+            nn.validate_eps([0.1, below])
+        with pytest.raises(DomainError):
+            RunConfig(eps_list=(0.1, 0.01, below))
+        assert nn.divergence_sweep([1e-1, 1e-100, nn.EPS_FLOOR], 8)["verdict"] == "NotNiceEvidence"
 
 
 class TestMembershipCrossCheck:
     def test_shifted_witness_against_sampled_polar_generators(self):
         epsilon = 0.01
-        cone = nn.refined_cone(epsilon, 128)
-        prof = nn.shift_profile(cone)
-        samples = cone.generators[:, 1:]  # the points of C' the cone is over
+        grid = nn.sweep_grid(epsilon, 128)
+        prof = nn.shift_bounds(grid)
+        samples = sample_cone(grid).generators[:, 1:]  # the points of C' the cone is over
 
         lam_in = prof["lambda_star"] + 1.0
         point_in = con.WITNESS_Q - lam_in * con.WITNESS_U
@@ -200,40 +250,41 @@ class TestDivergenceSweep:
         assert sweep["fitted_exponent"] == pytest.approx(1.0, abs=0.05)
 
     def test_closure_is_exact_not_toleranced(self):
-        rep = nn.closure_check(512)
-        assert rep["in_closure"]
-        assert rep["max_curve3_value"] <= 0.0
-        assert rep["max_curve4_value"] <= 0.0
-        assert rep["max_identity_residual"] <= 1e-12
+        rep = nn.closure_check()
+        assert rep == {"max_curve3_value": 0.0, "max_curve4_value": 0.0, "in_closure": True}
 
     @pytest.mark.parametrize("seed", range(3))
     def test_closure_residual_within_its_dot_product_bound(self, seed):
-        # 2(c - 1) and -2s are the exact dot products of the stored
-        # generators with q, so each row's residual is the rounding of a
-        # 4-term dot product: at most gamma_4 |g|^T |q|
-        ts = np.random.default_rng(seed).uniform(0.0, T, 4000)
-        s, c = con.arc_sin_cos(ts)
-        for i, closed_form in ((3, 2.0 * (c - 1.0)), (4, -2.0 * s)):
-            g = con.lift_arc(i, s, c)
-            bound = gamma(4) * (np.abs(g) @ np.abs(con.WITNESS_Q))
+        # The closure check reads q's arc values on curves 3 and 4,
+        # -2 sin^2(t/2) and -sin t, whose doubles are <q, g> at the
+        # generators over them. Against g @ q on the lifted points, each
+        # double differs by at most the rounding of a 4-term dot product,
+        # gamma_4 |g|^T |q|, plus the error of the stored generator (libm's
+        # cos and sin, one ulp each: 2u |g|^T |q|; q has no weight on the
+        # one rounded lift column) and the closed form's three roundings
+        # (gamma_3 of a value at most |g|^T |q|): gamma_9 |g|^T |q| in all.
+        ts = np.concatenate([[0.0, T], np.random.default_rng(seed).uniform(0.0, T, 4000)])
+        a, b = con.arc_coefficients(con.WITNESS_Q[None, 1:])
+        for i in (3, 4):
+            g = con.lift_points(con.curve_points(i, ts))
+            closed_form = 2.0 * con.arc_value(a[0, i - 1], b[0, i - 1], ts)
+            assert (closed_form <= 0.0).all()
+            bound = gamma(9) * (np.abs(g) @ np.abs(con.WITNESS_Q))
             assert (np.abs(g @ con.WITNESS_Q - closed_form) <= bound).all()
-        for n in (2, 3, 64, 4097):
-            assert nn.closure_check(n)["in_closure"]
+        maxima = nn.closure_check()
+        assert maxima["max_curve3_value"] == maxima["max_curve4_value"] == 0.0
 
     def test_perturbed_generator_fails_the_closure_bound(self, monkeypatch):
-        # 16 ulps of 1 in one curve-3 generator exceed gamma_4 * ~2.6
-        real = con.lift_arc
-
-        def perturbed(i, s, c):
-            g = real(i, s, c)
-            if i == 3:
-                g[len(g) // 2, 2] += 16 * np.finfo(float).eps
-            return g
-
-        monkeypatch.setattr(nn, "lift_arc", perturbed)
-        rep = nn.closure_check(512)
+        # flipping the sign of q's curve-4 coefficient A makes its arc value
+        # there +sin t, positive on (0, T], and the check fails
+        a, b = nn._witness_arcs()
+        assert a[1, 3] == -1.0
+        a[1, 3] = 1.0
+        monkeypatch.setattr(nn, "_witness_arcs", lambda: (a, b))
+        rep = nn.closure_check()
         assert not rep["in_closure"]
-        assert rep["max_curve3_value"] <= 0.0 and rep["max_curve4_value"] <= 0.0
+        assert rep["max_curve3_value"] <= 0.0 < rep["max_curve4_value"]
+        assert nn.divergence_sweep([1e-1, 1e-2, 1e-3], 64)["verdict"] == "Inconclusive"
 
     def test_achieving_generator_stays_on_curve1(self):
         sweep = nn.divergence_sweep([5e-2, 5e-3, 5e-4], samples_per_curve=32)
@@ -245,8 +296,10 @@ class TestDivergenceSweep:
         sweep = nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], control=True)
         assert sweep["verdict"] == "Inconclusive"
         lams = [row[1] for row in sweep["rows"]]
-        assert max(lams) - min(lams) <= 1e-12  # constant over refinement
-        assert lams[0] == pytest.approx(0.20710678118654752, abs=1e-12)
+        assert max(lams) == min(lams)  # constant over refinement
+        # (sqrt 2 - 1)/2, at curve 1, t = T
+        assert lams[0] == pytest.approx(0.20710678118654752, rel=2 * U)
+        assert [row[3:] for row in sweep["rows"]] == [(1, T)] * 4
         assert abs(sweep["fitted_exponent"]) < 0.01
 
     def test_fewer_than_three_levels_is_inconclusive(self):
