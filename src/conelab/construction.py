@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DegenerateInputError, DomainError
+from .linalg import DegenerateInputError, DomainError, check_size
 
 T_END = math.pi / 4
 CURVE_IDS = (1, 2, 3, 4)
@@ -198,15 +198,12 @@ def ruling_data(theta):
 
 def curve_grid(n):
     """Uniform n-point grid on [0, T]."""
-    if n < 2:
-        raise DomainError("grid needs at least 2 points")
-    return np.linspace(0.0, T_END, n)
+    return np.linspace(0.0, T_END, check_size(n, 2, "grid size"))
 
 
 def theta_grid(n):
     """Uniform n-point grid on (0, T]; smallest value T/n."""
-    if n < 1:
-        raise DomainError("theta grid needs at least 1 point")
+    n = check_size(n, 1, "theta grid size")
     return np.linspace(T_END / n, T_END, n)
 
 

@@ -1,7 +1,7 @@
-"""The rounding error constant gamma and the error classes shared by the
-cone computations, DomainError and DegenerateInputError. No command's
-verdict reads a bare tolerance: each threshold is gamma times a stated
-scale, or the verdict is decided exactly.
+"""The rounding error constant gamma, the size check check_size and the
+error classes shared by the cone computations, DomainError and
+DegenerateInputError. No command's verdict reads a bare tolerance: each
+threshold is gamma times a stated scale, or the verdict is decided exactly.
 """
 
 from __future__ import annotations
@@ -24,3 +24,15 @@ def gamma(n):
         raise DomainError(f"gamma_n needs 0 <= n*u < 1, got n = {n}")
     return nu / (1.0 - nu)
 
+
+def check_size(value, minimum, what):
+    """value as an int of at least minimum, else a DomainError naming what;
+    operator.index refuses a float or a string (2.7, "8") that int() takes."""
+    from operator import index  # in sys.modules from interpreter start-up
+    try:
+        n = index(value)
+    except TypeError:
+        n = None
+    if n is None or n < minimum:
+        raise DomainError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+    return n

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .construction import curve_points, partner_param, scale_points, theta_grid
-from .linalg import DomainError
+from .linalg import DomainError, check_size
 
 BODY_NAMES = ("C", "Cprime")
 
@@ -32,38 +32,32 @@ class Mesh(NamedTuple):
 def build_mesh(which, samples_per_curve=64):
     """Triangulate the body boundary with n parameters per curve.
 
-    Vertices: the shared endpoint plus n samples per curve (curves 1 and 4
-    at a uniform positive grid, curves 3 and 2 at the partner parameters, so
-    ruling endpoints are actual vertices). Faces: 2(n-1)+1 triangles per
-    ruled strip, each quad split along the diagonal from its ruling-j end on
-    curve 3 (resp. 2) to its ruling-(j+1) end on curve 1 (resp. 4); 2n-1 per
-    planar side fan; plus the two endpoint triangles.
+    Vertices: the shared endpoint (index 0), then n samples of each curve,
+    sample j of curve k + 1 at index 1 + k*n + j (curves 1 and 4 at a uniform
+    positive grid, curves 3 and 2 at the partner parameters, so ruling
+    endpoints are actual vertices). Faces, as index arrays with no loop over
+    samples: 2(n-1)+1 triangles per ruled strip, each quad split along the
+    diagonal from its ruling-j end on curve 3 (resp. 2) to its ruling-(j+1)
+    end on curve 1 (resp. 4); 2n-1 per planar side fan; plus the two
+    endpoint triangles: 1 + 4n vertices and 8n - 2 triangles in all.
     """
     if which not in BODY_NAMES:
         raise DomainError(f"body must be one of {BODY_NAMES}")
-    n = int(samples_per_curve)
-    if n < 2:
-        raise DomainError("mesh needs at least 2 samples per curve")
+    n = check_size(samples_per_curve, 2, "mesh samples per curve")
 
     thetas = theta_grid(n)
     partners = partner_param(thetas)
-
-    verts = [np.zeros(3)]
-    idx = {}
-    for cid, params in ((1, thetas), (2, partners), (3, partners), (4, thetas)):
-        pts = curve_points(cid, params)
-        idx[cid] = np.arange(len(verts), len(verts) + n)
-        verts.extend(pts)
-    verts = np.vstack(verts)
+    curves = ((1, thetas), (2, partners), (3, partners), (4, thetas))
+    verts = np.vstack([np.zeros((1, 3))] + [curve_points(k, p) for k, p in curves])
     if which == "Cprime":
         verts = scale_points(verts)
+    c1, c2, c3, c4 = 1 + np.arange(4)[:, None] * n + np.arange(n)
 
     tris = []
 
     # ruled strips: (curve 1, curve 3) and (curve 4, curve 2)
-    for a_cid, b_cid in ((1, 3), (4, 2)):
-        a, b = idx[a_cid], idx[b_cid]
-        tris.append((0, a[0], b[0]))  # collapses onto the shared endpoint
+    for a, b in ((c1, c3), (c4, c2)):
+        tris.append([[0, a[0], b[0]]])  # collapses onto the shared endpoint
         # Every quad (a_j, b_j, b_{j+1}, a_{j+1}) is split along b_j-a_{j+1},
         # the hull edge. The strip is developable, so a quad folds only to
         # second order and a float orientation test is round-off near the
@@ -74,30 +68,27 @@ def build_mesh(which, samples_per_curve=64):
         # would fold inward. The curve-4/2 strip is the mirror image under
         # (x, y, z) -> (z, -y, x), of determinant +1. The sign has no short
         # proof; it rests on the Fraction test in tests/test_meshes.py.
-        for j in range(n - 1):
-            tris.append((a[j], b[j], a[j + 1]))
-            tris.append((b[j], b[j + 1], a[j + 1]))
+        quads = np.stack([a[:-1], b[:-1], a[1:], b[:-1], b[1:], a[1:]], axis=1)
+        tris.append(quads.reshape(-1, 3))  # (a_j, b_j, a_{j+1}), (b_j, b_{j+1}, a_{j+1})
 
     # planar sides fanned from the shared endpoint; the middle fan triangle
     # is the chord between the two arc ends
-    for a_cid, b_cid in ((1, 2), (3, 4)):
-        boundary = list(idx[a_cid]) + list(idx[b_cid])[::-1]
-        tris.extend((0, boundary[k], boundary[k + 1]) for k in range(len(boundary) - 1))
+    for a, b in ((c1, c2), (c3, c4)):
+        boundary = np.concatenate([a, b[::-1]])
+        tris.append(np.column_stack([np.zeros_like(boundary[1:]), boundary[:-1], boundary[1:]]))
 
-    # endpoint triangles
-    tris.append((idx[1][-1], idx[2][-1], idx[3][-1]))
-    tris.append((idx[2][-1], idx[3][-1], idx[4][-1]))
+    tris.append([[c1[-1], c2[-1], c3[-1]], [c2[-1], c3[-1], c4[-1]]])  # endpoint triangles
 
-    return Mesh(which=which, vertices=verts, triangles=np.asarray(tris, dtype=int))
+    return Mesh(which=which, vertices=verts, triangles=np.vstack(tris))
 
 
 def write_obj(path, mesh):
-    """ASCII OBJ, triangles only, 1-based indices."""
-    lines = [f"o {mesh.which}"]
-    lines.extend(f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices)
-    lines.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles)
+    """ASCII OBJ of triangles, 1-based; each section is one %-format of a flat list."""
+    verts, tris = mesh.vertices.ravel().tolist(), (mesh.triangles + 1).ravel().tolist()
+    text = (f"o {mesh.which}\n" + "v %.17g %.17g %.17g\n" * len(mesh.vertices) % tuple(verts)
+            + "f %d %d %d\n" * len(mesh.triangles) % tuple(tris))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def read_obj(path):

@@ -37,7 +37,7 @@ from .construction import (
     arc_value,
     check_grid,
 )
-from .linalg import DegenerateInputError, DomainError
+from .linalg import DegenerateInputError, DomainError, check_size
 
 # generators of the half-disc example's cone, on its arc
 HALF_DISC_RAYS = 65
@@ -106,9 +106,7 @@ def sweep_grid(epsilon, n):
     0 followed by a geometric ladder from epsilon up to T."""
     if not (0.0 < epsilon < T_END):
         raise DomainError("epsilon must lie in (0, T)")
-    if n < 8:
-        raise DomainError("sweep grid needs at least 8 points")
-    ladder = np.geomspace(epsilon, T_END, n - 1)
+    ladder = np.geomspace(epsilon, T_END, check_size(n, 8, "sweep grid size") - 1)
     ladder[0], ladder[-1] = epsilon, T_END
     return np.concatenate([[0.0], ladder])
 
@@ -151,9 +149,11 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False):
     levels (at least three levels are needed).
     """
     eps = validate_eps(eps_list)
+    # the control grid is the same at every level: its bounds are one solve
+    fixed = shift_bounds(CONTROL_GRID) if control else None
     rows = []
     for e in eps:
-        prof = shift_bounds(CONTROL_GRID if control else sweep_grid(e, samples_per_curve))
+        prof = fixed if control else shift_bounds(sweep_grid(e, samples_per_curve))
         lam = prof["lambda_star"]
         product = lam * e if lam is not None else math.nan
         cid, t = prof["achieving"] or (None, None)

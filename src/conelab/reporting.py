@@ -19,7 +19,7 @@ import numpy as np
 from . import construction as con
 from . import faces as fc
 from . import niceness as nn
-from .linalg import DomainError, gamma
+from .linalg import DomainError, check_size, gamma
 
 SCHEMA_VERSION = 1
 
@@ -32,8 +32,8 @@ class RunConfig:
     control: bool = False
 
     def __post_init__(self):
-        if self.samples_per_curve < 8 or self.theta_grid_size < 8:
-            raise DomainError("sample counts must be at least 8")
+        for name in ("samples_per_curve", "theta_grid_size"):
+            object.__setattr__(self, name, check_size(getattr(self, name), 8, name))
         object.__setattr__(self, "eps_list", nn.validate_eps(self.eps_list))
 
 

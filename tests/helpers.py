@@ -714,3 +714,36 @@ def exact_orientation(p, q, r, s):
     return (u[0] * (v[1] * w[2] - v[2] * w[1])
             - u[1] * (v[0] * w[2] - v[2] * w[0])
             + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+# Reference mesh assembly and OBJ writer: the Python loops meshes.build_mesh
+# and meshes.write_obj ran, one index tuple and one numpy scalar row at a
+# time, before they built index arrays and formatted Python lists. The
+# library must reproduce their triangles and bytes exactly.
+
+def reference_mesh_triangles(n):
+    """The (8n - 2, 3) 0-based triangles of an n-sample mesh, assembled in a
+    loop over samples: both ruled strips (apex triangle first), both planar
+    fans, then the two endpoint triangles."""
+    idx = {cid: 1 + (cid - 1) * n + np.arange(n) for cid in (1, 2, 3, 4)}
+    tris = []
+    for a_cid, b_cid in ((1, 3), (4, 2)):
+        a, b = idx[a_cid], idx[b_cid]
+        tris.append((0, a[0], b[0]))
+        for j in range(n - 1):
+            tris.append((a[j], b[j], a[j + 1]))
+            tris.append((b[j], b[j + 1], a[j + 1]))
+    for a_cid, b_cid in ((1, 2), (3, 4)):
+        boundary = list(idx[a_cid]) + list(idx[b_cid])[::-1]
+        tris.extend((0, boundary[k], boundary[k + 1]) for k in range(len(boundary) - 1))
+    tris.append((idx[1][-1], idx[2][-1], idx[3][-1]))
+    tris.append((idx[2][-1], idx[3][-1], idx[4][-1]))
+    return np.asarray(tris, dtype=int)
+
+
+def reference_obj_text(mesh):
+    """The OBJ text of a mesh, formatted from its numpy rows one at a time."""
+    lines = [f"o {mesh.which}"]
+    lines.extend(f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices)
+    lines.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles)
+    return "\n".join(lines) + "\n"

@@ -340,6 +340,13 @@ class TestRunConfig:
             RunConfig(samples_per_curve=4)
         with pytest.raises(DomainError):
             RunConfig(theta_grid_size=1)
+        # non-integer sizes are refused, not truncated or passed to numpy
+        for fields in ({"samples_per_curve": 8.5}, {"theta_grid_size": 64.7},
+                       {"samples_per_curve": "512"}, {"theta_grid_size": 64.0}):
+            with pytest.raises(DomainError, match="must be an integer"):
+                RunConfig(**fields)
+        config = RunConfig(samples_per_curve=np.int64(512), theta_grid_size=np.int64(64))
+        assert type(config.samples_per_curve) is type(config.theta_grid_size) is int
         for eps_list in ((1e-3, 1e-2), (5.0, 4.0, 3.0), (math.pi / 4, 0.1), (math.nan,),
                          (math.inf, 0.1), (0.1, 0.0)):
             with pytest.raises(DomainError):

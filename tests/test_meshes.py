@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import exact_orientation, reference_strip_triangles, strip_quads
+from helpers import (
+    exact_orientation,
+    reference_mesh_triangles,
+    reference_obj_text,
+    reference_strip_triangles,
+    strip_quads,
+)
 
 from conelab import construction as con
 from conelab import meshes
@@ -41,6 +47,34 @@ class TestBuild:
             meshes.build_mesh("D", 8)
         with pytest.raises(DomainError):
             meshes.build_mesh("C", 1)
+
+    @pytest.mark.parametrize("size", [2.7, 8.0, "8", None])
+    def test_non_integer_sizes_rejected(self, size):
+        # int() would truncate 2.7 to 2 and parse "8"
+        with pytest.raises(DomainError, match="must be an integer"):
+            meshes.build_mesh("C", size)
+
+    def test_numpy_integer_size_accepted(self):
+        mesh = meshes.build_mesh("C", np.int64(8))
+        assert np.array_equal(mesh.triangles, meshes.build_mesh("C", 8).triangles)
+
+
+class TestReferenceLoops:
+    """The index-array assembly and the list-based writer against the loops
+    they replaced (tests/helpers.py), at sizes from the smallest slice case
+    through the benchmark's 128 and an odd size."""
+
+    @pytest.mark.parametrize("which", ["C", "Cprime"])
+    @pytest.mark.parametrize("n", [2, 3, 24, 128, 129, 1024])
+    def test_triangles_and_obj_bytes_match_the_loops(self, tmp_path, which, n):
+        mesh = meshes.build_mesh(which, n)
+        expected = reference_mesh_triangles(n)
+        assert np.issubdtype(mesh.triangles.dtype, np.integer)
+        assert mesh.triangles.shape == (8 * n - 2, 3)
+        assert np.array_equal(mesh.triangles, expected)
+        path = tmp_path / "body.obj"
+        meshes.write_obj(path, mesh)
+        assert path.read_bytes() == reference_obj_text(mesh).encode("ascii")
 
 
 class TestObjFormat:

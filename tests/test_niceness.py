@@ -302,6 +302,32 @@ class TestDivergenceSweep:
         assert [row[3:] for row in sweep["rows"]] == [(1, T)] * 4
         assert abs(sweep["fitted_exponent"]) < 0.01
 
+    def test_control_rows_are_the_per_level_solves(self):
+        # the control grid does not depend on the level, so its one solve
+        # gives every row what a solve per level gave
+        levels = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
+        expected = []
+        for e in levels:
+            prof = nn.shift_bounds(nn.CONTROL_GRID)
+            lam = prof["lambda_star"]
+            expected.append((e, lam, lam * e, *prof["achieving"]))
+        assert nn.divergence_sweep(levels, control=True)["rows"] == expected
+
+    def test_control_grid_is_solved_once_per_sweep(self, monkeypatch):
+        grids = []
+        solve = nn.shift_bounds
+
+        def recording(grid):
+            grids.append(grid)
+            return solve(grid)
+
+        monkeypatch.setattr(nn, "shift_bounds", recording)
+        nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], control=True)
+        assert len(grids) == 1 and grids[0] is nn.CONTROL_GRID
+        grids.clear()
+        nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], samples_per_curve=16)
+        assert len(grids) == 4
+
     def test_fewer_than_three_levels_is_inconclusive(self):
         sweep = nn.divergence_sweep([1e-2], samples_per_curve=32)
         assert sweep["verdict"] == "Inconclusive"
