@@ -115,8 +115,8 @@ def main(argv=None):
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # MemoryError: a size too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")
 

@@ -8,8 +8,9 @@ origin, parametrized on [0, T] with T = pi/4 (curve_points samples them):
     curve 3: (-sin t, 1 - cos t, 0)        curve 4: (cos t - 1, sin t, 0)
 
 On curve i a functional takes <y, x(t)> = A_i sin t + B_i (cos t - 1);
-arc_coefficients, arc_value and arc_max are that closed form, which the
-face check and the sweep both read.
+arc_coefficients, arc_sines, arc_value and arc_max are that closed form,
+which the face check and the sweep both read; the sines of one parameter
+array serve every (A, B), so the sweep takes them once per grid.
 
 C' = 2C + SHIFT with SHIFT = (1/2, 0, 1/2), and K = cone({1} x C'). This
 module is the only one that applies the map: lift_points takes points x of
@@ -101,14 +102,20 @@ def arc_coefficients(normals):
     return normals @ a, normals @ b
 
 
-def arc_value(a, b, t):
-    """a sin t - 2b sin^2(t/2), which is a sin t + b (cos t - 1) without the
-    cancellation of cos t - 1; the arguments broadcast, and sin t and
-    sin(t/2) are taken once on t. t is moved into [0, T] first, so the
-    infinite ends of empty intervals take no sine."""
+def arc_sines(t):
+    """(sin t, sin(t/2)) of t moved into [0, T], the two sines arc_value
+    reads; taken once, they serve every (A, B) on the same parameters. The
+    clip keeps the infinite ends of empty intervals from taking a sine."""
     t = np.clip(t, 0.0, T_END)
-    half = np.sin(t / 2.0)
-    return a * np.sin(t) - 2.0 * b * half * half
+    return np.sin(t), np.sin(t / 2.0)
+
+
+def arc_value(a, b, sines):
+    """a sin t - 2b sin^2(t/2), which is a sin t + b (cos t - 1) without the
+    cancellation of cos t - 1, from sines = arc_sines(t); a, b and the sines
+    broadcast."""
+    s, half = sines
+    return a * s - 2.0 * b * half * half
 
 
 def arc_max(a, b, lo, hi):
@@ -116,9 +123,9 @@ def arc_max(a, b, lo, hi):
     lo > hi; the arguments broadcast. On the line the value is
     R cos(t - t*) - b with t* = atan2(a, b), so over an interval it peaks at
     an end or at t*."""
-    peak = arc_value(a, b, np.clip(np.arctan2(a, b), lo, hi))
-    top = np.maximum(np.maximum(arc_value(a, b, lo), arc_value(a, b, hi)), peak)
-    return np.where(lo <= hi, top, -math.inf)
+    lo_v, hi_v, peak = (arc_value(a, b, arc_sines(t))
+                        for t in (lo, hi, np.clip(np.arctan2(a, b), lo, hi)))
+    return np.where(lo <= hi, np.maximum(np.maximum(lo_v, hi_v), peak), -math.inf)
 
 
 def _per_element(fn, *args):

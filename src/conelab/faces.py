@@ -46,6 +46,7 @@ from .construction import (
     T_END,
     arc_coefficients,
     arc_max,
+    arc_sines,
     arc_value,
     curve_points,
     ruling_data,
@@ -273,7 +274,8 @@ def verify_catalogue(catalogue, deltas=MARGIN_DELTAS):
         far = arc_max(a, b, *_far_intervals(anchor, reach, delta))
         margins[:, k] = d[:, 0] - far.max(axis=(0, 2))
     face, curve = np.repeat(np.arange(len(d)), catalogue.sizes), catalogue.gen_ids - 1
-    onface = np.abs(d[face, 0] - arc_value(a[face, curve], b[face, curve], catalogue.gen_ts))
+    onface = np.abs(d[face, 0] - arc_value(a[face, curve], b[face, curve],
+                                           arc_sines(catalogue.gen_ts)))
     top, low = arc_max(a, b, 0.0, T_END), -arc_max(-a, -b, 0.0, T_END)
     whole = np.where(catalogue.full, np.maximum(top - d, d - low), 0.0).max(axis=1)
     starts = np.cumsum(catalogue.sizes) - catalogue.sizes

@@ -9,8 +9,9 @@ of K_polar + F_perp not being closed. No finite sample can decide
 non-membership outright, so the verdict is evidence, never proof.
 
 q and u are lifts of pairs (y, 0) of C, so on the generator over x(t)
-each takes 2<y, x(t)>: the sweep reads its rows from the arcs' closed form
-(construction.arc_value), and the closure check its maxima (arc_max).
+each takes 2<y, x(t)>: the sweep reads its rows from the arcs' closed form,
+one curve and functional at a time from one construction.arc_sines per
+level (arc_value), and the closure check reads its maxima (arc_max).
 
 Also here: the check, at the generators, that a 3D cone's exposing normals
 span the dual of a 2D face together with its orthogonal complement, the
@@ -34,6 +35,7 @@ from .construction import (
     WITNESS_U,
     arc_coefficients,
     arc_max,
+    arc_sines,
     arc_value,
     check_grid,
 )
@@ -68,37 +70,35 @@ def shift_bounds(grid):
     sampled on grid (the same parameters on every curve; see
     construction.check_grid) for the shift multiplier lambda.
 
-    Each row is one arc value A sin t - 2B sin^2(t/2) per curve and
-    functional, from one sin t and one sin(t/2) per grid. On every curve one
-    of A_u, B_u is 0 and the other term is >= 0, and rounding keeps the sign
-    of a product, so no row bounds lambda from above. A row with <u, g> > 0
-    bounds it from below by <q, g> / <u, g>: cot(t/2)/2 - 1 on curve 1,
-    tan(t/2)/2 - 1 on curve 2. A flat row (<u, g> = 0; curves 3 and 4, where
-    <q, g> <= 0) holds for every lambda if <q, g> <= 0 and for none
-    otherwise, which happens only far below EPS_FLOOR, once sin^2(t/2)
-    underflows to 0.
+    Each row is one arc value A sin t - 2B sin^2(t/2), read one curve and
+    functional at a time from one arc_sines(grid), so no row array is larger
+    than the grid. On every curve one of A_u, B_u is 0 and the other term is
+    >= 0, and rounding keeps the sign of a product, so no row bounds lambda
+    from above. A row with <u, g> > 0 bounds it from below by
+    <q, g> / <u, g>: cot(t/2)/2 - 1 on curve 1, tan(t/2)/2 - 1 on curve 2.
+    A flat row (<u, g> = 0; curves 3 and 4, where <q, g> <= 0) holds for
+    every lambda if <q, g> <= 0 and for none otherwise, which happens only
+    far below EPS_FLOOR, once sin^2(t/2) underflows to 0.
 
-    Returns a dict: lower_bounds, arrays (bound, curve_id, t), one entry per
-    row with <u, g> > 0, curve by curve (the grid holds T, so curve 1 gives
-    one); lambda_star, the largest bound, or None when a flat row holds for
-    no lambda; achieving, the (curve_id, t) of the binding bound or None.
+    Returns a dict: lambda_star, the largest bound, or None when a flat row
+    holds for no lambda; achieving, the (curve_id, t) of the first row,
+    curve by curve, that gives it, or None.
     """
     grid = check_grid(grid)
-    a, b = (c[:, :, None] for c in _witness_arcs())
-    ug, qg = arc_value(a, b, grid).reshape(2, -1)
-    bounding = ug > 0.0
-    bounds = qg[bounding] / ug[bounding]
-    bound_ids = np.repeat(CURVE_IDS, grid.size)[bounding]
-    bound_ts = np.tile(grid, len(CURVE_IDS))[bounding]
-    lambda_star = achieving = None
-    if (qg[~bounding] <= 0.0).all():
-        k = int(np.argmax(bounds))
-        lambda_star, achieving = float(bounds[k]), (int(bound_ids[k]), float(bound_ts[k]))
-    return {
-        "lower_bounds": (bounds, bound_ids, bound_ts),
-        "lambda_star": lambda_star,
-        "achieving": achieving,
-    }
+    (au, aq), (bu, bq) = _witness_arcs()
+    sines = arc_sines(grid)
+    lambda_star, achieving = -math.inf, None
+    for k, cid in enumerate(CURVE_IDS):
+        ug, qg = arc_value(au[k], bu[k], sines), arc_value(aq[k], bq[k], sines)
+        on = ug > 0.0
+        if not (qg[~on] <= 0.0).all():
+            return {"lambda_star": None, "achieving": None}
+        bounds = np.divide(qg, ug, out=np.full(grid.size, -math.inf), where=on)
+        j = int(np.argmax(bounds))
+        # only a strictly larger bound moves achieving to a later curve
+        if bounds[j] > lambda_star:
+            lambda_star, achieving = float(bounds[j]), (cid, float(grid[j]))
+    return {"lambda_star": lambda_star, "achieving": achieving}
 
 
 def sweep_grid(epsilon, n):

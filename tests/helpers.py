@@ -17,6 +17,7 @@ from conelab.construction import (
     WITNESS_U,
     RulingData,
     arc_coefficients,
+    arc_sines,
     arc_value,
     check_grid,
     curve_grid,
@@ -261,9 +262,9 @@ def sample_cone(grids):
     """The cone K over C' sampled on grids, a dict curve_id -> parameters (or
     one array for every curve), each checked by construction.check_grid: one
     curve_points call per curve, the points stacked into a body and then
-    lifted. This is the dot-product route that niceness.shift_bounds's
-    closed-form rows are cross-checked against: <u, g> and <q, g> are
-    g @ WITNESS_U and g @ WITNESS_Q."""
+    lifted. This is the dot-product route that the closed-form rows of
+    niceness.shift_bounds (reference_shift_bounds) are cross-checked
+    against: <u, g> and <q, g> are g @ WITNESS_U and g @ WITNESS_Q."""
     if not isinstance(grids, dict):
         grids = dict.fromkeys(CURVE_IDS, grids)
     grids = {i: check_grid(grids.get(i, ())) for i in CURVE_IDS}
@@ -533,15 +534,17 @@ def reference_conic_membership(point, generators, eq_abs=EQ_ABS):
 
 
 def reference_shift_bounds(grid):
-    """The lower bounds of niceness.shift_bounds, as (bound, curve_id, t)
-    arrays, taken one curve at a time: each curve's rows <u, g> and <q, g>
-    from one construction.arc_value call each on that curve's scalar
-    (A, B), the bounds where <u, g> > 0."""
+    """The lower bounds that niceness.shift_bounds maximizes, as
+    (bound, curve_id, t) arrays, one entry per row with <u, g> > 0, curve by
+    curve: each curve's rows <u, g> and <q, g> from one
+    construction.arc_value call each on that curve's scalar (A, B) and the
+    grid's arc_sines."""
     grid = np.asarray(grid, dtype=float)
     a, b = arc_coefficients(np.array([WITNESS_U[1:], WITNESS_Q[1:]]))
+    sines = arc_sines(grid)
     parts = []
     for k, i in enumerate(CURVE_IDS):
-        ug, qg = (arc_value(a[j, k], b[j, k], grid) for j in (0, 1))
+        ug, qg = (arc_value(a[j, k], b[j, k], sines) for j in (0, 1))
         on = ug > 0.0
         parts.append((qg[on] / ug[on], np.full(int(on.sum()), i), grid[on]))
     return tuple(np.concatenate(column) for column in zip(*parts))

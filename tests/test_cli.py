@@ -16,7 +16,7 @@ import scipy.optimize
 import conelab
 from conelab import meshes
 from conelab.cli import main
-from conelab import construction, faces, reporting
+from conelab import construction, faces, niceness, reporting
 from conelab.reporting import RunConfig, run_faces, run_verify
 from conelab.linalg import DomainError
 from helpers import reference_conic_membership
@@ -136,6 +136,20 @@ class TestSweepCommand:
     def test_increasing_eps_is_a_usage_error(self, tmp_path):
         assert main(["sweep", "--eps", "0.001,0.01", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_size_too_large_for_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError for a grid it cannot allocate; the
+        # allocation is simulated, since under overcommit a real one of
+        # terabytes can succeed and the process then be killed
+        def too_large(epsilon, n):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(niceness, "sweep_grid", too_large)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--samples", "1000000000000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 7.28 TiB for an array\n"
+        assert not out.exists()
+
 
 class TestMeshCommand:
     def test_writes_valid_convex_obj(self, tmp_path):
@@ -147,6 +161,17 @@ class TestMeshCommand:
 
     def test_unwritable_path(self, tmp_path):
         assert main(["mesh", "--out", str(tmp_path / "nodir" / "m.obj")]) == 1
+
+    def test_size_too_large_for_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a bare MemoryError, as an allocator may raise it, still names itself
+        def too_large(which, n):
+            raise MemoryError
+
+        monkeypatch.setattr(meshes, "build_mesh", too_large)
+        out = tmp_path / "m.obj"
+        assert main(["mesh", "--samples", "1000000000000", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not out.exists()
 
 
 class TestNice3DCommand:

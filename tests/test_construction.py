@@ -211,7 +211,8 @@ class TestBodiesAndCone:
         repeated = np.array([0.0, 0.3, 0.3, T])
         assert len(sample_cone(repeated).ts) == 16
         # curves 1 and 2 bound lambda at their three positive samples
-        assert len(nn.shift_bounds(repeated)["lower_bounds"][0]) == 6
+        assert len(reference_shift_bounds(repeated)[0]) == 6
+        assert nn.shift_bounds(repeated)["achieving"] == (1, 0.3)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -260,8 +261,27 @@ class TestBodiesAndCone:
             sample_cone({1: g, 2: g, 3: g[[0, 2, 1, *range(3, 9)]], 4: g})
 
 
-def _same_bounds(a, b):
-    return all(x.tobytes() == y.tobytes() and x.dtype == y.dtype for x, y in zip(a, b))
+def _reference_optimum(grid):
+    """lambda_star and achieving of the reference rows
+    (helpers.reference_shift_bounds): their maximum and the (curve, t) of its
+    first row, curve by curve; (None, None) when a flat row, <u, g> = 0 with
+    <q, g> > 0, holds for no lambda."""
+    a, b = con.arc_coefficients(np.array([con.WITNESS_U[1:], con.WITNESS_Q[1:]]))
+    ug, qg = con.arc_value(a[:, :, None], b[:, :, None], con.arc_sines(grid))
+    if (qg[ug == 0.0] > 0.0).any():
+        return None, None
+    bounds, ids, ts = reference_shift_bounds(grid)
+    k = int(np.argmax(bounds))
+    return float(bounds[k]), (int(ids[k]), float(ts[k]))
+
+
+def _same_optimum(grid):
+    """shift_bounds(grid) gives the reference's lambda_star, bit for bit,
+    and its achieving (curve, t)."""
+    prof = nn.shift_bounds(grid)
+    lam, achieving = _reference_optimum(grid)
+    bits = [None if v is None else v.hex() for v in (prof["lambda_star"], lam)]
+    return bits[0] == bits[1] and prof["achieving"] == achieving
 
 
 def _route_error(t, bound):
@@ -274,18 +294,27 @@ def _route_error(t, bound):
 
 
 class TestSampleCone:
-    """The sweep's rows come from one (2, 4, n) array of arc values: its
-    bounds must hold the bits of taking each curve and functional on its own
-    (helpers.reference_shift_bounds), and agree with the dot-product route
-    g @ WITNESS_Q / g @ WITNESS_U on the generators of helpers.sample_cone
-    within that route's rounding error. That route's generators hold the
-    bits of the reference lift."""
+    """The sweep reads its rows one curve and functional at a time from one
+    pair of sines per grid, and keeps only their largest bound: its
+    lambda_star and achieving must be the maximum and first argmax, bit for
+    bit, of the rows of helpers.reference_shift_bounds. Those rows agree
+    with the dot-product route g @ WITNESS_Q / g @ WITNESS_U on the
+    generators of helpers.sample_cone within that route's rounding error,
+    and that route's generators hold the bits of the reference lift."""
 
-    @pytest.mark.parametrize("n", [8, 512, 8192])
-    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6, 1e-7, 1e-9])
+    @pytest.mark.parametrize("n", [8, 512, 8192, 20000])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6, 1e-7, 1e-9, nn.EPS_FLOOR])
     def test_sweep_grids_have_the_bits_of_the_reference(self, eps, n):
-        grid = nn.sweep_grid(eps, n)
-        assert _same_bounds(nn.shift_bounds(grid)["lower_bounds"], reference_shift_bounds(grid))
+        assert _same_optimum(nn.sweep_grid(eps, n))
+
+    def test_control_and_flat_row_grids_have_the_optimum_of_the_reference(self):
+        assert _same_optimum(nn.CONTROL_GRID)
+        assert nn.shift_bounds(nn.CONTROL_GRID)["achieving"] == (1, T)
+        # far below the floor, the curve-1 row at 1e-170 is flat with
+        # <q, g> > 0: no lambda at all, in both
+        flat = nn.sweep_grid(1e-170, 16)
+        assert _reference_optimum(flat) == (None, None)
+        assert _same_optimum(flat)
 
     @pytest.mark.parametrize("samples, thetas", [(512, 64), (64, 512), (2048, 256)])
     def test_verify_grids_have_the_bits_of_the_reference(self, samples, thetas):
@@ -302,13 +331,13 @@ class TestSampleCone:
 
     def test_repeated_values_have_the_bits_of_the_reference(self):
         g = np.array([0.0, 0.0, 0.1, 0.3, 0.3, 0.3, T, T])
-        assert _same_bounds(nn.shift_bounds(g)["lower_bounds"], reference_shift_bounds(g))
+        assert _same_optimum(g)
 
     @pytest.mark.parametrize("n", [8, 512, 8192])
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_bounds_agree_with_the_dot_product_route(self, eps, n):
         grid = nn.sweep_grid(eps, n)
-        bounds, ids, ts = nn.shift_bounds(grid)["lower_bounds"]
+        bounds, ids, ts = reference_shift_bounds(grid)
         g = sample_cone(grid).generators
         ug, qg = g @ con.WITNESS_U, g @ con.WITNESS_Q
         # the same rows bound lambda in both routes: curves 1 and 2 off t = 0
@@ -331,18 +360,26 @@ class TestSampleCone:
             assert abs(lam - bounds[k]) <= _route_error(e, lam)
             assert product == lam * e
 
-    def test_one_arc_evaluation_per_distinct_grid(self, monkeypatch):
-        calls = []
-        real = nn.arc_value
+    def test_one_pair_of_sines_per_level_and_rows_of_grid_size(self, monkeypatch):
+        sines, rows = [], []
+        real_sines, real_value = nn.arc_sines, nn.arc_value
 
-        def counted(a, b, t):
-            calls.append((a.shape, len(t)))
-            return real(a, b, t)
+        def counted_sines(t):
+            sines.append(len(t))
+            return real_sines(t)
 
-        # both functionals on all four curves in one call per level
-        monkeypatch.setattr(nn, "arc_value", counted)
+        def counted_value(a, b, pair):
+            row = real_value(a, b, pair)
+            rows.append(row.shape)
+            return row
+
+        # sin t and sin(t/2) once per level; then each curve and functional
+        # is one row of the grid's length, never a (2, 4, n) array
+        monkeypatch.setattr(nn, "arc_sines", counted_sines)
+        monkeypatch.setattr(nn, "arc_value", counted_value)
         nn.divergence_sweep([1e-1, 1e-2, 1e-3], samples_per_curve=512)
-        assert calls == [((2, 4, 1), 512)] * 3
+        assert sines == [512] * 3
+        assert rows == [(512,)] * (3 * 4 * 2)
 
 
 class TestWitness:

@@ -234,7 +234,8 @@ def test_generator_residuals_against_50_digits():
         a, b = con.arc_coefficients(catalogue.normals)
         curve = catalogue.gen_ids - 1
         computed = (catalogue.offsets[face]
-                    - con.arc_value(a[face, curve], b[face, curve], catalogue.gen_ts))
+                    - con.arc_value(a[face, curve], b[face, curve],
+                                    con.arc_sines(catalogue.gen_ts)))
         exact = []
         for i, t, y, d in zip(catalogue.gen_ids.tolist(), catalogue.gen_ts.tolist(),
                               catalogue.normals[face].tolist(), catalogue.offsets[face].tolist()):

@@ -1,0 +1,62 @@
+"""verify's verdicts over the whole domain its CLI accepts, drawn by
+hypothesis (seeded and without a database, so every run draws the same
+configurations), each held to its closed-form prediction.
+
+- --samples from 8 to 20,000, --theta-grid from 8 to 1,024, and 3 to 6
+  strictly decreasing levels, log-uniform in [EPS_FLOOR, 0.7];
+- every face of C and every cone over one passes;
+- every sweep row binds on curve 1 at t = epsilon, with lambda_star within
+  8u of cot(epsilon/2)/2 - 1 (50-digit mpmath);
+- the sweep is NotNiceEvidence exactly when there are at least three levels
+  and the last three products epsilon * (cot(epsilon/2)/2 - 1) lie in
+  [0.8, 1.2]; the control, the cone over the arc endpoints, is always
+  Inconclusive, so the report passes exactly then.
+"""
+
+import math
+
+import pytest
+
+from conelab import niceness as nn
+from conelab import reporting
+from conelab.reporting import RunConfig
+
+hypothesis = pytest.importorskip("hypothesis")
+mp = pytest.importorskip("mpmath").mp
+st = hypothesis.strategies
+
+U = 2.0**-53
+TOP_LEVEL = 0.7
+
+
+def _levels(exponents):
+    """Strictly decreasing levels 10^x, kept inside [EPS_FLOOR, TOP_LEVEL]."""
+    return sorted({min(max(10.0**x, nn.EPS_FLOOR), TOP_LEVEL) for x in exponents}, reverse=True)
+
+
+LEVELS = st.lists(st.floats(math.log10(nn.EPS_FLOOR), math.log10(TOP_LEVEL)),
+                  min_size=3, max_size=6).map(_levels).filter(lambda eps: len(eps) >= 3)
+
+
+@hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@hypothesis.given(samples=st.integers(8, 20_000), thetas=st.integers(8, 1024), eps=LEVELS)
+def test_verify_verdicts_match_their_closed_forms(samples, thetas, eps):
+    report = reporting.run_verify(RunConfig(samples_per_curve=samples, theta_grid_size=thetas,
+                                            eps_list=tuple(eps)))
+    sections = report["sections"]
+    assert sections["face_exposure"]["failures"] == []
+    assert sections["face_exposure"]["pass"] and sections["homogenization"]["pass"]
+
+    niceness = sections["niceness"]
+    mp.dps = 50
+    products = []
+    for (e, lam, product, cid, t), level in zip(niceness["sweep_table"], eps):
+        exact = mp.cot(mp.mpf(level) / 2) / 2 - 1
+        assert (e, cid, t) == (level, 1, level)
+        assert abs(lam - exact) <= 8 * U * exact, (samples, level)
+        assert product == lam * e
+        products.append(level * exact)
+    predicted = len(eps) >= 3 and all(0.8 <= p <= 1.2 for p in products[-3:])
+    assert niceness["verdict"] == ("NotNiceEvidence" if predicted else "Inconclusive")
+    assert niceness["control_verdict"] == "Inconclusive"
+    assert report["overall"] == ("pass" if predicted else "fail")

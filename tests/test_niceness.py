@@ -16,6 +16,7 @@ from helpers import (
     polar_generator_model,
     positivity_window,
     reference_conic_membership,
+    reference_shift_bounds,
     sample_cone,
     witness_slack,
 )
@@ -72,15 +73,17 @@ def closed_form_lambda(mp, eps):
 
 
 class TestShiftProfile:
-    """niceness.shift_bounds, the sweep's shift profile: one lower bound on
-    lambda per row of the cone K sampled on a grid."""
+    """niceness.shift_bounds, the sweep's shift profile: the largest of the
+    lower bounds on lambda, one per row of the cone K sampled on a grid.
+    The rows themselves are those of helpers.reference_shift_bounds, whose
+    maximum and first argmax shift_bounds returns bit for bit
+    (test_construction.TestSampleCone)."""
 
     def test_flat_face_generators_are_unconditional(self):
         # only curves 1 and 2 off the origin bound lambda; every other row,
         # curves 3 and 4 and the four origin samples, is flat and holds
         grid = nn.sweep_grid(0.05, 64)
         cone = sample_cone(grid)
-        prof = nn.shift_bounds(grid)
         for g, cid, t in zip(*cone):
             if cid == 3:
                 assert float(g @ con.WITNESS_Q) == pytest.approx(2.0 * (math.cos(t) - 1.0), abs=1e-12)
@@ -88,14 +91,13 @@ class TestShiftProfile:
             if cid == 4:
                 assert float(g @ con.WITNESS_Q) == pytest.approx(-2.0 * math.sin(t), abs=1e-12)
                 assert float(g @ con.WITNESS_U) == 0.0
-        _, ids, ts = prof["lower_bounds"]
+        _, ids, ts = reference_shift_bounds(grid)
         expected = [(cid, t) for _, cid, t in zip(*cone) if cid in (1, 2) and t > 0.0]
         assert list(zip(ids.tolist(), ts.tolist())) == expected
         assert len(expected) == 2 * 63
 
     def test_curve1_bound_formula(self):
-        prof = nn.shift_bounds(nn.sweep_grid(0.02, 64))
-        for bound, cid, t in zip(*prof["lower_bounds"]):
+        for bound, cid, t in zip(*reference_shift_bounds(nn.sweep_grid(0.02, 64))):
             if cid == 1:
                 formula = math.sin(t) / (2.0 * (1.0 - math.cos(t))) - 1.0
                 assert bound == pytest.approx(formula, rel=1e-9)
@@ -112,9 +114,8 @@ class TestShiftProfile:
     def test_bound_reproduces_equality_at_its_lambda(self):
         grid = nn.sweep_grid(0.03, 32)
         cone = sample_cone(grid)
-        prof = nn.shift_bounds(grid)
         by_label = {(cid, t): g for g, cid, t in zip(*cone)}
-        for bound, cid, t in list(zip(*prof["lower_bounds"]))[:20]:
+        for bound, cid, t in list(zip(*reference_shift_bounds(grid)))[:20]:
             g = by_label[(cid, t)]
             assert abs(float(g @ (con.WITNESS_Q - bound * con.WITNESS_U))) <= 1e-9
 
@@ -134,10 +135,13 @@ class TestShiftProfile:
         assert (ug >= 0.0).all()
         assert (qg[cone.ids >= 3] <= 0.0).all()
         a, b = con.arc_coefficients(np.array([con.WITNESS_U[1:], con.WITNESS_Q[1:]]))
-        ug, qg = con.arc_value(a[:, :, None], b[:, :, None], ts)
+        ug, qg = con.arc_value(a[:, :, None], b[:, :, None], con.arc_sines(ts))
         assert (ug >= 0.0).all()
         assert (qg[2:] <= 0.0).all()
-        assert len(nn.shift_bounds(ts)["lower_bounds"][0]) == int((ug > 0.0).sum())
+        assert len(reference_shift_bounds(ts)[0]) == int((ug > 0.0).sum())
+        # far below the floor (5e-324, 1e-300) the curve-1 rows are flat
+        # with <q, g> = sin t > 0, so no lambda satisfies them
+        assert nn.shift_bounds(ts) == {"lambda_star": None, "achieving": None}
 
     def test_flat_row_with_positive_witness_value_holds_for_no_lambda(self):
         # far below the floor, sin^2(t/2) underflows to 0 at t = 1e-170: the
@@ -146,7 +150,7 @@ class TestShiftProfile:
         assert math.sin(5e-171) ** 2 == 0.0
         prof = nn.shift_bounds(nn.sweep_grid(1e-170, 16))
         assert prof["lambda_star"] is None and prof["achieving"] is None
-        _, ids, ts = prof["lower_bounds"]
+        _, ids, ts = reference_shift_bounds(nn.sweep_grid(1e-170, 16))
         assert (1, 1e-170) not in zip(ids.tolist(), ts.tolist())
 
     def test_negative_u_coefficient_is_not_a_generator_of_k(self):
@@ -267,7 +271,7 @@ class TestDivergenceSweep:
         a, b = con.arc_coefficients(con.WITNESS_Q[None, 1:])
         for i in (3, 4):
             g = con.lift_points(con.curve_points(i, ts))
-            closed_form = 2.0 * con.arc_value(a[0, i - 1], b[0, i - 1], ts)
+            closed_form = 2.0 * con.arc_value(a[0, i - 1], b[0, i - 1], con.arc_sines(ts))
             assert (closed_form <= 0.0).all()
             bound = gamma(9) * (np.abs(g) @ np.abs(con.WITNESS_Q))
             assert (np.abs(g @ con.WITNESS_Q - closed_form) <= bound).all()
