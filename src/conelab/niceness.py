@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -59,10 +60,13 @@ CONTROL_GRID = np.array([0.0, T_END])
 EPS_FLOOR = 2.0 * math.sqrt(sys.float_info.min)
 
 
+@cache
 def _witness_arcs():
-    """(A, B) of u and q, each (2, 4); per call, so importing makes no matrix
-    product. u: A = (0, 2, 0, 0), B = (-2, 0, 0, 0); q: (1, -2, 0, -1), (2, -1, 1, 0)."""
-    return arc_coefficients(np.array([WITNESS_U[1:], WITNESS_Q[1:]]))
+    """(A, B) of u and q, each (2, 4) and read-only; taken on first use, not on
+    import. u: A = (0, 2, 0, 0), B = (-2, 0, 0, 0); q: (1, -2, 0, -1), (2, -1, 1, 0)."""
+    a, b = arc_coefficients(np.array([WITNESS_U[1:], WITNESS_Q[1:]]))
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def shift_bounds(grid):

@@ -230,10 +230,10 @@ def write_sweep_csv(path, sweep):
 def run_nice3d():
     """The two examples' reports and the rejection of a normal in F_perp."""
     out = report_header(None)
-    for name, example in (("octant", nn.octant_example()),
-                          ("half_disc", nn.half_disc_cone_example())):
+    octant = nn.octant_example()
+    for name, example in (("octant", octant), ("half_disc", nn.half_disc_cone_example())):
         out[name] = nn.nice3d_ingredients(*example)
-    generators, p1, p2, _, h2 = nn.octant_example()
+    generators, p1, p2, _, h2 = octant
     try:
         nn.nice3d_ingredients(generators, p1, p2, np.array([0.0, 0.0, 1.0]), h2)
         rejection = False

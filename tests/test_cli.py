@@ -14,7 +14,7 @@ import pytest
 import scipy.optimize
 
 import conelab
-from conelab import meshes
+from conelab import cli, meshes
 from conelab.cli import main
 from conelab import construction, faces, niceness, reporting
 from conelab.reporting import RunConfig, run_faces, run_verify
@@ -261,6 +261,87 @@ class TestCommandFlags:
         assert not (tmp_path / "x").exists()
 
 
+# argv whose help, error or output the command's own parser must print as
+# the full tree does: help, type errors, bad choices, missing values, flags of
+# no command or of another command, abbreviations and leftover positionals
+PARSE_ARGV = [
+    ["-h"], ["verify", "-h"], ["faces", "-h"], ["sweep", "-h"], ["mesh", "-h"], ["nice3d", "-h"],
+    ["sweep", "--samples", "x"], ["verify", "--bogus", "1"], ["mesh", "--which", "D"], [],
+    ["verfy"], ["sweep", "--eps", "1,2"], ["sweep", "--samp", "64"], ["nice3d", "extra"],
+    ["verify", "--tol", "1e-9"], ["faces", "--samples", "8"], ["sweep", "--samples"],
+    ["verify", "--theta-grid", "1.5"], ["sweep", "--eps", "a,b"], ["nice3d", "--", "x"],
+]
+
+# each command at its defaults, and the benchmark's four op shapes
+NAMESPACE_ARGV = [
+    ["verify"], ["faces"], ["sweep"], ["mesh"], ["nice3d"],
+    ["verify", "--samples", "512", "--theta-grid", "64", "--eps", "0.3,0.04,0.002,0.0005",
+     "--out", "v.json"],
+    ["nice3d", "--out", "n.json"],
+    ["sweep", "--samples", "8192", "--eps", "0.2,0.03,0.004,0.0002,3e-05,1e-06", "--out", "s.csv"],
+    ["mesh", "--which", "Cprime", "--samples", "128", "--out", "m.obj"],
+]
+
+
+def run_main(argv, tmp_path, capsysbinary):
+    """main's exit code (returned or raised), stdout and stderr bytes, run in
+    tmp_path so that default output paths land there."""
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    out, err = capsysbinary.readouterr()
+    return code, out, err
+
+
+def written(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestParsePath:
+    @pytest.mark.parametrize("argv", NAMESPACE_ARGV, ids=" ".join)
+    def test_namespace_is_the_full_trees(self, argv):
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
+    def test_text_and_exit_code_are_the_full_trees(self, argv, tmp_path, monkeypatch,
+                                                   capsysbinary):
+        (tmp_path / "own").mkdir()
+        (tmp_path / "tree").mkdir()
+        own = run_main(argv, tmp_path / "own", capsysbinary)
+        monkeypatch.setattr(cli, "_parse", lambda a: cli.build_parser().parse_args(a))
+        assert run_main(argv, tmp_path / "tree", capsysbinary) == own
+        assert written(tmp_path / "own") == written(tmp_path / "tree")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", *FAST], ["faces", *FACES_FAST], ["sweep", "--samples", "64"],
+        ["mesh", "--samples", "8"], ["nice3d"], ["sweep", "--control", "--samp", "64"],
+    ], ids=" ".join)
+    def test_a_valid_command_never_builds_the_full_tree(self, argv, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("the full tree is built only for help and errors")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 0
+        assert (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["nice3d"], ["mesh", "-h"], ["verify", "--tol", "1e-9"], ["verfy"], [],
+        ["sweep", "--samples", "x"],
+    ], ids=" ".join)
+    def test_console_script_reads_sys_argv(self, argv, tmp_path, monkeypatch, capsysbinary):
+        (tmp_path / "list").mkdir()
+        (tmp_path / "sys").mkdir()
+        given = run_main(argv, tmp_path / "list", capsysbinary)
+        monkeypatch.setattr(sys, "argv", ["conelab", *argv])
+        assert run_main(None, tmp_path / "sys", capsysbinary) == given
+        assert written(tmp_path / "sys") == written(tmp_path / "list")
+
+
 class TestImportPath:
     def test_cli_runs_without_scipy_or_lazy_imports(self, tmp_path):
         # A fresh interpreter: the test process itself has scipy loaded.
@@ -432,6 +513,26 @@ class TestRunConfig:
         # catalogue computed once. The catalogue's two ruling_data calls are
         # the only partner_cos calls.
         assert calls == {"grids": 1, "catalogue": 1, "points": 1, "kernel": 1, "partners": 2}
+
+    def test_verify_takes_the_witness_arcs_once(self, monkeypatch):
+        # the face kernel's normals once per report, and u and q once per
+        # process for all seven niceness steps of each report (four sweep
+        # levels and the control in shift_bounds, two closure checks)
+        calls = {"faces": 0, "niceness": 0}
+        for key, module in (("faces", faces), ("niceness", niceness)):
+            def counted(normals, key=key, real=module.arc_coefficients):
+                calls[key] += 1
+                return real(normals)
+            monkeypatch.setattr(module, "arc_coefficients", counted)
+        niceness._witness_arcs.cache_clear()
+        try:
+            run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
+            run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
+            # the arcs every later report reads cannot be written
+            assert not any(c.flags.writeable for c in niceness._witness_arcs())
+        finally:
+            niceness._witness_arcs.cache_clear()
+        assert calls == {"faces": 2, "niceness": 1}
 
     def test_faces_builds_no_cone_and_no_lifted_pairs(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -282,6 +282,7 @@ class TestDivergenceSweep:
         # flipping the sign of q's curve-4 coefficient A makes its arc value
         # there +sin t, positive on (0, T], and the check fails
         a, b = nn._witness_arcs()
+        a = a.copy()  # the cached arcs are read-only
         assert a[1, 3] == -1.0
         a[1, 3] = 1.0
         monkeypatch.setattr(nn, "_witness_arcs", lambda: (a, b))
