@@ -27,6 +27,7 @@ from .linalg import DegenerateInputError, DomainError
 from .niceness import (
     closure_check,
     divergence_sweep,
+    fitted_exponent,
     half_disc_cone_example,
     nice3d_ingredients,
     octant_example,

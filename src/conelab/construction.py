@@ -96,10 +96,13 @@ def arc_coefficients(normals):
     <y, x(t)> = A sin t + B (cos t - 1) with A = <y, col_i(1, 1)> and
     B = <y, col_i(0, 2)>, the arc's columns (_ARC_COLUMNS) at sin t = 1,
     cos t - 1 = 0 and at sin t = 0, cos t - 1 = 1. Each column holds one
-    entry +-1, so A and B are exact."""
-    a, b = (np.array([_ARC_COLUMNS[i](*sc) for i in CURVE_IDS]).T
-            for sc in ((1.0, 1.0), (0.0, 2.0)))
-    return normals @ a, normals @ b
+    entry +-1, so A and B are signed picks of y's entries, exact, and
+    taken without a matrix product (the first BLAS call of a process costs
+    ~0.3 MB of peak memory). 0.0 - y and y + 0.0 make every zero +0.0, as
+    the sum of that product does."""
+    y1, y2, y3 = np.moveaxis(np.asarray(normals, dtype=float), -1, 0)
+    return (np.stack([0.0 - y2, 0.0 - y3, 0.0 - y1, y2 + 0.0], axis=-1),
+            np.stack([y3 + 0.0, y2 + 0.0, 0.0 - y2, y1 + 0.0], axis=-1))
 
 
 def arc_sines(t):

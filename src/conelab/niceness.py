@@ -143,14 +143,14 @@ def validate_eps(eps_list):
 
 
 def divergence_sweep(eps_list, samples_per_curve=512, control=False):
-    """Run shift_bounds per refinement level and fit the divergence.
+    """Run shift_bounds per refinement level and judge the divergence.
 
     Returns a dict: rows, one (epsilon, lambda_star, product, curve_id, t)
-    per level; closure, the closure_check dict; fitted_exponent, the slope
-    of log(lambda_star) against log(1/epsilon); verdict, "NotNiceEvidence"
+    per level; closure, the closure_check dict; verdict, "NotNiceEvidence"
     or "Inconclusive". NotNiceEvidence requires the exact closure check to
     pass and lambda_star * epsilon to settle in [0.8, 1.2] on the last three
-    levels (at least three levels are needed).
+    levels (at least three levels are needed). No verdict reads a fit: the
+    slope is fitted_exponent(rows), taken only where a report writes it.
     """
     eps = validate_eps(eps_list)
     # the control grid is the same at every level: its bounds are one solve
@@ -164,27 +164,25 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False):
         rows.append((e, lam, product, cid, t))
 
     closure = closure_check()
-
-    finite = [(e, lam) for e, lam, *_ in rows if lam is not None and lam > 0]
-    if len(finite) >= 2:
-        x = np.log([1.0 / e for e, _ in finite])
-        y = np.log([lam for _, lam in finite])
-        exponent = float(np.polyfit(x, y, 1)[0])
-    else:
-        exponent = math.nan
-
     products = [p for *_, p, _, _ in rows]
     tail = products[-3:]
     diverges = len(rows) >= 3 and all(
         math.isfinite(p) and 0.8 <= p <= 1.2 for p in tail
     )
     verdict = "NotNiceEvidence" if (closure["in_closure"] and diverges) else "Inconclusive"
-    return {
-        "rows": rows,
-        "closure": closure,
-        "fitted_exponent": exponent,
-        "verdict": verdict,
-    }
+    return {"rows": rows, "closure": closure, "verdict": verdict}
+
+
+def fitted_exponent(rows):
+    """The least-squares slope of log(lambda_star) against log(1/epsilon)
+    over divergence_sweep's rows with lambda_star > 0, or NaN when fewer
+    than two such rows exist; near 1 when lambda_star grows like 1/epsilon."""
+    finite = [(e, lam) for e, lam, *_ in rows if lam is not None and lam > 0]
+    if len(finite) < 2:
+        return math.nan
+    x = np.log([1.0 / e for e, _ in finite])
+    y = np.log([lam for _, lam in finite])
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def _ints(v):

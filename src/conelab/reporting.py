@@ -2,19 +2,29 @@
 
 Reports are plain dicts of native types, serialized with sorted keys and no
 timestamps, so identical configurations produce byte-identical files; the
-provenance header carries a hash of the configuration instead.
+provenance header carries a hash of the configuration instead. That hash is
+SHA-256 from the interpreter's own module (_sha2, or _sha256 before Python
+3.12), as random.py takes sha512: hashlib would map OpenSSL's libcrypto,
+~3.6 MB of every command's peak memory, for the same digest.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import construction as con
 from . import faces as fc
@@ -65,7 +75,7 @@ def write_json(path, obj):
 def report_header(config, *fields):
     """The schema, the config fields a command reads, and their hash."""
     knobs = {name: getattr(config, name) for name in fields}
-    digest = hashlib.sha256(json.dumps(knobs, sort_keys=True).encode()).hexdigest()[:12]
+    digest = sha256(json.dumps(knobs, sort_keys=True).encode()).hexdigest()[:12]
     return {"schema": SCHEMA_VERSION, "config": knobs, "config_hash": digest}
 
 
@@ -136,7 +146,7 @@ def niceness_section(config):
     return {
         "closure": sweep["closure"],
         "sweep_table": sweep["rows"],
-        "fitted_exponent": sweep["fitted_exponent"],
+        "fitted_exponent": nn.fitted_exponent(sweep["rows"]),
         "verdict": sweep["verdict"],
         "dual_form_note": nn.DUAL_FORM_NOTE,
         "control_verdict": control["verdict"],
@@ -204,8 +214,8 @@ def run_faces(config):
 
 
 def run_sweep(config):
-    """The header and the divergence_sweep dict: rows, closure,
-    fitted_exponent and verdict."""
+    """The header and the divergence_sweep dict: rows, closure and
+    verdict. The CSV writes no fit, so none is taken."""
     sweep = nn.divergence_sweep(
         config.eps_list, samples_per_curve=config.samples_per_curve, control=config.control
     )

@@ -15,6 +15,7 @@ from conelab.construction import (
     T_END,
     WITNESS_Q,
     WITNESS_U,
+    _ARC_COLUMNS,
     RulingData,
     arc_coefficients,
     arc_sines,
@@ -531,6 +532,16 @@ def reference_conic_membership(point, generators, eq_abs=EQ_ABS):
         s = np.asarray(res.x, dtype=float)
         return ConicVerdict(inside=False, normal=s, margin=float(np.dot(s, x)))
     return None
+
+
+def reference_arc_coefficients(normals):
+    """construction.arc_coefficients as the matrix products it once was:
+    normals @ a and normals @ b, where a and b stack the arcs' columns
+    (construction._ARC_COLUMNS) at sin t = 1, cos t = 1 and at sin t = 0,
+    cos t = 2, one column per curve."""
+    a, b = (np.array([_ARC_COLUMNS[i](*sc) for i in CURVE_IDS]).T
+            for sc in ((1.0, 1.0), (0.0, 2.0)))
+    return normals @ a, normals @ b
 
 
 def reference_shift_bounds(grid):

@@ -151,6 +151,40 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+class TestSweepFootprint:
+    """The sweep writes no fit, so it takes none: with numpy's least-squares
+    routes made to raise, both sweeps still write the bytes they wrote when
+    divergence_sweep fitted every sweep; verify fits once, for the main
+    sweep whose exponent its report writes."""
+
+    # sha256 of the CSVs of `sweep --samples 64`, without and with --control
+    DIGESTS = {(): "ff8aa95ac96c47844950b9d2640e76bc37380d94147b577d83690462e5cbb362",
+               ("--control",): "f83d9d7fb23310aebf56f44b32874f6a15fae467125f82a5fbaa6c3057e3e007"}
+
+    @pytest.mark.parametrize("flags", list(DIGESTS), ids=["sweep", "control"])
+    def test_sweep_takes_no_least_squares_fit(self, flags, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep writes no fit")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--samples", "64", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[flags]
+
+    def test_verify_fits_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, real=np.polyfit, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "polyfit", counted)
+        report = run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
+        assert len(calls) == 1
+        assert report["sections"]["niceness"]["fitted_exponent"] == pytest.approx(1.0, abs=0.05)
+
+
 class TestMeshCommand:
     def test_writes_valid_convex_obj(self, tmp_path):
         out = tmp_path / "m.obj"
@@ -342,16 +376,25 @@ class TestParsePath:
         assert written(tmp_path / "sys") == written(tmp_path / "list")
 
 
+def fresh_python(script, *args):
+    """The stdout of script run with args by a fresh interpreter that imports
+    this conelab: the test process itself has scipy and hashlib loaded."""
+    src = str(Path(conelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
 class TestImportPath:
     def test_cli_runs_without_scipy_or_lazy_imports(self, tmp_path):
-        # A fresh interpreter: the test process itself has scipy loaded.
         # Every module the commands need (locale) loads with conelab.cli, so
         # none is imported inside main. numpy.ma is compared with what a bare
         # `import numpy` loads: numpy 1.24 imports it eagerly, numpy 2.x only
         # on demand, and no command may demand it. Nor may a command load
         # fractions or decimal (3-4 ms to import): nice3d decides in Python ints.
         script = textwrap.dedent("""
-            import json, sys
+            import importlib.util, json, sys
             import numpy
             numpy_ma_before = "numpy.ma" in sys.modules
             with_numpy = set(sys.modules)
@@ -373,16 +416,30 @@ class TestImportPath:
                 "numpy_ma_added": "numpy.ma" in sys.modules and not numpy_ma_before,
                 "fractions_or_decimal": sorted({"fractions", "decimal"}
                                                & (set(sys.modules) - with_numpy)),
+                "hashlib": sorted({"hashlib", "_hashlib"} & set(sys.modules)),
+                "sympy_or_mpmath": sorted({"sympy", "mpmath"} & set(sys.modules)),
+                "builtin_sha256": any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
             }))
         """)
-        src = str(Path(conelab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), *FAST],
-                              env=env, capture_output=True, text=True, check=True)
-        result = json.loads(proc.stdout.splitlines()[-1])
+        result = json.loads(fresh_python(script, str(tmp_path), *FAST).splitlines()[-1])
+        # the config hash takes the interpreter's own SHA-256 where it has
+        # one: hashlib would map OpenSSL's libcrypto (~3.6 MB) for it
+        builtin = result.pop("builtin_sha256")
+        assert result.pop("hashlib") == [] or not builtin
         assert result == {"codes": [0] * 5, "scipy": [], "imported_by_main": [],
-                          "numpy_ma_added": False, "fractions_or_decimal": []}
+                          "numpy_ma_added": False, "fractions_or_decimal": [],
+                          "sympy_or_mpmath": []}
+
+    def test_config_hash_falls_back_to_hashlib(self):
+        # an interpreter without _sha2 and _sha256 hashes with hashlib: the
+        # same SHA-256, so the same config hash
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["_sha2"] = sys.modules["_sha256"] = None
+            from conelab.reporting import RunConfig, run_verify
+            print("hashlib" in sys.modules, run_verify(RunConfig())["config_hash"])
+        """)
+        assert fresh_python(script).split() == ["True", "ae0458fccdc3"]
 
     def test_no_module_imports_scipy(self):
         # function bodies included: a lazy import would not show in the run above

@@ -9,6 +9,7 @@ from conelab import niceness as nn
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
 from helpers import (
+    reference_arc_coefficients,
     reference_cone,
     reference_shift_bounds,
     sample_body,
@@ -380,6 +381,37 @@ class TestSampleCone:
         nn.divergence_sweep([1e-1, 1e-2, 1e-3], samples_per_curve=512)
         assert sines == [512] * 3
         assert rows == [(512,)] * (3 * 4 * 2)
+
+
+class TestArcCoefficients:
+    """arc_coefficients picks y's entries with their signs instead of taking
+    the matrix product: (A, B) must be the product's, bit for bit, signed
+    zeros included (compared as int64 views)."""
+
+    @staticmethod
+    def _same_bits(normals):
+        normals = np.asarray(normals, dtype=float)
+        picks, products = con.arc_coefficients(normals), reference_arc_coefficients(normals)
+        return all(p.shape == q.shape and np.array_equal(p.view(np.int64), q.view(np.int64))
+                   for p, q in zip(picks, products))
+
+    @pytest.mark.parametrize("thetas", [8, 64, 256, 1024])
+    def test_catalogue_normals(self, thetas):
+        assert self._same_bits(fc.build_catalogue(con.theta_grid(thetas)).normals)
+
+    def test_witnesses(self):
+        ys = np.array([con.WITNESS_U[1:], con.WITNESS_Q[1:]])
+        assert self._same_bits(ys)
+        assert self._same_bits(ys[:1])
+        assert self._same_bits(ys[1])
+
+    def test_signed_zeros(self):
+        # every row of entries from {-0.0, +0.0, -1.5, 2.0}: a product of
+        # a zero column entry with -1.5 is -0.0, yet the sum is +0.0
+        values = [-0.0, 0.0, -1.5, 2.0]
+        rows = np.array([[a, b, c] for a in values for b in values for c in values])
+        assert self._same_bits(rows)
+        assert self._same_bits(rows.reshape(8, 8, 3))
 
 
 class TestWitness:

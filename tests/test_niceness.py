@@ -251,7 +251,7 @@ class TestDivergenceSweep:
         assert products[1] == pytest.approx(0.989991666652777745, rel=1e-6)
         for p in products[-2:]:
             assert 0.9 <= p <= 1.1
-        assert sweep["fitted_exponent"] == pytest.approx(1.0, abs=0.05)
+        assert nn.fitted_exponent(sweep["rows"]) == pytest.approx(1.0, abs=0.05)
 
     def test_closure_is_exact_not_toleranced(self):
         rep = nn.closure_check()
@@ -305,7 +305,7 @@ class TestDivergenceSweep:
         # (sqrt 2 - 1)/2, at curve 1, t = T
         assert lams[0] == pytest.approx(0.20710678118654752, rel=2 * U)
         assert [row[3:] for row in sweep["rows"]] == [(1, T)] * 4
-        assert abs(sweep["fitted_exponent"]) < 0.01
+        assert abs(nn.fitted_exponent(sweep["rows"])) < 0.01
 
     def test_control_rows_are_the_per_level_solves(self):
         # the control grid does not depend on the level, so its one solve
