@@ -98,11 +98,14 @@ def arc_coefficients(normals):
     cos t - 1 = 0 and at sin t = 0, cos t - 1 = 1. Each column holds one
     entry +-1, so A and B are signed picks of y's entries, exact, and
     taken without a matrix product (the first BLAS call of a process costs
-    ~0.3 MB of peak memory). 0.0 - y and y + 0.0 make every zero +0.0, as
+    ~0.3 MB of peak memory). The leading 0.0 + makes every zero +0.0, as
     the sum of that product does."""
-    y1, y2, y3 = np.moveaxis(np.asarray(normals, dtype=float), -1, 0)
-    return (np.stack([0.0 - y2, 0.0 - y3, 0.0 - y1, y2 + 0.0], axis=-1),
-            np.stack([y3 + 0.0, y2 + 0.0, 0.0 - y2, y1 + 0.0], axis=-1))
+    y = np.moveaxis(np.asarray(normals, dtype=float), -1, 0)
+
+    def picks(s, c):
+        return np.stack([sum((a * y[k] for k, a in enumerate(_ARC_COLUMNS[i](s, c)) if a), 0.0)
+                         for i in CURVE_IDS], axis=-1)
+    return picks(1.0, 1.0), picks(0.0, 2.0)
 
 
 def arc_sines(t):

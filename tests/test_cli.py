@@ -416,14 +416,16 @@ class TestImportPath:
                 "numpy_ma_added": "numpy.ma" in sys.modules and not numpy_ma_before,
                 "fractions_or_decimal": sorted({"fractions", "decimal"}
                                                & (set(sys.modules) - with_numpy)),
-                "hashlib": sorted({"hashlib", "_hashlib"} & set(sys.modules)),
+                "hashlib": sorted({"hashlib", "_hashlib"} & (set(sys.modules) - with_numpy)),
                 "sympy_or_mpmath": sorted({"sympy", "mpmath"} & set(sys.modules)),
                 "builtin_sha256": any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
             }))
         """)
         result = json.loads(fresh_python(script, str(tmp_path), *FAST).splitlines()[-1])
         # the config hash takes the interpreter's own SHA-256 where it has
-        # one: hashlib would map OpenSSL's libcrypto (~3.6 MB) for it
+        # one: hashlib would map OpenSSL's libcrypto (~3.6 MB) for it. Like
+        # numpy.ma it is compared with a bare `import numpy`: numpy 1.x loads
+        # hashlib itself (numpy.random -> secrets -> hmac), numpy 2.x does not.
         builtin = result.pop("builtin_sha256")
         assert result.pop("hashlib") == [] or not builtin
         assert result == {"codes": [0] * 5, "scipy": [], "imported_by_main": [],
@@ -434,10 +436,11 @@ class TestImportPath:
         # an interpreter without _sha2 and _sha256 hashes with hashlib: the
         # same SHA-256, so the same config hash
         script = textwrap.dedent("""
-            import sys
+            import hashlib, sys
             sys.modules["_sha2"] = sys.modules["_sha256"] = None
-            from conelab.reporting import RunConfig, run_verify
-            print("hashlib" in sys.modules, run_verify(RunConfig())["config_hash"])
+            from conelab import reporting
+            print(reporting.sha256 is hashlib.sha256,
+                  reporting.run_verify(reporting.RunConfig())["config_hash"])
         """)
         assert fresh_python(script).split() == ["True", "ae0458fccdc3"]
 
