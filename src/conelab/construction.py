@@ -18,10 +18,10 @@ C to the rows (1, 2x + SHIFT) of K, scale_points gives the points
 2x + SHIFT of C', and lift_pairs is the dual, taking an exposing pair
 (y, d) of a face of C to the functional (-(2d + <y, SHIFT>), y) of K.
 Exactly, <lift_pairs(y, d), lift_points(x)> = 2(<y, x> - d), so a pair
-exposing a face of C lifts to one exposing the cone over it (reporting's
-homogenization section evaluates this within its forward-error bound), and
-(-1, 0, 0, 0) exposes the apex. The witnesses q and u are the lifts of
-(y, 0) with y = WITNESS_Q[1:] and WITNESS_U[1:], so they take 2<y, x> too.
+exposing a face of C lifts to one exposing the cone over it (proven
+exactly in tests/test_certificate.py), and (-1, 0, 0, 0) exposes the apex.
+The witnesses q and u are the lifts of (y, 0) with y = WITNESS_Q[1:] and
+WITNESS_U[1:], so they take 2<y, x> too.
 The theta-machinery pairs a parameter theta on curve 1 (resp. 4) with a
 partner parameter on curve 3 (resp. 2); the segments between paired points
 rule the curved part of the boundary of C and carry closed-form exposing

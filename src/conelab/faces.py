@@ -1,4 +1,6 @@
-"""Complete face catalogue of the four-arc body with exposing pairs.
+"""Face catalogue of the four-arc body with exposing pairs. Every listed
+face is checked exposed; that C has no other face is claimed, and no test
+checks it yet.
 
 Face kinds and their generators:
 
@@ -16,8 +18,7 @@ singletons and the rulings take theirs from two array evaluations of the
 ruling machinery, the fixed faces (origin, endpoint chords, endpoint
 triangles and planar sides) from one table. The generator points of every
 face, labelled (curve, t), are computed once per catalogue, in one
-curve_points call per curve: the atlas lists them and reporting's
-homogenization section evaluates the lift identity at them. verify_catalogue
+curve_points call per curve, and the atlas lists them. verify_catalogue
 takes the on-face residual at their labels, from the closed form of the
 margins.
 
@@ -31,7 +32,7 @@ few intervals, reached at an end or at t* = atan2(A_i, B_i) (arc_max). The
 faces of the cone K over
 C' need no second check: lift_pairs(y, d) takes the value 2(<y, x> - d) on
 the generator lift_points(x), so it exposes the cone over the face that
-(y, d) exposes (reporting.homogenization_section).
+(y, d) exposes (an identity proven in tests/test_certificate.py).
 """
 
 from __future__ import annotations

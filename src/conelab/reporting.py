@@ -29,7 +29,7 @@ except ImportError:
 from . import construction as con
 from . import faces as fc
 from . import niceness as nn
-from .linalg import DomainError, check_size, gamma
+from .linalg import DomainError, check_size
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +45,10 @@ class RunConfig:
         for name in ("samples_per_curve", "theta_grid_size"):
             object.__setattr__(self, name, check_size(getattr(self, name), 8, name))
         object.__setattr__(self, "eps_list", nn.validate_eps(self.eps_list))
+        # np.bool_ would not serialize, and 1 or "no" would hash as themselves
+        if not isinstance(self.control, (bool, np.bool_)):
+            raise DomainError(f"control must be a bool, got {self.control!r}")
+        object.__setattr__(self, "control", bool(self.control))
 
 
 def _native(obj):
@@ -102,47 +106,16 @@ def face_section(catalogue, exposure):
     }
 
 
-def homogenization_section(catalogue):
-    """The faces of the cone K over {1} x C' are its apex {0}, exposed by
-    (-1, 0, 0, 0), and the cones over the faces of C'. The lift of a pair
-    takes the value <lift_pairs(y, d), lift_points(x)> = 2(<y, x> - d) on
-    the generator over x, so it exposes the cone over the face the pair
-    exposes. This section evaluates that identity at the generator points
-    of every catalogued face. Computed, its two sides differ by at most
-    gamma_10 * (|2d| + |y|.(|SHIFT| + |2x + SHIFT| + 2|x|)) (Higham,
-    section 3.1); the section passes when every residual is at most
-    gamma_12 times the largest such scale, two roundings to spare for the
-    residual and the scale themselves. No tolerance is read.
-    """
-    x = catalogue.points
-    y = np.repeat(catalogue.normals, catalogue.sizes, axis=0)
-    d = np.repeat(catalogue.offsets, catalogue.sizes)
-    lifted = (con.lift_points(x) * con.lift_pairs(y, d)).sum(axis=1)
-    residual = np.abs(lifted - 2.0 * ((x * y).sum(axis=1) - d))
-    spread = np.abs(con.SHIFT) + np.abs(2.0 * x + con.SHIFT) + 2.0 * np.abs(x)
-    scale = np.abs(2.0 * d) + (np.abs(y) * spread).sum(axis=1)
-    worst, bound = float(residual.max()), gamma(12) * float(scale.max())
-    return {
-        "max_identity_residual": worst,
-        "identity_bound": bound,
-        "pass": worst <= bound,
-    }
-
-
 def niceness_section(config):
+    """The sweep and its control. That curve 1 binds every row, and that the
+    control's products stay below 0.17, are proven exactly in
+    tests/test_certificate.py, so no field re-derives them."""
     sweep = nn.divergence_sweep(config.eps_list, samples_per_curve=config.samples_per_curve)
     control = nn.divergence_sweep(
         config.eps_list, samples_per_curve=config.samples_per_curve, control=True
     )
-    gamma1_dominates = all(
-        row[3] == 1 for row in sweep["rows"] if row[0] < 0.1 and row[3] is not None
-    )
     # divergence_sweep returns NotNiceEvidence only when the closure check passes
-    passed = (
-        sweep["verdict"] == "NotNiceEvidence"
-        and control["verdict"] == "Inconclusive"
-        and gamma1_dominates
-    )
+    passed = sweep["verdict"] == "NotNiceEvidence" and control["verdict"] == "Inconclusive"
     return {
         "closure": sweep["closure"],
         "sweep_table": sweep["rows"],
@@ -151,18 +124,17 @@ def niceness_section(config):
         "dual_form_note": nn.DUAL_FORM_NOTE,
         "control_verdict": control["verdict"],
         "control_products": [r[2] for r in control["rows"]],
-        "gamma1_dominates": gamma1_dominates,
         "pass": passed,
     }
 
 
 def run_verify(config):
-    # the sweep and its control both run, so the header names every field
+    # verify reads no control flag; the header still names every field,
+    # control too, so the default report keeps its hash (ae0458fccdc3)
     report = report_header(config, *asdict(config))
     catalogue, exposure = _exposure(config)
     sections = {
         "face_exposure": face_section(catalogue, exposure),
-        "homogenization": homogenization_section(catalogue),
         "niceness": niceness_section(config),
     }
     failures = [name for name, sec in sections.items() if not sec["pass"]]

@@ -29,6 +29,7 @@ from helpers import (
     sample_cone,
     verification_grids,
 )
+from test_certificate import lift_identity_misses
 
 T = con.T_END
 DELTAS = (0.01, 0.05, 0.1)
@@ -99,7 +100,7 @@ def test_criterion_3_face_exposure(default_setup):
 
 def test_criterion_4_homogenization(default_setup):
     # every lifted pair checked face by face on the generators of the cone
-    # over C', and the verify section: the lift identity within its bound
+    # over C', and the lift identity, exact on the unit cube of its scalars
     cone = sample_cone(default_setup["grids"])
     failures = []
     for face, pair in face_rows(default_setup["catalogue"]):
@@ -109,13 +110,11 @@ def test_criterion_4_homogenization(default_setup):
         if not (rep.passed and rep.max_onface_residual <= 1e-9
                 and all(rep.margins[d] > 0.0 for d in DELTAS)):
             failures.append(rep.face_label)
-    catalogue, _ = reporting._exposure(default_setup["config"])
-    section = reporting.homogenization_section(catalogue)
-    ok = (not failures and section["pass"]
-          and section["max_identity_residual"] <= section["identity_bound"] <= 1e-14)
+    misses = lift_identity_misses()
+    ok = not failures and not misses
     report(4, "lifted exposure", ok,
-           f"{len(failures)} lift failures, identity residual "
-           f"{section['max_identity_residual']:.1e} <= {section['identity_bound']:.1e}")
+           f"{len(failures)} lift failures, lift identity exact at "
+           f"{128 - len(misses)}/128 cube points")
 
 
 def test_criterion_5_perp_space():

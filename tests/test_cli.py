@@ -44,11 +44,14 @@ class TestVerifyCommand:
         assert report["schema"] == 1
         assert report["overall"] == "pass"
         assert report["failures"] == []
-        assert set(report["sections"]) == {"face_exposure", "homogenization", "niceness"}
+        assert set(report["sections"]) == {"face_exposure", "niceness"}
+        assert set(report["sections"]["niceness"]) == {
+            "closure", "sweep_table", "fitted_exponent", "verdict", "dual_form_note",
+            "control_verdict", "control_products", "pass"}
 
     def test_a_face_failing_the_body_check_fails_verify(self, tmp_path, capsys, monkeypatch):
         # F24's offset moved off its face by 1e-6: the body check fails, and
-        # the lift identity, which holds for every pair, still passes
+        # it alone
         real = faces.build_catalogue
 
         def shifted(theta_grid):
@@ -65,7 +68,6 @@ class TestVerifyCommand:
         assert report["overall"] == "fail"
         assert report["failures"] == ["face_exposure"]
         assert report["sections"]["face_exposure"]["failures"] == ["F24"]
-        assert report["sections"]["homogenization"]["pass"]
 
     def test_single_refinement_level_fails_niceness(self, tmp_path):
         out = tmp_path / "r.json"
@@ -517,6 +519,15 @@ class TestRunConfig:
                          (math.inf, 0.1), (0.1, 0.0)):
             with pytest.raises(DomainError):
                 RunConfig(eps_list=eps_list)
+        # control is a bool: np.bool_ becomes one, and the run hashes as True
+        # does; an int or a string is refused, not hashed as itself
+        config = RunConfig(control=np.bool_(True))
+        assert type(config.control) is bool and config == RunConfig(control=True)
+        header = reporting.report_header(config, "control")
+        assert header == reporting.report_header(RunConfig(control=True), "control")
+        for control in (1, 0, "no", None, 1.0):
+            with pytest.raises(DomainError, match="control must be a bool"):
+                RunConfig(control=control)
 
     @pytest.mark.parametrize("argv", [
         ["faces", "--theta-grid", "4"],

@@ -4,7 +4,8 @@ configurations), each held to its closed-form prediction.
 
 - --samples from 8 to 20,000, --theta-grid from 8 to 1,024, and 3 to 6
   strictly decreasing levels, log-uniform in [EPS_FLOOR, 0.7];
-- every face of C and every cone over one passes;
+- every face of C passes (the cone over each follows by the lift identity,
+  proven in tests/test_certificate.py);
 - every sweep row binds on curve 1 at t = epsilon, with lambda_star within
   8u of cot(epsilon/2)/2 - 1 (50-digit mpmath);
 - the sweep is NotNiceEvidence exactly when there are at least three levels
@@ -45,7 +46,7 @@ def test_verify_verdicts_match_their_closed_forms(samples, thetas, eps):
                                             eps_list=tuple(eps)))
     sections = report["sections"]
     assert sections["face_exposure"]["failures"] == []
-    assert sections["face_exposure"]["pass"] and sections["homogenization"]["pass"]
+    assert sections["face_exposure"]["pass"]
 
     niceness = sections["niceness"]
     mp.dps = 50
