@@ -33,6 +33,6 @@ from .niceness import (
     octant_example,
     shift_bounds,
 )
-from .reporting import RunConfig, run_faces, run_nice3d, run_sweep, run_verify
+from .reporting import RunConfig, run_faces, run_nice3d, run_verify
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import encodings.ascii  # noqa: F401  (codec of meshes.write_obj)
 import locale  # noqa: F401  (argparse's gettext imports it on first use)
 import sys
 
-from . import meshes, reporting
+from . import meshes, niceness, reporting
 from .linalg import DomainError
 
 
@@ -124,7 +124,9 @@ def main(argv=None):
             return 0 if atlas["failed_reports"] == 0 else 1
 
         if args.command == "sweep":
-            sweep = reporting.run_sweep(_config(args, control=args.control))
+            config = _config(args, control=args.control)
+            sweep = niceness.divergence_sweep(config.eps_list, config.samples_per_curve,
+                                              config.control)
             reporting.write_sweep_csv(args.out, sweep)
             print(f"wrote {args.out}; verdict: {sweep['verdict']}")
             return 0

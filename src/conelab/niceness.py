@@ -81,27 +81,26 @@ def shift_bounds(grid):
     from above. A row with <u, g> > 0 bounds it from below by
     <q, g> / <u, g>: cot(t/2)/2 - 1 on curve 1, tan(t/2)/2 - 1 on curve 2.
     A flat row (<u, g> = 0; curves 3 and 4, where <q, g> <= 0) holds for
-    every lambda if <q, g> <= 0 and for none otherwise, which happens only
-    far below EPS_FLOOR, once sin^2(t/2) underflows to 0.
+    every lambda if <q, g> <= 0, so its bound is -inf, and for none
+    otherwise, so its bound is +inf: the infimum over an empty set. That
+    happens only far below EPS_FLOOR, once sin^2(t/2) underflows to 0.
 
-    Returns a dict: lambda_star, the largest bound, or None when a flat row
-    holds for no lambda; achieving, the (curve_id, t) of the first row,
-    curve by curve, that gives it, or None.
+    Returns a dict: lambda_star, the largest bound (+inf when some row holds
+    for no lambda); achieving, the (curve_id, t) of the first row, curve by
+    curve, that gives it.
     """
     grid = check_grid(grid)
     (au, aq), (bu, bq) = _witness_arcs()
     sines = arc_sines(grid)
-    lambda_star, achieving = -math.inf, None
+    picks = []
     for k, cid in enumerate(CURVE_IDS):
         ug, qg = arc_value(au[k], bu[k], sines), arc_value(aq[k], bq[k], sines)
-        on = ug > 0.0
-        if not (qg[~on] <= 0.0).all():
-            return {"lambda_star": None, "achieving": None}
-        bounds = np.divide(qg, ug, out=np.full(grid.size, -math.inf), where=on)
+        bounds = np.divide(qg, ug, out=np.where(qg > 0.0, math.inf, -math.inf), where=ug > 0.0)
         j = int(np.argmax(bounds))
-        # only a strictly larger bound moves achieving to a later curve
-        if bounds[j] > lambda_star:
-            lambda_star, achieving = float(bounds[j]), (cid, float(grid[j]))
+        picks.append((float(bounds[j]), (cid, float(grid[j]))))
+    # max keeps the first of equal bounds: only a strictly larger one moves
+    # achieving to a later curve
+    lambda_star, achieving = max(picks, key=lambda pick: pick[0])
     return {"lambda_star": lambda_star, "achieving": achieving}
 
 
@@ -146,38 +145,35 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False):
     """Run shift_bounds per refinement level and judge the divergence.
 
     Returns a dict: rows, one (epsilon, lambda_star, product, curve_id, t)
-    per level; closure, the closure_check dict; verdict, "NotNiceEvidence"
-    or "Inconclusive". NotNiceEvidence requires the exact closure check to
-    pass and lambda_star * epsilon to settle in [0.8, 1.2] on the last three
-    levels (at least three levels are needed). No verdict reads a fit: the
-    slope is fitted_exponent(rows), taken only where a report writes it.
+    per level, product = lambda_star * epsilon (+inf, with lambda_star, at a
+    level where some row holds for no lambda); closure, the closure_check
+    dict; verdict, "NotNiceEvidence" or "Inconclusive". NotNiceEvidence
+    requires the exact closure check to pass and lambda_star * epsilon to
+    settle in [0.8, 1.2] on the last three levels (at least three levels are
+    needed). No verdict reads a fit: the slope is fitted_exponent(rows),
+    taken only where a report writes it.
     """
     eps = validate_eps(eps_list)
     # the control grid is the same at every level: its bounds are one solve
     fixed = shift_bounds(CONTROL_GRID) if control else None
     rows = []
     for e in eps:
-        prof = fixed if control else shift_bounds(sweep_grid(e, samples_per_curve))
+        prof = fixed or shift_bounds(sweep_grid(e, samples_per_curve))
         lam = prof["lambda_star"]
-        product = lam * e if lam is not None else math.nan
-        cid, t = prof["achieving"] or (None, None)
-        rows.append((e, lam, product, cid, t))
+        rows.append((e, lam, lam * e, *prof["achieving"]))
 
     closure = closure_check()
-    products = [p for *_, p, _, _ in rows]
-    tail = products[-3:]
-    diverges = len(rows) >= 3 and all(
-        math.isfinite(p) and 0.8 <= p <= 1.2 for p in tail
-    )
+    diverges = len(rows) >= 3 and all(0.8 <= p <= 1.2 for _, _, p, _, _ in rows[-3:])
     verdict = "NotNiceEvidence" if (closure["in_closure"] and diverges) else "Inconclusive"
     return {"rows": rows, "closure": closure, "verdict": verdict}
 
 
 def fitted_exponent(rows):
     """The least-squares slope of log(lambda_star) against log(1/epsilon)
-    over divergence_sweep's rows with lambda_star > 0, or NaN when fewer
-    than two such rows exist; near 1 when lambda_star grows like 1/epsilon."""
-    finite = [(e, lam) for e, lam, *_ in rows if lam is not None and lam > 0]
+    over divergence_sweep's rows with 0 < lambda_star < inf, or NaN when
+    fewer than two such rows exist; near 1 when lambda_star grows like
+    1/epsilon."""
+    finite = [(e, lam) for e, lam, *_ in rows if 0 < lam < math.inf]
     if len(finite) < 2:
         return math.nan
     x = np.log([1.0 / e for e, _ in finite])

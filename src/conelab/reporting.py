@@ -10,7 +10,6 @@ SHA-256 from the interpreter's own module (_sha2, or _sha256 before Python
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
@@ -185,28 +184,16 @@ def run_faces(config):
     return atlas
 
 
-def run_sweep(config):
-    """The header and the divergence_sweep dict: rows, closure and
-    verdict. The CSV writes no fit, so none is taken."""
-    sweep = nn.divergence_sweep(
-        config.eps_list, samples_per_curve=config.samples_per_curve, control=config.control
-    )
-    return {**report_header(config, "samples_per_curve", "eps_list", "control"), **sweep}
-
-
 def write_sweep_csv(path, sweep):
+    """The divergence_sweep rows under a column header, then the verdict,
+    with RFC 4180's CRLF line ends. Each section is one %-format; a level
+    where no lambda fits writes inf for lambda_star and product."""
+    rows = sweep["rows"]
+    text = ("epsilon,lambda_star,product,achieving_curve,achieving_t\r\n"
+            + "%.17g,%.17g,%.17g,%d,%.17g\r\n" * len(rows) % tuple(v for r in rows for v in r)
+            + f"# verdict={sweep['verdict']}\r\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "lambda_star", "product", "achieving_curve", "achieving_t"])
-        for eps, lam, product, cid, t in sweep["rows"]:
-            writer.writerow([
-                f"{eps:.17g}",
-                "" if lam is None else f"{lam:.17g}",
-                "" if product is None or not math.isfinite(product) else f"{product:.17g}",
-                "" if cid is None else cid,
-                "" if t is None else f"{t:.17g}",
-            ])
-        writer.writerow([f"# verdict={sweep['verdict']}"])
+        fh.write(text)
 
 
 def run_nice3d():

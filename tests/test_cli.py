@@ -14,9 +14,8 @@ import pytest
 import scipy.optimize
 
 import conelab
-from conelab import cli, meshes
+from conelab import cli, construction, faces, meshes, niceness, reporting
 from conelab.cli import main
-from conelab import construction, faces, niceness, reporting
 from conelab.reporting import RunConfig, run_faces, run_verify
 from conelab.linalg import DomainError
 from helpers import reference_conic_membership
@@ -30,8 +29,9 @@ def refuse_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no work may start on an invalid configuration")
 
-    for name in ("run_verify", "run_faces", "run_sweep", "run_nice3d"):
+    for name in ("run_verify", "run_faces", "run_nice3d"):
         monkeypatch.setattr(reporting, name, refuse)
+    monkeypatch.setattr(niceness, "divergence_sweep", refuse)
 
 
 class TestVerifyCommand:
@@ -268,12 +268,6 @@ class TestReportHeaders:
         digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
         assert report["config_hash"] == digest[:12]
 
-    def test_sweep_header_fields(self):
-        # the CSV carries no header; the dict that run_sweep returns does
-        sweep = reporting.run_sweep(RunConfig(samples_per_curve=64, theta_grid_size=12))
-        assert sweep["config"] == {"samples_per_curve": 64, "control": False,
-                                   "eps_list": (0.1, 0.01, 0.001, 0.0001)}
-
     def test_default_verify_hash_is_the_one_of_all_fields(self):
         # verify names every field, as it did when every header hashed the
         # whole config: its default report keeps the hash it always had
@@ -394,7 +388,8 @@ class TestImportPath:
         # none is imported inside main. numpy.ma is compared with what a bare
         # `import numpy` loads: numpy 1.24 imports it eagerly, numpy 2.x only
         # on demand, and no command may demand it. Nor may a command load
-        # fractions or decimal (3-4 ms to import): nice3d decides in Python ints.
+        # fractions or decimal (3-4 ms to import): nice3d decides in Python ints;
+        # or csv: the sweep CSV is one %-format per section.
         script = textwrap.dedent("""
             import importlib.util, json, sys
             import numpy
@@ -419,6 +414,7 @@ class TestImportPath:
                 "fractions_or_decimal": sorted({"fractions", "decimal"}
                                                & (set(sys.modules) - with_numpy)),
                 "hashlib": sorted({"hashlib", "_hashlib"} & (set(sys.modules) - with_numpy)),
+                "csv": sorted({"csv", "_csv"} & (set(sys.modules) - with_numpy)),
                 "sympy_or_mpmath": sorted({"sympy", "mpmath"} & set(sys.modules)),
                 "builtin_sha256": any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
             }))
@@ -431,7 +427,7 @@ class TestImportPath:
         builtin = result.pop("builtin_sha256")
         assert result.pop("hashlib") == [] or not builtin
         assert result == {"codes": [0] * 5, "scipy": [], "imported_by_main": [],
-                          "numpy_ma_added": False, "fractions_or_decimal": [],
+                          "numpy_ma_added": False, "fractions_or_decimal": [], "csv": [],
                           "sympy_or_mpmath": []}
 
     def test_config_hash_falls_back_to_hashlib(self):

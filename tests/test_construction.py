@@ -265,12 +265,13 @@ class TestBodiesAndCone:
 def _reference_optimum(grid):
     """lambda_star and achieving of the reference rows
     (helpers.reference_shift_bounds): their maximum and the (curve, t) of its
-    first row, curve by curve; (None, None) when a flat row, <u, g> = 0 with
-    <q, g> > 0, holds for no lambda."""
+    first row, curve by curve; (inf, the first such row, curve by curve)
+    when a flat row, <u, g> = 0 with <q, g> > 0, holds for no lambda."""
     a, b = con.arc_coefficients(np.array([con.WITNESS_U[1:], con.WITNESS_Q[1:]]))
     ug, qg = con.arc_value(a[:, :, None], b[:, :, None], con.arc_sines(grid))
-    if (qg[ug == 0.0] > 0.0).any():
-        return None, None
+    k, j = np.argwhere((ug == 0.0) & (qg > 0.0)).T
+    if k.size:
+        return math.inf, (con.CURVE_IDS[k[0]], float(grid[j[0]]))
     bounds, ids, ts = reference_shift_bounds(grid)
     k = int(np.argmax(bounds))
     return float(bounds[k]), (int(ids[k]), float(ts[k]))
@@ -281,8 +282,7 @@ def _same_optimum(grid):
     and its achieving (curve, t)."""
     prof = nn.shift_bounds(grid)
     lam, achieving = _reference_optimum(grid)
-    bits = [None if v is None else v.hex() for v in (prof["lambda_star"], lam)]
-    return bits[0] == bits[1] and prof["achieving"] == achieving
+    return prof["lambda_star"].hex() == lam.hex() and prof["achieving"] == achieving
 
 
 def _route_error(t, bound):
@@ -312,9 +312,9 @@ class TestSampleCone:
         assert _same_optimum(nn.CONTROL_GRID)
         assert nn.shift_bounds(nn.CONTROL_GRID)["achieving"] == (1, T)
         # far below the floor, the curve-1 row at 1e-170 is flat with
-        # <q, g> > 0: no lambda at all, in both
+        # <q, g> > 0: no lambda at all, so +inf there, in both
         flat = nn.sweep_grid(1e-170, 16)
-        assert _reference_optimum(flat) == (None, None)
+        assert _reference_optimum(flat) == (math.inf, (1, 1e-170))
         assert _same_optimum(flat)
 
     @pytest.mark.parametrize("samples, thetas", [(512, 64), (64, 512), (2048, 256)])

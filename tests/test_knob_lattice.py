@@ -1,5 +1,6 @@
 """Each command's verdict over a fixed lattice of the knobs its CLI accepts,
-run in-process through reporting.run_*.
+run in-process through reporting.run_* and, for sweep, the
+niceness.divergence_sweep that the CLI calls.
 
 A verdict must hold at every knob setting, not only at the defaults. A cell
 that fails because of a known defect is marked xfail(strict=True) and names
@@ -10,6 +11,7 @@ until the mark is removed.
 import pytest
 
 from conelab import reporting
+from conelab.niceness import divergence_sweep
 from conelab.reporting import RunConfig
 
 SIZES = (8, 64, 512)
@@ -41,8 +43,7 @@ def test_verify_and_faces_pass(samples, thetas, eq_abs):
     (EPS_TO_1E_9, False, "NotNiceEvidence"),
 ])
 def test_sweep_verdict(eps_list, control, verdict):
-    config = RunConfig(samples_per_curve=64, eps_list=eps_list, control=control)
-    assert reporting.run_sweep(config)["verdict"] == verdict
+    assert divergence_sweep(eps_list, 64, control)["verdict"] == verdict
 
 
 class TestNice3DCommand:

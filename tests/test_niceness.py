@@ -9,7 +9,7 @@ import pytest
 from conelab import construction as con
 from conelab import niceness as nn
 from conelab.linalg import DegenerateInputError, DomainError
-from conelab.reporting import RunConfig
+from conelab.reporting import RunConfig, write_sweep_csv
 from helpers import (
     check_positivity_window,
     fibonacci_sphere_grid,
@@ -140,16 +140,18 @@ class TestShiftProfile:
         assert (qg[2:] <= 0.0).all()
         assert len(reference_shift_bounds(ts)[0]) == int((ug > 0.0).sum())
         # far below the floor (5e-324, 1e-300) the curve-1 rows are flat
-        # with <q, g> = sin t > 0, so no lambda satisfies them
-        assert nn.shift_bounds(ts) == {"lambda_star": None, "achieving": None}
+        # with <q, g> = sin t > 0, so no lambda satisfies them: lambda_star
+        # is the infimum of the empty set, +inf, first reached at 5e-324
+        assert nn.shift_bounds(ts) == {"lambda_star": math.inf, "achieving": (1, 5e-324)}
 
     def test_flat_row_with_positive_witness_value_holds_for_no_lambda(self):
         # far below the floor, sin^2(t/2) underflows to 0 at t = 1e-170: the
         # curve-1 row there is flat, <u, g> = 0, with <q, g> = sin t > 0, and
-        # no lambda satisfies sin t - lambda * 0 <= 0
+        # no lambda satisfies sin t - lambda * 0 <= 0: lambda_star is +inf,
+        # reached at that row
         assert math.sin(5e-171) ** 2 == 0.0
         prof = nn.shift_bounds(nn.sweep_grid(1e-170, 16))
-        assert prof["lambda_star"] is None and prof["achieving"] is None
+        assert prof == {"lambda_star": math.inf, "achieving": (1, 1e-170)}
         _, ids, ts = reference_shift_bounds(nn.sweep_grid(1e-170, 16))
         assert (1, 1e-170) not in zip(ids.tolist(), ts.tolist())
 
@@ -278,7 +280,7 @@ class TestDivergenceSweep:
         maxima = nn.closure_check()
         assert maxima["max_curve3_value"] == maxima["max_curve4_value"] == 0.0
 
-    def test_perturbed_generator_fails_the_closure_bound(self, monkeypatch):
+    def test_perturbed_generator_fails_the_closure_bound(self, monkeypatch, tmp_path):
         # flipping the sign of q's curve-4 coefficient A makes its arc value
         # there +sin t, positive on (0, T], and the check fails
         a, b = nn._witness_arcs()
@@ -289,7 +291,19 @@ class TestDivergenceSweep:
         rep = nn.closure_check()
         assert not rep["in_closure"]
         assert rep["max_curve3_value"] <= 0.0 < rep["max_curve4_value"]
-        assert nn.divergence_sweep([1e-1, 1e-2, 1e-3], 64)["verdict"] == "Inconclusive"
+        levels = (1e-1, 1e-2, 1e-3)
+        sweep = nn.divergence_sweep(levels, 64)
+        assert sweep["verdict"] == "Inconclusive"
+        # u is 0 on curve 4, so its rows from t = epsilon on are flat with
+        # <q, g> > 0 and hold for no lambda: lambda_star is +inf at every
+        # level, and so is the product, and the CSV writes both as inf
+        assert sweep["rows"] == [(e, math.inf, math.inf, 4, e) for e in levels]
+        out = tmp_path / "s.csv"
+        write_sweep_csv(out, sweep)
+        assert out.read_bytes().decode() == (
+            "epsilon,lambda_star,product,achieving_curve,achieving_t\r\n"
+            + "".join(f"{e:.17g},inf,inf,4,{e:.17g}\r\n" for e in levels)
+            + "# verdict=Inconclusive\r\n")
 
     def test_achieving_generator_stays_on_curve1(self):
         sweep = nn.divergence_sweep([5e-2, 5e-3, 5e-4], samples_per_curve=32)
