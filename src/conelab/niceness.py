@@ -11,7 +11,8 @@ non-membership outright, so the verdict is evidence, never proof.
 q and u are lifts of pairs (y, 0) of C, so on the generator over x(t)
 each takes 2<y, x(t)>: the sweep reads its rows from the arcs' closed form,
 one curve and functional at a time from one construction.arc_sines per
-level (arc_value), and the closure check reads its maxima (arc_max).
+level (arc_value), into one set of arrays that serves every level, and the
+closure check reads its maxima (arc_max).
 
 Also here: the check, at the generators, that a 3D cone's exposing normals
 span the dual of a 2D face together with its orthogonal complement, the
@@ -69,7 +70,7 @@ def _witness_arcs():
     return a, b
 
 
-def shift_bounds(grid):
+def shift_bounds(grid, work=None):
     """Solve every constraint <q, g> - lambda <u, g> <= 0 of the cone K
     sampled on grid (the same parameters on every curve; see
     construction.check_grid) for the shift multiplier lambda.
@@ -85,17 +86,26 @@ def shift_bounds(grid):
     otherwise, so its bound is +inf: the infimum over an empty set. That
     happens only far below EPS_FLOOR, once sin^2(t/2) underflows to 0.
 
+    work, five float arrays of len(grid), holds the two sines, the <u, g>
+    and <q, g> rows and the bounds (also arc_value's scratch), and is
+    overwritten; without it, shift_bounds allocates its own. The values
+    are the same either way.
+
     Returns a dict: lambda_star, the largest bound (+inf when some row holds
     for no lambda); achieving, the (curve_id, t) of the first row, curve by
     curve, that gives it.
     """
     grid = check_grid(grid)
     (au, aq), (bu, bq) = _witness_arcs()
-    sines = arc_sines(grid)
+    s, half, ug, qg, bounds = np.empty((5, grid.size)) if work is None else work
+    sines = arc_sines(grid, out=(s, half))
     picks = []
     for k, cid in enumerate(CURVE_IDS):
-        ug, qg = arc_value(au[k], bu[k], sines), arc_value(aq[k], bq[k], sines)
-        bounds = np.divide(qg, ug, out=np.where(qg > 0.0, math.inf, -math.inf), where=ug > 0.0)
+        arc_value(au[k], bu[k], sines, out=(ug, bounds))
+        arc_value(aq[k], bq[k], sines, out=(qg, bounds))
+        bounds.fill(-math.inf)
+        np.copyto(bounds, math.inf, where=qg > 0.0)
+        np.divide(qg, ug, out=bounds, where=ug > 0.0)
         j = int(np.argmax(bounds))
         picks.append((float(bounds[j]), (cid, float(grid[j]))))
     # max keeps the first of equal bounds: only a strictly larger one moves
@@ -105,13 +115,22 @@ def shift_bounds(grid):
 
 
 def sweep_grid(epsilon, n):
-    """Curve grid whose smallest positive parameter is exactly epsilon:
-    0 followed by a geometric ladder from epsilon up to T."""
+    """Curve grid of n points whose smallest positive parameter is exactly
+    epsilon: 0, then the geometric ladder epsilon * exp(k log(T/epsilon) /
+    (n - 2)), k = 0, ..., n - 2, built in place in its one array and ending
+    at exactly T; just below T, rungs that round past T are clipped to it.
+    Every sweep row binds at (1, epsilon) (proven in
+    tests/test_certificate.py), so no output reads an interior point."""
     if not (0.0 < epsilon < T_END):
         raise DomainError("epsilon must lie in (0, T)")
-    ladder = np.geomspace(epsilon, T_END, check_size(n, 8, "sweep grid size") - 1)
-    ladder[0], ladder[-1] = epsilon, T_END
-    return np.concatenate([[0.0], ladder])
+    n = check_size(n, 8, "sweep grid size")
+    grid = np.arange(-1.0, n - 1.0)  # grid[k + 1] = k
+    np.multiply(grid, math.log(T_END / epsilon) / (n - 2), out=grid)
+    np.exp(grid, out=grid)
+    np.multiply(grid, epsilon, out=grid)
+    np.minimum(grid, T_END, out=grid)
+    grid[0], grid[1], grid[-1] = 0.0, epsilon, T_END
+    return grid
 
 
 def closure_check():
@@ -144,6 +163,10 @@ def validate_eps(eps_list):
 def divergence_sweep(eps_list, samples_per_curve=512, control=False):
     """Run shift_bounds per refinement level and judge the divergence.
 
+    samples_per_curve is checked first, on both routes. Every level's grid
+    has that many points, so all levels write their rows into one set of
+    arrays, allocated once the first grid exists and faulted in only once.
+
     Returns a dict: rows, one (epsilon, lambda_star, product, curve_id, t)
     per level, product = lambda_star * epsilon (+inf, with lambda_star, at a
     level where some row holds for no lambda); closure, the closure_check
@@ -154,11 +177,17 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False):
     taken only where a report writes it.
     """
     eps = validate_eps(eps_list)
+    n = check_size(samples_per_curve, 8, "sweep grid size")
     # the control grid is the same at every level: its bounds are one solve
     fixed = shift_bounds(CONTROL_GRID) if control else None
-    rows = []
+    rows, work = [], None
     for e in eps:
-        prof = fixed or shift_bounds(sweep_grid(e, samples_per_curve))
+        prof = fixed
+        if prof is None:
+            grid = sweep_grid(e, n)
+            # every level's grid has n points: the first level's rows serve all
+            work = work or tuple(np.empty((5, n)))
+            prof = shift_bounds(grid, work)
         lam = prof["lambda_star"]
         rows.append((e, lam, lam * e, *prof["achieving"]))
 

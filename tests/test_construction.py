@@ -362,16 +362,18 @@ class TestSampleCone:
             assert product == lam * e
 
     def test_one_pair_of_sines_per_level_and_rows_of_grid_size(self, monkeypatch):
-        sines, rows = [], []
+        sines, rows, outs = [], [], []
         real_sines, real_value = nn.arc_sines, nn.arc_value
 
-        def counted_sines(t):
+        def counted_sines(t, out=(None, None)):
             sines.append(len(t))
-            return real_sines(t)
+            outs.append(out)
+            return real_sines(t, out)
 
-        def counted_value(a, b, pair):
-            row = real_value(a, b, pair)
+        def counted_value(a, b, pair, out=(None, None)):
+            row = real_value(a, b, pair, out)
             rows.append(row.shape)
+            outs.append(out)
             return row
 
         # sin t and sin(t/2) once per level; then each curve and functional
@@ -381,6 +383,12 @@ class TestSampleCone:
         nn.divergence_sweep([1e-1, 1e-2, 1e-3], samples_per_curve=512)
         assert sines == [512] * 3
         assert rows == [(512,)] * (3 * 4 * 2)
+        # every level writes into the arrays the first level wrote into; outs
+        # keeps each of them alive, so equal ids are the same array
+        assert all(isinstance(x, np.ndarray) for out in outs for x in out)
+        ids = [tuple(id(x) for x in out) for out in outs]
+        level = len(ids) // 3
+        assert ids == ids[:level] * 3
 
 
 class TestArcCoefficients:

@@ -336,9 +336,9 @@ class TestDivergenceSweep:
         grids = []
         solve = nn.shift_bounds
 
-        def recording(grid):
+        def recording(grid, *work):
             grids.append(grid)
-            return solve(grid)
+            return solve(grid, *work)
 
         monkeypatch.setattr(nn, "shift_bounds", recording)
         nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], control=True)
@@ -346,6 +346,41 @@ class TestDivergenceSweep:
         grids.clear()
         nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], samples_per_curve=16)
         assert len(grids) == 4
+
+    @pytest.mark.parametrize("n", [8, 9, 513, 8192])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_are_the_per_level_solves(self, seed, n):
+        # the sweep writes every level into one set of row arrays; each row
+        # must be what a solve of that level's grid alone gives, bit for bit
+        rng = np.random.default_rng(seed)
+        exponents = rng.uniform(math.log10(nn.EPS_FLOOR), math.log10(0.7), 6)
+        levels = sorted({max(10.0**x, nn.EPS_FLOOR) for x in exponents} | {nn.EPS_FLOOR},
+                        reverse=True)
+        for row, e in zip(nn.divergence_sweep(levels, n)["rows"], levels, strict=True):
+            prof = nn.shift_bounds(nn.sweep_grid(e, n))
+            lam = prof["lambda_star"]
+            assert (row[0], row[1].hex(), row[2].hex(), row[3:]) == (
+                e, lam.hex(), (lam * e).hex(), prof["achieving"])
+
+    @pytest.mark.parametrize("grid, achieving", [(nn.CONTROL_GRID, (1, T)),
+                                                 (nn.sweep_grid(1e-170, 16), (1, 1e-170))],
+                             ids=["control", "flat_row"])
+    def test_given_rows_give_the_bounds_of_fresh_ones(self, grid, achieving):
+        # rows left holding NaN or other values are all overwritten
+        fresh = nn.shift_bounds(grid)
+        assert fresh["achieving"] == achieving
+        for fill in (math.nan, -1.0, math.inf):
+            work = tuple(np.full((5, grid.size), fill))
+            prof = nn.shift_bounds(grid, work)
+            assert prof["lambda_star"].hex() == fresh["lambda_star"].hex()
+            assert prof["achieving"] == achieving
+
+    @pytest.mark.parametrize("bad", ["x", 7, 2.5])
+    @pytest.mark.parametrize("control", [False, True])
+    def test_bad_sample_count_rejected_on_both_routes(self, bad, control):
+        # the control never builds a sweep grid, yet refuses what it refuses
+        with pytest.raises(DomainError, match="sweep grid size"):
+            nn.divergence_sweep([1e-1, 1e-2, 1e-3], bad, control=control)
 
     def test_fewer_than_three_levels_is_inconclusive(self):
         sweep = nn.divergence_sweep([1e-2], samples_per_curve=32)
@@ -356,6 +391,27 @@ class TestDivergenceSweep:
             nn.divergence_sweep([1e-3, 1e-2])
         with pytest.raises(DomainError):
             nn.divergence_sweep([])
+
+
+class TestSweepGrid:
+    """The ladder is built in place; no output reads its interior points,
+    but it must still be the grid its docstring states."""
+
+    @pytest.mark.parametrize("n", [8, 9, 513, 8192])
+    @pytest.mark.parametrize("eps", [math.nextafter(T, 0.0), 0.7, 1e-6, nn.EPS_FLOOR])
+    def test_ladder(self, eps, n):
+        grid = nn.sweep_grid(eps, n)
+        assert len(grid) == n
+        assert (grid[0], grid[1], grid[-1]) == (0.0, eps, T)
+        assert con.check_grid(grid) is grid
+        ratios = grid[2:] / grid[1:-1]
+        step = math.exp(math.log(T / eps) / (n - 2))
+        assert (np.abs(ratios / step - 1.0) <= 1e-12).all()
+
+    def test_level_outside_the_curve_rejected(self):
+        for eps in (0.0, -1e-3, T, math.nan):
+            with pytest.raises(DomainError):
+                nn.sweep_grid(eps, 16)
 
 
 class TestPositivityWindow:
