@@ -131,14 +131,19 @@ def arc_value(a, b, sines, out=(None, None)):
     return np.subtract(np.multiply(a, s, out=scratch), x, out=row)
 
 
-def arc_max(a, b, lo, hi):
-    """Largest arc_value over t in [lo, hi] within [0, T], -inf where
-    lo > hi; the arguments broadcast. On the line the value is
-    R cos(t - t*) - b with t* = atan2(a, b), so over an interval it peaks at
-    an end or at t*."""
-    lo_v, hi_v, peak = (arc_value(a, b, arc_sines(t))
-                        for t in (lo, hi, np.clip(np.arctan2(a, b), lo, hi)))
-    return np.where(lo <= hi, np.maximum(np.maximum(lo_v, hi_v), peak), -math.inf)
+def arc_peak(a, b):
+    """(t*, arc_value at t*), t* = atan2(a, b): on the line, R cos(t - t*) - b."""
+    t = np.arctan2(a, b)
+    return t, arc_value(a, b, arc_sines(t))
+
+
+def arc_max(a, b, lo, hi, peak=None):
+    """Largest arc_value over [lo, hi] within [0, T] (-inf where lo > hi; all
+    broadcast): at an end, or at t* (peak, else arc_peak) if t* is inside."""
+    t, value = arc_peak(a, b) if peak is None else peak
+    inside = np.where((lo <= t) & (t <= hi), value, -math.inf)
+    ends = np.maximum(arc_value(a, b, arc_sines(lo)), arc_value(a, b, arc_sines(hi)))
+    return np.where(lo <= hi, np.maximum(ends, inside), -math.inf)
 
 
 def _per_element(fn, *args):

@@ -16,11 +16,8 @@ build_catalogue makes the catalogue in one pass, as a Catalogue of arrays
 with one row per face. Every face has a closed-form exposing pair: the
 singletons and the rulings take theirs from two array evaluations of the
 ruling machinery, the fixed faces (origin, endpoint chords, endpoint
-triangles and planar sides) from one table. The generator points of every
-face, labelled (curve, t), are computed once per catalogue, in one
-curve_points call per curve, and the atlas lists them. verify_catalogue
-takes the on-face residual at their labels, from the closed form of the
-margins.
+triangles and planar sides) from one table. Generators are (curve, t)
+labels: verify_catalogue reads them, and only the atlas computes points.
 
 verify_catalogue checks each pair over the whole arcs of C, with no
 samples, and returns its verdicts as arrays (Exposure), one row per face.
@@ -28,9 +25,9 @@ On curve i, <y, x(t)> = A_i sin t + B_i (cos t - 1) (construction's
 arc_coefficients and arc_value, the closed form the sweep reads too), and
 the points at parameter distance >= delta from a face are at most two
 intervals of each curve, so every margin is the maximum of a sinusoid over a
-few intervals, reached at an end or at t* = atan2(A_i, B_i) (arc_max). The
-faces of the cone K over
-C' need no second check: lift_pairs(y, d) takes the value 2(<y, x> - d) on
+few intervals, reached at an end or at t* = atan2(A_i, B_i) (arc_max),
+taken once per catalogue (arc_peak). The faces of the cone K over C' need
+no second check: lift_pairs(y, d) takes the value 2(<y, x> - d) on
 the generator lift_points(x), so it exposes the cone over the face that
 (y, d) exposes (an identity proven in tests/test_certificate.py).
 """
@@ -47,6 +44,7 @@ from .construction import (
     T_END,
     arc_coefficients,
     arc_max,
+    arc_peak,
     arc_sines,
     arc_value,
     curve_points,
@@ -104,9 +102,9 @@ class Catalogue(NamedTuple):
     """The face catalogue as arrays, one row per face in catalogue order:
     kind, parameter and partner (nan where the kind has none), the curves
     wholly contained in the face (a (faces, 4) mask), and the exposing pair
-    (y, d). The generator points of all faces are stacked face by face,
-    `sizes` of them per face, each with its (curve, t) label; a face that
-    holds no whole curve is anchored at its generators."""
+    (y, d). The generators of all faces are stacked face by face, `sizes` of
+    them per face, as (curve, t) labels; a face that holds no whole curve is
+    anchored at its generators."""
 
     kinds: list
     params: np.ndarray
@@ -117,7 +115,6 @@ class Catalogue(NamedTuple):
     sizes: np.ndarray
     gen_ids: np.ndarray
     gen_ts: np.ndarray
-    points: np.ndarray
 
 
 class Exposure(NamedTuple):
@@ -138,8 +135,7 @@ def generator_points(ids, ts):
     has the bits of curve_points on its parameter alone."""
     points = np.empty((len(ts), 3))
     for i in CURVE_IDS:
-        on = ids == i
-        points[on] = curve_points(i, ts[on])
+        points[ids == i] = curve_points(i, ts[ids == i])
     return points
 
 
@@ -156,7 +152,7 @@ def build_catalogue(theta_grid):
     the singleton parameters and the ruling parameters, built kind by kind
     from arrays: the rulings are one evaluation of ruling_data on the grid
     (F11, F12) and one on its theta_for_partner image (F02, F03 at the grid
-    parameters), and the generator points one generator_points call.
+    parameters).
 
     Count: 1 + 4*|theta_grid| + 2*|theta_grid| + 3 + 4.
     """
@@ -186,8 +182,6 @@ def build_catalogue(theta_grid):
                    np.repeat(np.column_stack([th, ruled.t]), 2, axis=0)))
     blocks += [_fixed_face(kind) for kind in list(_FIXED)[1:]]
     kinds, params, partners, full, normals, offsets, ids, ts = zip(*blocks)
-    gen_ids = np.concatenate([a.ravel() for a in ids])
-    gen_ts = np.concatenate([a.ravel() for a in ts])
     return Catalogue(
         kinds=[kind for block in kinds for kind in block],
         params=np.concatenate(params),
@@ -196,9 +190,8 @@ def build_catalogue(theta_grid):
         normals=np.concatenate(normals),
         offsets=np.concatenate(offsets),
         sizes=np.concatenate([np.full(len(a), a.shape[1]) for a in ids]),
-        gen_ids=gen_ids,
-        gen_ts=gen_ts,
-        points=generator_points(gen_ids, gen_ts),
+        gen_ids=np.concatenate([a.ravel() for a in ids]),
+        gen_ts=np.concatenate([a.ravel() for a in ts]),
     )
 
 
@@ -209,9 +202,10 @@ def face_label(catalogue, j):
 
 
 def _distance_table(catalogue):
-    """Per face and curve: the anchor parameter (inf where the face has none)
-    and the reach through the common endpoint (the smallest anchor parameter;
-    0 for a planar side, -inf on the curves wholly contained in the face). The
+    """Per curve and face, (4, faces) so that numpy reduces over the curves
+    row by row: the anchor parameter (inf where the face has none) and the
+    reach through the common endpoint (the smallest anchor parameter; 0 for
+    a planar side, -inf on the curves wholly contained in the face). The
     point of curve c at t lies at parameter distance min(|t - anchor|,
     t + reach) from the face, where -inf means on it. The anchors of a face
     are its generators, unless it holds whole curves."""
@@ -223,14 +217,14 @@ def _distance_table(catalogue):
     if twice.size:
         j, c = divmod(int(twice[0]), 4)
         raise DomainError(f"face {face_label(catalogue, j)} has two anchors on curve {c + 1}")
-    anchor_t = np.full((n, len(CURVE_IDS)), math.inf)
-    anchor_t[face, curve] = catalogue.gen_ts[anchored]
-    reach = np.where(full, -math.inf, np.where(full.any(axis=1, keepdims=True), 0.0, math.inf))
-    return anchor_t, np.minimum(reach, anchor_t.min(axis=1, keepdims=True))
+    anchor_t = np.full((len(CURVE_IDS), n), math.inf)
+    anchor_t[curve, face] = catalogue.gen_ts[anchored]
+    reach = np.where(full.T, -math.inf, np.where(full.any(axis=1), 0.0, math.inf))
+    return anchor_t, np.minimum(reach, anchor_t.min(axis=0))
 
 
 def _far_intervals(anchor, reach, delta):
-    """(lo, hi), each (2, faces, 4): the points of each curve at parameter
+    """(lo, hi), each (2, 4, faces): the points of each curve at parameter
     distance >= delta from each face (see _distance_table), which are
     [max(0, delta - reach), T] less the band (anchor - delta, anchor + delta),
     as the part below the band and the part above it; empty where lo > hi."""
@@ -265,23 +259,25 @@ def verify_catalogue(catalogue, deltas=MARGIN_DELTAS):
     """
     if min(deltas) <= 0.0:
         raise DomainError("margin radii must be positive")
-    normals, d = catalogue.normals, catalogue.offsets[:, None]
+    normals, d = catalogue.normals, catalogue.offsets
     if not normals.any(axis=1).all():
         raise DegenerateInputError("exposing normal must be nonzero")
-    a, b = arc_coefficients(normals)
+    a, b = (np.ascontiguousarray(c.T) for c in arc_coefficients(normals))  # as _distance_table
     anchor, reach = _distance_table(catalogue)
+    peak = arc_peak(a, b)  # serves every interval
     margins = np.empty((len(d), len(deltas)))
     for k, delta in enumerate(deltas):
-        far = arc_max(a, b, *_far_intervals(anchor, reach, delta))
-        margins[:, k] = d[:, 0] - far.max(axis=(0, 2))
+        far = arc_max(a, b, *_far_intervals(anchor, reach, delta), peak)
+        margins[:, k] = d - far.max(axis=(0, 1))
     face, curve = np.repeat(np.arange(len(d)), catalogue.sizes), catalogue.gen_ids - 1
-    onface = np.abs(d[face, 0] - arc_value(a[face, curve], b[face, curve],
-                                           arc_sines(catalogue.gen_ts)))
-    top, low = arc_max(a, b, 0.0, T_END), -arc_max(-a, -b, 0.0, T_END)
-    whole = np.where(catalogue.full, np.maximum(top - d, d - low), 0.0).max(axis=1)
-    starts = np.cumsum(catalogue.sizes) - catalogue.sizes
-    residuals = np.maximum(np.maximum.reduceat(onface, starts), whole)
-    scale = np.abs(d[:, 0]) + (np.abs(a) + 2.0 * np.abs(b)).max(axis=1)
+    onface = np.abs(d[face] - arc_value(a[curve, face], b[curve, face],
+                                        arc_sines(catalogue.gen_ts)))
+    residuals = np.maximum.reduceat(onface, np.cumsum(catalogue.sizes) - catalogue.sizes)
+    # on each curve that a face holds whole: the largest value and minus the least
+    i, j, sign = *np.nonzero(catalogue.full.T), np.array([[1.0], [-1.0]])
+    top, low = arc_max(sign * a[i, j], sign * b[i, j], 0.0, T_END)
+    np.maximum.at(residuals, j, np.maximum(top - d[j], d[j] + low))
+    scale = np.abs(d) + (np.abs(a) + 2.0 * np.abs(b)).max(axis=0)
     bounds = gamma(MARGIN_ROUNDINGS) * scale
     return Exposure(residuals, margins, bounds,
                     (residuals <= bounds) & (margins > bounds[:, None]).all(axis=1))

@@ -199,15 +199,17 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False):
 
 def fitted_exponent(rows):
     """The least-squares slope of log(lambda_star) against log(1/epsilon)
-    over divergence_sweep's rows with 0 < lambda_star < inf, or NaN when
-    fewer than two such rows exist; near 1 when lambda_star grows like
-    1/epsilon."""
-    finite = [(e, lam) for e, lam, *_ in rows if 0 < lam < math.inf]
+    over divergence_sweep's rows with 0 < lambda_star < inf, near 1 when
+    lambda_star grows like 1/epsilon: one correctly rounded int / int of the
+    float logs taken exactly as ints (_ints), with no LAPACK call. NaN, as
+    no slope exists, for fewer than two such rows or one log(1/epsilon)."""
+    finite = [(1.0 / e, lam) for e, lam, *_ in rows if 0 < lam < math.inf]
     if len(finite) < 2:
         return math.nan
-    x = np.log([1.0 / e for e, _ in finite])
-    y = np.log([lam for _, lam in finite])
-    return float(np.polyfit(x, y, 1)[0])
+    (x, dx), (y, dy) = (_ints(np.log(v)) for v in zip(*finite))  # the logs times dx, dy
+    n, sx = len(finite), x.sum()
+    spread = n * (x @ x) - sx * sx  # 0 only when every x is one float
+    return _ratio((n * (x @ y) - sx * y.sum()) * dx, spread * dy) if spread else math.nan
 
 
 def _ints(v):

@@ -109,10 +109,8 @@ def niceness_section(config):
     """The sweep and its control. That curve 1 binds every row, and that the
     control's products stay below 0.17, are proven exactly in
     tests/test_certificate.py, so no field re-derives them."""
-    sweep = nn.divergence_sweep(config.eps_list, samples_per_curve=config.samples_per_curve)
-    control = nn.divergence_sweep(
-        config.eps_list, samples_per_curve=config.samples_per_curve, control=True
-    )
+    sweep, control = (nn.divergence_sweep(config.eps_list, config.samples_per_curve, control)
+                      for control in (False, True))
     # divergence_sweep returns NotNiceEvidence only when the closure check passes
     passed = sweep["verdict"] == "NotNiceEvidence" and control["verdict"] == "Inconclusive"
     return {
@@ -148,10 +146,9 @@ def run_faces(config):
     catalogue, exposure = _exposure(config)
     summary = face_section(catalogue, exposure)
     atlas = report_header(config, "theta_grid_size")
-    generators = [
-        {"curve": i, "t": t, "point": point} for i, t, point in
-        zip(catalogue.gen_ids.tolist(), catalogue.gen_ts.tolist(), catalogue.points.tolist())
-    ]
+    ids, ts = catalogue.gen_ids, catalogue.gen_ts
+    generators = [{"curve": i, "t": t, "point": point} for i, t, point in
+                  zip(ids.tolist(), ts.tolist(), fc.generator_points(ids, ts).tolist())]
     ends = np.cumsum(catalogue.sizes).tolist()
     atlas["faces"] = [
         {

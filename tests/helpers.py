@@ -187,8 +187,7 @@ def reference_generator_points(faces):
 
 
 def catalogue_of(rows):
-    """The array catalogue (faces.Catalogue) of (face, pair) rows, with the
-    reference generator points."""
+    """The array catalogue (faces.Catalogue) of (face, pair) rows."""
     faces = [face for face, _ in rows]
     generators = [face_generators(face) for face in faces]
     flat = [g for gs in generators for g in gs]
@@ -203,7 +202,6 @@ def catalogue_of(rows):
         sizes=np.array([len(g) for g in generators], dtype=int),
         gen_ids=np.array([i for i, _ in flat], dtype=int),
         gen_ts=np.array([t for _, t in flat], dtype=float),
-        points=np.vstack([np.empty((0, 3)), *reference_generator_points(faces)]),
     )
 
 

@@ -156,8 +156,8 @@ class TestSweepCommand:
 class TestSweepFootprint:
     """The sweep writes no fit, so it takes none: with numpy's least-squares
     routes made to raise, both sweeps still write the bytes they wrote when
-    divergence_sweep fitted every sweep; verify fits once, for the main
-    sweep whose exponent its report writes."""
+    divergence_sweep fitted every sweep. verify writes one fit, for its main
+    sweep, and takes it in Python ints, so it makes no LAPACK call either."""
 
     # sha256 of the CSVs of `sweep --samples 64`, without and with --control
     DIGESTS = {(): "ff8aa95ac96c47844950b9d2640e76bc37380d94147b577d83690462e5cbb362",
@@ -174,16 +174,13 @@ class TestSweepFootprint:
         assert main(["sweep", "--samples", "64", *flags, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[flags]
 
-    def test_verify_fits_once(self, monkeypatch):
-        calls = []
+    def test_verify_takes_no_least_squares_fit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify fits in Python ints")
 
-        def counted(*args, real=np.polyfit, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np, "polyfit", counted)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
         report = run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
-        assert len(calls) == 1
         assert report["sections"]["niceness"]["fitted_exponent"] == pytest.approx(1.0, abs=0.05)
 
 
@@ -576,10 +573,10 @@ class TestRunConfig:
         run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
         # one theta grid and one kernel call, over whole arcs with no body
         # sampled, check every face; the faces of the cone over C follow by
-        # the lift identity, with no second scan, at the generator points the
-        # catalogue computed once. The catalogue's two ruling_data calls are
-        # the only partner_cos calls.
-        assert calls == {"grids": 1, "catalogue": 1, "points": 1, "kernel": 1, "partners": 2}
+        # the lift identity, with no second scan. The kernel reads the
+        # generators' (curve, t) labels, so no generator point is computed.
+        # The catalogue's two ruling_data calls are the only partner_cos calls.
+        assert calls == {"grids": 1, "catalogue": 1, "points": 0, "kernel": 1, "partners": 2}
 
     def test_verify_takes_the_witness_arcs_once(self, monkeypatch):
         # the face kernel's normals once per report, and u and q once per
@@ -624,7 +621,7 @@ class TestRunConfig:
         monkeypatch.setattr(faces, "generator_points", points)
         atlas = run_faces(RunConfig(samples_per_curve=64, theta_grid_size=8))
         assert kernel_calls == [len(atlas["faces"])]
-        # the atlas lists the generator points the catalogue computed once
+        # the atlas lists the generator points, computed in one call
         assert point_calls == [sum(len(f["generators"]) for f in atlas["faces"])]
         assert atlas["failed_reports"] == 0
 

@@ -177,7 +177,7 @@ def test_residual_of_a_planar_side_covers_its_whole_curves():
     face = FaceDescriptor("F23", 2, full_curves=(1, 2))
     catalogue = catalogue_of([(face, ExposingPair(np.array([1.0, -1e-6, 0.0]), 0.0))])
     catalogue = catalogue._replace(sizes=np.array([1]), gen_ids=np.array([1]),
-                                   gen_ts=np.array([0.0]), points=np.zeros((1, 3)))
+                                   gen_ts=np.array([0.0]))
     exposure = fc.verify_catalogue(catalogue)
     assert exposure.residuals[0] == pytest.approx(1e-6 * math.sin(T), rel=1e-12)
     assert not exposure.passed[0]
@@ -202,10 +202,10 @@ def test_param_distances_equal_the_reference():
     for samples, thetas in ((64, 8), (8, 512), (512, 8)):
         catalogue, body, _, _ = setup(samples, thetas)
         anchor, reach = fc._distance_table(arrays(thetas))
-        curve = body.ids - 1
+        curve, ts = body.ids - 1, body.ts[:, None]
         for delta in fc.MARGIN_DELTAS:
             lo, hi = fc._far_intervals(anchor, reach, delta)
-            far = ((lo[:, :, curve] <= body.ts) & (body.ts <= hi[:, :, curve])).any(axis=0)
+            far = ((lo[:, curve] <= ts) & (ts <= hi[:, curve])).any(axis=0).T
             for (face, _), selected in zip(catalogue, far):
                 dist = reference_param_distances(face, body.ids, body.ts)
                 assert np.array_equal(selected, dist >= delta), (face.label(), delta)

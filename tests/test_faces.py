@@ -56,7 +56,8 @@ class TestEnumerate:
         assert len(cat.kinds) == 1 + 4 * 5 + 2 * 5 + 3 + 4 == 38
         for field in (cat.params, cat.partners, cat.full, cat.normals, cat.offsets, cat.sizes):
             assert len(field) == 38
-        assert len(cat.gen_ids) == len(cat.gen_ts) == len(cat.points) == cat.sizes.sum()
+        points = fc.generator_points(cat.gen_ids, cat.gen_ts)
+        assert len(cat.gen_ids) == len(cat.gen_ts) == len(points) == cat.sizes.sum()
 
     def test_single_theta_gives_one_ruled_face_per_family(self):
         cat = fc.build_catalogue(np.array([T]))
@@ -105,12 +106,17 @@ class TestArrayCatalogue:
         thetas = con.theta_grid(n)
         assert thetas[0] == T / n and thetas[-1] == T
         cat = fc.build_catalogue(thetas)
-        # the reference's generator points are gathered generator by generator
-        expected = catalogue_of(reference_catalogue(thetas))
+        rows = reference_catalogue(thetas)
+        expected = catalogue_of(rows)
         assert cat.kinds == expected.kinds
-        for field in ("params", "partners", "normals", "offsets", "gen_ts", "points"):
+        for field in ("params", "partners", "normals", "offsets", "gen_ts"):
             got, ref = as_bits(getattr(cat, field)), as_bits(getattr(expected, field))
             assert np.array_equal(got, ref), field
+        # the atlas's generator points, against the reference's gathered
+        # generator by generator
+        points = fc.generator_points(cat.gen_ids, cat.gen_ts)
+        reference = np.vstack(helpers.reference_generator_points([face for face, _ in rows]))
+        assert np.array_equal(as_bits(points), as_bits(reference))
         for field in ("full", "sizes", "gen_ids"):
             assert np.array_equal(getattr(cat, field), getattr(expected, field)), field
         top = [j for j, kind in enumerate(cat.kinds) if kind == "F11"][-1]
