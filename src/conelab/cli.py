@@ -99,10 +99,10 @@ def _parse(argv):
     return build_parser().parse_args(argv)
 
 
-def _config(args, **extra):
+def _config(args):
     fields = {field: getattr(args, dest)
               for dest, (field, *_) in _RUN_FLAGS.items() if hasattr(args, dest)}
-    return reporting.RunConfig(**fields, **extra)
+    return reporting.RunConfig(**fields)
 
 
 def main(argv=None):
@@ -124,9 +124,7 @@ def main(argv=None):
             return 0 if atlas["failed_reports"] == 0 else 1
 
         if args.command == "sweep":
-            config = _config(args, control=args.control)
-            sweep = niceness.divergence_sweep(config.eps_list, config.samples_per_curve,
-                                              config.control)
+            sweep = niceness.divergence_sweep(args.eps, args.samples, args.control)
             reporting.write_sweep_csv(args.out, sweep)
             print(f"wrote {args.out}; verdict: {sweep['verdict']}")
             return 0

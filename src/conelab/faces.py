@@ -255,13 +255,14 @@ def verify_catalogue(catalogue, deltas=MARGIN_DELTAS):
     evaluating the bound itself; 4 + 2*2 + 2 = 10. A face passes when its
     residual is at most that bound, so its generators lie on the hyperplane
     to the resolution of the check, and its margin at every radius exceeds
-    it, so the far points lie strictly inside.
+    it, so the far points lie strictly inside. A pair with a zero or
+    non-finite normal or a non-finite offset raises DegenerateInputError.
     """
     if min(deltas) <= 0.0:
         raise DomainError("margin radii must be positive")
     normals, d = catalogue.normals, catalogue.offsets
-    if not normals.any(axis=1).all():
-        raise DegenerateInputError("exposing normal must be nonzero")
+    if not (normals.any(axis=1).all() and np.isfinite(normals).all() and np.isfinite(d).all()):
+        raise DegenerateInputError("exposing pair must be finite, with a nonzero normal")
     a, b = (np.ascontiguousarray(c.T) for c in arc_coefficients(normals))  # as _distance_table
     anchor, reach = _distance_table(catalogue)
     peak = arc_peak(a, b)  # serves every interval

@@ -55,6 +55,9 @@ DUAL_FORM_NOTE = (
 # The control is the cone over the five arc endpoints: every curve at 0 and T.
 CONTROL_GRID = np.array([0.0, T_END])
 
+# levels whose products the divergence verdict reads: fewer are Inconclusive
+VERDICT_LEVELS = 3
+
 # Smallest refinement level, 2**-510: from t = EPS_FLOOR up, sin^2(t/2) is at
 # least the smallest normal float, so no row underflows and each rounding
 # keeps its relative error bound u (Higham, section 2.1).
@@ -172,9 +175,9 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False):
     level where some row holds for no lambda); closure, the closure_check
     dict; verdict, "NotNiceEvidence" or "Inconclusive". NotNiceEvidence
     requires the exact closure check to pass and lambda_star * epsilon to
-    settle in [0.8, 1.2] on the last three levels (at least three levels are
-    needed). No verdict reads a fit: the slope is fitted_exponent(rows),
-    taken only where a report writes it.
+    settle in [0.8, 1.2] on the last VERDICT_LEVELS levels (at least that
+    many are needed). No verdict reads a fit: the slope is
+    fitted_exponent(rows), taken only where a report writes it.
     """
     eps = validate_eps(eps_list)
     n = check_size(samples_per_curve, 8, "sweep grid size")
@@ -192,7 +195,8 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False):
         rows.append((e, lam, lam * e, *prof["achieving"]))
 
     closure = closure_check()
-    diverges = len(rows) >= 3 and all(0.8 <= p <= 1.2 for _, _, p, _, _ in rows[-3:])
+    diverges = len(rows) >= VERDICT_LEVELS and all(
+        0.8 <= p <= 1.2 for _, _, p, _, _ in rows[-VERDICT_LEVELS:])
     verdict = "NotNiceEvidence" if (closure["in_closure"] and diverges) else "Inconclusive"
     return {"rows": rows, "closure": closure, "verdict": verdict}
 

@@ -35,34 +35,29 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The config that the verify and faces reports hash."""
     samples_per_curve: int = 512
     theta_grid_size: int = 64
     eps_list: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
-    control: bool = False
 
     def __post_init__(self):
         for name in ("samples_per_curve", "theta_grid_size"):
             object.__setattr__(self, name, check_size(getattr(self, name), 8, name))
-        object.__setattr__(self, "eps_list", nn.validate_eps(self.eps_list))
-        # np.bool_ would not serialize, and 1 or "no" would hash as themselves
-        if not isinstance(self.control, (bool, np.bool_)):
-            raise DomainError(f"control must be a bool, got {self.control!r}")
-        object.__setattr__(self, "control", bool(self.control))
+        eps = nn.validate_eps(self.eps_list)
+        if len(eps) < nn.VERDICT_LEVELS:
+            raise DomainError(f"verify needs at least {nn.VERDICT_LEVELS} refinement levels: "
+                              f"the divergence verdict reads the last {nn.VERDICT_LEVELS}")
+        object.__setattr__(self, "eps_list", eps)
 
 
 def _native(obj):
-    """Recursively convert report values to JSON-native types."""
+    """Report values as JSON: keys as str, tuples as lists, non-finite floats as repr."""
     if isinstance(obj, dict):
         return {str(k): _native(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_native(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_native(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else repr(v)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     return obj
 
 
@@ -126,8 +121,6 @@ def niceness_section(config):
 
 
 def run_verify(config):
-    # verify reads no control flag; the header still names every field,
-    # control too, so the default report keeps its hash (ae0458fccdc3)
     report = report_header(config, *asdict(config))
     catalogue, exposure = _exposure(config)
     sections = {

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -31,7 +32,9 @@ def refuse_work(monkeypatch):
 
     for name in ("run_verify", "run_faces", "run_nice3d"):
         monkeypatch.setattr(reporting, name, refuse)
-    monkeypatch.setattr(niceness, "divergence_sweep", refuse)
+    # sweep calls divergence_sweep itself, which checks its flags before it
+    # computes a bound
+    monkeypatch.setattr(niceness, "shift_bounds", refuse)
 
 
 class TestVerifyCommand:
@@ -69,13 +72,16 @@ class TestVerifyCommand:
         assert report["failures"] == ["face_exposure"]
         assert report["sections"]["face_exposure"]["failures"] == ["F24"]
 
-    def test_single_refinement_level_fails_niceness(self, tmp_path):
+    def test_single_refinement_level_fails_niceness(self, tmp_path, capsys):
+        # the verdict reads the last three levels, so one level could never
+        # pass: a usage error, before any work, that says why
         out = tmp_path / "r.json"
         code = main(["verify", *FAST, "--eps", "0.01", "--out", str(out)])
-        assert code == 1
-        report = json.loads(out.read_text())
-        assert "niceness" in report["failures"]
-        assert report["sections"]["niceness"]["verdict"] == "Inconclusive"
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: verify needs at least 3 refinement levels")
+        assert err.count("\n") == 1
 
 
 class TestFacesCommand:
@@ -252,7 +258,7 @@ class TestReportHeaders:
     # each header names the config fields its command reads, and hashes them
     @pytest.mark.parametrize("argv, fields", [
         (["verify", *FAST], {"samples_per_curve": 96, "theta_grid_size": 12,
-                             "eps_list": [0.1, 0.01, 0.001, 0.0001], "control": False}),
+                             "eps_list": [0.1, 0.01, 0.001, 0.0001]}),
         (["faces", *FACES_FAST], {"theta_grid_size": 12}),
         (["nice3d"], {}),
     ], ids=["verify", "faces", "nice3d"])
@@ -266,9 +272,19 @@ class TestReportHeaders:
         assert report["config_hash"] == digest[:12]
 
     def test_default_verify_hash_is_the_one_of_all_fields(self):
-        # verify names every field, as it did when every header hashed the
-        # whole config: its default report keeps the hash it always had
-        assert reporting.run_verify(RunConfig())["config_hash"] == "ae0458fccdc3"
+        # verify reads every RunConfig field, so its header names them all
+        assert reporting.run_verify(RunConfig())["config_hash"] == "81d3639c81bc"
+
+    def test_run_config_holds_the_flags_verify_takes(self):
+        # each run flag of verify's parser maps onto one RunConfig field and
+        # every field has one, so the header hashes no flag verify lacks;
+        # faces' header names the one field it reads
+        dests = set(vars(cli._parse(["verify"]))) - {"command", "out"}
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert sorted(cli._RUN_FLAGS[dest][0] for dest in dests) == sorted(fields)
+        config = RunConfig(samples_per_curve=64, theta_grid_size=8)
+        assert set(run_verify(config)["config"]) == fields
+        assert set(run_faces(config)["config"]) == {"theta_grid_size"}
 
 
 class TestCommandFlags:
@@ -437,7 +453,7 @@ class TestImportPath:
             print(reporting.sha256 is hashlib.sha256,
                   reporting.run_verify(reporting.RunConfig())["config_hash"])
         """)
-        assert fresh_python(script).split() == ["True", "ae0458fccdc3"]
+        assert fresh_python(script).split() == ["True", "81d3639c81bc"]
 
     def test_no_module_imports_scipy(self):
         # function bodies included: a lazy import would not show in the run above
@@ -512,15 +528,11 @@ class TestRunConfig:
                          (math.inf, 0.1), (0.1, 0.0)):
             with pytest.raises(DomainError):
                 RunConfig(eps_list=eps_list)
-        # control is a bool: np.bool_ becomes one, and the run hashes as True
-        # does; an int or a string is refused, not hashed as itself
-        config = RunConfig(control=np.bool_(True))
-        assert type(config.control) is bool and config == RunConfig(control=True)
-        header = reporting.report_header(config, "control")
-        assert header == reporting.report_header(RunConfig(control=True), "control")
-        for control in (1, 0, "no", None, 1.0):
-            with pytest.raises(DomainError, match="control must be a bool"):
-                RunConfig(control=control)
+        # fewer levels than the divergence verdict reads are refused
+        for eps_list in ((0.1,), (0.1, 0.01)):
+            with pytest.raises(DomainError, match="at least 3 refinement levels"):
+                RunConfig(eps_list=eps_list)
+        assert RunConfig(eps_list=[0.1, 0.01, 0.001]).eps_list == (0.1, 0.01, 0.001)
 
     @pytest.mark.parametrize("argv", [
         ["faces", "--theta-grid", "4"],
@@ -530,6 +542,8 @@ class TestRunConfig:
         # below 2 sqrt(smallest normal) = 2**-510 ~ 3e-154 sin^2(eps/2) underflows
         ["sweep", "--eps", "1e-1,1e-2,1e-200"],
         ["verify", "--eps", "1e-1,1e-2,2.9e-154"],
+        # the divergence verdict reads three levels
+        ["verify", "--eps", "0.1,0.01"],
     ])
     def test_out_of_domain_values_exit_2_before_any_work(self, argv, tmp_path, monkeypatch):
         refuse_work(monkeypatch)

@@ -8,9 +8,8 @@ takes t* and its value once per catalogue and counts them only inside an
 interval (a clipped t* is an end, whose value the maximum already holds),
 takes the whole-arc extremes only on the curves a face holds whole, and
 lays its arrays out curve-major, (4, faces). Every Exposure array must
-keep its bytes, on the default catalogues and on one whose pairs fail or
-are not finite; only the sign bit of a NaN drawn from NaNs of both signs
-may move.
+keep its bytes, on the default catalogues and on one whose pair fails; a
+pair that is not finite is refused.
 
 This file needs numpy and pytest only: it does not import tests/helpers.py,
 so it runs where scipy is absent.
@@ -23,7 +22,7 @@ import pytest
 
 from conelab import construction as con
 from conelab import faces as fc
-from conelab.linalg import gamma
+from conelab.linalg import DegenerateInputError, gamma
 
 T = con.T_END
 
@@ -75,37 +74,33 @@ def test_exposure_keeps_its_bytes_with_empty_far_sets():
     assert np.isposinf(exposure.margins[:, 0]).all() and np.isfinite(exposure.margins[:, 1]).all()
 
 
-def test_failing_and_non_finite_pairs_keep_their_bytes(monkeypatch):
-    # F15's offset moved off its endpoints and F13's normal NaN: the first
-    # fails by its residual, the second by NaN in every value
+def test_failing_pair_keeps_its_bytes(monkeypatch):
+    # F15's offset moved off its endpoints: it fails by its residual
     y, d, generators, curves = fc._FIXED["F15"]
     monkeypatch.setitem(fc._FIXED, "F15", (y, d - 1e-3, generators, curves))
-    _, d, generators, curves = fc._FIXED["F13"]
-    monkeypatch.setitem(fc._FIXED, "F13", ((math.nan, -1.0, -1.0), d, generators, curves))
     catalogue = fc.build_catalogue(con.theta_grid(8))
     exposure = assert_same_bytes(catalogue)
     failed = [catalogue.kinds[j] for j in np.flatnonzero(~exposure.passed)]
-    assert failed == ["F13", "F15"]
-    assert np.isnan(exposure.margins[catalogue.kinds.index("F13")]).all()
+    assert failed == ["F15"]
 
 
-def test_nan_of_both_signs_keeps_its_place(monkeypatch):
-    # F14's normal (-inf, 1, 1) normalises to (NaN, 0, 0), whose signed
-    # picks give NaN of both signs on its curves. Which one a margin keeps
-    # follows the order of the reduction over the curves, which the
-    # curve-major layout changed; no report can show it (JSON writes "nan").
-    # Every other bit stays.
-    _, d, generators, curves = fc._FIXED["F14"]
-    monkeypatch.setitem(fc._FIXED, "F14", ((-math.inf, 1.0, 1.0), d, generators, curves))
+@pytest.mark.parametrize("kind, normal, offset", [
+    ("F13", (math.nan, -1.0, -1.0), None),
+    # normalises to (NaN, 0, 0), whose picks would give NaN of both signs
+    ("F14", (-math.inf, 1.0, 1.0), None),
+    ("F15", None, math.nan),
+    ("F15", None, math.inf),
+], ids=["nan-normal", "inf-normal", "nan-offset", "inf-offset"])
+def test_non_finite_pair_is_refused(kind, normal, offset, monkeypatch):
+    # a pair that is not finite has no margins to report: NaN would fail
+    # the face as if it were not exposed
+    y, d, generators, curves = fc._FIXED[kind]
+    pair = (normal or y, d if offset is None else offset)
+    monkeypatch.setitem(fc._FIXED, kind, (*pair, generators, curves))
     with np.errstate(invalid="ignore"):  # -inf / inf
         catalogue = fc.build_catalogue(con.theta_grid(8))
-    got, ref = fc.verify_catalogue(catalogue), reference_exposure(catalogue)
-    for field in ("residuals", "margins", "bounds"):
-        x, r = getattr(got, field), getattr(ref, field)
-        assert np.array_equal(np.isnan(x), np.isnan(r)), field
-        assert x[~np.isnan(x)].tobytes() == r[~np.isnan(r)].tobytes(), field
-    assert got.passed.tobytes() == ref.passed.tobytes()
-    assert list(np.flatnonzero(~got.passed)) == [catalogue.kinds.index("F14")]
+    with pytest.raises(DegenerateInputError, match="finite"):
+        fc.verify_catalogue(catalogue)
 
 
 def test_arc_max_keeps_its_bytes():
