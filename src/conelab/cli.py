@@ -31,23 +31,26 @@ def _parse_eps(text):
 # Run flags: dest -> (RunConfig field, flag, type, help). Each command takes
 # only the flags it reads; every default is the RunConfig field's.
 _RUN_FLAGS = {
-    "samples": ("samples_per_curve", "--samples", int, "curve samples per divergence-sweep level"),
     "theta_grid": ("theta_grid_size", "--theta-grid", int, "ruling-parameter grid size"),
     "eps": ("eps_list", "--eps", _parse_eps,
             "comma-separated refinement levels, strictly decreasing"),
 }
 
 
+# Each sweep level samples 0, epsilon and T, so no output reads --samples;
+# verify and sweep accept it for the command lines of perfbench/run.py.
+_IGNORED_SAMPLES = ("--samples", {"type": int, "help": "ignored: no output reads it"})
+
 # Per command: (help summary, default --out, flags in the order its help
 # lists them): a run flag's dest, "out" (undocumented for mesh, whose default
 # follows --which), or (option string, add_argument keywords).
 _COMMANDS = {
     "verify": ("run the full pipeline, emit a JSON report", "verify_report.json",
-               ("samples", "theta_grid", "eps", "out")),
+               (_IGNORED_SAMPLES, "theta_grid", "eps", "out")),
     "faces": ("emit the face atlas with exposure reports", "face_atlas.json",
               ("theta_grid", "out")),
     "sweep": ("divergence sweep as CSV", "sweep.csv",
-              ("samples", "eps", "out",
+              (_IGNORED_SAMPLES, "eps", "out",
                ("--control", {"action": "store_true",
                               "help": "run the polyhedral control cone instead"}))),
     "mesh": ("export a triangle mesh as OBJ", None,
@@ -124,7 +127,7 @@ def main(argv=None):
             return 0 if atlas["failed_reports"] == 0 else 1
 
         if args.command == "sweep":
-            sweep = niceness.divergence_sweep(args.eps, args.samples, args.control)
+            sweep = niceness.divergence_sweep(args.eps, control=args.control)
             reporting.write_sweep_csv(args.out, sweep)
             print(f"wrote {args.out}; verdict: {sweep['verdict']}")
             return 0

@@ -108,27 +108,20 @@ def arc_coefficients(normals):
     return picks(1.0, 1.0), picks(0.0, 2.0)
 
 
-def arc_sines(t, out=(None, None)):
+def arc_sines(t):
     """(sin t, sin(t/2)) of t moved into [0, T], the two sines arc_value
     reads; taken once, they serve every (A, B) on the same parameters. The
-    clip keeps the infinite ends of empty intervals from taking a sine.
-    out, a pair of arrays of t's shape, receives the two sines, and the
-    second also holds the clipped t and t/2 on the way: then nothing is
-    allocated."""
-    s, half = out
-    t = np.clip(t, 0.0, T_END, out=half)
-    return np.sin(t, out=s), np.sin(np.divide(t, 2.0, out=half), out=half)
+    clip keeps the infinite ends of empty intervals from taking a sine."""
+    t = np.clip(t, 0.0, T_END)
+    return np.sin(t), np.sin(t / 2.0)
 
 
-def arc_value(a, b, sines, out=(None, None)):
+def arc_value(a, b, sines):
     """a sin t - 2b sin^2(t/2), which is a sin t + b (cos t - 1) without the
     cancellation of cos t - 1, from sines = arc_sines(t); a, b and the sines
-    broadcast. out, a pair of arrays of the value's shape, receives the
-    value in the first and a sin t in the second, with the same rounded
-    operations: then nothing is allocated."""
-    (s, half), (row, scratch) = sines, out
-    x = np.multiply(np.multiply(2.0 * b, half, out=row), half, out=row)
-    return np.subtract(np.multiply(a, s, out=scratch), x, out=row)
+    broadcast."""
+    s, half = sines
+    return a * s - 2.0 * b * half * half
 
 
 def arc_peak(a, b):

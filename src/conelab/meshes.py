@@ -29,7 +29,7 @@ class Mesh(NamedTuple):
         return len(self.vertices), len(self.triangles)
 
 
-def build_mesh(which, samples_per_curve=64):
+def build_mesh(which, n=64):
     """Triangulate the body boundary with n parameters per curve.
 
     Vertices: the shared endpoint (index 0), then n samples of each curve,
@@ -43,7 +43,7 @@ def build_mesh(which, samples_per_curve=64):
     """
     if which not in BODY_NAMES:
         raise DomainError(f"body must be one of {BODY_NAMES}")
-    n = check_size(samples_per_curve, 2, "mesh samples per curve")
+    n = check_size(n, 2, "mesh samples per curve")
 
     thetas = theta_grid(n)
     partners = partner_param(thetas)

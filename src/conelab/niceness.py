@@ -5,14 +5,14 @@ by curves 3 and 4) has orthogonal complement span{u}. The witness q lies in
 the polar of F exactly, yet the smallest shift multiplier lambda that puts
 q - lambda*u inside the sampled polar cone grows like 1/epsilon as the
 sampling of curve 1 refines toward the common endpoint: the numeric shadow
-of K_polar + F_perp not being closed. No finite sample can decide
-non-membership outright, so the verdict is evidence, never proof.
+of K_polar + F_perp not being closed. No finite sample decides
+non-membership, so the sweep's verdict is evidence; the claim itself is
+proven exactly in tests/test_certificate.py.
 
 q and u are lifts of pairs (y, 0) of C, so on the generator over x(t)
 each takes 2<y, x(t)>: the sweep reads its rows from the arcs' closed form,
 one curve and functional at a time from one construction.arc_sines per
-level (arc_value), into one set of arrays that serves every level, and the
-closure check reads its maxima (arc_max).
+level (arc_value), and the closure check reads its maxima (arc_max).
 
 Also here: the check, at the generators, that a 3D cone's exposing normals
 span the dual of a 2D face together with its orthogonal complement, the
@@ -41,7 +41,7 @@ from .construction import (
     arc_value,
     check_grid,
 )
-from .linalg import DegenerateInputError, DomainError, check_size
+from .linalg import DegenerateInputError, DomainError
 
 # generators of the half-disc example's cone, on its arc
 HALF_DISC_RAYS = 65
@@ -73,26 +73,20 @@ def _witness_arcs():
     return a, b
 
 
-def shift_bounds(grid, work=None):
+def shift_bounds(grid):
     """Solve every constraint <q, g> - lambda <u, g> <= 0 of the cone K
     sampled on grid (the same parameters on every curve; see
     construction.check_grid) for the shift multiplier lambda.
 
-    Each row is one arc value A sin t - 2B sin^2(t/2), read one curve and
-    functional at a time from one arc_sines(grid), so no row array is larger
-    than the grid. On every curve one of A_u, B_u is 0 and the other term is
-    >= 0, and rounding keeps the sign of a product, so no row bounds lambda
-    from above. A row with <u, g> > 0 bounds it from below by
+    Each row is one arc value A sin t - 2B sin^2(t/2), one curve and
+    functional at a time from one arc_sines(grid). On every curve one of
+    A_u, B_u is 0 and the other term is >= 0, and rounding keeps the sign of
+    a product, so no row bounds lambda from above. A row with <u, g> > 0 bounds it from below by
     <q, g> / <u, g>: cot(t/2)/2 - 1 on curve 1, tan(t/2)/2 - 1 on curve 2.
     A flat row (<u, g> = 0; curves 3 and 4, where <q, g> <= 0) holds for
     every lambda if <q, g> <= 0, so its bound is -inf, and for none
     otherwise, so its bound is +inf: the infimum over an empty set. That
     happens only far below EPS_FLOOR, once sin^2(t/2) underflows to 0.
-
-    work, five float arrays of len(grid), holds the two sines, the <u, g>
-    and <q, g> rows and the bounds (also arc_value's scratch), and is
-    overwritten; without it, shift_bounds allocates its own. The values
-    are the same either way.
 
     Returns a dict: lambda_star, the largest bound (+inf when some row holds
     for no lambda); achieving, the (curve_id, t) of the first row, curve by
@@ -100,40 +94,17 @@ def shift_bounds(grid, work=None):
     """
     grid = check_grid(grid)
     (au, aq), (bu, bq) = _witness_arcs()
-    s, half, ug, qg, bounds = np.empty((5, grid.size)) if work is None else work
-    sines = arc_sines(grid, out=(s, half))
+    sines = arc_sines(grid)
     picks = []
     for k, cid in enumerate(CURVE_IDS):
-        arc_value(au[k], bu[k], sines, out=(ug, bounds))
-        arc_value(aq[k], bq[k], sines, out=(qg, bounds))
-        bounds.fill(-math.inf)
-        np.copyto(bounds, math.inf, where=qg > 0.0)
-        np.divide(qg, ug, out=bounds, where=ug > 0.0)
+        ug, qg = arc_value(au[k], bu[k], sines), arc_value(aq[k], bq[k], sines)
+        bounds = np.divide(qg, ug, out=np.where(qg > 0.0, math.inf, -math.inf), where=ug > 0.0)
         j = int(np.argmax(bounds))
         picks.append((float(bounds[j]), (cid, float(grid[j]))))
     # max keeps the first of equal bounds: only a strictly larger one moves
     # achieving to a later curve
     lambda_star, achieving = max(picks, key=lambda pick: pick[0])
     return {"lambda_star": lambda_star, "achieving": achieving}
-
-
-def sweep_grid(epsilon, n):
-    """Curve grid of n points whose smallest positive parameter is exactly
-    epsilon: 0, then the geometric ladder epsilon * exp(k log(T/epsilon) /
-    (n - 2)), k = 0, ..., n - 2, built in place in its one array and ending
-    at exactly T; just below T, rungs that round past T are clipped to it.
-    Every sweep row binds at (1, epsilon) (proven in
-    tests/test_certificate.py), so no output reads an interior point."""
-    if not (0.0 < epsilon < T_END):
-        raise DomainError("epsilon must lie in (0, T)")
-    n = check_size(n, 8, "sweep grid size")
-    grid = np.arange(-1.0, n - 1.0)  # grid[k + 1] = k
-    np.multiply(grid, math.log(T_END / epsilon) / (n - 2), out=grid)
-    np.exp(grid, out=grid)
-    np.multiply(grid, epsilon, out=grid)
-    np.minimum(grid, T_END, out=grid)
-    grid[0], grid[1], grid[-1] = 0.0, epsilon, T_END
-    return grid
 
 
 def closure_check():
@@ -163,12 +134,13 @@ def validate_eps(eps_list):
     return eps
 
 
-def divergence_sweep(eps_list, samples_per_curve=512, control=False):
+def divergence_sweep(eps_list, *, control=False):
     """Run shift_bounds per refinement level and judge the divergence.
 
-    samples_per_curve is checked first, on both routes. Every level's grid
-    has that many points, so all levels write their rows into one set of
-    arrays, allocated once the first grid exists and faulted in only once.
+    Level epsilon samples every curve at 0, epsilon and T. On any grid with
+    T whose smallest positive parameter is epsilon, the largest bound is
+    curve 1's at epsilon (tests/test_certificate.py): more samples change
+    no row. The control samples 0 and T (CONTROL_GRID) at every level.
 
     Returns a dict: rows, one (epsilon, lambda_star, product, curve_id, t)
     per level, product = lambda_star * epsilon (+inf, with lambda_star, at a
@@ -180,17 +152,11 @@ def divergence_sweep(eps_list, samples_per_curve=512, control=False):
     fitted_exponent(rows), taken only where a report writes it.
     """
     eps = validate_eps(eps_list)
-    n = check_size(samples_per_curve, 8, "sweep grid size")
     # the control grid is the same at every level: its bounds are one solve
     fixed = shift_bounds(CONTROL_GRID) if control else None
-    rows, work = [], None
+    rows = []
     for e in eps:
-        prof = fixed
-        if prof is None:
-            grid = sweep_grid(e, n)
-            # every level's grid has n points: the first level's rows serve all
-            work = work or tuple(np.empty((5, n)))
-            prof = shift_bounds(grid, work)
+        prof = fixed or shift_bounds(np.array([0.0, e, T_END]))
         lam = prof["lambda_star"]
         rows.append((e, lam, lam * e, *prof["achieving"]))
 

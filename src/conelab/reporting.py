@@ -36,13 +36,12 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class RunConfig:
     """The config that the verify and faces reports hash."""
-    samples_per_curve: int = 512
     theta_grid_size: int = 64
     eps_list: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
 
     def __post_init__(self):
-        for name in ("samples_per_curve", "theta_grid_size"):
-            object.__setattr__(self, name, check_size(getattr(self, name), 8, name))
+        object.__setattr__(self, "theta_grid_size",
+                           check_size(self.theta_grid_size, 8, "theta_grid_size"))
         eps = nn.validate_eps(self.eps_list)
         if len(eps) < nn.VERDICT_LEVELS:
             raise DomainError(f"verify needs at least {nn.VERDICT_LEVELS} refinement levels: "
@@ -104,8 +103,7 @@ def niceness_section(config):
     """The sweep and its control. That curve 1 binds every row, and that the
     control's products stay below 0.17, are proven exactly in
     tests/test_certificate.py, so no field re-derives them."""
-    sweep, control = (nn.divergence_sweep(config.eps_list, config.samples_per_curve, control)
-                      for control in (False, True))
+    sweep, control = (nn.divergence_sweep(config.eps_list, control=c) for c in (False, True))
     # divergence_sweep returns NotNiceEvidence only when the closure check passes
     passed = sweep["verdict"] == "NotNiceEvidence" and control["verdict"] == "Inconclusive"
     return {

@@ -287,14 +287,15 @@ def merge_grids(*grids):
     return g[np.concatenate([[True], g[1:] != g[:-1]])]
 
 
-def verification_grids(config):
-    """The face catalogue over the config's theta grid, and per-curve sample
-    grids holding every face anchor: the config's curve grid with the theta
-    grid on curves 1/4, and with the thetas and the rulings' partners on
-    curves 2/3 (curves 1/4 carry the ruling parameter, 2/3 its partner)."""
-    thetas = theta_grid(config.theta_grid_size)
+def verification_grids(theta_grid_size, curve_grid_size):
+    """The face catalogue over a theta grid of theta_grid_size points, and
+    per-curve sample grids holding every face anchor: the uniform curve grid
+    of curve_grid_size points with the theta grid on curves 1/4, and with
+    the thetas and the rulings' partners on curves 2/3 (curves 1/4 carry the
+    ruling parameter, 2/3 its partner)."""
+    thetas = theta_grid(theta_grid_size)
     catalogue = fc.build_catalogue(thetas)
-    base = curve_grid(config.samples_per_curve)
+    base = curve_grid(curve_grid_size)
     outer = merge_grids(base, thetas)
     inner = merge_grids(base, catalogue.partners[~np.isnan(catalogue.partners)], thetas)
     return catalogue, {1: outer, 2: inner, 3: inner, 4: outer}
@@ -540,6 +541,18 @@ def reference_arc_coefficients(normals):
     a, b = (np.array([_ARC_COLUMNS[i](*sc) for i in CURVE_IDS]).T
             for sc in ((1.0, 1.0), (0.0, 2.0)))
     return normals @ a, normals @ b
+
+
+def ladder(eps, n):
+    """Curve grid of n >= 3 points whose smallest positive parameter is
+    exactly eps: 0, then the geometric ladder eps * exp(k log(T/eps) / (n - 2)),
+    k = 0, ..., n - 2, ending at exactly T; rungs that round past T are
+    clipped to it. A dense grid for the niceness.shift_bounds tests, whose
+    sweep samples each level at 0, eps and T alone."""
+    grid = eps * np.exp(np.arange(-1.0, n - 1.0) * (math.log(T_END / eps) / (n - 2)))
+    grid = np.minimum(grid, T_END)
+    grid[0], grid[1], grid[-1] = 0.0, eps, T_END
+    return grid
 
 
 def reference_shift_bounds(grid):

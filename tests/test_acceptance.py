@@ -46,8 +46,8 @@ def report(num, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def default_setup():
     """Catalogue and sample grids at the acceptance scale (512/64)."""
-    config = reporting.RunConfig()  # 512 samples per curve, 64 ruling values
-    catalogue, grids = verification_grids(config)
+    config = reporting.RunConfig()  # 64 ruling values
+    catalogue, grids = verification_grids(config.theta_grid_size, 512)
     return {"config": config, "grids": grids, "catalogue": catalogue}
 
 

@@ -22,7 +22,7 @@ from conelab.linalg import DomainError
 from helpers import reference_conic_membership
 
 FAST = ["--samples", "96", "--theta-grid", "12"]
-FACES_FAST = FAST[2:]  # faces reads no --samples
+FACES_FAST = FAST[2:]  # faces rejects --samples, which verify accepts and ignores
 
 
 def refuse_work(monkeypatch):
@@ -104,7 +104,7 @@ class TestFacesCommand:
 class TestSweepCommand:
     def test_csv_shape_and_footer(self, tmp_path):
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--samples", "64", "--out", str(out)]) == 0
+        assert main(["sweep", "--out", str(out)]) == 0
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["epsilon", "lambda_star", "product", "achieving_curve", "achieving_t"]
         data = rows[1:-1]
@@ -115,7 +115,7 @@ class TestSweepCommand:
 
     def test_control_footer_is_inconclusive(self, tmp_path):
         out = tmp_path / "c.csv"
-        assert main(["sweep", "--samples", "64", "--control", "--out", str(out)]) == 0
+        assert main(["sweep", "--control", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[-1].startswith("# verdict=Inconclusive")
         products = [float(r.split(",")[2]) for r in lines[1:-1]]
@@ -129,8 +129,7 @@ class TestSweepCommand:
         mp = pytest.importorskip("mpmath").mp
         mp.dps = 50
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--samples", "8", "--eps", "1e-1,1e-50,1e-100",
-                     "--out", str(out)]) == 0
+        assert main(["sweep", "--eps", "1e-1,1e-50,1e-100", "--out", str(out)]) == 0
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[-1] == ["# verdict=NotNiceEvidence"]
         for (eps, lam, _, cid, t), level in zip(rows[1:-1], (1e-1, 1e-50, 1e-100)):
@@ -144,19 +143,13 @@ class TestSweepCommand:
     def test_increasing_eps_is_a_usage_error(self, tmp_path):
         assert main(["sweep", "--eps", "0.001,0.01", "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_size_too_large_for_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        # numpy raises MemoryError for a grid it cannot allocate; the
-        # allocation is simulated, since under overcommit a real one of
-        # terabytes can succeed and the process then be killed
-        def too_large(epsilon, n):
-            raise MemoryError("Unable to allocate 7.28 TiB for an array")
-
-        monkeypatch.setattr(niceness, "sweep_grid", too_large)
-        out = tmp_path / "x.csv"
-        assert main(["sweep", "--samples", "1000000000000", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: Unable to allocate 7.28 TiB for an array\n"
-        assert not out.exists()
+    @pytest.mark.parametrize("samples", ["7", "1000000000000"])
+    def test_samples_is_ignored(self, samples, tmp_path):
+        # each level samples 0, epsilon and T, whatever --samples says
+        given, default = tmp_path / "given.csv", tmp_path / "default.csv"
+        assert main(["sweep", "--samples", samples, "--out", str(given)]) == 0
+        assert main(["sweep", "--out", str(default)]) == 0
+        assert given.read_bytes() == default.read_bytes()
 
 
 class TestSweepFootprint:
@@ -165,7 +158,7 @@ class TestSweepFootprint:
     divergence_sweep fitted every sweep. verify writes one fit, for its main
     sweep, and takes it in Python ints, so it makes no LAPACK call either."""
 
-    # sha256 of the CSVs of `sweep --samples 64`, without and with --control
+    # sha256 of the CSVs of `sweep`, without and with --control
     DIGESTS = {(): "ff8aa95ac96c47844950b9d2640e76bc37380d94147b577d83690462e5cbb362",
                ("--control",): "f83d9d7fb23310aebf56f44b32874f6a15fae467125f82a5fbaa6c3057e3e007"}
 
@@ -177,7 +170,7 @@ class TestSweepFootprint:
         monkeypatch.setattr(np, "polyfit", refuse)
         monkeypatch.setattr(np.linalg, "lstsq", refuse)
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--samples", "64", *flags, "--out", str(out)]) == 0
+        assert main(["sweep", *flags, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[flags]
 
     def test_verify_takes_no_least_squares_fit(self, monkeypatch):
@@ -186,7 +179,7 @@ class TestSweepFootprint:
 
         monkeypatch.setattr(np, "polyfit", refuse)
         monkeypatch.setattr(np.linalg, "lstsq", refuse)
-        report = run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
+        report = run_verify(RunConfig(theta_grid_size=8))
         assert report["sections"]["niceness"]["fitted_exponent"] == pytest.approx(1.0, abs=0.05)
 
 
@@ -257,8 +250,7 @@ class TestNice3DCommand:
 class TestReportHeaders:
     # each header names the config fields its command reads, and hashes them
     @pytest.mark.parametrize("argv, fields", [
-        (["verify", *FAST], {"samples_per_curve": 96, "theta_grid_size": 12,
-                             "eps_list": [0.1, 0.01, 0.001, 0.0001]}),
+        (["verify", *FAST], {"theta_grid_size": 12, "eps_list": [0.1, 0.01, 0.001, 0.0001]}),
         (["faces", *FACES_FAST], {"theta_grid_size": 12}),
         (["nice3d"], {}),
     ], ids=["verify", "faces", "nice3d"])
@@ -273,16 +265,17 @@ class TestReportHeaders:
 
     def test_default_verify_hash_is_the_one_of_all_fields(self):
         # verify reads every RunConfig field, so its header names them all
-        assert reporting.run_verify(RunConfig())["config_hash"] == "81d3639c81bc"
+        assert reporting.run_verify(RunConfig())["config_hash"] == "2a57c96eb133"
 
     def test_run_config_holds_the_flags_verify_takes(self):
         # each run flag of verify's parser maps onto one RunConfig field and
         # every field has one, so the header hashes no flag verify lacks;
-        # faces' header names the one field it reads
-        dests = set(vars(cli._parse(["verify"]))) - {"command", "out"}
+        # faces' header names the one field it reads. --samples is parsed
+        # and read by nothing.
+        dests = set(vars(cli._parse(["verify"]))) - {"command", "out", "samples"}
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         assert sorted(cli._RUN_FLAGS[dest][0] for dest in dests) == sorted(fields)
-        config = RunConfig(samples_per_curve=64, theta_grid_size=8)
+        config = RunConfig(theta_grid_size=8)
         assert set(run_verify(config)["config"]) == fields
         assert set(run_faces(config)["config"]) == {"theta_grid_size"}
 
@@ -302,6 +295,13 @@ class TestCommandFlags:
             main([*argv, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert not (tmp_path / "x").exists()
+
+    def test_verify_ignores_samples(self, tmp_path):
+        # accepted for old command lines; the report does not name it
+        given, default = tmp_path / "given.json", tmp_path / "default.json"
+        assert main(["verify", "--samples", "96", "--theta-grid", "12", "--out", str(given)]) == 0
+        assert main(["verify", "--theta-grid", "12", "--out", str(default)]) == 0
+        assert given.read_bytes() == default.read_bytes()
 
 
 # argv whose help, error or output the command's own parser must print as
@@ -414,7 +414,7 @@ class TestImportPath:
             runs = [
                 ["verify", *sys.argv[2:], "--out", out + "/v.json"],
                 ["faces", *sys.argv[4:], "--out", out + "/f.json"],  # FAST less --samples
-                ["sweep", "--samples", "64", "--out", out + "/s.csv"],
+                ["sweep", "--out", out + "/s.csv"],
                 ["mesh", "--samples", "24", "--out", out + "/m.obj"],
                 ["nice3d", "--out", out + "/n.json"],
             ]
@@ -453,7 +453,7 @@ class TestImportPath:
             print(reporting.sha256 is hashlib.sha256,
                   reporting.run_verify(reporting.RunConfig())["config_hash"])
         """)
-        assert fresh_python(script).split() == ["True", "81d3639c81bc"]
+        assert fresh_python(script).split() == ["True", "2a57c96eb133"]
 
     def test_no_module_imports_scipy(self):
         # function bodies included: a lazy import would not show in the run above
@@ -513,17 +513,16 @@ class TestImportPath:
 
 class TestRunConfig:
     def test_invariants(self):
-        with pytest.raises(DomainError):
-            RunConfig(samples_per_curve=4)
+        # no field sizes the sweep: each level samples 0, epsilon and T
+        with pytest.raises(TypeError):
+            RunConfig(samples_per_curve=512)
         with pytest.raises(DomainError):
             RunConfig(theta_grid_size=1)
         # non-integer sizes are refused, not truncated or passed to numpy
-        for fields in ({"samples_per_curve": 8.5}, {"theta_grid_size": 64.7},
-                       {"samples_per_curve": "512"}, {"theta_grid_size": 64.0}):
+        for size in (8.5, 64.7, "512", 64.0):
             with pytest.raises(DomainError, match="must be an integer"):
-                RunConfig(**fields)
-        config = RunConfig(samples_per_curve=np.int64(512), theta_grid_size=np.int64(64))
-        assert type(config.samples_per_curve) is type(config.theta_grid_size) is int
+                RunConfig(theta_grid_size=size)
+        assert type(RunConfig(theta_grid_size=np.int64(64)).theta_grid_size) is int
         for eps_list in ((1e-3, 1e-2), (5.0, 4.0, 3.0), (math.pi / 4, 0.1), (math.nan,),
                          (math.inf, 0.1), (0.1, 0.0)):
             with pytest.raises(DomainError):
@@ -536,7 +535,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("argv", [
         ["faces", "--theta-grid", "4"],
-        ["sweep", "--samples", "4"],
+        ["sweep", "--eps", "0.1,0.1,0.01"],
         ["verify", "--theta-grid", "1"],
         ["sweep", "--control", "--eps", "5,4,3"],
         # below 2 sqrt(smallest normal) = 2**-510 ~ 3e-154 sin^2(eps/2) underflows
@@ -563,7 +562,7 @@ class TestRunConfig:
         assert not (tmp_path / "x").exists()
 
     def test_faces_and_verify_agree_on_the_catalogue(self):
-        config = RunConfig(samples_per_curve=64, theta_grid_size=8)
+        config = RunConfig(theta_grid_size=8)
         atlas = run_faces(config)
         section = run_verify(config)["sections"]["face_exposure"]
         assert atlas["kind_counts"] == section["kind_counts"]
@@ -584,7 +583,7 @@ class TestRunConfig:
         monkeypatch.setattr(faces, "generator_points", counted("points", faces.generator_points))
         monkeypatch.setattr(construction, "partner_cos",
                             counted("partners", construction.partner_cos))
-        run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
+        run_verify(RunConfig(theta_grid_size=8))
         # one theta grid and one kernel call, over whole arcs with no body
         # sampled, check every face; the faces of the cone over C follow by
         # the lift identity, with no second scan. The kernel reads the
@@ -604,8 +603,8 @@ class TestRunConfig:
             monkeypatch.setattr(module, "arc_coefficients", counted)
         niceness._witness_arcs.cache_clear()
         try:
-            run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
-            run_verify(RunConfig(samples_per_curve=64, theta_grid_size=8))
+            run_verify(RunConfig(theta_grid_size=8))
+            run_verify(RunConfig(theta_grid_size=8))
             # the arcs every later report reads cannot be written
             assert not any(c.flags.writeable for c in niceness._witness_arcs())
         finally:
@@ -633,7 +632,7 @@ class TestRunConfig:
 
         monkeypatch.setattr(faces, "verify_catalogue", kernel)
         monkeypatch.setattr(faces, "generator_points", points)
-        atlas = run_faces(RunConfig(samples_per_curve=64, theta_grid_size=8))
+        atlas = run_faces(RunConfig(theta_grid_size=8))
         assert kernel_calls == [len(atlas["faces"])]
         # the atlas lists the generator points, computed in one call
         assert point_calls == [sum(len(f["generators"]) for f in atlas["faces"])]

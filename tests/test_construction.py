@@ -6,9 +6,9 @@ import pytest
 from conelab import construction as con
 from conelab import faces as fc
 from conelab import niceness as nn
-from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
 from helpers import (
+    ladder,
     reference_arc_coefficients,
     reference_cone,
     reference_shift_bounds,
@@ -115,8 +115,7 @@ class TestPartnerMachinery:
         thetas = con.theta_grid(n)
         assert max(con.partner_param(th) for th in thetas) == T
         assert con.ruling_data(T).t == T
-        _, grids = verification_grids(reporting.RunConfig(samples_per_curve=64,
-                                                          theta_grid_size=n))
+        _, grids = verification_grids(n, 64)
         for g in grids.values():
             assert g.max() == T and np.count_nonzero(g == T) == 1
 
@@ -306,14 +305,17 @@ class TestSampleCone:
     @pytest.mark.parametrize("n", [8, 512, 8192, 20000])
     @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6, 1e-7, 1e-9, nn.EPS_FLOOR])
     def test_sweep_grids_have_the_bits_of_the_reference(self, eps, n):
-        assert _same_optimum(nn.sweep_grid(eps, n))
+        # the sweep's own grid, and the dense ladder with the same smallest
+        # positive parameter
+        assert _same_optimum(np.array([0.0, eps, T]))
+        assert _same_optimum(ladder(eps, n))
 
     def test_control_and_flat_row_grids_have_the_optimum_of_the_reference(self):
         assert _same_optimum(nn.CONTROL_GRID)
         assert nn.shift_bounds(nn.CONTROL_GRID)["achieving"] == (1, T)
         # far below the floor, the curve-1 row at 1e-170 is flat with
         # <q, g> > 0: no lambda at all, so +inf there, in both
-        flat = nn.sweep_grid(1e-170, 16)
+        flat = ladder(1e-170, 16)
         assert _reference_optimum(flat) == (math.inf, (1, 1e-170))
         assert _same_optimum(flat)
 
@@ -323,8 +325,7 @@ class TestSampleCone:
         # of the dot-product route lifts their body samples by lift_points,
         # which must hold the bits of moving them to 2x + SHIFT and
         # homogenizing (helpers.reference_cone)
-        _, grids = verification_grids(reporting.RunConfig(samples_per_curve=samples,
-                                                          theta_grid_size=thetas))
+        _, grids = verification_grids(thetas, samples)
         # curves 1/4 share one grid array and 2/3 another
         assert grids[1] is grids[4] and grids[2] is grids[3] and grids[1] is not grids[2]
         cone = sample_cone(grids)
@@ -337,7 +338,7 @@ class TestSampleCone:
     @pytest.mark.parametrize("n", [8, 512, 8192])
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_bounds_agree_with_the_dot_product_route(self, eps, n):
-        grid = nn.sweep_grid(eps, n)
+        grid = ladder(eps, n)
         bounds, ids, ts = reference_shift_bounds(grid)
         g = sample_cone(grid).generators
         ug, qg = g @ con.WITNESS_U, g @ con.WITNESS_Q
@@ -346,13 +347,14 @@ class TestSampleCone:
         assert (np.abs(bounds - qg[ug > 0.0] / ug[ug > 0.0]) <= _route_error(ts, bounds)).all()
 
     def test_sweep_rows_equal_those_of_the_reference_cone(self):
-        # the benchmark's size: 8,192 samples, six levels down to 1e-6; each
-        # row's (curve, t) equals the dot-product route's, and its lambda_star
-        # equals that route's within the route's rounding error
+        # the benchmark's six levels down to 1e-6, against the dot-product
+        # route on the ladder of 8,192 samples per curve: each row's
+        # (curve, t) equals that route's, and its lambda_star equals that
+        # route's within the route's rounding error
         levels = (0.3, 0.05, 0.004, 0.0003, 2e-5, 1e-6)
-        rows = nn.divergence_sweep(levels, samples_per_curve=8192)["rows"]
+        rows = nn.divergence_sweep(levels)["rows"]
         for e, lam, product, cid, t in rows:
-            cone = sample_cone(nn.sweep_grid(e, 8192))
+            cone = sample_cone(ladder(e, 8192))
             ug, qg = cone.generators @ con.WITNESS_U, cone.generators @ con.WITNESS_Q
             on = ug > 0.0
             bounds = qg[on] / ug[on]
@@ -362,33 +364,27 @@ class TestSampleCone:
             assert product == lam * e
 
     def test_one_pair_of_sines_per_level_and_rows_of_grid_size(self, monkeypatch):
-        sines, rows, outs = [], [], []
+        sines, rows = [], []
         real_sines, real_value = nn.arc_sines, nn.arc_value
 
-        def counted_sines(t, out=(None, None)):
-            sines.append(len(t))
-            outs.append(out)
-            return real_sines(t, out)
+        def counted_sines(t):
+            sines.append(t.tolist())
+            return real_sines(t)
 
-        def counted_value(a, b, pair, out=(None, None)):
-            row = real_value(a, b, pair, out)
+        def counted_value(a, b, pair):
+            row = real_value(a, b, pair)
             rows.append(row.shape)
-            outs.append(out)
             return row
 
-        # sin t and sin(t/2) once per level; then each curve and functional
-        # is one row of the grid's length, never a (2, 4, n) array
+        # sin t and sin(t/2) once per level, on its grid (0, epsilon, T);
+        # then each curve and functional is one row of the grid's length,
+        # never a (2, 4, n) array
         monkeypatch.setattr(nn, "arc_sines", counted_sines)
         monkeypatch.setattr(nn, "arc_value", counted_value)
-        nn.divergence_sweep([1e-1, 1e-2, 1e-3], samples_per_curve=512)
-        assert sines == [512] * 3
-        assert rows == [(512,)] * (3 * 4 * 2)
-        # every level writes into the arrays the first level wrote into; outs
-        # keeps each of them alive, so equal ids are the same array
-        assert all(isinstance(x, np.ndarray) for out in outs for x in out)
-        ids = [tuple(id(x) for x in out) for out in outs]
-        level = len(ids) // 3
-        assert ids == ids[:level] * 3
+        levels = [1e-1, 1e-2, 1e-3]
+        nn.divergence_sweep(levels)
+        assert sines == [[0.0, e, T] for e in levels]
+        assert rows == [(3,)] * (3 * 4 * 2)
 
 
 class TestArcCoefficients:

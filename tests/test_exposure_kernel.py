@@ -21,7 +21,6 @@ import pytest
 from conelab import construction as con
 from conelab import faces as fc
 from conelab.linalg import DegenerateInputError, DomainError, gamma
-from conelab.reporting import RunConfig
 from helpers import (
     ExposingPair,
     FaceDescriptor,
@@ -47,7 +46,7 @@ def setup(samples, thetas):
     """Reference (face, pair) rows, the body sampled on grids holding every
     face anchor, and the reference generators of the cone over C' and lifted
     pairs."""
-    _, grids = verification_grids(RunConfig(samples_per_curve=samples, theta_grid_size=thetas))
+    _, grids = verification_grids(thetas, samples)
     catalogue = reference_catalogue(con.theta_grid(thetas))
     body = sample_body(grids)
     return catalogue, body, reference_cone(body), [reference_lift(pair) for _, pair in catalogue]
@@ -137,7 +136,7 @@ def test_lifted_reference_margins_are_twice_the_body_margins(samples, thetas, de
 def test_array_lifts_have_the_bits_of_the_reference(samples, thetas):
     _, _, cone, lifted = setup(samples, thetas)
     normals, offsets = arrays(thetas).normals, arrays(thetas).offsets
-    _, grids = verification_grids(RunConfig(samples_per_curve=samples, theta_grid_size=thetas))
+    _, grids = verification_grids(thetas, samples)
     assert sample_cone(grids).generators.tobytes() == cone.tobytes()
     assert con.lift_pairs(normals, offsets).tobytes() == np.array(lifted).tobytes()
 

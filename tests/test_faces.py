@@ -76,7 +76,7 @@ class TestEnumerate:
     def test_dimension_matches_kind(self):
         # the atlas's dimension is the affine dimension of the face's
         # generator points
-        atlas = reporting.run_faces(reporting.RunConfig(samples_per_curve=8, theta_grid_size=8))
+        atlas = reporting.run_faces(reporting.RunConfig(theta_grid_size=8))
         for f in atlas["faces"]:
             pts = np.array([g["point"] for g in f["generators"]])
             rank = np.linalg.matrix_rank(pts - pts[0], tol=1e-12)

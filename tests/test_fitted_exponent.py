@@ -56,7 +56,7 @@ def random_levels(rng):
 def test_sweep_fit_is_the_correctly_rounded_slope(seed, no_least_squares):
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        rows = nn.divergence_sweep(random_levels(rng), samples_per_curve=8)["rows"]
+        rows = nn.divergence_sweep(random_levels(rng))["rows"]
         assert nn.fitted_exponent(rows).hex() == reference_slope(rows).hex(), rows
 
 

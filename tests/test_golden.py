@@ -20,24 +20,26 @@ from conelab import cli
 FLOOR = "0.1,1e-100,2.983336292480083e-154"
 
 GOLDEN = {
-    "verify": "1e946019a352d32df72eab74d30934171b5ab0dc7c7b979afc9a42cd982a38c1",
+    "verify": "1f5e880d3eeff507d2e0ccee1bb5552f994eb318d305f01cb9eda689464b413c",
     "faces": "0c172fbb4bf8b5d29f9ff184ec57d3b48fc736189da8508ed0a3e926bdca77a6",
     "sweep": "ff8aa95ac96c47844950b9d2640e76bc37380d94147b577d83690462e5cbb362",
     "mesh": "e9467e91455a75d9dc962d1398f2a0aa7d602af16f37b98574250149305e9cff",
     "nice3d": "3dec7b9ea94770660866e0367c90eb13b597a9d19f52c106080de0a0b23bfe91",
     "verify --samples 96 --theta-grid 12":
-        "7e2167a5a9ed7c324986c0b53fcdaef7e8572923d6c042b7bc328c7bf9d8e7e8",
+        "f867d86db6f5e6b2c4f142a60654941e027a29e702dd458852b98797e48736f3",
     "faces --theta-grid 12": "ab0cb4d46ea7f6f3a362dc88f9864f364a6cd685c7c04702795868fb0639055e",
     "faces --theta-grid 512": "b807bf530235a7d65465cb8f60829ffbe9ec2b78b557fec6172468cf77ed55ba",
     "sweep --control": "f83d9d7fb23310aebf56f44b32874f6a15fae467125f82a5fbaa6c3057e3e007",
     "sweep --samples 8192 --eps 1e-1,1e-3,1e-6":
         "84f09e02afb4c84a6139cccd540c970d541e6f86e7bb4b7779be4e7a700b018a",
+    # --samples is read by nothing: the same bytes without it
+    "sweep --eps 1e-1,1e-3,1e-6": "84f09e02afb4c84a6139cccd540c970d541e6f86e7bb4b7779be4e7a700b018a",
     f"sweep --samples 8 --eps {FLOOR}":
         "90a12f80d40c09612a2885b5d2082bb6659d2af5a39a4c7df7bdcc36bbf24fc3",
     f"sweep --control --samples 8 --eps {FLOOR}":
         "170fb899d3da8bb4cd10b26d9f72ed9718d3d5932b9cac210f8057fa753cbcfc",
     f"verify --samples 96 --theta-grid 12 --eps {FLOOR}":
-        "e8a0e92d663451d37a0e546bf1d3c451d70b1e533f44cf54d339c062651cde3f",
+        "7afd09ed89533986f619e1f3d648dc5182bba312b6c887442383fe377ef2527a",
     "mesh --which C --samples 2": "302a2cba5394e4acbc97170077b0bc03070bc30494a405d316f550f4ca3978dd",
     "mesh --which Cprime --samples 2":
         "e9d4638a7cbfaea5b9b0f4f4fde1e419aae639144843a890a0b4cd1d07a7e53e",

@@ -25,9 +25,8 @@ EPS_TO_1E_9 = EPS_TO_1E_7 + (1e-8, 1e-9)
 # the worst residual must also be at most 1e-12, 1000x below eq_abs.
 @pytest.mark.parametrize("eq_abs", [1e-9])
 @pytest.mark.parametrize("thetas", SIZES)
-@pytest.mark.parametrize("samples", SIZES)
-def test_verify_and_faces_pass(samples, thetas, eq_abs):
-    config = RunConfig(samples_per_curve=samples, theta_grid_size=thetas)
+def test_verify_and_faces_pass(thetas, eq_abs):
+    config = RunConfig(theta_grid_size=thetas)
     report = reporting.run_verify(config)
     assert (report["overall"], report["failures"]) == ("pass", [])
     assert report["sections"]["face_exposure"]["worst_onface_residual"] <= 1e-12
@@ -43,7 +42,7 @@ def test_verify_and_faces_pass(samples, thetas, eq_abs):
     (EPS_TO_1E_9, False, "NotNiceEvidence"),
 ])
 def test_sweep_verdict(eps_list, control, verdict):
-    assert divergence_sweep(eps_list, 64, control)["verdict"] == verdict
+    assert divergence_sweep(eps_list, control=control)["verdict"] == verdict
 
 
 class TestNice3DCommand:

@@ -13,6 +13,7 @@ from conelab.reporting import RunConfig, write_sweep_csv
 from helpers import (
     check_positivity_window,
     fibonacci_sphere_grid,
+    ladder,
     polar_generator_model,
     positivity_window,
     reference_conic_membership,
@@ -67,6 +68,13 @@ class TestWitnessSlack:
             assert abs(witness_slack(t, lam) - float(a @ b)) <= bound, (t, lam)
 
 
+def same_bounds(prof, grid):
+    """prof has the lambda_star (bit for bit) and achieving of shift_bounds(grid)."""
+    dense = nn.shift_bounds(grid)
+    return (prof["lambda_star"].hex(), prof["achieving"]) == (
+        dense["lambda_star"].hex(), dense["achieving"])
+
+
 def closed_form_lambda(mp, eps):
     """cot(eps/2)/2 - 1 at the float eps, in mpmath arithmetic."""
     return mp.cot(mp.mpf(eps) / 2) / 2 - 1
@@ -82,7 +90,7 @@ class TestShiftProfile:
     def test_flat_face_generators_are_unconditional(self):
         # only curves 1 and 2 off the origin bound lambda; every other row,
         # curves 3 and 4 and the four origin samples, is flat and holds
-        grid = nn.sweep_grid(0.05, 64)
+        grid = ladder(0.05, 64)
         cone = sample_cone(grid)
         for g, cid, t in zip(*cone):
             if cid == 3:
@@ -97,7 +105,7 @@ class TestShiftProfile:
         assert len(expected) == 2 * 63
 
     def test_curve1_bound_formula(self):
-        for bound, cid, t in zip(*reference_shift_bounds(nn.sweep_grid(0.02, 64))):
+        for bound, cid, t in zip(*reference_shift_bounds(ladder(0.02, 64))):
             if cid == 1:
                 formula = math.sin(t) / (2.0 * (1.0 - math.cos(t))) - 1.0
                 assert bound == pytest.approx(formula, rel=1e-9)
@@ -107,12 +115,12 @@ class TestShiftProfile:
 
     def test_lambda_star_at_centi_epsilon(self):
         # frozen from a 50-digit evaluation of sin(e)/(2(1-cos e)) - 1, e=0.01
-        prof = nn.shift_bounds(nn.sweep_grid(0.01, 128))
+        prof = nn.shift_bounds(ladder(0.01, 128))
         assert prof["lambda_star"] == pytest.approx(98.9991666652777745, rel=1e-14)
         assert prof["achieving"] == (1, 0.01)
 
     def test_bound_reproduces_equality_at_its_lambda(self):
-        grid = nn.sweep_grid(0.03, 32)
+        grid = ladder(0.03, 32)
         cone = sample_cone(grid)
         by_label = {(cid, t): g for g, cid, t in zip(*cone)}
         for bound, cid, t in list(zip(*reference_shift_bounds(grid)))[:20]:
@@ -150,9 +158,9 @@ class TestShiftProfile:
         # no lambda satisfies sin t - lambda * 0 <= 0: lambda_star is +inf,
         # reached at that row
         assert math.sin(5e-171) ** 2 == 0.0
-        prof = nn.shift_bounds(nn.sweep_grid(1e-170, 16))
+        prof = nn.shift_bounds(ladder(1e-170, 16))
         assert prof == {"lambda_star": math.inf, "achieving": (1, 1e-170)}
-        _, ids, ts = reference_shift_bounds(nn.sweep_grid(1e-170, 16))
+        _, ids, ts = reference_shift_bounds(ladder(1e-170, 16))
         assert (1, 1e-170) not in zip(ids.tolist(), ts.tolist())
 
     def test_negative_u_coefficient_is_not_a_generator_of_k(self):
@@ -167,7 +175,7 @@ class TestShiftProfile:
 
     def test_row_at_ten_to_the_minus_seven_binds_on_curve_1(self):
         # 4(1 - cos t) ~ 2e-14 there, once read as flat by a 1e-12 cut
-        prof = nn.shift_bounds(nn.sweep_grid(1e-7, 512))
+        prof = nn.shift_bounds(ladder(1e-7, 512))
         assert prof["achieving"] == (1, 1e-7)
         assert abs(prof["lambda_star"] * 1e-7 - 1.0) <= 2e-7
 
@@ -178,7 +186,7 @@ class TestShiftProfile:
         mp = pytest.importorskip("mpmath").mp
         mp.dps = 50
         assert math.cos(eps) == 1.0
-        prof = nn.shift_bounds(nn.sweep_grid(eps, 64))
+        prof = nn.shift_bounds(ladder(eps, 64))
         assert prof["achieving"] == (1, eps)
         exact = closed_form_lambda(mp, eps)
         assert abs(prof["lambda_star"] - exact) <= 8 * U * exact
@@ -193,7 +201,7 @@ class TestShiftProfile:
         rng = np.random.default_rng(n)
         levels = 10.0 ** rng.uniform(math.log10(nn.EPS_FLOOR), -1.0, 40)
         for eps in [1e-1, nn.EPS_FLOOR, *levels.tolist()]:
-            prof = nn.shift_bounds(nn.sweep_grid(eps, n))
+            prof = nn.shift_bounds(ladder(eps, n))
             assert prof["achieving"] == (1, eps)
             exact = closed_form_lambda(mp, eps)
             assert abs(prof["lambda_star"] - exact) <= 8 * U * exact, eps
@@ -208,13 +216,13 @@ class TestShiftProfile:
             nn.validate_eps([0.1, below])
         with pytest.raises(DomainError):
             RunConfig(eps_list=(0.1, 0.01, below))
-        assert nn.divergence_sweep([1e-1, 1e-100, nn.EPS_FLOOR], 8)["verdict"] == "NotNiceEvidence"
+        assert nn.divergence_sweep([1e-1, 1e-100, nn.EPS_FLOOR])["verdict"] == "NotNiceEvidence"
 
 
 class TestMembershipCrossCheck:
     def test_shifted_witness_against_sampled_polar_generators(self):
         epsilon = 0.01
-        grid = nn.sweep_grid(epsilon, 128)
+        grid = ladder(epsilon, 128)
         prof = nn.shift_bounds(grid)
         samples = sample_cone(grid).generators[:, 1:]  # the points of C' the cone is over
 
@@ -245,7 +253,7 @@ class TestMembershipCrossCheck:
 
 class TestDivergenceSweep:
     def test_default_levels_give_reciprocal_growth(self):
-        sweep = nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], samples_per_curve=64)
+        sweep = nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4])
         assert sweep["verdict"] == "NotNiceEvidence"
         products = [row[2] for row in sweep["rows"]]
         # frozen from 50-digit evaluations of eps * (sin(eps)/(2(1-cos eps)) - 1)
@@ -292,7 +300,7 @@ class TestDivergenceSweep:
         assert not rep["in_closure"]
         assert rep["max_curve3_value"] <= 0.0 < rep["max_curve4_value"]
         levels = (1e-1, 1e-2, 1e-3)
-        sweep = nn.divergence_sweep(levels, 64)
+        sweep = nn.divergence_sweep(levels)
         assert sweep["verdict"] == "Inconclusive"
         # u is 0 on curve 4, so its rows from t = epsilon on are flat with
         # <q, g> > 0 and hold for no lambda: lambda_star is +inf at every
@@ -306,7 +314,7 @@ class TestDivergenceSweep:
             + "# verdict=Inconclusive\r\n")
 
     def test_achieving_generator_stays_on_curve1(self):
-        sweep = nn.divergence_sweep([5e-2, 5e-3, 5e-4], samples_per_curve=32)
+        sweep = nn.divergence_sweep([5e-2, 5e-3, 5e-4])
         for eps, _, _, cid, t in sweep["rows"]:
             assert cid == 1
             assert t == pytest.approx(eps)
@@ -336,54 +344,45 @@ class TestDivergenceSweep:
         grids = []
         solve = nn.shift_bounds
 
-        def recording(grid, *work):
+        def recording(grid):
             grids.append(grid)
-            return solve(grid, *work)
+            return solve(grid)
 
         monkeypatch.setattr(nn, "shift_bounds", recording)
-        nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], control=True)
+        levels = [1e-1, 1e-2, 1e-3, 1e-4]
+        nn.divergence_sweep(levels, control=True)
         assert len(grids) == 1 and grids[0] is nn.CONTROL_GRID
         grids.clear()
-        nn.divergence_sweep([1e-1, 1e-2, 1e-3, 1e-4], samples_per_curve=16)
-        assert len(grids) == 4
+        # every other level solves its own grid, (0, epsilon, T)
+        nn.divergence_sweep(levels)
+        assert [g.tolist() for g in grids] == [[0.0, e, T] for e in levels]
 
     @pytest.mark.parametrize("n", [8, 9, 513, 8192])
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_are_the_per_level_solves(self, seed, n):
-        # the sweep writes every level into one set of row arrays; each row
-        # must be what a solve of that level's grid alone gives, bit for bit
+        # each level samples (0, epsilon, T) alone; its row must be what a
+        # solve of the dense ladder of n points with the same smallest
+        # positive parameter gives, bit for bit
         rng = np.random.default_rng(seed)
         exponents = rng.uniform(math.log10(nn.EPS_FLOOR), math.log10(0.7), 6)
         levels = sorted({max(10.0**x, nn.EPS_FLOOR) for x in exponents} | {nn.EPS_FLOOR},
                         reverse=True)
-        for row, e in zip(nn.divergence_sweep(levels, n)["rows"], levels, strict=True):
-            prof = nn.shift_bounds(nn.sweep_grid(e, n))
+        for row, e in zip(nn.divergence_sweep(levels)["rows"], levels, strict=True):
+            prof = nn.shift_bounds(ladder(e, n))
             lam = prof["lambda_star"]
             assert (row[0], row[1].hex(), row[2].hex(), row[3:]) == (
                 e, lam.hex(), (lam * e).hex(), prof["achieving"])
 
-    @pytest.mark.parametrize("grid, achieving", [(nn.CONTROL_GRID, (1, T)),
-                                                 (nn.sweep_grid(1e-170, 16), (1, 1e-170))],
-                             ids=["control", "flat_row"])
-    def test_given_rows_give_the_bounds_of_fresh_ones(self, grid, achieving):
-        # rows left holding NaN or other values are all overwritten
-        fresh = nn.shift_bounds(grid)
-        assert fresh["achieving"] == achieving
-        for fill in (math.nan, -1.0, math.inf):
-            work = tuple(np.full((5, grid.size), fill))
-            prof = nn.shift_bounds(grid, work)
-            assert prof["lambda_star"].hex() == fresh["lambda_star"].hex()
-            assert prof["achieving"] == achieving
-
-    @pytest.mark.parametrize("bad", ["x", 7, 2.5])
+    @pytest.mark.parametrize("bad", ["x", 7, 2.5, 512])
     @pytest.mark.parametrize("control", [False, True])
     def test_bad_sample_count_rejected_on_both_routes(self, bad, control):
-        # the control never builds a sweep grid, yet refuses what it refuses
-        with pytest.raises(DomainError, match="sweep grid size"):
-            nn.divergence_sweep([1e-1, 1e-2, 1e-3], bad, control=control)
+        # no grid size is taken, and control is keyword-only: a sample
+        # count passed where it once went is refused, not read as control
+        with pytest.raises(TypeError, match="positional argument"):
+            nn.divergence_sweep([1e-1, 1e-2, 1e-3], bad, **({"control": True} if control else {}))
 
     def test_fewer_than_three_levels_is_inconclusive(self):
-        sweep = nn.divergence_sweep([1e-2], samples_per_curve=32)
+        sweep = nn.divergence_sweep([1e-2])
         assert sweep["verdict"] == "Inconclusive"
 
     def test_non_monotone_levels_rejected(self):
@@ -394,24 +393,27 @@ class TestDivergenceSweep:
 
 
 class TestSweepGrid:
-    """The ladder is built in place; no output reads its interior points,
-    but it must still be the grid its docstring states."""
+    """Each sweep level samples (0, epsilon, T). The dense ladder of
+    helpers.ladder, with the same smallest positive parameter, must give
+    the same bounds bit for bit, and be the grid its docstring states."""
 
     @pytest.mark.parametrize("n", [8, 9, 513, 8192])
     @pytest.mark.parametrize("eps", [math.nextafter(T, 0.0), 0.7, 1e-6, nn.EPS_FLOOR])
     def test_ladder(self, eps, n):
-        grid = nn.sweep_grid(eps, n)
+        grid = ladder(eps, n)
         assert len(grid) == n
         assert (grid[0], grid[1], grid[-1]) == (0.0, eps, T)
         assert con.check_grid(grid) is grid
         ratios = grid[2:] / grid[1:-1]
         step = math.exp(math.log(T / eps) / (n - 2))
         assert (np.abs(ratios / step - 1.0) <= 1e-12).all()
+        assert same_bounds(nn.shift_bounds(np.array([0.0, eps, T])), grid)
 
     def test_level_outside_the_curve_rejected(self):
         for eps in (0.0, -1e-3, T, math.nan):
-            with pytest.raises(DomainError):
-                nn.sweep_grid(eps, 16)
+            for control in (False, True):
+                with pytest.raises(DomainError):
+                    nn.divergence_sweep([eps], control=control)
 
 
 class TestPositivityWindow:
