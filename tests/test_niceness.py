@@ -68,13 +68,6 @@ class TestWitnessSlack:
             assert abs(witness_slack(t, lam) - float(a @ b)) <= bound, (t, lam)
 
 
-def same_bounds(prof, grid):
-    """prof has the lambda_star (bit for bit) and achieving of shift_bounds(grid)."""
-    dense = nn.shift_bounds(grid)
-    return (prof["lambda_star"].hex(), prof["achieving"]) == (
-        dense["lambda_star"].hex(), dense["achieving"])
-
-
 def closed_form_lambda(mp, eps):
     """cot(eps/2)/2 - 1 at the float eps, in mpmath arithmetic."""
     return mp.cot(mp.mpf(eps) / 2) / 2 - 1
@@ -407,7 +400,9 @@ class TestSweepGrid:
         ratios = grid[2:] / grid[1:-1]
         step = math.exp(math.log(T / eps) / (n - 2))
         assert (np.abs(ratios / step - 1.0) <= 1e-12).all()
-        assert same_bounds(nn.shift_bounds(np.array([0.0, eps, T])), grid)
+        three, dense = nn.shift_bounds(np.array([0.0, eps, T])), nn.shift_bounds(grid)
+        assert (three["lambda_star"].hex(), three["achieving"]) == (
+            dense["lambda_star"].hex(), dense["achieving"])
 
     def test_level_outside_the_curve_rejected(self):
         for eps in (0.0, -1e-3, T, math.nan):
