@@ -10,7 +10,7 @@ until the mark is removed.
 
 import pytest
 
-from conelab import reporting
+from conelab import cli, reporting
 from conelab.niceness import divergence_sweep
 from conelab.reporting import RunConfig
 
@@ -23,10 +23,15 @@ EPS_TO_1E_9 = EPS_TO_1E_7 + (1e-8, 1e-9)
 # eq_abs only names the cells; no verdict reads it. The face check judges
 # each on-face residual by its rounding bound (about 1.6e-15 or more), and
 # the worst residual must also be at most 1e-12, 1000x below eq_abs.
+# verify's CLI still takes --samples for old command lines; no RunConfig
+# field or verdict reads it, so each samples cell runs its thetas config.
 @pytest.mark.parametrize("eq_abs", [1e-9])
 @pytest.mark.parametrize("thetas", SIZES)
-def test_verify_and_faces_pass(thetas, eq_abs):
-    config = RunConfig(theta_grid_size=thetas)
+@pytest.mark.parametrize("samples", SIZES)
+def test_verify_and_faces_pass(samples, thetas, eq_abs):
+    args = cli._parse(["verify", "--samples", str(samples), "--theta-grid", str(thetas)])
+    config = cli._config(args)
+    assert config == RunConfig(theta_grid_size=thetas)
     report = reporting.run_verify(config)
     assert (report["overall"], report["failures"]) == ("pass", [])
     assert report["sections"]["face_exposure"]["worst_onface_residual"] <= 1e-12
