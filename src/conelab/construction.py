@@ -8,9 +8,9 @@ origin, parametrized on [0, T] with T = pi/4 (curve_points samples them):
     curve 3: (-sin t, 1 - cos t, 0)        curve 4: (cos t - 1, sin t, 0)
 
 On curve i a functional takes <y, x(t)> = A_i sin t + B_i (cos t - 1);
-arc_coefficients, arc_sines, arc_value and arc_max are that closed form,
-which the face check and the sweep both read; the sines of one parameter
-array serve every (A, B), so the sweep takes them once per grid.
+arc_picks, arc_sines, arc_value and arc_max are that closed form, read by
+the face check on arrays and by the sweep on Python floats (math.sin and
+math.atan2, no numpy call); the sines of one parameter serve every (A, B).
 
 C' = 2C + SHIFT with SHIFT = (1/2, 0, 1/2), and K = cone({1} x C'). This
 module is the only one that applies the map: lift_points takes points x of
@@ -68,14 +68,14 @@ _ARC_COLUMNS = {
 
 
 def check_grid(grid):
-    """grid as a float array of parameters, non-decreasing from exactly 0 to
-    exactly T (so NaN fails): a sample of every arc with both its ends."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
+    """grid's parameters as a tuple of floats, non-decreasing from exactly 0
+    to exactly T (so NaN fails): a sample of every arc with both its ends."""
+    grid = tuple(map(float, grid))
+    if not grid:
         raise DegenerateInputError("grid has no samples")
     if not (grid[0] == 0.0 and grid[-1] == T_END):
         raise DomainError(f"grid must start at 0 and end at T = {T_END}")
-    if not (grid[1:] >= grid[:-1]).all():
+    if not all(a <= b for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be non-decreasing")
     return grid
 
@@ -91,27 +91,31 @@ def curve_points(curve_id, ts):
     return points
 
 
-def arc_coefficients(normals):
-    """(A, B), each of shape normals.shape[:-1] + (4,): on curve i,
-    <y, x(t)> = A sin t + B (cos t - 1) with A = <y, col_i(1, 1)> and
-    B = <y, col_i(0, 2)>, the arc's columns (_ARC_COLUMNS) at sin t = 1,
-    cos t - 1 = 0 and at sin t = 0, cos t - 1 = 1. Each column holds one
-    entry +-1, so A and B are signed picks of y's entries, exact, and
-    taken without a matrix product (the first BLAS call of a process costs
-    ~0.3 MB of peak memory). The leading 0.0 + makes every zero +0.0, as
-    the sum of that product does."""
-    y = np.moveaxis(np.asarray(normals, dtype=float), -1, 0)
+def arc_picks(y):
+    """(A, B), one entry per curve, of the functional y (entries floats or
+    arrays): on curve i, <y, x(t)> = A sin t + B (cos t - 1), with A and B
+    <y, col_i> at the arc's columns (_ARC_COLUMNS) at (sin t, cos t) = (1, 1)
+    and (0, 2). Each column holds one entry +-1, so A and B are signed picks
+    of y, exact, with no matrix product (the first BLAS call of a process
+    costs ~0.3 MB of peak memory); the leading 0.0 + makes every zero +0.0,
+    as the product's sum does."""
+    return tuple([sum((a * y[k] for k, a in enumerate(_ARC_COLUMNS[i](s, c)) if a), 0.0)
+                  for i in CURVE_IDS] for s, c in ((1.0, 1.0), (0.0, 2.0)))
 
-    def picks(s, c):
-        return np.stack([sum((a * y[k] for k, a in enumerate(_ARC_COLUMNS[i](s, c)) if a), 0.0)
-                         for i in CURVE_IDS], axis=-1)
-    return picks(1.0, 1.0), picks(0.0, 2.0)
+
+def arc_coefficients(normals):
+    """arc_picks of every normal, (A, B) each of shape normals.shape[:-1] + (4,)."""
+    y = np.moveaxis(np.asarray(normals, dtype=float), -1, 0)
+    return tuple(np.stack(p, axis=-1) for p in arc_picks(y))
 
 
 def arc_sines(t):
     """(sin t, sin(t/2)) of t moved into [0, T], the two sines arc_value
     reads; taken once, they serve every (A, B) on the same parameters. The
     clip keeps the infinite ends of empty intervals from taking a sine."""
+    if type(t) is float:
+        t = min(max(t, 0.0), T_END)
+        return math.sin(t), math.sin(t / 2.0)
     t = np.clip(t, 0.0, T_END)
     return np.sin(t), np.sin(t / 2.0)
 
@@ -126,7 +130,7 @@ def arc_value(a, b, sines):
 
 def arc_peak(a, b):
     """(t*, arc_value at t*), t* = atan2(a, b): on the line, R cos(t - t*) - b."""
-    t = np.arctan2(a, b)
+    t = math.atan2(a, b) if type(a) is float else np.arctan2(a, b)
     return t, arc_value(a, b, arc_sines(t))
 
 
@@ -134,9 +138,11 @@ def arc_max(a, b, lo, hi, peak=None):
     """Largest arc_value over [lo, hi] within [0, T] (-inf where lo > hi; all
     broadcast): at an end, or at t* (peak, else arc_peak) if t* is inside."""
     t, value = arc_peak(a, b) if peak is None else peak
+    ends = arc_value(a, b, arc_sines(lo)), arc_value(a, b, arc_sines(hi))
+    if type(value) is float:
+        return max(*ends, value if lo <= t <= hi else -math.inf) if lo <= hi else -math.inf
     inside = np.where((lo <= t) & (t <= hi), value, -math.inf)
-    ends = np.maximum(arc_value(a, b, arc_sines(lo)), arc_value(a, b, arc_sines(hi)))
-    return np.where(lo <= hi, np.maximum(ends, inside), -math.inf)
+    return np.where(lo <= hi, np.maximum(np.maximum(*ends), inside), -math.inf)
 
 
 def _per_element(fn, *args):

@@ -62,6 +62,12 @@ MARGIN_DELTAS = (0.01, 0.05, 0.1)
 # Roundings in the error bound of a closed-form margin (verify_catalogue).
 MARGIN_ROUNDINGS = 10
 
+# The largest theta grid T/N, ..., T that floats resolve: as theta -> 0 the
+# F02/F03 margin at radius delta is ~theta^2 delta^2 / 2, and their rounding
+# bound tends to 4 gamma(MARGIN_ROUNDINGS) (d -> 0, |A| + 2|B| -> 4), so at
+# the smallest radius theta = T/N must exceed sqrt(8 gamma) / delta.
+MAX_THETA_GRID = math.floor(T_END * min(MARGIN_DELTAS) / math.sqrt(8.0 * gamma(MARGIN_ROUNDINGS)))
+
 _A = 1.0 / math.sqrt(2.0)
 
 # Fixed faces in catalogue order (F00 first, the others last): kind ->

@@ -10,9 +10,9 @@ non-membership, so the sweep's verdict is evidence; the claim itself is
 proven exactly in tests/test_certificate.py.
 
 q and u are lifts of pairs (y, 0) of C, so on the generator over x(t)
-each takes 2<y, x(t)>: the sweep reads its rows from the arcs' closed form,
-one curve and functional at a time from one construction.arc_sines per
-level (arc_value), and the closure check reads its maxima (arc_max).
+each takes 2<y, x(t)>: the sweep reads its rows from the arcs' closed form
+(arc_value, from one construction.arc_sines per sample) and the closure
+check its maxima (arc_max), both on Python floats with no numpy call.
 
 Also here: the check, at the generators, that a 3D cone's exposing normals
 span the dual of a 2D face together with its orthogonal complement, the
@@ -35,8 +35,8 @@ from .construction import (
     T_END,
     WITNESS_Q,
     WITNESS_U,
-    arc_coefficients,
     arc_max,
+    arc_picks,
     arc_sines,
     arc_value,
     check_grid,
@@ -53,7 +53,7 @@ DUAL_FORM_NOTE = (
 )
 
 # The control is the cone over the five arc endpoints: every curve at 0 and T.
-CONTROL_GRID = np.array([0.0, T_END])
+CONTROL_GRID = (0.0, T_END)
 
 # levels whose products the divergence verdict reads: fewer are Inconclusive
 VERDICT_LEVELS = 3
@@ -66,11 +66,10 @@ EPS_FLOOR = 2.0 * math.sqrt(sys.float_info.min)
 
 @cache
 def _witness_arcs():
-    """(A, B) of u and q, each (2, 4) and read-only; taken on first use, not on
-    import. u: A = (0, 2, 0, 0), B = (-2, 0, 0, 0); q: (1, -2, 0, -1), (2, -1, 1, 0)."""
-    a, b = arc_coefficients(np.array([WITNESS_U[1:], WITNESS_Q[1:]]))
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
+    """Per curve, (A_u, B_u, A_q, B_q) of u and q as Python floats (arc_picks);
+    taken on first use, not on import. Curve by curve, A_u = (0, 2, 0, 0),
+    B_u = (-2, 0, 0, 0), A_q = (1, -2, 0, -1) and B_q = (2, -1, 1, 0)."""
+    return tuple(zip(*(v for w in (WITNESS_U, WITNESS_Q) for v in arc_picks(w[1:].tolist()))))
 
 
 def shift_bounds(grid):
@@ -78,10 +77,10 @@ def shift_bounds(grid):
     sampled on grid (the same parameters on every curve; see
     construction.check_grid) for the shift multiplier lambda.
 
-    Each row is one arc value A sin t - 2B sin^2(t/2), one curve and
-    functional at a time from one arc_sines(grid). On every curve one of
-    A_u, B_u is 0 and the other term is >= 0, and rounding keeps the sign of
-    a product, so no row bounds lambda from above. A row with <u, g> > 0 bounds it from below by
+    Each row is one arc value A sin t - 2B sin^2(t/2), every curve and
+    functional from one arc_sines per sample. On every curve one of A_u, B_u
+    is 0 and the other term is >= 0, and rounding keeps the sign of a
+    product, so no row bounds lambda from above. A row with <u, g> > 0 bounds it from below by
     <q, g> / <u, g>: cot(t/2)/2 - 1 on curve 1, tan(t/2)/2 - 1 on curve 2.
     A flat row (<u, g> = 0; curves 3 and 4, where <q, g> <= 0) holds for
     every lambda if <q, g> <= 0, so its bound is -inf, and for none
@@ -93,17 +92,15 @@ def shift_bounds(grid):
     curve, that gives it.
     """
     grid = check_grid(grid)
-    (au, aq), (bu, bq) = _witness_arcs()
-    sines = arc_sines(grid)
-    picks = []
-    for k, cid in enumerate(CURVE_IDS):
-        ug, qg = arc_value(au[k], bu[k], sines), arc_value(aq[k], bq[k], sines)
-        bounds = np.divide(qg, ug, out=np.where(qg > 0.0, math.inf, -math.inf), where=ug > 0.0)
-        j = int(np.argmax(bounds))
-        picks.append((float(bounds[j]), (cid, float(grid[j]))))
-    # max keeps the first of equal bounds: only a strictly larger one moves
-    # achieving to a later curve
-    lambda_star, achieving = max(picks, key=lambda pick: pick[0])
+    sines = [arc_sines(t) for t in grid]
+    # only a strictly larger bound moves achieving to a later row
+    lambda_star, achieving = -math.inf, (CURVE_IDS[0], grid[0])
+    for cid, (a_u, b_u, a_q, b_q) in zip(CURVE_IDS, _witness_arcs()):
+        for pair, t in zip(sines, grid):
+            ug, qg = arc_value(a_u, b_u, pair), arc_value(a_q, b_q, pair)
+            bound = qg / ug if ug > 0.0 else math.inf if qg > 0.0 else -math.inf
+            if bound > lambda_star:
+                lambda_star, achieving = bound, (cid, t)
     return {"lambda_star": lambda_star, "achieving": achieving}
 
 
@@ -113,8 +110,7 @@ def closure_check():
     twice -2 sin^2(t/2) and -sin t, and their maxima over the whole arcs
     (arc_max) are <= 0. A rounded product keeps its sign, so the test is
     exact."""
-    a, b = (c[1, 2:] for c in _witness_arcs())
-    m3, m4 = arc_max(a, b, 0.0, T_END).tolist()
+    m3, m4 = (arc_max(a_q, b_q, 0.0, T_END) for _, _, a_q, b_q in _witness_arcs()[2:])
     return {
         "max_curve3_value": m3,
         "max_curve4_value": m4,
@@ -156,7 +152,7 @@ def divergence_sweep(eps_list, *, control=False):
     fixed = shift_bounds(CONTROL_GRID) if control else None
     rows = []
     for e in eps:
-        prof = fixed or shift_bounds(np.array([0.0, e, T_END]))
+        prof = fixed or shift_bounds((0.0, e, T_END))
         lam = prof["lambda_star"]
         rows.append((e, lam, lam * e, *prof["achieving"]))
 

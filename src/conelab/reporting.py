@@ -40,8 +40,11 @@ class RunConfig:
     eps_list: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_grid_size",
-                           check_size(self.theta_grid_size, 8, "theta_grid_size"))
+        n = check_size(self.theta_grid_size, 8, "theta_grid_size")
+        if n > fc.MAX_THETA_GRID:
+            raise DomainError(f"theta_grid_size must be at most {fc.MAX_THETA_GRID}, past which "
+                              f"F02/F03 margins fall under their rounding bound; got {n}")
+        object.__setattr__(self, "theta_grid_size", n)
         eps = nn.validate_eps(self.eps_list)
         if len(eps) < nn.VERDICT_LEVELS:
             raise DomainError(f"verify needs at least {nn.VERDICT_LEVELS} refinement levels: "

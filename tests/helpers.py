@@ -9,6 +9,7 @@ import numpy as np
 from scipy import optimize
 
 from conelab import faces as fc
+from conelab import niceness as nn
 from conelab.construction import (
     CURVE_IDS,
     SHIFT,
@@ -266,7 +267,7 @@ def sample_cone(grids):
     against: <u, g> and <q, g> are g @ WITNESS_U and g @ WITNESS_Q."""
     if not isinstance(grids, dict):
         grids = dict.fromkeys(CURVE_IDS, grids)
-    grids = {i: check_grid(grids.get(i, ())) for i in CURVE_IDS}
+    grids = {i: np.array(check_grid(grids.get(i, ()))) for i in CURVE_IDS}
     return Cone(lift_points(np.vstack([curve_points(i, grids[i]) for i in CURVE_IDS])),
                 np.concatenate([np.full(grids[i].size, i) for i in CURVE_IDS]),
                 np.concatenate([grids[i] for i in CURVE_IDS]))
@@ -570,6 +571,66 @@ def reference_shift_bounds(grid):
         on = ug > 0.0
         parts.append((qg[on] / ug[on], np.full(int(on.sum()), i), grid[on]))
     return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+# The numpy route: niceness.divergence_sweep as it ran on arrays before it
+# moved to Python floats and math. Each level's grid is an array, its sines
+# come from np.sin, each curve's bounds from one np.divide and np.argmax, and
+# the closure maxima from np.arctan2, np.clip and np.maximum on q's curve-3/4
+# coefficients. The float route must equal it bit for bit.
+
+def _numpy_sines(t):
+    """(sin t, sin(t/2)) of t clipped into [0, T], by np.clip and np.sin."""
+    t = np.clip(t, 0.0, T_END)
+    return np.sin(t), np.sin(t / 2.0)
+
+
+def _numpy_witness_arcs():
+    """(A, B) of u and q, each (2, 4), by arc_coefficients."""
+    return arc_coefficients(np.array([WITNESS_U[1:], WITNESS_Q[1:]]))
+
+
+def numpy_shift_bounds(grid):
+    """niceness.shift_bounds on a float array: per curve, every row's bound
+    from one np.divide, and its first largest by np.argmax."""
+    grid = np.asarray(grid, dtype=float)
+    (au, aq), (bu, bq) = _numpy_witness_arcs()
+    sines = _numpy_sines(grid)
+    picks = []
+    for k, cid in enumerate(CURVE_IDS):
+        ug, qg = arc_value(au[k], bu[k], sines), arc_value(aq[k], bq[k], sines)
+        bounds = np.divide(qg, ug, out=np.where(qg > 0.0, math.inf, -math.inf), where=ug > 0.0)
+        j = int(np.argmax(bounds))
+        picks.append((float(bounds[j]), (cid, float(grid[j]))))
+    lambda_star, achieving = max(picks, key=lambda pick: pick[0])
+    return {"lambda_star": lambda_star, "achieving": achieving}
+
+
+def numpy_closure_check():
+    """niceness.closure_check on the arrays of q's curve-3/4 coefficients."""
+    a, b = (c[1, 2:] for c in _numpy_witness_arcs())
+    t = np.arctan2(a, b)
+    inside = np.where((0.0 <= t) & (t <= T_END), arc_value(a, b, _numpy_sines(t)), -math.inf)
+    ends = np.maximum(*(arc_value(a, b, _numpy_sines(end)) for end in (0.0, T_END)))
+    m3, m4 = np.maximum(ends, inside).tolist()
+    return {"max_curve3_value": m3, "max_curve4_value": m4,
+            "in_closure": m3 <= 0.0 and m4 <= 0.0}
+
+
+def numpy_divergence_sweep(eps_list, control=False):
+    """niceness.divergence_sweep by numpy_shift_bounds on the array grids
+    (0, epsilon, T), or (0, T) for the control, and numpy_closure_check."""
+    fixed = numpy_shift_bounds(np.array([0.0, T_END])) if control else None
+    rows = []
+    for e in nn.validate_eps(eps_list):
+        prof = fixed or numpy_shift_bounds(np.array([0.0, e, T_END]))
+        lam = prof["lambda_star"]
+        rows.append((e, lam, lam * e, *prof["achieving"]))
+    closure = numpy_closure_check()
+    last = rows[-nn.VERDICT_LEVELS:]
+    diverges = len(last) == nn.VERDICT_LEVELS and all(0.8 <= r[2] <= 1.2 for r in last)
+    verdict = "NotNiceEvidence" if (closure["in_closure"] and diverges) else "Inconclusive"
+    return {"rows": rows, "closure": closure, "verdict": verdict}
 
 
 # Reference exposure checks: one face and one full pass over the samples at

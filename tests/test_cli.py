@@ -561,6 +561,25 @@ class TestRunConfig:
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "faces"])
+    def test_theta_grid_past_the_limit_exits_2_without_a_grid(self, command, tmp_path, capsys,
+                                                             monkeypatch):
+        # the limit is read before any grid of its size exists
+        def no_grid(n):
+            raise AssertionError("no theta grid may be built past the limit")
+
+        refuse_work(monkeypatch)
+        monkeypatch.setattr(construction, "theta_grid", no_grid)
+        limit = faces.MAX_THETA_GRID
+        assert cli._config(cli._parse([command, "--theta-grid", str(limit)])).theta_grid_size \
+            == limit
+        out = tmp_path / "x"
+        assert main([command, "--theta-grid", str(limit + 1), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: theta_grid_size must be at most {limit}, past which F02/F03 margins "
+            f"fall under their rounding bound; got {limit + 1}\n")
+        assert not out.exists()
+
     def test_faces_and_verify_agree_on_the_catalogue(self):
         config = RunConfig(theta_grid_size=8)
         atlas = run_faces(config)
@@ -596,20 +615,25 @@ class TestRunConfig:
         # process for all seven niceness steps of each report (four sweep
         # levels and the control in shift_bounds, two closure checks)
         calls = {"faces": 0, "niceness": 0}
-        for key, module in (("faces", faces), ("niceness", niceness)):
-            def counted(normals, key=key, real=module.arc_coefficients):
+        for key, module, name in (("faces", faces, "arc_coefficients"),
+                                  ("niceness", niceness, "arc_picks")):
+            def counted(normals, key=key, real=getattr(module, name)):
                 calls[key] += 1
                 return real(normals)
-            monkeypatch.setattr(module, "arc_coefficients", counted)
+            monkeypatch.setattr(module, name, counted)
         niceness._witness_arcs.cache_clear()
         try:
             run_verify(RunConfig(theta_grid_size=8))
             run_verify(RunConfig(theta_grid_size=8))
-            # the arcs every later report reads cannot be written
-            assert not any(c.flags.writeable for c in niceness._witness_arcs())
+            # the arcs every later report reads cannot be written: tuples of
+            # floats, one (A_u, B_u, A_q, B_q) per curve
+            arcs = niceness._witness_arcs()
+            assert type(arcs) is tuple and len(arcs) == 4
+            assert all(type(c) is tuple and all(type(v) is float for v in c) for c in arcs)
         finally:
             niceness._witness_arcs.cache_clear()
-        assert calls == {"faces": 2, "niceness": 1}
+        # one pick each of u and q per process
+        assert calls == {"faces": 2, "niceness": 2}
 
     def test_faces_builds_no_cone_and_no_lifted_pairs(self, monkeypatch):
         def refuse(*args, **kwargs):

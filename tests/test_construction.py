@@ -363,28 +363,28 @@ class TestSampleCone:
             assert abs(lam - bounds[k]) <= _route_error(e, lam)
             assert product == lam * e
 
-    def test_one_pair_of_sines_per_level_and_rows_of_grid_size(self, monkeypatch):
+    def test_one_pair_of_sines_per_sample_and_float_rows(self, monkeypatch):
         sines, rows = [], []
         real_sines, real_value = nn.arc_sines, nn.arc_value
 
         def counted_sines(t):
-            sines.append(t.tolist())
+            sines.append(t)
             return real_sines(t)
 
         def counted_value(a, b, pair):
             row = real_value(a, b, pair)
-            rows.append(row.shape)
+            rows.append(type(row))
             return row
 
-        # sin t and sin(t/2) once per level, on its grid (0, epsilon, T);
-        # then each curve and functional is one row of the grid's length,
-        # never a (2, 4, n) array
+        # sin t and sin(t/2) once per sample of each level's grid
+        # (0, epsilon, T), shared by every curve and functional; each row is
+        # then one Python float
         monkeypatch.setattr(nn, "arc_sines", counted_sines)
         monkeypatch.setattr(nn, "arc_value", counted_value)
         levels = [1e-1, 1e-2, 1e-3]
         nn.divergence_sweep(levels)
-        assert sines == [[0.0, e, T] for e in levels]
-        assert rows == [(3,)] * (3 * 4 * 2)
+        assert sines == [t for e in levels for t in (0.0, e, T)]
+        assert rows == [float] * (3 * 3 * 4 * 2)
 
 
 class TestArcCoefficients:

@@ -6,7 +6,7 @@ import pytest
 from conelab import construction as con
 from conelab import faces as fc
 from conelab import reporting
-from conelab.linalg import DegenerateInputError, DomainError
+from conelab.linalg import DegenerateInputError, DomainError, gamma
 import helpers
 from helpers import (
     ENDPOINTS,
@@ -372,6 +372,44 @@ class TestMarginLaw:
             slope = np.polyfit(np.log(deltas), np.log(margins[kinds == kind].min(axis=0)), 1)[0]
             expected = 1.0 if kind in ("F13", "F14", "F15", "F21", "F22") else 2.0
             assert abs(slope - expected) <= 0.1, (kind, slope)
+
+
+class TestThetaGridLimit:
+    """faces.MAX_THETA_GRID: past it the smallest grid parameter T/N gives
+    F02/F03 margins that floats cannot tell from 0. The one-face catalogue at
+    theta = T/N, the smallest parameter of the grid of N, shows the boundary
+    in milliseconds."""
+
+    @staticmethod
+    def _failures(n):
+        catalogue = fc.build_catalogue(np.array([T / n]))
+        exposure = fc.verify_catalogue(catalogue)
+        return [fc.face_label(catalogue, j) for j in np.flatnonzero(~exposure.passed)]
+
+    def test_the_limit_is_where_the_margin_law_meets_the_bound(self):
+        # theta^2 delta^2 / 2 = 4 gamma(10) at delta = 0.01
+        crossing = T * 0.01 / math.sqrt(8.0 * gamma(fc.MARGIN_ROUNDINGS))
+        assert fc.MAX_THETA_GRID == math.floor(crossing) == 83337
+        catalogue = fc.build_catalogue(np.array([T / fc.MAX_THETA_GRID]))
+        exposure = fc.verify_catalogue(catalogue)
+        theta = T / fc.MAX_THETA_GRID
+        for kind in ("F02", "F03"):
+            j = catalogue.kinds.index(kind)
+            assert exposure.bounds[j] == gamma(fc.MARGIN_ROUNDINGS) * 4.0
+            for delta, margin in zip(fc.MARGIN_DELTAS, exposure.margins[j].tolist()):
+                assert margin == pytest.approx(theta**2 * delta**2 / 2.0, rel=1e-3)
+
+    def test_the_last_grid_passes_and_the_next_fails(self):
+        assert self._failures(fc.MAX_THETA_GRID) == []
+        assert self._failures(fc.MAX_THETA_GRID + 1) == ["F02(0.000009)", "F03(0.000009)"]
+        # the grid of N starts at exactly the one face's parameter
+        assert con.theta_grid(fc.MAX_THETA_GRID)[0] == T / fc.MAX_THETA_GRID
+
+    def test_run_config_refuses_every_grid_past_the_limit(self):
+        assert reporting.RunConfig(theta_grid_size=fc.MAX_THETA_GRID).theta_grid_size == 83337
+        for n in (fc.MAX_THETA_GRID + 1, 10**6, 2**63):
+            with pytest.raises(DomainError, match="at most 83337"):
+                reporting.RunConfig(theta_grid_size=n)
 
 
 class TestCoverage:

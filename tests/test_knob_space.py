@@ -7,6 +7,8 @@ configurations), each held to its closed-form prediction.
   nothing);
 - every face of C passes (the cone over each follows by the lift identity,
   proven in tests/test_certificate.py);
+- up to faces.MAX_THETA_GRID, the one-face catalogue at the grid's smallest
+  parameter T/N, where the F02/F03 margins are smallest, passes;
 - every sweep row binds on curve 1 at t = epsilon, with lambda_star within
   8u of cot(epsilon/2)/2 - 1 (50-digit mpmath);
 - the sweep is NotNiceEvidence exactly when there are at least three levels
@@ -17,8 +19,10 @@ configurations), each held to its closed-form prediction.
 
 import math
 
+import numpy as np
 import pytest
 
+from conelab import faces as fc
 from conelab import niceness as nn
 from conelab import reporting
 from conelab.reporting import RunConfig
@@ -61,3 +65,11 @@ def test_verify_verdicts_match_their_closed_forms(thetas, eps):
     assert niceness["verdict"] == ("NotNiceEvidence" if predicted else "Inconclusive")
     assert niceness["control_verdict"] == "Inconclusive"
     assert report["overall"] == ("pass" if predicted else "fail")
+
+
+@hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@hypothesis.given(thetas=st.integers(8, fc.MAX_THETA_GRID))
+def test_the_smallest_theta_of_every_accepted_grid_passes(thetas):
+    assert RunConfig(theta_grid_size=thetas).theta_grid_size == thetas
+    catalogue = fc.build_catalogue(np.array([nn.T_END / thetas]))
+    assert fc.verify_catalogue(catalogue).passed.all(), thetas

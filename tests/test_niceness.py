@@ -8,12 +8,16 @@ import pytest
 
 from conelab import construction as con
 from conelab import niceness as nn
+from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
 from conelab.reporting import RunConfig, write_sweep_csv
 from helpers import (
     check_positivity_window,
     fibonacci_sphere_grid,
     ladder,
+    numpy_closure_check,
+    numpy_divergence_sweep,
+    numpy_shift_bounds,
     polar_generator_model,
     positivity_window,
     reference_conic_membership,
@@ -284,11 +288,11 @@ class TestDivergenceSweep:
     def test_perturbed_generator_fails_the_closure_bound(self, monkeypatch, tmp_path):
         # flipping the sign of q's curve-4 coefficient A makes its arc value
         # there +sin t, positive on (0, T], and the check fails
-        a, b = nn._witness_arcs()
-        a = a.copy()  # the cached arcs are read-only
-        assert a[1, 3] == -1.0
-        a[1, 3] = 1.0
-        monkeypatch.setattr(nn, "_witness_arcs", lambda: (a, b))
+        arcs = nn._witness_arcs()  # per curve (A_u, B_u, A_q, B_q)
+        a_u, b_u, a_q, b_q = arcs[3]
+        assert a_q == -1.0
+        perturbed = (*arcs[:3], (a_u, b_u, 1.0, b_q))
+        monkeypatch.setattr(nn, "_witness_arcs", lambda: perturbed)
         rep = nn.closure_check()
         assert not rep["in_closure"]
         assert rep["max_curve3_value"] <= 0.0 < rep["max_curve4_value"]
@@ -348,7 +352,7 @@ class TestDivergenceSweep:
         grids.clear()
         # every other level solves its own grid, (0, epsilon, T)
         nn.divergence_sweep(levels)
-        assert [g.tolist() for g in grids] == [[0.0, e, T] for e in levels]
+        assert grids == [(0.0, e, T) for e in levels]
 
     @pytest.mark.parametrize("n", [8, 9, 513, 8192])
     @pytest.mark.parametrize("seed", range(4))
@@ -396,7 +400,7 @@ class TestSweepGrid:
         grid = ladder(eps, n)
         assert len(grid) == n
         assert (grid[0], grid[1], grid[-1]) == (0.0, eps, T)
-        assert con.check_grid(grid) is grid
+        assert con.check_grid(grid) == tuple(grid.tolist())
         ratios = grid[2:] / grid[1:-1]
         step = math.exp(math.log(T / eps) / (n - 2))
         assert (np.abs(ratios / step - 1.0) <= 1e-12).all()
@@ -409,6 +413,82 @@ class TestSweepGrid:
             for control in (False, True):
                 with pytest.raises(DomainError):
                     nn.divergence_sweep([eps], control=control)
+
+
+class _NoNumpy:
+    """Stands in for the numpy module: reading any of its names fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} read on the sweep path")
+
+
+def _random_levels(rng):
+    """3 to 6 strictly decreasing levels, log-uniform from just below T down
+    to EPS_FLOOR, which is drawn too."""
+    exponents = rng.uniform(math.log10(nn.EPS_FLOOR), math.log10(T), rng.integers(3, 7))
+    levels = {min(max(10.0**x, nn.EPS_FLOOR), math.nextafter(T, 0.0))
+              for x in exponents.tolist()}
+    return sorted(levels | ({nn.EPS_FLOOR} if rng.random() < 0.25 else set()), reverse=True)
+
+
+class TestFloatRoute:
+    """The sweep and its closure check run on Python floats with math.sin and
+    math.atan2. They must give the bits of the numpy route that they replace
+    (helpers.numpy_divergence_sweep), signed zeros included, and make no
+    numpy call."""
+
+    @pytest.mark.parametrize("control", [False, True])
+    def test_sweep_has_the_bits_of_the_numpy_route(self, control):
+        rng = np.random.default_rng(36)
+        for _ in range(300):
+            levels = _random_levels(rng)
+            # repr tells -0.0 from 0.0 and round-trips every float
+            assert repr(nn.divergence_sweep(levels, control=control)) == repr(
+                numpy_divergence_sweep(levels, control)), levels
+
+    def test_closure_and_control_have_the_bits_of_the_numpy_route(self):
+        closure = nn.closure_check()
+        assert repr(closure) == repr(numpy_closure_check())
+        # curve 4's maximum is -sin 0 = -0.0, at its t = 0 end
+        assert math.copysign(1.0, closure["max_curve4_value"]) == -1.0
+        for grid in (nn.CONTROL_GRID, (0.0, 0.3, 0.3, T)):
+            assert repr(nn.shift_bounds(grid)) == repr(numpy_shift_bounds(np.array(grid)))
+
+    def test_arc_functions_give_the_bits_of_0d_arrays(self):
+        # every parameter the sweep and the closure check take a sine of:
+        # 0, T, the levels, and curve 4's t* = atan2(-1, 0) = -pi/2, which
+        # the clip moves to 0
+        levels = _random_levels(np.random.default_rng(7)) + [nn.EPS_FLOOR, 1e-1, 1e-4]
+        for t in (0.0, T, -math.pi / 2, *levels):
+            floats, arrays = con.arc_sines(t), con.arc_sines(np.array(t))
+            assert all(type(v) is float for v in floats)
+            assert [v.hex() for v in floats] == [float(v).hex() for v in arrays], t
+        # every (A, B) of u and q, over the whole arc as the closure check
+        # takes it
+        for a_u, b_u, a_q, b_q in nn._witness_arcs():
+            for a, b in ((a_u, b_u), (a_q, b_q)):
+                top = con.arc_max(a, b, 0.0, T)
+                zero_d = con.arc_max(*map(np.array, (a, b, 0.0, T)))
+                assert type(top) is float and top.hex() == float(zero_d).hex(), (a, b)
+
+    def test_the_sweep_path_makes_no_numpy_call(self, monkeypatch, tmp_path):
+        levels = (1e-1, 1e-2, 1e-3, nn.EPS_FLOOR)
+        expected = [repr(nn.divergence_sweep(levels, control=c)) for c in (False, True)]
+        bounds, closure = nn.shift_bounds((0.0, 0.1, T)), nn.closure_check()
+        csv = tmp_path / "numpy.csv"
+        write_sweep_csv(csv, nn.divergence_sweep(levels))
+        # the witness arcs too are taken again, with numpy out of reach
+        nn._witness_arcs.cache_clear()
+        for module in (nn, con, reporting):
+            monkeypatch.setattr(module, "np", _NoNumpy())
+        try:
+            assert [repr(nn.divergence_sweep(levels, control=c)) for c in (False, True)] == expected
+            assert nn.shift_bounds((0.0, 0.1, T)) == bounds
+            assert nn.closure_check() == closure
+            write_sweep_csv(tmp_path / "floats.csv", nn.divergence_sweep(levels))
+        finally:
+            nn._witness_arcs.cache_clear()
+        assert (tmp_path / "floats.csv").read_bytes() == csv.read_bytes()
 
 
 class TestPositivityWindow:
