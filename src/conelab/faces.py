@@ -88,6 +88,7 @@ _A = 1.0 / math.sqrt(2.0)
 #        1, 4 and 2, 3; both are normalised by the same |y|.
 #   F23: curves 1, 2 give 0; curves 3, 4 give -s and c - 1, < 0 for t > 0.
 #   F24: curves 3, 4 give 0; curves 1, 2 give c - 1 and -s, < 0 for t > 0.
+# Each pair is proven exactly in tests/test_faces.py::test_origin_pair_and_closed_form_both_expose.
 # A planar side's generators are t = 0, T/2 and T on each of its curves.
 _SIDE = (0.0, T_END / 2, T_END)
 _FIXED = {

@@ -1,12 +1,9 @@
 """Helpers used only by the tests."""
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from conelab import faces as fc
 from conelab import niceness as nn
@@ -29,7 +26,7 @@ from conelab.construction import (
     theta_grid,
 )
 from conelab.faces import MARGIN_DELTAS
-from conelab.linalg import DegenerateInputError, DomainError
+from conelab.linalg import DomainError
 
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -361,15 +358,6 @@ def mirror_point(x):
     return np.array([x[..., 2], -x[..., 1], x[..., 0]]).T if x.ndim > 1 else np.array([x[2], -x[1], x[0]])
 
 
-def fibonacci_sphere_grid(n):
-    """n roughly even unit directions on the 2-sphere (golden-angle spiral)."""
-    k = np.arange(n)
-    z = 1.0 - 2.0 * (k + 0.5) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = k * math.pi * (3.0 - math.sqrt(5.0))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
 def positivity_window(alpha):
     """Largest guaranteed window (0, t_alpha) on which
     alpha*(cos t - 1) + sin t stays positive.
@@ -390,148 +378,6 @@ def check_positivity_window(alpha, n=10_000):
     ts = t_alpha * np.arange(1, n + 1) / (n + 1)
     vals = alpha * (np.cos(ts) - 1.0) + np.sin(ts)
     return bool((vals > 0.0).all()), float(vals.min())
-
-
-def support_plane_through(points, body, margin_radius=0.05):
-    """Max-margin supporting hyperplane containing the given points.
-
-    LP over (y, d, m): maximize m subject to <y, p> = d on the points,
-    <y, x> <= d on every body sample, <y, x> <= d - m on samples at
-    parameter distance >= margin_radius from every given point, |y| <= 1.
-    """
-    samples = body.xyz
-    pts = np.atleast_2d(points)
-    n = 3
-    # variables z = (y1, y2, y3, d, m)
-    a_eq = np.hstack([pts, -np.ones((len(pts), 1)), np.zeros((len(pts), 1))])
-    b_eq = np.zeros(len(pts))
-
-    # the samples at the given points pin the face in parameter space
-    anchors = []
-    for p in pts:
-        hits = np.linalg.norm(samples - p, axis=1) <= 1e-9
-        anchors.extend(zip(body.ids[hits].tolist(), body.ts[hits].tolist()))
-    far = reference_param_distances(FaceDescriptor("oracle", 0, anchors=tuple(anchors)),
-                          body.ids, body.ts) >= margin_radius
-
-    # one row <y, x> - d <= 0 per sample, each followed by the row
-    # <y, x> - d + m <= 0 when the sample is far from the points
-    rows = np.zeros((len(samples), 2, 5))
-    rows[:, :, :3] = samples[:, None, :]
-    rows[:, :, 3] = -1.0
-    rows[:, 1, 4] = 1.0
-    rows = rows[np.stack([np.ones_like(far), far], axis=1)]
-    bounds = [(-1.0, 1.0)] * n + [(-3.0, 3.0), (0.0, 10.0)]
-    res = optimize.linprog(
-        c=np.array([0.0, 0.0, 0.0, 0.0, -1.0]),
-        A_ub=rows,
-        b_ub=np.zeros(len(rows)),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status != 0 or -res.fun <= 0.0:
-        raise DegenerateInputError("no strictly supporting hyperplane found")
-    y = res.x[:3]
-    return ExposingPair(y / np.linalg.norm(y), res.x[3] / np.linalg.norm(y))
-
-
-def polar_generator_model(samples, directions):
-    """Generators of the polar of cone({1} x samples), one per row: one
-    generator (-support(dir), dir) per direction, plus the deep ray
-    (-1, 0, ..., 0)."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if directions.shape[1] != samples.shape[1]:
-        raise DomainError("directions and samples dimensions differ")
-    sups = (directions @ samples.T).max(axis=1)  # support function of the samples
-    gens = np.hstack([-sups[:, None], directions])
-    deep = np.zeros((1, samples.shape[1] + 1))
-    deep[0, 0] = -1.0
-    return np.vstack([gens, deep])
-
-
-# Reference membership: the general LP route for any finitely generated cone,
-# against which the generator certificate of niceness.nice3d_ingredients is
-# cross-checked. The solvers are looked up on scipy.optimize at call time, so
-# counters patched there see these calls.
-
-# a separating normal must clear this margin on the point
-MARGIN_ABS = 1e-12
-
-# the absolute equality bound of the sampled reference checks below
-EQ_ABS = 1e-9
-
-
-@dataclass(frozen=True)
-class ConicVerdict:
-    """Certificate-carrying membership verdict.
-
-    inside=True:  coefficients >= 0 with ||G^T mu - x|| = residual <= eq_abs.
-    inside=False: normal s with <s, g> <= eq_abs for every generator g and
-                  <s, x> = margin > 0.
-    """
-
-    inside: bool
-    coefficients: np.ndarray | None = None
-    residual: float = math.nan
-    normal: np.ndarray | None = None
-    margin: float = math.nan
-
-    def recheck(self, point, generators, eq_abs=EQ_ABS):
-        """Re-validate the certificate from scratch (no solver involved)."""
-        g = np.asarray(generators, dtype=float)
-        x = np.asarray(point, dtype=float)
-        if self.inside:
-            mu = np.asarray(self.coefficients, dtype=float)
-            if np.any(mu < -eq_abs):
-                return False
-            return float(np.linalg.norm(g.T @ np.maximum(mu, 0.0) - x)) <= 10 * eq_abs
-        s = np.asarray(self.normal, dtype=float)
-        return bool(np.all(g @ s <= eq_abs) and float(np.dot(s, x)) > 0.0)
-
-
-def reference_conic_membership(point, generators, eq_abs=EQ_ABS):
-    """Decide whether point lies in the conic hull of the generators, given
-    one per row.
-
-    Dual route: nonnegative least squares for an inside certificate, an LP
-    over the box |s|_inf <= 1 for a separating normal. Returns None when
-    neither certificate is conclusive (point within tolerance of the
-    sampled boundary).
-    """
-    g = np.atleast_2d(np.asarray(generators, dtype=float))
-    x = np.asarray(point, dtype=float)
-    if x.shape != (g.shape[1],):
-        raise DomainError(f"expected a vector of dimension {g.shape[1]}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("vector has NaN or infinite components")
-    scale = max(1.0, float(np.linalg.norm(x)))
-
-    residual = math.inf
-    try:
-        coeffs, _ = optimize.nnls(g.T, x)
-        # the residual reported by nnls is not trustworthy on all scipy
-        # versions; recompute it from the certificate itself
-        residual = float(np.linalg.norm(g.T @ coeffs - x))
-    except RuntimeError:  # iteration cap; fall through to the separation LP
-        coeffs = None
-    if residual <= eq_abs * scale:
-        return ConicVerdict(inside=True, coefficients=coeffs, residual=residual)
-
-    # Separation: maximize <s, x> subject to <s, g> <= 0, |s_i| <= 1.
-    res = optimize.linprog(
-        c=-x,
-        A_ub=g,
-        b_ub=np.zeros(len(g)),
-        bounds=[(-1.0, 1.0)] * g.shape[1],
-        method="highs",
-    )
-    if res.status == 0 and -res.fun > MARGIN_ABS:
-        s = np.asarray(res.x, dtype=float)
-        return ConicVerdict(inside=False, normal=s, margin=float(np.dot(s, x)))
-    return None
 
 
 def reference_arc_coefficients(normals):
@@ -642,6 +488,10 @@ def numpy_divergence_sweep(eps_list, control=False):
 # the library built them before construction.lift_points and lift_pairs: an
 # independent per-face computation on the cone, which the tests hold to the
 # lift identity against the sampled body margins.
+
+# the absolute equality bound of the sampled reference checks below
+EQ_ABS = 1e-9
+
 
 def reference_cone(body):
     """Generators of the cone over C', one per row: the samples p of C
@@ -792,14 +642,6 @@ def reference_strip_triangles(verts, n):
         for quad in quads:
             tris.extend(reference_pick_diagonal(verts, quad, interior))
     return tris
-
-
-def exact_orientation(p, q, r, s):
-    """Exact det(q - p, r - p, s - p) of float points, as a Fraction."""
-    u, v, w = ([Fraction(x) - Fraction(y) for x, y in zip(pt, p)] for pt in (q, r, s))
-    return (u[0] * (v[1] * w[2] - v[2] * w[1])
-            - u[1] * (v[0] * w[2] - v[2] * w[0])
-            + u[2] * (v[0] * w[1] - v[1] * w[0]))
 
 
 # Reference mesh assembly and OBJ writer: the Python loops meshes.build_mesh

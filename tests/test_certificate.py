@@ -1,18 +1,16 @@
 """An exact certificate for the paper's claim: the cone K over {1} x C' is
 facially exposed, and K polar + F_perp is not closed for its flat face F.
 
-Everything here is decided in Fractions and Python ints: no float is
-trusted, no solver runs, and neither sympy nor mpmath is loaded (nor
-helpers.py, which imports scipy). Each test names the field of the verify
-report that samples what it proves; what is proven here for every
-parameter, the report does not re-derive.
+Everything here is decided in Fractions and Python ints, with the kit of
+tests/exact.py: no float is trusted, no solver runs, and neither sympy nor
+mpmath is loaded. Each test names the field of the verify report that
+samples what it proves; what is proven here for every parameter, the
+report does not re-derive.
 
-The arcs are taken in m = tan(t/2), the half-angle substitution
-sin t = 2m/(1 + m^2), cos t - 1 = -2m^2/(1 + m^2), with t in [0, pi/4]
-exactly when m is in [0, tan(pi/8)] = [0, sqrt 2 - 1]. Times 1 + m^2 > 0,
-which keeps every sign, each coordinate of a generator (1, 2x + SHIFT) of K
-is a polynomial of degree <= 2 in m, so each value <y, g> of a fixed
-functional y is one too: a coefficient triple, below.
+The arcs are taken in m = tan(t/2) (tests/exact.py). Each coordinate of a
+generator (1, 2x + SHIFT) of K, times 1 + m^2 > 0, is then a polynomial of
+degree <= 2 in m, so each value <y, g> of a fixed functional y is one too:
+a coefficient triple.
 """
 
 from fractions import Fraction
@@ -20,32 +18,7 @@ from itertools import product
 
 from conelab import construction as con
 from conelab import niceness as nn
-
-ZERO, ONE = (0, 0, 0), (1, 0, 1)  # 0 and 1 + m^2
-SIN, COS_M1 = (0, 2, 0), (0, 0, -2)  # (1 + m^2) sin t and (1 + m^2)(cos t - 1)
-
-# sqrt 2 - 1 lies in (LO, HI): (LO + 1)^2 < 2 < (HI + 1)^2
-LO, HI = Fraction(207, 500), Fraction(5, 12)
-
-
-def _combine(*terms):
-    """The polynomial sum of c * p over the (c, p) in terms."""
-    return tuple(sum(c * p[k] for c, p in terms) for k in range(3))
-
-
-def _neg(p):
-    return _combine((-1, p))
-
-
-# (1 + m^2) x for x on each arc, written from the construction's definition:
-# curve 1: (0, -sin t, cos t - 1)        curve 2: (0, cos t - 1, -sin t)
-# curve 3: (-sin t, 1 - cos t, 0)        curve 4: (cos t - 1, sin t, 0)
-ARCS = {
-    1: (ZERO, _neg(SIN), COS_M1),
-    2: (ZERO, COS_M1, _neg(SIN)),
-    3: (_neg(SIN), _neg(COS_M1), ZERO),
-    4: (COS_M1, SIN, ZERO),
-}
+from exact import ARCS, COS_M1, HI, LO, ONE, SIN, ZERO, combine, admissible, at
 
 # the package's witnesses and shift, exactly: every float is a rational
 Q, U, SHIFT = ([Fraction(v) for v in a.tolist()]
@@ -55,32 +28,22 @@ Q, U, SHIFT = ([Fraction(v) for v in a.tolist()]
 def generator(cid):
     """(1 + m^2) times the generator (1, 2x + SHIFT) of K over curve cid's
     point at m, as four polynomials in m."""
-    return (ONE, *(_combine((2, x), (s, ONE)) for x, s in zip(ARCS[cid], SHIFT)))
+    return (ONE, *(combine((2, x), (s, ONE)) for x, s in zip(ARCS[cid], SHIFT)))
 
 
 def value(y, cid):
     """(1 + m^2) <y, g> over curve cid, as a polynomial in m."""
-    return _combine(*zip(y, generator(cid)))
-
-
-def at(p, m):
-    return sum(c * m**k for k, c in enumerate(p))
-
-
-def admissible(m):
-    """Whether m = tan(t/2) for some t in [0, pi/4]: tan(pi/8) is the
-    positive root of (m + 1)^2 = 2."""
-    return m >= 0 and (m + 1) ** 2 <= 2
+    return combine(*zip(y, generator(cid)))
 
 
 def test_the_arcs_are_the_closed_form_the_report_reads():
     # backs sections.niceness and sections.face_exposure, which read the arcs
     # through arc_coefficients: <y, x(t)> = A sin t + B (cos t - 1), with A
     # and B exact signed picks of y. At the unit vectors they are the arcs'
-    # coordinate columns, and they equal the ones written above.
+    # coordinate columns, and they equal the ones tests/exact.py writes.
     a, b = con.arc_coefficients([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for k, i in product(range(3), range(4)):
-        assert ARCS[i + 1][k] == _combine((Fraction(a[k, i]), SIN), (Fraction(b[k, i]), COS_M1))
+        assert ARCS[i + 1][k] == combine((Fraction(a[k, i]), SIN), (Fraction(b[k, i]), COS_M1))
     # the arcs end at m = sqrt 2 - 1, which LO and HI bracket
     assert admissible(LO) and not admissible(HI)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conelab import faces as fc
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError, gamma
 import helpers
+from exact import ARCS, M_END, ONE, QSqrt2, arc_zeros, combine, dot, within
 from helpers import (
     ENDPOINTS,
     FaceDescriptor,
@@ -21,7 +23,6 @@ from helpers import (
     reference_catalogue,
     reference_param_distances,
     sample_body,
-    support_plane_through,
 )
 
 T = con.T_END
@@ -30,11 +31,6 @@ T = con.T_END
 @pytest.fixture(scope="module")
 def body():
     return sample_body(con.curve_grid(512))
-
-
-@pytest.fixture(scope="module")
-def coarse_body():
-    return sample_body(con.curve_grid(128))
 
 
 def face_of(kind, catalogue, param=None):
@@ -48,6 +44,39 @@ def face_of(kind, catalogue, param=None):
 
 def as_bits(x):
     return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+# The pairs (y, d) of the fixed faces exactly, in Q(sqrt 2), as faces._FIXED
+# writes them: y unnormalised, d its offset. a = 1/sqrt 2.
+_A = QSqrt2(0, Fraction(1, 2))
+EXACT_FIXED = {
+    "F00": ((1, 0, 1), 0),
+    "F13": ((1, -1, -1), 1),
+    "F14": ((-1, 1, 1), 1),
+    "F15": ((-1, 0, -1), _A),
+    "F21": ((_A - 2, -_A, -_A), _A),
+    "F22": ((-_A, _A, _A - 2), _A),
+    "F23": ((1, 0, 0), 0),
+    "F24": ((0, 0, 1), 0),
+}
+
+# Each float of a catalogue pair is at most eight roundings from its exact
+# value, normalised: 1/sqrt 2 takes two, a - 2 one more, math.hypot (within
+# 1 ulp) two, and the division by it one. Each is at most 1 in size.
+PAIR_ROUNDING = Fraction(gamma(8))
+
+
+def fixed_pair_misses(catalogue):
+    """The fixed faces whose pair in the catalogue is not the exact pair,
+    normalised, within PAIR_ROUNDING in every float."""
+    misses = []
+    for kind, (y, d) in EXACT_FIXED.items():
+        pair = face_of(kind, catalogue)[1]
+        floats = [*pair.normal.tolist(), pair.offset]
+        if not all(within(Fraction(x), a, dot(y, y), PAIR_ROUNDING)
+                   for x, a in zip(floats, [*y, d])):
+            misses.append(kind)
+    return misses
 
 
 class TestEnumerate:
@@ -151,19 +180,33 @@ class TestExposingPairs:
         assert abs(abs(float(pair.normal @ reference)) - 1.0) < 1e-9
         assert (body.xyz @ pair.normal - pair.offset).max() <= 1e-12
 
-    def test_origin_pair_and_closed_form_both_expose(self, coarse_body):
-        # the closed forms of the fixed faces expose their faces on a fine
-        # body; those of the faces spanned by endpoints equal the max-margin
-        # LP oracle (the planar sides have the brute-force test above)
+    def test_origin_pair_and_closed_form_both_expose(self):
+        # the closed forms of the fixed faces are their exact pairs, which
+        # expose them on every point of the arcs: on curve i,
+        # (1 + m^2)(d - <y, x(m)>) is a quadratic in m = tan(t/2), >= 0 on
+        # [0, sqrt 2 - 1], zero exactly at the face's points on the curve
+        # and identically zero on a curve that a planar side holds whole.
+        # The arcs leave the origin along -e2, -e3, -e1 and e2 (curves 1-4);
+        # a y orthogonal to that tangent touches the curve there, a double
+        # zero, and every other zero is a crossing. The fine body samples
+        # the float pairs.
         cat = fc.build_catalogue(con.theta_grid(2))
+        assert fixed_pair_misses(cat) == []
+        ends = {0.0: QSqrt2(0), T: M_END}
+        touching = {("F00", 1), ("F00", 4), ("F23", 4), ("F24", 1)}
         n = 4096
         fine = sample_body(con.curve_grid(n))
-        for kind in ("F00", "F13", "F14", "F15", "F21", "F22", "F23", "F24"):
+        for kind, (y, d) in EXACT_FIXED.items():
             face, pair = face_of(kind, cat)
-            if not face.full_curves:
-                oracle = support_plane_through(face_sample_points(face), coarse_body)
-                assert np.abs(pair.normal - oracle.normal).max() <= 1e-12, kind
-                assert abs(pair.offset - oracle.offset) <= 1e-12, kind
+            points = helpers.face_generators(face)
+            for i in con.CURVE_IDS:
+                quadratic = combine((d, ONE), *((-c, arc) for c, arc in zip(y, ARCS[i])))
+                if i in face.full_curves:
+                    assert not any(c != 0 for c in quadratic), (kind, i)
+                    continue
+                zeros = {ends[t] for j, t in points if j == i or t == 0.0}
+                assert arc_zeros(quadratic) == {
+                    z: 2 if (kind, i) in touching else 1 for z in zeros}, (kind, i)
             slack = fine.xyz @ pair.normal - pair.offset
             onface = reference_param_distances(face, fine.ids, fine.ts) <= 1e-9
             # a planar side holds two whole curves and the origin of the others
@@ -171,6 +214,14 @@ class TestExposingPairs:
             assert np.abs(slack[onface]).max() <= 1e-15, kind
             assert slack[~onface].max() < 0.0, kind
             assert exposure_reports(catalogue_of([(face, pair)]))[0].passed, kind
+
+    def test_an_offset_off_by_1e_9_misses_its_exact_pair(self, monkeypatch):
+        for kind, (y, d, *rest) in fc._FIXED.items():
+            if d == 0.0:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setitem(fc._FIXED, kind, (y, d * (1.0 + 1e-9), *rest))
+                assert fixed_pair_misses(fc.build_catalogue(con.theta_grid(2))) == [kind]
 
     def test_triangle_pairs_are_mirror_images(self):
         cat = fc.build_catalogue(con.theta_grid(2))

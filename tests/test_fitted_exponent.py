@@ -9,8 +9,7 @@ the fit still runs, so its bits cannot depend on the LAPACK build. Where
 the logs of the levels are all one float no slope exists, and the fit is
 NaN without a warning.
 
-This file needs numpy and pytest only: it does not import tests/helpers.py,
-so it runs where scipy is absent.
+This file needs numpy and pytest only.
 """
 
 import json

@@ -7,7 +7,6 @@ from helpers import (
     FaceDescriptor,
     exposing_pair,
     face_rows,
-    polar_generator_model,
     reference_verify_cone_exposure,
     sample_cone,
 )
@@ -102,14 +101,3 @@ class TestConeExposure:
         for face, _ in face_rows(catalogue):
             assert lifted_report(face, cone).passed, face.label()
 
-
-class TestPolar:
-    def test_polar_generator_model_is_valid(self):
-        edge = np.linspace(-1.0, 1.0, 8)
-        ones = np.ones_like(edge)
-        samples = np.vstack([np.stack([edge, ones], axis=1), np.stack([edge, -ones], axis=1),
-                             np.stack([ones, edge], axis=1), np.stack([-ones, edge], axis=1)])
-        angles = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-        model = polar_generator_model(samples, np.stack([np.cos(angles), np.sin(angles)], axis=1))
-        cone_gens = np.hstack([np.ones((len(samples), 1)), samples])
-        assert (model @ cone_gens.T).max() <= 1e-12

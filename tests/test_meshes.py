@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+from exact import exact_orientation
 from helpers import (
-    exact_orientation,
     reference_mesh_triangles,
     reference_obj_text,
     reference_strip_triangles,

@@ -11,16 +11,14 @@ from conelab import niceness as nn
 from conelab import reporting
 from conelab.linalg import DegenerateInputError, DomainError
 from conelab.reporting import RunConfig, write_sweep_csv
+from exact import cross, dot, exact
 from helpers import (
     check_positivity_window,
-    fibonacci_sphere_grid,
     ladder,
     numpy_closure_check,
     numpy_divergence_sweep,
     numpy_shift_bounds,
-    polar_generator_model,
     positivity_window,
-    reference_conic_membership,
     reference_shift_bounds,
     sample_cone,
     witness_slack,
@@ -218,34 +216,26 @@ class TestShiftProfile:
 
 class TestMembershipCrossCheck:
     def test_shifted_witness_against_sampled_polar_generators(self):
+        # q - lambda u lies in the polar of the sampled cone exactly when
+        # <q - lambda u, g> <= 0 for every generator g: a sign test in
+        # Fractions on the float generators and lambda
         epsilon = 0.01
         grid = ladder(epsilon, 128)
-        prof = nn.shift_bounds(grid)
-        samples = sample_cone(grid).generators[:, 1:]  # the points of C' the cone is over
+        lam = Fraction(nn.shift_bounds(grid)["lambda_star"])
+        cone = sample_cone(grid)
+        gens = [exact(g) for g in cone.generators]
+        q, u = exact(con.WITNESS_Q), exact(con.WITNESS_U)
 
-        lam_in = prof["lambda_star"] + 1.0
-        point_in = con.WITNESS_Q - lam_in * con.WITNESS_U
-        # direction grid includes the query's own direction plus a spread
-        dirs = np.vstack([
-            point_in[1:] / np.linalg.norm(point_in[1:]),
-            np.eye(3),
-            fibonacci_sphere_grid(64),
-        ])
-        polar = polar_generator_model(samples, dirs)
-        verdict = reference_conic_membership(point_in, polar)
-        assert verdict.inside
-        assert verdict.recheck(point_in, polar)
+        def values(shift):
+            point = [a - (lam + shift) * b for a, b in zip(q, u)]
+            return [dot(point, g) for g in gens]
 
-        # one unit below the threshold the membership flips, and a cone
-        # generator (the binding curve-1 sample) separates
-        lam_out = prof["lambda_star"] - 1.0
-        point_out = con.WITNESS_Q - lam_out * con.WITNESS_U
-        verdict_out = reference_conic_membership(point_out, polar)
-        assert not verdict_out.inside
-        assert verdict_out.recheck(point_out, polar)
-        binding = np.concatenate([[1.0], 2.0 * con.curve_points(1, epsilon) + con.SHIFT])
-        assert float(binding @ point_out) > 0.0
-        assert (polar @ binding).max() <= 1e-9
+        # one unit above lambda_star the shifted witness is in the polar
+        assert max(values(1)) <= 0
+        # one unit below the membership flips, and the binding curve-1
+        # sample at epsilon separates
+        (binding,) = np.flatnonzero((cone.ids == 1) & (cone.ts == epsilon))
+        assert values(-1)[binding] > 0
 
 
 class TestDivergenceSweep:
@@ -543,18 +533,6 @@ def cube_rotations():
     return rots
 
 
-def exact(v):
-    return [Fraction(float(x)) for x in v]
-
-
-def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def cross(a, b):
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
 def exposes_its_edges(generators, p1, p2, h1, h2):
     """In Fractions: h_i >= 0 at every generator, zero on p_i and positive
     on the other edge p_j."""
@@ -696,19 +674,20 @@ class TestNice3D:
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_wedge_agrees_with_the_lp_reference(self, example):
         # the certificate claims {y : <y, p1> >= 0, <y, p2> >= 0} equals
-        # cone{h1, h2} + span{n}; test it on seeded random points
-        _, p1, p2, h1, h2 = example()
-        nrm = np.cross(p1, p2)
-        cone = np.vstack([h1, h2, nrm, -nrm])
-        xs = np.random.default_rng(7).normal(size=(1200, 3))
-        wedge = (xs @ p1 >= 0.0) & (xs @ p2 >= 0.0)
-        decided = 0
-        for x, in_wedge in zip(xs, wedge):
-            verdict = reference_conic_membership(x, cone)
-            if verdict is not None:
-                decided += 1
-                assert verdict.inside == bool(in_wedge), x
-        assert decided >= 1000
+        # cone{h1, h2} + span{n}, n = p1 x p2; test it on seeded random
+        # points, exactly: by Cramer's rule x = a h1 + b h2 + c n, and x is
+        # in cone{h1, h2} + span{n} exactly when a >= 0 and b >= 0
+        _, *vectors = example()
+        p1, p2, h1, h2 = map(exact, vectors)
+        n = cross(p1, p2)
+        det = dot(h1, cross(h2, n))
+        assert det != 0
+        inside = 0
+        for x in map(exact, np.random.default_rng(7).normal(size=(1200, 3))):
+            in_cone = dot(x, cross(h2, n)) * det >= 0 and dot(h1, cross(x, n)) * det >= 0
+            assert in_cone == (dot(x, p1) >= 0 and dot(x, p2) >= 0), x
+            inside += in_cone
+        assert 0 < inside < 1200
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_cube_rotations_pass(self, example):

@@ -11,8 +11,7 @@ lays its arrays out curve-major, (4, faces). Every Exposure array must
 keep its bytes, on the default catalogues and on one whose pair fails; a
 pair that is not finite is refused.
 
-This file needs numpy and pytest only: it does not import tests/helpers.py,
-so it runs where scipy is absent.
+This file needs numpy and pytest only.
 """
 
 import math
