@@ -4,18 +4,21 @@ Exit code 0 means every check in the requested pipeline passed; failures
 name the failing section on stderr. All outputs are deterministic for a
 given configuration.
 
-A command's argv is parsed by its own parser, the one argparse builds for
-it as a subcommand; the full tree of five subparsers is built only for
-top-level help, a missing or unknown command, and leftover arguments. Cold,
-that is ~0.8 ms against ~2.3 ms to build and parse (2-core Xeon).
+A well-formed command line, a command followed only by its flags, each
+given whole or by a unique prefix with its value as the next argument, is
+read straight from the flag table (_read), through each flag's type and
+choices as argparse applies them. Everything else, help and every usage
+error included, goes to the argparse tree of five subparsers, so argparse,
+gettext and locale load only for those. Cold, the table reads the
+benchmark's command lines in 0.02-0.05 ms, where the command's own
+argparse parser took 0.38-0.49 ms (2-core Xeon, BENCH_parse.json).
 """
 
 from __future__ import annotations
 
-import argparse
 import encodings.ascii  # noqa: F401  (codec of meshes.write_obj)
-import locale  # noqa: F401  (argparse's gettext imports it on first use)
 import sys
+from types import SimpleNamespace
 
 from . import meshes, niceness, reporting
 from .linalg import DomainError
@@ -25,6 +28,8 @@ def _parse_eps(text):
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
+        import argparse  # argparse's own error type keeps its message
+
         raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}") from exc
 
 
@@ -51,7 +56,7 @@ _COMMANDS = {
               ("theta_grid", "out")),
     "sweep": ("divergence sweep as CSV", "sweep.csv",
               (_IGNORED_SAMPLES, "eps", "out",
-               ("--control", {"action": "store_true",
+               ("--control", {"action": "store_true", "default": False,
                               "help": "run the polyhedral control cone instead"}))),
     "mesh": ("export a triangle mesh as OBJ", None,
              (("--which", {"choices": ("C", "Cprime"), "default": "C"}),
@@ -60,46 +65,79 @@ _COMMANDS = {
 }
 
 
-def _add_flags(parser, name):
-    """Add command name's flags to parser."""
+def _flags(name):
+    """Command name's flags, option string -> add_argument keywords with the
+    dest, in the order its help lists them."""
     _, out, flags = _COMMANDS[name]
+    table = {}
     for flag in flags:
         if flag == "out":
-            parser.add_argument("--out", default=out, **({"help": "output path"} if out else {}))
+            table["--out"] = {"dest": "out", "default": out,
+                              **({"help": "output path"} if out else {})}
         elif isinstance(flag, str):
             field, option, kind, text = _RUN_FLAGS[flag]
             default = getattr(reporting.RunConfig, field)
             shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
-            parser.add_argument(option, dest=flag, type=kind, default=default,
-                                help=f"{text} (default {shown})")
+            table[option] = {"dest": flag, "type": kind, "default": default,
+                             "help": f"{text} (default {shown})"}
         else:
-            parser.add_argument(flag[0], **flag[1])
+            table[flag[0]] = {"dest": flag[0][2:], **flag[1]}
+    return table
 
 
 def build_parser():
     """The full tree: the top-level parser and one subparser per command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="conelab",
         description="Verify the 4D facially-exposed-but-not-nice cone construction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, _, _) in _COMMANDS.items():
-        _add_flags(sub.add_parser(name, help=summary), name)
+        command = sub.add_parser(name, help=summary)
+        for option, keywords in _flags(name).items():
+            command.add_argument(option, **keywords)
     return parser
 
 
+def _read(name, tokens):
+    """The namespace build_parser().parse_args([name, *tokens]) gives, read
+    from the flag table; None for a line argparse must read: help, "--", an
+    "=" form, a value starting with "-", a positional, an unknown or
+    ambiguous option, and a value its type or choices refuse."""
+    flags = _flags(name)
+    args = {"command": name, **{kw["dest"]: kw.get("default") for kw in flags.values()}}
+    tokens = iter(tokens)
+    for token in tokens:
+        # a prefix of --help ("--" included) may mean help; every flag starts
+        # with "--" and holds no "=", so no other positional or "=" form matches
+        hits = [token] if token in flags else [o for o in flags if o.startswith(token)]
+        if "--help".startswith(token) or len(hits) != 1:
+            return None
+        keywords = flags[hits[0]]
+        if keywords.get("action") == "store_true":
+            value = True
+        else:
+            text = next(tokens, "-")  # a missing value declines as "-" does
+            if text.startswith("-"):
+                return None
+            try:
+                value = keywords.get("type", str)(text)
+            except Exception:  # the tree calls the type again: argparse reports it or raises
+                return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        args[keywords["dest"]] = value
+    return SimpleNamespace(**args)
+
+
 def _parse(argv):
-    """build_parser().parse_args(argv), from the named command's parser alone
-    when it leaves no argument over."""
+    """build_parser().parse_args(argv), from the flag table where it reads
+    the whole line."""
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"conelab {argv[0]}")
-        _add_flags(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _config(args):

@@ -184,10 +184,17 @@ def theta_for_partner(t):
     """Inverse of partner_param in closed form.
 
     Solves cos(t) = sin(theta)/(1 + sin(theta) - cos(theta)) for theta;
-    the nontrivial root of the induced A sin + B cos = B equation.
+    the nontrivial root of the induced A sin + B cos = B equation. Below
+    t = 1.825e-8, where cos t rounds to 1 or to the float just below it, that
+    root rounds to 0, outside the domain of theta, so such t is refused.
     """
-    c = np.cos(check_param(t, open_lo=True))
-    return math.pi - 2.0 * _per_element(math.atan2, c, 1.0 - c)
+    t = check_param(t, open_lo=True)
+    c = np.cos(t)
+    theta = math.pi - 2.0 * _per_element(math.atan2, c, 1.0 - c)
+    if not (theta > 0.0).all():
+        bad = t[theta <= 0.0] if t.ndim else t
+        raise DomainError(f"t={bad} too small: cos t is within an ulp of 1, so theta rounds to 0")
+    return theta
 
 
 class RulingData(NamedTuple):

@@ -1,7 +1,9 @@
 import ast
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -288,16 +290,27 @@ class TestCommandFlags:
         assert given.read_bytes() == default.read_bytes()
 
 
-# argv whose help, error or output the command's own parser must print as
-# the full tree does: help, type errors, bad choices, missing values, flags of
-# no command or of another command, abbreviations and leftover positionals
+# argv whose help, error or output main must print as the full tree does:
+# help, type errors, bad choices, missing values, flags of no command or of
+# another command, abbreviations, leftover positionals, "=" forms, a value
+# "-" and a repeated flag
 PARSE_ARGV = [
     ["-h"], ["verify", "-h"], ["faces", "-h"], ["sweep", "-h"], ["mesh", "-h"], ["nice3d", "-h"],
     ["sweep", "--samples", "x"], ["verify", "--bogus", "1"], ["mesh", "--which", "D"], [],
     ["verfy"], ["sweep", "--eps", "1,2"], ["sweep", "--samp", "64"], ["nice3d", "extra"],
     ["verify", "--tol", "1e-9"], ["faces", "--samples", "8"], ["sweep", "--samples"],
     ["verify", "--theta-grid", "1.5"], ["sweep", "--eps", "a,b"], ["nice3d", "--", "x"],
+    ["sweep", "--eps=0.1,0.01,0.001"], ["nice3d", "--out", "-"],
+    ["mesh", "--which=C", "--samples", "8"], ["nice3d", "--out", "a.json", "--out", "b.json"],
 ]
+
+# the tokens the table-path property draws argv from, alone, in pairs or
+# joined by "=": every option string and each of its prefixes from "--" on
+# (--help's included), -h, and values of every type, out of range or refused
+OPTIONS = sorted({option[:end]
+                  for option in {"--help", *(o for name in cli._COMMANDS for o in cli._flags(name))}
+                  for end in range(2, len(option) + 1)} | {"-h"})
+VALUES = ["64", "7", "1.5", "x", "-1", "-", "", "0.1,0.01,0.001", "a,b", "C", "Cprime", "D"]
 
 # each command at its defaults, and the benchmark's four op shapes
 NAMESPACE_ARGV = [
@@ -344,6 +357,39 @@ class TestParsePath:
         assert run_main(argv, tmp_path / "tree", capsysbinary) == own
         assert written(tmp_path / "own") == written(tmp_path / "tree")
 
+    def test_the_table_declines_or_reads_as_the_full_tree(self):
+        # where the tree exits (help or a usage error) the table must decline;
+        # where it reads the line, the table declines or gives its namespace
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        option, value = st.sampled_from(OPTIONS), st.sampled_from(VALUES)
+        stray = option | value | st.builds("{}={}".format, option, value)
+
+        def lines(command):
+            # mostly the command's own flags, or prefixes of them, each with
+            # or without a value, so that some lines are well formed
+            flags = cli._flags(command) if command in cli._COMMANDS else ()
+            own = [o for o in OPTIONS if any(f.startswith(o) for f in flags)]
+            mine = st.sampled_from(own) if own else option
+            piece = st.tuples(mine, value) | st.tuples(mine) | st.tuples(stray)
+            return st.lists(piece, max_size=3).map(lambda ps: [command, *sum(ps, ())])
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.sampled_from([*cli._COMMANDS, "verfy"]).flatmap(lines))
+        def check(argv):
+            command, *tokens = argv
+            table = cli._read(command, tokens) if command in cli._COMMANDS else None
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    tree = vars(cli.build_parser().parse_args(argv))
+            except SystemExit:
+                assert table is None
+            else:
+                assert table is None or vars(table) == tree
+
+        check()
+
     @pytest.mark.parametrize("argv", [
         ["verify", *FAST], ["faces", *FACES_FAST], ["sweep", "--samples", "64"],
         ["mesh", "--samples", "8"], ["nice3d"], ["sweep", "--control", "--samp", "64"],
@@ -382,12 +428,14 @@ def fresh_python(script, *args):
 
 class TestImportPath:
     def test_cli_runs_without_scipy_or_lazy_imports(self, tmp_path):
-        # Every module the commands need (locale) loads with conelab.cli, so
-        # none is imported inside main. numpy.ma is compared with what a bare
-        # `import numpy` loads: numpy 1.24 imports it eagerly, numpy 2.x only
-        # on demand, and no command may demand it. Nor may a command load
-        # fractions or decimal (3-4 ms to import): nice3d decides in Python ints;
-        # or csv: the sweep CSV is one %-format per section.
+        # Every module the commands need loads with conelab.cli, so none is
+        # imported inside main; argparse, gettext and locale load only for
+        # help and usage errors, and a valid run loads none of them.
+        # numpy.ma is compared with what a bare `import numpy` loads: numpy
+        # 1.24 imports it eagerly, numpy 2.x only on demand, and no command
+        # may demand it. Nor may a command load fractions or decimal (3-4 ms
+        # to import): nice3d decides in Python ints; or csv: the sweep CSV is
+        # one %-format per section.
         script = textwrap.dedent("""
             import importlib.util, json, sys
             import numpy
@@ -412,6 +460,8 @@ class TestImportPath:
                 "fractions_or_decimal": sorted({"fractions", "decimal"}
                                                & (set(sys.modules) - with_numpy)),
                 "hashlib": sorted({"hashlib", "_hashlib"} & (set(sys.modules) - with_numpy)),
+                "parser": sorted({"argparse", "gettext", "locale"}
+                                 & (set(sys.modules) - with_numpy)),
                 "csv": sorted({"csv", "_csv"} & (set(sys.modules) - with_numpy)),
                 "sympy_or_mpmath": sorted({"sympy", "mpmath"} & set(sys.modules)),
                 "builtin_sha256": any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
@@ -426,7 +476,7 @@ class TestImportPath:
         assert result.pop("hashlib") == [] or not builtin
         assert result == {"codes": [0] * 5, "scipy": [], "imported_by_main": [],
                           "numpy_ma_added": False, "fractions_or_decimal": [], "csv": [],
-                          "sympy_or_mpmath": []}
+                          "parser": [], "sympy_or_mpmath": []}
 
     def test_config_hash_falls_back_to_hashlib(self):
         # an interpreter without _sha2 and _sha256 hashes with hashlib: the

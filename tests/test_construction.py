@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ class TestPartnerMachinery:
         # closed-form inverse round-trips
         for th in grid[::25]:
             assert con.theta_for_partner(con.partner_param(th)) == pytest.approx(th, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [1.4e-8, 1e-8, 1e-12])
+    def test_a_partner_whose_theta_rounds_to_0_is_refused_by_its_own_value(self, t):
+        # cos t is 1 or the float below it, so the closed form gives
+        # theta = 0; the error names the t given, not a theta the caller
+        # never passed
+        with pytest.raises(DomainError, match=f"^t={t!r} "):
+            con.theta_for_partner(t)
+        with pytest.raises(DomainError, match=re.escape(f"t={np.array([t])} ")):
+            fc.build_catalogue(np.array([0.5, t]))
+        assert con.theta_for_partner(3e-8) > 0.0
 
     @pytest.mark.parametrize("n", [8, 9, 63, 64, 100, 512, 1000, 1023, 2048, 4096])
     def test_the_partner_of_the_top_is_exactly_the_top(self, n):
