@@ -16,7 +16,6 @@ argparse parser took 0.38-0.49 ms (2-core Xeon, BENCH_parse.json).
 
 from __future__ import annotations
 
-import encodings.ascii  # noqa: F401  (codec of meshes.write_obj)
 import sys
 from types import SimpleNamespace
 

@@ -219,7 +219,9 @@ def ruling_data(theta):
     ct = partner_cos(theta)
     # below theta ~ 2e-16, c + s rounds to c and ct to 1: no partner then
     if not (ct < 1.0).all():
-        raise DomainError(f"partner cosine {ct} rounds to 1")
+        bad = theta[ct >= 1.0] if theta.ndim else theta
+        raise DomainError(f"theta={bad} too small: its partner cosine rounds to 1, "
+                          "so it has no partner")
     t = _partner_of_cos(ct)
     st, sth, cth = np.sin(t), np.sin(theta), np.cos(theta)
     normal = np.stack([-st * sth, -ct * sth, ct * cth], axis=-1)

@@ -83,11 +83,13 @@ def build_mesh(which, n=64):
 
 
 def write_obj(path, mesh):
-    """ASCII OBJ of triangles, 1-based; each section is one %-format of a flat list."""
+    """ASCII OBJ of triangles, 1-based; each section is one %-format of a flat
+    list. Written as UTF-8, which gives ASCII text the same bytes and whose
+    codec every interpreter has loaded."""
     verts, tris = mesh.vertices.ravel().tolist(), (mesh.triangles + 1).ravel().tolist()
     text = (f"o {mesh.which}\n" + "v %.17g %.17g %.17g\n" * len(mesh.vertices) % tuple(verts)
             + "f %d %d %d\n" * len(mesh.triangles) % tuple(tris))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 

@@ -17,6 +17,9 @@ check its maxima (arc_max), both on Python floats with no numpy call.
 Also here: the check, at the generators, that a 3D cone's exposing normals
 span the dual of a 2D face together with its orthogonal complement, the
 step behind facially exposed three-dimensional cones always being nice.
+It reads each input once as a list of floats and decides in Python ints,
+with no object-dtype array: in a fresh process each op on one pays numpy's
+first-use cost.
 
 The bounds, the closure check, the sweep and the 3D check return plain
 dicts of the values that the reports write.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import cache
+from operator import mul
 
 import numpy as np
 
@@ -172,23 +176,28 @@ def fitted_exponent(rows):
     finite = [(1.0 / e, lam) for e, lam, *_ in rows if 0 < lam < math.inf]
     if len(finite) < 2:
         return math.nan
-    (x, dx), (y, dy) = (_ints(np.log(v)) for v in zip(*finite))  # the logs times dx, dy
-    n, sx = len(finite), x.sum()
-    spread = n * (x @ x) - sx * sx  # 0 only when every x is one float
-    return _ratio((n * (x @ y) - sx * y.sum()) * dx, spread * dy) if spread else math.nan
+    (x, dx), (y, dy) = (_ints(np.log(v).tolist()) for v in zip(*finite))  # the logs times dx, dy
+    n, sx = len(finite), sum(x)
+    spread = n * _dot(x, x) - sx * sx  # 0 only when every x is one float
+    return _ratio((n * _dot(x, y) - sx * sum(y)) * dx, spread * dy) if spread else math.nan
 
 
 def _ints(v):
-    """A float array as a positive power-of-two multiple of itself, exactly,
-    in Python ints (dtype object); returns it and that power of two."""
-    ratios = [x.as_integer_ratio() for x in v.ravel().tolist()]
+    """A sequence of floats as a positive power-of-two multiple of itself,
+    exactly, in Python ints; returns the list and that power of two."""
+    ratios = [x.as_integer_ratio() for x in v]
     den = max(d for _, d in ratios)
-    return np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(v.shape), den
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _dot(a, b):
+    """<a, b> for sequences of Python ints."""
+    return sum(map(mul, a, b))
 
 
 def _cross(a, b):
-    """a x b for 3-vectors of Python ints."""
-    return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+    """a x b for 3-vectors of Python ints, as a list."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
 def _ratio(num, den):
@@ -236,33 +245,37 @@ def nice3d_ingredients(generators, p1, p2, h1, h2):
         raise DomainError("nice3d_ingredients expects an (m, 3) generator array")
     if not len(g):
         raise DegenerateInputError("cone has no generators")
-    if not np.all(np.isfinite(g)):
+    g = g.ravel().tolist()
+    if not all(map(math.isfinite, g)):
         raise DomainError("cone generators have NaN or infinite components")
     vectors = [np.asarray(v, dtype=float) for v in (p1, p2, h1, h2)]
-    if any(v.shape != (3,) or not np.all(np.isfinite(v)) for v in vectors):
+    vectors = [v.tolist() for v in vectors if v.shape == (3,)]
+    if len(vectors) != 4 or not all(math.isfinite(x) for v in vectors for x in v):
         raise DomainError("p1, p2, h1 and h2 must each be a finite vector of shape (3,)")
     (g, _), (p1, d1), (p2, d2), *hs = (_ints(v) for v in (g, *vectors))
     c = _cross(p1, p2)
-    if not c.any():
+    if not any(c):
         raise DegenerateInputError("p1 and p2 do not span a plane")
-    if any((g @ h).min() < 0 for h, _ in hs):
+    rows = [g[k:k + 3] for k in range(0, len(g), 3)]
+    if any(_dot(row, h) < 0 for h, _ in hs for row in rows):
         raise DomainError("exposing normal is negative somewhere on the cone")
-    cc = c @ c
-    qs = [cc * h - (h @ c) * c for h, _ in hs]
-    if not all(q.any() for q in qs):
+    cc = _dot(c, c)
+    qs = [[cc * a - _dot(h, c) * b for a, b in zip(h, c)] for h, _ in hs]
+    if not all(any(q) for q in qs):
         raise DomainError("exposing normal lies in the face's orthogonal complement; "
                           "it would expose the whole face, not an edge")
 
-    n1, n2, p12 = p1 @ p1, p2 @ p2, p1 @ p2
-    rs = (n1 * p2 - p12 * p1, n2 * p1 - p12 * p2)
-    sign_ok = qs[0] @ p1 == 0 < qs[0] @ p2 and qs[1] @ p2 == 0 < qs[1] @ p1
+    n1, n2, p12 = _dot(p1, p1), _dot(p2, p2), _dot(p1, p2)
+    rs = ([n1 * b - p12 * a for a, b in zip(p1, p2)], [n2 * a - p12 * b for a, b in zip(p1, p2)])
+    sign_ok = (_dot(qs[0], p1) == 0 < _dot(qs[0], p2)
+               and _dot(qs[1], p2) == 0 < _dot(qs[1], p1))
     # q_i = q_i' / (|c|^2 e_i) and w_i = r_i / (|p_i|^2 d_j) for the scales e, d
     dens = (n1 * d2, n2 * d1)
     return {
         "projections": tuple([_ratio(a, cc * e) for a in q] for q, (_, e) in zip(qs, hs)),
         "sign_pattern_ok": sign_ok,
         "wedge_generators": tuple([_ratio(a, d) for a in r] for r, d in zip(rs, dens)),
-        "multipliers": tuple(_ratio(q @ r * d, cc * e * (r @ r))
+        "multipliers": tuple(_ratio(_dot(q, r) * d, cc * e * _dot(r, r))
                              for q, r, d, (_, e) in zip(qs, rs, dens, hs)),
         "pass": sign_ok,
     }
@@ -282,10 +295,10 @@ def half_disc_cone_example():
     The corner rays (1, +-1, 0) are exposed by h = (1, -+1, 1), the lifts of
     the corner-exposing pairs of the half-disc.
     """
-    phi = np.linspace(0.0, math.pi, HALF_DISC_RAYS)
-    gens = np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)], axis=1)
-    p1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    p2 = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    phis = [k * math.pi / (HALF_DISC_RAYS - 1) for k in range(HALF_DISC_RAYS)]
+    gens = np.array([(1.0, math.cos(phi), math.sin(phi)) for phi in phis])
+    a = 1.0 / math.sqrt(2.0)
+    p1, p2 = np.array([a, -a, 0.0]), np.array([a, a, 0.0])
     h1 = np.array([1.0, 1.0, 1.0])
     h2 = np.array([1.0, -1.0, 1.0])
     return gens, p1, p2, h1, h2

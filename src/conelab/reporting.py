@@ -195,7 +195,7 @@ def run_nice3d():
         out[name] = nn.nice3d_ingredients(*example)
     generators, p1, p2, _, h2 = octant
     try:
-        nn.nice3d_ingredients(generators, p1, p2, np.array([0.0, 0.0, 1.0]), h2)
+        nn.nice3d_ingredients(generators, p1, p2, (0.0, 0.0, 1.0), h2)
         rejection = False
     except DomainError:
         rejection = True

@@ -435,7 +435,8 @@ class TestImportPath:
         # 1.24 imports it eagerly, numpy 2.x only on demand, and no command
         # may demand it. Nor may a command load fractions or decimal (3-4 ms
         # to import): nice3d decides in Python ints; or csv: the sweep CSV is
-        # one %-format per section.
+        # one %-format per section; or the ASCII codec: every output is
+        # written as UTF-8, whose codec the interpreter always holds.
         script = textwrap.dedent("""
             import importlib.util, json, sys
             import numpy
@@ -463,6 +464,7 @@ class TestImportPath:
                 "parser": sorted({"argparse", "gettext", "locale"}
                                  & (set(sys.modules) - with_numpy)),
                 "csv": sorted({"csv", "_csv"} & (set(sys.modules) - with_numpy)),
+                "codec": sorted({"encodings.ascii"} & (set(sys.modules) - with_numpy)),
                 "sympy_or_mpmath": sorted({"sympy", "mpmath"} & set(sys.modules)),
                 "builtin_sha256": any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
             }))
@@ -476,7 +478,7 @@ class TestImportPath:
         assert result.pop("hashlib") == [] or not builtin
         assert result == {"codes": [0] * 5, "scipy": [], "imported_by_main": [],
                           "numpy_ma_added": False, "fractions_or_decimal": [], "csv": [],
-                          "parser": [], "sympy_or_mpmath": []}
+                          "codec": [], "parser": [], "sympy_or_mpmath": []}
 
     def test_config_hash_falls_back_to_hashlib(self):
         # an interpreter without _sha2 and _sha256 hashes with hashlib: the
@@ -529,6 +531,24 @@ class TestImportPath:
                     users.append(f"{path.name}:{node.lineno}")
         assert users == []
 
+
+    def test_no_module_builds_an_object_dtype_array(self):
+        # exact arithmetic runs on Python ints and lists: in a fresh process
+        # each op on an object-dtype array pays numpy's first-use cost, which
+        # made nice3d's exact steps ~0.3 ms of its ~1 ms run
+        package = Path(conelab.__file__).resolve().parent
+        sites = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                kinds = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+                if getattr(node.func, "attr", None) == "astype":
+                    kinds += node.args[:1]
+                if any(getattr(k, "id", None) == "object" or getattr(k, "attr", None) == "object_"
+                       or getattr(k, "value", None) in ("O", "object") for k in kinds):
+                    sites.append(f"{path.name}:{node.lineno}")
+        assert sites == []
 
     def test_only_the_run_config_is_a_dataclass(self):
         # creating a dataclass costs ~1 ms per cold process; records without

@@ -120,6 +120,17 @@ class TestPartnerMachinery:
             fc.build_catalogue(np.array([0.5, t]))
         assert con.theta_for_partner(3e-8) > 0.0
 
+    @pytest.mark.parametrize("theta", [1e-17, 5e-324])
+    def test_a_theta_whose_partner_cosine_rounds_to_1_is_refused_by_its_own_value(self, theta):
+        # below theta ~ 2e-16 the partner cosine rounds to 1, so there is no
+        # partner; the error names the theta given, not the derived cosines
+        with pytest.raises(DomainError, match=f"^theta={re.escape(repr(theta))} "):
+            con.ruling_data(theta)
+        for call in (con.ruling_data, fc.build_catalogue):
+            with pytest.raises(DomainError, match=re.escape(f"theta={np.array([theta])} ")):
+                call(np.array([0.5, theta]))
+        assert con.ruling_data(np.array([0.5, 1e-15])).t.min() > 0.0
+
     @pytest.mark.parametrize("n", [8, 9, 63, 64, 100, 512, 1000, 1023, 2048, 4096])
     def test_the_partner_of_the_top_is_exactly_the_top(self, n):
         # arccos rounds to T + 1.1e-16 at theta = T; a partner above T would

@@ -553,6 +553,73 @@ def verdict(*args):
     return rep["pass"], rep["sign_pattern_ok"]
 
 
+def rounded(x):
+    """float(x) of a Fraction, +-inf past the float range, as int / int gives."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def dyadic_nice3d_case(rng):
+    """Seeded random nice3d inputs: small integer vectors, each times its own
+    2^k with k from -1074 (subnormal) to 1000. Most normals are built
+    orthogonal to their edge, a (c x p_i) + b c, mostly with the sign of a
+    that makes them positive on the other edge, and some parallel to c, so
+    every verdict and every rejection occurs."""
+    def small(lo=-3, hi=4):
+        return [int(x) for x in rng.integers(lo, hi, size=3)]
+
+    def scaled(v):
+        k = int(rng.integers(-1074, 1001)) if rng.random() < 0.5 else int(rng.integers(-8, 9))
+        return np.array([math.ldexp(float(x), k) for x in v])
+
+    p1, p2 = small(), small()
+    if rng.random() < 0.1:
+        m = int(rng.integers(-3, 4))
+        p2 = [m * x for x in p1]
+    c = cross(p1, p2)
+    hs = []
+    for p, sign in ((p1, 1), (p2, -1)):
+        a, b = int(rng.integers(1, 3)) * sign, int(rng.integers(-2, 3))
+        pick = rng.random()
+        if pick < 0.06:
+            h = [(b or 1) * x for x in c]
+        elif pick < 0.75:
+            h = [(a if rng.random() < 0.8 else -a) * x + b * y for x, y in zip(cross(c, p), c)]
+        else:
+            h = small()
+        hs.append(h)
+    gens = [p1, p2, [x + y for x, y in zip(p1, p2)]][:int(rng.integers(1, 4))]
+    if rng.random() < 0.15:
+        gens.append(small())
+    return np.array([scaled(g) for g in gens]), scaled(p1), scaled(p2), *map(scaled, hs)
+
+
+def exact_nice3d(generators, p1, p2, h1, h2):
+    """nice3d_ingredients recomputed in Fractions on the float inputs: the
+    report's values, or the rejection as (class, message fragment)."""
+    p1, p2, h1, h2 = map(exact, (p1, p2, h1, h2))
+    c = cross(p1, p2)
+    if not any(c):
+        return DegenerateInputError, "span a plane"
+    if any(dot(exact(g), h) < 0 for g in generators for h in (h1, h2)):
+        return DomainError, "negative"
+    qs = [[a - dot(h, c) / dot(c, c) * b for a, b in zip(h, c)] for h in (h1, h2)]
+    if not all(any(q) for q in qs):
+        return DomainError, "complement"
+    ws = [[a - dot(p_own, p_other) / dot(p_own, p_own) * b for a, b in zip(p_other, p_own)]
+          for p_own, p_other in ((p1, p2), (p2, p1))]
+    sign_ok = dot(qs[0], p1) == 0 < dot(qs[0], p2) and dot(qs[1], p2) == 0 < dot(qs[1], p1)
+    return {
+        "projections": tuple([rounded(a) for a in q] for q in qs),
+        "sign_pattern_ok": sign_ok,
+        "wedge_generators": tuple([rounded(a) for a in w] for w in ws),
+        "multipliers": tuple(rounded(dot(q, w) / dot(w, w)) for q, w in zip(qs, ws)),
+        "pass": sign_ok,
+    }
+
+
 class TestNice3D:
     def test_octant_projections_align_with_axes(self):
         rep = nn.nice3d_ingredients(*nn.octant_example())
@@ -561,6 +628,39 @@ class TestNice3D:
         # q_i = c_i * w_i with w1 = e2, w2 = e1: the dual wedge is the quadrant
         assert rep["wedge_generators"] == ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
         assert rep["multipliers"] == (1.0, 1.0)
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_lists_and_tuples_give_the_report_of_arrays(self, example):
+        cone, *vectors = example()
+        base = nn.nice3d_ingredients(cone, *vectors)
+        as_lists = nn.nice3d_ingredients(cone.tolist(), *(v.tolist() for v in vectors))
+        as_tuples = nn.nice3d_ingredients(tuple(map(tuple, cone.tolist())),
+                                          *(tuple(v.tolist()) for v in vectors))
+        assert as_lists == as_tuples == base
+        with pytest.raises(DomainError, match="complement"):
+            nn.nice3d_ingredients(cone.tolist(), vectors[0], vectors[1], (0.0, 0.0, 1.0),
+                                  vectors[3])
+
+    def test_every_float_is_its_exact_value_rounded_once(self):
+        # seeded dyadic inputs from subnormal to 2^1000 scales: each float of
+        # the report is float() of its Fraction value (inf past the range),
+        # the verdict is the exact sign pattern, and each rejection is the
+        # exact one, raised in the same order
+        rng = np.random.default_rng(43)
+        outcomes = []
+        for _ in range(500):
+            args = dyadic_nice3d_case(rng)
+            expected = exact_nice3d(*args)
+            if isinstance(expected, dict):
+                assert nn.nice3d_ingredients(*args) == expected, args
+                outcomes.append(expected["pass"])
+            else:
+                with pytest.raises(expected[0], match=expected[1]):
+                    nn.nice3d_ingredients(*args)
+                outcomes.append(expected[1])
+        counts = {o: outcomes.count(o) for o in (True, False, "span a plane", "negative",
+                                                  "complement")}
+        assert min(counts.values()) >= 10, counts
 
     def test_half_disc_cone_passes(self):
         rep = nn.nice3d_ingredients(*nn.half_disc_cone_example())
