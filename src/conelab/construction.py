@@ -29,8 +29,6 @@ normals. It takes a scalar or a whole array of parameters, so the face
 catalogue gets all its rulings from one array evaluation per parameter set.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -32,8 +32,6 @@ the generator lift_points(x), so it exposes the cone over the face that
 (y, d) exposes (an identity proven in tests/test_certificate.py).
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -4,8 +4,6 @@ DegenerateInputError. No command's verdict reads a bare tolerance: each
 threshold is gamma times a stated scale, or the verdict is decided exactly.
 """
 
-from __future__ import annotations
-
 
 class DomainError(ValueError):
     """A parameter lies outside its documented domain."""

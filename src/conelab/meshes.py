@@ -7,8 +7,6 @@ along the same diagonal, the one that folds outward, so the emitted mesh is
 a convex-hull triangulation of its vertices at every size.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +27,7 @@ class Mesh(NamedTuple):
         return len(self.vertices), len(self.triangles)
 
 
-def build_mesh(which, n=64):
+def build_mesh(which, n):
     """Triangulate the body boundary with n parameters per curve.
 
     Vertices: the shared endpoint (index 0), then n samples of each curve,

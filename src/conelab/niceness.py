@@ -25,8 +25,6 @@ The bounds, the closure check, the sweep and the 3D check return plain
 dicts of the values that the reports write.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from functools import cache

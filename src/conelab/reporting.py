@@ -8,8 +8,6 @@ SHA-256 from the interpreter's own module (_sha2, or _sha256 before Python
 ~3.6 MB of every command's peak memory, for the same digest.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from collections import Counter

@@ -480,6 +480,53 @@ class TestImportPath:
                           "numpy_ma_added": False, "fractions_or_decimal": [], "csv": [],
                           "codec": [], "parser": [], "sympy_or_mpmath": []}
 
+    def test_package_root_loads_no_module(self):
+        # the root defines nothing: importing it loads no submodule and no
+        # numpy, so a caller pays only for the modules it imports
+        script = ("import sys, conelab; print(sorted(m for m in sys.modules"
+                  " if m.startswith(('conelab', 'numpy'))))")
+        assert fresh_python(script).strip() == "['conelab']"
+
+    @pytest.mark.parametrize("module, layers", [
+        ("linalg", []),
+        ("construction", ["linalg"]),
+        ("niceness", ["construction", "linalg"]),
+        ("faces", ["construction", "linalg"]),
+        ("meshes", ["construction", "linalg"]),
+        ("reporting", ["construction", "faces", "linalg", "niceness"]),
+        ("cli", ["construction", "faces", "linalg", "meshes", "niceness", "reporting"]),
+    ])
+    def test_each_module_loads_only_the_layers_below_it(self, module, layers):
+        script = textwrap.dedent("""
+            import importlib, sys
+            importlib.import_module("conelab." + sys.argv[1])
+            print(" ".join(sorted(m for m in sys.modules if m.startswith("conelab."))))
+        """)
+        loaded = fresh_python(script, module).split()
+        assert loaded == sorted(f"conelab.{m}" for m in [module, *layers])
+
+    def test_every_top_level_import_is_read(self):
+        # a name bound by a module-level import (a try block's included) and
+        # read nowhere in its module costs an import on every start-up
+        package = Path(conelab.__file__).resolve().parent
+        unread = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            statements = list(tree.body)
+            while statements:
+                node = statements.pop()
+                if isinstance(node, ast.Try):
+                    statements += node.body + node.orelse + node.finalbody
+                    statements += [s for h in node.handlers for s in h.body]
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in read:
+                            unread.append(f"{path.name}:{node.lineno} {name}")
+        assert unread == []
+
     def test_config_hash_falls_back_to_hashlib(self):
         # an interpreter without _sha2 and _sha256 hashes with hashlib: the
         # same SHA-256, so the same config hash

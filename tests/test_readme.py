@@ -15,4 +15,4 @@ def test_library_example_runs(capsys):
     assert namespace["profile"]["achieving"][0] == 1
     assert float(lambda_line.split()[0]) == namespace["profile"]["lambda_star"]
     assert sweep_line.startswith("NotNiceEvidence ")
-    assert abs(namespace["cl"].fitted_exponent(namespace["sweep"]["rows"]) - 1.0) < 0.05
+    assert abs(namespace["niceness"].fitted_exponent(namespace["sweep"]["rows"]) - 1.0) < 0.05
