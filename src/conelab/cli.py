@@ -160,8 +160,12 @@ def main(argv=None):
         if args.command == "faces":
             atlas = reporting.run_faces(_config(args))
             reporting.write_json(args.out, atlas)
-            print(f"wrote {args.out}; failed reports: {atlas['failed_reports']}")
-            return 0 if atlas["failed_reports"] == 0 else 1
+            failed = atlas["failed_reports"]
+            print(f"wrote {args.out}; failed reports: {failed}")
+            if failed:
+                print(f"FAILED face reports: {failed}, listed in {args.out}", file=sys.stderr)
+                return 1
+            return 0
 
         if args.command == "sweep":
             sweep = niceness.divergence_sweep(args.eps, control=args.control)
@@ -181,7 +185,14 @@ def main(argv=None):
             report = reporting.run_nice3d()
             reporting.write_json(args.out, report)
             print(f"wrote {args.out}; pass: {report['pass']}")
-            return 0 if report["pass"] else 1
+            if not report["pass"]:
+                failed = [name for name, ok in (("octant", report["octant"]["pass"]),
+                                                ("half_disc", report["half_disc"]["pass"]),
+                                                ("perp_normal_rejected",
+                                                 report["perp_normal_rejected"])) if not ok]
+                print("FAILED checks: " + ", ".join(failed), file=sys.stderr)
+                return 1
+            return 0
 
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

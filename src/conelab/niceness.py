@@ -169,19 +169,21 @@ def fitted_exponent(rows):
     """The least-squares slope of log(lambda_star) against log(1/epsilon)
     over divergence_sweep's rows with 0 < lambda_star < inf, near 1 when
     lambda_star grows like 1/epsilon: one correctly rounded int / int of the
-    float logs taken exactly as ints (_ints), with no LAPACK call. NaN, as
-    no slope exists, for fewer than two such rows or one log(1/epsilon)."""
+    float logs taken exactly as ints (_ints), with no LAPACK call. The logs
+    are libm's, as the rows' sines are: numpy picks its float64 log routine
+    by CPU dispatch. NaN, as no slope exists, for fewer than two such rows
+    or one log(1/epsilon)."""
     finite = [(1.0 / e, lam) for e, lam, *_ in rows if 0 < lam < math.inf]
     if len(finite) < 2:
         return math.nan
-    (x, dx), (y, dy) = (_ints(np.log(v).tolist()) for v in zip(*finite))  # the logs times dx, dy
+    (x, dx), (y, dy) = (_ints(map(math.log, v)) for v in zip(*finite))  # the logs times dx, dy
     n, sx = len(finite), sum(x)
     spread = n * _dot(x, x) - sx * sx  # 0 only when every x is one float
     return _ratio((n * _dot(x, y) - sx * sum(y)) * dx, spread * dy) if spread else math.nan
 
 
 def _ints(v):
-    """A sequence of floats as a positive power-of-two multiple of itself,
+    """An iterable of floats as a positive power-of-two multiple of itself,
     exactly, in Python ints; returns the list and that power of two."""
     ratios = [x.as_integer_ratio() for x in v]
     den = max(d for _, d in ratios)

@@ -37,6 +37,20 @@ def refuse_work(monkeypatch):
     monkeypatch.setattr(niceness, "shift_bounds", refuse)
 
 
+def shift_f24_off_its_face(monkeypatch):
+    """Move F24's offset off its face by 1e-6: the body check fails, and it
+    alone."""
+    real = faces.build_catalogue
+
+    def shifted(theta_grid):
+        catalogue = real(theta_grid)
+        offsets = catalogue.offsets.copy()
+        offsets[catalogue.kinds.index("F24")] -= 1e-6
+        return catalogue._replace(offsets=offsets)
+
+    monkeypatch.setattr(faces, "build_catalogue", shifted)
+
+
 class TestVerifyCommand:
     def test_passes_and_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -53,17 +67,7 @@ class TestVerifyCommand:
             "control_verdict", "control_products", "pass"}
 
     def test_a_face_failing_the_body_check_fails_verify(self, tmp_path, capsys, monkeypatch):
-        # F24's offset moved off its face by 1e-6: the body check fails, and
-        # it alone
-        real = faces.build_catalogue
-
-        def shifted(theta_grid):
-            catalogue = real(theta_grid)
-            offsets = catalogue.offsets.copy()
-            offsets[catalogue.kinds.index("F24")] -= 1e-6
-            return catalogue._replace(offsets=offsets)
-
-        monkeypatch.setattr(faces, "build_catalogue", shifted)
+        shift_f24_off_its_face(monkeypatch)
         out = tmp_path / "r.json"
         assert main(["verify", *FAST, "--out", str(out)]) == 1
         assert "FAILED sections: face_exposure" in capsys.readouterr().err
@@ -100,6 +104,16 @@ class TestFacesCommand:
         n = atlas["config"]["theta_grid_size"]
         assert sum(atlas["kind_counts"].values()) == 1 + 4 * n + 2 * n + 3 + 4
 
+    def test_a_face_failing_the_body_check_fails_faces(self, tmp_path, capsys, monkeypatch):
+        shift_f24_off_its_face(monkeypatch)
+        out = tmp_path / "atlas.json"
+        assert main(["faces", *FACES_FAST, "--out", str(out)]) == 1
+        assert capsys.readouterr() == (f"wrote {out}; failed reports: 1\n",
+                                       f"FAILED face reports: 1, listed in {out}\n")
+        atlas = json.loads(out.read_text())
+        assert atlas["failed_reports"] == 1
+        assert [f["kind"] for f in atlas["faces"] if f["report"]["verdict"] == "fail"] == ["F24"]
+
 
 class TestSweepCommand:
     def test_csv_shape_and_footer(self, tmp_path):
@@ -125,17 +139,22 @@ class TestSweepCommand:
         # each row is an arc value, 4 sin^2(t/2) on curve 1, which neither
         # cancels nor rounds away: lambda* is cot(eps/2)/2 - 1 at curve 1,
         # t = eps, down to 1e-100 (the 4D dot products read 0.2071 at t = T
-        # there, the bound of the only row they left)
+        # there, the bound of the only row they left), and so the product
+        # lambda* eps is near 1 at every level, 1e-1 included
         mp = pytest.importorskip("mpmath").mp
         mp.dps = 50
         out = tmp_path / "s.csv"
-        assert main(["sweep", "--eps", "1e-1,1e-50,1e-100", "--out", str(out)]) == 0
-        rows = list(csv.reader(out.read_text().splitlines()))
-        assert rows[-1] == ["# verdict=NotNiceEvidence"]
-        for (eps, lam, _, cid, t), level in zip(rows[1:-1], (1e-1, 1e-50, 1e-100)):
-            assert (float(eps), cid, float(t)) == (level, "1", level)
-            exact = mp.cot(mp.mpf(level) / 2) / 2 - 1
-            assert abs(float(lam) - exact) <= 8 * 2.0**-53 * exact
+        for text in ("1e-1,1e-50,1e-100", "1e-1,1e-3,1e-6", "1e-1,1e-3,1e-5,1e-7,1e-9"):
+            assert main(["sweep", "--eps", text, "--out", str(out)]) == 0
+            rows = list(csv.reader(out.read_text().splitlines()))
+            assert rows[-1] == ["# verdict=NotNiceEvidence"]
+            levels = [float(v) for v in text.split(",")]
+            assert len(rows) == len(levels) + 2  # the header and the footer
+            for (eps, lam, product, cid, t), level in zip(rows[1:-1], levels):
+                assert (float(eps), cid, float(t)) == (level, "1", level)
+                assert 0.8 <= float(product) <= 1.2
+                exact = mp.cot(mp.mpf(level) / 2) / 2 - 1
+                assert abs(float(lam) - exact) <= 8 * 2.0**-53 * exact
 
     def test_empty_eps_is_a_usage_error(self, tmp_path):
         assert main(["sweep", "--eps", "", "--out", str(tmp_path / "x.csv")]) == 2
@@ -206,6 +225,10 @@ class TestMeshCommand:
         assert not out.exists()
 
 
+# what run_nice3d checks, in the order it calls nice3d_ingredients
+NICE3D_CHECKS = ("octant", "half_disc", "perp_normal_rejected")
+
+
 class TestNice3DCommand:
     def test_report(self, tmp_path):
         out = tmp_path / "n3.json"
@@ -224,6 +247,27 @@ class TestNice3DCommand:
             r1, r2 = rep[name]["wedge_generators"]
             q1, q2 = rep[name]["projections"]
             assert np.dot(r1, q1) > 0.0 and np.dot(r2, q2) > 0.0
+
+    @pytest.mark.parametrize("failing", NICE3D_CHECKS)
+    def test_a_failing_check_fails_nice3d(self, failing, tmp_path, capsys, monkeypatch):
+        # run_nice3d takes the octant's ingredients, the half-disc's, then
+        # the octant's with a normal in F_perp, which must be rejected
+        real, calls = niceness.nice3d_ingredients, []
+
+        def ingredients(*example):
+            calls.append(NICE3D_CHECKS[len(calls)])
+            if calls[-1] != failing:
+                return real(*example)
+            if failing == "perp_normal_rejected":
+                return {}  # accepted, so the rejection fails
+            return {**real(*example), "pass": False}
+
+        monkeypatch.setattr(niceness, "nice3d_ingredients", ingredients)
+        out = tmp_path / "n3.json"
+        assert main(["nice3d", "--out", str(out)]) == 1
+        assert capsys.readouterr() == (f"wrote {out}; pass: False\n",
+                                       f"FAILED checks: {failing}\n")
+        assert json.loads(out.read_text())["pass"] is False
 
     def test_default_run_multipliers(self):
         report = reporting.run_nice3d()
@@ -402,6 +446,20 @@ class TestParsePath:
         assert main([*argv, "--out", str(tmp_path / "x")]) == 0
         assert (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, code, text", [
+        (["--help"], 0, "usage: conelab "),
+        (["nice3d", "--help"], 0, "usage: conelab nice3d "),
+        (["sweep", "--samples", "x"], 2, "conelab sweep: error:"),
+        (["verfy"], 2, "invalid choice"),
+    ], ids=["help", "nice3d help", "sweep samples x", "verfy"])
+    def test_help_exits_0_and_a_usage_error_2_with_its_message(self, argv, code, text,
+                                                              tmp_path, capsysbinary):
+        # help on stdout, a usage error on stderr, each under the console
+        # script's name (--tol's error: TestRunConfig)
+        got, out, err = run_main(argv, tmp_path, capsysbinary)
+        assert got == code
+        assert text in (out if code == 0 else err).decode()
+
     @pytest.mark.parametrize("argv", [
         ["nice3d"], ["mesh", "-h"], ["verify", "--tol", "1e-9"], ["verfy"], [],
         ["sweep", "--samples", "x"],
@@ -431,16 +489,17 @@ class TestImportPath:
         # Every module the commands need loads with conelab.cli, so none is
         # imported inside main; argparse, gettext and locale load only for
         # help and usage errors, and a valid run loads none of them.
-        # numpy.ma is compared with what a bare `import numpy` loads: numpy
-        # 1.24 imports it eagerly, numpy 2.x only on demand, and no command
-        # may demand it. Nor may a command load fractions or decimal (3-4 ms
-        # to import): nice3d decides in Python ints; or csv: the sweep CSV is
-        # one %-format per section; or the ASCII codec: every output is
-        # written as UTF-8, whose codec the interpreter always holds.
+        # numpy.ma and numpy.random are compared with what a bare `import
+        # numpy` loads: numpy 1.24 imports them eagerly, numpy 2.x only on
+        # demand, and no command may demand them. Nor may a command load
+        # fractions or decimal (3-4 ms to import): nice3d decides in Python
+        # ints; or csv: the sweep CSV is one %-format per section; or the
+        # ASCII codec: every output is written as UTF-8, whose codec the
+        # interpreter always holds.
         script = textwrap.dedent("""
             import importlib.util, json, sys
             import numpy
-            numpy_ma_before = "numpy.ma" in sys.modules
+            lazy_before = {"numpy.ma", "numpy.random"} & set(sys.modules)
             with_numpy = set(sys.modules)
             import conelab.cli
             loaded = set(sys.modules)
@@ -457,7 +516,8 @@ class TestImportPath:
                 "codes": codes,
                 "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                 "imported_by_main": sorted(set(sys.modules) - loaded),
-                "numpy_ma_added": "numpy.ma" in sys.modules and not numpy_ma_before,
+                "numpy_lazy_added": sorted({"numpy.ma", "numpy.random"} & set(sys.modules)
+                                           - lazy_before),
                 "fractions_or_decimal": sorted({"fractions", "decimal"}
                                                & (set(sys.modules) - with_numpy)),
                 "hashlib": sorted({"hashlib", "_hashlib"} & (set(sys.modules) - with_numpy)),
@@ -477,7 +537,7 @@ class TestImportPath:
         builtin = result.pop("builtin_sha256")
         assert result.pop("hashlib") == [] or not builtin
         assert result == {"codes": [0] * 5, "scipy": [], "imported_by_main": [],
-                          "numpy_ma_added": False, "fractions_or_decimal": [], "csv": [],
+                          "numpy_lazy_added": [], "fractions_or_decimal": [], "csv": [],
                           "codec": [], "parser": [], "sympy_or_mpmath": []}
 
     def test_package_root_loads_no_module(self):
@@ -526,6 +586,36 @@ class TestImportPath:
                         if name not in read:
                             unread.append(f"{path.name}:{node.lineno} {name}")
         assert unread == []
+
+    def test_names_no_module_reads_are_these_outside_callers(self):
+        # a top-level def, class or constant that no src module reads is
+        # either API an outside caller names here, or dead code
+        outside = {
+            "construction.curve_grid": "the README's library example samples a grid",
+            "construction.lift_pairs": "the lift C -> K that tests/test_certificate.py proves",
+            "meshes.read_obj": "perfbench/checks.py reads the mesh workload's OBJ",
+            "meshes.convexity_check": "perfbench/checks.py checks the mesh workload's body",
+        }
+        package = Path(conelab.__file__).resolve().parent
+        defined, read = [], set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((path.stem, node.name))
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined += [(path.stem, n.id) for target in targets
+                                for n in ast.walk(target) if isinstance(n, ast.Name)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):  # imported by name into another module
+                    read.add(node.name)
+        unread = {f"{module}.{name}" for module, name in defined if name not in read}
+        assert unread == set(outside)
 
     def test_config_hash_falls_back_to_hashlib(self):
         # an interpreter without _sha2 and _sha256 hashes with hashlib: the

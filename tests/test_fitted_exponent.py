@@ -1,10 +1,10 @@
 """niceness.fitted_exponent is the exact least-squares slope, correctly
 rounded, and makes no LAPACK call.
 
-The reference takes the same float logs, log(1/epsilon) and log(lambda_star),
-as Fractions, forms the slope (n sum xy - sum x sum y) / (n sum x^2 -
-(sum x)^2) exactly and rounds it once; fitted_exponent must give its bits on
-seeded random sweeps and on random rows. With least squares made to raise,
+The reference takes the same float logs, libm's log(1/epsilon) and
+log(lambda_star), as Fractions, forms the slope (n sum xy - sum x sum y) /
+(n sum x^2 - (sum x)^2) exactly and rounds it once; fitted_exponent must
+give its bits on seeded random sweeps and on random rows. With least squares made to raise,
 the fit still runs, so its bits cannot depend on the LAPACK build. Where
 the logs of the levels are all one float no slope exists, and the fit is
 NaN without a warning.
@@ -26,8 +26,8 @@ from conelab import niceness as nn
 
 def reference_slope(rows):
     finite = [(e, lam) for e, lam, *_ in rows if 0 < lam < math.inf]
-    x = [Fraction(v) for v in np.log([1.0 / e for e, _ in finite]).tolist()]
-    y = [Fraction(v) for v in np.log([lam for _, lam in finite]).tolist()]
+    x = [Fraction(math.log(1.0 / e)) for e, _ in finite]
+    y = [Fraction(math.log(lam)) for _, lam in finite]
     n = len(x)
     spread = n * sum(v * v for v in x) - sum(x) ** 2
     if n < 2 or spread == 0:
@@ -76,7 +76,7 @@ def test_levels_an_ulp_apart(no_least_squares):
     # log(1/epsilon) of the two levels rounds to one float: no slope exists
     low = 1e-100
     high = math.nextafter(low, 1.0)
-    assert np.log(1.0 / high) == np.log(1.0 / low)
+    assert math.log(1.0 / high) == math.log(1.0 / low)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isnan(nn.fitted_exponent(nn.divergence_sweep([high, low])["rows"]))
@@ -89,7 +89,7 @@ def test_levels_an_ulp_apart(no_least_squares):
 def test_verify_writes_nan_for_levels_an_ulp_apart(tmp_path, capsys):
     out = tmp_path / "v.json"
     levels = "1.0000000000000004e-100,1.0000000000000002e-100,1e-100"
-    assert len({np.log(1.0 / float(e)) for e in levels.split(",")}) == 1
+    assert len({math.log(1.0 / float(e)) for e in levels.split(",")}) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # the three log(1/epsilon) round to one float: no slope exists, yet
@@ -105,6 +105,18 @@ def test_fewer_than_two_finite_rows_give_nan():
     assert math.isnan(nn.fitted_exponent([]))
     assert math.isnan(nn.fitted_exponent([(0.1, 4.0, 0.4, 1, 0.1)]))
     assert math.isnan(nn.fitted_exponent([(0.1, 4.0, 0.4, 1, 0.1), (0.01, math.inf, math.inf, 1, 0.01)]))
+
+
+def test_logs_are_libms(monkeypatch):
+    # numpy picks its float64 log routine by CPU dispatch, so its last bit
+    # may differ between hosts; math.log is the platform libm's, as the
+    # sweep rows' sines are
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit takes libm's logs")
+
+    monkeypatch.setattr(np, "log", refuse)
+    rows = nn.divergence_sweep((1e-1, 1e-2, 1e-3, 1e-4))["rows"]
+    assert nn.fitted_exponent(rows) == reference_slope(rows)
 
 
 def test_default_verify_fit():

@@ -2,9 +2,10 @@
 
 Each command line runs in-process through cli.main with --out in tmp_path,
 and the file it writes must hash to the digest in the table: the five
-defaults, the small and fine sizes that CI runs, the smallest meshes, and
-the refinement levels down to EPS_FLOOR = 2**-510 (2.983336292480083e-154).
-A change that alters an output byte on purpose updates its digest here.
+defaults, the small (12 thetas) and fine (512 thetas) grids, the smallest
+meshes, and the refinement levels down to EPS_FLOOR = 2**-510
+(2.983336292480083e-154). A change that alters an output byte on purpose
+updates its digest here.
 
 The digests were taken with CPython 3.11 and numpy 2.4 on x86-64 Linux; the
 same bytes came out with numpy's SIMD dispatch cut to its X86_V2 baseline.

@@ -1,12 +1,15 @@
 """Each command's verdict over a fixed lattice of the knobs its CLI accepts,
-run in-process through reporting.run_* and, for sweep, the
-niceness.divergence_sweep that the CLI calls.
+run in-process: verify through cli.main, faces and nice3d through
+reporting.run_*, and sweep through the niceness.divergence_sweep that the
+CLI calls.
 
 A verdict must hold at every knob setting, not only at the defaults. A cell
 that fails because of a known defect is marked xfail(strict=True) and names
 the ROADMAP item that fixes it, so the fix turns the mark into a failure
 until the mark is removed.
 """
+
+import json
 
 import pytest
 
@@ -28,11 +31,13 @@ EPS_TO_1E_9 = EPS_TO_1E_7 + (1e-8, 1e-9)
 @pytest.mark.parametrize("eq_abs", [1e-9])
 @pytest.mark.parametrize("thetas", SIZES)
 @pytest.mark.parametrize("samples", SIZES)
-def test_verify_and_faces_pass(samples, thetas, eq_abs):
-    args = cli._parse(["verify", "--samples", str(samples), "--theta-grid", str(thetas)])
-    config = cli._config(args)
+def test_verify_and_faces_pass(samples, thetas, eq_abs, tmp_path):
+    argv = ["verify", "--samples", str(samples), "--theta-grid", str(thetas)]
+    config = cli._config(cli._parse(argv))
     assert config == RunConfig(theta_grid_size=thetas)
-    report = reporting.run_verify(config)
+    out = tmp_path / "verify.json"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
     assert (report["overall"], report["failures"]) == ("pass", [])
     assert report["sections"]["face_exposure"]["worst_onface_residual"] <= 1e-12
     assert reporting.run_faces(config)["failed_reports"] == 0

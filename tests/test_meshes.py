@@ -70,6 +70,7 @@ class TestReferenceLoops:
         mesh = meshes.build_mesh(which, n)
         expected = reference_mesh_triangles(n)
         assert np.issubdtype(mesh.triangles.dtype, np.integer)
+        assert mesh.vertices.shape == (1 + 4 * n, 3)
         assert mesh.triangles.shape == (8 * n - 2, 3)
         assert np.array_equal(mesh.triangles, expected)
         path = tmp_path / "body.obj"
@@ -125,7 +126,7 @@ class TestObjFormat:
 
 class TestConvexity:
     @pytest.mark.parametrize("which", ["C", "Cprime"])
-    @pytest.mark.parametrize("n", [2, 3, 4, 16, 64, 256, 512, 1024])
+    @pytest.mark.parametrize("n", [2, 3, 4, 16, 64, 128, 256, 512, 1024])
     def test_every_face_plane_supports_the_vertex_set(self, which, n):
         mesh = meshes.build_mesh(which, n)
         rep = meshes.convexity_check(mesh.vertices, mesh.triangles)
