@@ -4,12 +4,13 @@ Exit code 0 means every check in the requested pipeline passed; failures
 name the failing section on stderr. All outputs are deterministic for a
 given configuration.
 
-A well-formed command line, a command followed only by its flags, each
-given whole or by a unique prefix with its value as the next argument, is
-read straight from the flag table (_read), through each flag's type and
-choices as argparse applies them. Everything else, help and every usage
-error included, goes to the argparse tree of five subparsers, so argparse,
-gettext and locale load only for those. Cold, the table reads the
+One table, _COMMANDS, holds each command's flags as argparse keywords. A
+well-formed command line, a command followed only by its flags, each given
+whole with its value as the next argument, is read straight from it
+(_read), through each flag's type and choices as argparse applies them.
+Everything else, a flag's prefix, help and every usage error included, goes
+to the argparse tree that build_parser makes from the same table, so
+argparse, gettext and locale load only for those. Cold, the table reads the
 benchmark's command lines in 0.02-0.05 ms, where the command's own
 argparse parser took 0.38-0.49 ms (2-core Xeon, BENCH_parse.json).
 """
@@ -32,56 +33,40 @@ def _parse_eps(text):
         raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}") from exc
 
 
-# Run flags: dest -> (RunConfig field, flag, type, help). Each command takes
-# only the flags it reads; every default is the RunConfig field's.
-_RUN_FLAGS = {
-    "theta_grid": ("theta_grid_size", "--theta-grid", int, "ruling-parameter grid size"),
-    "eps": ("eps_list", "--eps", _parse_eps,
-            "comma-separated refinement levels, strictly decreasing"),
-}
-
-
+# Flags of several commands; a run flag's default is its RunConfig field's.
 # Each sweep level samples 0, epsilon and T, so no output reads --samples;
 # verify and sweep accept it for the command lines of perfbench/run.py.
-_IGNORED_SAMPLES = ("--samples", {"type": int, "help": "ignored: no output reads it"})
+_GRID_SIZE, _LEVELS = reporting.RunConfig.theta_grid_size, reporting.RunConfig.eps_list
+_THETA_GRID = {"--theta-grid": {"type": int, "default": _GRID_SIZE,
+                                "help": f"ruling-parameter grid size (default {_GRID_SIZE})"}}
+_EPS = {"--eps": {"type": _parse_eps, "default": _LEVELS,
+                  "help": "comma-separated refinement levels, strictly decreasing "
+                          f"(default {','.join(map(str, _LEVELS))})"}}
+_SAMPLES = {"--samples": {"type": int, "help": "ignored: no output reads it"}}
 
-# Per command: (help summary, default --out, flags in the order its help
-# lists them): a run flag's dest, "out" (undocumented for mesh, whose default
-# follows --which), or (option string, add_argument keywords).
+
+def _out(path):
+    return {"--out": {"default": path, "help": "output path"}}
+
+
+# Per command: its help summary and its flags, option string -> add_argument
+# keywords, in the order its help lists them. Each dest is argparse's own
+# (--theta-grid -> theta_grid). mesh's --out is undocumented: its default
+# follows --which.
 _COMMANDS = {
-    "verify": ("run the full pipeline, emit a JSON report", "verify_report.json",
-               (_IGNORED_SAMPLES, "theta_grid", "eps", "out")),
-    "faces": ("emit the face atlas with exposure reports", "face_atlas.json",
-              ("theta_grid", "out")),
-    "sweep": ("divergence sweep as CSV", "sweep.csv",
-              (_IGNORED_SAMPLES, "eps", "out",
-               ("--control", {"action": "store_true", "default": False,
-                              "help": "run the polyhedral control cone instead"}))),
-    "mesh": ("export a triangle mesh as OBJ", None,
-             (("--which", {"choices": meshes.BODY_NAMES, "default": "C"}),
-              ("--samples", {"type": int, "default": 64}), "out")),
-    "nice3d": ("3D closedness ingredient checks", "nice3d_report.json", ("out",)),
+    "verify": ("run the full pipeline, emit a JSON report",
+               {**_SAMPLES, **_THETA_GRID, **_EPS, **_out("verify_report.json")}),
+    "faces": ("emit the face atlas with exposure reports",
+              {**_THETA_GRID, **_out("face_atlas.json")}),
+    "sweep": ("divergence sweep as CSV",
+              {**_SAMPLES, **_EPS, **_out("sweep.csv"),
+               "--control": {"action": "store_true", "default": False,
+                             "help": "run the polyhedral control cone instead"}}),
+    "mesh": ("export a triangle mesh as OBJ",
+             {"--which": {"choices": meshes.BODY_NAMES, "default": "C"},
+              "--samples": {"type": int, "default": 64}, "--out": {}}),
+    "nice3d": ("3D closedness ingredient checks", _out("nice3d_report.json")),
 }
-
-
-def _flags(name):
-    """Command name's flags, option string -> add_argument keywords with the
-    dest, in the order its help lists them."""
-    _, out, flags = _COMMANDS[name]
-    table = {}
-    for flag in flags:
-        if flag == "out":
-            table["--out"] = {"dest": "out", "default": out,
-                              **({"help": "output path"} if out else {})}
-        elif isinstance(flag, str):
-            field, option, kind, text = _RUN_FLAGS[flag]
-            default = getattr(reporting.RunConfig, field)
-            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
-            table[option] = {"dest": flag, "type": kind, "default": default,
-                             "help": f"{text} (default {shown})"}
-        else:
-            table[flag[0]] = {"dest": flag[0][2:], **flag[1]}
-    return table
 
 
 def build_parser():
@@ -93,28 +78,26 @@ def build_parser():
         description="Verify the 4D facially-exposed-but-not-nice cone construction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, _, _) in _COMMANDS.items():
+    for name, (summary, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)
-        for option, keywords in _flags(name).items():
+        for option, keywords in flags.items():
             command.add_argument(option, **keywords)
     return parser
 
 
 def _read(name, tokens):
     """The namespace build_parser().parse_args([name, *tokens]) gives, read
-    from the flag table; None for a line argparse must read: help, "--", an
-    "=" form, a value starting with "-", a positional, an unknown or
-    ambiguous option, and a value its type or choices refuse."""
-    flags = _flags(name)
-    args = {"command": name, **{kw["dest"]: kw.get("default") for kw in flags.values()}}
+    from the table; None for a line argparse must read: a token that is not
+    one of the command's flags given whole (help, "--", a prefix, an "="
+    form, a positional), a value starting with "-", and a value its type or
+    choices refuse."""
+    flags = _COMMANDS[name][1]
+    args = {option[2:].replace("-", "_"): kw.get("default") for option, kw in flags.items()}
     tokens = iter(tokens)
     for token in tokens:
-        # a prefix of --help ("--" included) may mean help; every flag starts
-        # with "--" and holds no "=", so no other positional or "=" form matches
-        hits = [token] if token in flags else [o for o in flags if o.startswith(token)]
-        if "--help".startswith(token) or len(hits) != 1:
+        keywords = flags.get(token)
+        if keywords is None:
             return None
-        keywords = flags[hits[0]]
         if keywords.get("action") == "store_true":
             value = True
         else:
@@ -125,82 +108,65 @@ def _read(name, tokens):
                 value = keywords.get("type", str)(text)
             except Exception:  # the tree calls the type again: argparse reports it or raises
                 return None
-            if "choices" in keywords and value not in keywords["choices"]:
+            if value not in keywords.get("choices", (value,)):
                 return None
-        args[keywords["dest"]] = value
-    return SimpleNamespace(**args)
+        args[token[2:].replace("-", "_")] = value
+    return SimpleNamespace(command=name, **args)
 
 
 def _parse(argv):
-    """build_parser().parse_args(argv), from the flag table where it reads
-    the whole line."""
+    """build_parser().parse_args(argv), from the table where it reads the
+    whole line."""
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
     return build_parser().parse_args(argv) if args is None else args
 
 
-def _config(args):
-    fields = {field: getattr(args, dest)
-              for dest, (field, *_) in _RUN_FLAGS.items() if hasattr(args, dest)}
-    return reporting.RunConfig(**fields)
+def _run(args):
+    """Run the command and write its output: the path, the summary printed
+    after it, and the failure text ("" when every check passed)."""
+    if args.command == "verify":
+        report = reporting.run_verify(reporting.RunConfig(args.theta_grid, args.eps))
+        reporting.write_json(args.out, report)
+        failed = ", ".join(report["failures"])
+        return args.out, f"; overall: {report['overall']}", failed and "sections: " + failed
+    if args.command == "faces":
+        atlas = reporting.run_faces(reporting.RunConfig(args.theta_grid))
+        reporting.write_json(args.out, atlas)
+        failed = atlas["failed_reports"]
+        return (args.out, f"; failed reports: {failed}",
+                f"face reports: {failed}, listed in {args.out}" if failed else "")
+    if args.command == "sweep":
+        sweep = niceness.divergence_sweep(args.eps, control=args.control)
+        reporting.write_sweep_csv(args.out, sweep)
+        return args.out, f"; verdict: {sweep['verdict']}", ""
+    if args.command == "mesh":
+        out = args.out or f"{args.which}.obj"
+        mesh = meshes.build_mesh(args.which, args.samples)
+        meshes.write_obj(out, mesh)
+        return out, ": {} vertices, {} triangles".format(*mesh.counts), ""
+    report = reporting.run_nice3d()
+    reporting.write_json(args.out, report)
+    failed = ", ".join([k for k in ("octant", "half_disc") if not report[k]["pass"]]
+                       + ([] if report["perp_normal_rejected"] else ["perp_normal_rejected"]))
+    return args.out, f"; pass: {report['pass']}", failed and "checks: " + failed
 
 
 def main(argv=None):
     args = _parse(argv)
     try:
-        if args.command == "verify":
-            report = reporting.run_verify(_config(args))
-            reporting.write_json(args.out, report)
-            print(f"wrote {args.out}; overall: {report['overall']}")
-            if report["failures"]:
-                print("FAILED sections: " + ", ".join(report["failures"]), file=sys.stderr)
-                return 1
-            return 0
-
-        if args.command == "faces":
-            atlas = reporting.run_faces(_config(args))
-            reporting.write_json(args.out, atlas)
-            failed = atlas["failed_reports"]
-            print(f"wrote {args.out}; failed reports: {failed}")
-            if failed:
-                print(f"FAILED face reports: {failed}, listed in {args.out}", file=sys.stderr)
-                return 1
-            return 0
-
-        if args.command == "sweep":
-            sweep = niceness.divergence_sweep(args.eps, control=args.control)
-            reporting.write_sweep_csv(args.out, sweep)
-            print(f"wrote {args.out}; verdict: {sweep['verdict']}")
-            return 0
-
-        if args.command == "mesh":
-            out = args.out or f"{args.which}.obj"
-            mesh = meshes.build_mesh(args.which, args.samples)
-            meshes.write_obj(out, mesh)
-            v, f = mesh.counts
-            print(f"wrote {out}: {v} vertices, {f} triangles")
-            return 0
-
-        if args.command == "nice3d":
-            report = reporting.run_nice3d()
-            reporting.write_json(args.out, report)
-            print(f"wrote {args.out}; pass: {report['pass']}")
-            if not report["pass"]:
-                failed = [name for name, ok in (("octant", report["octant"]["pass"]),
-                                                ("half_disc", report["half_disc"]["pass"]),
-                                                ("perp_normal_rejected",
-                                                 report["perp_normal_rejected"])) if not ok]
-                print("FAILED checks: " + ", ".join(failed), file=sys.stderr)
-                return 1
-            return 0
-
+        # the printing stays in the try: a closed stdout is one error line too
+        out, summary, failure = _run(args)
+        print(f"wrote {out}{summary}")
+        if failure:
+            print(f"FAILED {failure}", file=sys.stderr)
+        return 1 if failure else 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, MemoryError) as exc:  # MemoryError: a size too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -166,20 +166,8 @@ def partner_cos(theta):
     return c / (c + s)
 
 
-def _partner_of_cos(ct):
-    """The partner parameter arccos(ct). The arccos rounds to T + 1.1e-16 at
-    theta = T, so it is clamped to T: the partner stays a curve parameter."""
-    return np.minimum(_per_element(math.acos, ct), T_END)
-
-
-def partner_param(theta):
-    """Partner parameter arccos(partner_cos(theta)); a strictly increasing
-    bijection of (0, T] onto (0, T]."""
-    return _partner_of_cos(partner_cos(theta))
-
-
 def theta_for_partner(t):
-    """Inverse of partner_param in closed form.
+    """Inverse of the partner map theta -> ruling_data(theta).t in closed form.
 
     Solves cos(t) = sin(theta)/(1 + sin(theta) - cos(theta)) for theta;
     the nontrivial root of the induced A sin + B cos = B equation. Below
@@ -211,8 +199,9 @@ class RulingData(NamedTuple):
 
 def ruling_data(theta):
     """The closed-form ruling quantities for theta in (0, T], a scalar or an
-    array, in one array evaluation; partner_cos runs once, and the partner
-    is taken from its value as partner_param takes it."""
+    array, in one array evaluation; partner_cos runs once. The partner
+    t = arccos(partner_cos(theta)) increases strictly with theta, in (0, T]
+    and exactly T at theta = T."""
     theta = check_param(theta, name="theta", open_lo=True)
     ct = partner_cos(theta)
     # below theta ~ 2e-16, c + s rounds to c and ct to 1: no partner then
@@ -220,7 +209,8 @@ def ruling_data(theta):
         bad = theta[ct >= 1.0] if theta.ndim else theta
         raise DomainError(f"theta={bad} too small: its partner cosine rounds to 1, "
                           "so it has no partner")
-    t = _partner_of_cos(ct)
+    # arccos rounds to T + 1.1e-16 at theta = T: clamped, t stays a curve parameter
+    t = np.minimum(_per_element(math.acos, ct), T_END)
     st, sth, cth = np.sin(t), np.sin(theta), np.cos(theta)
     normal = np.stack([-st * sth, -ct * sth, ct * cth], axis=-1)
     mirror = np.stack([ct * cth, sth * ct, -st * sth], axis=-1)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construction import curve_points, partner_param, scale_points, theta_grid
+from .construction import curve_points, ruling_data, scale_points, theta_grid
 from .linalg import DomainError, check_size
 
 BODY_NAMES = ("C", "Cprime")
@@ -44,7 +44,7 @@ def build_mesh(which, n):
     n = check_size(n, 2, "mesh samples per curve")
 
     thetas = theta_grid(n)
-    partners = partner_param(thetas)
+    partners = ruling_data(thetas).t
     curves = ((1, thetas), (2, partners), (3, partners), (4, thetas))
     verts = np.vstack([np.zeros((1, 3))] + [curve_points(k, p) for k, p in curves])
     if which == "Cprime":

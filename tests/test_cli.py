@@ -297,14 +297,17 @@ class TestReportHeaders:
         # verify reads every RunConfig field, so its header names them all
         assert reporting.run_verify(RunConfig())["config_hash"] == "2a57c96eb133"
 
-    def test_run_config_holds_the_flags_verify_takes(self):
-        # each run flag of verify's parser maps onto one RunConfig field and
-        # every field has one, so the header hashes no flag verify lacks;
-        # faces' header names the one field it reads. --samples is parsed
-        # and read by nothing.
-        dests = set(vars(cli._parse(["verify"]))) - {"command", "out", "samples"}
+    def test_run_config_holds_the_flags_verify_takes(self, tmp_path):
+        # each run flag verify takes sets one RunConfig field and every field
+        # has one, so the header hashes no flag verify lacks; faces' header
+        # names the one field it reads. --samples is parsed and read by
+        # nothing.
+        out = tmp_path / "v.json"
+        argv = ["verify", "--theta-grid", "9", "--eps", "0.5,0.05,0.005", "--samples", "3"]
+        main([*argv, "--out", str(out)])  # the verdict at these levels is not the point
+        assert json.loads(out.read_text())["config"] == {"theta_grid_size": 9,
+                                                         "eps_list": [0.5, 0.05, 0.005]}
         fields = {f.name for f in dataclasses.fields(RunConfig)}
-        assert sorted(cli._RUN_FLAGS[dest][0] for dest in dests) == sorted(fields)
         config = RunConfig(theta_grid_size=8)
         assert set(run_verify(config)["config"]) == fields
         assert set(run_faces(config)["config"]) == {"theta_grid_size"}
@@ -334,6 +337,25 @@ class TestCommandFlags:
         assert given.read_bytes() == default.read_bytes()
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["verify", *FAST], ["faces", *FACES_FAST], ["sweep"], ["mesh", "--samples", "8"],
+        ["nice3d"],
+    ], ids=lambda argv: argv[0])
+    def test_a_stdout_that_fails_is_one_error_line_and_exit_1(self, argv, tmp_path, capsys,
+                                                               monkeypatch):
+        # a closed pipe on stdout: the summary line fails after the output
+        # is written, and main reports it as it reports any OSError
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert (tmp_path / "x").exists()
+
+
 # argv whose help, error or output main must print as the full tree does:
 # help, type errors, bad choices, missing values, flags of no command or of
 # another command, abbreviations, leftover positionals, "=" forms, a value
@@ -352,11 +374,12 @@ PARSE_ARGV = [
 # joined by "=": every option string and each of its prefixes from "--" on
 # (--help's included), -h, and values of every type, out of range or refused
 OPTIONS = sorted({option[:end]
-                  for option in {"--help", *(o for name in cli._COMMANDS for o in cli._flags(name))}
+                  for option in {"--help", *(o for _, flags in cli._COMMANDS.values() for o in flags)}
                   for end in range(2, len(option) + 1)} | {"-h"})
 VALUES = ["64", "7", "1.5", "x", "-1", "-", "", "0.1,0.01,0.001", "a,b", "C", "Cprime", "D"]
 
-# each command at its defaults, and the benchmark's four op shapes
+# each command at its defaults, the benchmark's four op shapes, and flags
+# given by a prefix, which the table declines and argparse reads
 NAMESPACE_ARGV = [
     ["verify"], ["faces"], ["sweep"], ["mesh"], ["nice3d"],
     ["verify", "--samples", "512", "--theta-grid", "64", "--eps", "0.3,0.04,0.002,0.0005",
@@ -364,7 +387,50 @@ NAMESPACE_ARGV = [
     ["nice3d", "--out", "n.json"],
     ["sweep", "--samples", "8192", "--eps", "0.2,0.03,0.004,0.0002,3e-05,1e-06", "--out", "s.csv"],
     ["mesh", "--which", "Cprime", "--samples", "128", "--out", "m.obj"],
+    ["sweep", "--control", "--samp", "64"], ["verify", "--theta", "12"],
 ]
+
+
+# what each subparser hands argparse, literally: per command its help
+# summary and, per action, the option strings, dest, default, type name,
+# choices and help
+PARSER_ACTIONS = {
+    "verify": ("run the full pipeline, emit a JSON report", [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "show this help message and exit"),
+        (("--samples",), "samples", None, "int", None, "ignored: no output reads it"),
+        (("--theta-grid",), "theta_grid", 64, "int", None,
+         "ruling-parameter grid size (default 64)"),
+        (("--eps",), "eps", (0.1, 0.01, 0.001, 0.0001), "_parse_eps", None,
+         "comma-separated refinement levels, strictly decreasing "
+         "(default 0.1,0.01,0.001,0.0001)"),
+        (("--out",), "out", "verify_report.json", None, None, "output path"),
+    ]),
+    "faces": ("emit the face atlas with exposure reports", [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "show this help message and exit"),
+        (("--theta-grid",), "theta_grid", 64, "int", None,
+         "ruling-parameter grid size (default 64)"),
+        (("--out",), "out", "face_atlas.json", None, None, "output path"),
+    ]),
+    "sweep": ("divergence sweep as CSV", [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "show this help message and exit"),
+        (("--samples",), "samples", None, "int", None, "ignored: no output reads it"),
+        (("--eps",), "eps", (0.1, 0.01, 0.001, 0.0001), "_parse_eps", None,
+         "comma-separated refinement levels, strictly decreasing "
+         "(default 0.1,0.01,0.001,0.0001)"),
+        (("--out",), "out", "sweep.csv", None, None, "output path"),
+        (("--control",), "control", False, None, None, "run the polyhedral control cone instead"),
+    ]),
+    "mesh": ("export a triangle mesh as OBJ", [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "show this help message and exit"),
+        (("--which",), "which", "C", None, ("C", "Cprime"), None),
+        (("--samples",), "samples", 64, "int", None, None),
+        (("--out",), "out", None, None, None, None),
+    ]),
+    "nice3d": ("3D closedness ingredient checks", [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "show this help message and exit"),
+        (("--out",), "out", "nice3d_report.json", None, None, "output path"),
+    ]),
+}
 
 
 def run_main(argv, tmp_path, capsysbinary):
@@ -391,6 +457,17 @@ class TestParsePath:
     def test_namespace_is_the_full_trees(self, argv):
         assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
 
+    def test_each_subparser_holds_these_actions(self):
+        # the help screens' bytes, and every namespace, follow from these
+        parser = cli.build_parser()
+        commands = parser._subparsers._group_actions[0]
+        summaries = {action.dest: action.help for action in commands._choices_actions}
+        assert {name: (summaries[name], [
+            (tuple(a.option_strings), a.dest, a.default, getattr(a.type, "__name__", None),
+             a.choices, a.help) for a in command._actions])
+            for name, command in commands.choices.items()} == PARSER_ACTIONS
+        assert list(commands.choices) == list(PARSER_ACTIONS)
+
     @pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
     def test_text_and_exit_code_are_the_full_trees(self, argv, tmp_path, monkeypatch,
                                                    capsysbinary):
@@ -412,7 +489,7 @@ class TestParsePath:
         def lines(command):
             # mostly the command's own flags, or prefixes of them, each with
             # or without a value, so that some lines are well formed
-            flags = cli._flags(command) if command in cli._COMMANDS else ()
+            flags = cli._COMMANDS[command][1] if command in cli._COMMANDS else ()
             own = [o for o in OPTIONS if any(f.startswith(o) for f in flags)]
             mine = st.sampled_from(own) if own else option
             piece = st.tuples(mine, value) | st.tuples(mine) | st.tuples(stray)
@@ -436,7 +513,7 @@ class TestParsePath:
 
     @pytest.mark.parametrize("argv", [
         ["verify", *FAST], ["faces", *FACES_FAST], ["sweep", "--samples", "64"],
-        ["mesh", "--samples", "8"], ["nice3d"], ["sweep", "--control", "--samp", "64"],
+        ["mesh", "--samples", "8"], ["nice3d"], ["sweep", "--control", "--samples", "64"],
     ], ids=" ".join)
     def test_a_valid_command_never_builds_the_full_tree(self, argv, tmp_path, monkeypatch):
         def refuse():
@@ -763,8 +840,7 @@ class TestRunConfig:
         refuse_work(monkeypatch)
         monkeypatch.setattr(construction, "theta_grid", no_grid)
         limit = faces.MAX_THETA_GRID
-        assert cli._config(cli._parse([command, "--theta-grid", str(limit)])).theta_grid_size \
-            == limit
+        assert RunConfig(theta_grid_size=limit).theta_grid_size == limit
         out = tmp_path / "x"
         assert main([command, "--theta-grid", str(limit + 1), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (

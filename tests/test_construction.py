@@ -99,15 +99,15 @@ class TestPartnerMachinery:
         assert np.all(np.diff(cosines) < 0)
         assert con.partner_cos(T / 1000) > cosines[-1] == pytest.approx(SQRT2_INV, abs=1e-12)
 
-    def test_partner_param_is_an_increasing_bijection(self):
+    def test_the_partner_is_an_increasing_bijection(self):
+        # a theta too small to have a partner is refused (the test below)
         grid = np.linspace(T / 500, T, 500)
-        vals = np.array([con.partner_param(th) for th in grid])
+        vals = con.ruling_data(grid).t
         assert np.all(np.diff(vals) > 0)
         assert abs(vals[-1] - T) <= 1e-9
-        assert con.partner_param(1e-18) <= 1e-9
         # closed-form inverse round-trips
         for th in grid[::25]:
-            assert con.theta_for_partner(con.partner_param(th)) == pytest.approx(th, abs=1e-9)
+            assert con.theta_for_partner(con.ruling_data(th).t) == pytest.approx(th, abs=1e-9)
 
     @pytest.mark.parametrize("t", [1.4e-8, 1e-8, 1e-12])
     def test_a_partner_whose_theta_rounds_to_0_is_refused_by_its_own_value(self, t):
@@ -136,7 +136,7 @@ class TestPartnerMachinery:
         # arccos rounds to T + 1.1e-16 at theta = T; a partner above T would
         # put a second endpoint sample, outside [0, T], on curves 2 and 3
         thetas = con.theta_grid(n)
-        assert max(con.partner_param(th) for th in thetas) == T
+        assert con.ruling_data(thetas).t.max() == T
         assert con.ruling_data(T).t == T
         _, grids = verification_grids(n, 64)
         for g in grids.values():

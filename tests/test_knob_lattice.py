@@ -33,12 +33,12 @@ EPS_TO_1E_9 = EPS_TO_1E_7 + (1e-8, 1e-9)
 @pytest.mark.parametrize("samples", SIZES)
 def test_verify_and_faces_pass(samples, thetas, eq_abs, tmp_path):
     argv = ["verify", "--samples", str(samples), "--theta-grid", str(thetas)]
-    config = cli._config(cli._parse(argv))
-    assert config == RunConfig(theta_grid_size=thetas)
+    config = RunConfig(theta_grid_size=thetas)
     out = tmp_path / "verify.json"
     assert cli.main([*argv, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert (report["overall"], report["failures"]) == ("pass", [])
+    assert report["config"] == {"theta_grid_size": thetas, "eps_list": list(EPS_TO_1E_4)}
     assert report["sections"]["face_exposure"]["worst_onface_residual"] <= 1e-12
     assert reporting.run_faces(config)["failed_reports"] == 0
 
